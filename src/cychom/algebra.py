@@ -20,14 +20,23 @@ from .errors import (
     SizeOverflow,
     ValidationError,
 )
-from .linalg import SparseMatrix, Subspace, to_raw, vec_axpy, vec_equal
+from .linalg import (SparseMatrix, Subspace, dense_to_sparse, to_raw,
+                     vec_axpy, vec_equal, vec_sub)
 from .scalars import field_of_order, scalar_to_string
 
 
-def _normalize_vec(vec, field) -> dict:
-    """Copy a sparse vector, coercing entries to raw field values."""
+def _normalize_vec(vec, A) -> dict:
+    """Copy a sparse vector over A, coercing entries to raw field values.
+
+    A only needs ``dim`` and ``field``; a coordinate outside range(dim)
+    raises ValidationError.
+    """
+    field = A.field
     out = {}
     for k, v in vec.items():
+        if not 0 <= k < A.dim:
+            raise ValidationError(
+                "coordinate %r outside a basis of dimension %d" % (k, A.dim))
         raw = to_raw(v, field)
         if not field.is_zero(raw):
             out[k] = raw
@@ -68,26 +77,19 @@ class FDAlgebra:
             raise ValidationError("expected %d basis labels" % dim)
         self.labels = list(labels)
         table = [[{} for _ in range(dim)] for _ in range(dim)]
-        if mul is not None:
-            for i in range(dim):
-                for j in range(dim):
-                    entry = mul[i][j] if isinstance(mul, list) else mul.get((i, j), {})
-                    table[i][j] = _normalize_vec(entry, self.field)
+        if isinstance(mul, list):
+            if len(mul) != dim or any(len(row) != dim for row in mul):
+                raise ValidationError(
+                    "structure constants must form a %d x %d table" % (dim, dim))
+            mul = {(i, j): mul[i][j] for i in range(dim) for j in range(dim)}
+        for (i, j), entry in (mul or {}).items():
+            if not (0 <= i < dim and 0 <= j < dim):
+                raise ValidationError(
+                    "product key %r outside a basis of dimension %d"
+                    % ((i, j), dim))
+            table[i][j] = _normalize_vec(entry, self)
         self.mul = table
-        self.unit = _normalize_vec(unit, self.field) if unit is not None else None
-
-    @classmethod
-    def from_triples(cls, dim, field_order, triples, labels=None, unit=None,
-                     name="", budget=None):
-        """Build from a list of (i, j, k, scalar) structure constants."""
-        mul = {}
-        field = field_of_order(field_order)
-        for i, j, k, value in triples:
-            raw = to_raw(value, field)
-            vec = mul.setdefault((i, j), {})
-            vec[k] = field.add(vec.get(k, field.zero), raw)
-        return cls(dim, field_order, mul, labels=labels, unit=unit,
-                   name=name, budget=budget)
+        self.unit = _normalize_vec(unit, self) if unit is not None else None
 
     @property
     def is_unital(self) -> bool:
@@ -126,6 +128,16 @@ class FDAlgebra:
             for i in range(self.dim):
                 t = field.add(t, self.mul[k][i].get(i, field.zero))
             out.append(t)
+        return out
+
+    def commutators(self) -> list:
+        """The nonzero commutators e_i e_j - e_j e_i with i < j."""
+        out = []
+        for i in range(self.dim):
+            for j in range(i + 1, self.dim):
+                v = vec_sub(self.mul[i][j], self.mul[j][i], self.field)
+                if v:
+                    out.append(v)
         return out
 
     def is_commutative(self) -> bool:
@@ -242,7 +254,7 @@ class AlgebraMap:
 
     @classmethod
     def from_images(cls, source, target, images, **flags):
-        cols = [_normalize_vec(v, target.field) for v in images]
+        cols = [_normalize_vec(v, target) for v in images]
         return cls(source, target,
                    SparseMatrix.from_columns(cols, target.dim, target.field),
                    **flags)
@@ -354,7 +366,7 @@ class TwoSidedIdeal:
 def two_sided_ideal(A: FDAlgebra, vectors, name="") -> TwoSidedIdeal:
     """Wrap explicit basis vectors as an ideal, checking absorption."""
     space = Subspace.from_vectors(
-        A.dim, A.field, [_normalize_vec(v, A.field) for v in vectors])
+        A.dim, A.field, [_normalize_vec(v, A) for v in vectors])
     ideal = TwoSidedIdeal(A, space, name=name)
     ideal.validate()
     return ideal
@@ -367,7 +379,7 @@ def ideal_generated_by(A: FDAlgebra, gens, name="") -> TwoSidedIdeal:
     stabilizes.  The generators themselves are kept, which is the
     unit-augmented convention needed when A has no unit.
     """
-    vectors = [_normalize_vec(v, A.field) for v in gens]
+    vectors = [_normalize_vec(v, A) for v in gens]
     space = Subspace.from_vectors(A.dim, A.field, vectors)
     while True:
         new_vecs = []
@@ -502,7 +514,6 @@ def matrix_algebra(base: FDAlgebra, N: int, budget=None) -> FDAlgebra:
     if not base.is_unital:
         raise NonUnital("matrix algebra needs a unital base")
     d = base.dim
-    field = base.field
     dim = N * N * d
     plain = d == 1 and base.labels == ["1"]
 
@@ -532,12 +543,9 @@ def matrix_algebra(base: FDAlgebra, N: int, budget=None) -> FDAlgebra:
     for p in range(N):
         for i, c in base.unit.items():
             unit[idx(p, p, i)] = c
-    A = FDAlgebra(dim, base.field_order, mul, labels=labels, unit=unit,
-                  name="matrix_%d(%s)" % (N, base.name or "base"),
-                  budget=budget).require_valid()
-    A.matrix_base = base
-    A.matrix_size = N
-    return A
+    return FDAlgebra(dim, base.field_order, mul, labels=labels, unit=unit,
+                     name="matrix_%d(%s)" % (N, base.name or "base"),
+                     budget=budget).require_valid()
 
 
 def upper_triangular(n: int, field_order=1, budget=None) -> FDAlgebra:
@@ -629,7 +637,6 @@ def quotient_algebra(A: FDAlgebra, ideal: TwoSidedIdeal,
     if ideal.parent is not A:
         raise AmbientMismatch("ideal does not belong to this algebra")
     ideal.validate()
-    field = A.field
     free = [i for i in range(A.dim) if i not in set(ideal.space.pivot_cols)]
     if not free:
         raise ValidationError("quotient by the whole algebra is empty")
@@ -707,7 +714,7 @@ def subalgebra_closure(A: FDAlgebra, generators, budget=None):
     """
     budget = budget or default_budget()
     field = A.field
-    vectors = [_normalize_vec(v, A.field) for v in generators]
+    vectors = [_normalize_vec(v, A) for v in generators]
     space = Subspace.from_vectors(A.dim, field, vectors)
     while True:
         new_vecs = []
@@ -732,15 +739,12 @@ def subalgebra_closure(A: FDAlgebra, generators, budget=None):
     for a in range(dim):
         for b in range(dim):
             prod = A.multiply(basis[a], basis[b])
-            coords = space.coords(prod)
-            entry = {k: c for k, c in enumerate(coords)
-                     if not field.is_zero(c)}
+            entry = dense_to_sparse(space.coords(prod), field)
             if entry:
                 mul[(a, b)] = entry
     unit = None
     if A.is_unital and space.contains(A.unit):
-        coords = space.coords(A.unit)
-        unit = {k: c for k, c in enumerate(coords) if not field.is_zero(c)}
+        unit = dense_to_sparse(space.coords(A.unit), field)
     sub = FDAlgebra(dim, A.field_order, mul, unit=unit,
                     name=(A.name or "A") + "_sub", budget=budget)
     sub.require_valid()
@@ -766,8 +770,7 @@ def ideal_as_algebra(ideal: TwoSidedIdeal, budget=None):
             coords = ideal.space.coords(prod)
             if coords is None:
                 raise ValidationError("ideal is not closed under products")
-            entry = {k: c for k, c in enumerate(coords)
-                     if not field.is_zero(c)}
+            entry = dense_to_sparse(coords, field)
             if entry:
                 mul[(a, b)] = entry
     J = FDAlgebra(dim, A.field_order, mul, unit=None,

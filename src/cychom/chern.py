@@ -11,11 +11,10 @@ to be an exact cycle of the total complex.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from itertools import product as iter_product
 
-from .algebra import FDAlgebra, ground_field, matrix_algebra
+from .algebra import FDAlgebra, _normalize_vec, ground_field, matrix_algebra
 from .config import default_budget
 from .cyclic import CyclicComplexWindow, cyclic_complex, operator_B, operator_S
 from .errors import (
@@ -25,7 +24,7 @@ from .errors import (
     ValidationError,
 )
 from .groups import cyclic_group, group_algebra
-from .linalg import to_raw, vec_axpy, vec_equal, vec_is_zero
+from .linalg import add_term, vec_equal, vec_is_zero
 
 ORDER_SEARCH_LIMIT = 24
 
@@ -65,12 +64,8 @@ class CyclicChain:
         return vec_is_zero(self.window.totals[self.degree].mat_vec(self.chain))
 
     def equals(self, other: "CyclicChain") -> bool:
-        if self.degree != other.degree:
-            return False
-        field = self.window.field
-        diff = dict(self.chain)
-        vec_axpy(diff, field.neg(field.one), other.chain, field)
-        return vec_is_zero(diff)
+        return (self.degree == other.degree
+                and vec_equal(self.chain, other.chain, self.window.field))
 
 
 def _require_cycle(ch: CyclicChain, what: str) -> CyclicChain:
@@ -167,32 +162,14 @@ class KClassRep:
     def entry(self, p: int, q: int) -> dict:
         return dict(self.entries[p][q])
 
-    def matrix_trace(self) -> dict:
-        field = self.algebra.field
-        out = {}
-        for p in range(self.size):
-            vec_axpy(out, field.one, self.entries[p][p], field)
-        return out
-
 
 def _normalize_entries(A: FDAlgebra, matrix) -> tuple:
     N = len(matrix)
-    field = A.field
     rows = []
     for row in matrix:
         if len(row) != N:
             raise ValidationError("matrix must be square")
-        cleaned = []
-        for entry in row:
-            vec = {}
-            for i, value in dict(entry).items():
-                if not 0 <= i < A.dim:
-                    raise ValidationError("entry coordinate out of range")
-                raw = to_raw(value, field)
-                if not field.is_zero(raw):
-                    vec[i] = raw
-            cleaned.append(vec)
-        rows.append(tuple(cleaned))
+        rows.append(tuple(_normalize_vec(dict(entry), A) for entry in row))
     return tuple(rows)
 
 
@@ -288,13 +265,8 @@ def _push_through_trace(src: CyclicChain, mats, tgt: CyclicComplexWindow,
                 for combo in iter_product(*[list(f.items())
                                             for f in factors]):
                     raw = reduce(field.mul, [v for _, v in combo])
-                    value = field.scale(raw, c)
                     j = off + hoch_tgt.index_of(m, tuple(i for i, _ in combo))
-                    total = field.add(out.get(j, field.zero), value)
-                    if field.is_zero(total):
-                        out.pop(j, None)
-                    else:
-                        out[j] = total
+                    add_term(out, j, field.scale(raw, c), field)
     return CyclicChain(tgt, src.degree, out)
 
 

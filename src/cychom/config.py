@@ -1,7 +1,7 @@
 """Budgets and tunables.
 
-All hard limits live in one place so the CLI flags and the environment
-override hit the same knobs the library defaults use.
+All hard limits live in one place so the environment override hits the
+same knobs the library defaults use.
 """
 
 from __future__ import annotations

@@ -24,8 +24,8 @@ from .errors import (DegreePositive, EmptyTarget, SizeOverflow,
 from .groups import (FiniteGroup, FiniteVarietyAction, GroupAction,
                      group_metadata)
 from .hochschild import hh, hh_with_coefficients
-from .linalg import (SparseMatrix, Subspace, induced_map, vec_axpy,
-                     vec_is_zero)
+from .linalg import (SparseMatrix, Subspace, add_term, induced_map, vec_axpy,
+                     vec_equal, vec_is_zero)
 from .scalars import field_of_order, lift_raw
 from .spectrum import intersect_subspaces
 
@@ -285,9 +285,6 @@ class _ClassGeometry:
                                        field))
             self.characters.append(lifted)
 
-    def block_dim(self) -> int:
-        return self.m * self.m * len(self.fixed)
-
 
 def _psi_block_value(G, action, geom, chars_row, x, g, field):
     """The block of psi at the basis element delta_x (x) g.
@@ -315,13 +312,9 @@ def _block_mul(u, v, m, field):
     for (r, s, t), a in u.items():
         for c in range(m):
             b = v.get((s, c, t))
-            if b is None:
-                continue
-            key = (r, c, t)
-            acc = out.get(key)
-            val = field.mul(a, b)
-            out[key] = val if acc is None else field.add(acc, val)
-    return {k: v for k, v in out.items() if not field.is_zero(v)}
+            if b is not None:
+                add_term(out, (r, c, t), field.mul(a, b), field)
+    return out
 
 
 @dataclass
@@ -342,8 +335,19 @@ class PsiBlock:
         return self.offset + (r * self.m + c) * len(self.fixed) + t
 
 
+class _ComparisonMap:
+    """Shared by the comparison maps: a matrix over Q(zeta_field_order)."""
+
+    def apply(self, vec: dict, source_order: int = 1) -> dict:
+        """The image of a vector whose entries have the given order."""
+        field = field_of_order(self.field_order)
+        src = field_of_order(source_order)
+        lifted = {k: lift_raw(v, src, field) for k, v in vec.items()}
+        return self.matrix.mat_vec(lifted)
+
+
 @dataclass
-class PsiMap:
+class PsiMap(_ComparisonMap):
     """The block-diagonal comparison map out of a point-set crossed product.
 
     ``matrix`` stacks every block: the coordinate of entry (r, c) at the
@@ -365,12 +369,6 @@ class PsiMap:
             if b.class_index == class_index and b.char_index == char_index:
                 return b
         raise ValidationError("no such block")
-
-    def apply(self, vec: dict, source_order: int = 1) -> dict:
-        field = field_of_order(self.field_order)
-        src = field_of_order(source_order)
-        lifted = {k: lift_raw(v, src, field) for k, v in vec.items()}
-        return self.matrix.mat_vec(lifted)
 
     def component(self, image: dict, block: PsiBlock) -> dict:
         """Slice one block out of a target vector, keyed (r, c, t)."""
@@ -444,47 +442,33 @@ def psi_map(action: FiniteVarietyAction, budget=None) -> PsiMap:
 def _verify_psi(cp, blocks, values, field):
     """Each block must be a unital algebra map onto its matrix algebra."""
     P = cp.product
-    for bi, b in enumerate(blocks):
-        unit_val = {}
-        for flat, coeff in P.unit.items():
+
+    def block_value(vec, bi):
+        # the block-bi value of psi at a vector of the product
+        out = {}
+        for flat, coeff in vec.items():
             for key, v in values[flat][bi].items():
-                acc = unit_val.get(key)
-                term = field.mul(coeff, v)
-                unit_val[key] = term if acc is None else field.add(acc, term)
+                add_term(out, key, field.mul(coeff, v), field)
+        return out
+
+    for bi, b in enumerate(blocks):
         expected_unit = {(r, r, t): field.one
                          for r in range(b.m) for t in range(len(b.fixed))}
-        if _block_diff(unit_val, expected_unit, field):
+        if not vec_equal(block_value(P.unit, bi), expected_unit, field):
             raise ValidationError("component is not unital on block %d" % bi)
     for ku in range(P.dim):
         for kv in range(P.dim):
             prod = P.mul[ku][kv]
             for bi, b in enumerate(blocks):
                 got = _block_mul(values[ku][bi], values[kv][bi], b.m, field)
-                expected = {}
-                for flat, coeff in prod.items():
-                    for key, v in values[flat][bi].items():
-                        acc = expected.get(key)
-                        term = field.mul(coeff, v)
-                        expected[key] = term if acc is None \
-                            else field.add(acc, term)
-                if _block_diff(got, expected, field):
+                if not vec_equal(got, block_value(prod, bi), field):
                     raise ValidationError(
                         "component %d is not multiplicative at pair (%d, %d)"
                         % (bi, ku, kv))
 
 
-def _block_diff(u, v, field) -> bool:
-    keys = set(u) | set(v)
-    for k in keys:
-        a = u.get(k, field.zero)
-        b = v.get(k, field.zero)
-        if not field.is_zero(field.sub(a, b)):
-            return True
-    return False
-
-
 @dataclass
-class PhiGamma:
+class PhiGamma(_ComparisonMap):
     """The degree-zero comparison map for one conjugacy class.
 
     Rows are the fixed points of the representative; columns are the
@@ -498,12 +482,6 @@ class PhiGamma:
     field_order: int
     fixed: list
     matrix: SparseMatrix
-
-    def apply(self, vec: dict, source_order: int = 1) -> dict:
-        field = field_of_order(self.field_order)
-        src = field_of_order(source_order)
-        lifted = {k: lift_raw(v, src, field) for k, v in vec.items()}
-        return self.matrix.mat_vec(lifted)
 
 
 def phi_gamma(cp: CrossedProduct, gamma: int, q: int = 0,
@@ -554,11 +532,9 @@ def phi_gamma(cp: CrossedProduct, gamma: int, q: int = 0,
             if k is None:
                 continue
             t = geom.fixed_pos.get(action.perms[gi_inv][x])
-            if t is None:
-                continue
-            acc = col.get(t, field.zero)
-            col[t] = field.add(acc, weights[k])
-        cols.append({t: v for t, v in col.items() if not field.is_zero(v)})
+            if t is not None:
+                add_term(col, t, weights[k], field)
+        cols.append(col)
     matrix = SparseMatrix.from_columns(cols, len(geom.fixed), field)
     return PhiGamma(gamma=gamma, gamma_name=G.names[gamma], crossed=cp,
                     field_order=order, fixed=list(geom.fixed), matrix=matrix)
@@ -611,14 +587,7 @@ def phi_isomorphism_report(cp: CrossedProduct, budget=None) -> PhiReport:
     order = lcm(G.exponent(), P.field_order)
     field = field_of_order(order)
 
-    commutators = []
-    for i in range(P.dim):
-        for j in range(i + 1, P.dim):
-            v = dict(P.mul[i][j])
-            vec_axpy(v, P.field.neg(P.field.one), P.mul[j][i], P.field)
-            if v:
-                commutators.append(v)
-    comm_space = Subspace.from_vectors(P.dim, P.field, commutators)
+    comm_space = Subspace.from_vectors(P.dim, P.field, P.commutators())
 
     verdicts = []
     for data in meta.classes:

@@ -16,10 +16,11 @@ from .algebra import AlgebraMap, FDAlgebra, TwoSidedIdeal, direct_sum, \
 from .config import default_budget
 from .errors import DegreeTooLow, NonUnital, NotMultiplicative, SizeOverflow, \
     ValidationError
-from .hochschild import ChainComplexWindow, DegreeHomology, HomologyReport, \
-    _phi_slot_maps, _tensor_chain_matrix, _window_homology, bar_complex, \
-    induced_map_hh
-from .linalg import Homology, SparseMatrix, Subspace, homology, induced_map
+from .hochschild import ChainComplexWindow, HomologyReport, \
+    _degree_homologies, _homology_report, _phi_slot_maps, \
+    _tensor_chain_matrix, bar_complex, induced_map_hh
+from .linalg import SparseMatrix, Subspace, add_term, dense_to_sparse, \
+    induced_map, operator_matrix
 from .structure import center, semisimple_quotient
 
 
@@ -44,23 +45,8 @@ def cyclic_t(window: ChainComplexWindow, n: int, chain: dict) -> dict:
         tup = window.tuple_of(n, index)
         rotated = (tup[-1],) + tup[:-1]
         value = field.neg(c) if n % 2 else c
-        key = window.index_of(n, rotated)
-        prev = out.get(key)
-        total = value if prev is None else field.add(prev, value)
-        if field.is_zero(total):
-            out.pop(key, None)
-        else:
-            out[key] = total
+        add_term(out, window.index_of(n, rotated), value, field)
     return out
-
-
-def _accumulate(acc, key, value, field):
-    prev = acc.get(key)
-    total = value if prev is None else field.add(prev, value)
-    if field.is_zero(total):
-        acc.pop(key, None)
-    else:
-        acc[key] = total
 
 
 def _B_column_unnormalized(window: ChainComplexWindow, n: int,
@@ -75,12 +61,12 @@ def _B_column_unnormalized(window: ChainComplexWindow, n: int,
         rotated = tup[-j:] + tup[:-j] if j else tup
         for u, cu in unit_items:
             coeff = field.neg(cu) if negate else cu
-            _accumulate(acc, window.index_of(n + 1, (u,) + rotated),
-                        coeff, field)
+            add_term(acc, window.index_of(n + 1, (u,) + rotated),
+                     coeff, field)
             # the t-image of the inserted term, with t's sign on degree n+1
             wrapped = (rotated[-1], u) + rotated[:-1]
             back = coeff if (n + 1) % 2 else field.neg(coeff)
-            _accumulate(acc, window.index_of(n + 1, wrapped), back, field)
+            add_term(acc, window.index_of(n + 1, wrapped), back, field)
     return acc
 
 
@@ -97,7 +83,7 @@ def _B_column_normalized(window: ChainComplexWindow, n: int,
         rotated = seq[-j:] + seq[:-j] if j else seq
         coeff = field.neg(field.one) if (n * j) % 2 else field.one
         target = (0,) + tuple(f - 1 for f in rotated)
-        _accumulate(acc, window.index_of(n + 1, target), coeff, field)
+        add_term(acc, window.index_of(n + 1, target), coeff, field)
     return acc
 
 
@@ -116,7 +102,7 @@ def operator_B(window: ChainComplexWindow, n: int, chain: dict) -> dict:
     out = {}
     for index, c in chain.items():
         for key, value in column(window, n, window.tuple_of(n, index)).items():
-            _accumulate(out, key, field.mul(c, value), field)
+            add_term(out, key, field.mul(c, value), field)
     return out
 
 
@@ -208,21 +194,12 @@ def cyclic_complex(A: FDAlgebra, n_max: int, normalized: bool | None = None,
             col_off = offsets[n][k]
             # b keeps the column index k, B moves one column left
             if m >= 1:
-                _paste(mat, hoch.boundaries[m], offsets[n - 1][k], col_off)
+                mat.paste(hoch.boundaries[m], offsets[n - 1][k], col_off)
             if k >= 1:
-                _paste(mat, b_up[m], offsets[n - 1][k - 1], col_off)
+                mat.paste(b_up[m], offsets[n - 1][k - 1], col_off)
         totals.append(mat)
     return CyclicComplexWindow(A, n_max, normalized, hoch, b_up, dims,
                                offsets, totals)
-
-
-def _paste(target: SparseMatrix, block: SparseMatrix, row_off: int,
-           col_off: int) -> None:
-    for i, row in enumerate(block.rows):
-        if row:
-            out = target.rows[row_off + i]
-            for j, c in row.items():
-                out[col_off + j] = c
 
 
 # ---------------------------------------------------------------------------
@@ -263,18 +240,30 @@ def hc(A: FDAlgebra, n_max: int, normalized: bool | None = None,
     """Cyclic homology HC_0 .. HC_n_max of a unital algebra."""
     window = cyclic_complex(A, n_max + 1, normalized=normalized,
                             budget=budget)
-    degrees = []
-    for n in range(n_max + 1):
-        H = homology(window.totals[n] if n >= 1 else None,
-                     window.totals[n + 1],
-                     space_dim=window.dims[n], field=window.field)
-        degrees.append(DegreeHomology(degree=n, dim=H.dim,
-                                      representatives=H.representatives,
-                                      homology=H))
-    return HomologyReport(algebra=A, n_max=n_max,
-                          normalized=window.normalized,
-                          dims=[d.dim for d in degrees], degrees=degrees,
-                          window=window)
+    return _homology_report(A, window, window.totals, n_max)
+
+
+def _s_on_homology(window: CyclicComplexWindow, homologies, top: int) -> dict:
+    """{n: S from homology degree n to n-2} for n = 2..top."""
+    return {n: induced_map(s_matrix(window, n), homologies[n],
+                           homologies[n - 2])
+            for n in range(2, top + 1)}
+
+
+def _s_tower(s_hom: dict, parity: int, cutoff: int):
+    """Iterated S on homology from the top level of one parity down.
+
+    Returns (top, ranks, composite): ranks lists the ranks of the composites
+    from the top into each lower level, highest target first, and composite
+    is the one into level parity (None when no S step fits the window).
+    """
+    top = cutoff - ((cutoff - parity) % 2)
+    ranks, composite = [], None
+    for level in range(top, parity + 1, -2):
+        step = s_hom[level]
+        composite = step if composite is None else step.matmul(composite)
+        ranks.append(composite.rank())
+    return top, ranks, composite
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +271,10 @@ def hc(A: FDAlgebra, n_max: int, normalized: bool | None = None,
 
 
 @dataclass
-class SBINode:
+class ExactnessNode:
+    """One spot of a long exact sequence: exact when the composite through
+    it vanishes and the incoming rank equals the outgoing kernel."""
+
     label: str
     space_dim: int
     incoming_rank: int
@@ -315,46 +307,25 @@ def sbi_check(A: FDAlgebra, n_max: int, normalized: bool | None = None,
     matrices; each node reports the incoming rank and the outgoing kernel
     dimension, which agree exactly when the sequence is exact there.
     """
-    window = cyclic_complex(A, n_max + 1, normalized=normalized,
-                            budget=budget)
+    hc_report = hc(A, n_max, normalized=normalized, budget=budget)
+    window = hc_report.window
     hoch = window.hochschild_window
-    field = window.field
-
-    hh_degrees = _window_homology(hoch, n_max)
-    hh_report = HomologyReport(algebra=A, n_max=n_max,
-                               normalized=window.normalized,
-                               dims=[d.dim for d in hh_degrees],
-                               degrees=hh_degrees, window=hoch)
-    hc_degrees = []
-    for n in range(n_max + 1):
-        H = homology(window.totals[n] if n >= 1 else None,
-                     window.totals[n + 1],
-                     space_dim=window.dims[n], field=field)
-        hc_degrees.append(DegreeHomology(degree=n, dim=H.dim,
-                                         representatives=H.representatives,
-                                         homology=H))
-    hc_report = HomologyReport(algebra=A, n_max=n_max,
-                               normalized=window.normalized,
-                               dims=[d.dim for d in hc_degrees],
-                               degrees=hc_degrees, window=window)
+    hh_report = _homology_report(A, hoch, hoch.boundaries, n_max)
+    hh_degrees, hc_degrees = hh_report.degrees, hc_report.degrees
 
     # homology-level matrices
-    i_maps, s_maps, del_maps = {}, {}, {}
+    i_maps, del_maps = {}, {}
     for n in range(n_max + 1):
         i_maps[n] = induced_map(i_matrix(window, n),
                                 hh_degrees[n].homology,
                                 hc_degrees[n].homology)
-    for n in range(2, n_max + 1):
-        s_maps[n] = induced_map(s_matrix(window, n),
-                                hc_degrees[n].homology,
-                                hc_degrees[n - 2].homology)
+    s_maps = _s_on_homology(window, [d.homology for d in hc_degrees], n_max)
     for n in range(0, n_max):
         # the connecting map out of HC_n: apply B to the top Hochschild
         # component; on cycles the lower components contribute nothing
-        chain = SparseMatrix.zero(hoch.dims[n + 1], window.dims[n], field)
-        for i, row in enumerate(window.b_up[n].rows):
-            for j, c in row.items():
-                chain.rows[i][j] = c
+        chain = SparseMatrix.zero(hoch.dims[n + 1], window.dims[n],
+                                  window.field)
+        chain.paste(window.b_up[n], 0, 0)
         del_maps[n] = induced_map(chain, hc_degrees[n].homology,
                                   hh_degrees[n + 1].homology)
 
@@ -366,25 +337,25 @@ def sbi_check(A: FDAlgebra, n_max: int, normalized: bool | None = None,
         zero = True
         if n >= 1:
             zero = i_maps[n].matmul(del_maps[n - 1]).is_zero_matrix()
-        nodes.append(SBINode("HH_%d" % n, hh_degrees[n].dim, inc,
-                             out_kernel, zero))
+        nodes.append(ExactnessNode("HH_%d" % n, hh_degrees[n].dim, inc,
+                                   out_kernel, zero))
 
         # node HC_n between I and S
         s_rank = s_maps[n].rank() if n >= 2 else 0
         zero = True
         if n >= 2:
             zero = s_maps[n].matmul(i_maps[n]).is_zero_matrix()
-        nodes.append(SBINode("HC_%d" % n, hc_degrees[n].dim,
-                             i_maps[n].rank(),
-                             hc_degrees[n].dim - s_rank, zero))
+        nodes.append(ExactnessNode("HC_%d" % n, hc_degrees[n].dim,
+                                   i_maps[n].rank(),
+                                   hc_degrees[n].dim - s_rank, zero))
 
         # node HC_n between S (from degree n+2) and the connecting map
         if n <= n_max - 2:
             inc = s_maps[n + 2].rank()
             out_kernel = hc_degrees[n].dim - del_maps[n].rank()
             zero = del_maps[n].matmul(s_maps[n + 2]).is_zero_matrix()
-            nodes.append(SBINode("HC_%d_tail" % n, hc_degrees[n].dim, inc,
-                                 out_kernel, zero))
+            nodes.append(ExactnessNode("HC_%d_tail" % n, hc_degrees[n].dim,
+                                       inc, out_kernel, zero))
     return SBIReport(algebra=A, n_max=n_max, hochschild=hh_report,
                      cyclic=hc_report, nodes=nodes)
 
@@ -403,41 +374,6 @@ class HPReport:
     stabilization_dims: tuple | None = None
 
 
-def _stable_ranks(hc_report: HomologyReport, window: CyclicComplexWindow,
-                  parity: int, cutoff: int):
-    """Ranks of iterated S from the top stored level into each lower one."""
-    s_hom = {}
-    for n in range(2, cutoff + 1):
-        s_hom[n] = induced_map(s_matrix(window, n),
-                               hc_report.degrees[n].homology,
-                               hc_report.degrees[n - 2].homology)
-    top = cutoff - ((cutoff - parity) % 2)
-    ranks = []
-    for target in range(top - 2, parity - 1, -2):
-        composite = None
-        for source in range(target + 2, top + 1, 2):
-            step = s_hom[source]
-            composite = step if composite is None else composite.matmul(step)
-        ranks.append(composite.rank())
-    return ranks, (parity, top)
-
-
-def _stabilization_dims(A: FDAlgebra, cutoff: int, normalized, budget):
-    report = hc(A, cutoff, normalized=normalized, budget=budget)
-    window = report.window
-    dims, windows, ok = [], [], True
-    for parity in (0, 1):
-        ranks, span = _stable_ranks(report, window, parity, cutoff)
-        if len(ranks) >= 2 and len(set(ranks)) == 1:
-            dims.append(ranks[0])
-            windows.append(span)
-        else:
-            ok = False
-            dims.append(None)
-            windows.append(None)
-    return ok, tuple(dims), tuple(windows), report
-
-
 def hp(A: FDAlgebra, mode: str = "radical_shortcut", cutoff: int | None = None,
        normalized: bool | None = None, budget=None) -> HPReport:
     """Periodic cyclic homology as an (even, odd) pair of dimensions.
@@ -449,7 +385,7 @@ def hp(A: FDAlgebra, mode: str = "radical_shortcut", cutoff: int | None = None,
     agree the tower has become constant.  Inconclusive stabilization is
     reported, not raised; the radical answer is authoritative either way.
     """
-    if mode not in ("radical_shortcut", "stabilization", "both"):
+    if mode not in ("radical_shortcut", "stabilization"):
         raise ValidationError("unknown hp mode %r" % mode)
     if not A.is_unital:
         raise NonUnital("hp needs a unital algebra; see the nonunital path")
@@ -462,11 +398,19 @@ def hp(A: FDAlgebra, mode: str = "radical_shortcut", cutoff: int | None = None,
         return report
     if cutoff < 4:
         raise ValidationError("stabilization needs cutoff >= 4")
-    ok, dims, windows, _ = _stabilization_dims(A, cutoff, normalized, budget)
-    report.stabilized = ok
-    if ok:
+    hc_report = hc(A, cutoff, normalized=normalized, budget=budget)
+    homologies = [d.homology for d in hc_report.degrees]
+    stable = []
+    for parity in (0, 1):
+        s_hom = _s_on_homology(hc_report.window, homologies, cutoff)
+        top, ranks, _ = _s_tower(s_hom, parity, cutoff)
+        if len(ranks) >= 2 and len(set(ranks)) == 1:
+            stable.append((ranks[0], (parity, top)))
+    report.stabilized = len(stable) == 2
+    if report.stabilized:
+        dims = tuple(dim for dim, _ in stable)
         report.stabilization_dims = dims
-        report.stabilization_window = windows
+        report.stabilization_window = tuple(span for _, span in stable)
         if dims != (report.even_dim, report.odd_dim):
             raise ValidationError(
                 "stabilized S-images disagree with the radical shortcut: "
@@ -516,8 +460,8 @@ def _hc_chain_maps(phi: AlgebraMap, src_w: CyclicComplexWindow,
     for n in range(n_max + 1):
         mat = SparseMatrix.zero(tgt_w.dims[n], src_w.dims[n], tgt_w.field)
         for k in range(len(src_w.offsets[n])):
-            _paste(mat, hoch_maps[n - 2 * k], tgt_w.offsets[n][k],
-                   src_w.offsets[n][k])
+            mat.paste(hoch_maps[n - 2 * k], tgt_w.offsets[n][k],
+                      src_w.offsets[n][k])
         out.append(mat)
     return out
 
@@ -551,19 +495,6 @@ def induced_map_hc(phi: AlgebraMap, n_max: int,
 
 
 @dataclass
-class ExcisionNode:
-    label: str
-    space_dim: int
-    incoming_rank: int
-    outgoing_kernel: int
-    composite_zero: bool
-
-    @property
-    def exact(self) -> bool:
-        return self.composite_zero and self.incoming_rank == self.outgoing_kernel
-
-
-@dataclass
 class ExcisionReport:
     ideal_hp: HPReport
     algebra_hp: HPReport
@@ -590,84 +521,30 @@ class _SubComplex:
 
     def __init__(self, window: CyclicComplexWindow, chain_maps: list,
                  cutoff: int):
-        field = window.field
         self.window = window
         self.spaces = [chain_maps[n].kernel_space()
                        for n in range(cutoff + 2)]
-        self.diffs = [None]
-        for n in range(1, cutoff + 2):
-            self.diffs.append(_restrict_between(
-                window.totals[n], self.spaces[n], self.spaces[n - 1]))
-        self.homologies = []
-        for n in range(cutoff + 1):
-            self.homologies.append(homology(
-                self.diffs[n], self.diffs[n + 1],
-                space_dim=self.spaces[n].dim, field=field))
+        self.diffs = [None] + [self._restrict(window.totals[n], n, n - 1)
+                               for n in range(1, cutoff + 2)]
+        self.homologies = _degree_homologies(
+            self.diffs, [space.dim for space in self.spaces], window.field,
+            cutoff)
         self.s_hom = {}
         for n in range(2, cutoff + 1):
-            s_sub = _restrict_between(s_matrix(window, n), self.spaces[n],
-                                      self.spaces[n - 2])
-            self.s_hom[n] = induced_map(s_sub, self.homologies[n],
-                                        self.homologies[n - 2])
+            self.s_hom[n] = induced_map(
+                self._restrict(s_matrix(window, n), n, n - 2),
+                self.homologies[n], self.homologies[n - 2])
+
+    def _restrict(self, op: SparseMatrix, n: int, m: int) -> SparseMatrix:
+        """An ambient operator from degree n to m, in the subspace bases."""
+        return operator_matrix(op, self.spaces[n].basis, self.spaces[m],
+                               "operator does not preserve the subcomplex")
 
     def embed(self, n: int) -> SparseMatrix:
         """Coordinates of the degree-n subspace inside the window."""
         return SparseMatrix.from_columns(
             [dict(v) for v in self.spaces[n].basis],
             self.window.dims[n], self.window.field)
-
-
-def _restrict_between(op: SparseMatrix, source: Subspace,
-                      target: Subspace) -> SparseMatrix:
-    """Matrix of an ambient operator between two subspaces, in their bases."""
-    field = op.field
-    cols = []
-    for v in source.basis:
-        image = op.mat_vec(v)
-        c = target.coords(image)
-        if c is None:
-            raise ValidationError("operator does not preserve the subcomplex")
-        cols.append({i: value for i, value in enumerate(c)
-                     if not field.is_zero(value)})
-    return SparseMatrix.from_columns(cols, target.dim, field)
-
-
-def _stable_image(hom_list, s_hom, parity: int, cutoff: int):
-    """(stable subspace of level-parity homology, chosen preimage columns).
-
-    The subspace is the image of the longest available S-composite on
-    homology; stability of the ranks along the tower must be checked by
-    the caller before treating it as the periodic theory.
-    """
-    top = cutoff - ((cutoff - parity) % 2)
-    composite = None
-    for source in range(parity + 2, top + 1, 2):
-        step = s_hom[source]
-        composite = step if composite is None else composite.matmul(step)
-    if composite is None:
-        raise ValidationError("cutoff leaves no S-composite to stabilize")
-    space = Subspace.from_vectors(
-        hom_list[parity].dim, composite.field,
-        [c for c in composite.columns() if c], canonical=True)
-    preimages = []
-    for vec in space.basis:
-        pre = composite.solve(dict(vec))
-        if pre is None:
-            raise ValidationError("stable vector has no S-preimage")
-        preimages.append(pre)
-    return space, preimages, top
-
-
-def _tower_ranks(hom_list, s_hom, parity: int, cutoff: int) -> list:
-    top = cutoff - ((cutoff - parity) % 2)
-    ranks = []
-    for target in range(top - 2, parity - 1, -2):
-        composite = None
-        for source in range(target + 2, top + 1, 2):
-            step = s_hom[source]
-            composite = step if composite is None else composite.matmul(step)
-        ranks.append(composite.rank())
-    return ranks
 
 
 def excision_check(A: FDAlgebra, J: TwoSidedIdeal, cutoff: int = 6,
@@ -697,40 +574,32 @@ def excision_check(A: FDAlgebra, J: TwoSidedIdeal, cutoff: int = 6,
     Ap = unitalization(A, budget=budget)
     Qp = unitalization(Qd.algebra, budget=budget)
     field = A.field
-    images = []
-    for i in range(A.dim):
-        vec = Qd.projection.apply({i: field.one})
-        images.append(dict(vec))
+    images = [Qd.projection.apply({i: field.one}) for i in range(A.dim)]
     images.append({Qd.algebra.dim: field.one})
     pi_plus = AlgebraMap.from_images(Ap.algebra, Qp.algebra, images,
                                      multiplicative=True, unital=True)
     pi_plus.validate()
 
-    WA = cyclic_complex(Ap.algebra, cutoff + 1, budget=budget)
-    WQ = cyclic_complex(Qp.algebra, cutoff + 1, budget=budget)
+    hc_A = hc(Ap.algebra, cutoff, budget=budget)
+    hc_Q = hc(Qp.algebra, cutoff, budget=budget)
+    WA, WQ = hc_A.window, hc_Q.window
     pi_chain = _hc_chain_maps(pi_plus, WA, WQ, cutoff + 1)
     for n in range(cutoff + 2):
         if pi_chain[n].rank() != WQ.dims[n]:
             raise ValidationError(
                 "chain-level projection fails to be onto at degree %d" % n)
 
-    HA = [homology(WA.totals[n] if n else None, WA.totals[n + 1],
-                   space_dim=WA.dims[n], field=field)
-          for n in range(cutoff + 1)]
-    HQ = [homology(WQ.totals[n] if n else None, WQ.totals[n + 1],
-                   space_dim=WQ.dims[n], field=field)
-          for n in range(cutoff + 1)]
+    HA = [d.homology for d in hc_A.degrees]
+    HQ = [d.homology for d in hc_Q.degrees]
     rel = _SubComplex(WA, pi_chain, cutoff)
 
     # homology-level maps of the long exact sequence of the pair
     incl_hom, pi_hom, del_hom = {}, {}, {}
-    sA_hom, sQ_hom = {}, {}
     for n in range(cutoff + 1):
         incl_hom[n] = induced_map(rel.embed(n), rel.homologies[n], HA[n])
         pi_hom[n] = induced_map(pi_chain[n], HA[n], HQ[n])
-    for n in range(2, cutoff + 1):
-        sA_hom[n] = induced_map(s_matrix(WA, n), HA[n], HA[n - 2])
-        sQ_hom[n] = induced_map(s_matrix(WQ, n), HQ[n], HQ[n - 2])
+    sA_hom = _s_on_homology(WA, HA, cutoff)
+    sQ_hom = _s_on_homology(WQ, HQ, cutoff)
     for n in range(1, cutoff + 1):
         cols = []
         for rep in HQ[n].representatives:
@@ -742,28 +611,26 @@ def excision_check(A: FDAlgebra, J: TwoSidedIdeal, cutoff: int = 6,
             if in_rel is None:
                 raise ValidationError(
                     "boundary of a lifted cycle misses the relative complex")
-            vec = {i: c for i, c in enumerate(in_rel)
-                   if not field.is_zero(c)}
-            coords = rel.homologies[n - 1].coords(vec)
+            coords = rel.homologies[n - 1].coords(
+                dense_to_sparse(in_rel, field))
             if coords is None:
                 raise ValidationError(
                     "connecting image is not a relative cycle")
-            cols.append({i: c for i, c in enumerate(coords)
-                         if not field.is_zero(c)})
+            cols.append(dense_to_sparse(coords, field))
         del_hom[n] = SparseMatrix.from_columns(cols, rel.homologies[n - 1].dim,
                                                field)
 
     hc_nodes = []
     for n in range(cutoff):
-        hc_nodes.append(ExcisionNode(
+        hc_nodes.append(ExactnessNode(
             "HC_%d(algebra)" % n, HA[n].dim, incl_hom[n].rank(),
             HA[n].dim - pi_hom[n].rank(),
             pi_hom[n].matmul(incl_hom[n]).is_zero_matrix()))
-        hc_nodes.append(ExcisionNode(
+        hc_nodes.append(ExactnessNode(
             "HC_%d(quotient)" % n, HQ[n].dim, pi_hom[n].rank(),
             HQ[n].dim - (del_hom[n].rank() if n >= 1 else 0),
             del_hom[n].matmul(pi_hom[n]).is_zero_matrix() if n >= 1 else True))
-        hc_nodes.append(ExcisionNode(
+        hc_nodes.append(ExactnessNode(
             "HC_%d(relative)" % n, rel.homologies[n].dim,
             del_hom[n + 1].rank(),
             rel.homologies[n].dim - incl_hom[n].rank(),
@@ -771,55 +638,42 @@ def excision_check(A: FDAlgebra, J: TwoSidedIdeal, cutoff: int = 6,
 
     # stabilized towers, with stability verified before use
     stable = {}
-    for name, homs, smaps in (("relative", rel.homologies, rel.s_hom),
-                              ("algebra", HA, sA_hom),
-                              ("quotient", HQ, sQ_hom)):
+    for name, smaps in (("relative", rel.s_hom), ("algebra", sA_hom),
+                        ("quotient", sQ_hom)):
         for parity in (0, 1):
-            ranks = _tower_ranks(homs, smaps, parity, cutoff)
+            top, ranks, composite = _s_tower(smaps, parity, cutoff)
             if len(set(ranks)) != 1:
                 raise ValidationError(
                     "S-images of the %s leg did not stabilize" % name)
-            space, preimages, top = _stable_image(homs, smaps, parity, cutoff)
-            stable[(name, parity)] = (space, preimages, top, homs, smaps)
+            # the stable part is the image of the longest S-composite
+            space = Subspace.from_vectors(
+                composite.nrows, field,
+                [c for c in composite.columns() if c])
+            preimages = [composite.solve(dict(vec)) for vec in space.basis]
+            if None in preimages:
+                raise ValidationError("stable vector has no S-preimage")
+            stable[(name, parity)] = (space, preimages, top)
     plus_dims = {name: (stable[(name, 0)][0].dim, stable[(name, 1)][0].dim)
                  for name in ("relative", "algebra", "quotient")}
     relative_dims = plus_dims["relative"]
 
     def stable_map(src_key, tgt_key, level_maps):
         # matrix of a degree-preserving homology map between stable parts
-        src_space = stable[src_key][0]
-        tgt_space = stable[tgt_key][0]
-        level = level_maps[src_key[1]]
-        cols = []
-        for vec in src_space.basis:
-            image = level.mat_vec(dict(vec))
-            coords = tgt_space.coords(image)
-            if coords is None:
-                raise ValidationError(
-                    "stable part is not preserved by an induced map")
-            cols.append({i: c for i, c in enumerate(coords)
-                         if not field.is_zero(c)})
-        return SparseMatrix.from_columns(cols, tgt_space.dim, field)
+        return operator_matrix(level_maps[src_key[1]], stable[src_key][0].basis,
+                               stable[tgt_key][0],
+                               "stable part is not preserved by an induced map")
 
     def stable_connecting(parity):
         # HP_parity(quotient) -> HP_{1-parity}(relative): lift each stable
         # basis vector to the top of its tower, connect, then ride S down
-        src_space, preimages, top, _, _ = stable[("quotient", parity)]
-        tgt_space = stable[("relative", 1 - parity)][0]
-        cols = []
-        for pre in preimages:
-            vec = del_hom[top].mat_vec(pre)
-            level = top - 1
-            while level > 1 - parity:
-                vec = rel.s_hom[level].mat_vec(vec)
-                level -= 2
-            coords = tgt_space.coords(vec)
-            if coords is None:
-                raise ValidationError(
-                    "connecting image leaves the stable part")
-            cols.append({i: c for i, c in enumerate(coords)
-                         if not field.is_zero(c)})
-        return SparseMatrix.from_columns(cols, tgt_space.dim, field)
+        _, preimages, top = stable[("quotient", parity)]
+        op = del_hom[top]
+        level = top - 1
+        while level > 1 - parity:
+            op = rel.s_hom[level].matmul(op)
+            level -= 2
+        return operator_matrix(op, preimages, stable[("relative", 1 - parity)][0],
+                               "connecting image leaves the stable part")
 
     incl_stable = {p: stable_map(("relative", p), ("algebra", p), incl_hom)
                    for p in (0, 1)}
@@ -832,15 +686,15 @@ def excision_check(A: FDAlgebra, J: TwoSidedIdeal, cutoff: int = 6,
         dim_rel = stable[("relative", p)][0].dim
         dim_alg = stable[("algebra", p)][0].dim
         dim_quo = stable[("quotient", p)][0].dim
-        hp_nodes.append(ExcisionNode(
+        hp_nodes.append(ExactnessNode(
             "HP_%d(relative)" % p, dim_rel, del_stable[1 - p].rank(),
             dim_rel - incl_stable[p].rank(),
             incl_stable[p].matmul(del_stable[1 - p]).is_zero_matrix()))
-        hp_nodes.append(ExcisionNode(
+        hp_nodes.append(ExactnessNode(
             "HP_%d(algebra)" % p, dim_alg, incl_stable[p].rank(),
             dim_alg - pi_stable[p].rank(),
             pi_stable[p].matmul(incl_stable[p]).is_zero_matrix()))
-        hp_nodes.append(ExcisionNode(
+        hp_nodes.append(ExactnessNode(
             "HP_%d(quotient)" % p, dim_quo, pi_stable[p].rank(),
             dim_quo - del_stable[p].rank(),
             del_stable[p].matmul(pi_stable[p]).is_zero_matrix()))
@@ -903,15 +757,6 @@ class DirectSumReport:
                 and all(r.ok for r in self.hc_rows) and self.hp_ok)
 
 
-def _stack(top: SparseMatrix, bottom: SparseMatrix) -> SparseMatrix:
-    if top.ncols != bottom.ncols:
-        raise ValidationError("stacked maps must share a source")
-    out = SparseMatrix.zero(top.nrows + bottom.nrows, top.ncols, top.field)
-    _paste(out, top, 0, 0)
-    _paste(out, bottom, top.nrows, 0)
-    return out
-
-
 def direct_sum_check(A: FDAlgebra, B: FDAlgebra, n_max: int,
                      budget=None) -> DirectSumReport:
     """Additivity of HH, HC and HP over a direct sum of unital algebras.
@@ -921,23 +766,22 @@ def direct_sum_check(A: FDAlgebra, B: FDAlgebra, n_max: int,
     product in every degree.
     """
     data = direct_sum(A, B, budget=budget)
-    left_hh = induced_map_hh(data.project_left, n_max, budget=budget)
-    right_hh = induced_map_hh(data.project_right, n_max, budget=budget)
-    hh_rows = []
-    for n in range(n_max + 1):
-        stacked = _stack(left_hh.homology_maps[n], right_hh.homology_maps[n])
-        hh_rows.append(DirectSumRow(
-            n, left_hh.target.dims[n], right_hh.target.dims[n],
-            left_hh.source.dims[n], stacked.rank()))
-    left_hc = induced_map_hc(data.project_left, n_max, budget=budget)
-    right_hc = induced_map_hc(data.project_right, n_max, budget=budget)
-    hc_rows = []
-    for n in range(n_max + 1):
-        stacked = _stack(left_hc.homology_maps[n], right_hc.homology_maps[n])
-        hc_rows.append(DirectSumRow(
-            n, left_hc.target.dims[n], right_hc.target.dims[n],
-            left_hc.source.dims[n], stacked.rank()))
+    rows = []
+    for induced in (induced_map_hh, induced_map_hc):
+        left = induced(data.project_left, n_max, budget=budget)
+        right = induced(data.project_right, n_max, budget=budget)
+        rows.append([])
+        for n in range(n_max + 1):
+            # both projections leave the sum: stack them into the product
+            top, bottom = left.homology_maps[n], right.homology_maps[n]
+            if top.ncols != bottom.ncols:
+                raise ValidationError("stacked maps must share a source")
+            stacked = SparseMatrix(top.nrows + bottom.nrows, top.ncols,
+                                   top.field, rows=top.rows + bottom.rows)
+            rows[-1].append(DirectSumRow(
+                n, left.target.dims[n], right.target.dims[n],
+                left.source.dims[n], stacked.rank()))
     return DirectSumReport(
-        hh_rows=hh_rows, hc_rows=hc_rows,
+        hh_rows=rows[0], hc_rows=rows[1],
         hp_left=hp(A, budget=budget), hp_right=hp(B, budget=budget),
         hp_sum=hp(data.algebra, budget=budget))

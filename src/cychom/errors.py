@@ -1,8 +1,8 @@
 """Exception taxonomy.
 
 Every failure the engine can signal deliberately has its own class so callers
-(and the CLI exit-code mapping) can tell validation problems, budget overruns
-and inconclusive computations apart.
+can tell validation problems, budget overruns and inconclusive computations
+apart.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ class AmbientMismatch(ValidationError):
 
 
 class NotContained(ValidationError):
-    """quotient_dim(V, W) asked with W not contained in V."""
+    """A vector has no coordinates in the subspace or homology asked for."""
 
 
 # -- algebra constructors ---------------------------------------------------
@@ -71,10 +71,6 @@ class NotMultiplicative(ValidationError):
 
 class DegreeTooLow(ValidationError):
     """Periodicity operator applied below degree 2."""
-
-
-class NotStabilized(CychomError):
-    """Tower images kept changing within the cutoff (inconclusive)."""
 
 
 # -- spectrum ---------------------------------------------------------------

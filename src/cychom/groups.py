@@ -206,17 +206,6 @@ def quaternion_group() -> FiniteGroup:
     return FiniteGroup(table, names=names, name="Q8")
 
 
-NAMED_GROUPS = {
-    "Z1": trivial_group,
-    "Z2": lambda: cyclic_group(2),
-    "Z3": lambda: cyclic_group(3),
-    "Z4": lambda: cyclic_group(4),
-    "S3": symmetric_group_3,
-    "D4": dihedral_group_4,
-    "Q8": quaternion_group,
-}
-
-
 # ---------------------------------------------------------------------------
 # group algebras and conjugacy metadata
 

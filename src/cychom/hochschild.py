@@ -20,9 +20,9 @@ from .errors import (
 from .linalg import (
     Homology,
     SparseMatrix,
+    add_term,
     homology,
     induced_map,
-    vec_axpy,
 )
 from .algebra import AlgebraMap, Bimodule, FDAlgebra, matrix_algebra
 
@@ -79,17 +79,15 @@ class _SlotData:
         self.interior_radix = d - 1
 
     def interior_product(self, s: int, t: int) -> dict:
-        """Product of two interior codes, as {code: coeff} plus slot-0 spill.
+        """Product of two interior codes, as {code: coeff}.
 
-        Returns (interior part, f0 coefficient).  Normalized windows drop
-        the f0 part; the caller for unnormalized windows gets it folded in
-        already since codes are plain basis indices there.
+        Normalized windows drop the f0 (unit) part, which is degenerate;
+        unnormalized codes are plain basis indices.
         """
         if not self.normalized:
-            return self.mulf[s][t], None
+            return self.mulf[s][t]
         prod = self.mulf[s + 1][t + 1]
-        interior = {k - 1: c for k, c in prod.items() if k != 0}
-        return interior, prod.get(0)
+        return {k - 1: c for k, c in prod.items() if k != 0}
 
 
 class ChainComplexWindow:
@@ -110,10 +108,6 @@ class ChainComplexWindow:
         self.dims = dims
         self.boundaries = boundaries
         self.field = algebra.field
-
-    @property
-    def slot0_dim(self) -> int:
-        return self.module.dim if self.module is not None else self.algebra.dim
 
     def boundary(self, n: int):
         return self.boundaries[n]
@@ -142,37 +136,6 @@ class ChainComplexWindow:
             if not prod.is_zero_matrix():
                 raise ValidationError(
                     "boundary squared is nonzero at degree %d" % n)
-
-    def chain_str(self, n: int, vec: dict) -> str:
-        if not vec:
-            return "0"
-        A = self.algebra
-        parts = []
-        for index in sorted(vec):
-            tup = self.tuple_of(n, index)
-            if self.module is not None:
-                first = self.module.labels[tup[0]]
-            elif self.normalized:
-                first = "1" if tup[0] == 0 else A.labels[self._f_label(tup[0])]
-            else:
-                first = A.labels[tup[0]]
-            names = [first] + [
-                A.labels[self._f_label(c + 1)] if self.normalized
-                else A.labels[c]
-                for c in tup[1:]]
-            coeff = _coeff_str(vec[index], self.field)
-            parts.append("%s(%s)" % (coeff, "*".join(names)))
-        return " + ".join(parts)
-
-    def _f_label(self, f_index: int) -> int:
-        vec = self.slots.f_vectors[f_index]
-        return next(iter(vec))
-
-
-def _coeff_str(raw, field) -> str:
-    from .scalars import Cyclotomic, scalar_to_string
-    return scalar_to_string(Cyclotomic.from_raw(raw, field.order),
-                            with_order=False)
 
 
 def bar_complex(A: FDAlgebra, n_max: int, variant: str = "b",
@@ -241,6 +204,10 @@ def _boundary_matrix(A, slots, module, left_f, right_f, variant, n,
     field = A.field
     normalized = slots.normalized
     last_face = variant == "b"
+    # a degree-m index is slot0 * radix**m plus the interior codes read as
+    # a base-radix number (the body), first code most significant
+    pw = [radix ** k for k in range(n + 1)]
+    top = pw[n - 1]
     cols = []
     for index in range(dim_src):
         rest = index
@@ -250,22 +217,8 @@ def _boundary_matrix(A, slots, module, left_f, right_f, variant, n,
             interior.append(code)
         interior.reverse()
         s0 = rest
+        body = index - s0 * pw[n]
         out = {}
-
-        def accumulate(first_code, mids, coeff):
-            idx = first_code
-            for m in mids:
-                idx = idx * radix + m
-            prev = out.get(idx)
-            total = coeff if prev is None else field.add(prev, coeff)
-            if field.is_zero(total):
-                out.pop(idx, None)
-            else:
-                out[idx] = total
-
-        def emit(sign, first, mids):
-            for code, c in first.items():
-                accumulate(code, mids, c if sign > 0 else field.neg(c))
 
         # face 0: multiply the first interior factor into slot 0
         a1 = interior[0] + 1 if normalized else interior[0]
@@ -273,16 +226,21 @@ def _boundary_matrix(A, slots, module, left_f, right_f, variant, n,
             first = right_f[a1].columns()[s0]
         else:
             first = slots.mulf[s0][a1]
-        emit(1, first, interior[1:])
+        tail = body % top
+        for code, c in first.items():
+            add_term(out, code * top + tail, c, field)
 
-        # interior faces: slot 0 rides along, adjacent factors multiply
+        # interior faces: slot 0 rides along, adjacent factors multiply;
+        # codes i-1 and i merge into one code of weight pw[n - i - 1]
         sign = 1
         for i in range(1, n):
             sign = -sign
-            prod, _spill = slots.interior_product(interior[i - 1], interior[i])
+            prod = slots.interior_product(interior[i - 1], interior[i])
+            low = pw[n - i - 1]
+            base = s0 * top + body // pw[n - i + 1] * pw[n - i] + body % low
             for k, c in prod.items():
-                mids = interior[:i - 1] + [k] + interior[i + 1:]
-                accumulate(s0, mids, c if sign > 0 else field.neg(c))
+                add_term(out, base + k * low,
+                         c if sign > 0 else field.neg(c), field)
 
         # last face: wrap the final factor around to act on slot 0
         if last_face:
@@ -292,7 +250,10 @@ def _boundary_matrix(A, slots, module, left_f, right_f, variant, n,
                 first = left_f[an].columns()[s0]
             else:
                 first = slots.mulf[an][s0]
-            emit(sign, first, interior[:-1])
+            tail = body // radix
+            for code, c in first.items():
+                add_term(out, code * top + tail,
+                         c if sign > 0 else field.neg(c), field)
         cols.append(out)
     return SparseMatrix.from_columns(cols, dim_tgt, field)
 
@@ -321,13 +282,7 @@ def homotopy_s(window: ChainComplexWindow, n: int, chain: dict) -> dict:
             idx = j
             for code in tup:
                 idx = idx * radix + code
-            coeff = field.mul(u, c)
-            prev = out.get(idx)
-            total = coeff if prev is None else field.add(prev, coeff)
-            if field.is_zero(total):
-                out.pop(idx, None)
-            else:
-                out[idx] = total
+            add_term(out, idx, field.mul(u, c), field)
     return out
 
 
@@ -357,16 +312,24 @@ class HomologyReport:
         return self.degrees[n]
 
 
-def _window_homology(window: ChainComplexWindow, n_max: int) -> list:
-    out = []
-    for n in range(n_max + 1):
-        H = homology(window.boundaries[n] if n >= 1 else None,
-                     window.boundaries[n + 1],
-                     space_dim=window.dims[n], field=window.field)
-        out.append(DegreeHomology(degree=n, dim=H.dim,
-                                  representatives=H.representatives,
-                                  homology=H))
-    return out
+def _degree_homologies(maps, dims, field, n_max: int) -> list:
+    """Homology in degrees 0..n_max of a complex whose differential out of
+    degree n is maps[n] (maps[0] unused)."""
+    return [homology(maps[n] if n >= 1 else None, maps[n + 1],
+                     space_dim=dims[n], field=field)
+            for n in range(n_max + 1)]
+
+
+def _homology_report(A: FDAlgebra, window, maps, n_max: int) -> HomologyReport:
+    """Per-degree homology of a window whose differentials are maps."""
+    homologies = _degree_homologies(maps, window.dims, window.field, n_max)
+    degrees = [DegreeHomology(degree=n, dim=H.dim,
+                              representatives=H.representatives, homology=H)
+               for n, H in enumerate(homologies)]
+    return HomologyReport(algebra=A, n_max=n_max,
+                          normalized=window.normalized,
+                          dims=[d.dim for d in degrees], degrees=degrees,
+                          window=window)
 
 
 def h_unitality_report(A: FDAlgebra, n_max: int, budget=None) -> str:
@@ -401,13 +364,10 @@ def hh(A: FDAlgebra, n_max: int, normalized: bool | None = None,
         raise NonUnital("normalized homology needs a unital algebra")
     window = bar_complex(A, n_max + 1, variant="b", normalized=normalized,
                          budget=budget)
-    degrees = _window_homology(window, n_max)
-    tri = "not-applicable"
+    report = _homology_report(A, window, window.boundaries, n_max)
     if not A.is_unital and check_h_unitality:
-        tri = h_unitality_report(A, n_max, budget=budget)
-    return HomologyReport(algebra=A, n_max=n_max, normalized=normalized,
-                          dims=[d.dim for d in degrees], degrees=degrees,
-                          window=window, h_unitality=tri)
+        report.h_unitality = h_unitality_report(A, n_max, budget=budget)
+    return report
 
 
 def hh_with_coefficients(A: FDAlgebra, M: Bimodule, n_max: int,
@@ -419,10 +379,7 @@ def hh_with_coefficients(A: FDAlgebra, M: Bimodule, n_max: int,
         normalized = A.is_unital
     window = bar_complex(A, n_max + 1, variant="b", coefficients=M,
                          normalized=normalized, budget=budget)
-    degrees = _window_homology(window, n_max)
-    return HomologyReport(algebra=A, n_max=n_max, normalized=normalized,
-                          dims=[d.dim for d in degrees], degrees=degrees,
-                          window=window)
+    return _homology_report(A, window, window.boundaries, n_max)
 
 
 def hh0_traces(A: FDAlgebra):
@@ -431,23 +388,8 @@ def hh0_traces(A: FDAlgebra):
     Returns (dimension, basis) where each basis element is a sparse
     functional on the algebra's coordinates.
     """
-    field = A.field
-    rows = []
-    for i in range(A.dim):
-        for j in range(i + 1, A.dim):
-            row = {}
-            for k, c in A.mul[i][j].items():
-                row[k] = c
-            for k, c in A.mul[j][i].items():
-                prev = row.get(k)
-                total = field.neg(c) if prev is None else field.sub(prev, c)
-                if field.is_zero(total):
-                    row.pop(k, None)
-                else:
-                    row[k] = total
-            if row:
-                rows.append(row)
-    mat = SparseMatrix(len(rows), A.dim, field, rows=rows)
+    rows = A.commutators()
+    mat = SparseMatrix(len(rows), A.dim, A.field, rows=rows)
     basis = mat.kernel_basis()
     return len(basis), basis
 
@@ -473,14 +415,7 @@ def _tensor_chain_matrix(src: ChainComplexWindow, tgt: ChainComplexWindow,
             new = {}
             for idx, c in acc.items():
                 for k, ck in col.items():
-                    coeff = field.mul(c, ck)
-                    key = idx * radix + k
-                    prev = new.get(key)
-                    total = coeff if prev is None else field.add(prev, coeff)
-                    if field.is_zero(total):
-                        new.pop(key, None)
-                    else:
-                        new[key] = total
+                    add_term(new, idx * radix + k, field.mul(c, ck), field)
             acc = new
         cols.append(acc)
     return SparseMatrix.from_columns(cols, tgt.dims[n], field)

@@ -29,8 +29,6 @@ from math import gcd
 from .errors import AmbientMismatch, FieldMismatch, NotContained, ValidationError
 from .scalars import _FieldBase, field_of_order
 
-_ZERO = Fraction(0)
-
 
 # -- sparse vector helpers ----------------------------------------------------
 
@@ -75,14 +73,15 @@ def vec_is_zero(v: dict) -> bool:
 def vec_equal(u: dict, v: dict, field: _FieldBase) -> bool:
     return vec_is_zero(vec_sub(u, v, field))
 
-def vec_dot(u: dict, v: dict, field: _FieldBase):
-    """Plain bilinear sum, no conjugation."""
-    small, big = (u, v) if len(u) <= len(v) else (v, u)
-    total = field.zero
-    for j, x in small.items():
-        if j in big:
-            total = field.add(total, field.mul(x, big[j]))
-    return total
+
+def add_term(out: dict, key, value, field: _FieldBase) -> None:
+    """In place out[key] += value, dropping the key when the sum is zero."""
+    prev = out.get(key)
+    total = value if prev is None else field.add(prev, value)
+    if field.is_zero(total):
+        out.pop(key, None)
+    else:
+        out[key] = total
 
 
 def dense_to_sparse(values, field: _FieldBase) -> dict:
@@ -476,14 +475,13 @@ class SparseMatrix:
         else:
             self.rows[i][j] = raw
 
-    def add_to(self, i: int, j: int, value) -> None:
-        raw = to_raw(value, self.field)
-        cur = self.rows[i].get(j)
-        s = raw if cur is None else self.field.add(cur, raw)
-        if self.field.is_zero(s):
-            self.rows[i].pop(j, None)
-        else:
-            self.rows[i][j] = s
+    def paste(self, block: "SparseMatrix", row_off: int, col_off: int) -> None:
+        """Write block's entries with their indices shifted by the offsets."""
+        for i, row in enumerate(block.rows):
+            if row:
+                out = self.rows[row_off + i]
+                for j, c in row.items():
+                    out[col_off + j] = c
 
     # views ------------------------------------------------------------------
 
@@ -505,9 +503,6 @@ class SparseMatrix:
 
     def is_zero_matrix(self) -> bool:
         return all(not row for row in self.rows)
-
-    def nnz(self) -> int:
-        return sum(len(row) for row in self.rows)
 
     def equals(self, other: "SparseMatrix") -> bool:
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
@@ -586,9 +581,6 @@ class SparseMatrix:
     def column_space(self) -> "Subspace":
         return Subspace.from_vectors(self.nrows, self.field, self.columns())
 
-    def row_space(self) -> "Subspace":
-        return Subspace.from_vectors(self.ncols, self.field, self.rows)
-
     def solve(self, rhs: dict) -> dict | None:
         """One exact solution of self @ x = rhs (free variables zero), or None."""
         n = self.ncols
@@ -623,10 +615,8 @@ class Subspace:
         self._pivot_map = dict(zip(pivot_cols, basis))
 
     @staticmethod
-    def from_vectors(ambient_dim: int, field: _FieldBase, vectors,
-                     canonical: bool = True) -> "Subspace":
-        form = rref_rows if canonical else reduced_rows
-        rows, pivots = form(list(vectors), ambient_dim, field)
+    def from_vectors(ambient_dim: int, field: _FieldBase, vectors) -> "Subspace":
+        rows, pivots = rref_rows(list(vectors), ambient_dim, field)
         return Subspace(ambient_dim, field, rows, pivots)
 
     @property
@@ -685,14 +675,23 @@ class Subspace:
 
     def restrict_operator(self, op: SparseMatrix) -> SparseMatrix:
         """Matrix of op on this subspace in its basis; op must preserve it."""
-        cols = []
-        for b in self.basis:
-            image = op.mat_vec(b)
-            c = self.coords(image)
-            if c is None:
-                raise NotContained("operator does not preserve the subspace")
-            cols.append({i: v for i, v in enumerate(c) if not self.field.is_zero(v)})
-        return SparseMatrix.from_columns(cols, self.dim, self.field)
+        return operator_matrix(op, self.basis, self,
+                               "operator does not preserve the subspace")
+
+
+def operator_matrix(op: SparseMatrix, vectors, target, message: str) -> SparseMatrix:
+    """Matrix whose column j is op(vectors[j]) in the basis of target.
+
+    target is a Subspace or a Homology: anything with ``coords``, ``dim``
+    and ``field``.  An image outside it raises NotContained with message.
+    """
+    cols = []
+    for v in vectors:
+        c = target.coords(op.mat_vec(v))
+        if c is None:
+            raise NotContained(message)
+        cols.append(dense_to_sparse(c, target.field))
+    return SparseMatrix.from_columns(cols, target.dim, target.field)
 
 
 def preimage_subspace(f: SparseMatrix, target: Subspace) -> Subspace:
@@ -810,11 +809,5 @@ def homology(A: SparseMatrix | None, B: SparseMatrix | None,
 
 def induced_map(f: SparseMatrix, source: Homology, target: Homology) -> SparseMatrix:
     """Matrix of the map induced on homology by a chain-level map."""
-    cols = []
-    for rep in source.representatives:
-        image = f.mat_vec(rep)
-        c = target.coords(image)
-        if c is None:
-            raise NotContained("chain map does not send cycles to cycles")
-        cols.append({i: v for i, v in enumerate(c) if not target.field.is_zero(v)})
-    return SparseMatrix.from_columns(cols, target.dim, target.field)
+    return operator_matrix(f, source.representatives, target,
+                           "chain map does not send cycles to cycles")

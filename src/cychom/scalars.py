@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import re
 from fractions import Fraction
+from math import lcm
 
 from .errors import DivisionByZero, FieldMismatch, ParseError
 
@@ -23,19 +24,18 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _divisors(m: int) -> list[int]:
-    divs = [d for d in range(1, m + 1) if m % d == 0]
-    return divs
-
-
-def _euler_phi(m: int) -> int:
-    return sum(1 for k in range(1, m + 1) if _gcd(k, m) == 1)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+def divisors(n: int) -> list[int]:
+    """Positive divisors of |n| in increasing order (none for 0)."""
+    n = abs(n)
+    out = []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            if d != n // d:
+                out.append(n // d)
+        d += 1
+    return sorted(out)
 
 
 def _poly_trim(p: list) -> list:
@@ -66,7 +66,7 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     if m < 1:
         raise ValueError("order must be positive")
     poly = [-1] + [0] * (m - 1) + [1]  # x^m - 1
-    for d in _divisors(m):
+    for d in divisors(m):
         if d < m:
             poly = _poly_divmod_exact(poly, list(cyclotomic_polynomial(d)))
     return tuple(poly)
@@ -81,19 +81,9 @@ class _FieldBase:
     # The subclasses fill in: zero, one, add, sub, neg, mul, inv, conj,
     # is_zero, to_coeffs, from_coeffs, iter_fracs, scale.
 
-    def is_one(self, a):
-        return self.is_zero(self.sub(a, self.one))
-
     def from_rational(self, q) -> object:
         q = q if isinstance(q, Fraction) else Fraction(q)
         return self.from_coeffs((q,) + (_ZERO,) * (self.degree - 1))
-
-    def rational_part(self, a) -> Fraction | None:
-        """The value as a Fraction if it lies in Q, else None."""
-        coeffs = self.to_coeffs(a)
-        if any(coeffs[1:]):
-            return None
-        return coeffs[0]
 
     def pow(self, a, n: int):
         if n < 0:
@@ -442,7 +432,7 @@ class Cyclotomic:
     def _minimal_form(self) -> tuple[int, tuple[Fraction, ...]]:
         if self.is_rational():
             return (1, (self.coeffs[0],))
-        for d in _divisors(self.order)[1:-1]:
+        for d in divisors(self.order)[1:-1]:
             sub = field_of_order(d)
             dst = self.field
             basis = [dst.to_coeffs(lift_raw(sub.zeta_pow[j] if d > 1 else sub.one,
@@ -460,7 +450,7 @@ class Cyclotomic:
             return NotImplemented
         if other.order == self.order:
             return self.coeffs == other.coeffs
-        m = self.order * other.order // _gcd(self.order, other.order)
+        m = lcm(self.order, other.order)
         return self.lift(m).coeffs == other.lift(m).coeffs
 
     def __hash__(self):
@@ -622,10 +612,14 @@ def parse_scalar(text: str, order: int | None = None) -> Cyclotomic:
     if order is None:
         order = 1
     field = field_of_order(order)
-    # Split into signed terms at top level.
-    chunks = re.findall(r"[+-]?[^+-]+", s.replace(" ", ""))
+    # Split into signed terms at top level; findall skips a sign it cannot
+    # match, so the terms must cover the whole text.
+    compact = s.replace(" ", "")
+    chunks = re.findall(r"[+-]?[^+-]+", compact)
     if not chunks:
         raise ParseError(f"empty scalar {text!r}")
+    if "".join(chunks) != compact:
+        raise ParseError(f"dangling sign in {text!r}")
     total = field.zero
     for chunk in chunks:
         m = _TERM_RE.match(chunk)
@@ -649,7 +643,4 @@ def parse_scalar(text: str, order: int | None = None) -> Cyclotomic:
 
 
 def common_order(*orders: int) -> int:
-    out = 1
-    for m in orders:
-        out = out * m // _gcd(out, m)
-    return out
+    return lcm(*orders)

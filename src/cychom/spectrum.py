@@ -38,8 +38,9 @@ from .errors import (
     SplittingFieldTooLarge,
     ValidationError,
 )
-from .linalg import SparseMatrix, Subspace, vec_axpy
-from .scalars import field_of_order, lift_raw
+from .linalg import (SparseMatrix, Subspace, add_term, dense_to_sparse,
+                     vec_axpy, vec_equal)
+from .scalars import divisors, field_of_order, lift_raw
 from .structure import (
     center,
     is_nilpotent_subspace,
@@ -127,19 +128,6 @@ def intersect_subspaces(U: Subspace, V: Subspace) -> Subspace:
 
 # -- root finding for the idempotent split ----------------------------------------
 
-def _divisors_of(n: int) -> list:
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
-
-
 def _rational_root_candidates(fracs: list) -> list:
     """Possible rational roots of a rational-coefficient polynomial.
 
@@ -158,8 +146,8 @@ def _rational_root_candidates(fracs: list) -> list:
         low += 1
     out = [Fraction(0)] if low > 0 else []
     lead = ints[-1]
-    for p in _divisors_of(ints[low]):
-        for q in _divisors_of(lead):
+    for p in divisors(ints[low]):
+        for q in divisors(lead):
             out.append(Fraction(p, q))
             out.append(Fraction(-p, q))
     return out
@@ -253,16 +241,9 @@ def _component_idempotent(Z: FDAlgebra, space: Subspace) -> dict:
             "a direct summand of the center has no identity element")
     e = space.linear_combination([sol.get(i, field.zero)
                                   for i in range(space.dim)])
-    if not _vec_eq(Z.multiply(e, e), e, field):
+    if not vec_equal(Z.multiply(e, e), e, field):
         raise ValidationError("computed component identity is not idempotent")
     return e
-
-
-def _vec_eq(u: dict, v: dict, field) -> bool:
-    keys = set(u) | set(v)
-    return all(field.is_zero(field.sub(u.get(k, field.zero),
-                                       v.get(k, field.zero)))
-               for k in keys)
 
 
 def _component_span(Z: FDAlgebra, e: dict) -> Subspace:
@@ -279,15 +260,8 @@ def _try_split(Z: FDAlgebra, span: Subspace):
     """
     field = Z.field
     for g in range(Z.dim):
-        cols = []
-        for v in span.basis:
-            image = Z.multiply(Z.basis_vector(g), v)
-            co = span.coords(image)
-            if co is None:
-                raise ValidationError(
-                    "center component is not invariant under multiplication")
-            cols.append({i: c for i, c in enumerate(co)
-                         if not field.is_zero(c)})
+        cols = span.restrict_operator(
+            Z.left_mult_matrix(Z.basis_vector(g))).columns()
         roots = _roots_in_field(_minimal_polynomial(cols, field), field)
         if len(roots) < 2:
             continue
@@ -296,9 +270,7 @@ def _try_split(Z: FDAlgebra, span: Subspace):
             shifted = []
             for i, col in enumerate(cols):
                 entry = dict(col)
-                entry[i] = field.sub(entry.get(i, field.zero), lam)
-                if field.is_zero(entry[i]):
-                    del entry[i]
+                add_term(entry, i, field.neg(lam), field)
                 shifted.append(entry)
             ker = SparseMatrix.from_columns(
                 shifted, span.dim, field).kernel_space()
@@ -439,8 +411,7 @@ def _blocks_over(ext: FDAlgebra, budget):
         coords = [central_full.coords(v) for v in meet.basis]
         inner = Subspace.from_vectors(
             central_full.dim, field,
-            [{i: c for i, c in enumerate(co) if not field.is_zero(c)}
-             for co in coords])
+            [dense_to_sparse(co, field) for co in coords])
         if central_full.dim - inner.dim != 1:
             raise ValidationError(
                 "central character is not a maximal ideal of the center")
@@ -845,6 +816,8 @@ def _detect_unit(A: FDAlgebra) -> FDAlgebra:
     if A.is_unital:
         return A
     field = A.field
+    # column i stacks e_i e_j and then e_j e_i over j; no two terms share
+    # a coordinate, and stored structure constants are nonzero
     cols = []
     for i in range(A.dim):
         col = {}
@@ -852,9 +825,8 @@ def _detect_unit(A: FDAlgebra) -> FDAlgebra:
             for c, val in A.mul[i][j].items():
                 col[j * A.dim + c] = val
             for c, val in A.mul[j][i].items():
-                col[(A.dim + j) * A.dim + c] = field.add(
-                    col.get((A.dim + j) * A.dim + c, field.zero), val)
-        cols.append({k: v for k, v in col.items() if not field.is_zero(v)})
+                col[(A.dim + j) * A.dim + c] = val
+        cols.append(col)
     rhs = {}
     for j in range(A.dim):
         rhs[j * A.dim + j] = field.one
@@ -862,9 +834,8 @@ def _detect_unit(A: FDAlgebra) -> FDAlgebra:
     sol = SparseMatrix.from_columns(cols, 2 * A.dim * A.dim, field).solve(rhs)
     if sol is None:
         return A
-    unit = {i: c for i, c in sol.items() if not field.is_zero(c)}
     return FDAlgebra(A.dim, A.field_order, A.mul, labels=list(A.labels),
-                     unit=unit, name=A.name).require_valid()
+                     unit=sol, name=A.name).require_valid()
 
 
 class _Layer:
@@ -885,8 +856,7 @@ class _Layer:
                 co = upper.space.coords(v)
                 if co is None:
                     raise ValidationError("filtration terms are not nested")
-                inner_vecs.append({i: c for i, c in enumerate(co)
-                                   if not sub.field.is_zero(c)})
+                inner_vecs.append(dense_to_sparse(co, sub.field))
             data = quotient_algebra(
                 sub, two_sided_ideal(sub, inner_vecs), budget=budget)
             self.algebra = _detect_unit(data.algebra)
@@ -897,8 +867,7 @@ class _Layer:
         co = self._upper.space.coords(ambient_vec)
         if co is None:
             raise ValidationError("vector leaves the filtration term")
-        field = self._upper.parent.field
-        vec = {i: c for i, c in enumerate(co) if not field.is_zero(c)}
+        vec = dense_to_sparse(co, self._upper.parent.field)
         return self._project.apply(vec) if self._project else vec
 
     def representative(self, index: int) -> dict:

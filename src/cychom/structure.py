@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from .algebra import (
     FDAlgebra,
-    QuotientData,
     TwoSidedIdeal,
     quotient_algebra,
     two_sided_ideal,
@@ -29,8 +28,7 @@ def center(A: FDAlgebra) -> Subspace:
         diff = A.left_mult_matrix(basis).sub(A.right_mult_matrix(basis))
         rows.extend(dict(r) for r in diff.rows if r)
     mat = SparseMatrix(len(rows), A.dim, field, rows=rows)
-    return Subspace.from_vectors(A.dim, field, mat.kernel_basis(),
-                                 canonical=True)
+    return Subspace.from_vectors(A.dim, field, mat.kernel_basis())
 
 
 def _trace_form_rows(A: FDAlgebra):
@@ -110,11 +108,3 @@ def semisimple_quotient(A: FDAlgebra):
     if again:
         raise ValidationError("quotient by the radical is not semisimple")
     return data, radical
-
-
-def semisimple_center_dimension(A: FDAlgebra) -> int:
-    """Dimension of the center of A modulo its radical."""
-    if not A.is_unital:
-        raise ValidationError("semisimple quotient needs a unital algebra")
-    data, _ = semisimple_quotient(A)
-    return center(data.algebra).dim

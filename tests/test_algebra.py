@@ -141,6 +141,18 @@ def test_require_valid_raises():
         A.require_valid()
 
 
+def test_out_of_range_coordinates_are_rejected():
+    with pytest.raises(ValidationError):
+        FDAlgebra(1, 1, {(0, 0): {5: 1}})
+    with pytest.raises(ValidationError):
+        FDAlgebra(1, 1, {(0, 0): {0: 1}}, unit={1: 1})
+    # a product key outside the basis used to be dropped without a word
+    with pytest.raises(ValidationError):
+        FDAlgebra(2, 1, {(0, 0): {0: 1}, (3, 3): {1: 1}})
+    with pytest.raises(ValidationError):
+        FDAlgebra(2, 1, [[{0: 1}, {}]])
+
+
 def test_dimension_cap():
     with pytest.raises(SizeOverflow):
         functions_on_points(5, budget=Budget(dim_cap=4))

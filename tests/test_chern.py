@@ -1,0 +1,68 @@
+"""Chern characters of idempotents and invertibles over group algebras.
+
+The expected pairings are traces of the matrices themselves: the regular
+trace of Q[Z/5] is 5 at the identity and 0 elsewhere, so the idempotent
+(1/5) sum_g g pairs to 1 and its complement to 4.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from cychom.chern import (
+    chern_idempotent,
+    chern_invertible,
+    idempotent_rep,
+    invertible_rep,
+    pair_with_trace,
+)
+from cychom.errors import NotIdempotent
+from cychom.groups import cyclic_group, group_algebra
+
+F = Fraction
+
+
+def _qz(n):
+    return group_algebra(cyclic_group(n))
+
+
+def _trivial_character(n):
+    return {g: F(1, n) for g in range(n)}
+
+
+def test_trivial_idempotent_pairs_to_its_rank():
+    QZ5 = _qz(5)
+    e = idempotent_rep(QZ5, [[_trivial_character(5)]])
+    trace = dict(enumerate(QZ5.trace_vector()))
+    for q in (0, 1, 2):
+        assert pair_with_trace(chern_idempotent(e, q), trace) == 1
+
+
+def test_pairing_is_additive_on_block_sums():
+    QZ5 = _qz(5)
+    e = _trivial_character(5)
+    complement = {g: -c for g, c in e.items()}
+    complement[0] += 1
+    block = idempotent_rep(QZ5, [[e, {}], [{}, complement]])
+    trace = dict(enumerate(QZ5.trace_vector()))
+    for q in (0, 1):
+        assert pair_with_trace(chern_idempotent(block, q), trace) == 5
+
+
+def test_s_lowers_the_even_character_at_chain_level():
+    e = idempotent_rep(_qz(5), [[_trivial_character(5)]])
+    lowered = chern_idempotent(e, 2).s()
+    assert lowered.q == 1 and lowered.degree == 2
+    assert lowered.chain.equals(chern_idempotent(e, 1).chain)
+
+
+def test_s_lowers_the_odd_character_at_chain_level():
+    u = invertible_rep(_qz(3), [[{1: 1}]])
+    lowered = chern_invertible(u, 1).s()
+    assert lowered.degree == 1
+    assert lowered.chain.equals(chern_invertible(u, 0).chain)
+
+
+def test_group_generator_is_not_idempotent():
+    with pytest.raises(NotIdempotent):
+        idempotent_rep(_qz(5), [[{1: 1}]])

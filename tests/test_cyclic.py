@@ -340,7 +340,7 @@ def test_hp_examples_through_the_radical():
 
 
 def test_hp_both_modes_agree_on_truncated_polynomials():
-    report = hp(truncated_polynomial(3), mode="both")
+    report = hp(truncated_polynomial(3), mode="stabilization")
     assert (report.even_dim, report.odd_dim) == (1, 0)
     assert report.stabilized
     assert report.stabilization_dims == (1, 0)
@@ -349,7 +349,7 @@ def test_hp_both_modes_agree_on_truncated_polynomials():
 def test_hp_stabilization_sees_the_full_center():
     # two rational matrix blocks but a three-dimensional center: the
     # stabilized ranks decide between the two, and pick the center
-    report = hp(group_algebra(cyclic_group(3)), mode="both")
+    report = hp(group_algebra(cyclic_group(3)), mode="stabilization")
     assert (report.even_dim, report.odd_dim) == (3, 0)
     assert report.stabilized
 

@@ -269,6 +269,10 @@ def test_parse_scalar_rejects_garbage():
         parse_scalar("3 @ order=x")
     with pytest.raises(ParseError):
         parse_scalar("1 @ order=4", order=8)
+    # a sign with no term after it, or two signs in a row
+    for text in ("1+", "3-", "--1", "1 + + 2"):
+        with pytest.raises(ParseError):
+            parse_scalar(text)
 
 
 def test_common_order():
