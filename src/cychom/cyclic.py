@@ -400,9 +400,9 @@ def hp(A: FDAlgebra, mode: str = "radical_shortcut", cutoff: int | None = None,
         raise ValidationError("stabilization needs cutoff >= 4")
     hc_report = hc(A, cutoff, normalized=normalized, budget=budget)
     homologies = [d.homology for d in hc_report.degrees]
+    s_hom = _s_on_homology(hc_report.window, homologies, cutoff)
     stable = []
     for parity in (0, 1):
-        s_hom = _s_on_homology(hc_report.window, homologies, cutoff)
         top, ranks, _ = _s_tower(s_hom, parity, cutoff)
         if len(ranks) >= 2 and len(set(ranks)) == 1:
             stable.append((ranks[0], (parity, top)))

@@ -7,7 +7,11 @@ tuples over a cyclotomic field).
 
 Elimination is fraction-free: rows are rescaled to integer content 1 and
 combined by cross-multiplication, which keeps entry growth polynomial without
-the bookkeeping an exact-division scheme needs once rows skip steps.  Pivots
+the bookkeeping an exact-division scheme needs once rows skip steps.  Over Q
+the row adapter's ``prim`` is the only entry point for input rows; everything
+after it works on primitive integer rows, so ``combine`` never meets a
+Fraction.  Combining a row with a pivot row changes its support only at the
+pivot row's columns, which is all the column index has to revisit.  Pivots
 follow a cheapest-column-first order through a lazy heap, and the matrix is
 first split into connected components of its row/column incidence graph, which
 on boundary matrices of bar-type complexes cuts the work by orders of
@@ -122,52 +126,61 @@ def to_raw(value, field: _FieldBase):
 
 # -- row normalization adapters ------------------------------------------------
 
+def _primitive(ints: dict) -> dict:
+    """A nonempty integer row divided by its content, signed so that the entry
+    at the lowest column is positive."""
+    g = gcd(*ints.values())
+    if ints[min(ints)] < 0:
+        g = -g
+    if g != 1:
+        ints = {j: n // g for j, n in ints.items()}
+    return ints
+
+
 class _IntRows:
-    """Order-1 rows: entries kept as primitive integer vectors."""
+    """Order-1 rows: entries kept as primitive integer vectors.
+
+    ``prim`` is the only entry point: it clears denominators of arbitrary Q
+    rows (ints and Fractions).  Every row that ``combine`` and ``monic`` see
+    came out of ``prim`` or ``combine``, so it is a primitive integer row and
+    ``combine`` does plain integer arithmetic.
+    """
 
     @staticmethod
     def prim(row: dict) -> dict:
-        if not row:
-            return row
         den = 1
         for v in row.values():
             if isinstance(v, Fraction) and v.denominator != 1:
                 den = den * v.denominator // gcd(den, v.denominator)
-        g = 0
         ints = {}
         for j, v in row.items():
             n = int(v * den) if den != 1 or isinstance(v, Fraction) else v
             if n:
                 ints[j] = n
-                g = gcd(g, n)
-        if not ints:
-            return {}
-        if ints[min(ints)] < 0:
-            g = -g
-        if g != 1:
-            ints = {j: n // g for j, n in ints.items()}
-        return ints
+        return _primitive(ints) if ints else ints
 
     @staticmethod
     def combine(r: dict, p: dict, c) -> dict:
-        """b*r - a*p with a = r[c], b = p[c]; result primitive and zero at c."""
+        """b*r - a*p with a = r[c], b = p[c] over gcd(a, b); the result is
+        primitive and zero at c (where b*a - a*b cancels)."""
         a, b = r[c], p[c]
-        out = {}
-        for j, v in r.items():
-            out[j] = b * v
+        g = gcd(a, b)
+        if g != 1:
+            a //= g
+            b //= g
+        out = {j: b * v for j, v in r.items()}
         for j, v in p.items():
             w = out.get(j, 0) - a * v
             if w:
                 out[j] = w
             else:
-                out.pop(j, None)
-        out.pop(c, None)
-        return _IntRows.prim(out)
+                del out[j]
+        return _primitive(out) if out else out
 
     @staticmethod
     def monic(row: dict, c) -> dict:
-        piv = Fraction(row[c])
-        return {j: Fraction(v) / piv for j, v in row.items()}
+        piv = row[c]
+        return {j: Fraction(v, piv) for j, v in row.items()}
 
 
 class _CycRows:
@@ -255,54 +268,40 @@ def _eliminate_component(rows: list[dict], adapter) -> list[tuple[int, dict]]:
     heap = [(len(rids), c) for c, rids in col_rows.items()]
     heapq.heapify(heap)
     pivots: list[tuple[int, dict]] = []
-    pivoted: set[int] = set()
-
-    def touch(cols):
-        for c in cols:
-            rids = col_rows.get(c)
-            if rids:
-                heapq.heappush(heap, (len(rids), c))
-
     while heap:
         cnt, c = heapq.heappop(heap)
         rids = col_rows.get(c)
-        if not rids or c in pivoted or cnt != len(rids):
+        if not rids or cnt != len(rids):
             continue
         prid = min(rids, key=lambda rid: (len(live[rid]), rid))
         prow = live[prid]
-        changed = set()
+        # combining with prow changes a row's support only at prow's columns,
+        # and each of those still holds prid, so its column set exists
         for rid in list(rids):
             if rid == prid:
                 continue
             old = live[rid]
             new = adapter.combine(old, prow, c)
-            before, after = set(old), set(new)
-            for j in before - after:
-                s = col_rows.get(j)
-                if s:
-                    s.discard(rid)
-                    if not s:
-                        del col_rows[j]
-            for j in after - before:
-                col_rows.setdefault(j, set()).add(rid)
-            changed |= before ^ after
+            for j in prow:
+                if j in old:
+                    if j not in new:
+                        col_rows[j].discard(rid)
+                elif j in new:
+                    col_rows[j].add(rid)
             if new:
                 live[rid] = new
             else:
                 del live[rid]
-        # retire the pivot row from the active index
-        for j in prow:
-            s = col_rows.get(j)
-            if s:
-                s.discard(prid)
-                if not s:
-                    del col_rows[j]
-        changed |= set(prow)
+        # retire the pivot row and requeue its columns at their new counts
         del live[prid]
+        for j in prow:
+            s = col_rows[j]
+            s.discard(prid)
+            if s:
+                heapq.heappush(heap, (len(s), j))
+            else:
+                del col_rows[j]
         pivots.append((c, prow))
-        pivoted.add(c)
-        changed.discard(c)
-        touch(changed)
     return pivots
 
 

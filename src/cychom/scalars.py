@@ -18,7 +18,7 @@ import re
 from fractions import Fraction
 from math import lcm
 
-from .errors import DivisionByZero, FieldMismatch, ParseError
+from .errors import DivisionByZero, FieldMismatch, ParseError, ValidationError
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -275,7 +275,7 @@ class _CyclotomicFieldRaw(_FieldBase):
 @functools.lru_cache(maxsize=None)
 def field_of_order(m: int) -> _FieldBase:
     if m < 1:
-        raise ValueError("order must be positive")
+        raise ValidationError(f"field order must be positive, got {m}")
     return _RationalField() if m == 1 else _CyclotomicFieldRaw(m)
 
 
@@ -611,6 +611,8 @@ def parse_scalar(text: str, order: int | None = None) -> Cyclotomic:
         s = body.strip()
     if order is None:
         order = 1
+    if order < 1:
+        raise ParseError(f"order {order} is not positive in {text!r}")
     field = field_of_order(order)
     # Split into signed terms at top level; findall skips a sign it cannot
     # match, so the terms must cover the whole text.

@@ -151,6 +151,9 @@ def test_out_of_range_coordinates_are_rejected():
         FDAlgebra(2, 1, {(0, 0): {0: 1}, (3, 3): {1: 1}})
     with pytest.raises(ValidationError):
         FDAlgebra(2, 1, [[{0: 1}, {}]])
+    # a field order below 1 names no field
+    with pytest.raises(ValidationError):
+        FDAlgebra(1, 0, {(0, 0): {0: 1}})
 
 
 def test_dimension_cap():

@@ -18,6 +18,7 @@ from cychom.chern import (
 )
 from cychom.errors import NotIdempotent
 from cychom.groups import cyclic_group, group_algebra
+from cychom.linalg import vec_equal
 
 F = Fraction
 
@@ -47,6 +48,29 @@ def test_pairing_is_additive_on_block_sums():
     trace = dict(enumerate(QZ5.trace_vector()))
     for q in (0, 1):
         assert pair_with_trace(chern_idempotent(block, q), trace) == 5
+
+
+def test_conjugate_idempotents_pair_alike_with_every_coordinate_trace():
+    QZ5 = _qz(5)
+    eps = _trivial_character(5)
+    one = {0: 1}
+    # the elementary unit u = [[1, g], [0, 1]] has inverse [[1, -g], [0, 1]]
+    u = invertible_rep(QZ5, [[one, {1: 1}], [{}, one]],
+                       inverse=[[one, {1: -1}], [{}, one]])
+    e = idempotent_rep(QZ5, [[eps, {}], [{}, {}]])
+    # u e u^-1 = [[eps, -eps g], [0, 0]], and eps g = eps
+    conj = idempotent_rep(QZ5, [[eps, {g: -c for g, c in eps.items()}],
+                                [{}, {}]])
+    M = e.matrices
+    assert vec_equal(M.multiply(M.multiply(u.flat, e.flat), u.inverse_flat),
+                     conj.flat, QZ5.field)
+    for q in (0, 1):
+        ch_e, ch_conj = chern_idempotent(e, q), chern_idempotent(conj, q)
+        # delta_g reads the coefficient of g, a trace on the commutative QZ5
+        for g in range(5):
+            delta = {g: 1}
+            assert pair_with_trace(ch_conj, delta) == \
+                pair_with_trace(ch_e, delta) == F(1, 5)
 
 
 def test_s_lowers_the_even_character_at_chain_level():

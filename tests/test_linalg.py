@@ -19,8 +19,10 @@ from cychom.linalg import (
     induced_map,
     kernel_from_rref,
     preimage_subspace,
+    reduced_rows,
     rref_rows,
     sparse_to_dense,
+    vec_add,
     vec_equal,
     vec_is_zero,
 )
@@ -31,8 +33,9 @@ Q = field_of_order(1)
 
 
 def dense_rref_oracle(matrix):
-    """Reference reduced row echelon form over Fraction, dense and naive."""
-    m = [[F(x) for x in row] for row in matrix]
+    """Reference reduced row echelon form over Fraction (or Cyclotomic
+    entries, which it keeps), dense and naive."""
+    m = [[x if isinstance(x, Cyclotomic) else F(x) for x in row] for row in matrix]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     r = 0
@@ -123,6 +126,57 @@ def test_block_structure_does_not_leak():
     rows, pivots = big.rref()
     assert pivots == oracle_pivots
     assert [sparse_to_dense(r, 7, Q) for r in rows] == oracle_rows
+
+
+# scales whole rows, so their entries pass 2**64 and share this factor
+BIG = 2 ** 67 - 1
+
+
+def _random_raw_rows(rng, field, nrows, ncols):
+    """Sparse raw rows with Fraction entries, negative leading entries and
+    whole rows scaled by +-BIG or 1/BIG, plus one sum of two rows."""
+    order = field.order
+    rows = []
+    for _ in range(nrows):
+        scale = rng.choice([1, -1, BIG, -BIG, F(1, BIG), F(-7, 3)])
+        row = {}
+        for j in range(ncols):
+            if rng.random() < 0.45:
+                coeffs = [F(rng.randint(-6, 6), rng.randint(1, 4))
+                          for _ in range(field.degree)]
+                value = Cyclotomic(coeffs, order) * scale
+                if value:
+                    raw = value.raw
+                    if order == 1 and raw.denominator == 1 and rng.random() < 0.5:
+                        raw = raw.numerator
+                    row[j] = raw
+        rows.append(row)
+    if len(rows) >= 2:
+        rows.append(vec_add(rows[0], rows[-1], field))
+    return rows
+
+
+@pytest.mark.parametrize("order", [1, 3])
+def test_reduced_rows_matches_dense_oracle_random(order):
+    field = field_of_order(order)
+    rng = random.Random(2024 + order)
+    for trial in range(40):
+        ncols = rng.randint(1, 8)
+        raw_rows = _random_raw_rows(rng, field, rng.randint(1, 8), ncols)
+
+        def dense(rows):
+            return [[Cyclotomic.from_raw(r.get(j, field.zero), order)
+                     for j in range(ncols)] for r in rows]
+
+        rows, pivots = reduced_rows([dict(r) for r in raw_rows], ncols, field)
+        oracle_rows, oracle_pivots = dense_rref_oracle(dense(raw_rows))
+        assert len(rows) == len(pivots) == len(oracle_pivots), trial
+        # the same span: both reduce to the one canonical echelon form
+        assert dense_rref_oracle(dense(rows)) == (oracle_rows, oracle_pivots), trial
+        for row, p in zip(rows, pivots):
+            assert row[p] == field.one, trial
+        for p in pivots:
+            assert sum(p in row for row in rows) == 1, trial
 
 
 # -- kernel / rank-nullity --------------------------------------------------------

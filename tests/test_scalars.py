@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from cychom.errors import DivisionByZero, FieldMismatch, ParseError
+from cychom.errors import DivisionByZero, FieldMismatch, ParseError, ValidationError
 from cychom.scalars import (
     Cyclotomic,
     common_order,
@@ -206,6 +206,12 @@ def test_mixed_orders_refuse_silent_coercion():
         Cyclotomic.zeta(6).lift(4)
 
 
+def test_order_below_one_is_a_validation_error():
+    for m in (0, -3):
+        with pytest.raises(ValidationError):
+            field_of_order(m)
+
+
 def test_zero_has_no_inverse():
     with pytest.raises(DivisionByZero):
         Cyclotomic(0, 1).inverse()
@@ -273,6 +279,12 @@ def test_parse_scalar_rejects_garbage():
     for text in ("1+", "3-", "--1", "1 + + 2"):
         with pytest.raises(ParseError):
             parse_scalar(text)
+    # an order below 1 names no field
+    for text in ("1 @ order=0", "1 @ order=-2"):
+        with pytest.raises(ParseError):
+            parse_scalar(text)
+    with pytest.raises(ParseError):
+        parse_scalar("1", order=0)
 
 
 def test_common_order():

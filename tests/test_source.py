@@ -1,13 +1,19 @@
-"""Source hygiene: every private helper in cychom has a caller.
+"""Source hygiene: every private helper in cychom has a caller, and no
+floating point enters the package.
 
 A private function, class or method that nothing else in the package
 refers to is dead code; this keeps deleted helpers from coming back.
 References are names, attribute lookups and imports anywhere in
 ``src/cychom`` outside the definition's own body, so a helper that only
 calls itself still counts as unused.
+
+Exact arithmetic is the package's contract, so its source holds no float
+literal, no ``float(...)`` call and no ``math`` function outside the
+integer-valued ones.
 """
 
 import ast
+import functools
 from collections import Counter
 from pathlib import Path
 
@@ -15,6 +21,14 @@ import cychom
 
 SRC = Path(cychom.__file__).resolve().parent
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+# the math functions that map integers to integers
+INTEGER_MATH = {"comb", "factorial", "gcd", "isqrt", "lcm", "perm", "prod"}
+
+
+@functools.lru_cache(maxsize=None)
+def _trees():
+    return [(path, ast.parse(path.read_text(), filename=str(path)))
+            for path in sorted(SRC.glob("*.py"))]
 
 
 def _reference(node):
@@ -32,8 +46,8 @@ def _reference(node):
 def test_every_private_definition_is_referenced():
     referenced = Counter()
     definitions = []
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for path, tree in _trees():
+        for node in ast.walk(tree):
             name = _reference(node)
             if name is not None:
                 referenced[name] += 1
@@ -47,3 +61,26 @@ def test_every_private_definition_is_referenced():
         if referenced[node.name] <= own:
             unused.append("%s:%d %s" % (filename, node.lineno, node.name))
     assert not unused, "private definitions nothing refers to: %s" % unused
+
+
+def test_no_floating_point():
+    found = []
+    for path, tree in _trees():
+        for node in ast.walk(tree):
+            kind = type(node)
+            if kind is ast.Constant and isinstance(node.value, (float, complex)):
+                what = "literal %r" % node.value
+            elif (kind is ast.Call and type(node.func) is ast.Name
+                  and node.func.id == "float"):
+                what = "float(...)"
+            elif kind is ast.ImportFrom and node.module == "math":
+                what = ", ".join("math.%s" % alias.name for alias in node.names
+                                 if alias.name not in INTEGER_MATH)
+            elif (kind is ast.Attribute and type(node.value) is ast.Name
+                  and node.value.id == "math" and node.attr not in INTEGER_MATH):
+                what = "math.%s" % node.attr
+            else:
+                continue
+            if what:
+                found.append("%s:%d %s" % (path.name, node.lineno, what))
+    assert not found, "floating point in the exact package: %s" % found
