@@ -731,27 +731,11 @@ def subalgebra_closure(A: FDAlgebra, generators, budget=None):
             raise ClosureOverflow(
                 "subalgebra closure exceeded dimension cap %d"
                 % budget.dim_cap)
-    basis = list(space.basis)
-    dim = space.dim
-    if dim == 0:
+    if space.dim == 0:
         raise ValidationError("closure of zero generators is empty")
-    mul = {}
-    for a in range(dim):
-        for b in range(dim):
-            prod = A.multiply(basis[a], basis[b])
-            entry = dense_to_sparse(space.coords(prod), field)
-            if entry:
-                mul[(a, b)] = entry
-    unit = None
-    if A.is_unital and space.contains(A.unit):
-        unit = dense_to_sparse(space.coords(A.unit), field)
-    sub = FDAlgebra(dim, A.field_order, mul, unit=unit,
-                    name=(A.name or "A") + "_sub", budget=budget)
-    sub.require_valid()
-    include = AlgebraMap.from_images(sub, A, basis, multiplicative=True,
-                                     unital=unit is not None and A.is_unital)
-    include.validate()
-    return sub, include
+    return _algebra_on_subspace(A, space, (A.name or "A") + "_sub",
+                                A.is_unital and space.contains(A.unit),
+                                budget)
 
 
 def ideal_as_algebra(ideal: TwoSidedIdeal, budget=None):
@@ -759,23 +743,33 @@ def ideal_as_algebra(ideal: TwoSidedIdeal, budget=None):
 
     Returns (algebra, inclusion map into the parent).
     """
-    A = ideal.parent
+    return _algebra_on_subspace(ideal.parent, ideal.space, ideal.name or "J",
+                                False, budget)
+
+
+def _algebra_on_subspace(A: FDAlgebra, space: Subspace, name: str,
+                         with_unit: bool, budget):
+    """The algebra A induces on a subspace closed under its product.
+
+    Returns (algebra, inclusion map); the unit of A becomes the unit of the
+    result when with_unit is set (the caller checks it lies in the space).
+    """
     field = A.field
-    basis = list(ideal.space.basis)
-    dim = len(basis)
+    basis = list(space.basis)
     mul = {}
-    for a in range(dim):
-        for b in range(dim):
-            prod = A.multiply(basis[a], basis[b])
-            coords = ideal.space.coords(prod)
+    for a, x in enumerate(basis):
+        for b, y in enumerate(basis):
+            coords = space.coords(A.multiply(x, y))
             if coords is None:
-                raise ValidationError("ideal is not closed under products")
+                raise ValidationError("subspace is not closed under products")
             entry = dense_to_sparse(coords, field)
             if entry:
                 mul[(a, b)] = entry
-    J = FDAlgebra(dim, A.field_order, mul, unit=None,
-                  name=(ideal.name or "J"), budget=budget)
-    J.require_valid()
-    include = AlgebraMap.from_images(J, A, basis, multiplicative=True)
+    unit = dense_to_sparse(space.coords(A.unit), field) if with_unit else None
+    sub = FDAlgebra(len(basis), A.field_order, mul, unit=unit, name=name,
+                    budget=budget)
+    sub.require_valid()
+    include = AlgebraMap.from_images(sub, A, basis, multiplicative=True,
+                                     unital=with_unit)
     include.validate()
-    return J, include
+    return sub, include

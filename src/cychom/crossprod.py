@@ -23,7 +23,7 @@ from .errors import (DegreePositive, EmptyTarget, SizeOverflow,
                      ValidationError)
 from .groups import (FiniteGroup, FiniteVarietyAction, GroupAction,
                      group_metadata)
-from .hochschild import hh, hh_with_coefficients
+from .hochschild import _tensor_chain_matrix, hh, hh_with_coefficients
 from .linalg import (SparseMatrix, Subspace, add_term, induced_map, vec_axpy,
                      vec_equal, vec_is_zero)
 from .scalars import field_of_order, lift_raw
@@ -160,31 +160,6 @@ class DecompositionReport:
         return self.class_totals == self.direct_dims
 
 
-def _chain_operator(window, n, images):
-    """Matrix of the slot-wise substitution code -> images[code] in degree n.
-
-    Only unnormalized windows are supported; there the degree-n basis is
-    the plain tuple basis, so the operator is a tensor power.
-    """
-    if window.normalized:
-        raise ValidationError("chain operators need the unnormalized window")
-    field = window.field
-    cols = []
-    for idx in range(window.dims[n]):
-        tup = window.tuple_of(n, idx)
-        partial = {(): field.one}
-        for code in tup:
-            img = images[code]
-            nxt = {}
-            for prefix, c in partial.items():
-                for k, d in img.items():
-                    nxt[prefix + (k,)] = field.mul(c, d)
-            partial = nxt
-        col = {window.index_of(n, t): c for t, c in partial.items()}
-        cols.append(col)
-    return SparseMatrix.from_columns(cols, window.dims[n], field)
-
-
 def invariants(space: Subspace, operators) -> Subspace:
     """Image of the averaging projector of a family of operators.
 
@@ -240,9 +215,9 @@ def hh_decomposition(cp: CrossedProduct, n_max: int,
                 continue
             ops = []
             for h in data.centralizer:
-                images = [cp.action.apply(h, {i: field.one})
-                          for i in range(A.dim)]
-                chain_op = _chain_operator(rep.window, q, images)
+                M = cp.action.automorphism(h).matrix
+                chain_op = _tensor_chain_matrix(rep.window, rep.window, q,
+                                                M, M)
                 ops.append(induced_map(chain_op, H, H))
             inv_dims.append(invariants(_whole_space(H.dim, field), ops).dim)
         contributions.append(ClassContribution(

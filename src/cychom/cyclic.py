@@ -49,42 +49,42 @@ def cyclic_t(window: ChainComplexWindow, n: int, chain: dict) -> dict:
     return out
 
 
-def _B_column_unnormalized(window: ChainComplexWindow, n: int,
-                           tup: tuple) -> dict:
-    # (1 - t) s sum_j t^j on a single basis tensor
-    A = window.algebra
-    field = window.field
-    unit_items = list(A.unit.items())
-    acc = {}
-    for j in range(n + 1):
-        negate = bool((n * j) % 2)
-        rotated = tup[-j:] + tup[:-j] if j else tup
-        for u, cu in unit_items:
-            coeff = field.neg(cu) if negate else cu
-            add_term(acc, window.index_of(n + 1, (u,) + rotated),
-                     coeff, field)
-            # the t-image of the inserted term, with t's sign on degree n+1
-            wrapped = (rotated[-1], u) + rotated[:-1]
-            back = coeff if (n + 1) % 2 else field.neg(coeff)
-            add_term(acc, window.index_of(n + 1, wrapped), back, field)
-    return acc
+def _B_columns(window: ChainComplexWindow, n: int, indices) -> list:
+    """B = (1 - t) s N on the degree-n basis tensors at the given indices.
 
-
-def _B_column_normalized(window: ChainComplexWindow, n: int,
-                         tup: tuple) -> dict:
-    # in reduced coordinates only the s-part survives: every t-image of an
-    # inserted unit carries that unit in an interior slot
+    s puts the unit into slot 0; the t-image of that puts it into the first
+    interior slot.  Read in the window's slot basis, a term that puts a
+    vector outside the interior into an interior slot is zero: when slot 0
+    holds such a vector only the last rotation's t-image survives, and only
+    the interior part of the unit enters the t-images.
+    """
+    slots = window.slots
     field = window.field
-    if tup[0] == 0:
-        return {}
-    seq = (tup[0],) + tuple(code + 1 for code in tup[1:])
-    acc = {}
-    for j in range(n + 1):
-        rotated = seq[-j:] + seq[:-j] if j else seq
-        coeff = field.neg(field.one) if (n * j) % 2 else field.one
-        target = (0,) + tuple(f - 1 for f in rotated)
-        add_term(acc, window.index_of(n + 1, target), coeff, field)
-    return acc
+    radix = slots.interior_radix
+    f_of, code = slots.interior, slots.code
+    unit = list(slots.unit.items())
+    inner = [(code[u], c) for u, c in unit if u in code]
+    pw = [radix ** k for k in range(n + 2)]
+    cols = []
+    for index in indices:
+        s0, body = divmod(index, pw[n])
+        c0 = code.get(s0)
+        # slot 0 and the interior codes as one base-radix number
+        whole = (c0 or 0) * pw[n] + body
+        acc = {}
+        for j in range(n if c0 is None else 0, n + 1):
+            # rotate j places: the last j codes move to the front
+            rot = whole % pw[j] * pw[n + 1 - j] + whole // pw[j]
+            if c0 is not None:
+                for u, c in unit:
+                    add_term(acc, u * pw[n + 1] + rot,
+                             field.neg(c) if n * j % 2 else c, field)
+            lead = s0 if j == n else f_of[rot % radix]
+            for k, c in inner:
+                add_term(acc, (lead * radix + k) * pw[n] + rot // radix,
+                         field.neg(c) if n * (j + 1) % 2 else c, field)
+        cols.append(acc)
+    return cols
 
 
 def operator_B(window: ChainComplexWindow, n: int, chain: dict) -> dict:
@@ -96,23 +96,21 @@ def operator_B(window: ChainComplexWindow, n: int, chain: dict) -> dict:
     if n + 1 > window.n_max:
         raise ValidationError(
             "window too short: degree %d is not stored" % (n + 1))
+    if not all(0 <= index < window.dims[n] for index in chain):
+        raise ValidationError(
+            "chain has an index outside the degree-%d chain space" % n)
     field = window.field
-    column = (_B_column_normalized if window.normalized
-              else _B_column_unnormalized)
     out = {}
-    for index, c in chain.items():
-        for key, value in column(window, n, window.tuple_of(n, index)).items():
+    for c, col in zip(chain.values(), _B_columns(window, n, chain)):
+        for key, value in col.items():
             add_term(out, key, field.mul(c, value), field)
     return out
 
 
 def _B_matrix(window: ChainComplexWindow, n: int) -> SparseMatrix:
-    field = window.field
-    column = (_B_column_normalized if window.normalized
-              else _B_column_unnormalized)
-    cols = [column(window, n, window.tuple_of(n, index))
-            for index in range(window.dims[n])]
-    return SparseMatrix.from_columns(cols, window.dims[n + 1], field)
+    return SparseMatrix.from_columns(
+        _B_columns(window, n, range(window.dims[n])), window.dims[n + 1],
+        window.field)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 Chain spaces are windows of tensor powers with sparse boundary matrices.
 The normalized complex (interior slots taken modulo the unit) is the
 default route for unital algebras; the unnormalized complex is the
-reference implementation and the only route without a unit.
+reference implementation and the only route without a unit.  Which of the
+two a window is gets decided in one place, its slot basis (_SlotData):
+every boundary, operator and chain map reads that basis as tables.
 """
 
 from __future__ import annotations
@@ -28,66 +30,61 @@ from .algebra import AlgebraMap, Bimodule, FDAlgebra, matrix_algebra
 
 
 class _SlotData:
-    """Basis bookkeeping for one window.
+    """The slot basis of one window: the one place normalization is decided.
 
-    Normalized windows rebase the algebra so that f_0 is the unit and the
-    remaining f_j are original basis vectors; interior tensor slots then
-    run over f_1 .. f_(d-1) and products drop their f_0 component.
-    Unnormalized windows keep the raw basis everywhere.
+    Slot 0 runs over a basis f_0 .. f_(d-1) of the algebra: f_vectors holds
+    it in the algebra's basis, e_to_f turns algebra coordinates into
+    f-coordinates, mulf multiplies in it and unit is the unit in it.
+    Interior slots run over the f-indices in interior; code k stands for
+    f_(interior[k]) and code maps an f-index to its code.  imul[s][t] is
+    the product of the codes s and t with its part outside the interior
+    dropped.
+
+    Unnormalized windows keep the algebra's basis and let every index into
+    every slot.  Normalized windows rebase so that f_0 is the unit and the
+    other f_j are basis vectors, and keep f_0 out of the interior: a tensor
+    with the unit in an interior slot is degenerate, zero in the quotient.
     """
 
     def __init__(self, A: FDAlgebra, normalized: bool):
-        self.algebra = A
-        self.normalized = normalized
         field = A.field
         d = A.dim
-        if not normalized:
-            self.f_vectors = [A.basis_vector(i) for i in range(d)]
-            self.mulf = A.mul
+        if normalized:
+            # f_j (j >= 1) are the basis vectors other than a pivot of the
+            # unit, in order; the pivot vector is solved from the unit
+            pivot = min(A.unit)
+            others = [j for j in range(d) if j != pivot]
+            order = {j: k for k, j in enumerate(others, 1)}
+            inv = field.inv(A.unit[pivot])
+            e_pivot = {0: inv}
+            for i, c in A.unit.items():
+                if i != pivot:
+                    e_pivot[order[i]] = field.neg(field.mul(c, inv))
+            self.f_vectors = [dict(A.unit)] + [{j: field.one} for j in others]
+            self.e_to_f = SparseMatrix.from_columns(
+                [e_pivot if j == pivot else {order[j]: field.one}
+                 for j in range(d)], d, field)
+            self.mulf = [[self.e_to_f.mat_vec(A.multiply(x, y))
+                          for y in self.f_vectors] for x in self.f_vectors]
+            self.unit = {0: field.one}
+            self.interior = list(range(1, d))
+        else:
+            self.f_vectors = [{j: field.one} for j in range(d)]
             self.e_to_f = SparseMatrix.identity(d, field)
-            self.interior_radix = d
-            return
-        pivot = min(A.unit)
-        order = [None] * d
-        vectors = [dict(A.unit)]
-        for j in range(d):
-            if j != pivot:
-                order[j] = len(vectors)
-                vectors.append({j: field.one})
-        self.pivot = pivot
-        self.f_vectors = vectors
-        # e_j = f_(order j) for j != pivot; solve the pivot column from the unit
-        cols = []
-        inv_pivot = field.inv(A.unit[pivot])
-        for j in range(d):
-            if j != pivot:
-                cols.append({order[j]: field.one})
-            else:
-                col = {0: inv_pivot}
-                for i, c in A.unit.items():
-                    if i != pivot:
-                        col[order[i]] = field.neg(field.mul(c, inv_pivot))
-                cols.append(col)
-        self.e_to_f = SparseMatrix.from_columns(cols, d, field)
-        self.mulf = []
-        for a in range(d):
-            row = []
-            for b in range(d):
-                prod = A.multiply(vectors[a], vectors[b])
-                row.append(self.e_to_f.mat_vec(prod))
-            self.mulf.append(row)
-        self.interior_radix = d - 1
+            self.mulf = A.mul
+            self.unit = A.unit
+            self.interior = list(range(d))
+        self.code = {f: k for k, f in enumerate(self.interior)}
+        self.interior_radix = len(self.interior)
+        self.imul = [[{self.code[k]: c for k, c in self.mulf[a][b].items()
+                       if k in self.code}
+                      for b in self.interior] for a in self.interior]
 
-    def interior_product(self, s: int, t: int) -> dict:
-        """Product of two interior codes, as {code: coeff}.
-
-        Normalized windows drop the f0 (unit) part, which is degenerate;
-        unnormalized codes are plain basis indices.
-        """
-        if not self.normalized:
-            return self.mulf[s][t]
-        prod = self.mulf[s + 1][t + 1]
-        return {k - 1: c for k, c in prod.items() if k != 0}
+    def rebase(self, matrix: SparseMatrix, source: "_SlotData") -> SparseMatrix:
+        """A linear map from source's algebra into this one, in the f-bases."""
+        f_mat = SparseMatrix.from_columns(source.f_vectors, matrix.ncols,
+                                          matrix.field)
+        return self.e_to_f.matmul(matrix).matmul(f_mat)
 
 
 class ChainComplexWindow:
@@ -113,6 +110,9 @@ class ChainComplexWindow:
         return self.boundaries[n]
 
     def tuple_of(self, n: int, index: int) -> tuple:
+        if not (0 <= n <= self.n_max and 0 <= index < self.dims[n]):
+            raise ValidationError(
+                "index %d is outside the degree-%d chain space" % (index, n))
         radix = self.slots.interior_radix
         parts = []
         for _ in range(n):
@@ -124,9 +124,13 @@ class ChainComplexWindow:
     def index_of(self, n: int, tup) -> int:
         if len(tup) != n + 1:
             raise ValidationError("tensor has wrong length for this degree")
+        if not 0 <= tup[0] < self.dims[0]:
+            raise ValidationError("slot-0 index %d is out of range" % tup[0])
         radix = self.slots.interior_radix
         index = tup[0]
         for code in tup[1:]:
+            if not 0 <= code < radix:
+                raise ValidationError("interior code %d is out of range" % code)
             index = index * radix + code
         return index
 
@@ -166,7 +170,22 @@ def bar_complex(A: FDAlgebra, n_max: int, variant: str = "b",
     field = A.field
     slots = _SlotData(A, normalized)
     radix = slots.interior_radix
-    slot0 = coefficients.dim if coefficients is not None else A.dim
+
+    # slot 0 acted on by f_a: left[a][i] = f_a . x_i, right[a][i] = x_i . f_a
+    if coefficients is None:
+        slot0 = A.dim
+        left = slots.mulf
+        right = [list(col) for col in zip(*slots.mulf)]
+    else:
+        slot0 = coefficients.dim
+        left, right = [], []
+        for vec in slots.f_vectors:
+            lmat = rmat = SparseMatrix.zero(slot0, slot0, field)
+            for i, c in vec.items():
+                lmat = lmat.add(coefficients.left[i].scaled(c))
+                rmat = rmat.add(coefficients.right[i].scaled(c))
+            left.append(lmat.columns())
+            right.append(rmat.columns())
 
     dims = []
     for n in range(n_max + 1):
@@ -177,33 +196,20 @@ def bar_complex(A: FDAlgebra, n_max: int, variant: str = "b",
                 % (n, size, budget.max_chain_dim))
         dims.append(size)
 
-    # module actions by rebased basis vectors, when coefficients are given
-    left_f = right_f = None
-    if coefficients is not None:
-        left_f, right_f = [], []
-        for vec in slots.f_vectors:
-            left = SparseMatrix.zero(slot0, slot0, field)
-            right = SparseMatrix.zero(slot0, slot0, field)
-            for i, c in vec.items():
-                left = left.add(coefficients.left[i].scaled(c))
-                right = right.add(coefficients.right[i].scaled(c))
-            left_f.append(left)
-            right_f.append(right)
-
     boundaries = [None]
     for n in range(1, n_max + 1):
         boundaries.append(_boundary_matrix(
-            A, slots, coefficients, left_f, right_f, variant, n,
-            dims[n], dims[n - 1], radix, slot0))
+            slots, left, right, variant == "b", n, dims[n], dims[n - 1],
+            field))
     return ChainComplexWindow(A, n_max, variant, coefficients, normalized,
                               slots, dims, boundaries)
 
 
-def _boundary_matrix(A, slots, module, left_f, right_f, variant, n,
-                     dim_src, dim_tgt, radix, slot0):
-    field = A.field
-    normalized = slots.normalized
-    last_face = variant == "b"
+def _boundary_matrix(slots, left, right, last_face, n, dim_src, dim_tgt,
+                     field):
+    radix = slots.interior_radix
+    f_of = slots.interior
+    imul = slots.imul
     # a degree-m index is slot0 * radix**m plus the interior codes read as
     # a base-radix number (the body), first code most significant
     pw = [radix ** k for k in range(n + 1)]
@@ -211,49 +217,37 @@ def _boundary_matrix(A, slots, module, left_f, right_f, variant, n,
     cols = []
     for index in range(dim_src):
         rest = index
-        interior = []
+        codes = []
         for _ in range(n):
             rest, code = divmod(rest, radix)
-            interior.append(code)
-        interior.reverse()
+            codes.append(code)
+        codes.reverse()
         s0 = rest
         body = index - s0 * pw[n]
         out = {}
 
         # face 0: multiply the first interior factor into slot 0
-        a1 = interior[0] + 1 if normalized else interior[0]
-        if module is not None:
-            first = right_f[a1].columns()[s0]
-        else:
-            first = slots.mulf[s0][a1]
         tail = body % top
-        for code, c in first.items():
-            add_term(out, code * top + tail, c, field)
+        for i, c in right[f_of[codes[0]]][s0].items():
+            add_term(out, i * top + tail, c, field)
 
         # interior faces: slot 0 rides along, adjacent factors multiply;
         # codes i-1 and i merge into one code of weight pw[n - i - 1]
         sign = 1
         for i in range(1, n):
             sign = -sign
-            prod = slots.interior_product(interior[i - 1], interior[i])
             low = pw[n - i - 1]
             base = s0 * top + body // pw[n - i + 1] * pw[n - i] + body % low
-            for k, c in prod.items():
+            for k, c in imul[codes[i - 1]][codes[i]].items():
                 add_term(out, base + k * low,
                          c if sign > 0 else field.neg(c), field)
 
         # last face: wrap the final factor around to act on slot 0
         if last_face:
-            sign = 1 if n % 2 == 0 else -1
-            an = interior[-1] + 1 if normalized else interior[-1]
-            if module is not None:
-                first = left_f[an].columns()[s0]
-            else:
-                first = slots.mulf[an][s0]
             tail = body // radix
-            for code, c in first.items():
-                add_term(out, code * top + tail,
-                         c if sign > 0 else field.neg(c), field)
+            for i, c in left[f_of[codes[-1]]][s0].items():
+                add_term(out, i * top + tail,
+                         c if n % 2 == 0 else field.neg(c), field)
         cols.append(out)
     return SparseMatrix.from_columns(cols, dim_tgt, field)
 
@@ -274,15 +268,12 @@ def homotopy_s(window: ChainComplexWindow, n: int, chain: dict) -> dict:
     if n + 1 > window.n_max:
         raise ValidationError("window too short for the homotopy target degree")
     field = window.field
-    radix = window.slots.interior_radix
     out = {}
     for index, c in chain.items():
         tup = window.tuple_of(n, index)
         for j, u in A.unit.items():
-            idx = j
-            for code in tup:
-                idx = idx * radix + code
-            add_term(out, idx, field.mul(u, c), field)
+            add_term(out, window.index_of(n + 1, (j,) + tup),
+                     field.mul(u, c), field)
     return out
 
 
@@ -322,6 +313,8 @@ def _degree_homologies(maps, dims, field, n_max: int) -> list:
 
 def _homology_report(A: FDAlgebra, window, maps, n_max: int) -> HomologyReport:
     """Per-degree homology of a window whose differentials are maps."""
+    if n_max < 0:
+        raise ValidationError("n_max must be at least 0")
     homologies = _degree_homologies(maps, window.dims, window.field, n_max)
     degrees = [DegreeHomology(degree=n, dim=H.dim,
                               representatives=H.representatives, homology=H)
@@ -423,21 +416,14 @@ def _tensor_chain_matrix(src: ChainComplexWindow, tgt: ChainComplexWindow,
 
 def _phi_slot_maps(phi: AlgebraMap, src: ChainComplexWindow,
                    tgt: ChainComplexWindow):
-    """Slot matrices of a multiplicative map in the two windows' bases."""
-    field = tgt.field
-    if not src.normalized:
-        return phi.matrix, phi.matrix
-    # f-basis on both sides: convert, then cut the unit row and column
-    cols = []
-    for vec in src.slots.f_vectors:
-        cols.append(tgt.slots.e_to_f.mat_vec(phi.apply(vec)))
-    slot0 = SparseMatrix.from_columns(cols, tgt.algebra.dim, field)
-    interior_cols = []
-    for j in range(1, src.algebra.dim):
-        col = {k - 1: c for k, c in cols[j].items() if k != 0}
-        interior_cols.append(col)
-    interior = SparseMatrix.from_columns(interior_cols,
-                                         tgt.algebra.dim - 1, field)
+    """Slot-0 and interior matrices of a multiplicative map in the two
+    windows' slot bases; the interior one keeps interior codes only."""
+    slot0 = tgt.slots.rebase(phi.matrix, src.slots)
+    cols = slot0.columns()
+    code = tgt.slots.code
+    interior = SparseMatrix.from_columns(
+        [{code[k]: c for k, c in cols[a].items() if k in code}
+         for a in src.slots.interior], tgt.slots.interior_radix, tgt.field)
     return slot0, interior
 
 
@@ -574,16 +560,9 @@ def center_action(window: ChainComplexWindow, z: dict, n: int) -> SparseMatrix:
 
     For central z this commutes with the boundary at chain level.
     """
-    A = window.algebra
     if window.module is not None:
         raise ValidationError("center action is for the coefficient-free complex")
-    field = window.field
-    L = A.left_mult_matrix(z)
-    if window.normalized:
-        f_mat = SparseMatrix.from_columns(
-            [dict(v) for v in window.slots.f_vectors], A.dim, field)
-        slot0 = window.slots.e_to_f.matmul(L).matmul(f_mat)
-    else:
-        slot0 = L
-    ident = SparseMatrix.identity(window.slots.interior_radix, field)
+    slots = window.slots
+    slot0 = slots.rebase(window.algebra.left_mult_matrix(z), slots)
+    ident = SparseMatrix.identity(slots.interior_radix, window.field)
     return _tensor_chain_matrix(window, window, n, slot0, ident)

@@ -7,6 +7,7 @@ import pytest
 from cychom.algebra import (
     AlgebraMap,
     FDAlgebra,
+    TwoSidedIdeal,
     diagonal_bimodule,
     direct_sum,
     functions_on_points,
@@ -31,6 +32,7 @@ from cychom.errors import (
     SizeOverflow,
     ValidationError,
 )
+from cychom.linalg import Subspace
 from cychom.scalars import Cyclotomic
 
 
@@ -298,6 +300,16 @@ def test_ideal_as_algebra_is_nonunital():
     assert JA.dim == 2
     assert not JA.is_unital
     assert JA.validate().ok
+    assert JA.name == (J.name or "J")
+    assert not include.unital
+    # the whole algebra, viewed as an ideal, still gets no unit
+    whole, _ = ideal_as_algebra(ideal_generated_by(A, [A.unit]))
+    assert whole.dim == 3 and not whole.is_unital
+    # a subspace that is not closed under products is refused
+    line = TwoSidedIdeal(A, Subspace.from_vectors(A.dim, A.field,
+                                                  [A.basis_vector(1)]))
+    with pytest.raises(ValidationError):
+        ideal_as_algebra(line)
     x = JA.basis_vector(0)
     assert include.apply(JA.multiply(x, x)) == A.multiply(
         A.basis_vector(1), A.basis_vector(1))
@@ -359,14 +371,18 @@ def test_closure_of_x_in_cubic():
     sub, include = subalgebra_closure(A, [A.basis_vector(1)])
     assert sub.dim == 2
     assert not sub.is_unital
+    assert not include.unital
+    assert sub.name == A.name + "_sub"
     include.validate()
 
 
 def test_closure_with_unit_gives_everything():
     A = truncated_polynomial(3)
-    sub, _ = subalgebra_closure(A, [A.unit, A.basis_vector(1)])
+    sub, include = subalgebra_closure(A, [A.unit, A.basis_vector(1)])
     assert sub.dim == 3
     assert sub.is_unital
+    assert include.unital
+    assert include.apply(sub.unit) == A.unit
 
 
 def test_closure_is_idempotent():

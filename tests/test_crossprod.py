@@ -221,6 +221,12 @@ def test_action_must_match_the_algebra():
         crossed_product(A, trivial_action(Z2, B))
 
 
+def test_decomposition_rejects_negative_degrees():
+    cp = variety_crossed_product(point_actions()[1])
+    with pytest.raises(ValidationError):
+        hh_decomposition(cp, -1)
+
+
 def test_trivial_group_product_collapses_to_the_base():
     A = truncated_polynomial(2)
     cp = crossed_product(A, trivial_action(trivial_group(), A))

@@ -140,6 +140,9 @@ def test_B_squares_to_zero_and_anticommutes_with_b():
         bar_complex(functions_on_points(2), 4, normalized=False),
         bar_complex(matrix_algebra(ground_field(), 2), 4, normalized=False),
         bar_complex(group_algebra(cyclic_group(3)), 4, normalized=True),
+        # units with several terms: the slot basis is rebased
+        bar_complex(functions_on_points(2), 4, normalized=True),
+        bar_complex(matrix_algebra(ground_field(), 2), 4, normalized=True),
     ]
     for w in windows:
         for n in range(1, 3):
@@ -163,6 +166,9 @@ def test_B_guards():
     w = bar_complex(A, 1, normalized=False)
     with pytest.raises(ValidationError):
         operator_B(w, 1, {0: A.field.one})
+    for index in (-1, w.dims[0]):
+        with pytest.raises(ValidationError):
+            operator_B(w, 0, {index: A.field.one})
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +203,16 @@ def test_component_inclusion_roundtrip():
         for other in range(3):
             if other != k:
                 assert w.component(4, total, other) == {}
+
+
+def test_negative_degrees_are_rejected():
+    A = truncated_polynomial(2)
+    ident = AlgebraMap.identity(A)
+    for call in (lambda: cyclic_complex(A, -1), lambda: hc(A, -1),
+                 lambda: hc(A, -1, normalized=False),
+                 lambda: sbi_check(A, -1), lambda: induced_map_hc(ident, -1)):
+        with pytest.raises(ValidationError):
+            call()
 
 
 def test_nonunital_algebra_is_rejected():

@@ -109,6 +109,34 @@ def test_codec_roundtrip():
             assert w.index_of(n, w.tuple_of(n, idx)) == idx
 
 
+def test_codec_rejects_out_of_range_codes_and_indices():
+    w = bar_complex(truncated_polynomial(3), 2, normalized=False)
+    assert w.index_of(1, (1, 0)) == 3
+    assert w.tuple_of(1, 8) == (2, 2)
+    for bad in ((0, 3), (0, -1), (3, 0), (-1, 2)):
+        with pytest.raises(ValidationError):
+            w.index_of(1, bad)
+    for n, bad in ((1, 9), (1, -1), (3, 0), (-1, 0)):
+        with pytest.raises(ValidationError):
+            w.tuple_of(n, bad)
+
+
+def test_negative_degrees_are_rejected():
+    A = truncated_polynomial(2)
+    ident = AlgebraMap.identity(A)
+    calls = [
+        lambda: bar_complex(A, -1),
+        lambda: hh(A, -1),
+        lambda: hh(A, -1, normalized=False),
+        lambda: hh_with_coefficients(A, diagonal_bimodule(A), -1),
+        lambda: induced_map_hh(ident, -1),
+        lambda: tr_star_and_iota(A, 2, -1),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError):
+            call()
+
+
 def test_window_size_budget():
     with pytest.raises(SizeOverflow):
         bar_complex(matrix_algebra(ground_field(), 2), 5,
@@ -394,6 +422,25 @@ def test_center_action_commutes_with_boundary():
     z2 = center_action(w, z, 2)
     z1 = center_action(w, z, 1)
     assert w.boundaries[2].matmul(z2).equals(z1.matmul(w.boundaries[2]))
+
+
+def test_center_action_on_a_rebased_slot_basis():
+    # the unit of C(3) is delta_0 + delta_1 + delta_2, so the normalized
+    # window's slot basis differs from the algebra's
+    A = functions_on_points(3)
+    w = bar_complex(A, 3, normalized=True)
+    z = {0: 1}
+    for n in (1, 2, 3):
+        zn = center_action(w, z, n)
+        zm = center_action(w, z, n - 1)
+        assert w.boundaries[n].matmul(zn).equals(zm.matmul(w.boundaries[n]))
+    # the three point masses add up to the unit, which acts as the identity
+    for n in range(4):
+        total = center_action(w, {0: 1}, n)
+        for point in (1, 2):
+            total = total.add(center_action(w, {point: 1}, n))
+        assert total.equals(SparseMatrix.identity(w.dims[n], A.field))
+        assert not center_action(w, z, n).equals(total)
 
 
 def test_center_action_unnormalized():
