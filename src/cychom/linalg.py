@@ -10,12 +10,15 @@ combined by cross-multiplication, which keeps entry growth polynomial without
 the bookkeeping an exact-division scheme needs once rows skip steps.  Over Q
 the row adapter's ``prim`` is the only entry point for input rows; everything
 after it works on primitive integer rows, so ``combine`` never meets a
-Fraction.  Combining a row with a pivot row changes its support only at the
-pivot row's columns, which is all the column index has to revisit.  Pivots
-follow a cheapest-column-first order through a lazy heap, and the matrix is
-first split into connected components of its row/column incidence graph, which
-on boundary matrices of bar-type complexes cuts the work by orders of
-magnitude.  None of this affects results: the reduced echelon form computed at
+Fraction.  A Q(zeta_m) matrix whose entries all lie in Q takes that route on
+first coefficients; only one with an irrational entry is eliminated on
+coefficient tuples.  Combining a row with a pivot row changes its support only
+at the pivot row's columns, which is all the column index has to revisit.
+Pivots follow a cheapest-column-first order through a lazy heap, and the
+matrix is first split into connected components of its row/column incidence
+graph, which on boundary matrices of bar-type complexes cuts the work by
+orders of magnitude.  None of this affects results: pivots depend only on row
+supports, the same on either route, and the reduced echelon form computed at
 the end is canonical (monic pivots, zeros above and below, pivot columns
 increasing), so every public answer is independent of elimination order.
 
@@ -105,7 +108,7 @@ def sparse_to_dense(v: dict, n: int, field: _FieldBase) -> list:
 
 
 def to_raw(value, field: _FieldBase):
-    """Accept Cyclotomic, Fraction, int, or an already-raw value."""
+    """Accept Cyclotomic, Fraction, int, or a tuple of field.degree rationals."""
     order = getattr(value, "order", None)
     if order is not None and hasattr(value, "coeffs"):
         if order != field.order:
@@ -119,9 +122,11 @@ def to_raw(value, field: _FieldBase):
         if field.order == 1:
             return value
         return field.from_rational(value)
-    if field.order > 1 and isinstance(value, tuple):
-        return value
-    raise TypeError(f"cannot use {type(value).__name__} as a scalar")
+    if (field.order > 1 and isinstance(value, tuple)
+            and len(value) == field.degree
+            and all(isinstance(c, (int, Fraction)) for c in value)):
+        return field.from_coeffs(value)
+    raise ValidationError(f"{value!r} is not a scalar of order {field.order}")
 
 
 # -- row normalization adapters ------------------------------------------------
@@ -183,8 +188,26 @@ class _IntRows:
         return {j: Fraction(v, piv) for j, v in row.items()}
 
 
+class _RatCycRows(_IntRows):
+    """Order-m rows with entries in Q: integer rows of first coefficients,
+    which ``monic`` lifts back to coefficient tuples."""
+
+    def __init__(self, field: _FieldBase):
+        self.field = field
+
+    @staticmethod
+    def prim(row: dict) -> dict:
+        return _IntRows.prim({j: e[0] for j, e in row.items()})
+
+    def monic(self, row: dict, c) -> dict:
+        piv = row[c]
+        return {j: self.field.from_rational(Fraction(v, piv))
+                for j, v in row.items()}
+
+
 class _CycRows:
-    """Order-m rows: entries are Fraction tuples, normalized by rational content."""
+    """Order-m rows with an irrational entry (and the reference route for
+    ``_RatCycRows``): Fraction tuples, normalized by rational content."""
 
     def __init__(self, field: _FieldBase):
         self.field = field
@@ -228,8 +251,13 @@ class _CycRows:
         return {j: self.field.mul(inv, v) for j, v in row.items()}
 
 
-def _adapter(field: _FieldBase):
-    return _IntRows() if field.order == 1 else _CycRows(field)
+def _adapter(field: _FieldBase, rows: list[dict]):
+    """Integer rows unless a Q(zeta_m) entry of this call is irrational."""
+    if field.order == 1:
+        return _IntRows()
+    if all(not any(e[1:]) for row in rows for e in row.values()):
+        return _RatCycRows(field)
+    return _CycRows(field)
 
 
 # -- elimination ---------------------------------------------------------------
@@ -332,7 +360,8 @@ def reduced_rows(input_rows, ncols: int, field: _FieldBase):
     for very large spans, where the strict leftmost rule causes fill.  All
     coset reduction and coordinate extraction work the same on it.
     """
-    adapter = _adapter(field)
+    input_rows = list(input_rows)
+    adapter = _adapter(field, input_rows)
     ordered: list[tuple[int, dict]] = []
     for rows in _split_components(input_rows, adapter):
         ordered.extend(_eliminate_component(rows, adapter))
@@ -355,7 +384,8 @@ def rref_rows(input_rows, ncols: int, field: _FieldBase):
     Returns (rows, pivot_cols): monic rows sorted by strictly increasing pivot
     column, zero everywhere above and below each pivot.
     """
-    adapter = _adapter(field)
+    input_rows = list(input_rows)
+    adapter = _adapter(field, input_rows)
     basis: list[dict] = []
     for rows in _split_components(input_rows, adapter):
         basis.extend(row for _, row in _eliminate_component(rows, adapter))

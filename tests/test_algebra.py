@@ -32,8 +32,8 @@ from cychom.errors import (
     SizeOverflow,
     ValidationError,
 )
-from cychom.linalg import Subspace
-from cychom.scalars import Cyclotomic
+from cychom.linalg import Subspace, to_raw
+from cychom.scalars import Cyclotomic, field_of_order
 
 
 def one(A):
@@ -156,6 +156,18 @@ def test_out_of_range_coordinates_are_rejected():
     # a field order below 1 names no field
     with pytest.raises(ValidationError):
         FDAlgebra(1, 0, {(0, 0): {0: 1}})
+    # Q(zeta3) has degree 2: a raw value is two int or Fraction coefficients
+    f3 = field_of_order(3)
+    for bad in [(1, 2, 3), (1.5, 0), (1,)]:
+        with pytest.raises(ValidationError):
+            to_raw(bad, f3)
+    with pytest.raises(ValidationError):
+        FDAlgebra(1, 3, {(0, 0): {0: (1, 0, 0)}}, unit={0: (1, 0)})
+    with pytest.raises(ValidationError):
+        FDAlgebra(1, 1, {(0, 0): {0: 1.0}})
+    raw = to_raw((1, Fraction(1, 2)), f3)
+    assert raw == (1, Fraction(1, 2))
+    assert all(type(c) is Fraction for c in raw)
 
 
 def test_dimension_cap():

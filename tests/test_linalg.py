@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from cychom import linalg
 from cychom.errors import NotContained
 from cychom.linalg import (
     Homology,
@@ -132,9 +133,10 @@ def test_block_structure_does_not_leak():
 BIG = 2 ** 67 - 1
 
 
-def _random_raw_rows(rng, field, nrows, ncols):
+def _random_raw_rows(rng, field, nrows, ncols, rational=False):
     """Sparse raw rows with Fraction entries, negative leading entries and
-    whole rows scaled by +-BIG or 1/BIG, plus one sum of two rows."""
+    whole rows scaled by +-BIG or 1/BIG, plus one sum of two rows; with
+    ``rational`` every entry lies in Q."""
     order = field.order
     rows = []
     for _ in range(nrows):
@@ -143,7 +145,8 @@ def _random_raw_rows(rng, field, nrows, ncols):
         for j in range(ncols):
             if rng.random() < 0.45:
                 coeffs = [F(rng.randint(-6, 6), rng.randint(1, 4))
-                          for _ in range(field.degree)]
+                          for _ in range(1 if rational else field.degree)]
+                coeffs += [0] * (field.degree - len(coeffs))
                 value = Cyclotomic(coeffs, order) * scale
                 if value:
                     raw = value.raw
@@ -156,13 +159,19 @@ def _random_raw_rows(rng, field, nrows, ncols):
     return rows
 
 
-@pytest.mark.parametrize("order", [1, 3])
-def test_reduced_rows_matches_dense_oracle_random(order):
+@pytest.mark.parametrize("order, rational", [
+    pytest.param(1, False, id="1"),
+    pytest.param(3, False, id="3"),
+    # rational entries over Q(zeta3) take the integer-row route
+    pytest.param(3, True, id="3-rational"),
+])
+def test_reduced_rows_matches_dense_oracle_random(order, rational):
     field = field_of_order(order)
-    rng = random.Random(2024 + order)
+    rng = random.Random(2024 + order + 10 * rational)
     for trial in range(40):
         ncols = rng.randint(1, 8)
-        raw_rows = _random_raw_rows(rng, field, rng.randint(1, 8), ncols)
+        raw_rows = _random_raw_rows(rng, field, rng.randint(1, 8), ncols,
+                                    rational)
 
         def dense(rows):
             return [[Cyclotomic.from_raw(r.get(j, field.zero), order)
@@ -177,6 +186,64 @@ def test_reduced_rows_matches_dense_oracle_random(order):
             assert row[p] == field.one, trial
         for p in pivots:
             assert sum(p in row for row in rows) == 1, trial
+
+
+def _spy_routes(monkeypatch) -> list:
+    """The row-route class of every elimination call from here on."""
+    routes = []
+    choose = linalg._adapter
+
+    def spy(field, rows):
+        adapter = choose(field, rows)
+        routes.append(type(adapter))
+        return adapter
+
+    monkeypatch.setattr(linalg, "_adapter", spy)
+    return routes
+
+
+@pytest.mark.parametrize("order", [3, 4, 5])
+def test_rational_rows_match_the_coefficient_tuple_route(order, monkeypatch):
+    field = field_of_order(order)
+    rng = random.Random(300 + order)
+    cases = []
+    for _ in range(30):
+        ncols = rng.randint(1, 8)
+        cases.append((_random_raw_rows(rng, field, rng.randint(1, 8), ncols,
+                                       rational=True), ncols))
+
+    def eliminate_all():
+        return [(reduced_rows([dict(r) for r in rows], ncols, field),
+                 rref_rows([dict(r) for r in rows], ncols, field))
+                for rows, ncols in cases]
+
+    routes = _spy_routes(monkeypatch)
+    got = eliminate_all()
+    assert set(routes) == {linalg._RatCycRows}
+    monkeypatch.setattr(linalg, "_adapter",
+                        lambda field, rows: linalg._CycRows(field))
+    # repr also tells a Fraction coefficient from an int one
+    assert repr(got) == repr(eliminate_all())
+
+
+def test_one_irrational_entry_takes_the_coefficient_tuple_route(monkeypatch):
+    field = field_of_order(3)
+    rng = random.Random(41)
+    raw_rows = _random_raw_rows(rng, field, 6, 6, rational=True)
+    raw_rows[2][4] = Cyclotomic.zeta(3).raw
+    ncols = 6
+
+    def dense(rows):
+        return [[Cyclotomic.from_raw(r.get(j, field.zero), 3)
+                 for j in range(ncols)] for r in rows]
+
+    routes = _spy_routes(monkeypatch)
+    oracle_rows, oracle_pivots = dense_rref_oracle(dense(raw_rows))
+    rows, pivots = rref_rows([dict(r) for r in raw_rows], ncols, field)
+    assert (dense(rows), pivots) == (oracle_rows, oracle_pivots)
+    rows, pivots = reduced_rows([dict(r) for r in raw_rows], ncols, field)
+    assert dense_rref_oracle(dense(rows)) == (oracle_rows, oracle_pivots)
+    assert routes == [linalg._CycRows, linalg._CycRows]
 
 
 # -- kernel / rank-nullity --------------------------------------------------------

@@ -16,6 +16,7 @@ from cychom.algebra import (
     upper_triangular,
 )
 from cychom.config import Budget
+from cychom.cyclic import hc
 from cychom.errors import (
     FiltrationNotRespected,
     FiltrationNotStandard,
@@ -31,12 +32,14 @@ from cychom.groups import (
     quaternion_group,
     symmetric_group_3,
 )
+from cychom.hochschild import hh
 from cychom.linalg import Subspace
 from cychom.scalars import field_of_order
 from cychom.spectrum import (
     IdealFiltration,
     abelian_filtration_report,
     central_character,
+    extend_scalars,
     intersect_subspaces,
     spectral_e1,
     spectrum_preserving_check,
@@ -540,3 +543,14 @@ def test_subspace_intersection_of_coordinate_planes():
         Subspace.from_vectors(3, field, [{0: one}]),
         Subspace.from_vectors(3, field, [{2: one}]))
     assert empty.dim == 0
+
+
+@pytest.mark.parametrize("homology, A, order, n_max", [
+    pytest.param(hh, group_algebra(symmetric_group_3()), 3, 2, id="hh-QS3"),
+    pytest.param(hh, upper_triangular(2), 5, 3, id="hh-upper2"),
+    pytest.param(hc, truncated_polynomial(3), 4, 3, id="hc-cubic"),
+])
+def test_extending_scalars_keeps_homology_dimensions(homology, A, order, n_max):
+    AK = extend_scalars(A, order)
+    assert AK.field.order == order
+    assert homology(AK, n_max).dims == homology(A, n_max).dims
