@@ -548,6 +548,17 @@ def matrix_algebra(base: FDAlgebra, N: int, budget=None) -> FDAlgebra:
                      budget=budget).require_valid()
 
 
+def _unflatten(base: FDAlgebra, flat: dict, N: int) -> tuple:
+    """An element of matrix_algebra(base, N) as N x N sparse vectors over
+    base: entry [p][q] collects the indices ((p*N)+q)*dim(base)+i."""
+    rows = [[{} for _ in range(N)] for _ in range(N)]
+    for j, c in flat.items():
+        pq, i = divmod(j, base.dim)
+        p, q = divmod(pq, N)
+        rows[p][q][i] = c
+    return tuple(tuple(row) for row in rows)
+
+
 def upper_triangular(n: int, field_order=1, budget=None) -> FDAlgebra:
     """Upper triangular n x n matrices over the ground field."""
     field = field_of_order(field_order)

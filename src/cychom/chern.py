@@ -11,10 +11,8 @@ to be an exact cycle of the total complex.
 """
 
 from dataclasses import dataclass
-from functools import reduce
-from itertools import product as iter_product
 
-from .algebra import FDAlgebra, _normalize_vec, ground_field, matrix_algebra
+from .algebra import FDAlgebra, _normalize_vec, _unflatten, matrix_algebra
 from .config import default_budget
 from .cyclic import CyclicComplexWindow, cyclic_complex, operator_B, operator_S
 from .errors import (
@@ -24,7 +22,8 @@ from .errors import (
     ValidationError,
 )
 from .groups import cyclic_group, group_algebra
-from .linalg import add_term, vec_equal, vec_is_zero
+from .hochschild import _trace_chain
+from .linalg import vec_equal, vec_is_zero
 
 ORDER_SEARCH_LIMIT = 24
 
@@ -49,10 +48,6 @@ class CyclicChain:
                 % (self.degree, m))
         return self.window.component(self.degree, self.chain,
                                      (self.degree - m) // 2)
-
-    def components(self) -> list:
-        return [(m, self.component(m))
-                for m, _ in self.window.summands(self.degree)]
 
     def s(self) -> "CyclicChain":
         return CyclicChain(self.window, self.degree - 2,
@@ -98,44 +93,11 @@ def _extend_cycle(ch: CyclicChain) -> CyclicChain:
     return _require_cycle(CyclicChain(window, n + 2, out), "extension")
 
 
-def eta_class(q: int, budget=None) -> CyclicChain:
-    """The degree-2q cycle over the ground field that S collapses to 1.
-
-    Built recursively from the constant 1 in degree zero; the q-fold image
-    under S is exactly the starting chain.
-    """
-    if q < 0:
-        raise ValidationError("the canonical even class needs q >= 0")
-    budget = budget or default_budget()
-    window = cyclic_complex(ground_field(budget=budget), 2 * q + 2,
-                            normalized=False, budget=budget)
-    ch = CyclicChain(window, 0, {0: window.field.one})
-    for _ in range(q):
-        ch = _extend_cycle(ch)
-    return ch
-
-
 def _adjoined_unit_scalars(budget=None) -> FDAlgebra:
     # the ground field with a fresh unit; the old unit is the idempotent p
     mul = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {1: 1}}
     return FDAlgebra(2, 1, mul, labels=["one", "p"], unit={0: 1},
                      name="scalars_plus", budget=budget).require_valid()
-
-
-def _eta_lift(q: int, budget=None) -> CyclicChain:
-    """The canonical even cycle carried over the adjoined-unit scalars.
-
-    Substituting the fresh unit for the old one retracts it onto
-    eta_class(q); keeping the two units distinct is what lets a non-unital
-    evaluation at an idempotent stay a chain map.
-    """
-    budget = budget or default_budget()
-    window = cyclic_complex(_adjoined_unit_scalars(budget), 2 * q + 2,
-                            normalized=False, budget=budget)
-    ch = CyclicChain(window, 0, {1: window.field.one})
-    for _ in range(q):
-        ch = _extend_cycle(ch)
-    return ch
 
 
 # ---------------------------------------------------------------------------
@@ -180,15 +142,6 @@ def _flatten(A: FDAlgebra, entries, N: int) -> dict:
             for i, c in entries[p][q].items():
                 out[(p * N + q) * A.dim + i] = c
     return out
-
-
-def _unflatten(A: FDAlgebra, flat: dict, N: int) -> tuple:
-    rows = [[{} for _ in range(N)] for _ in range(N)]
-    for j, c in flat.items():
-        pq, i = divmod(j, A.dim)
-        p, q = divmod(pq, N)
-        rows[p][q][i] = c
-    return tuple(tuple(row) for row in rows)
 
 
 def idempotent_rep(A: FDAlgebra, matrix, budget=None) -> KClassRep:
@@ -236,41 +189,6 @@ def multiplicative_order(rep: KClassRep, limit: int) -> int | None:
 
 
 # ---------------------------------------------------------------------------
-# pushforward through evaluation and the generalized trace
-
-
-def _push_through_trace(src: CyclicChain, mats, tgt: CyclicComplexWindow,
-                        N: int) -> CyclicChain:
-    """Substitute mats[k] for source basis element k, then trace out the
-    matrix indices; mats entries are sparse vectors over the target."""
-    sw = src.window
-    if sw.field.order != 1:
-        raise ValidationError("carrier chains must have rational scalars")
-    field = tgt.field
-    hoch_src = sw.hochschild_window
-    hoch_tgt = tgt.hochschild_window
-    out = {}
-    for k, (m, _) in enumerate(sw.summands(src.degree)):
-        comp = sw.component(src.degree, src.chain, k)
-        if not comp:
-            continue
-        off = tgt.offsets[src.degree][k]
-        for idx, c in comp.items():
-            tup = hoch_src.tuple_of(m, idx)
-            for lane in iter_product(range(N), repeat=m + 1):
-                factors = [mats[tup[t]][lane[t]][lane[(t + 1) % (m + 1)]]
-                           for t in range(m + 1)]
-                if not all(factors):
-                    continue
-                for combo in iter_product(*[list(f.items())
-                                            for f in factors]):
-                    raw = reduce(field.mul, [v for _, v in combo])
-                    j = off + hoch_tgt.index_of(m, tuple(i for i, _ in combo))
-                    add_term(out, j, field.scale(raw, c), field)
-    return CyclicChain(tgt, src.degree, out)
-
-
-# ---------------------------------------------------------------------------
 # the characters
 
 
@@ -301,6 +219,35 @@ class ChernClass:
                           self.chain.s())
 
 
+def _character(rep: KClassRep, q: int, carrier: FDAlgebra, seed: tuple,
+               mats, budget) -> ChernClass:
+    """Seed a cycle over the carrier, raise it q times, then substitute
+    mats[k] for carrier basis element k and take the generalized trace.
+
+    The seed is the basis tensor seed in Hochschild degree len(seed) - 1;
+    the q-fold image of the raised cycle under S is exactly that seed.
+    """
+    start = len(seed) - 1
+    degree = start + 2 * q
+    window = cyclic_complex(carrier, degree + 2, normalized=False,
+                            budget=budget)
+    hoch = window.hochschild_window
+    ch = _require_cycle(CyclicChain(
+        window, start, {hoch.index_of(start, seed): window.field.one}), "seed")
+    for _ in range(q):
+        ch = _extend_cycle(ch)
+    tgt = cyclic_complex(rep.algebra, degree + 1, normalized=False,
+                         budget=budget)
+    out = {}
+    for k, (m, _) in enumerate(window.summands(degree)):
+        traced = _trace_chain(hoch, m, window.component(degree, ch.chain, k),
+                              mats, tgt.hochschild_window)
+        out.update(tgt.include_component(degree, traced, k))
+    pushed = CyclicChain(tgt, degree, out)
+    return ChernClass(rep.kind, rep.algebra, q, rep,
+                      _require_cycle(pushed, "%s character" % rep.kind))
+
+
 def chern_idempotent(rep: KClassRep, q: int, budget=None) -> ChernClass:
     """The even character of an idempotent, as a degree-2q cycle."""
     if rep.kind != "idempotent":
@@ -308,14 +255,11 @@ def chern_idempotent(rep: KClassRep, q: int, budget=None) -> ChernClass:
     if q < 0:
         raise ValidationError("the even character needs q >= 0")
     budget = budget or default_budget()
-    lift = _eta_lift(q, budget=budget)
-    A = rep.algebra
-    identity = _unflatten(A, rep.matrices.unit, rep.size)
-    mats = [identity, rep.entries]
-    tgt = cyclic_complex(A, 2 * q + 1, normalized=False, budget=budget)
-    pushed = _push_through_trace(lift, mats, tgt, rep.size)
-    return ChernClass("idempotent", A, q, rep,
-                      _require_cycle(pushed, "even character"))
+    # the seed is the old unit p; keeping it apart from the fresh unit is
+    # what lets the non-unital evaluation p -> rep stay a chain map
+    mats = [_unflatten(rep.algebra, rep.matrices.unit, rep.size), rep.entries]
+    return _character(rep, q, _adjoined_unit_scalars(budget), (1,), mats,
+                      budget)
 
 
 def chern_invertible(rep: KClassRep, q: int, order_bound: int | None = None,
@@ -337,27 +281,14 @@ def chern_invertible(rep: KClassRep, q: int, order_bound: int | None = None,
         raise OrderUnbounded(
             "no power up to %d returns to the identity; out of the finite "
             "carrier's range" % limit)
-    carrier = group_algebra(cyclic_group(n), budget=budget)
-    window = cyclic_complex(carrier, 2 * q + 3, normalized=False,
-                            budget=budget)
-    hoch = window.hochschild_window
-    seed = {window.offsets[1][0] + hoch.index_of(1, (n - 1 if n > 1 else 0,
-                                                     1 if n > 1 else 0)):
-            window.field.one}
-    ch = _require_cycle(CyclicChain(window, 1, seed), "odd seed")
-    for _ in range(q):
-        ch = _extend_cycle(ch)
-
-    A = rep.algebra
     powers = []
     flat = rep.matrices.unit
     for _ in range(n):
-        powers.append(_unflatten(A, flat, rep.size))
+        powers.append(_unflatten(rep.algebra, flat, rep.size))
         flat = rep.matrices.multiply(flat, rep.flat)
-    tgt = cyclic_complex(A, 2 * q + 2, normalized=False, budget=budget)
-    pushed = _push_through_trace(ch, powers, tgt, rep.size)
-    return ChernClass("invertible", A, q, rep,
-                      _require_cycle(pushed, "odd character"))
+    # the seed is inverse-tensor-generator, g^-1 (x) g
+    return _character(rep, q, group_algebra(cyclic_group(n), budget=budget),
+                      (n - 1, 1) if n > 1 else (0, 0), powers, budget)
 
 
 # ---------------------------------------------------------------------------

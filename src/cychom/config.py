@@ -9,6 +9,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+from .errors import ValidationError
+
 # Environment variable overriding the default chain-space budget.
 BUDGET_ENV_VAR = "CYCHOM_BUDGET_DIMS"
 
@@ -41,8 +43,9 @@ def default_budget() -> Budget:
         return Budget()
     try:
         dims = int(raw)
-        if dims <= 0:
-            raise ValueError
     except ValueError:
-        raise ValueError(f"{BUDGET_ENV_VAR} must be a positive integer, got {raw!r}") from None
+        dims = 0
+    if dims <= 0:
+        raise ValidationError(
+            f"{BUDGET_ENV_VAR} must be a positive integer, got {raw!r}")
     return Budget(max_chain_dim=dims)

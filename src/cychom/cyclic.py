@@ -284,6 +284,15 @@ class ExactnessNode:
         return self.composite_zero and self.incoming_rank == self.outgoing_kernel
 
 
+def _node(label: str, dim: int, into, out) -> ExactnessNode:
+    """The node of a space of dimension dim between the homology matrices
+    into and out of it; a missing map (None) has rank 0."""
+    return ExactnessNode(
+        label, dim, into.rank() if into is not None else 0,
+        dim - (out.rank() if out is not None else 0),
+        into is None or out is None or out.matmul(into).is_zero_matrix())
+
+
 @dataclass
 class SBIReport:
     algebra: FDAlgebra
@@ -329,31 +338,15 @@ def sbi_check(A: FDAlgebra, n_max: int, normalized: bool | None = None,
 
     nodes = []
     for n in range(n_max + 1):
-        # node HH_n: in by the connecting map from HC_{n-1}, out by I
-        inc = del_maps[n - 1].rank() if n >= 1 else 0
-        out_kernel = hh_degrees[n].dim - i_maps[n].rank()
-        zero = True
-        if n >= 1:
-            zero = i_maps[n].matmul(del_maps[n - 1]).is_zero_matrix()
-        nodes.append(ExactnessNode("HH_%d" % n, hh_degrees[n].dim, inc,
-                                   out_kernel, zero))
-
-        # node HC_n between I and S
-        s_rank = s_maps[n].rank() if n >= 2 else 0
-        zero = True
-        if n >= 2:
-            zero = s_maps[n].matmul(i_maps[n]).is_zero_matrix()
-        nodes.append(ExactnessNode("HC_%d" % n, hc_degrees[n].dim,
-                                   i_maps[n].rank(),
-                                   hc_degrees[n].dim - s_rank, zero))
-
-        # node HC_n between S (from degree n+2) and the connecting map
+        # HH_n between the connecting map from HC_{n-1} and I; HC_n between
+        # I and S; HC_n again between S from degree n+2 and the connecting map
+        nodes.append(_node("HH_%d" % n, hh_degrees[n].dim,
+                           del_maps.get(n - 1), i_maps[n]))
+        nodes.append(_node("HC_%d" % n, hc_degrees[n].dim, i_maps[n],
+                           s_maps.get(n)))
         if n <= n_max - 2:
-            inc = s_maps[n + 2].rank()
-            out_kernel = hc_degrees[n].dim - del_maps[n].rank()
-            zero = del_maps[n].matmul(s_maps[n + 2]).is_zero_matrix()
-            nodes.append(ExactnessNode("HC_%d_tail" % n, hc_degrees[n].dim,
-                                       inc, out_kernel, zero))
+            nodes.append(_node("HC_%d_tail" % n, hc_degrees[n].dim,
+                               s_maps[n + 2], del_maps[n]))
     return SBIReport(algebra=A, n_max=n_max, hochschild=hh_report,
                      cyclic=hc_report, nodes=nodes)
 
@@ -620,19 +613,12 @@ def excision_check(A: FDAlgebra, J: TwoSidedIdeal, cutoff: int = 6,
 
     hc_nodes = []
     for n in range(cutoff):
-        hc_nodes.append(ExactnessNode(
-            "HC_%d(algebra)" % n, HA[n].dim, incl_hom[n].rank(),
-            HA[n].dim - pi_hom[n].rank(),
-            pi_hom[n].matmul(incl_hom[n]).is_zero_matrix()))
-        hc_nodes.append(ExactnessNode(
-            "HC_%d(quotient)" % n, HQ[n].dim, pi_hom[n].rank(),
-            HQ[n].dim - (del_hom[n].rank() if n >= 1 else 0),
-            del_hom[n].matmul(pi_hom[n]).is_zero_matrix() if n >= 1 else True))
-        hc_nodes.append(ExactnessNode(
-            "HC_%d(relative)" % n, rel.homologies[n].dim,
-            del_hom[n + 1].rank(),
-            rel.homologies[n].dim - incl_hom[n].rank(),
-            incl_hom[n].matmul(del_hom[n + 1]).is_zero_matrix()))
+        hc_nodes.append(_node("HC_%d(algebra)" % n, HA[n].dim, incl_hom[n],
+                              pi_hom[n]))
+        hc_nodes.append(_node("HC_%d(quotient)" % n, HQ[n].dim, pi_hom[n],
+                              del_hom.get(n)))
+        hc_nodes.append(_node("HC_%d(relative)" % n, rel.homologies[n].dim,
+                              del_hom[n + 1], incl_hom[n]))
 
     # stabilized towers, with stability verified before use
     stable = {}
@@ -681,21 +667,15 @@ def excision_check(A: FDAlgebra, J: TwoSidedIdeal, cutoff: int = 6,
 
     hp_nodes = []
     for p in (0, 1):
-        dim_rel = stable[("relative", p)][0].dim
-        dim_alg = stable[("algebra", p)][0].dim
-        dim_quo = stable[("quotient", p)][0].dim
-        hp_nodes.append(ExactnessNode(
-            "HP_%d(relative)" % p, dim_rel, del_stable[1 - p].rank(),
-            dim_rel - incl_stable[p].rank(),
-            incl_stable[p].matmul(del_stable[1 - p]).is_zero_matrix()))
-        hp_nodes.append(ExactnessNode(
-            "HP_%d(algebra)" % p, dim_alg, incl_stable[p].rank(),
-            dim_alg - pi_stable[p].rank(),
-            pi_stable[p].matmul(incl_stable[p]).is_zero_matrix()))
-        hp_nodes.append(ExactnessNode(
-            "HP_%d(quotient)" % p, dim_quo, pi_stable[p].rank(),
-            dim_quo - del_stable[p].rank(),
-            del_stable[p].matmul(pi_stable[p]).is_zero_matrix()))
+        hp_nodes.append(_node("HP_%d(relative)" % p,
+                              stable[("relative", p)][0].dim,
+                              del_stable[1 - p], incl_stable[p]))
+        hp_nodes.append(_node("HP_%d(algebra)" % p,
+                              stable[("algebra", p)][0].dim,
+                              incl_stable[p], pi_stable[p]))
+        hp_nodes.append(_node("HP_%d(quotient)" % p,
+                              stable[("quotient", p)][0].dim,
+                              pi_stable[p], del_stable[p]))
 
     # the adjoined units contribute one even dimension to the algebra and
     # quotient legs; the relative leg matches the ideal as-is

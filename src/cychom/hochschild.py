@@ -26,7 +26,9 @@ from .linalg import (
     homology,
     induced_map,
 )
-from .algebra import AlgebraMap, Bimodule, FDAlgebra, matrix_algebra
+from .algebra import AlgebraMap, Bimodule, FDAlgebra, _action_of, \
+    _unflatten, matrix_algebra
+from .scalars import lift_raw
 
 
 class _SlotData:
@@ -106,9 +108,6 @@ class ChainComplexWindow:
         self.boundaries = boundaries
         self.field = algebra.field
 
-    def boundary(self, n: int):
-        return self.boundaries[n]
-
     def tuple_of(self, n: int, index: int) -> tuple:
         if not (0 <= n <= self.n_max and 0 <= index < self.dims[n]):
             raise ValidationError(
@@ -178,14 +177,9 @@ def bar_complex(A: FDAlgebra, n_max: int, variant: str = "b",
         right = [list(col) for col in zip(*slots.mulf)]
     else:
         slot0 = coefficients.dim
-        left, right = [], []
-        for vec in slots.f_vectors:
-            lmat = rmat = SparseMatrix.zero(slot0, slot0, field)
-            for i, c in vec.items():
-                lmat = lmat.add(coefficients.left[i].scaled(c))
-                rmat = rmat.add(coefficients.right[i].scaled(c))
-            left.append(lmat.columns())
-            right.append(rmat.columns())
+        left, right = [[_action_of(mats, vec, slot0, field).columns()
+                        for vec in slots.f_vectors]
+                       for mats in (coefficients.left, coefficients.right)]
 
     dims = []
     for n in range(n_max + 1):
@@ -510,6 +504,9 @@ def tr_star_and_iota(A: FDAlgebra, N: int, n_max: int,
         iota_cols.append(col)
     iota_mat = SparseMatrix.from_columns(iota_cols, M.dim, field)
 
+    # E_pq (x) a_i as a matrix over A, substituted for itself by the trace
+    units = [_unflatten(A, {j: field.one}, N) for j in range(M.dim)]
+
     iota_chain, tr_chain, iota_hh, tr_hh = [], [], [], []
     for n in range(n_max + 1):
         f_n = _tensor_chain_matrix(base.window, big.window, n,
@@ -517,7 +514,9 @@ def tr_star_and_iota(A: FDAlgebra, N: int, n_max: int,
         iota_chain.append(f_n)
         iota_hh.append(induced_map(f_n, base.degrees[n].homology,
                                    big.degrees[n].homology))
-        t_n = _trace_chain_matrix(big.window, base.window, n, N, d)
+        t_n = SparseMatrix.from_columns(
+            [_trace_chain(big.window, n, {j: field.one}, units, base.window)
+             for j in range(big.window.dims[n])], base.window.dims[n], field)
         tr_chain.append(t_n)
         tr_hh.append(induced_map(t_n, big.degrees[n].homology,
                                  base.degrees[n].homology))
@@ -526,29 +525,33 @@ def tr_star_and_iota(A: FDAlgebra, N: int, n_max: int,
                       iota_hh=iota_hh, tr_hh=tr_hh)
 
 
-def _trace_chain_matrix(src: ChainComplexWindow, tgt: ChainComplexWindow,
-                        n: int, N: int, d: int) -> SparseMatrix:
-    """Trace map on unnormalized windows of M_N(A) and A."""
+def _trace_chain(src: ChainComplexWindow, n: int, chain: dict, mats,
+                tgt: ChainComplexWindow) -> dict:
+    """The generalized trace of a degree-n chain after a substitution.
+
+    mats[k] is an N x N matrix (entries sparse vectors over tgt's algebra)
+    put in place of basis element k of src's algebra in every slot; Tr then
+    multiplies the entries along each closed index path p_0 -> p_1 -> ...
+    -> p_n -> p_0 into one tensor of tgt.  Both windows are unnormalized.
+    Chain coefficients are lifted into tgt's field: the carriers of Chern
+    characters are over Q while the target may be over Q(zeta_m).
+    """
     field = tgt.field
-    cols = []
-    for index in range(src.dims[n]):
+    out = {}
+    for index, c in chain.items():
         tup = src.tuple_of(n, index)
-        ps, qs, bases = [], [], []
-        for code in tup:
-            pq, i = divmod(code, d)
-            p, q = divmod(pq, N)
-            ps.append(p)
-            qs.append(q)
-            bases.append(i)
-        ok = all(qs[k] == ps[k + 1] for k in range(n)) and qs[n] == ps[0]
-        if not ok:
-            cols.append({})
-            continue
-        idx = bases[0]
-        for i in bases[1:]:
-            idx = idx * d + i
-        cols.append({idx: field.one})
-    return SparseMatrix.from_columns(cols, tgt.dims[n], field)
+        c = lift_raw(c, src.field, field)
+        for start in range(len(mats[tup[0]])):
+            paths = [(start, (), c)]
+            for k in tup:
+                paths = [(q, word + (i,), field.mul(v, a))
+                         for p, word, v in paths
+                         for q, entry in enumerate(mats[k][p])
+                         for i, a in entry.items()]
+            for p, word, v in paths:
+                if p == start:
+                    add_term(out, tgt.index_of(n, word), v, field)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -365,17 +365,8 @@ def reduced_rows(input_rows, ncols: int, field: _FieldBase):
     ordered: list[tuple[int, dict]] = []
     for rows in _split_components(input_rows, adapter):
         ordered.extend(_eliminate_component(rows, adapter))
-    # a pivot row may hold columns pivoted later, never earlier, so cleaning
-    # in reverse creation order meets only already-clean rows
-    clean: dict[int, dict] = {}
-    for c, row in reversed(ordered):
-        for c2 in sorted(k for k in row if k != c and k in clean):
-            if c2 in row:
-                row = adapter.combine(row, clean[c2], c2)
-        clean[c] = row
-    pivot_cols = sorted(clean)
-    out = [adapter.monic(clean[c], c) for c in pivot_cols]
-    return out, pivot_cols
+    # a pivot row may hold columns pivoted later, never earlier
+    return _back_substitute(ordered, adapter)
 
 
 def rref_rows(input_rows, ncols: int, field: _FieldBase):
@@ -418,17 +409,25 @@ def rref_rows(input_rows, ncols: int, field: _FieldBase):
                     buckets[lead] = [new]
                     heapq.heappush(keyheap, lead)
 
-    # zeros above pivots: in echelon order a row only holds later pivots'
-    # columns, and cleaning against already-clean rows adds no new ones
-    for c in sorted(pivots, reverse=True):
-        row = pivots[c]
-        for c2 in sorted(k for k in row if k != c and k in pivots):
-            row = adapter.combine(row, pivots[c2], c2)
-        pivots[c] = row
+    # in echelon order a row only holds later pivots' columns
+    return _back_substitute(sorted(pivots.items()), adapter)
 
-    pivot_cols = sorted(pivots)
-    out = [adapter.monic(pivots[c], c) for c in pivot_cols]
-    return out, pivot_cols
+
+def _back_substitute(ordered, adapter):
+    """Monic rows with each pivot column absent from every other row, sorted
+    by pivot column, from (pivot col, row) pairs where a row holds no pivot
+    column of the pairs before it.
+
+    Cleaning in reverse order meets only already-clean rows, and a clean row
+    holds no other pivot column, so a combination adds none either.
+    """
+    clean: dict[int, dict] = {}
+    for c, row in reversed(ordered):
+        for c2 in sorted(k for k in row if k != c and k in clean):
+            row = adapter.combine(row, clean[c2], c2)
+        clean[c] = row
+    pivot_cols = sorted(clean)
+    return [adapter.monic(clean[c], c) for c in pivot_cols], pivot_cols
 
 
 def kernel_from_rref(rref, pivot_cols, ncols: int, field: _FieldBase) -> list[dict]:

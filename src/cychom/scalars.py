@@ -79,7 +79,7 @@ class _FieldBase:
     degree: int
 
     # The subclasses fill in: zero, one, add, sub, neg, mul, inv, conj,
-    # is_zero, to_coeffs, from_coeffs, iter_fracs, scale.
+    # is_zero, to_coeffs, from_coeffs, scale.
 
     def from_rational(self, q) -> object:
         q = q if isinstance(q, Fraction) else Fraction(q)
@@ -137,10 +137,6 @@ class _RationalField(_FieldBase):
     @staticmethod
     def from_coeffs(coeffs):
         return coeffs[0] if isinstance(coeffs[0], Fraction) else Fraction(coeffs[0])
-
-    @staticmethod
-    def iter_fracs(a):
-        yield a
 
     @staticmethod
     def scale(a, q):
@@ -262,10 +258,6 @@ class _CyclotomicFieldRaw(_FieldBase):
     @staticmethod
     def from_coeffs(coeffs):
         return tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
-
-    @staticmethod
-    def iter_fracs(a):
-        return iter(a)
 
     @staticmethod
     def scale(a, q):
@@ -432,15 +424,17 @@ class Cyclotomic:
     def _minimal_form(self) -> tuple[int, tuple[Fraction, ...]]:
         if self.is_rational():
             return (1, (self.coeffs[0],))
+        from .linalg import SparseMatrix
+        target = {k: c for k, c in enumerate(self.coeffs) if c}
         for d in divisors(self.order)[1:-1]:
+            # the power basis of Q(zeta_d) inside this field, as columns
             sub = field_of_order(d)
-            dst = self.field
-            basis = [dst.to_coeffs(lift_raw(sub.zeta_pow[j] if d > 1 else sub.one,
-                                            sub, dst))
-                     for j in range(sub.degree)]
-            sol = _solve_dense(basis, list(self.coeffs))
+            cols = [dict(enumerate(lift_raw(sub.zeta_pow[j], sub, self.field)))
+                    for j in range(sub.degree)]
+            sol = SparseMatrix.from_columns(cols, self.field.degree,
+                                            field_of_order(1)).solve(target)
             if sol is not None:
-                return (d, tuple(sol))
+                return (d, tuple(sol.get(j, _ZERO) for j in range(sub.degree)))
         return (self.order, self.coeffs)
 
     def __eq__(self, other):
@@ -468,43 +462,6 @@ class Cyclotomic:
 
     def __repr__(self):
         return f"Cyclotomic({scalar_to_string(self)!r})"
-
-
-def _solve_dense(basis_rows: list, target: list):
-    """Solve sum_i x_i * basis_rows[i] = target over Fraction; None if unsolvable."""
-    rows = [list(r) + [_ZERO] * 0 for r in basis_rows]
-    n = len(rows)
-    if n == 0:
-        return [] if not any(target) else None
-    width = len(target)
-    # Augment transpose: unknowns are the x_i.
-    aug = [[rows[i][c] for i in range(n)] + [target[c]] for c in range(width)]
-    piv_cols: list[int] = []
-    r = 0
-    for c in range(n):
-        sel = None
-        for rr in range(r, width):
-            if aug[rr][c]:
-                sel = rr
-                break
-        if sel is None:
-            continue
-        aug[r], aug[sel] = aug[sel], aug[r]
-        lead = aug[r][c]
-        aug[r] = [v / lead for v in aug[r]]
-        for rr in range(width):
-            if rr != r and aug[rr][c]:
-                f = aug[rr][c]
-                aug[rr] = [v - f * w for v, w in zip(aug[rr], aug[r])]
-        piv_cols.append(c)
-        r += 1
-    for rr in range(r, width):
-        if aug[rr][n]:
-            return None
-    sol = [_ZERO] * n
-    for row_idx, c in enumerate(piv_cols):
-        sol[c] = aug[row_idx][n]
-    return sol
 
 
 # -- the spec-facing operation dispatcher ------------------------------------

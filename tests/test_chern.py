@@ -19,6 +19,8 @@ from cychom.chern import (
 from cychom.errors import NotIdempotent
 from cychom.groups import cyclic_group, group_algebra
 from cychom.linalg import vec_equal
+from cychom.scalars import Cyclotomic
+from cychom.spectrum import extend_scalars
 
 F = Fraction
 
@@ -85,6 +87,21 @@ def test_s_lowers_the_odd_character_at_chain_level():
     lowered = chern_invertible(u, 1).s()
     assert lowered.degree == 1
     assert lowered.chain.equals(chern_invertible(u, 0).chain)
+
+
+def test_characters_over_a_cyclotomic_field():
+    # the carrier chains are over Q, so the trace must lift their
+    # coefficients into Q(zeta3) before multiplying matrix entries
+    C3 = extend_scalars(_qz(3), 3)
+    # the character idempotent (1/3) sum_k zeta^-k g^k, a rank-one projection
+    e = idempotent_rep(C3, [[{k: Cyclotomic.zeta(3, -k) / 3
+                              for k in range(3)}]])
+    trace = dict(enumerate(C3.trace_vector()))
+    for q in (0, 1, 2):
+        assert pair_with_trace(chern_idempotent(e, q), trace) == C3.field.one
+    z = invertible_rep(C3, [[{0: Cyclotomic.zeta(3)}]])
+    ch = chern_invertible(z, 1)
+    assert ch.degree == 3 and ch.chain.is_cycle()
 
 
 def test_group_generator_is_not_idempotent():

@@ -463,6 +463,11 @@ def test_excision_for_a_split_summand():
     assert (report.ideal_hp.even_dim, report.ideal_hp.odd_dim) == (1, 0)
     assert report.relative_dims == (1, 0)
     assert report.plus_dims["algebra"] == (3, 0)
+    assert [(n.label, n.space_dim, n.incoming_rank, n.outgoing_kernel)
+            for n in report.hp_nodes] == [
+        ("HP_0(relative)", 1, 0, 0), ("HP_0(algebra)", 3, 1, 1),
+        ("HP_0(quotient)", 2, 2, 2), ("HP_1(relative)", 0, 0, 0),
+        ("HP_1(algebra)", 0, 0, 0), ("HP_1(quotient)", 0, 0, 0)]
 
 
 def test_excision_for_a_nilpotent_ideal():

@@ -17,7 +17,7 @@ from cychom.algebra import (
     truncated_polynomial,
     twisted_bimodule,
 )
-from cychom.config import Budget
+from cychom.config import BUDGET_ENV_VAR, Budget, default_budget
 from cychom.errors import NonUnital, NotMultiplicative, SizeOverflow, ValidationError
 from cychom.groups import group_algebra, group_metadata, symmetric_group_3
 from cychom.hochschild import (
@@ -32,6 +32,7 @@ from cychom.hochschild import (
     tr_star_and_iota,
 )
 from cychom.linalg import SparseMatrix, homology, vec_equal
+from cychom.spectrum import extend_scalars
 
 
 def truncated_polynomial_hh_oracle(N, n_max):
@@ -141,6 +142,22 @@ def test_window_size_budget():
     with pytest.raises(SizeOverflow):
         bar_complex(matrix_algebra(ground_field(), 2), 5,
                     budget=Budget(max_chain_dim=1000))
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3"])
+def test_budget_variable_rejects_bad_values(monkeypatch, value):
+    monkeypatch.setenv(BUDGET_ENV_VAR, value)
+    with pytest.raises(ValidationError):
+        default_budget()
+
+
+def test_budget_variable_bounds_the_default_window(monkeypatch):
+    A = matrix_algebra(ground_field(), 2)
+    monkeypatch.setenv(BUDGET_ENV_VAR, "100")
+    assert default_budget().max_chain_dim == 100
+    # degree 4 of the normalized window holds 4 * 3^4 = 324 coordinates
+    with pytest.raises(SizeOverflow):
+        hh(A, 3)
 
 
 def test_normalized_needs_unit():
@@ -395,7 +412,8 @@ def test_trace_of_diagonal_inclusion_degree_zero():
 
 def test_morita_composite_is_n_times_identity():
     for A, N in ((ground_field(), 2), (functions_on_points(2), 2),
-                 (truncated_polynomial(2), 2), (ground_field(), 3)):
+                 (truncated_polynomial(2), 2), (ground_field(), 3),
+                 (extend_scalars(truncated_polynomial(2), 3), 2)):
         data = tr_star_and_iota(A, N, 2)
         for n in range(3):
             dim = data.base_report.dims[n]

@@ -1,11 +1,12 @@
-"""Source hygiene: every private helper in cychom has a caller, and no
+"""Source hygiene: every definition in cychom has a caller, and no
 floating point enters the package.
 
 A private function, class or method that nothing else in the package
-refers to is dead code; this keeps deleted helpers from coming back.
-References are names, attribute lookups and imports anywhere in
-``src/cychom`` outside the definition's own body, so a helper that only
-calls itself still counts as unused.
+refers to is dead code, and so is a public one that nothing in the
+package, its tests or its benchmark refers to; this keeps deleted code
+from coming back.  References are names, attribute lookups and imports
+outside the definition's own body, so a helper that only calls itself
+still counts as unused.
 
 Exact arithmetic is the package's contract, so its source holds no float
 literal, no ``float(...)`` call and no ``math`` function outside the
@@ -20,15 +21,16 @@ from pathlib import Path
 import cychom
 
 SRC = Path(cychom.__file__).resolve().parent
+REPO = Path(__file__).resolve().parent.parent
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 # the math functions that map integers to integers
 INTEGER_MATH = {"comb", "factorial", "gcd", "isqrt", "lcm", "perm", "prod"}
 
 
 @functools.lru_cache(maxsize=None)
-def _trees():
+def _trees(folder=SRC):
     return [(path, ast.parse(path.read_text(), filename=str(path)))
-            for path in sorted(SRC.glob("*.py"))]
+            for path in sorted(folder.glob("*.py"))]
 
 
 def _reference(node):
@@ -43,24 +45,38 @@ def _reference(node):
     return None
 
 
-def test_every_private_definition_is_referenced():
+def _unreferenced(private: bool, folders) -> list:
+    """Definitions in the package, private or public ones, that nothing in
+    the given folders refers to outside their own body."""
     referenced = Counter()
-    definitions = []
+    for folder in folders:
+        for _, tree in _trees(folder):
+            for node in ast.walk(tree):
+                name = _reference(node)
+                if name is not None:
+                    referenced[name] += 1
+    unused = []
     for path, tree in _trees():
         for node in ast.walk(tree):
-            name = _reference(node)
-            if name is not None:
-                referenced[name] += 1
-            elif (isinstance(node, DEFINITIONS) and node.name.startswith("_")
-                  and not node.name.startswith("__")):
-                definitions.append((path.name, node))
-    unused = []
-    for filename, node in definitions:
-        own = sum(1 for inner in ast.walk(node)
-                  if _reference(inner) == node.name)
-        if referenced[node.name] <= own:
-            unused.append("%s:%d %s" % (filename, node.lineno, node.name))
+            if (not isinstance(node, DEFINITIONS)
+                    or node.name.startswith("__")
+                    or node.name.startswith("_") != private):
+                continue
+            own = sum(1 for inner in ast.walk(node)
+                      if _reference(inner) == node.name)
+            if referenced[node.name] <= own:
+                unused.append("%s:%d %s" % (path.name, node.lineno, node.name))
+    return unused
+
+
+def test_every_private_definition_is_referenced():
+    unused = _unreferenced(True, [SRC])
     assert not unused, "private definitions nothing refers to: %s" % unused
+
+
+def test_every_public_definition_is_referenced():
+    unused = _unreferenced(False, [SRC, REPO / "tests", REPO / "perfbench"])
+    assert not unused, "public definitions nothing refers to: %s" % unused
 
 
 def test_no_floating_point():
