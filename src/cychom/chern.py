@@ -13,7 +13,6 @@ to be an exact cycle of the total complex.
 from dataclasses import dataclass
 
 from .algebra import FDAlgebra, _normalize_vec, _unflatten, matrix_algebra
-from .config import default_budget
 from .cyclic import CyclicComplexWindow, cyclic_complex, operator_B, operator_S
 from .errors import (
     NotIdempotent,
@@ -24,6 +23,7 @@ from .errors import (
 from .groups import cyclic_group, group_algebra
 from .hochschild import _trace_chain
 from .linalg import vec_equal, vec_is_zero
+from .scalars import Cyclotomic
 
 ORDER_SEARCH_LIMIT = 24
 
@@ -146,7 +146,6 @@ def _flatten(A: FDAlgebra, entries, N: int) -> dict:
 
 def idempotent_rep(A: FDAlgebra, matrix, budget=None) -> KClassRep:
     """Validate a square matrix over A as an exact idempotent."""
-    budget = budget or default_budget()
     entries = _normalize_entries(A, matrix)
     N = len(entries)
     M = matrix_algebra(A, N, budget=budget)
@@ -159,7 +158,6 @@ def idempotent_rep(A: FDAlgebra, matrix, budget=None) -> KClassRep:
 def invertible_rep(A: FDAlgebra, matrix, inverse=None,
                    budget=None) -> KClassRep:
     """Validate a square matrix over A with an exact two-sided inverse."""
-    budget = budget or default_budget()
     entries = _normalize_entries(A, matrix)
     N = len(entries)
     M = matrix_algebra(A, N, budget=budget)
@@ -254,7 +252,6 @@ def chern_idempotent(rep: KClassRep, q: int, budget=None) -> ChernClass:
         raise ValidationError("expected an idempotent representative")
     if q < 0:
         raise ValidationError("the even character needs q >= 0")
-    budget = budget or default_budget()
     # the seed is the old unit p; keeping it apart from the fresh unit is
     # what lets the non-unital evaluation p -> rep stay a chain map
     mats = [_unflatten(rep.algebra, rep.matrices.unit, rep.size), rep.entries]
@@ -262,8 +259,7 @@ def chern_idempotent(rep: KClassRep, q: int, budget=None) -> ChernClass:
                       budget)
 
 
-def chern_invertible(rep: KClassRep, q: int, order_bound: int | None = None,
-                     budget=None) -> ChernClass:
+def chern_invertible(rep: KClassRep, q: int, budget=None) -> ChernClass:
     """The odd character of an invertible, as a degree-(2q+1) cycle.
 
     The carrier is the group algebra of the cyclic group whose order is
@@ -274,13 +270,11 @@ def chern_invertible(rep: KClassRep, q: int, order_bound: int | None = None,
         raise ValidationError("expected an invertible representative")
     if q < 0:
         raise ValidationError("the odd character needs q >= 0")
-    budget = budget or default_budget()
-    limit = order_bound if order_bound is not None else ORDER_SEARCH_LIMIT
-    n = multiplicative_order(rep, limit)
+    n = multiplicative_order(rep, ORDER_SEARCH_LIMIT)
     if n is None:
         raise OrderUnbounded(
             "no power up to %d returns to the identity; out of the finite "
-            "carrier's range" % limit)
+            "carrier's range" % ORDER_SEARCH_LIMIT)
     powers = []
     flat = rep.matrices.unit
     for _ in range(n):
@@ -299,7 +293,9 @@ def pair_with_trace(x, tau: dict, algebra: FDAlgebra | None = None):
     """Evaluate a trace functional on a degree-zero class.
 
     Accepts a character with a degree-zero part or a plain sparse vector
-    over the algebra (a degree-zero homology representative).
+    over the algebra (a degree-zero homology representative).  The value
+    is a Cyclotomic in every field, so it compares equal to ints and
+    Fractions.
     """
     if isinstance(x, ChernClass):
         vec = x.degree_zero_part()
@@ -314,4 +310,4 @@ def pair_with_trace(x, tau: dict, algebra: FDAlgebra | None = None):
         t = tau.get(i)
         if t is not None:
             total = field.add(total, field.mul(t, c))
-    return total
+    return Cyclotomic.from_raw(total, field.order)

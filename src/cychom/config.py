@@ -27,13 +27,11 @@ class Budget:
     max_chain_dim  largest chain-space dimension a window may allocate
     dim_cap        largest algebra dimension constructors will build
     max_field_order  largest cyclotomic order the splitting search may reach
-    hp_cutoff      highest cyclic degree the stabilization method may use
     """
 
     max_chain_dim: int = DEFAULT_CHAIN_DIM_BUDGET
     dim_cap: int = DEFAULT_DIM_CAP
     max_field_order: int = DEFAULT_MAX_FIELD_ORDER
-    hp_cutoff: int = DEFAULT_HP_CUTOFF
 
 
 def default_budget() -> Budget:

@@ -198,7 +198,6 @@ def hh_decomposition(cp: CrossedProduct, n_max: int,
     complex so the centralizer acts by plain tensor substitution; the
     centralizer-invariant dimensions are what the class contributes.
     """
-    budget = budget or default_budget()
     A = cp.base
     G = cp.group
     field = A.field
@@ -261,7 +260,7 @@ class _ClassGeometry:
             self.characters.append(lifted)
 
 
-def _psi_block_value(G, action, geom, chars_row, x, g, field):
+def _psi_block_value(G, action, geom, chars_row, x, g):
     """The block of psi at the basis element delta_x (x) g.
 
     Entry (r, c) is pi(g_r^-1 g g_c) times the translate of delta_x by
@@ -364,7 +363,6 @@ def psi_map(action: FiniteVarietyAction, budget=None) -> PsiMap:
     verified multiplicative and unital on the full basis before the map is
     returned.
     """
-    budget = budget or default_budget()
     G = action.group
     order = G.exponent()
     field = field_of_order(order)
@@ -396,7 +394,7 @@ def psi_map(action: FiniteVarietyAction, budget=None) -> PsiMap:
             geom = geoms[b.class_index]
             per_block.append(_psi_block_value(G, action, geom,
                                               geom.characters[b.char_index],
-                                              x, g, field))
+                                              x, g))
         values.append(per_block)
 
     cols = []
@@ -459,8 +457,7 @@ class PhiGamma(_ComparisonMap):
     matrix: SparseMatrix
 
 
-def phi_gamma(cp: CrossedProduct, gamma: int, q: int = 0,
-              budget=None) -> PhiGamma:
+def phi_gamma(cp: CrossedProduct, gamma: int, q: int = 0) -> PhiGamma:
     """Character-weighted trace map onto functions on the fixed set.
 
     Only degree zero carries content here: on a finite point set every
@@ -471,7 +468,6 @@ def phi_gamma(cp: CrossedProduct, gamma: int, q: int = 0,
     if cp.variety is None:
         raise ValidationError(
             "needs a crossed product built from a point permutation")
-    budget = budget or default_budget()
     action = cp.variety
     G = cp.group
     meta = group_metadata(G)
@@ -542,7 +538,7 @@ class PhiReport:
                    for v in self.verdicts)
 
 
-def phi_isomorphism_report(cp: CrossedProduct, budget=None) -> PhiReport:
+def phi_isomorphism_report(cp: CrossedProduct) -> PhiReport:
     """Check phi class by class against the degree-zero homology summands.
 
     The commutator span of the product decomposes along conjugacy classes,
@@ -554,7 +550,6 @@ def phi_isomorphism_report(cp: CrossedProduct, budget=None) -> PhiReport:
     if cp.variety is None:
         raise ValidationError(
             "needs a crossed product built from a point permutation")
-    budget = budget or default_budget()
     action = cp.variety
     G = cp.group
     P = cp.product
@@ -566,7 +561,7 @@ def phi_isomorphism_report(cp: CrossedProduct, budget=None) -> PhiReport:
 
     verdicts = []
     for data in meta.classes:
-        phi = phi_gamma(cp, data.rep, 0, budget=budget)
+        phi = phi_gamma(cp, data.rep, 0)
         members = set(data.members)
         span_vecs = []
         for g in sorted(members):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .algebra import AlgebraMap, FDAlgebra, TwoSidedIdeal, direct_sum, \
     ideal_as_algebra, quotient_algebra, unitalization
-from .config import default_budget
+from .config import DEFAULT_HP_CUTOFF, default_budget
 from .errors import DegreeTooLow, NonUnital, NotMultiplicative, SizeOverflow, \
     ValidationError
 from .hochschild import ChainComplexWindow, HomologyReport, \
@@ -60,28 +60,27 @@ def _B_columns(window: ChainComplexWindow, n: int, indices) -> list:
     """
     slots = window.slots
     field = window.field
-    radix = slots.interior_radix
     f_of, code = slots.interior, slots.code
     unit = list(slots.unit.items())
     inner = [(code[u], c) for u, c in unit if u in code]
-    pw = [radix ** k for k in range(n + 2)]
+    rank = slots.ranks(n + 1)
+    step = slots.interior_radix ** (n + 1)
     cols = []
     for index in indices:
-        s0, body = divmod(index, pw[n])
-        c0 = code.get(s0)
-        # slot 0 and the interior codes as one base-radix number
-        whole = (c0 or 0) * pw[n] + body
+        tup = window.tuple_of(n, index)
+        s0, c0 = tup[0], code.get(tup[0])
+        whole = (c0,) + tup[1:]
         acc = {}
         for j in range(n if c0 is None else 0, n + 1):
-            # rotate j places: the last j codes move to the front
-            rot = whole % pw[j] * pw[n + 1 - j] + whole // pw[j]
+            # rotate j places: the last j factors move to the front
+            rot = whole[n + 1 - j:] + whole[:n + 1 - j]
             if c0 is not None:
                 for u, c in unit:
-                    add_term(acc, u * pw[n + 1] + rot,
+                    add_term(acc, u * step + rank[rot],
                              field.neg(c) if n * j % 2 else c, field)
-            lead = s0 if j == n else f_of[rot % radix]
+            lead = s0 if j == n else f_of[rot[-1]]
             for k, c in inner:
-                add_term(acc, (lead * radix + k) * pw[n] + rot // radix,
+                add_term(acc, lead * step + rank[(k,) + rot[:-1]],
                          field.neg(c) if n * (j + 1) % 2 else c, field)
         cols.append(acc)
     return cols
@@ -96,9 +95,6 @@ def operator_B(window: ChainComplexWindow, n: int, chain: dict) -> dict:
     if n + 1 > window.n_max:
         raise ValidationError(
             "window too short: degree %d is not stored" % (n + 1))
-    if not all(0 <= index < window.dims[n] for index in chain):
-        raise ValidationError(
-            "chain has an index outside the degree-%d chain space" % n)
     field = window.field
     out = {}
     for c, col in zip(chain.values(), _B_columns(window, n, chain)):
@@ -365,8 +361,9 @@ class HPReport:
     stabilization_dims: tuple | None = None
 
 
-def hp(A: FDAlgebra, mode: str = "radical_shortcut", cutoff: int | None = None,
-       normalized: bool | None = None, budget=None) -> HPReport:
+def hp(A: FDAlgebra, mode: str = "radical_shortcut",
+       cutoff: int = DEFAULT_HP_CUTOFF, normalized: bool | None = None,
+       budget=None) -> HPReport:
     """Periodic cyclic homology as an (even, odd) pair of dimensions.
 
     The radical shortcut quotients out the (nilpotent) radical, which
@@ -380,9 +377,6 @@ def hp(A: FDAlgebra, mode: str = "radical_shortcut", cutoff: int | None = None,
         raise ValidationError("unknown hp mode %r" % mode)
     if not A.is_unital:
         raise NonUnital("hp needs a unital algebra; see the nonunital path")
-    budget = budget or default_budget()
-    if cutoff is None:
-        cutoff = budget.hp_cutoff
     even = center(semisimple_quotient(A)[0].algebra).dim
     report = HPReport(even_dim=even, odd_dim=0, method=mode)
     if mode == "radical_shortcut":
@@ -410,7 +404,7 @@ def hp(A: FDAlgebra, mode: str = "radical_shortcut", cutoff: int | None = None,
 
 
 def hp_nonunital(A: FDAlgebra, mode: str = "radical_shortcut",
-                 cutoff: int | None = None, budget=None) -> HPReport:
+                 cutoff: int = DEFAULT_HP_CUTOFF, budget=None) -> HPReport:
     """HP of a possibly nonunital algebra through its unitalization.
 
     The augmentation splits off the ground field's contribution, one even
@@ -553,7 +547,6 @@ def excision_check(A: FDAlgebra, J: TwoSidedIdeal, cutoff: int = 6,
         raise NonUnital("excision check starts from a unital algebra")
     if cutoff % 2 or cutoff < 4:
         raise ValidationError("cutoff must be even and at least 4")
-    budget = budget or default_budget()
     J.validate()
     Jalg, _ = ideal_as_algebra(J)
     Qd = quotient_algebra(A, J)

@@ -4,13 +4,15 @@ Chain spaces are windows of tensor powers with sparse boundary matrices.
 The normalized complex (interior slots taken modulo the unit) is the
 default route for unital algebras; the unnormalized complex is the
 reference implementation and the only route without a unit.  Which of the
-two a window is gets decided in one place, its slot basis (_SlotData):
-every boundary, operator and chain map reads that basis as tables.
+two a window is, and how a chain index splits into slot 0 and an interior
+word, gets decided in one place, its slot basis (_SlotData): every
+boundary, operator and chain map reads that basis as tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .config import default_budget
 from .errors import (
@@ -81,6 +83,19 @@ class _SlotData:
         self.imul = [[{self.code[k]: c for k, c in self.mulf[a][b].items()
                        if k in self.code}
                       for b in self.interior] for a in self.interior]
+        self._ranks = {}
+
+    def words(self, n: int):
+        """The chain layout: a degree-n chain is a slot-0 index s and an
+        interior word u, the tuple of interior codes c_1 .. c_n; words(n)
+        yields the words in rank order, ranks(n) maps each word to its
+        rank, and the chain has index s * interior_radix**n + rank(u)."""
+        return product(range(self.interior_radix), repeat=n)
+
+    def ranks(self, n: int) -> dict:
+        if n not in self._ranks:
+            self._ranks[n] = {u: j for j, u in enumerate(self.words(n))}
+        return self._ranks[n]
 
     def rebase(self, matrix: SparseMatrix, source: "_SlotData") -> SparseMatrix:
         """A linear map from source's algebra into this one, in the f-bases."""
@@ -92,8 +107,8 @@ class _SlotData:
 class ChainComplexWindow:
     """Degrees 0..n_max of a bar-type complex with explicit boundaries.
 
-    boundary(n) maps degree n to degree n-1; degree-n coordinates encode
-    tensors through a mixed-radix codec (slot 0 first, big-endian).
+    boundaries[n] maps degree n to degree n-1; degree-n coordinates follow
+    the chain layout of the window's slot basis (_SlotData).
     """
 
     def __init__(self, algebra, n_max, variant, module, normalized, slots,
@@ -193,56 +208,39 @@ def bar_complex(A: FDAlgebra, n_max: int, variant: str = "b",
     boundaries = [None]
     for n in range(1, n_max + 1):
         boundaries.append(_boundary_matrix(
-            slots, left, right, variant == "b", n, dims[n], dims[n - 1],
+            slots, left, right, variant == "b", n, slot0, dims[n - 1],
             field))
     return ChainComplexWindow(A, n_max, variant, coefficients, normalized,
                               slots, dims, boundaries)
 
 
-def _boundary_matrix(slots, left, right, last_face, n, dim_src, dim_tgt,
+def _boundary_matrix(slots, left, right, last_face, n, slot0, dim_tgt,
                      field):
-    radix = slots.interior_radix
-    f_of = slots.interior
-    imul = slots.imul
-    # a degree-m index is slot0 * radix**m plus the interior codes read as
-    # a base-radix number (the body), first code most significant
-    pw = [radix ** k for k in range(n + 1)]
-    top = pw[n - 1]
-    cols = []
-    for index in range(dim_src):
-        rest = index
-        codes = []
-        for _ in range(n):
-            rest, code = divmod(rest, radix)
-            codes.append(code)
-        codes.reverse()
-        s0 = rest
-        body = index - s0 * pw[n]
-        out = {}
-
-        # face 0: multiply the first interior factor into slot 0
-        tail = body % top
-        for i, c in right[f_of[codes[0]]][s0].items():
-            add_term(out, i * top + tail, c, field)
-
-        # interior faces: slot 0 rides along, adjacent factors multiply;
-        # codes i-1 and i merge into one code of weight pw[n - i - 1]
-        sign = 1
+    f_of, imul = slots.interior, slots.imul
+    rank = slots.ranks(n - 1)
+    step = slots.interior_radix ** (n - 1)
+    words = list(slots.words(n))
+    cols = [None] * (slot0 * len(words))
+    for j, u in enumerate(words):
+        # interior faces: adjacent factors multiply, slot 0 rides along
+        inner = {}
         for i in range(1, n):
-            sign = -sign
-            low = pw[n - i - 1]
-            base = s0 * top + body // pw[n - i + 1] * pw[n - i] + body % low
-            for k, c in imul[codes[i - 1]][codes[i]].items():
-                add_term(out, base + k * low,
-                         c if sign > 0 else field.neg(c), field)
-
-        # last face: wrap the final factor around to act on slot 0
-        if last_face:
-            tail = body // radix
-            for i, c in left[f_of[codes[-1]]][s0].items():
-                add_term(out, i * top + tail,
-                         c if n % 2 == 0 else field.neg(c), field)
-        cols.append(out)
+            for k, c in imul[u[i - 1]][u[i]].items():
+                add_term(inner, rank[u[:i - 1] + (k,) + u[i + 1:]],
+                         field.neg(c) if i % 2 else c, field)
+        first, tail = right[f_of[u[0]]], rank[u[1:]]
+        last, head = left[f_of[u[-1]]], rank[u[:-1]]
+        for s in range(slot0):
+            out = {s * step + r: c for r, c in inner.items()}
+            # face 0: multiply the first interior factor into slot 0
+            for i, c in first[s].items():
+                add_term(out, i * step + tail, c, field)
+            # last face: wrap the final factor around to act on slot 0
+            if last_face:
+                for i, c in last[s].items():
+                    add_term(out, i * step + head,
+                             field.neg(c) if n % 2 else c, field)
+            cols[s * len(words) + j] = out
     return SparseMatrix.from_columns(cols, dim_tgt, field)
 
 
@@ -390,21 +388,20 @@ def _tensor_chain_matrix(src: ChainComplexWindow, tgt: ChainComplexWindow,
                          interior_map: SparseMatrix) -> SparseMatrix:
     """The map slot0_map (x) interior_map^(x n) in window coordinates."""
     field = tgt.field
-    radix = tgt.slots.interior_radix
-    slot0_cols = slot0_map.columns()
+    rank = tgt.slots.ranks(n)
+    step = tgt.slots.interior_radix ** n
     interior_cols = interior_map.columns()
-    cols = []
-    for index in range(src.dims[n]):
-        tup = src.tuple_of(n, index)
-        acc = dict(slot0_cols[tup[0]])
-        for code in tup[1:]:
-            col = interior_cols[code]
-            new = {}
-            for idx, c in acc.items():
-                for k, ck in col.items():
-                    add_term(new, idx * radix + k, field.mul(c, ck), field)
-            acc = new
-        cols.append(acc)
+    # the interior image of each source word, as (target rank, coefficient)
+    images = []
+    for u in src.slots.words(n):
+        image = {(): field.one}
+        for code in u:
+            image = {w + (k,): field.mul(c, ck) for w, c in image.items()
+                     for k, ck in interior_cols[code].items()}
+        images.append([(rank[w], c) for w, c in image.items()])
+    cols = [{i * step + r: field.mul(a, c) for i, a in col.items()
+             for r, c in image}
+            for col in slot0_map.columns() for image in images]
     return SparseMatrix.from_columns(cols, tgt.dims[n], field)
 
 

@@ -351,7 +351,7 @@ def _split_components(input_rows, adapter) -> list[list[dict]]:
     return list(groups.values())
 
 
-def reduced_rows(input_rows, ncols: int, field: _FieldBase):
+def reduced_rows(input_rows, field: _FieldBase):
     """A deterministic reduced basis of the row span: monic rows with distinct
     pivot columns, each pivot column absent from every other row.
 
@@ -369,7 +369,7 @@ def reduced_rows(input_rows, ncols: int, field: _FieldBase):
     return _back_substitute(ordered, adapter)
 
 
-def rref_rows(input_rows, ncols: int, field: _FieldBase):
+def rref_rows(input_rows, field: _FieldBase):
     """Canonical reduced echelon form of the span of the given sparse rows.
 
     Returns (rows, pivot_cols): monic rows sorted by strictly increasing pivot
@@ -575,7 +575,7 @@ class SparseMatrix:
 
     def rref(self):
         if self._rref is None:
-            self._rref = rref_rows(self.rows, self.ncols, self.field)
+            self._rref = rref_rows(self.rows, self.field)
         return self._rref
 
     def rank(self) -> int:
@@ -585,7 +585,7 @@ class SparseMatrix:
             else:
                 # fewer rows after transposing; rank is the same either way
                 _, pivots = rref_rows([dict(c) for c in self.columns()],
-                                      self.nrows, self.field)
+                                      self.field)
                 self._rank = len(pivots)
         return self._rank
 
@@ -619,7 +619,7 @@ class SparseMatrix:
                 r[n] = rhs[i]
             if r:
                 aug.append(r)
-        rows, pivots = rref_rows(aug, n + 1, self.field)
+        rows, pivots = rref_rows(aug, self.field)
         if pivots and pivots[-1] == n:
             return None
         out = {}
@@ -644,7 +644,7 @@ class Subspace:
 
     @staticmethod
     def from_vectors(ambient_dim: int, field: _FieldBase, vectors) -> "Subspace":
-        rows, pivots = rref_rows(list(vectors), ambient_dim, field)
+        rows, pivots = rref_rows(list(vectors), field)
         return Subspace(ambient_dim, field, rows, pivots)
 
     @property
@@ -768,7 +768,7 @@ class Homology:
             # the cheap reduced basis: coset reduction does not need the
             # canonical form, and B can be very wide here
             b_rows, b_pivots = reduced_rows([dict(c) for c in B.columns()],
-                                            dim_here, self.field)
+                                            self.field)
             self.boundary_space = Subspace(dim_here, self.field, b_rows, b_pivots)
         else:
             self.boundary_space = Subspace(dim_here, self.field, [], [])
@@ -785,7 +785,7 @@ class Homology:
                 r = {self._free_pos[j]: v for j, v in row.items() if j in self._free_pos}
                 if r:
                     sub_rows.append(r)
-            rr, pivset_small = rref_rows(sub_rows, len(free_cols), self.field)
+            rr, pivset_small = rref_rows(sub_rows, self.field)
             small_kernel = kernel_from_rref(rr, pivset_small, len(free_cols), self.field)
         else:
             pivset_small = []

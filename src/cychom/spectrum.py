@@ -640,7 +640,6 @@ def spectral_e1(A: FDAlgebra, filtration: IdealFiltration,
     parity-graded totals are compared with the periodic theory of the
     algebra itself.
     """
-    budget = budget or default_budget()
     filtration.validate()
     ext = filtration.algebra
     if ext is not A:
@@ -727,7 +726,6 @@ def spectrum_preserving_check(phi: AlgebraMap, budget=None) -> SpectrumVerdict:
     point when the preimage is contained in it.  Multiplicativity of the
     map is not required.
     """
-    budget = budget or default_budget()
     L, J = phi.source, phi.target
     if not (L.is_unital and J.is_unital):
         raise NonUnital("spectrum comparison needs unital algebras")
@@ -907,7 +905,6 @@ def weakly_spectrum_preserving_check(phi: AlgebraMap,
     nilpotent layers passing through the empty spectrum and unital layers
     going through the full point-correspondence test.
     """
-    budget = budget or default_budget()
     source_filtration.validate()
     target_filtration.validate()
     L, J = phi.source, phi.target

@@ -39,8 +39,9 @@ from cychom.errors import (
     ValidationError,
 )
 from cychom.groups import cyclic_group, group_algebra, symmetric_group_3
-from cychom.hochschild import bar_complex, hh
-from cychom.linalg import SparseMatrix, Subspace, homology
+from cychom.hochschild import bar_complex, hh, homotopy_s
+from cychom.linalg import SparseMatrix, Subspace, homology, vec_add, \
+    vec_equal, vec_sub
 
 
 def connes_quotient_hc_dims(A, n_max):
@@ -156,6 +157,28 @@ def test_B_squares_to_zero_and_anticommutes_with_b():
             for k, v in Bb.items():
                 total[k] = total.get(k, 0) + v
             assert all(v == 0 for v in total.values())
+
+
+def test_B_is_one_minus_t_after_s_after_the_norm():
+    windows = [
+        (truncated_polynomial(4), 3),
+        (matrix_algebra(ground_field(), 2), 2),
+        (group_algebra(symmetric_group_3()), 2),
+    ]
+    for A, top in windows:
+        w = bar_complex(A, top + 1, normalized=False)
+        field = w.field
+        for n in range(top + 1):
+            for j in range(w.dims[n]):
+                # N sums the n + 1 powers of t
+                norm, power = {}, {j: field.one}
+                for _ in range(n + 1):
+                    norm = vec_add(norm, power, field)
+                    power = cyclic_t(w, n, power)
+                lifted = homotopy_s(w, n, norm)
+                expected = vec_sub(lifted, cyclic_t(w, n + 1, lifted), field)
+                assert vec_equal(operator_B(w, n, {j: field.one}), expected,
+                                 field), (A.name, n, j)
 
 
 def test_B_guards():

@@ -104,10 +104,73 @@ def test_coefficient_window_squares_to_zero():
 def test_codec_roundtrip():
     w = bar_complex(truncated_polynomial(3), 4)
     rng = random.Random(411)
+    radix = w.slots.interior_radix
     for n in range(5):
         for _ in range(20):
             idx = rng.randrange(w.dims[n])
             assert w.index_of(n, w.tuple_of(n, idx)) == idx
+        ranks = w.slots.ranks(n)
+        for j, u in enumerate(w.slots.words(n)):
+            assert ranks[u] == j
+            for s in range(w.dims[0]):
+                assert w.index_of(n, (s,) + u) == s * radix ** n + j
+
+
+def _face_column(w, n, index):
+    """Column index of the degree-n boundary, rebuilt from the face formula
+    with the algebra's products and the coefficients' action matrices."""
+    A, M, field = w.algebra, w.module, w.field
+    # normalized windows here have the unit as basis vector 0, so interior
+    # code k is basis vector k + 1 and the unit in an interior slot is zero
+    shift = 1 if w.normalized else 0
+    tup = w.tuple_of(n, index)
+    s0, a = tup[0], tuple(k + shift for k in tup[1:])
+    if M is None:
+        right, left = A.mul[s0][a[0]], A.mul[a[-1]][s0]
+    else:
+        right = M.act_right({s0: field.one}, a[0])
+        left = M.act_left(a[-1], {s0: field.one})
+    out = {}
+
+    def add(slot0, interior, c):
+        if all(b >= shift for b in interior):
+            key = w.index_of(n - 1, (slot0,) + tuple(b - shift
+                                                     for b in interior))
+            out[key] = field.add(out.get(key, field.zero), c)
+
+    for s, c in right.items():
+        add(s, a[1:], c)
+    for i in range(1, n):
+        for b, c in A.mul[a[i - 1]][a[i]].items():
+            add(s0, a[:i - 1] + (b,) + a[i + 1:],
+                field.neg(c) if i % 2 else c)
+    if w.variant == "b":
+        for s, c in left.items():
+            add(s, a[:-1], field.neg(c) if n % 2 else c)
+    return out
+
+
+def test_boundaries_follow_the_face_formula():
+    T4 = truncated_polynomial(4)
+    S3 = group_algebra(symmetric_group_3())
+    F2 = functions_on_points(2)
+    swap = AlgebraMap.from_images(F2, F2, [{1: 1}, {0: 1}],
+                                  multiplicative=True, unital=True)
+    windows = [
+        bar_complex(T4, 4),
+        bar_complex(T4, 4, variant="b_prime"),
+        bar_complex(matrix_algebra(ground_field(), 2), 3),
+        bar_complex(T4, 4, normalized=True),
+        bar_complex(S3, 3, normalized=True),
+        bar_complex(F2, 3, coefficients=twisted_bimodule(F2, swap)),
+    ]
+    assert T4.unit == S3.unit == {0: 1}
+    for w in windows:
+        for n in range(1, w.n_max + 1):
+            cols = w.boundaries[n].columns()
+            for index in range(w.dims[n]):
+                assert vec_equal(cols[index], _face_column(w, n, index),
+                                 w.field), (w.algebra.name, n, index)
 
 
 def test_codec_rejects_out_of_range_codes_and_indices():

@@ -177,7 +177,7 @@ def test_reduced_rows_matches_dense_oracle_random(order, rational):
             return [[Cyclotomic.from_raw(r.get(j, field.zero), order)
                      for j in range(ncols)] for r in rows]
 
-        rows, pivots = reduced_rows([dict(r) for r in raw_rows], ncols, field)
+        rows, pivots = reduced_rows([dict(r) for r in raw_rows], field)
         oracle_rows, oracle_pivots = dense_rref_oracle(dense(raw_rows))
         assert len(rows) == len(pivots) == len(oracle_pivots), trial
         # the same span: both reduce to the one canonical echelon form
@@ -213,9 +213,9 @@ def test_rational_rows_match_the_coefficient_tuple_route(order, monkeypatch):
                                        rational=True), ncols))
 
     def eliminate_all():
-        return [(reduced_rows([dict(r) for r in rows], ncols, field),
-                 rref_rows([dict(r) for r in rows], ncols, field))
-                for rows, ncols in cases]
+        return [(reduced_rows([dict(r) for r in rows], field),
+                 rref_rows([dict(r) for r in rows], field))
+                for rows, _ in cases]
 
     routes = _spy_routes(monkeypatch)
     got = eliminate_all()
@@ -239,9 +239,9 @@ def test_one_irrational_entry_takes_the_coefficient_tuple_route(monkeypatch):
 
     routes = _spy_routes(monkeypatch)
     oracle_rows, oracle_pivots = dense_rref_oracle(dense(raw_rows))
-    rows, pivots = rref_rows([dict(r) for r in raw_rows], ncols, field)
+    rows, pivots = rref_rows([dict(r) for r in raw_rows], field)
     assert (dense(rows), pivots) == (oracle_rows, oracle_pivots)
-    rows, pivots = reduced_rows([dict(r) for r in raw_rows], ncols, field)
+    rows, pivots = reduced_rows([dict(r) for r in raw_rows], field)
     assert dense_rref_oracle(dense(rows)) == (oracle_rows, oracle_pivots)
     assert routes == [linalg._CycRows, linalg._CycRows]
 
@@ -456,6 +456,6 @@ def test_rref_idempotent():
     rng = random.Random(11)
     m = random_matrix(rng, 5, 6)
     rows, pivots = m.rref()
-    again_rows, again_pivots = rref_rows([dict(r) for r in rows], 6, Q)
+    again_rows, again_pivots = rref_rows([dict(r) for r in rows], Q)
     assert again_pivots == pivots
     assert again_rows == rows

@@ -1,12 +1,14 @@
-"""Source hygiene: every definition in cychom has a caller, and no
-floating point enters the package.
+"""Source hygiene: every definition in cychom has a caller, every
+parameter is read, and no floating point enters the package.
 
 A private function, class or method that nothing else in the package
 refers to is dead code, and so is a public one that nothing in the
 package, its tests or its benchmark refers to; this keeps deleted code
 from coming back.  References are names, attribute lookups and imports
 outside the definition's own body, so a helper that only calls itself
-still counts as unused.
+still counts as unused.  Likewise a parameter that the body never reads,
+or reads only to default it (``x = x or default``), is a knob nothing
+turns.
 
 Exact arithmetic is the package's contract, so its source holds no float
 literal, no ``float(...)`` call and no ``math`` function outside the
@@ -77,6 +79,42 @@ def test_every_private_definition_is_referenced():
 def test_every_public_definition_is_referenced():
     unused = _unreferenced(False, [SRC, REPO / "tests", REPO / "perfbench"])
     assert not unused, "public definitions nothing refers to: %s" % unused
+
+
+def _defaults_itself(node, name) -> bool:
+    """Whether node is the line ``name = name or ...``."""
+    return (type(node) is ast.Assign and len(node.targets) == 1
+            and type(node.targets[0]) is ast.Name
+            and node.targets[0].id == name
+            and type(node.value) is ast.BoolOp
+            and type(node.value.op) is ast.Or
+            and type(node.value.values[0]) is ast.Name
+            and node.value.values[0].id == name)
+
+
+def test_every_parameter_is_read():
+    unread = []
+    for path, tree in _trees():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            # named parameters only: *args and **kwargs catch a signature
+            args = node.args
+            for param in args.posonlyargs + args.args + args.kwonlyargs:
+                name = param.arg
+                if name in ("self", "cls"):
+                    continue
+                defaulting = {id(line.value.values[0]) for stmt in node.body
+                              for line in ast.walk(stmt)
+                              if _defaults_itself(line, name)}
+                if not any(type(inner) is ast.Name and inner.id == name
+                           and type(inner.ctx) is ast.Load
+                           and id(inner) not in defaulting
+                           for stmt in node.body
+                           for inner in ast.walk(stmt)):
+                    unread.append("%s:%d %s.%s"
+                                  % (path.name, node.lineno, node.name, name))
+    assert not unread, "parameters nothing reads: %s" % unread
 
 
 def test_no_floating_point():
