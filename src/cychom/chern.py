@@ -13,7 +13,7 @@ to be an exact cycle of the total complex.
 from dataclasses import dataclass
 
 from .algebra import FDAlgebra, _normalize_vec, _unflatten, matrix_algebra
-from .cyclic import CyclicComplexWindow, cyclic_complex, operator_B, operator_S
+from .cyclic import CyclicComplexWindow, cyclic_complex, operator_S
 from .errors import (
     NotIdempotent,
     NotInvertible,
@@ -80,7 +80,7 @@ def _extend_cycle(ch: CyclicChain) -> CyclicChain:
     n = ch.degree
     hoch = window.hochschild_window
     field = window.field
-    rhs = operator_B(hoch, n, window.component(n, ch.chain, 0))
+    rhs = window.b_up[n].mat_vec(window.component(n, ch.chain, 0))
     negated = {i: field.neg(c) for i, c in rhs.items()}
     top = hoch.boundaries[n + 2].solve(negated)
     if top is None:

@@ -17,7 +17,7 @@ from .config import DEFAULT_HP_CUTOFF, default_budget
 from .errors import DegreeTooLow, NonUnital, NotMultiplicative, SizeOverflow, \
     ValidationError
 from .hochschild import ChainComplexWindow, HomologyReport, \
-    _degree_homologies, _homology_report, _phi_slot_maps, \
+    _degree_homologies, _homology_report, _phi_slot_maps, _require_degree, \
     _tensor_chain_matrix, bar_complex, induced_map_hh
 from .linalg import SparseMatrix, Subspace, add_term, dense_to_sparse, \
     induced_map, operator_matrix
@@ -49,41 +49,47 @@ def cyclic_t(window: ChainComplexWindow, n: int, chain: dict) -> dict:
     return out
 
 
-def _B_columns(window: ChainComplexWindow, n: int, indices) -> list:
-    """B = (1 - t) s N on the degree-n basis tensors at the given indices.
+def _B_matrix(window: ChainComplexWindow, n: int, chains=None) -> SparseMatrix:
+    """B = (1 - t) s N on degree-n basis chains, one column each.
 
-    s puts the unit into slot 0; the t-image of that puts it into the first
-    interior slot.  Read in the window's slot basis, a term that puts a
-    vector outside the interior into an interior slot is zero: when slot 0
-    holds such a vector only the last rotation's t-image survives, and only
-    the interior part of the unit enters the t-images.
+    chains lists (slot-0 value, interior word) pairs; by default every
+    chain, in index order: block by block, slot-0 value, then word.  s puts
+    the unit of the chain's block into slot 0 (on a normalized window that
+    is the block's idempotent, an f-index outside the interior); the t-image
+    of that puts it into the first interior slot.  Read in the window's slot
+    basis, a term that puts a vector outside the interior into an interior
+    slot is zero: when slot 0 holds such a vector only the last rotation's
+    t-image survives, and only the interior part of the unit enters the
+    t-images.
     """
     slots = window.slots
     field = window.field
-    f_of, code = slots.interior, slots.code
-    unit = list(slots.unit.items())
-    inner = [(code[u], c) for u, c in unit if u in code]
-    rank = slots.ranks(n + 1)
-    step = slots.interior_radix ** (n + 1)
-    cols = []
-    for index in indices:
-        tup = window.tuple_of(n, index)
-        s0, c0 = tup[0], code.get(tup[0])
-        whole = (c0,) + tup[1:]
-        acc = {}
+    f_of, code, label = slots.interior, slots.code, slots.slot0_label
+    rank, start = slots.ranks(n + 1), slots.starts(n + 1)
+    if chains is None:
+        chains = [(s, u) for values, words in slots.blocks(n)
+                  for s in values for u in words]
+    # each block's unit, and its interior part, with both signs
+    units = [([(f, (c, field.neg(c))) for f, c in e.items()],
+              [(code[f], (c, field.neg(c))) for f, c in e.items() if f in code])
+             for e in slots.units]
+    rows = [{} for _ in range(window.dims[n + 1])]
+    for col, (s0, word) in enumerate(chains):
+        unit, inner = units[label[s0]]
+        c0 = code.get(s0)
+        whole = (c0,) + word
         for j in range(n if c0 is None else 0, n + 1):
             # rotate j places: the last j factors move to the front
             rot = whole[n + 1 - j:] + whole[:n + 1 - j]
             if c0 is not None:
                 for u, c in unit:
-                    add_term(acc, u * step + rank[rot],
-                             field.neg(c) if n * j % 2 else c, field)
+                    add_term(rows[start[u] + rank[rot]], col, c[n * j % 2],
+                             field)
             lead = s0 if j == n else f_of[rot[-1]]
             for k, c in inner:
-                add_term(acc, lead * step + rank[(k,) + rot[:-1]],
-                         field.neg(c) if n * (j + 1) % 2 else c, field)
-        cols.append(acc)
-    return cols
+                add_term(rows[start[lead] + rank[(k,) + rot[:-1]]], col,
+                         c[n * (j + 1) % 2], field)
+    return SparseMatrix(len(rows), len(chains), field, rows=rows)
 
 
 def operator_B(window: ChainComplexWindow, n: int, chain: dict) -> dict:
@@ -95,18 +101,9 @@ def operator_B(window: ChainComplexWindow, n: int, chain: dict) -> dict:
     if n + 1 > window.n_max:
         raise ValidationError(
             "window too short: degree %d is not stored" % (n + 1))
-    field = window.field
-    out = {}
-    for c, col in zip(chain.values(), _B_columns(window, n, chain)):
-        for key, value in col.items():
-            add_term(out, key, field.mul(c, value), field)
-    return out
-
-
-def _B_matrix(window: ChainComplexWindow, n: int) -> SparseMatrix:
-    return SparseMatrix.from_columns(
-        _B_columns(window, n, range(window.dims[n])), window.dims[n + 1],
-        window.field)
+    tuples = [window.tuple_of(n, index) for index in chain]
+    B = _B_matrix(window, n, [(t[0], t[1:]) for t in tuples])
+    return B.mat_vec(dict(enumerate(chain.values())))
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +201,7 @@ def s_matrix(window: CyclicComplexWindow, n: int) -> SparseMatrix:
     """The periodicity projection: drop the top Hochschild component."""
     if n < 2:
         raise DegreeTooLow("the periodicity operator needs degree >= 2")
+    _require_degree(window, n)
     field = window.field
     cut = window.hochschild_window.dims[n]
     mat = SparseMatrix.zero(window.dims[n - 2], window.dims[n], field)
@@ -215,12 +213,14 @@ def s_matrix(window: CyclicComplexWindow, n: int) -> SparseMatrix:
 def operator_S(window: CyclicComplexWindow, n: int, chain: dict) -> dict:
     if n < 2:
         raise DegreeTooLow("the periodicity operator needs degree >= 2")
+    _require_degree(window, n)
     cut = window.hochschild_window.dims[n]
     return {i - cut: c for i, c in chain.items() if i >= cut}
 
 
 def i_matrix(window: CyclicComplexWindow, n: int) -> SparseMatrix:
     """Inclusion of the Hochschild complex as the first column."""
+    _require_degree(window, n)
     field = window.field
     mat = SparseMatrix.zero(window.dims[n], window.hochschild_window.dims[n],
                             field)
@@ -532,7 +532,8 @@ class _SubComplex:
             self.window.dims[n], self.window.field)
 
 
-def excision_check(A: FDAlgebra, J: TwoSidedIdeal, cutoff: int = 6,
+def excision_check(A: FDAlgebra, J: TwoSidedIdeal,
+                   cutoff: int = DEFAULT_HP_CUTOFF,
                    budget=None) -> ExcisionReport:
     """Six-term periodic exactness for an ideal, checked at chain level.
 

@@ -7,10 +7,22 @@ reference implementation and the only route without a unit.  Which of the
 two a window is, and how a chain index splits into slot 0 and an interior
 word, gets decided in one place, its slot basis (_SlotData): every
 boundary, operator and chain map reads that basis as tables.
+
+A normalized window may also be relative to orthogonal central
+idempotents e_1 .. e_r summing to the unit.  Every slot-0 value and
+interior code then carries a block label, a chain has all its factors in
+one block e_b A, and the window is the direct sum of the blocks'
+normalized complexes, block after block; a block of dimension d_b holds
+d_b (d_b - 1)^n chains in degree n.  hh takes this route with the blocks of
+structure.block_idempotents.  Every other window has one block (r = 1):
+bar_complex unless given blocks, the cyclic complexes behind hc, hp and
+sbi_check, induced maps, Morita maps, and the unnormalized and
+coefficient complexes.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import product
 
@@ -27,10 +39,13 @@ from .linalg import (
     add_term,
     homology,
     induced_map,
+    vec_axpy,
+    vec_equal,
 )
 from .algebra import AlgebraMap, Bimodule, FDAlgebra, _action_of, \
     _unflatten, matrix_algebra
 from .scalars import lift_raw
+from .structure import block_idempotents
 
 
 class _SlotData:
@@ -38,64 +53,138 @@ class _SlotData:
 
     Slot 0 runs over a basis f_0 .. f_(d-1) of the algebra: f_vectors holds
     it in the algebra's basis, e_to_f turns algebra coordinates into
-    f-coordinates, mulf multiplies in it and unit is the unit in it.
-    Interior slots run over the f-indices in interior; code k stands for
-    f_(interior[k]) and code maps an f-index to its code.  imul[s][t] is
-    the product of the codes s and t with its part outside the interior
-    dropped.
+    f-coordinates and mulf multiplies in it.  Interior slots run over the
+    f-indices in interior; code k stands for f_(interior[k]) and code maps
+    an f-index to its code.  imul[s][t] is the product of the codes s and t
+    with its part outside the interior dropped.
 
-    Unnormalized windows keep the algebra's basis and let every index into
-    every slot.  Normalized windows rebase so that f_0 is the unit and the
-    other f_j are basis vectors, and keep f_0 out of the interior: a tensor
-    with the unit in an interior slot is degenerate, zero in the quotient.
+    Every f-index carries a block label, label[f], and units[b] is the
+    unit of block b in f-coordinates.  Unnormalized windows keep the
+    algebra's basis as one block, whose unit is the algebra's (None without
+    one), and let every index into every slot.  Normalized windows take
+    orthogonal central idempotents e_b that sum to the unit and rebase onto
+    a Peirce basis: block b is e_b followed by a basis of e_b A without
+    e_b, and its unit is e_b.  No e_b enters
+    the interior: the window is the complex relative to E = span(e_b),
+    A (x)_(E^e) (A/E)^((x)_E n), where a tensor with an e_b in an interior
+    slot is zero, and so is one whose factors lie in different blocks.
+    The one-idempotent list [unit] gives the ordinary normalized complex.
+    On a window with coefficients slot 0 runs over the bimodule's basis
+    instead, slot0 of them, all in block 0 (such windows have one block).
     """
 
-    def __init__(self, A: FDAlgebra, normalized: bool):
+    def __init__(self, A: FDAlgebra, idempotents, slot0: int | None = None):
         field = A.field
         d = A.dim
-        if normalized:
-            # f_j (j >= 1) are the basis vectors other than a pivot of the
-            # unit, in order; the pivot vector is solved from the unit
-            pivot = min(A.unit)
-            others = [j for j in range(d) if j != pivot]
-            order = {j: k for k, j in enumerate(others, 1)}
-            inv = field.inv(A.unit[pivot])
-            e_pivot = {0: inv}
-            for i, c in A.unit.items():
-                if i != pivot:
-                    e_pivot[order[i]] = field.neg(field.mul(c, inv))
-            self.f_vectors = [dict(A.unit)] + [{j: field.one} for j in others]
-            self.e_to_f = SparseMatrix.from_columns(
-                [e_pivot if j == pivot else {order[j]: field.one}
-                 for j in range(d)], d, field)
-            self.mulf = [[self.e_to_f.mat_vec(A.multiply(x, y))
-                          for y in self.f_vectors] for x in self.f_vectors]
-            self.unit = {0: field.one}
-            self.interior = list(range(1, d))
-        else:
+        if idempotents is None:
             self.f_vectors = [{j: field.one} for j in range(d)]
             self.e_to_f = SparseMatrix.identity(d, field)
             self.mulf = A.mul
-            self.unit = A.unit
+            self.units = [A.unit]
+            self.label = [0] * d
             self.interior = list(range(d))
+        else:
+            self._peirce(A, idempotents)
+            self.mulf = [[self.e_to_f.mat_vec(A.multiply(x, y))
+                          for y in self.f_vectors] for x in self.f_vectors]
         self.code = {f: k for k, f in enumerate(self.interior)}
         self.interior_radix = len(self.interior)
         self.imul = [[{self.code[k]: c for k, c in self.mulf[a][b].items()
                        if k in self.code}
                       for b in self.interior] for a in self.interior]
-        self._ranks = {}
+        # the slot-0 values and the interior codes of each block; both
+        # are runs, since the f-basis lists the blocks in order
+        self.slot0_label = self.label if slot0 is None else [0] * slot0
+        code_label = [self.label[f] for f in self.interior]
+        self.slot0, self.codes = [[range(bisect_left(labels, b),
+                                         bisect_right(labels, b))
+                                   for b in range(len(self.units))]
+                                  for labels in (self.slot0_label, code_label)]
+        self._tables = {}
+
+    def _peirce(self, A: FDAlgebra, idempotents) -> None:
+        field = A.field
+        self.f_vectors, self.label, self.units = [], [], []
+        cols = [{} for _ in range(A.dim)]
+        for b, e in enumerate(idempotents):
+            # the columns e x_j span e A; the pivot columns v_k of their
+            # echelon form are a basis, e x_j = sum_k rows[k][j] v_k, and
+            # e = e e has the coordinates c_k = sum_j rows[k][j] e_j
+            if len(idempotents) == 1:
+                # the unit's block is all of A
+                mult = SparseMatrix.identity(A.dim, field)
+                rows, pivots = mult.rows, range(A.dim)
+            else:
+                mult = A.left_mult_matrix(e)
+                rows, pivots = mult.rref()
+            c = SparseMatrix(len(rows), A.dim, field, rows=rows).mat_vec(e)
+            top = min(c)
+            first = len(self.f_vectors)
+            self.units.append({first: field.one})
+            self.f_vectors.append(dict(e))
+            place = {}
+            for k, p in enumerate(pivots):
+                if k != top:
+                    place[k] = len(self.f_vectors)
+                    self.f_vectors.append(mult.columns()[p])
+            self.label += [b] * len(pivots)
+            # v_top = (e - sum_(k != top) c_k v_k) / c_top
+            inv = field.inv(c[top])
+            for k, row in enumerate(rows):
+                for j, r in row.items():
+                    if k != top:
+                        add_term(cols[j], place[k], r, field)
+                        continue
+                    scale = field.mul(r, inv)
+                    add_term(cols[j], first, scale, field)
+                    for k2, ck in c.items():
+                        if k2 != top:
+                            add_term(cols[j], place[k2],
+                                     field.neg(field.mul(ck, scale)), field)
+        self.e_to_f = SparseMatrix.from_columns(cols, A.dim, field)
+        firsts = {f for e in self.units for f in e}
+        self.interior = [f for f in range(A.dim) if f not in firsts]
+
+    def dim(self, n: int) -> int:
+        """The dimension of the degree-n chain space."""
+        return sum(len(values) * len(codes) ** n
+                   for values, codes in zip(self.slot0, self.codes))
 
     def words(self, n: int):
-        """The chain layout: a degree-n chain is a slot-0 index s and an
-        interior word u, the tuple of interior codes c_1 .. c_n; words(n)
-        yields the words in rank order, ranks(n) maps each word to its
-        rank, and the chain has index s * interior_radix**n + rank(u)."""
-        return product(range(self.interior_radix), repeat=n)
+        """The chain layout.  A degree-n chain is a slot-0 value s and an
+        interior word u, the tuple of interior codes c_1 .. c_n, with every
+        letter in s's block.  words(n) yields the words block by block, in
+        rank order within each block (degree 0 has the one empty word);
+        ranks(n) maps each word to its rank within its block; blocks(n)
+        pairs each block's slot-0 values with its words.  The chain (s, u)
+        of block b has index offset_b + (s - s_b) * radix_b**n + rank(u),
+        where s_b is the block's first slot-0 value, radix_b its number of
+        interior codes and offset_b counts the chains of the blocks before
+        it; starts(n)[s] is the part before rank(u).  On a one-block window
+        this is s * interior_radix**n + rank(u).
+        """
+        return iter(self.ranks(n))
 
     def ranks(self, n: int) -> dict:
-        if n not in self._ranks:
-            self._ranks[n] = {u: j for j, u in enumerate(self.words(n))}
-        return self._ranks[n]
+        return self._table(n)[1]
+
+    def blocks(self, n: int) -> list:
+        return self._table(n)[0]
+
+    def starts(self, n: int) -> list:
+        return self._table(n)[2]
+
+    def _table(self, n: int):
+        if n not in self._tables:
+            blocks = [(values, list(product(codes, repeat=n)))
+                      for values, codes in zip(self.slot0, self.codes)]
+            ranks = {u: j for _, words in blocks for j, u in enumerate(words)}
+            starts, offset = [], 0
+            for values, words in blocks:
+                starts += [offset + i * len(words) for i in range(len(values))]
+                offset += len(values) * len(words)
+            self._tables[n] = (blocks, ranks, starts)
+        return self._tables[n]
 
     def rebase(self, matrix: SparseMatrix, source: "_SlotData") -> SparseMatrix:
         """A linear map from source's algebra into this one, in the f-bases."""
@@ -104,11 +193,17 @@ class _SlotData:
         return self.e_to_f.matmul(matrix).matmul(f_mat)
 
 
+def _require_degree(window, n: int) -> None:
+    if not 0 <= n <= window.n_max:
+        raise ValidationError("degree %d is outside the window 0..%d"
+                              % (n, window.n_max))
+
+
 class ChainComplexWindow:
     """Degrees 0..n_max of a bar-type complex with explicit boundaries.
 
     boundaries[n] maps degree n to degree n-1; degree-n coordinates follow
-    the chain layout of the window's slot basis (_SlotData).
+    the chain layout of the window's slot basis (_SlotData.words).
     """
 
     def __init__(self, algebra, n_max, variant, module, normalized, slots,
@@ -124,29 +219,29 @@ class ChainComplexWindow:
         self.field = algebra.field
 
     def tuple_of(self, n: int, index: int) -> tuple:
-        if not (0 <= n <= self.n_max and 0 <= index < self.dims[n]):
+        _require_degree(self, n)
+        if not 0 <= index < self.dims[n]:
             raise ValidationError(
                 "index %d is outside the degree-%d chain space" % (index, n))
-        radix = self.slots.interior_radix
-        parts = []
-        for _ in range(n):
-            index, code = divmod(index, radix)
-            parts.append(code)
-        parts.append(index)
-        return tuple(reversed(parts))
+        starts = self.slots.starts(n)
+        s = bisect_right(starts, index) - 1
+        words = self.slots.blocks(n)[self.slots.slot0_label[s]][1]
+        return (s,) + words[index - starts[s]]
 
     def index_of(self, n: int, tup) -> int:
+        _require_degree(self, n)
         if len(tup) != n + 1:
             raise ValidationError("tensor has wrong length for this degree")
-        if not 0 <= tup[0] < self.dims[0]:
-            raise ValidationError("slot-0 index %d is out of range" % tup[0])
-        radix = self.slots.interior_radix
-        index = tup[0]
+        s = tup[0]
+        if not 0 <= s < self.dims[0]:
+            raise ValidationError("slot-0 index %d is out of range" % s)
+        codes = self.slots.codes[self.slots.slot0_label[s]]
         for code in tup[1:]:
-            if not 0 <= code < radix:
-                raise ValidationError("interior code %d is out of range" % code)
-            index = index * radix + code
-        return index
+            if code not in codes:
+                raise ValidationError(
+                    "interior code %d is out of range for slot-0 index %d"
+                    % (code, s))
+        return self.slots.starts(n)[s] + self.slots.ranks(n)[tuple(tup[1:])]
 
     def check_differential(self) -> None:
         for n in range(2, self.n_max + 1):
@@ -156,14 +251,35 @@ class ChainComplexWindow:
                     "boundary squared is nonzero at degree %d" % n)
 
 
+def _check_blocks(A: FDAlgebra, blocks) -> None:
+    field = A.field
+    total = {}
+    for i, e in enumerate(blocks):
+        for j, f in enumerate(blocks):
+            if not vec_equal(A.multiply(e, f), e if i == j else {}, field):
+                raise ValidationError("blocks must be orthogonal idempotents")
+        for k in range(A.dim):
+            x = A.basis_vector(k)
+            if not vec_equal(A.multiply(e, x), A.multiply(x, e), field):
+                raise ValidationError("blocks must be central")
+        vec_axpy(total, field.one, e, field)
+    if not vec_equal(total, A.unit, field):
+        raise ValidationError("blocks must sum to the unit")
+
+
 def bar_complex(A: FDAlgebra, n_max: int, variant: str = "b",
                 coefficients: Bimodule | None = None,
-                normalized: bool = False, budget=None) -> ChainComplexWindow:
+                normalized: bool = False, budget=None,
+                blocks=None) -> ChainComplexWindow:
     """Build degrees 0..n_max of the bar-type complex.
 
     variant "b" is the Hochschild boundary with the wrap-around face,
     "b_prime" omits it.  With coefficients the first face acts through
     the bimodule's right action and the last through its left action.
+    blocks, for a normalized window without coefficients, lists orthogonal
+    central idempotents that sum to the unit; the window is then the
+    complex relative to them, the direct sum of the blocks' normalized
+    complexes (see _SlotData).  The default is the one block [unit].
     """
     budget = budget or default_budget()
     if variant not in ("b", "b_prime"):
@@ -181,24 +297,28 @@ def bar_complex(A: FDAlgebra, n_max: int, variant: str = "b",
             raise NonUnital("coefficient complexes need a unital algebra")
         if coefficients.algebra is not A:
             raise ValidationError("bimodule belongs to a different algebra")
+    if blocks is not None:
+        if not normalized or coefficients is not None:
+            raise ValidationError(
+                "blocks need a normalized window without coefficients")
+        _check_blocks(A, blocks)
     field = A.field
-    slots = _SlotData(A, normalized)
-    radix = slots.interior_radix
+    slot0 = A.dim if coefficients is None else coefficients.dim
+    slots = _SlotData(A, (blocks or [A.unit]) if normalized else None,
+                      None if coefficients is None else slot0)
 
     # slot 0 acted on by f_a: left[a][i] = f_a . x_i, right[a][i] = x_i . f_a
     if coefficients is None:
-        slot0 = A.dim
         left = slots.mulf
         right = [list(col) for col in zip(*slots.mulf)]
     else:
-        slot0 = coefficients.dim
         left, right = [[_action_of(mats, vec, slot0, field).columns()
                         for vec in slots.f_vectors]
                        for mats in (coefficients.left, coefficients.right)]
 
     dims = []
     for n in range(n_max + 1):
-        size = slot0 * (radix ** n)
+        size = slots.dim(n)
         if size > budget.max_chain_dim:
             raise SizeOverflow(
                 "degree-%d chain space needs %d coordinates, budget is %d"
@@ -208,40 +328,39 @@ def bar_complex(A: FDAlgebra, n_max: int, variant: str = "b",
     boundaries = [None]
     for n in range(1, n_max + 1):
         boundaries.append(_boundary_matrix(
-            slots, left, right, variant == "b", n, slot0, dims[n - 1],
-            field))
+            slots, left, right, variant == "b", n, dims, field))
     return ChainComplexWindow(A, n_max, variant, coefficients, normalized,
                               slots, dims, boundaries)
 
 
-def _boundary_matrix(slots, left, right, last_face, n, slot0, dim_tgt,
-                     field):
+def _boundary_matrix(slots, left, right, last_face, n, dims, field):
     f_of, imul = slots.interior, slots.imul
-    rank = slots.ranks(n - 1)
-    step = slots.interior_radix ** (n - 1)
-    words = list(slots.words(n))
-    cols = [None] * (slot0 * len(words))
-    for j, u in enumerate(words):
-        # interior faces: adjacent factors multiply, slot 0 rides along
-        inner = {}
-        for i in range(1, n):
-            for k, c in imul[u[i - 1]][u[i]].items():
-                add_term(inner, rank[u[:i - 1] + (k,) + u[i + 1:]],
-                         field.neg(c) if i % 2 else c, field)
-        first, tail = right[f_of[u[0]]], rank[u[1:]]
-        last, head = left[f_of[u[-1]]], rank[u[:-1]]
-        for s in range(slot0):
-            out = {s * step + r: c for r, c in inner.items()}
-            # face 0: multiply the first interior factor into slot 0
-            for i, c in first[s].items():
-                add_term(out, i * step + tail, c, field)
-            # last face: wrap the final factor around to act on slot 0
-            if last_face:
-                for i, c in last[s].items():
-                    add_term(out, i * step + head,
-                             field.neg(c) if n % 2 else c, field)
-            cols[s * len(words) + j] = out
-    return SparseMatrix.from_columns(cols, dim_tgt, field)
+    rank, start = slots.ranks(n - 1), slots.starts(n - 1)
+    own = slots.starts(n)
+    cols = [None] * dims[n]
+    for values, words in slots.blocks(n):
+        for j, u in enumerate(words):
+            # interior faces: adjacent factors multiply, slot 0 rides along
+            inner = {}
+            for i in range(1, n):
+                for k, c in imul[u[i - 1]][u[i]].items():
+                    add_term(inner, rank[u[:i - 1] + (k,) + u[i + 1:]],
+                             field.neg(c) if i % 2 else c, field)
+            first, tail = right[f_of[u[0]]], rank[u[1:]]
+            last, head = left[f_of[u[-1]]], rank[u[:-1]]
+            # the slot-0 values of the word's block
+            for s in values:
+                out = {start[s] + r: c for r, c in inner.items()}
+                # face 0: multiply the first interior factor into slot 0
+                for i, c in first[s].items():
+                    add_term(out, start[i] + tail, c, field)
+                # last face: wrap the final factor around to act on slot 0
+                if last_face:
+                    for i, c in last[s].items():
+                        add_term(out, start[i] + head,
+                                 field.neg(c) if n % 2 else c, field)
+                cols[own[s] + j] = out
+    return SparseMatrix.from_columns(cols, dims[n - 1], field)
 
 
 def homotopy_s(window: ChainComplexWindow, n: int, chain: dict) -> dict:
@@ -323,6 +442,8 @@ def h_unitality_report(A: FDAlgebra, n_max: int, budget=None) -> str:
     Unital algebras are contractible by the homotopy, so the check only
     carries information without a unit.
     """
+    if n_max < 0:
+        raise ValidationError("n_max must be at least 0")
     if A.is_unital:
         return "not-applicable"
     window = bar_complex(A, n_max + 1, variant="b_prime", budget=budget)
@@ -335,24 +456,41 @@ def h_unitality_report(A: FDAlgebra, n_max: int, budget=None) -> str:
 
 
 def hh(A: FDAlgebra, n_max: int, normalized: bool | None = None,
-       budget=None, check_h_unitality: bool = True) -> HomologyReport:
+       budget=None) -> HomologyReport:
     """Hochschild homology HH_0 .. HH_n_max with canonical representatives.
 
-    normalized defaults to the cheap path for unital algebras; nonunital
-    algebras always use the unnormalized complex, which is exactly the
-    textbook boundary and never touches a unit.  For nonunital input the
-    report carries the empirical H-unitality tri-state.
+    normalized defaults to the cheap path for unital algebras.  That path
+    cuts A by the central idempotents of structure.block_idempotents and
+    works on the complex relative to them: the direct sum of the blocks'
+    normalized complexes, with the homology of the full complex (Loday,
+    Cyclic Homology, ch. 1, homology relative to a separable subalgebra).
+    report.window is that block window; its degree-n chain space has
+    sum_b d_b (d_b - 1)^n coordinates for blocks of dimension d_b.  Every
+    other route keeps one block: bar_complex called directly, the cyclic
+    complexes behind hc, hp and sbi_check, induced maps, Morita maps, the
+    unnormalized and the coefficient complexes.  Nonunital algebras always
+    use the unnormalized complex, which is exactly the textbook boundary
+    and never touches a unit; for them the report carries the empirical
+    H-unitality tri-state.
     """
     if normalized is None:
         normalized = A.is_unital
     if normalized and not A.is_unital:
         raise NonUnital("normalized homology needs a unital algebra")
-    window = bar_complex(A, n_max + 1, variant="b", normalized=normalized,
-                         budget=budget)
-    report = _homology_report(A, window, window.boundaries, n_max)
-    if not A.is_unital and check_h_unitality:
+    blocks = block_idempotents(A, budget=budget) if normalized else None
+    report = _hh(A, n_max, normalized, budget, blocks)
+    if not A.is_unital:
         report.h_unitality = h_unitality_report(A, n_max, budget=budget)
     return report
+
+
+def _hh(A: FDAlgebra, n_max: int, normalized: bool, budget,
+        blocks=None) -> HomologyReport:
+    """HH_0 .. HH_n_max on one bar window, with one block unless blocks
+    are given."""
+    window = bar_complex(A, n_max + 1, variant="b", normalized=normalized,
+                         budget=budget, blocks=blocks)
+    return _homology_report(A, window, window.boundaries, n_max)
 
 
 def hh_with_coefficients(A: FDAlgebra, M: Bimodule, n_max: int,
@@ -386,22 +524,30 @@ def hh0_traces(A: FDAlgebra):
 def _tensor_chain_matrix(src: ChainComplexWindow, tgt: ChainComplexWindow,
                          n: int, slot0_map: SparseMatrix,
                          interior_map: SparseMatrix) -> SparseMatrix:
-    """The map slot0_map (x) interior_map^(x n) in window coordinates."""
+    """The map slot0_map (x) interior_map^(x n) in window coordinates.
+
+    Each image chain must again lie in one block of tgt: one-block targets
+    take any map, block windows a map that keeps every block (the action
+    of a central element, say).
+    """
     field = tgt.field
-    rank = tgt.slots.ranks(n)
-    step = tgt.slots.interior_radix ** n
+    rank, start = tgt.slots.ranks(n), tgt.slots.starts(n)
+    own = src.slots.starts(n)
     interior_cols = interior_map.columns()
-    # the interior image of each source word, as (target rank, coefficient)
-    images = []
-    for u in src.slots.words(n):
-        image = {(): field.one}
-        for code in u:
-            image = {w + (k,): field.mul(c, ck) for w, c in image.items()
-                     for k, ck in interior_cols[code].items()}
-        images.append([(rank[w], c) for w, c in image.items()])
-    cols = [{i * step + r: field.mul(a, c) for i, a in col.items()
-             for r, c in image}
-            for col in slot0_map.columns() for image in images]
+    slot0_cols = slot0_map.columns()
+    cols = [None] * src.dims[n]
+    for values, words in src.slots.blocks(n):
+        for j, u in enumerate(words):
+            # the interior image of the word, as (target rank, coefficient)
+            image = {(): field.one}
+            for code in u:
+                image = {w + (k,): field.mul(c, ck) for w, c in image.items()
+                         for k, ck in interior_cols[code].items()}
+            image = [(rank[w], c) for w, c in image.items()]
+            for s in values:
+                cols[own[s] + j] = {start[i] + r: field.mul(a, c)
+                                    for i, a in slot0_cols[s].items()
+                                    for r, c in image}
     return SparseMatrix.from_columns(cols, tgt.dims[n], field)
 
 
@@ -444,10 +590,9 @@ def induced_map_hh(phi: AlgebraMap, n_max: int,
     if normalized and not phi.unital:
         raise NotMultiplicative(
             "normalized induced maps need a unital map")
-    src_report = hh(phi.source, n_max, normalized=normalized, budget=budget,
-                    check_h_unitality=False)
-    tgt_report = hh(phi.target, n_max, normalized=normalized, budget=budget,
-                    check_h_unitality=False)
+    # one-block windows: phi need not carry blocks into blocks
+    src_report = _hh(phi.source, n_max, normalized, budget)
+    tgt_report = _hh(phi.target, n_max, normalized, budget)
     slot0, interior = _phi_slot_maps(phi, src_report.window,
                                      tgt_report.window)
     chain_maps, hom_maps = [], []
@@ -558,11 +703,19 @@ def _trace_chain(src: ChainComplexWindow, n: int, chain: dict, mats,
 def center_action(window: ChainComplexWindow, z: dict, n: int) -> SparseMatrix:
     """Matrix of z (x) id .. acting on degree n through slot 0.
 
-    For central z this commutes with the boundary at chain level.
+    For central z this commutes with the boundary at chain level.  A
+    window relative to blocks takes central z only: another element would
+    move chains out of their blocks.
     """
     if window.module is not None:
         raise ValidationError("center action is for the coefficient-free complex")
+    _require_degree(window, n)
     slots = window.slots
-    slot0 = slots.rebase(window.algebra.left_mult_matrix(z), slots)
+    A = window.algebra
+    if len(slots.units) > 1 and \
+            not A.left_mult_matrix(z).equals(A.right_mult_matrix(z)):
+        raise ValidationError(
+            "a window relative to blocks carries only central elements")
+    slot0 = slots.rebase(A.left_mult_matrix(z), slots)
     ident = SparseMatrix.identity(slots.interior_radix, window.field)
     return _tensor_chain_matrix(window, window, n, slot0, ident)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import (
     AlgebraMap,
@@ -38,10 +37,10 @@ from .errors import (
     SplittingFieldTooLarge,
     ValidationError,
 )
-from .linalg import (SparseMatrix, Subspace, add_term, dense_to_sparse,
-                     vec_axpy, vec_equal)
-from .scalars import divisors, field_of_order, lift_raw
+from .linalg import SparseMatrix, Subspace, dense_to_sparse, vec_axpy
+from .scalars import field_of_order, lift_raw
 from .structure import (
+    _split_unit,
     center,
     is_nilpotent_subspace,
     jacobson_radical,
@@ -126,192 +125,6 @@ def intersect_subspaces(U: Subspace, V: Subspace) -> Subspace:
     return Subspace.from_vectors(U.ambient_dim, field, vecs)
 
 
-# -- root finding for the idempotent split ----------------------------------------
-
-def _rational_root_candidates(fracs: list) -> list:
-    """Possible rational roots of a rational-coefficient polynomial.
-
-    Standard numerator-denominator divisor candidates after clearing
-    denominators; callers verify every candidate exactly.
-    """
-    coeffs = list(fracs)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    if len(coeffs) <= 1:
-        return []
-    scale = math.lcm(*[f.denominator for f in coeffs])
-    ints = [int(f * scale) for f in coeffs]
-    low = 0
-    while ints[low] == 0:
-        low += 1
-    out = [Fraction(0)] if low > 0 else []
-    lead = ints[-1]
-    for p in divisors(ints[low]):
-        for q in divisors(lead):
-            out.append(Fraction(p, q))
-            out.append(Fraction(-p, q))
-    return out
-
-
-def _eval_is_zero(poly, x, field) -> bool:
-    acc = field.zero
-    for c in reversed(poly):
-        acc = field.add(field.mul(acc, x), c)
-    return field.is_zero(acc)
-
-
-def _roots_in_field(poly, field) -> list:
-    """Roots of a monic polynomial that are rational multiples of roots of unity.
-
-    This family is complete for the corpus; an eigenvalue outside it is
-    treated as unsplittable at this order and escalates the field search.
-    """
-    m = field.order
-    found, seen = [], set()
-    for k in range(max(m, 1)):
-        if m > 1:
-            subbed = [field.mul(c, field.zeta_pow[(k * i) % m])
-                      for i, c in enumerate(poly)]
-        else:
-            subbed = list(poly)
-        lead = field.to_coeffs(subbed[-1])
-        slot = next(i for i, c in enumerate(lead) if c)
-        slot_poly = [field.to_coeffs(c)[slot] for c in subbed]
-        for r in _rational_root_candidates(slot_poly):
-            root = field.scale(field.zeta_pow[k], r) if m > 1 \
-                else field.from_rational(r)
-            key = tuple(field.to_coeffs(root))
-            if key in seen or not _eval_is_zero(poly, root, field):
-                continue
-            seen.add(key)
-            found.append(root)
-    return found
-
-
-def _columns_mul(a_cols, b_cols, field):
-    out = []
-    for col in b_cols:
-        acc = {}
-        for i, c in col.items():
-            vec_axpy(acc, c, a_cols[i], field)
-        out.append(acc)
-    return out
-
-
-def _minimal_polynomial(cols, field) -> list:
-    """Monic minimal polynomial of an operator given by its columns."""
-    d = len(cols)
-    power = [{i: field.one} for i in range(d)]
-    flats = []
-    while True:
-        flat = {}
-        for j, col in enumerate(power):
-            for i, c in col.items():
-                flat[j * d + i] = c
-        combo = SparseMatrix.from_columns(flats, d * d, field).solve(flat)
-        if combo is not None:
-            out = [field.neg(combo.get(i, field.zero))
-                   for i in range(len(flats))]
-            out.append(field.one)
-            return out
-        flats.append(flat)
-        power = _columns_mul(cols, power, field)
-
-
-# -- splitting the center into primitive idempotents ------------------------------
-
-def _component_idempotent(Z: FDAlgebra, space: Subspace) -> dict:
-    # the identity element of an ideal direct summand, found linearly
-    field = Z.field
-    cols = []
-    for w in space.basis:
-        col = {}
-        for j, v in enumerate(space.basis):
-            for c, val in Z.multiply(w, v).items():
-                col[j * Z.dim + c] = val
-        cols.append(col)
-    rhs = {}
-    for j, v in enumerate(space.basis):
-        for c, val in v.items():
-            rhs[j * Z.dim + c] = val
-    sol = SparseMatrix.from_columns(
-        cols, space.dim * Z.dim, field).solve(rhs)
-    if sol is None:
-        raise ValidationError(
-            "a direct summand of the center has no identity element")
-    e = space.linear_combination([sol.get(i, field.zero)
-                                  for i in range(space.dim)])
-    if not vec_equal(Z.multiply(e, e), e, field):
-        raise ValidationError("computed component identity is not idempotent")
-    return e
-
-
-def _component_span(Z: FDAlgebra, e: dict) -> Subspace:
-    return Subspace.from_vectors(
-        Z.dim, Z.field,
-        [Z.multiply(e, Z.basis_vector(i)) for i in range(Z.dim)])
-
-
-def _try_split(Z: FDAlgebra, span: Subspace):
-    """Split one component along an operator whose spectrum lies in the field.
-
-    Returns the idempotents of the pieces, or None when no basis operator
-    separates the component over the current coefficients.
-    """
-    field = Z.field
-    for g in range(Z.dim):
-        cols = span.restrict_operator(
-            Z.left_mult_matrix(Z.basis_vector(g))).columns()
-        roots = _roots_in_field(_minimal_polynomial(cols, field), field)
-        if len(roots) < 2:
-            continue
-        pieces, total = [], 0
-        for lam in roots:
-            shifted = []
-            for i, col in enumerate(cols):
-                entry = dict(col)
-                add_term(entry, i, field.neg(lam), field)
-                shifted.append(entry)
-            ker = SparseMatrix.from_columns(
-                shifted, span.dim, field).kernel_space()
-            if ker.dim:
-                pieces.append(ker)
-                total += ker.dim
-        if total != span.dim or len(pieces) < 2:
-            # eigenvalues are missing at this order; try another operator
-            continue
-        idems = []
-        for piece in pieces:
-            vecs = []
-            for combo in piece.basis:
-                acc = {}
-                for i, c in combo.items():
-                    vec_axpy(acc, c, span.basis[i], field)
-                vecs.append(acc)
-            W = Subspace.from_vectors(Z.dim, field, vecs)
-            idems.append(_component_idempotent(Z, W))
-        return idems
-    return None
-
-
-def _primitive_idempotents(Z: FDAlgebra):
-    """All primitive idempotents of a commutative unital algebra, or None.
-
-    None means some component stayed unsplit over the current field and
-    the caller should retry over a larger one.
-    """
-    comps = [dict(Z.unit)]
-    while True:
-        spans = [_component_span(Z, e) for e in comps]
-        target = next((i for i, s in enumerate(spans) if s.dim > 1), None)
-        if target is None:
-            return comps
-        pieces = _try_split(Z, spans[target])
-        if pieces is None:
-            return None
-        comps[target:target + 1] = pieces
-
-
 # -- the block decomposition ------------------------------------------------------
 
 @dataclass
@@ -371,7 +184,7 @@ def _blocks_over(ext: FDAlgebra, budget):
     Zalg, Zinc = subalgebra_closure(ss, list(central.basis), budget=budget)
     if not Zalg.is_unital:
         raise ValidationError("center of a semisimple quotient lost its unit")
-    idems_z = _primitive_idempotents(Zalg)
+    idems_z = _split_unit(Zalg, complete=True)
     if idems_z is None:
         return None
     idems = sorted((Zinc.apply(e) for e in idems_z),

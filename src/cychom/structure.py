@@ -1,22 +1,31 @@
-"""Structure theory: the center, the Jacobson radical, nilpotency.
+"""Structure theory: the center, the Jacobson radical, nilpotency, and the
+split of a commutative algebra into idempotents.
 
 Everything here is exact.  The radical comes from the kernel of the trace
 form of the left regular representation, which identifies it in
 characteristic zero; semisimplicity of the quotient and nilpotency of the
-radical are rechecked rather than assumed.
+radical are rechecked rather than assumed.  Central idempotents are found
+by splitting the center along operators whose eigenvalues lie in the
+field; spectrum insists on a full split, hochschild takes the blocks the
+field sees.
 """
 
 from __future__ import annotations
+
+import math
+from fractions import Fraction
 
 from .algebra import (
     FDAlgebra,
     TwoSidedIdeal,
     quotient_algebra,
+    subalgebra_closure,
     two_sided_ideal,
     unitalization,
 )
-from .errors import ValidationError
-from .linalg import SparseMatrix, Subspace
+from .errors import NonUnital, ValidationError
+from .linalg import SparseMatrix, Subspace, add_term, vec_axpy, vec_equal
+from .scalars import divisors
 
 
 def center(A: FDAlgebra) -> Subspace:
@@ -108,3 +117,244 @@ def semisimple_quotient(A: FDAlgebra):
     if again:
         raise ValidationError("quotient by the radical is not semisimple")
     return data, radical
+
+
+# -- root finding for the idempotent split ----------------------------------------
+
+def _rational_root_candidates(fracs: list) -> list:
+    """Possible rational roots of a rational-coefficient polynomial.
+
+    Standard numerator-denominator divisor candidates after clearing
+    denominators; callers verify every candidate exactly.
+    """
+    coeffs = list(fracs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    if len(coeffs) <= 1:
+        return []
+    scale = math.lcm(*[f.denominator for f in coeffs])
+    ints = [int(f * scale) for f in coeffs]
+    low = 0
+    while ints[low] == 0:
+        low += 1
+    out = [Fraction(0)] if low > 0 else []
+    lead = ints[-1]
+    for p in divisors(ints[low]):
+        for q in divisors(lead):
+            out.append(Fraction(p, q))
+            out.append(Fraction(-p, q))
+    return out
+
+
+def _eval_is_zero(poly, x, field) -> bool:
+    acc = field.zero
+    for c in reversed(poly):
+        acc = field.add(field.mul(acc, x), c)
+    return field.is_zero(acc)
+
+
+def _roots_in_field(poly, field) -> list:
+    """Roots of a monic polynomial that are rational multiples of roots of unity.
+
+    This family is complete for the corpus; an eigenvalue outside it is
+    treated as unsplittable at this order and escalates the field search.
+    """
+    m = field.order
+    found, seen = [], set()
+    for k in range(max(m, 1)):
+        if m > 1:
+            subbed = [field.mul(c, field.zeta_pow[(k * i) % m])
+                      for i, c in enumerate(poly)]
+        else:
+            subbed = list(poly)
+        lead = field.to_coeffs(subbed[-1])
+        slot = next(i for i, c in enumerate(lead) if c)
+        slot_poly = [field.to_coeffs(c)[slot] for c in subbed]
+        for r in _rational_root_candidates(slot_poly):
+            root = field.scale(field.zeta_pow[k], r) if m > 1 \
+                else field.from_rational(r)
+            key = tuple(field.to_coeffs(root))
+            if key in seen or not _eval_is_zero(poly, root, field):
+                continue
+            seen.add(key)
+            found.append(root)
+    return found
+
+
+def _columns_mul(a_cols, b_cols, field):
+    out = []
+    for col in b_cols:
+        acc = {}
+        for i, c in col.items():
+            vec_axpy(acc, c, a_cols[i], field)
+        out.append(acc)
+    return out
+
+
+def _minimal_polynomial(cols, field) -> list:
+    """Monic minimal polynomial of an operator given by its columns."""
+    d = len(cols)
+    power = [{i: field.one} for i in range(d)]
+    flats = []
+    while True:
+        flat = {}
+        for j, col in enumerate(power):
+            for i, c in col.items():
+                flat[j * d + i] = c
+        combo = SparseMatrix.from_columns(flats, d * d, field).solve(flat)
+        if combo is not None:
+            out = [field.neg(combo.get(i, field.zero))
+                   for i in range(len(flats))]
+            out.append(field.one)
+            return out
+        flats.append(flat)
+        power = _columns_mul(cols, power, field)
+
+
+# -- splitting a commutative algebra into idempotents ------------------------------
+
+def _component_idempotent(Z: FDAlgebra, space: Subspace) -> dict:
+    # the identity element of an ideal direct summand, found linearly
+    field = Z.field
+    cols = []
+    for w in space.basis:
+        col = {}
+        for j, v in enumerate(space.basis):
+            for c, val in Z.multiply(w, v).items():
+                col[j * Z.dim + c] = val
+        cols.append(col)
+    rhs = {}
+    for j, v in enumerate(space.basis):
+        for c, val in v.items():
+            rhs[j * Z.dim + c] = val
+    sol = SparseMatrix.from_columns(
+        cols, space.dim * Z.dim, field).solve(rhs)
+    if sol is None:
+        raise ValidationError(
+            "a direct summand of the center has no identity element")
+    e = space.linear_combination([sol.get(i, field.zero)
+                                  for i in range(space.dim)])
+    if not vec_equal(Z.multiply(e, e), e, field):
+        raise ValidationError("computed component identity is not idempotent")
+    return e
+
+
+def _component_span(Z: FDAlgebra, e: dict) -> Subspace:
+    return Subspace.from_vectors(
+        Z.dim, Z.field,
+        [Z.multiply(e, Z.basis_vector(i)) for i in range(Z.dim)])
+
+
+def _try_split(Z: FDAlgebra, span: Subspace, complete: bool):
+    """Split one component along an operator with an eigenvalue in the field.
+
+    Each eigenvalue in the field gives its eigenspace as a piece; unless
+    complete is set, the eigenvalues outside it, if any, give one more
+    piece together (the components are semisimple, so the operator is
+    diagonalizable over a splitting field).  Returns the idempotents of the
+    pieces, or None when no basis operator separates the component over the
+    current coefficients.
+    """
+    field = Z.field
+    for g in range(Z.dim):
+        cols = span.restrict_operator(
+            Z.left_mult_matrix(Z.basis_vector(g))).columns()
+        poly = _minimal_polynomial(cols, field)
+        roots = _roots_in_field(poly, field)
+        # the eigenvalues outside the field make one more piece
+        outside = len(roots) < len(poly) - 1 and not complete
+        if len(roots) + outside < 2:
+            continue
+        pieces, total, rest = [], 0, None
+        for lam in roots:
+            shifted = []
+            for i, col in enumerate(cols):
+                entry = dict(col)
+                add_term(entry, i, field.neg(lam), field)
+                shifted.append(entry)
+            shifted = SparseMatrix.from_columns(shifted, span.dim, field)
+            ker = shifted.kernel_space()
+            pieces.append(ker)
+            total += ker.dim
+            if outside:
+                # they span the image of the product of the shifts by the
+                # eigenvalues inside the field
+                rest = shifted if rest is None else shifted.matmul(rest)
+        if rest is not None:
+            pieces.append(rest.column_space())
+            total += pieces[-1].dim
+        if total != span.dim:
+            # the operator does not split the component; try another one
+            continue
+        idems = []
+        for piece in pieces:
+            vecs = []
+            for combo in piece.basis:
+                acc = {}
+                for i, c in combo.items():
+                    vec_axpy(acc, c, span.basis[i], field)
+                vecs.append(acc)
+            W = Subspace.from_vectors(Z.dim, field, vecs)
+            idems.append(_component_idempotent(Z, W))
+        return idems
+    return None
+
+
+def _split_unit(Z: FDAlgebra, complete: bool):
+    """Split the unit of a commutative unital algebra into orthogonal
+    idempotents along basis operators whose eigenvalues lie in the field.
+
+    A component that no such operator separates stays whole: a field
+    component such as the Q(zeta_5) summand of QZ5 over Q.  With complete
+    set the first such component of dimension above one ends the search and
+    None is returned, so the caller can retry over a larger field.
+    """
+    comps, whole = [dict(Z.unit)], [False]
+    while True:
+        spans = [_component_span(Z, e) for e in comps]
+        target = next((i for i, s in enumerate(spans)
+                       if s.dim > 1 and not whole[i]), None)
+        if target is None:
+            return comps
+        pieces = _try_split(Z, spans[target], complete)
+        if pieces is None:
+            if complete:
+                return None
+            whole[target] = True
+        else:
+            comps[target:target + 1] = pieces
+            whole[target:target + 1] = [False] * len(pieces)
+
+
+def block_idempotents(A: FDAlgebra, budget=None) -> list:
+    """Orthogonal central idempotents of A that sum to its unit.
+
+    They cut A into the blocks its field sees.  The center modulo its
+    radical is split as far as operators with eigenvalues in the field
+    allow, stopping at field components (QZ5 over Q gives two blocks, over
+    Q(zeta_5) five), and each piece is lifted to the center by
+    e -> 3e^2 - 2e^3.  Idempotents of a commutative algebra lift uniquely
+    modulo a nilpotent ideal, so the lifts are again orthogonal and sum to
+    the unit.
+    """
+    if not A.is_unital:
+        raise NonUnital("blocks are cut by idempotents summing to the unit")
+    field = A.field
+    Z, include = subalgebra_closure(A, center(A).basis, budget=budget)
+    data, _ = semisimple_quotient(Z)
+    comps = _split_unit(data.algebra, complete=False)
+    if len(comps) == 1:
+        return [dict(A.unit)]
+    three, minus_two = field.from_rational(3), field.from_rational(-2)
+    out = []
+    for e in comps:
+        x = data.projection.matrix.solve(e)
+        square = Z.multiply(x, x)
+        while not vec_equal(square, x, field):
+            cube = Z.multiply(square, x)
+            x = {}
+            vec_axpy(x, three, square, field)
+            vec_axpy(x, minus_two, cube, field)
+            square = Z.multiply(x, x)
+        out.append(include.apply(x))
+    return out

@@ -8,6 +8,7 @@ from cychom.algebra import (
     AlgebraMap,
     FDAlgebra,
     diagonal_bimodule,
+    direct_sum,
     functions_on_points,
     ground_field,
     ideal_generated_by,
@@ -144,6 +145,11 @@ def test_B_squares_to_zero_and_anticommutes_with_b():
         # units with several terms: the slot basis is rebased
         bar_complex(functions_on_points(2), 4, normalized=True),
         bar_complex(matrix_algebra(ground_field(), 2), 4, normalized=True),
+        # B on windows relative to the blocks of Q + Q + M_2(Q) and of
+        # Q[x]/x^3 + M_2(Q)
+        hh(group_algebra(symmetric_group_3()), 3).window,
+        hh(direct_sum(truncated_polynomial(3),
+                      matrix_algebra(ground_field(), 2)).algebra, 3).window,
     ]
     for w in windows:
         for n in range(1, 3):
@@ -231,9 +237,13 @@ def test_component_inclusion_roundtrip():
 def test_negative_degrees_are_rejected():
     A = truncated_polynomial(2)
     ident = AlgebraMap.identity(A)
+    w = cyclic_complex(A, 3)
     for call in (lambda: cyclic_complex(A, -1), lambda: hc(A, -1),
                  lambda: hc(A, -1, normalized=False),
-                 lambda: sbi_check(A, -1), lambda: induced_map_hc(ident, -1)):
+                 lambda: sbi_check(A, -1), lambda: induced_map_hc(ident, -1),
+                 # degrees outside the window
+                 lambda: i_matrix(w, -1), lambda: i_matrix(w, 4),
+                 lambda: s_matrix(w, 4), lambda: operator_S(w, 4, {})):
         with pytest.raises(ValidationError):
             call()
 

@@ -3,11 +3,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cychom.algebra import (
     AlgebraMap,
     FDAlgebra,
     diagonal_bimodule,
+    direct_sum,
     ground_field,
     functions_on_points,
     ideal_as_algebra,
@@ -16,11 +18,16 @@ from cychom.algebra import (
     quotient_algebra,
     truncated_polynomial,
     twisted_bimodule,
+    upper_triangular,
 )
 from cychom.config import BUDGET_ENV_VAR, Budget, default_budget
 from cychom.errors import NonUnital, NotMultiplicative, SizeOverflow, ValidationError
-from cychom.groups import group_algebra, group_metadata, symmetric_group_3
+from cychom.crossprod import crossed_product, trivial_action, \
+    variety_crossed_product
+from cychom.groups import FiniteVarietyAction, cyclic_group, group_algebra, \
+    group_metadata, symmetric_group_3
 from cychom.hochschild import (
+    _homology_report,
     bar_complex,
     center_action,
     h_unitality_report,
@@ -33,6 +40,7 @@ from cychom.hochschild import (
 )
 from cychom.linalg import SparseMatrix, homology, vec_equal
 from cychom.spectrum import extend_scalars
+from cychom.structure import block_idempotents
 
 
 def truncated_polynomial_hh_oracle(N, n_max):
@@ -188,6 +196,8 @@ def test_codec_rejects_out_of_range_codes_and_indices():
 def test_negative_degrees_are_rejected():
     A = truncated_polynomial(2)
     ident = AlgebraMap.identity(A)
+    w = bar_complex(A, 2, normalized=True)
+    Z = FDAlgebra(1, 1, {}, labels=["x"])
     calls = [
         lambda: bar_complex(A, -1),
         lambda: hh(A, -1),
@@ -195,6 +205,10 @@ def test_negative_degrees_are_rejected():
         lambda: hh_with_coefficients(A, diagonal_bimodule(A), -1),
         lambda: induced_map_hh(ident, -1),
         lambda: tr_star_and_iota(A, 2, -1),
+        # degrees outside a window, and a negative H-unitality cutoff
+        lambda: center_action(w, {1: 1}, -1),
+        lambda: center_action(w, {1: 1}, 3),
+        lambda: h_unitality_report(Z, -1),
     ]
     for call in calls:
         with pytest.raises(ValidationError):
@@ -524,6 +538,24 @@ def test_center_action_on_a_rebased_slot_basis():
         assert not center_action(w, z, n).equals(total)
 
 
+def test_center_action_on_a_block_window():
+    A = group_algebra(symmetric_group_3())
+    w = hh(A, 2).window
+    z = {1: 1, 2: 1, 3: 1}
+    for n in (1, 2, 3):
+        assert w.boundaries[n].matmul(center_action(w, z, n)).equals(
+            center_action(w, z, n - 1).matmul(w.boundaries[n]))
+    # each block idempotent is the identity on its block's chains
+    for n in range(4):
+        total = SparseMatrix.zero(w.dims[n], w.dims[n], A.field)
+        for e in block_idempotents(A):
+            total = total.add(center_action(w, e, n))
+        assert total.equals(SparseMatrix.identity(w.dims[n], A.field))
+    # a transposition moves chains between blocks
+    with pytest.raises(ValidationError):
+        center_action(w, {1: 1}, 1)
+
+
 def test_center_action_unnormalized():
     A = truncated_polynomial(3)
     z = {1: 1}
@@ -531,3 +563,138 @@ def test_center_action_unnormalized():
     z2 = center_action(w, z, 2)
     z1 = center_action(w, z, 1)
     assert w.boundaries[2].matmul(z2).equals(z1.matmul(w.boundaries[2]))
+
+
+# ---------------------------------------------------------------------------
+# hh relative to the central idempotents
+
+
+def _relabelled(A, seed):
+    """A with its basis permuted by a permutation drawn from the seed."""
+    perm = list(range(A.dim))
+    random.Random(seed).shuffle(perm)
+    new = {old: k for k, old in enumerate(perm)}
+
+    def moved(vec):
+        return {new[k]: c for k, c in vec.items()}
+
+    mul = {(i, j): moved(A.mul[perm[i]][perm[j]])
+           for i in range(A.dim) for j in range(A.dim)}
+    return FDAlgebra(A.dim, A.field_order, mul,
+                     labels=[A.labels[p] for p in perm], unit=moved(A.unit),
+                     name=A.name).require_valid()
+
+
+def _check_relative_hh(A, n_max):
+    """hh's block window against the one-block routes."""
+    rel = hh(A, n_max)
+    one = bar_complex(A, n_max + 1, normalized=True)
+    plain = hh(A, n_max, normalized=False)
+    assert rel.dims == _homology_report(A, one, one.boundaries,
+                                        n_max).dims == plain.dims
+    w = rel.window
+    for d in rel.degrees[1:]:
+        for rep in d.representatives:
+            assert not w.boundaries[d.degree].mat_vec(rep)
+    sizes = [A.left_mult_matrix(e).rank() for e in block_idempotents(A)]
+    assert sum(sizes) == A.dim
+    assert w.dims == [sum(d * (d - 1) ** n for d in sizes)
+                      for n in range(n_max + 2)]
+    # a one-block list is the ordinary normalized window
+    same = bar_complex(A, n_max + 1, normalized=True, blocks=[A.unit])
+    assert same.dims == one.dims
+    for n in range(1, n_max + 2):
+        assert same.boundaries[n].rows == one.boundaries[n].rows
+    if len(sizes) == 1:
+        for n in range(1, n_max + 2):
+            assert w.boundaries[n].rows == one.boundaries[n].rows
+    return rel
+
+
+def _swapfix():
+    act = FiniteVarietyAction(cyclic_group(2), 3, [(0, 1, 2), (1, 0, 2)],
+                              name="swapfix")
+    return variety_crossed_product(act).product
+
+
+@pytest.mark.parametrize("build, n_max, blocks", [
+    (lambda: _relabelled(group_algebra(symmetric_group_3()), 3), 2, 3),
+    (lambda: extend_scalars(group_algebra(symmetric_group_3()), 3), 2, 3),
+    # the Q(zeta5) block of QZ5 does not split over Q
+    (lambda: group_algebra(cyclic_group(5)), 2, 2),
+    # a block with a radical
+    (lambda: direct_sum(truncated_polynomial(3),
+                        matrix_algebra(ground_field(), 2)).algebra, 2, 2),
+    (_swapfix, 2, 3),
+    (lambda: upper_triangular(2), 3, 1),
+], ids=["QS3-relabelled", "QS3-zeta3", "QZ5", "radical", "swapfix", "upper2"])
+def test_relative_hh_matches_the_one_block_routes(build, n_max, blocks):
+    A = build()
+    assert len(block_idempotents(A)) == blocks
+    _check_relative_hh(A, n_max)
+
+
+_SMALL = [lambda: functions_on_points(1), lambda: functions_on_points(2),
+          lambda: truncated_polynomial(2), lambda: upper_triangular(2),
+          lambda: group_algebra(cyclic_group(2))]
+
+
+@settings(max_examples=10, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(range(len(_SMALL))), st.sampled_from(range(len(_SMALL))),
+       st.sampled_from(["direct_sum", "crossed_product", "extend_scalars"]))
+def test_relative_hh_matches_the_one_block_routes_on_drawn_algebras(i, j, how):
+    A = _SMALL[i]()
+    if how == "direct_sum":
+        A = direct_sum(A, _SMALL[j]()).algebra
+    elif how == "crossed_product":
+        A = crossed_product(A, trivial_action(cyclic_group(2), A)).product
+    else:
+        A = extend_scalars(A, 3)
+    _check_relative_hh(A, 2)
+
+
+def test_block_windows_have_a_codec():
+    w = hh(group_algebra(symmetric_group_3()), 2).window
+    slots = w.slots
+    assert sorted(len(v) for v in slots.slot0) == [1, 1, 4]
+    for n in range(4):
+        for index in range(w.dims[n]):
+            tup = w.tuple_of(n, index)
+            assert w.index_of(n, tup) == index
+            # every letter lies in slot 0's block
+            assert {slots.label[slots.interior[k]] for k in tup[1:]} <= \
+                {slots.slot0_label[tup[0]]}
+        ranks = slots.ranks(n)
+        assert list(slots.words(n)) == list(ranks)
+        for values, words in slots.blocks(n):
+            assert [ranks[u] for u in words] == list(range(len(words)))
+    # the one-dimensional blocks have no degree-1 chains, and an interior
+    # code of another block is refused
+    assert w.dims[1] == 4 * 3
+    point = next(v[0] for v in slots.slot0 if len(v) == 1)
+    with pytest.raises(ValidationError):
+        w.index_of(1, (point, 0))
+
+
+def test_blocks_must_cut_the_algebra_into_a_direct_sum():
+    A = functions_on_points(2)
+    for blocks in ([{0: 1}], [{0: 1}, {0: 1, 1: 1}], [{0: 1}, {1: 2}]):
+        with pytest.raises(ValidationError):
+            bar_complex(A, 2, normalized=True, blocks=blocks)
+    T = upper_triangular(2)
+    corner = {T.labels.index("E11"): 1}
+    rest = {k: c for k, c in T.unit.items() if k not in corner}
+    with pytest.raises(ValidationError):
+        bar_complex(T, 2, normalized=True, blocks=[corner, rest])
+    with pytest.raises(ValidationError):
+        bar_complex(A, 2, blocks=[A.unit])
+
+
+def test_budget_counts_the_block_window(monkeypatch):
+    A = group_algebra(symmetric_group_3())
+    monkeypatch.setenv(BUDGET_ENV_VAR, "1000")
+    # degree 5 holds 4 * 3^5 = 972 block coordinates, 6 * 5^5 = 18,750
+    # one-block ones
+    assert hh(A, 4).dims == [3, 0, 0, 0, 0]
+    with pytest.raises(SizeOverflow):
+        bar_complex(A, 5, normalized=True)

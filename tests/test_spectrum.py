@@ -7,6 +7,8 @@ import pytest
 
 from cychom.algebra import (
     AlgebraMap,
+    FDAlgebra,
+    direct_sum,
     functions_on_points,
     ground_field,
     ideal_as_algebra,
@@ -33,7 +35,7 @@ from cychom.groups import (
     symmetric_group_3,
 )
 from cychom.hochschild import hh
-from cychom.linalg import Subspace
+from cychom.linalg import Subspace, vec_add, vec_equal
 from cychom.scalars import field_of_order
 from cychom.spectrum import (
     IdealFiltration,
@@ -47,7 +49,7 @@ from cychom.spectrum import (
     weakly_spectrum_preserving_check,
     wedderburn_blocks,
 )
-from cychom.structure import center, jacobson_radical
+from cychom.structure import block_idempotents, center, jacobson_radical
 
 
 def algebra_corpus():
@@ -176,6 +178,80 @@ def test_blocks_of_s3_match_the_grid_search():
     field = A.field
     found = {vec_key(b.idempotent, field) for b in report.blocks}
     assert found == {vec_key(e, field) for e in atoms}
+
+
+def test_blocks_of_three_groups_are_unchanged():
+    # the split step is shared with block_idempotents; the reports keep
+    # their idempotents, in order
+    F = Fraction
+    s, t = F(1, 6), F(1, 8)
+    expected = {
+        "S3": [{0: s, 1: -s, 2: -s, 3: -s, 4: s, 5: s},
+               {0: s, 1: s, 2: s, 3: s, 4: s, 5: s},
+               {0: F(2, 3), 4: F(-1, 3), 5: F(-1, 3)}],
+        "D4": [{0: t, 1: -t, 2: t, 3: -t, 4: -t, 5: t, 6: -t, 7: t},
+               {0: t, 1: -t, 2: t, 3: -t, 4: t, 5: -t, 6: t, 7: -t},
+               {0: t, 1: t, 2: t, 3: t, 4: -t, 5: -t, 6: -t, 7: -t},
+               {k: t for k in range(8)},
+               {0: F(1, 2), 2: F(-1, 2)}],
+    }
+    for G, sizes in ((symmetric_group_3(), (1, 1, 2)),
+                     (dihedral_group_4(), (1, 1, 1, 1, 2))):
+        report = wedderburn_blocks(group_algebra(G))
+        assert (report.field_order, report.sizes) == (1, sizes)
+        assert [b.idempotent for b in report.blocks] == expected[G.name]
+    report = wedderburn_blocks(group_algebra(cyclic_group(5)))
+    assert (report.field_order, report.sizes) == (5, (1,) * 5)
+    field = report.algebra.field
+    assert {vec_key(b.idempotent, field) for b in report.blocks} == \
+        {vec_key(e, field) for e in cyclic_character_idempotents(5)}
+
+
+@pytest.mark.parametrize("A, count", [
+    (group_algebra(symmetric_group_3()), 3),
+    (group_algebra(cyclic_group(5)), 2),
+    (extend_scalars(group_algebra(cyclic_group(5)), 5), 5),
+    (truncated_polynomial(3), 1),
+    (upper_triangular(2), 1),
+    # Q[Z4] = Q + Q + Q(i)
+    (group_algebra(cyclic_group(4)), 3),
+], ids=["QS3", "QZ5", "QZ5-zeta5", "cubic", "upper2", "QZ4"])
+def test_block_idempotents_cut_the_unit(A, count):
+    field = A.field
+    blocks = block_idempotents(A)
+    assert len(blocks) == count
+    total = {}
+    for i, e in enumerate(blocks):
+        for j, f in enumerate(blocks):
+            assert vec_equal(A.multiply(e, f), e if i == j else {}, field)
+        assert A.left_mult_matrix(e).equals(A.right_mult_matrix(e))
+        total = vec_add(total, e, field)
+    assert vec_equal(total, A.unit, field)
+
+
+def test_block_idempotents_lift_through_the_radical():
+    # Q[x]/x^3 + Q + Q(zeta_5): the center has a radical, and the lifted
+    # idempotents are the units of the summands
+    A = direct_sum(truncated_polynomial(3),
+                   direct_sum(ground_field(),
+                              group_algebra(cyclic_group(5))).algebra).algebra
+    blocks = block_idempotents(A)
+    assert len(blocks) == 4
+    assert sorted(A.left_mult_matrix(e).rank() for e in blocks) == [1, 1, 3, 4]
+    # Q[t]/t^2(t - 1) on the basis t, t^2, 1: the radical is spanned by
+    # t - t^2, the residue of the idempotent t^2 lifts first to t, and
+    # 3t^2 - 2t^3 corrects that to t^2
+    B = FDAlgebra(3, 1, {(0, 0): {1: 1}, (0, 1): {1: 1}, (1, 0): {1: 1},
+                         (1, 1): {1: 1}, (2, 0): {0: 1}, (0, 2): {0: 1},
+                         (2, 1): {1: 1}, (1, 2): {1: 1}, (2, 2): {2: 1}},
+                  unit={2: 1}).require_valid()
+    blocks = block_idempotents(B)
+    assert {vec_key(e, B.field) for e in blocks} == \
+        {vec_key({1: 1}, B.field), vec_key({1: -1, 2: 1}, B.field)}
+    assert hh(B, 3).dims == hh(B, 3, normalized=False).dims
+    with pytest.raises(NonUnital):
+        block_idempotents(ideal_as_algebra(
+            two_sided_ideal(truncated_polynomial(2), [{1: 1}]))[0])
 
 
 def test_blocks_of_z4_are_the_character_averages():
