@@ -9,6 +9,7 @@ stabilizing the images of the periodicity operator.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .algebra import AlgebraMap, FDAlgebra, TwoSidedIdeal, direct_sum, \
@@ -49,38 +50,39 @@ def cyclic_t(window: ChainComplexWindow, n: int, chain: dict) -> dict:
     return out
 
 
-def _B_matrix(window: ChainComplexWindow, n: int, chains=None) -> SparseMatrix:
-    """B = (1 - t) s N on degree-n basis chains, one column each.
+def _B_rows(window: ChainComplexWindow, n: int, chains, rows) -> None:
+    """Add B = (1 - t) s N on degree-n basis chains into rows.
 
-    chains lists (slot-0 value, interior word) pairs; by default every
-    chain, in index order: block by block, slot-0 value, then word.  s puts
-    the unit of the chain's block into slot 0 (on a normalized window that
-    is the block's idempotent, an f-index outside the interior); the t-image
-    of that puts it into the first interior slot.  Read in the window's slot
-    basis, a term that puts a vector outside the interior into an interior
-    slot is zero: when slot 0 holds such a vector only the last rotation's
-    t-image survives, and only the interior part of the unit enters the
-    t-images.
+    chains lists (slot-0 value, interior word) pairs; the column of
+    chains[col] goes into rows[target][col].  Rotating a closed walk gives
+    a closed walk, cut at another state; s puts the idempotent of the
+    state at the cut into slot 0 (on a one-state unnormalized window the
+    unit, on a normalized window e_i, an f-index outside the interior),
+    and the t-image of that puts it into the first interior slot.  Read
+    in the window's slot basis, a term that puts a vector outside the
+    interior into an interior slot is zero: when slot 0 holds such a
+    vector only the last rotation's t-image survives, and only the
+    interior part of the idempotent enters the t-images.
     """
     slots = window.slots
     field = window.field
     f_of, code, label = slots.interior, slots.code, slots.slot0_label
     rank, start = slots.ranks(n + 1), slots.starts(n + 1)
-    if chains is None:
-        chains = [(s, u) for values, words in slots.blocks(n)
-                  for s in values for u in words]
-    # each block's unit, and its interior part, with both signs
+    # each state's idempotent, and its interior part, with both signs
     units = [([(f, (c, field.neg(c))) for f, c in e.items()],
               [(code[f], (c, field.neg(c))) for f, c in e.items() if f in code])
              for e in slots.units]
-    rows = [{} for _ in range(window.dims[n + 1])]
+    # the idempotent of the state each interior code leaves
+    leaves = [units[i] for i, _ in slots.code_label]
     for col, (s0, word) in enumerate(chains):
-        unit, inner = units[label[s0]]
         c0 = code.get(s0)
         whole = (c0,) + word
+        home = units[label[s0][0]]
         for j in range(n if c0 is None else 0, n + 1):
-            # rotate j places: the last j factors move to the front
+            # rotate j places: the last j factors move to the front, and
+            # the cut sits at the state the first of them leaves
             rot = whole[n + 1 - j:] + whole[:n + 1 - j]
+            unit, inner = leaves[rot[0]] if j else home
             if c0 is not None:
                 for u, c in unit:
                     add_term(rows[start[u] + rank[rot]], col, c[n * j % 2],
@@ -89,11 +91,22 @@ def _B_matrix(window: ChainComplexWindow, n: int, chains=None) -> SparseMatrix:
             for k, c in inner:
                 add_term(rows[start[lead] + rank[(k,) + rot[:-1]]], col,
                          c[n * (j + 1) % 2], field)
-    return SparseMatrix(len(rows), len(chains), field, rows=rows)
+
+
+def _B_matrix(window: ChainComplexWindow, n: int) -> SparseMatrix:
+    """B out of degree n, on every chain in index order."""
+    chains = [(s, u) for values, words in window.slots.blocks(n)
+              for s in values for u in words]
+    rows = [{} for _ in range(window.dims[n + 1])]
+    _B_rows(window, n, chains, rows)
+    return SparseMatrix(len(rows), len(chains), window.field, rows=rows)
 
 
 def operator_B(window: ChainComplexWindow, n: int, chain: dict) -> dict:
-    """Connes' degree-raising differential applied to a degree-n chain."""
+    """Connes' degree-raising differential applied to a degree-n chain.
+
+    Only the chain's own columns of B are built.
+    """
     if not window.algebra.is_unital:
         raise NonUnital("the B operator inserts the unit")
     if window.module is not None:
@@ -101,9 +114,16 @@ def operator_B(window: ChainComplexWindow, n: int, chain: dict) -> dict:
     if n + 1 > window.n_max:
         raise ValidationError(
             "window too short: degree %d is not stored" % (n + 1))
+    field = window.field
     tuples = [window.tuple_of(n, index) for index in chain]
-    B = _B_matrix(window, n, [(t[0], t[1:]) for t in tuples])
-    return B.mat_vec(dict(enumerate(chain.values())))
+    rows = defaultdict(dict)
+    _B_rows(window, n, [(t[0], t[1:]) for t in tuples], rows)
+    values = list(chain.values())
+    out = {}
+    for target, row in rows.items():
+        for col, c in row.items():
+            add_term(out, target, field.mul(values[col], c), field)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,15 @@ two a window is, and how a chain index splits into slot 0 and an interior
 word, gets decided in one place, its slot basis (_SlotData): every
 boundary, operator and chain map reads that basis as tables.
 
-A normalized window may also be relative to orthogonal central
-idempotents e_1 .. e_r summing to the unit.  Every slot-0 value and
-interior code then carries a block label, a chain has all its factors in
-one block e_b A, and the window is the direct sum of the blocks'
-normalized complexes, block after block; a block of dimension d_b holds
-d_b (d_b - 1)^n chains in degree n.  hh takes this route with the blocks of
-structure.block_idempotents.  Every other window has one block (r = 1):
+A normalized window may also be relative to orthogonal idempotents
+e_1 .. e_r summing to the unit, central or not.  Every slot-0 value and
+interior code then lies in one Peirce piece e_i A e_j and carries the
+state pair (i, j); a chain is a closed walk
+e_(i_0) A e_(i_1) (x) e_(i_1) A e_(i_2) (x) .. (x) e_(i_n) A e_(i_0), and no
+e_i enters an interior slot.  Central idempotents are the case of one
+state per block, where the window is the direct sum of the blocks'
+normalized complexes.  hh takes this route with the idempotents of
+structure.split_idempotents.  Every other window has one state (r = 1):
 bar_complex unless given blocks, the cyclic complexes behind hc, hp and
 sbi_check, induced maps, Morita maps, and the unnormalized and
 coefficient complexes.
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import product
+from itertools import groupby
 
 from .config import default_budget
 from .errors import (
@@ -45,7 +47,7 @@ from .linalg import (
 from .algebra import AlgebraMap, Bimodule, FDAlgebra, _action_of, \
     _unflatten, matrix_algebra
 from .scalars import lift_raw
-from .structure import block_idempotents
+from .structure import split_idempotents
 
 
 class _SlotData:
@@ -58,19 +60,26 @@ class _SlotData:
     an f-index to its code.  imul[s][t] is the product of the codes s and t
     with its part outside the interior dropped.
 
-    Every f-index carries a block label, label[f], and units[b] is the
-    unit of block b in f-coordinates.  Unnormalized windows keep the
-    algebra's basis as one block, whose unit is the algebra's (None without
-    one), and let every index into every slot.  Normalized windows take
-    orthogonal central idempotents e_b that sum to the unit and rebase onto
-    a Peirce basis: block b is e_b followed by a basis of e_b A without
-    e_b, and its unit is e_b.  No e_b enters
-    the interior: the window is the complex relative to E = span(e_b),
-    A (x)_(E^e) (A/E)^((x)_E n), where a tensor with an e_b in an interior
-    slot is zero, and so is one whose factors lie in different blocks.
-    The one-idempotent list [unit] gives the ordinary normalized complex.
-    On a window with coefficients slot 0 runs over the bimodule's basis
-    instead, slot0 of them, all in block 0 (such windows have one block).
+    Every f-index carries a state pair, label[f] = (i, j), and units[i] is
+    the idempotent of state i in f-coordinates.  Unnormalized windows keep
+    the algebra's basis with the one state (0, 0), whose unit is the
+    algebra's (None without one), and let every index into every slot.
+    Normalized windows take orthogonal idempotents e_0 .. e_(r-1), central
+    or not, that sum to the unit and rebase onto a Peirce basis: the pieces
+    e_i A e_j in the order (0, 0), (0, 1), .., (r-1, r-1), each spanned by
+    columns e_i x e_j, with e_i first in its piece (i, i); f-indices of
+    piece (i, j) carry the label (i, j).  No e_i enters the interior: the
+    window is the complex relative to E = span(e_i),
+    A (x)_(E^e) (A/E)^((x)_E n), whose chains are the closed walks
+    e_(i_0) A e_(i_1) (x) e_(i_1) A e_(i_2) (x) .. (x) e_(i_n) A e_(i_0).
+    The one-idempotent list [unit] gives the ordinary normalized complex,
+    and central idempotents give one state per block, with no piece
+    between two blocks.  On a window with coefficients slot 0 runs over
+    the bimodule's basis instead, slot0 of them, all with the state (0, 0)
+    (such windows have one state).
+
+    slot0 lists the slot-0 values as runs of one piece each, and pieces
+    the piece of each run.
     """
 
     def __init__(self, A: FDAlgebra, idempotents, slot0: int | None = None):
@@ -81,87 +90,105 @@ class _SlotData:
             self.e_to_f = SparseMatrix.identity(d, field)
             self.mulf = A.mul
             self.units = [A.unit]
-            self.label = [0] * d
+            self.label = [(0, 0)] * d
             self.interior = list(range(d))
         else:
             self._peirce(A, idempotents)
+            # pieces (i, j) and (k, l) multiply to zero unless j == k
             self.mulf = [[self.e_to_f.mat_vec(A.multiply(x, y))
-                          for y in self.f_vectors] for x in self.f_vectors]
+                          if a[1] == b[0] else {}
+                          for y, b in zip(self.f_vectors, self.label)]
+                         for x, a in zip(self.f_vectors, self.label)]
         self.code = {f: k for k, f in enumerate(self.interior)}
         self.interior_radix = len(self.interior)
         self.imul = [[{self.code[k]: c for k, c in self.mulf[a][b].items()
                        if k in self.code}
                       for b in self.interior] for a in self.interior]
-        # the slot-0 values and the interior codes of each block; both
-        # are runs, since the f-basis lists the blocks in order
-        self.slot0_label = self.label if slot0 is None else [0] * slot0
-        code_label = [self.label[f] for f in self.interior]
-        self.slot0, self.codes = [[range(bisect_left(labels, b),
-                                         bisect_right(labels, b))
-                                   for b in range(len(self.units))]
-                                  for labels in (self.slot0_label, code_label)]
+        self.slot0_label = self.label if slot0 is None else [(0, 0)] * slot0
+        self.slot0, self.pieces = [], []
+        for piece, run in groupby(self.slot0_label):
+            first = self.slot0[-1].stop if self.slot0 else 0
+            self.slot0.append(range(first, first + len(list(run))))
+            self.pieces.append(piece)
+        self.group = [g for g, values in enumerate(self.slot0) for _ in values]
+        # steps[i][j]: the codes of the piece (i, j), a run since the
+        # pieces are listed in order
+        self.code_label = [self.label[f] for f in self.interior]
+        states = range(len(self.units))
+        self.steps = [[range(bisect_left(self.code_label, (i, j)),
+                             bisect_right(self.code_label, (i, j)))
+                       for j in states] for i in states]
         self._tables = {}
 
     def _peirce(self, A: FDAlgebra, idempotents) -> None:
         field = A.field
-        self.f_vectors, self.label, self.units = [], [], []
+        self.f_vectors, self.label = [], []
+        self.units = [None] * len(idempotents)
         cols = [{} for _ in range(A.dim)]
-        for b, e in enumerate(idempotents):
-            # the columns e x_j span e A; the pivot columns v_k of their
-            # echelon form are a basis, e x_j = sum_k rows[k][j] v_k, and
-            # e = e e has the coordinates c_k = sum_j rows[k][j] e_j
-            if len(idempotents) == 1:
-                # the unit's block is all of A
-                mult = SparseMatrix.identity(A.dim, field)
-                rows, pivots = mult.rows, range(A.dim)
-            else:
-                mult = A.left_mult_matrix(e)
-                rows, pivots = mult.rref()
-            c = SparseMatrix(len(rows), A.dim, field, rows=rows).mat_vec(e)
-            top = min(c)
-            first = len(self.f_vectors)
-            self.units.append({first: field.one})
-            self.f_vectors.append(dict(e))
+        for i, j, rows, basis in _pieces(A, idempotents):
+            # e_i x_k e_j = sum_q rows[q][k] basis[q]; on the diagonal
+            # e_i = e_i e_i e_i has the coordinates c_q = sum_k rows[q][k] e_k
+            e = idempotents[i]
+            top = c = None
+            if i == j:
+                c = SparseMatrix(len(rows), A.dim, field,
+                                 rows=rows).mat_vec(e)
+                top = min(c)
+                first = len(self.f_vectors)
+                self.units[i] = {first: field.one}
+                self.f_vectors.append(dict(e))
             place = {}
-            for k, p in enumerate(pivots):
+            for k, v in enumerate(basis):
                 if k != top:
                     place[k] = len(self.f_vectors)
-                    self.f_vectors.append(mult.columns()[p])
-            self.label += [b] * len(pivots)
-            # v_top = (e - sum_(k != top) c_k v_k) / c_top
-            inv = field.inv(c[top])
+                    self.f_vectors.append(v)
+            self.label += [(i, j)] * len(basis)
+            # x_k is the sum of its pieces; on the diagonal
+            # v_top = (e - sum_(q != top) c_q v_q) / c_top
+            inv = None if top is None else field.inv(c[top])
             for k, row in enumerate(rows):
-                for j, r in row.items():
+                for m, r in row.items():
                     if k != top:
-                        add_term(cols[j], place[k], r, field)
+                        add_term(cols[m], place[k], r, field)
                         continue
                     scale = field.mul(r, inv)
-                    add_term(cols[j], first, scale, field)
+                    add_term(cols[m], first, scale, field)
                     for k2, ck in c.items():
                         if k2 != top:
-                            add_term(cols[j], place[k2],
+                            add_term(cols[m], place[k2],
                                      field.neg(field.mul(ck, scale)), field)
         self.e_to_f = SparseMatrix.from_columns(cols, A.dim, field)
         firsts = {f for e in self.units for f in e}
         self.interior = [f for f in range(A.dim) if f not in firsts]
 
     def dim(self, n: int) -> int:
-        """The dimension of the degree-n chain space."""
-        return sum(len(values) * len(codes) ** n
-                   for values, codes in zip(self.slot0, self.codes))
+        """The dimension of the degree-n chain space, from walk counts."""
+        states = range(len(self.units))
+        # walks[j][i] counts the walks of length n from j to i
+        walks = [[int(i == j) for i in states] for j in states]
+        for _ in range(n):
+            walks = [[sum(row[t] * len(self.steps[t][i]) for t in states)
+                      for i in states] for row in walks]
+        return sum(len(values) * walks[j][i]
+                   for values, (i, j) in zip(self.slot0, self.pieces))
 
     def words(self, n: int):
         """The chain layout.  A degree-n chain is a slot-0 value s and an
-        interior word u, the tuple of interior codes c_1 .. c_n, with every
-        letter in s's block.  words(n) yields the words block by block, in
-        rank order within each block (degree 0 has the one empty word);
-        ranks(n) maps each word to its rank within its block; blocks(n)
-        pairs each block's slot-0 values with its words.  The chain (s, u)
-        of block b has index offset_b + (s - s_b) * radix_b**n + rank(u),
-        where s_b is the block's first slot-0 value, radix_b its number of
-        interior codes and offset_b counts the chains of the blocks before
-        it; starts(n)[s] is the part before rank(u).  On a one-block window
-        this is s * interior_radix**n + rank(u).
+        interior word u, the tuple of interior codes c_1 .. c_n, that close
+        up to a walk: if s lies in the piece (i, j), c_1 leaves j, each
+        letter leaves the state the one before it enters, and c_n enters
+        i.  blocks(n) pairs each run of slot-0 values of one piece (i, j)
+        with its words, the walks of length n from j to i: the walks of
+        length n - 1 from j to each state t in turn, each followed by every
+        code of the piece (t, i) in increasing order (degree 0 has the one
+        empty word, a walk from j to j).  With one state, or one state per
+        block, that is lexicographic order.  words(n) yields the words
+        group by group, and ranks(n) maps each word to its rank within
+        its group.  The chain (s, u) of group g has index
+        offset_g + (s - s_g) * #walks_g + rank(u), where s_g is the group's
+        first slot-0 value and offset_g counts the chains of the groups
+        before it; starts(n)[s] is the part before rank(u).  On a one-state
+        window this is s * interior_radix**n + rank(u).
         """
         return iter(self.ranks(n))
 
@@ -176,9 +203,16 @@ class _SlotData:
 
     def _table(self, n: int):
         if n not in self._tables:
-            blocks = [(values, list(product(codes, repeat=n)))
-                      for values, codes in zip(self.slot0, self.codes)]
-            ranks = {u: j for _, words in blocks for j, u in enumerate(words)}
+            states = range(len(self.units))
+            # walks[j][i]: the walks of length n from j to i
+            walks = [[[()] if i == j else [] for i in states] for j in states]
+            for _ in range(n):
+                walks = [[[u + (k,) for t in states for u in row[t]
+                           for k in self.steps[t][i]] for i in states]
+                         for row in walks]
+            blocks = [(values, walks[j][i])
+                      for values, (i, j) in zip(self.slot0, self.pieces)]
+            ranks = {u: r for _, words in blocks for r, u in enumerate(words)}
             starts, offset = [], 0
             for values, words in blocks:
                 starts += [offset + i * len(words) for i in range(len(values))]
@@ -191,6 +225,34 @@ class _SlotData:
         f_mat = SparseMatrix.from_columns(source.f_vectors, matrix.ncols,
                                           matrix.field)
         return self.e_to_f.matmul(matrix).matmul(f_mat)
+
+
+def _pieces(A: FDAlgebra, idempotents):
+    """Yield (i, j, rows, basis) for each Peirce piece e_i A e_j: basis
+    spans it and e_i x_k e_j = sum_q rows[q][k] basis[q]."""
+    field = A.field
+    if len(idempotents) == 1:
+        # the unit's piece is all of A
+        ident = SparseMatrix.identity(A.dim, field)
+        yield 0, 0, ident.rows, ident.columns()
+        return
+    rights = [A.right_mult_matrix(e) for e in idempotents]
+    for i, e in enumerate(idempotents):
+        # the pivot columns u_p of the columns e x_k span e A, and
+        # e x_k = sum_p lrows[p][k] u_p
+        left = A.left_mult_matrix(e)
+        lrows, lpivots = left.rref()
+        ideal = [left.columns()[p] for p in lpivots]
+        lrows = SparseMatrix(len(lrows), A.dim, field, rows=lrows)
+        for j, right in enumerate(rights):
+            # the u_p e_j span e A e_j, with the pivot columns v_q of their
+            # echelon form as a basis: u_p e_j = sum_q wrows[q][p] v_q
+            mult = SparseMatrix.from_columns(
+                [right.mat_vec(u) for u in ideal], A.dim, field)
+            wrows, pivots = mult.rref()
+            rows = SparseMatrix(len(wrows), len(ideal), field,
+                                rows=wrows).matmul(lrows).rows
+            yield i, j, rows, [mult.columns()[q] for q in pivots]
 
 
 def _require_degree(window, n: int) -> None:
@@ -225,23 +287,31 @@ class ChainComplexWindow:
                 "index %d is outside the degree-%d chain space" % (index, n))
         starts = self.slots.starts(n)
         s = bisect_right(starts, index) - 1
-        words = self.slots.blocks(n)[self.slots.slot0_label[s]][1]
+        words = self.slots.blocks(n)[self.slots.group[s]][1]
         return (s,) + words[index - starts[s]]
 
     def index_of(self, n: int, tup) -> int:
+        """The index of a chain (s, c_1, .., c_n); refuses a tuple that is
+        not a closed walk (see _SlotData.words)."""
         _require_degree(self, n)
         if len(tup) != n + 1:
             raise ValidationError("tensor has wrong length for this degree")
+        slots = self.slots
         s = tup[0]
-        if not 0 <= s < self.dims[0]:
+        if not 0 <= s < len(slots.slot0_label):
             raise ValidationError("slot-0 index %d is out of range" % s)
-        codes = self.slots.codes[self.slots.slot0_label[s]]
+        home, state = slots.slot0_label[s]
         for code in tup[1:]:
-            if code not in codes:
+            if not 0 <= code < slots.interior_radix or \
+                    slots.code_label[code][0] != state:
                 raise ValidationError(
-                    "interior code %d is out of range for slot-0 index %d"
-                    % (code, s))
-        return self.slots.starts(n)[s] + self.slots.ranks(n)[tuple(tup[1:])]
+                    "interior code %d does not continue the walk of slot-0 "
+                    "index %d" % (code, s))
+            state = slots.code_label[code][1]
+        if state != home:
+            raise ValidationError(
+                "the tensor %r is not a closed walk" % (tup,))
+        return slots.starts(n)[s] + slots.ranks(n)[tuple(tup[1:])]
 
     def check_differential(self) -> None:
         for n in range(2, self.n_max + 1):
@@ -252,19 +322,19 @@ class ChainComplexWindow:
 
 
 def _check_blocks(A: FDAlgebra, blocks) -> None:
+    # nonzero idempotents that sum to the unit are orthogonal in
+    # characteristic zero: their left multiplications are projections whose
+    # ranks (= traces) add up to the dimension, so their images are
+    # independent
     field = A.field
     total = {}
-    for i, e in enumerate(blocks):
-        for j, f in enumerate(blocks):
-            if not vec_equal(A.multiply(e, f), e if i == j else {}, field):
-                raise ValidationError("blocks must be orthogonal idempotents")
-        for k in range(A.dim):
-            x = A.basis_vector(k)
-            if not vec_equal(A.multiply(e, x), A.multiply(x, e), field):
-                raise ValidationError("blocks must be central")
+    for e in blocks:
+        if not e or not vec_equal(A.multiply(e, e), e, field):
+            raise ValidationError("blocks must be nonzero idempotents")
         vec_axpy(total, field.one, e, field)
     if not vec_equal(total, A.unit, field):
-        raise ValidationError("blocks must sum to the unit")
+        raise ValidationError(
+            "blocks must be orthogonal idempotents summing to the unit")
 
 
 def bar_complex(A: FDAlgebra, n_max: int, variant: str = "b",
@@ -276,10 +346,12 @@ def bar_complex(A: FDAlgebra, n_max: int, variant: str = "b",
     variant "b" is the Hochschild boundary with the wrap-around face,
     "b_prime" omits it.  With coefficients the first face acts through
     the bimodule's right action and the last through its left action.
-    blocks, for a normalized window without coefficients, lists orthogonal
-    central idempotents that sum to the unit; the window is then the
-    complex relative to them, the direct sum of the blocks' normalized
-    complexes (see _SlotData).  The default is the one block [unit].
+    blocks, for a normalized window without coefficients, lists nonzero
+    orthogonal idempotents, central or not, that sum to the unit; the
+    window is then the complex relative to them, whose chains are closed
+    walks through their Peirce pieces (see _SlotData).  Central
+    idempotents make it the direct sum of the blocks' normalized
+    complexes.  The default is the one idempotent [unit].
     """
     budget = budget or default_budget()
     if variant not in ("b", "b_prime"):
@@ -460,15 +532,18 @@ def hh(A: FDAlgebra, n_max: int, normalized: bool | None = None,
     """Hochschild homology HH_0 .. HH_n_max with canonical representatives.
 
     normalized defaults to the cheap path for unital algebras.  That path
-    cuts A by the central idempotents of structure.block_idempotents and
-    works on the complex relative to them: the direct sum of the blocks'
-    normalized complexes, with the homology of the full complex (Loday,
-    Cyclic Homology, ch. 1, homology relative to a separable subalgebra).
-    report.window is that block window; its degree-n chain space has
-    sum_b d_b (d_b - 1)^n coordinates for blocks of dimension d_b.  Every
-    other route keeps one block: bar_complex called directly, the cyclic
-    complexes behind hc, hp and sbi_check, induced maps, Morita maps, the
-    unnormalized and the coefficient complexes.  Nonunital algebras always
+    cuts A by the orthogonal idempotents of structure.split_idempotents,
+    which refine the blocks and need not be central, and works on the
+    complex relative to them, with the homology of the full complex
+    (Loday, Cyclic Homology, ch. 1, homology relative to a separable
+    subalgebra).  report.window is that walk window: its degree-n chains
+    are the closed walks e_(i_0) A e_(i_1) (x) .. (x) e_(i_n) A e_(i_0)
+    with no e_i in an interior slot, so M_3(Q) with its diagonal
+    idempotents has 3 * 2^n of them, against 9 * 8^n on the ordinary
+    normalized complex.  Every other route keeps one idempotent: bar_complex
+    called directly, the cyclic complexes behind hc, hp and sbi_check,
+    induced maps, Morita maps, the unnormalized and the coefficient
+    complexes.  Nonunital algebras always
     use the unnormalized complex, which is exactly the textbook boundary
     and never touches a unit; for them the report carries the empirical
     H-unitality tri-state.
@@ -477,7 +552,7 @@ def hh(A: FDAlgebra, n_max: int, normalized: bool | None = None,
         normalized = A.is_unital
     if normalized and not A.is_unital:
         raise NonUnital("normalized homology needs a unital algebra")
-    blocks = block_idempotents(A, budget=budget) if normalized else None
+    blocks = split_idempotents(A, budget=budget) if normalized else None
     report = _hh(A, n_max, normalized, budget, blocks)
     if not A.is_unital:
         report.h_unitality = h_unitality_report(A, n_max, budget=budget)
@@ -486,8 +561,8 @@ def hh(A: FDAlgebra, n_max: int, normalized: bool | None = None,
 
 def _hh(A: FDAlgebra, n_max: int, normalized: bool, budget,
         blocks=None) -> HomologyReport:
-    """HH_0 .. HH_n_max on one bar window, with one block unless blocks
-    are given."""
+    """HH_0 .. HH_n_max on one bar window, relative to the unit alone
+    unless blocks are given."""
     window = bar_complex(A, n_max + 1, variant="b", normalized=normalized,
                          budget=budget, blocks=blocks)
     return _homology_report(A, window, window.boundaries, n_max)
@@ -526,9 +601,9 @@ def _tensor_chain_matrix(src: ChainComplexWindow, tgt: ChainComplexWindow,
                          interior_map: SparseMatrix) -> SparseMatrix:
     """The map slot0_map (x) interior_map^(x n) in window coordinates.
 
-    Each image chain must again lie in one block of tgt: one-block targets
-    take any map, block windows a map that keeps every block (the action
-    of a central element, say).
+    Each image chain must again be a closed walk of tgt: one-state targets
+    take any map, windows relative to several idempotents a map that keeps
+    every Peirce piece (the action of a central element, say).
     """
     field = tgt.field
     rank, start = tgt.slots.ranks(n), tgt.slots.starts(n)
@@ -704,8 +779,8 @@ def center_action(window: ChainComplexWindow, z: dict, n: int) -> SparseMatrix:
     """Matrix of z (x) id .. acting on degree n through slot 0.
 
     For central z this commutes with the boundary at chain level.  A
-    window relative to blocks takes central z only: another element would
-    move chains out of their blocks.
+    window relative to several idempotents takes central z only: another
+    element would move slot 0 out of its Peirce piece and break the walk.
     """
     if window.module is not None:
         raise ValidationError("center action is for the coefficient-free complex")
@@ -715,7 +790,7 @@ def center_action(window: ChainComplexWindow, z: dict, n: int) -> SparseMatrix:
     if len(slots.units) > 1 and \
             not A.left_mult_matrix(z).equals(A.right_mult_matrix(z)):
         raise ValidationError(
-            "a window relative to blocks carries only central elements")
+            "a window relative to idempotents carries only central elements")
     slot0 = slots.rebase(A.left_mult_matrix(z), slots)
     ident = SparseMatrix.identity(slots.interior_radix, window.field)
     return _tensor_chain_matrix(window, window, n, slot0, ident)

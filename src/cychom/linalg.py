@@ -159,7 +159,8 @@ class _IntRows:
                 den = den * v.denominator // gcd(den, v.denominator)
         ints = {}
         for j, v in row.items():
-            n = int(v * den) if den != 1 or isinstance(v, Fraction) else v
+            n = v.numerator * (den // v.denominator) \
+                if isinstance(v, Fraction) else v * den
             if n:
                 ints[j] = n
         return _primitive(ints) if ints else ints
@@ -550,10 +551,20 @@ class SparseMatrix:
         cols = self.columns()
         out: dict = {}
         for j, x in v.items():
-            if j >= self.ncols:
+            if not 0 <= j < self.ncols:
                 raise AmbientMismatch(f"index {j} outside {self.ncols} columns")
             vec_axpy(out, x, cols[j], self.field)
         return out
+
+    def product_trace(self, other: "SparseMatrix"):
+        """The trace of self . other, without forming the product."""
+        field = self.field
+        total = field.zero
+        for row, col in zip(self.rows, other.columns()):
+            for k, c in row.items():
+                if k in col:
+                    total = field.add(total, field.mul(c, col[k]))
+        return total
 
     def matmul(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.ncols != other.nrows:

@@ -7,7 +7,8 @@ characteristic zero; semisimplicity of the quotient and nilpotency of the
 radical are rechecked rather than assumed.  Central idempotents are found
 by splitting the center along operators whose eigenvalues lie in the
 field; spectrum insists on a full split, hochschild takes the blocks the
-field sees.
+field sees and cuts them further by idempotents that need not be
+central.
 """
 
 from __future__ import annotations
@@ -326,21 +327,19 @@ def _split_unit(Z: FDAlgebra, complete: bool):
             whole[target:target + 1] = [False] * len(pieces)
 
 
-def block_idempotents(A: FDAlgebra, budget=None) -> list:
-    """Orthogonal central idempotents of A that sum to its unit.
+def _split(A: FDAlgebra, generators, budget=None) -> list:
+    """Orthogonal idempotents of A that sum to its unit and split the
+    commutative subalgebra generated by the generators, the unit among
+    them.
 
-    They cut A into the blocks its field sees.  The center modulo its
-    radical is split as far as operators with eigenvalues in the field
-    allow, stopping at field components (QZ5 over Q gives two blocks, over
-    Q(zeta_5) five), and each piece is lifted to the center by
-    e -> 3e^2 - 2e^3.  Idempotents of a commutative algebra lift uniquely
-    modulo a nilpotent ideal, so the lifts are again orthogonal and sum to
-    the unit.
+    The subalgebra modulo its radical is split as far as operators with
+    eigenvalues in the field allow, stopping at field components, and each
+    piece is lifted by e -> 3e^2 - 2e^3.  Idempotents of a commutative
+    algebra lift uniquely modulo a nilpotent ideal, so the lifts are again
+    orthogonal and sum to the unit.
     """
-    if not A.is_unital:
-        raise NonUnital("blocks are cut by idempotents summing to the unit")
     field = A.field
-    Z, include = subalgebra_closure(A, center(A).basis, budget=budget)
+    Z, include = subalgebra_closure(A, generators, budget=budget)
     data, _ = semisimple_quotient(Z)
     comps = _split_unit(data.algebra, complete=False)
     if len(comps) == 1:
@@ -358,3 +357,63 @@ def block_idempotents(A: FDAlgebra, budget=None) -> list:
             square = Z.multiply(x, x)
         out.append(include.apply(x))
     return out
+
+
+def block_idempotents(A: FDAlgebra, budget=None) -> list:
+    """Orthogonal central idempotents of A that sum to its unit.
+
+    They cut A into the blocks its field sees: the split of the center
+    (QZ5 over Q gives two blocks, over Q(zeta_5) five).
+    """
+    if not A.is_unital:
+        raise NonUnital("blocks are cut by idempotents summing to the unit")
+    return _split(A, center(A).basis, budget=budget)
+
+
+def _cut(A: FDAlgebra, f: dict, budget) -> list:
+    """The pieces of the idempotent f along the first basis element x whose
+    y = f x f is more than a multiple of f, or [f] when there is none."""
+    field = A.field
+    # x -> f x f is a projection onto f A f, so its trace is dim f A f
+    if field.is_zero(field.sub(A.left_mult_matrix(f).product_trace(
+            A.right_mult_matrix(f)), field.one)):
+        return [f]
+    lead = min(f)
+    inv = field.inv(f[lead])
+    for k in range(A.dim):
+        y = A.multiply(A.multiply(f, A.basis_vector(k)), f)
+        scale = field.mul(y.get(lead, field.zero), inv)
+        if vec_equal(y, {j: field.mul(scale, c) for j, c in f.items()},
+                     field):
+            continue
+        # f commutes with the pieces, so p f is p's part under f
+        pieces = [A.multiply(p, f)
+                  for p in _split(A, [A.unit, f, y], budget=budget)]
+        pieces = [p for p in pieces if p]
+        if len(pieces) > 1:
+            return pieces
+    return [f]
+
+
+def split_idempotents(A: FDAlgebra, budget=None) -> list:
+    """Orthogonal idempotents of A, central or not, that sum to its unit.
+
+    They refine block_idempotents: an idempotent f is cut further while
+    some basis element x makes y = f x f more than a multiple of f, by
+    splitting the commutative subalgebra generated by 1, f and y and
+    keeping the pieces under f.  In a split simple block the result is a
+    full set of primitive idempotents (the diagonal of M_n(Q), say);
+    commutative blocks, such as the Q(zeta_5) block of QZ5 over Q or a
+    local algebra, stay whole.
+    """
+    idems = block_idempotents(A, budget=budget)
+    i = 0
+    while i < len(idems):
+        pieces = _cut(A, idems[i], budget)
+        idems[i:i + 1] = pieces
+        if len(pieces) == 1:
+            i += 1
+        elif len(idems) > A.dim:
+            # nonzero orthogonal idempotents are linearly independent
+            raise ValidationError("idempotent refinement overran")
+    return idems

@@ -1,6 +1,7 @@
 """Bar complexes, Hochschild homology, traces, and Morita maps."""
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +22,7 @@ from cychom.algebra import (
     upper_triangular,
 )
 from cychom.config import BUDGET_ENV_VAR, Budget, default_budget
+from cychom.cyclic import operator_B
 from cychom.errors import NonUnital, NotMultiplicative, SizeOverflow, ValidationError
 from cychom.crossprod import crossed_product, trivial_action, \
     variety_crossed_product
@@ -38,9 +40,9 @@ from cychom.hochschild import (
     induced_map_hh,
     tr_star_and_iota,
 )
-from cychom.linalg import SparseMatrix, homology, vec_equal
+from cychom.linalg import SparseMatrix, homology, vec_add, vec_equal
 from cychom.spectrum import extend_scalars
-from cychom.structure import block_idempotents
+from cychom.structure import block_idempotents, split_idempotents
 
 
 def truncated_polynomial_hh_oracle(N, n_max):
@@ -229,10 +231,11 @@ def test_budget_variable_rejects_bad_values(monkeypatch, value):
 
 
 def test_budget_variable_bounds_the_default_window(monkeypatch):
-    A = matrix_algebra(ground_field(), 2)
+    # a local algebra: hh's window cannot shrink below the normalized one
+    A = truncated_polynomial(5)
     monkeypatch.setenv(BUDGET_ENV_VAR, "100")
     assert default_budget().max_chain_dim == 100
-    # degree 4 of the normalized window holds 4 * 3^4 = 324 coordinates
+    # degree 4 of the normalized window holds 5 * 4^4 = 1,280 coordinates
     with pytest.raises(SizeOverflow):
         hh(A, 3)
 
@@ -585,8 +588,30 @@ def _relabelled(A, seed):
                      name=A.name).require_valid()
 
 
+def _closed_walk_counts(A, idempotents, top):
+    """Degree 0..top chain counts of the window relative to the idempotents,
+    summed over every closed walk of states from the piece dimensions
+    dim e_i A e_j (an interior slot has one dimension less on the
+    diagonal, where e_i is dropped)."""
+    r = len(idempotents)
+    piece = [[A.left_mult_matrix(e).matmul(A.right_mult_matrix(f)).rank()
+              for f in idempotents] for e in idempotents]
+    counts = []
+    for n in range(top + 1):
+        total = 0
+        for states in product(range(r), repeat=n + 1):
+            steps = list(zip(states, states[1:] + states[:1]))
+            term = piece[steps[0][0]][steps[0][1]]
+            for i, j in steps[1:]:
+                term *= piece[i][j] - (i == j)
+            total += term
+        counts.append(total)
+    return counts
+
+
 def _check_relative_hh(A, n_max):
-    """hh's block window against the one-block routes."""
+    """hh's walk window, and the window relative to the blocks, against the
+    one-block routes."""
     rel = hh(A, n_max)
     one = bar_complex(A, n_max + 1, normalized=True)
     plain = hh(A, n_max, normalized=False)
@@ -596,10 +621,15 @@ def _check_relative_hh(A, n_max):
     for d in rel.degrees[1:]:
         for rep in d.representatives:
             assert not w.boundaries[d.degree].mat_vec(rep)
-    sizes = [A.left_mult_matrix(e).rank() for e in block_idempotents(A)]
+    assert w.dims == _closed_walk_counts(A, split_idempotents(A), n_max + 1)
+    blocks = block_idempotents(A)
+    central = bar_complex(A, n_max + 1, normalized=True, blocks=blocks)
+    assert _homology_report(A, central, central.boundaries,
+                            n_max).dims == rel.dims
+    sizes = [A.left_mult_matrix(e).rank() for e in blocks]
     assert sum(sizes) == A.dim
-    assert w.dims == [sum(d * (d - 1) ** n for d in sizes)
-                      for n in range(n_max + 2)]
+    assert central.dims == [sum(d * (d - 1) ** n for d in sizes)
+                            for n in range(n_max + 2)]
     # a one-block list is the ordinary normalized window
     same = bar_complex(A, n_max + 1, normalized=True, blocks=[A.unit])
     assert same.dims == one.dims
@@ -607,7 +637,7 @@ def _check_relative_hh(A, n_max):
         assert same.boundaries[n].rows == one.boundaries[n].rows
     if len(sizes) == 1:
         for n in range(1, n_max + 2):
-            assert w.boundaries[n].rows == one.boundaries[n].rows
+            assert central.boundaries[n].rows == one.boundaries[n].rows
     return rel
 
 
@@ -654,7 +684,8 @@ def test_relative_hh_matches_the_one_block_routes_on_drawn_algebras(i, j, how):
 
 
 def test_block_windows_have_a_codec():
-    w = hh(group_algebra(symmetric_group_3()), 2).window
+    A = group_algebra(symmetric_group_3())
+    w = bar_complex(A, 3, normalized=True, blocks=block_idempotents(A))
     slots = w.slots
     assert sorted(len(v) for v in slots.slot0) == [1, 1, 4]
     for n in range(4):
@@ -676,16 +707,77 @@ def test_block_windows_have_a_codec():
         w.index_of(1, (point, 0))
 
 
+def _rot3():
+    act = FiniteVarietyAction(cyclic_group(3), 3,
+                              [(0, 1, 2), (1, 2, 0), (2, 0, 1)], name="rot3")
+    return variety_crossed_product(act).product
+
+
+@pytest.mark.parametrize("build", [
+    lambda: group_algebra(symmetric_group_3()), _rot3,
+    lambda: upper_triangular(2)], ids=["QS3", "rot3", "upper2"])
+def test_walk_windows_have_a_codec(build):
+    A = build()
+    field = A.field
+    w = hh(A, 3).window
+    slots = w.slots
+    idems = split_idempotents(A)
+    assert w.dims == _closed_walk_counts(A, idems, 4)
+    # the f-index of piece (i, j) lies in e_i A e_j
+    for f, (i, j) in enumerate(slots.label):
+        v = slots.f_vectors[f]
+        assert vec_equal(A.multiply(A.multiply(idems[i], v), idems[j]), v,
+                         field)
+    for n in range(5):
+        for index in range(w.dims[n]):
+            tup = w.tuple_of(n, index)
+            assert w.index_of(n, tup) == index
+            # each factor leaves the state the one before it enters, and
+            # the last one enters the state slot 0 leaves
+            pieces = [slots.slot0_label[tup[0]]] + \
+                [slots.code_label[k] for k in tup[1:]]
+            assert all(a[1] == b[0]
+                       for a, b in zip(pieces, pieces[1:] + pieces[:1]))
+    # the degree-1 tuples that are not closed walks are refused
+    walks = {w.tuple_of(1, index) for index in range(w.dims[1])}
+    others = [(s, k) for s in range(len(slots.slot0_label))
+              for k in range(slots.interior_radix) if (s, k) not in walks]
+    assert others
+    for tup in others:
+        with pytest.raises(ValidationError):
+            w.index_of(1, tup)
+    # B inserts the idempotent of the state at each cut
+    for n in range(1, 3):
+        for index in range(w.dims[n]):
+            chain = {index: field.one}
+            assert operator_B(w, n + 1, operator_B(w, n, chain)) == {}
+            bB = w.boundaries[n + 1].mat_vec(operator_B(w, n, chain))
+            Bb = operator_B(w, n - 1, w.boundaries[n].mat_vec(chain))
+            assert vec_equal(vec_add(bB, Bb, field), {}, field)
+
+
+def test_upper_triangular_walk_window_has_no_positive_chains():
+    T = upper_triangular(2)
+    rel = hh(T, 4)
+    assert rel.window.dims == [2, 0, 0, 0, 0, 0]
+    one = bar_complex(T, 5, normalized=True)
+    assert rel.dims == _homology_report(T, one, one.boundaries, 4).dims \
+        == [2, 0, 0, 0, 0]
+
+
 def test_blocks_must_cut_the_algebra_into_a_direct_sum():
     A = functions_on_points(2)
     for blocks in ([{0: 1}], [{0: 1}, {0: 1, 1: 1}], [{0: 1}, {1: 2}]):
         with pytest.raises(ValidationError):
             bar_complex(A, 2, normalized=True, blocks=blocks)
+    # idempotents need not be central
     T = upper_triangular(2)
     corner = {T.labels.index("E11"): 1}
     rest = {k: c for k, c in T.unit.items() if k not in corner}
-    with pytest.raises(ValidationError):
-        bar_complex(T, 2, normalized=True, blocks=[corner, rest])
+    w = bar_complex(T, 3, normalized=True, blocks=[corner, rest])
+    one = bar_complex(T, 3, normalized=True)
+    assert _homology_report(T, w, w.boundaries, 2).dims == \
+        _homology_report(T, one, one.boundaries, 2).dims
     with pytest.raises(ValidationError):
         bar_complex(A, 2, blocks=[A.unit])
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from cychom import linalg
-from cychom.errors import NotContained
+from cychom.errors import AmbientMismatch, NotContained
 from cychom.linalg import (
     Homology,
     SparseMatrix,
@@ -289,6 +289,10 @@ def test_solve_hand_cases():
     assert sparse_to_dense(wide.solve({0: F(5)}), 2, Q) == [F(5), F(0)]
     bad = SparseMatrix.from_dense([[1, 1], [1, 1]], Q)
     assert bad.solve({0: F(1), 1: F(2)}) is None
+    # a vector with a coordinate outside the columns, on either side
+    for index in (-1, 2):
+        with pytest.raises(AmbientMismatch):
+            SparseMatrix.identity(2, Q).mat_vec({index: 1})
 
 
 def test_solve_random_consistency():

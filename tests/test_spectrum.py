@@ -26,7 +26,9 @@ from cychom.errors import (
     SplittingFieldTooLarge,
     ValidationError,
 )
+from cychom.crossprod import variety_crossed_product
 from cychom.groups import (
+    FiniteVarietyAction,
     cyclic_group,
     dihedral_group_4,
     group_algebra,
@@ -49,7 +51,8 @@ from cychom.spectrum import (
     weakly_spectrum_preserving_check,
     wedderburn_blocks,
 )
-from cychom.structure import block_idempotents, center, jacobson_radical
+from cychom.structure import block_idempotents, center, jacobson_radical, \
+    split_idempotents
 
 
 def algebra_corpus():
@@ -252,6 +255,52 @@ def test_block_idempotents_lift_through_the_radical():
     with pytest.raises(NonUnital):
         block_idempotents(ideal_as_algebra(
             two_sided_ideal(truncated_polynomial(2), [{1: 1}]))[0])
+
+
+def _point_action_product(group, perms):
+    act = FiniteVarietyAction(group, 3, perms)
+    return variety_crossed_product(act).product
+
+
+@pytest.mark.parametrize("build, count", [
+    (lambda: group_algebra(symmetric_group_3()), 4),
+    (lambda: extend_scalars(group_algebra(symmetric_group_3()), 3), 4),
+    # C(3) x Z/3 = M_3(Q) and C(3) x S3 = M_3(Q) + M_3(Q)
+    (lambda: _point_action_product(
+        cyclic_group(3), [(0, 1, 2), (1, 2, 0), (2, 0, 1)]), 3),
+    (lambda: _point_action_product(
+        symmetric_group_3(), [(0, 1, 2), (1, 0, 2), (2, 1, 0), (0, 2, 1),
+                              (1, 2, 0), (2, 0, 1)]), 6),
+    # the Q(zeta5) block stays whole
+    (lambda: group_algebra(cyclic_group(5)), 2),
+    (lambda: truncated_polynomial(3), 1),
+    # a block with a radical next to M_2(Q)
+    (lambda: direct_sum(truncated_polynomial(3),
+                        matrix_algebra(ground_field(), 2)).algebra, 3),
+    (lambda: upper_triangular(2), 2),
+], ids=["QS3", "QS3-zeta3", "rot3", "s3nat", "QZ5", "cubic", "radical",
+        "upper2"])
+def test_split_idempotents_refine_the_blocks(build, count):
+    A = build()
+    field = A.field
+    idems = split_idempotents(A)
+    assert len(idems) == count
+    total = {}
+    for i, e in enumerate(idems):
+        assert e
+        for j, f in enumerate(idems):
+            assert vec_equal(A.multiply(e, f), e if i == j else {}, field)
+        total = vec_add(total, e, field)
+    assert vec_equal(total, A.unit, field)
+    # each idempotent lies under one block, and those under a block sum
+    # to it
+    for b in block_idempotents(A):
+        under = [e for e in idems if vec_equal(A.multiply(b, e), e, field)]
+        assert all(not A.multiply(b, e) for e in idems if e not in under)
+        part = {}
+        for e in under:
+            part = vec_add(part, e, field)
+        assert vec_equal(part, b, field)
 
 
 def test_blocks_of_z4_are_the_character_averages():
