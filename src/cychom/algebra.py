@@ -315,13 +315,7 @@ class AlgebraMap:
     def inverse(self) -> "AlgebraMap":
         if not self.is_bijective():
             raise NotAutomorphism("matrix is not invertible")
-        n = self.source.dim
-        cols = []
-        for j in range(n):
-            sol = self.matrix.solve(self.target.basis_vector(j))
-            cols.append(sol)
-        inv = SparseMatrix.from_columns(cols, n, self.source.field)
-        return AlgebraMap(self.target, self.source, inv,
+        return AlgebraMap(self.target, self.source, self.matrix.inverse(),
                           multiplicative=self.multiplicative,
                           unital=self.unital)
 

@@ -45,7 +45,7 @@ from .linalg import (
     vec_equal,
 )
 from .algebra import AlgebraMap, Bimodule, FDAlgebra, _action_of, \
-    _unflatten, matrix_algebra
+    _normalize_vec, _unflatten, matrix_algebra
 from .scalars import lift_raw
 from .structure import split_idempotents
 
@@ -54,11 +54,12 @@ class _SlotData:
     """The slot basis of one window: the one place normalization is decided.
 
     Slot 0 runs over a basis f_0 .. f_(d-1) of the algebra: f_vectors holds
-    it in the algebra's basis, e_to_f turns algebra coordinates into
-    f-coordinates and mulf multiplies in it.  Interior slots run over the
-    f-indices in interior; code k stands for f_(interior[k]) and code maps
-    an f-index to its code.  imul[s][t] is the product of the codes s and t
-    with its part outside the interior dropped.
+    it in the algebra's basis, e_to_f, the inverse of the matrix with
+    columns f_vectors, turns algebra coordinates into f-coordinates and mulf
+    multiplies in it.  Interior slots run over the f-indices in interior;
+    code k stands for f_(interior[k]) and code maps an f-index to its code.
+    imul[s][t] is the product of the codes s and t with its part outside
+    the interior dropped.
 
     Every f-index carries a state pair, label[f] = (i, j), and units[i] is
     the idempotent of state i in f-coordinates.  Unnormalized windows keep
@@ -66,17 +67,19 @@ class _SlotData:
     algebra's (None without one), and let every index into every slot.
     Normalized windows take orthogonal idempotents e_0 .. e_(r-1), central
     or not, that sum to the unit and rebase onto a Peirce basis: the pieces
-    e_i A e_j in the order (0, 0), (0, 1), .., (r-1, r-1), each spanned by
-    columns e_i x e_j, with e_i first in its piece (i, i); f-indices of
-    piece (i, j) carry the label (i, j).  No e_i enters the interior: the
+    e_i A e_j in the order (0, 0), (0, 1), .., (r-1, r-1), each with the
+    basis _pieces picks, except that in the piece (i, i) e_i comes first and
+    replaces the lowest-indexed basis vector it involves; f-indices of piece
+    (i, j) carry the label (i, j).  No e_i enters the interior: the
     window is the complex relative to E = span(e_i),
     A (x)_(E^e) (A/E)^((x)_E n), whose chains are the closed walks
     e_(i_0) A e_(i_1) (x) e_(i_1) A e_(i_2) (x) .. (x) e_(i_n) A e_(i_0).
     The one-idempotent list [unit] gives the ordinary normalized complex,
-    and central idempotents give one state per block, with no piece
-    between two blocks.  On a window with coefficients slot 0 runs over
-    the bimodule's basis instead, slot0 of them, all with the state (0, 0)
-    (such windows have one state).
+    on the algebra's basis with the unit in place of the lowest index it
+    involves, and central idempotents give one state per block, with no
+    piece between two blocks.  On a window with coefficients slot 0 runs
+    over the bimodule's basis instead, slot0 of them, all with the state
+    (0, 0) (such windows have one state).
 
     slot0 lists the slot-0 values as runs of one piece each, and pieces
     the piece of each run.
@@ -124,40 +127,18 @@ class _SlotData:
         field = A.field
         self.f_vectors, self.label = [], []
         self.units = [None] * len(idempotents)
-        cols = [{} for _ in range(A.dim)]
-        for i, j, rows, basis in _pieces(A, idempotents):
-            # e_i x_k e_j = sum_q rows[q][k] basis[q]; on the diagonal
-            # e_i = e_i e_i e_i has the coordinates c_q = sum_k rows[q][k] e_k
-            e = idempotents[i]
-            top = c = None
+        for i, j, basis in _pieces(A, idempotents):
             if i == j:
-                c = SparseMatrix(len(rows), A.dim, field,
-                                 rows=rows).mat_vec(e)
-                top = min(c)
-                first = len(self.f_vectors)
-                self.units[i] = {first: field.one}
-                self.f_vectors.append(dict(e))
-            place = {}
-            for k, v in enumerate(basis):
-                if k != top:
-                    place[k] = len(self.f_vectors)
-                    self.f_vectors.append(v)
+                # e_i replaces the lowest-indexed basis vector it involves
+                e = idempotents[i]
+                top = min(SparseMatrix.from_columns(basis, A.dim,
+                                                    field).solve(e))
+                self.units[i] = {len(self.f_vectors): field.one}
+                basis = [dict(e)] + basis[:top] + basis[top + 1:]
+            self.f_vectors += basis
             self.label += [(i, j)] * len(basis)
-            # x_k is the sum of its pieces; on the diagonal
-            # v_top = (e - sum_(q != top) c_q v_q) / c_top
-            inv = None if top is None else field.inv(c[top])
-            for k, row in enumerate(rows):
-                for m, r in row.items():
-                    if k != top:
-                        add_term(cols[m], place[k], r, field)
-                        continue
-                    scale = field.mul(r, inv)
-                    add_term(cols[m], first, scale, field)
-                    for k2, ck in c.items():
-                        if k2 != top:
-                            add_term(cols[m], place[k2],
-                                     field.neg(field.mul(ck, scale)), field)
-        self.e_to_f = SparseMatrix.from_columns(cols, A.dim, field)
+        self.e_to_f = SparseMatrix.from_columns(self.f_vectors, A.dim,
+                                                field).inverse()
         firsts = {f for e in self.units for f in e}
         self.interior = [f for f in range(A.dim) if f not in firsts]
 
@@ -228,31 +209,20 @@ class _SlotData:
 
 
 def _pieces(A: FDAlgebra, idempotents):
-    """Yield (i, j, rows, basis) for each Peirce piece e_i A e_j: basis
-    spans it and e_i x_k e_j = sum_q rows[q][k] basis[q]."""
+    """Yield (i, j, basis) for each Peirce piece e_i A e_j, in the order
+    (0, 0), (0, 1), .., (r-1, r-1).  basis holds the leftmost vectors
+    e_i x_k e_j that span the piece: the pivot columns u_p of the columns
+    e_i x_k span e_i A, and the pivot columns of the u_p e_j span the piece.
+    """
     field = A.field
-    if len(idempotents) == 1:
-        # the unit's piece is all of A
-        ident = SparseMatrix.identity(A.dim, field)
-        yield 0, 0, ident.rows, ident.columns()
-        return
     rights = [A.right_mult_matrix(e) for e in idempotents]
     for i, e in enumerate(idempotents):
-        # the pivot columns u_p of the columns e x_k span e A, and
-        # e x_k = sum_p lrows[p][k] u_p
         left = A.left_mult_matrix(e)
-        lrows, lpivots = left.rref()
-        ideal = [left.columns()[p] for p in lpivots]
-        lrows = SparseMatrix(len(lrows), A.dim, field, rows=lrows)
+        ideal = [left.columns()[p] for p in left.rref()[1]]
         for j, right in enumerate(rights):
-            # the u_p e_j span e A e_j, with the pivot columns v_q of their
-            # echelon form as a basis: u_p e_j = sum_q wrows[q][p] v_q
             mult = SparseMatrix.from_columns(
                 [right.mat_vec(u) for u in ideal], A.dim, field)
-            wrows, pivots = mult.rref()
-            rows = SparseMatrix(len(wrows), len(ideal), field,
-                                rows=wrows).matmul(lrows).rows
-            yield i, j, rows, [mult.columns()[q] for q in pivots]
+            yield i, j, [mult.columns()[q] for q in mult.rref()[1]]
 
 
 def _require_degree(window, n: int) -> None:
@@ -321,12 +291,15 @@ class ChainComplexWindow:
                     "boundary squared is nonzero at degree %d" % n)
 
 
-def _check_blocks(A: FDAlgebra, blocks) -> None:
+def _check_blocks(A: FDAlgebra, blocks) -> list:
+    """The blocks as vectors over A, refused unless they are nonzero
+    idempotents summing to the unit."""
     # nonzero idempotents that sum to the unit are orthogonal in
     # characteristic zero: their left multiplications are projections whose
     # ranks (= traces) add up to the dimension, so their images are
     # independent
     field = A.field
+    blocks = [_normalize_vec(e, A) for e in blocks]
     total = {}
     for e in blocks:
         if not e or not vec_equal(A.multiply(e, e), e, field):
@@ -335,6 +308,7 @@ def _check_blocks(A: FDAlgebra, blocks) -> None:
     if not vec_equal(total, A.unit, field):
         raise ValidationError(
             "blocks must be orthogonal idempotents summing to the unit")
+    return blocks
 
 
 def bar_complex(A: FDAlgebra, n_max: int, variant: str = "b",
@@ -373,7 +347,7 @@ def bar_complex(A: FDAlgebra, n_max: int, variant: str = "b",
         if not normalized or coefficients is not None:
             raise ValidationError(
                 "blocks need a normalized window without coefficients")
-        _check_blocks(A, blocks)
+        blocks = _check_blocks(A, blocks)
     field = A.field
     slot0 = A.dim if coefficients is None else coefficients.dim
     slots = _SlotData(A, (blocks or [A.unit]) if normalized else None,

@@ -623,6 +623,9 @@ class SparseMatrix:
     def solve(self, rhs: dict) -> dict | None:
         """One exact solution of self @ x = rhs (free variables zero), or None."""
         n = self.ncols
+        for i in rhs:
+            if not 0 <= i < self.nrows:
+                raise AmbientMismatch(f"index {i} outside {self.nrows} rows")
         aug = []
         for i, row in enumerate(self.rows):
             r = dict(row)
@@ -638,6 +641,22 @@ class SparseMatrix:
             if n in row:
                 out[p] = row[n]
         return out
+
+    def inverse(self) -> "SparseMatrix":
+        """The inverse of a square matrix, read off the rref of [self | I]."""
+        n = self.ncols
+        if self.nrows != n:
+            raise AmbientMismatch(
+                f"a {self.nrows}x{n} matrix has no inverse")
+        one = self.field.one
+        rows, pivots = rref_rows([{**row, n + i: one}
+                                  for i, row in enumerate(self.rows)],
+                                 self.field)
+        if pivots and pivots[-1] >= n:
+            raise ValidationError("matrix is not invertible")
+        return SparseMatrix(n, n, self.field,
+                            rows=[{j - n: c for j, c in row.items() if j >= n}
+                                  for row in rows])
 
 
 # -- subspaces -------------------------------------------------------------------

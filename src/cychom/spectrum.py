@@ -40,6 +40,7 @@ from .errors import (
 from .linalg import SparseMatrix, Subspace, dense_to_sparse, vec_axpy
 from .scalars import field_of_order, lift_raw
 from .structure import (
+    _span_identity,
     _split_unit,
     center,
     is_nilpotent_subspace,
@@ -191,32 +192,23 @@ def _blocks_over(ext: FDAlgebra, budget):
                    key=lambda v: _sort_key(v, ss.field))
     field = ss.field
     blocks, prim_points = [], []
-    spans = []
     for e in idems:
-        span = Subspace.from_vectors(
-            ss.dim, field,
-            [ss.multiply(e, ss.basis_vector(i)) for i in range(ss.dim)])
-        spans.append(span)
-        size = math.isqrt(span.dim)
-        if size * size != span.dim:
+        # the block is the image of x -> e x, and its primitive ideal the
+        # kernel of x -> e pi(x), pi the quotient map onto ss
+        left = ss.left_mult_matrix(e)
+        dimension = left.rank()
+        size = math.isqrt(dimension)
+        if size * size != dimension:
             raise ValidationError(
-                "block dimension %d is not a perfect square" % span.dim)
-        blocks.append(BlockData(idempotent=e, dimension=span.dim, size=size))
-    if sum(b.dimension for b in blocks) != ss.dim:
-        raise ValidationError("block dimensions do not fill the quotient")
-    for j in range(len(blocks)):
-        others = []
-        for i, span in enumerate(spans):
-            if i != j:
-                others.extend(span.basis)
-        W = Subspace.from_vectors(ss.dim, field, others)
-        cols = [W.reduce(data.projection.apply(ext.basis_vector(i)))
-                for i in range(ext.dim)]
-        point = SparseMatrix.from_columns(cols, ss.dim, field).kernel_space()
-        if ext.dim - point.dim != blocks[j].dimension:
+                "block dimension %d is not a perfect square" % dimension)
+        blocks.append(BlockData(idempotent=e, dimension=dimension, size=size))
+        point = left.matmul(data.projection.matrix).kernel_space()
+        if ext.dim - point.dim != dimension:
             raise ValidationError(
                 "primitive ideal has the wrong codimension")
         prim_points.append(point)
+    if sum(b.dimension for b in blocks) != ss.dim:
+        raise ValidationError("block dimensions do not fill the quotient")
     central_full = center(ext)
     characters = []
     for point in prim_points:
@@ -626,27 +618,11 @@ def _detect_unit(A: FDAlgebra) -> FDAlgebra:
     """Rebuild with the two-sided identity element, when one exists."""
     if A.is_unital:
         return A
-    field = A.field
-    # column i stacks e_i e_j and then e_j e_i over j; no two terms share
-    # a coordinate, and stored structure constants are nonzero
-    cols = []
-    for i in range(A.dim):
-        col = {}
-        for j in range(A.dim):
-            for c, val in A.mul[i][j].items():
-                col[j * A.dim + c] = val
-            for c, val in A.mul[j][i].items():
-                col[(A.dim + j) * A.dim + c] = val
-        cols.append(col)
-    rhs = {}
-    for j in range(A.dim):
-        rhs[j * A.dim + j] = field.one
-        rhs[(A.dim + j) * A.dim + j] = field.one
-    sol = SparseMatrix.from_columns(cols, 2 * A.dim * A.dim, field).solve(rhs)
-    if sol is None:
+    unit = _span_identity(A, [A.basis_vector(i) for i in range(A.dim)])
+    if unit is None:
         return A
     return FDAlgebra(A.dim, A.field_order, A.mul, labels=list(A.labels),
-                     unit=sol, name=A.name).require_valid()
+                     unit=unit, name=A.name).require_valid()
 
 
 class _Layer:

@@ -8,7 +8,10 @@ radical are rechecked rather than assumed.  Central idempotents are found
 by splitting the center along operators whose eigenvalues lie in the
 field; spectrum insists on a full split, hochschild takes the blocks the
 field sees and cuts them further by idempotents that need not be
-central.
+central.  A component of the split is the image of x -> e x, and its
+identity comes from the one linear solve for the two-sided identity of a
+span (_span_identity), which spectrum also uses to find the unit of an
+algebra built without one.
 """
 
 from __future__ import annotations
@@ -182,24 +185,14 @@ def _roots_in_field(poly, field) -> list:
     return found
 
 
-def _columns_mul(a_cols, b_cols, field):
-    out = []
-    for col in b_cols:
-        acc = {}
-        for i, c in col.items():
-            vec_axpy(acc, c, a_cols[i], field)
-        out.append(acc)
-    return out
-
-
-def _minimal_polynomial(cols, field) -> list:
-    """Monic minimal polynomial of an operator given by its columns."""
-    d = len(cols)
-    power = [{i: field.one} for i in range(d)]
+def _minimal_polynomial(op: SparseMatrix) -> list:
+    """Monic minimal polynomial of a square matrix."""
+    field, d = op.field, op.ncols
+    power = SparseMatrix.identity(d, field)
     flats = []
     while True:
         flat = {}
-        for j, col in enumerate(power):
+        for j, col in enumerate(power.columns()):
             for i, c in col.items():
                 flat[j * d + i] = c
         combo = SparseMatrix.from_columns(flats, d * d, field).solve(flat)
@@ -209,41 +202,39 @@ def _minimal_polynomial(cols, field) -> list:
             out.append(field.one)
             return out
         flats.append(flat)
-        power = _columns_mul(cols, power, field)
+        power = op.matmul(power)
 
 
 # -- splitting a commutative algebra into idempotents ------------------------------
 
-def _component_idempotent(Z: FDAlgebra, space: Subspace) -> dict:
-    # the identity element of an ideal direct summand, found linearly
-    field = Z.field
+def _span_identity(A: FDAlgebra, vectors) -> dict | None:
+    """The two-sided identity of the span of independent vectors, an
+    element e of the span with e v = v = v e for each of them, or None when
+    there is none."""
+    field, d = A.field, A.dim
+    # row block 2j holds w v_j and row block 2j + 1 holds v_j w, for the
+    # column of each w among the vectors
     cols = []
-    for w in space.basis:
+    for w in vectors:
         col = {}
-        for j, v in enumerate(space.basis):
-            for c, val in Z.multiply(w, v).items():
-                col[j * Z.dim + c] = val
+        for j, v in enumerate(vectors):
+            for c, val in A.multiply(w, v).items():
+                col[2 * j * d + c] = val
+            for c, val in A.multiply(v, w).items():
+                col[(2 * j + 1) * d + c] = val
         cols.append(col)
     rhs = {}
-    for j, v in enumerate(space.basis):
+    for j, v in enumerate(vectors):
         for c, val in v.items():
-            rhs[j * Z.dim + c] = val
+            rhs[2 * j * d + c] = rhs[(2 * j + 1) * d + c] = val
     sol = SparseMatrix.from_columns(
-        cols, space.dim * Z.dim, field).solve(rhs)
+        cols, 2 * len(vectors) * d, field).solve(rhs)
     if sol is None:
-        raise ValidationError(
-            "a direct summand of the center has no identity element")
-    e = space.linear_combination([sol.get(i, field.zero)
-                                  for i in range(space.dim)])
-    if not vec_equal(Z.multiply(e, e), e, field):
-        raise ValidationError("computed component identity is not idempotent")
+        return None
+    e = {}
+    for i, c in sol.items():
+        vec_axpy(e, c, vectors[i], field)
     return e
-
-
-def _component_span(Z: FDAlgebra, e: dict) -> Subspace:
-    return Subspace.from_vectors(
-        Z.dim, Z.field,
-        [Z.multiply(e, Z.basis_vector(i)) for i in range(Z.dim)])
 
 
 def _try_split(Z: FDAlgebra, span: Subspace, complete: bool):
@@ -258,9 +249,9 @@ def _try_split(Z: FDAlgebra, span: Subspace, complete: bool):
     """
     field = Z.field
     for g in range(Z.dim):
-        cols = span.restrict_operator(
-            Z.left_mult_matrix(Z.basis_vector(g))).columns()
-        poly = _minimal_polynomial(cols, field)
+        op = span.restrict_operator(Z.left_mult_matrix(Z.basis_vector(g)))
+        cols = op.columns()
+        poly = _minimal_polynomial(op)
         roots = _roots_in_field(poly, field)
         # the eigenvalues outside the field make one more piece
         outside = len(roots) < len(poly) - 1 and not complete
@@ -295,8 +286,12 @@ def _try_split(Z: FDAlgebra, span: Subspace, complete: bool):
                 for i, c in combo.items():
                     vec_axpy(acc, c, span.basis[i], field)
                 vecs.append(acc)
-            W = Subspace.from_vectors(Z.dim, field, vecs)
-            idems.append(_component_idempotent(Z, W))
+            e = _span_identity(
+                Z, Subspace.from_vectors(Z.dim, field, vecs).basis)
+            if e is None:
+                raise ValidationError(
+                    "a direct summand of the center has no identity element")
+            idems.append(e)
         return idems
     return None
 
@@ -312,7 +307,7 @@ def _split_unit(Z: FDAlgebra, complete: bool):
     """
     comps, whole = [dict(Z.unit)], [False]
     while True:
-        spans = [_component_span(Z, e) for e in comps]
+        spans = [Z.left_mult_matrix(e).column_space() for e in comps]
         target = next((i for i, s in enumerate(spans)
                        if s.dim > 1 and not whole[i]), None)
         if target is None:

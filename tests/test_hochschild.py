@@ -756,6 +756,49 @@ def test_walk_windows_have_a_codec(build):
             assert vec_equal(vec_add(bB, Bb, field), {}, field)
 
 
+def _T3_plus_M2():
+    return direct_sum(truncated_polynomial(3),
+                      matrix_algebra(ground_field(), 2)).algebra
+
+
+@pytest.mark.parametrize("build", [
+    lambda: functions_on_points(3), lambda: upper_triangular(2),
+    _T3_plus_M2], ids=["points3", "upper2", "T3+M2"])
+def test_one_idempotent_slot_basis_puts_the_unit_first(build):
+    A = build()
+    assert len(A.unit) > 1
+    slots = bar_complex(A, 1, normalized=True).slots
+    # the unit replaces the lowest-indexed basis vector it involves
+    top = min(A.unit)
+    assert slots.f_vectors == [A.unit] + \
+        [A.basis_vector(k) for k in range(A.dim) if k != top]
+
+
+def _QS3():
+    return group_algebra(symmetric_group_3())
+
+
+def _walk_window(A):
+    return hh(A, 1).window
+
+
+@pytest.mark.parametrize("build, window", [
+    (_QS3, lambda A: bar_complex(A, 1)),
+    (_T3_plus_M2, lambda A: bar_complex(A, 1, normalized=True)),
+    (_QS3, lambda A: bar_complex(A, 1, normalized=True,
+                                 blocks=block_idempotents(A))),
+    (_QS3, _walk_window), (_rot3, _walk_window),
+    (lambda: upper_triangular(2), _walk_window)],
+    ids=["unnormalized", "one", "blocks", "walk QS3", "walk rot3",
+         "walk upper2"])
+def test_e_to_f_inverts_the_slot_basis(build, window):
+    A = build()
+    slots = window(A).slots
+    F = SparseMatrix.from_columns(slots.f_vectors, A.dim, A.field)
+    assert slots.e_to_f.matmul(F).equals(
+        SparseMatrix.identity(A.dim, A.field))
+
+
 def test_upper_triangular_walk_window_has_no_positive_chains():
     T = upper_triangular(2)
     rel = hh(T, 4)
@@ -767,7 +810,9 @@ def test_upper_triangular_walk_window_has_no_positive_chains():
 
 def test_blocks_must_cut_the_algebra_into_a_direct_sum():
     A = functions_on_points(2)
-    for blocks in ([{0: 1}], [{0: 1}, {0: 1, 1: 1}], [{0: 1}, {1: 2}]):
+    # the last two: a coordinate outside the basis, a float coefficient
+    for blocks in ([{0: 1}], [{0: 1}, {0: 1, 1: 1}], [{0: 1}, {1: 2}],
+                   [{0: 1}, {9: 1}], [{0: 1}, {1: 1.0}]):
         with pytest.raises(ValidationError):
             bar_complex(A, 2, normalized=True, blocks=blocks)
     # idempotents need not be central

@@ -7,11 +7,12 @@ Hand-computed fixtures are worked out on paper first.
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from cychom import linalg
-from cychom.errors import AmbientMismatch, NotContained
+from cychom.errors import AmbientMismatch, NotContained, ValidationError
 from cychom.linalg import (
     Homology,
     SparseMatrix,
@@ -293,6 +294,10 @@ def test_solve_hand_cases():
     for index in (-1, 2):
         with pytest.raises(AmbientMismatch):
             SparseMatrix.identity(2, Q).mat_vec({index: 1})
+    # a right-hand side with a coordinate outside the rows
+    for index in (-1, 5):
+        with pytest.raises(AmbientMismatch):
+            SparseMatrix.identity(2, Q).solve({index: 1})
 
 
 def test_solve_random_consistency():
@@ -305,6 +310,30 @@ def test_solve_random_consistency():
         x = m.solve(rhs)
         assert x is not None
         assert vec_equal(m.mat_vec(x), rhs, Q)
+
+
+@pytest.mark.parametrize("order, entry", [
+    (1, lambda rng: F(rng.randint(-5, 5), rng.randint(1, 3))),
+    (3, lambda rng: rng.randint(-3, 3)
+        + rng.randint(-3, 3) * Cyclotomic.zeta(3))], ids=["Q", "Q(zeta3)"])
+def test_inverse_is_a_two_sided_inverse(order, entry):
+    field = field_of_order(order)
+    rng = random.Random(4242)
+    for n in (1, 2, 3, 5):
+        m = SparseMatrix(n, n, field)
+        while m.rank() < n:
+            m = SparseMatrix(n, n, field)
+            for i, j in product(range(n), repeat=2):
+                if rng.random() < 0.6:
+                    m.set(i, j, entry(rng))
+        inv = m.inverse()
+        eye = SparseMatrix.identity(n, field)
+        assert m.matmul(inv).equals(eye)
+        assert inv.matmul(m).equals(eye)
+    with pytest.raises(ValidationError):
+        SparseMatrix.from_dense([[1, 2], [2, 4]], Q).inverse()
+    with pytest.raises(AmbientMismatch):
+        SparseMatrix.from_dense([[1, 0, 0], [0, 1, 0]], Q).inverse()
 
 
 # -- cyclotomic entries ----------------------------------------------------------

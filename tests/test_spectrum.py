@@ -51,8 +51,8 @@ from cychom.spectrum import (
     weakly_spectrum_preserving_check,
     wedderburn_blocks,
 )
-from cychom.structure import block_idempotents, center, jacobson_radical, \
-    split_idempotents
+from cychom.structure import _span_identity, block_idempotents, center, \
+    jacobson_radical, split_idempotents
 
 
 def algebra_corpus():
@@ -255,6 +255,27 @@ def test_block_idempotents_lift_through_the_radical():
     with pytest.raises(NonUnital):
         block_idempotents(ideal_as_algebra(
             two_sided_ideal(truncated_polynomial(2), [{1: 1}]))[0])
+
+
+def _whole_basis(A):
+    return [A.basis_vector(i) for i in range(A.dim)]
+
+
+def test_span_identity_finds_the_unit_of_a_block_ideal():
+    A = group_algebra(symmetric_group_3())
+    for e in block_idempotents(A):
+        ideal = two_sided_ideal(
+            A, [A.multiply(e, x) for x in _whole_basis(A)])
+        sub, inclusion = ideal_as_algebra(ideal)
+        assert not sub.is_unital
+        unit = _span_identity(sub, _whole_basis(sub))
+        assert vec_equal(inclusion.apply(unit), e, A.field)
+
+
+def test_span_identity_is_none_on_a_nilpotent_algebra():
+    radical = ideal_as_algebra(jacobson_radical(truncated_polynomial(3)))[0]
+    assert radical.dim == 2
+    assert _span_identity(radical, _whole_basis(radical)) is None
 
 
 def _point_action_product(group, perms):

@@ -1,16 +1,23 @@
-"""Print a digest of the matrices of the one-block and central-block windows.
+"""Print digests of the matrices of the one-block, central-block and walk
+windows and of the wedderburn_blocks reports.
 
 Run from the repository root:
 
     python3 tools/window_digest.py
 
-It builds a fixed corpus of windows (normalized and unnormalized bar
-complexes, the (b, B) complexes behind hc, induced maps, Morita maps,
-coefficient windows, and bar windows relative to the central idempotents of
-structure.block_idempotents), then prints the number of entries and a
-sha256 over their repr.  Two checkouts whose windows are byte-identical
-print the same line.  The script re-runs itself with PYTHONHASHSEED=0, so
-set iteration order cannot change the hash between runs.
+It prints two lines, each with a number of entries and a sha256.  The first
+covers a fixed corpus of windows (normalized and unnormalized bar complexes,
+the (b, B) complexes behind hc, induced maps, Morita maps, coefficient
+windows, and bar windows relative to the central idempotents of
+structure.block_idempotents), hashed over the repr of their rows, so it also
+sees the order of the entries in each row.  The second covers the walk
+windows of hh (slot basis, its inverse and the boundaries) and the
+wedderburn_blocks reports of a few group algebras and upper_triangular(3)
+(idempotents, primitive points and central characters), hashed over sorted
+dict items, so only values count.  Two checkouts that compute the same
+windows and reports print the same lines.  The script re-runs itself with
+PYTHONHASHSEED=0, so set iteration order cannot change the hash between
+runs.
 """
 
 import hashlib
@@ -97,17 +104,58 @@ def _entries():
                 morita.iota_hh[n].rows, morita.tr_hh[n].rows)
 
 
+def _sorted(value):
+    """value with every dict replaced by its sorted items."""
+    if isinstance(value, dict):
+        return sorted((k, _sorted(v)) for k, v in value.items())
+    if isinstance(value, (list, tuple)):
+        return type(value)(_sorted(v) for v in value)
+    return value
+
+
+def _walks_and_spectra():
+    from cychom.algebra import upper_triangular
+    from cychom.groups import cyclic_group, dihedral_group_4, \
+        group_algebra, quaternion_group, symmetric_group_3
+    from cychom.hochschild import hh
+    from cychom.spectrum import wedderburn_blocks
+
+    for name, A, top in _algebras():
+        w = hh(A, top).window
+        yield "%s walk f_vectors" % name, w.slots.f_vectors
+        yield "%s walk e_to_f" % name, w.slots.e_to_f.rows
+        yield "%s walk dims" % name, w.dims
+        for n in range(1, top + 1):
+            yield "%s walk d%d" % (name, n), w.boundaries[n].rows
+    for name, A in [("QS3", group_algebra(symmetric_group_3())),
+                    ("QD4", group_algebra(dihedral_group_4())),
+                    ("QZ5", group_algebra(cyclic_group(5))),
+                    ("Q8", group_algebra(quaternion_group())),
+                    ("U3", upper_triangular(3))]:
+        report = wedderburn_blocks(A)
+        yield "%s field" % name, report.field_order
+        yield "%s idempotents" % name, [b.idempotent for b in report.blocks]
+        yield "%s points" % name, [p.basis for p in report.prim_points]
+        yield "%s characters" % name, [c.basis
+                                       for c in report.central_characters]
+
+
+def _digest(entries, canonical):
+    digest = hashlib.sha256()
+    count = 0
+    for label, value in entries:
+        digest.update(repr((label, canonical(value))).encode())
+        count += 1
+    return "%d entries sha256 %s" % (count, digest.hexdigest())
+
+
 def main():
     if os.environ.get("PYTHONHASHSEED") != "0":
         env = dict(os.environ, PYTHONHASHSEED="0")
         os.execve(sys.executable, [sys.executable] + sys.argv, env)
     sys.path.insert(0, os.path.join(ROOT, "src"))
-    digest = hashlib.sha256()
-    count = 0
-    for label, value in _entries():
-        digest.update(repr((label, value)).encode())
-        count += 1
-    print("%d entries sha256 %s" % (count, digest.hexdigest()))
+    print(_digest(_entries(), lambda value: value))
+    print(_digest(_walks_and_spectra(), _sorted))
 
 
 if __name__ == "__main__":
