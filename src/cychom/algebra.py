@@ -20,8 +20,8 @@ from .errors import (
     SizeOverflow,
     ValidationError,
 )
-from .linalg import (SparseMatrix, Subspace, dense_to_sparse, to_raw,
-                     vec_axpy, vec_equal, vec_sub)
+from .linalg import (SparseMatrix, Subspace, add_term, dense_to_sparse,
+                     to_raw, vec_axpy, vec_equal, vec_sub)
 from .scalars import field_of_order, scalar_to_string
 
 
@@ -101,12 +101,16 @@ class FDAlgebra:
     def multiply(self, u: dict, v: dict) -> dict:
         """Product of two sparse coordinate vectors."""
         field = self.field
+        one = field.one
         out = {}
         for i, a in u.items():
             for j, b in v.items():
                 c = field.mul(a, b)
-                if not field.is_zero(c):
-                    vec_axpy(out, c, self.mul[i][j], field)
+                if field.is_zero(c):
+                    continue
+                # group algebras and matrix units have constants of one
+                for k, s in self.mul[i][j].items():
+                    add_term(out, k, c if s == one else field.mul(c, s), field)
         return out
 
     def left_mult_matrix(self, vec: dict) -> SparseMatrix:

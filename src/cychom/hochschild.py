@@ -503,7 +503,14 @@ def h_unitality_report(A: FDAlgebra, n_max: int, budget=None) -> str:
 
 def hh(A: FDAlgebra, n_max: int, normalized: bool | None = None,
        budget=None) -> HomologyReport:
-    """Hochschild homology HH_0 .. HH_n_max with canonical representatives.
+    """Hochschild homology HH_0 .. HH_n_max with cycle representatives.
+
+    Each representative is a cycle of report.window supported off the
+    pivot coordinates of a reduced basis of the boundaries (see
+    linalg.Homology).  That basis comes from one elimination of the
+    boundary matrices, so the representatives are deterministic but not
+    canonical: another elimination may give another basis of the same
+    homology.  The dims do not depend on it.
 
     normalized defaults to the cheap path for unital algebras.  That path
     cuts A by the orthogonal idempotents of structure.split_idempotents,

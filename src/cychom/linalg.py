@@ -22,9 +22,9 @@ supports, the same on either route, and the reduced echelon form computed at
 the end is canonical (monic pivots, zeros above and below, pivot columns
 increasing), so every public answer is independent of elimination order.
 
-The reduced echelon form of B's columns also powers a quotient-coordinate
-construction of homology that never materializes a full kernel basis of a
-large boundary map; see ``homology``.
+A reduced basis of the image of B, built from rank(B) of its columns, also
+powers a quotient-coordinate construction of homology that never
+materializes a full kernel basis of a large boundary map; see ``Homology``.
 """
 
 from __future__ import annotations
@@ -352,6 +352,15 @@ def _split_components(input_rows, adapter) -> list[list[dict]]:
     return list(groups.values())
 
 
+def _pivot_columns(rows, field: _FieldBase) -> list[int]:
+    """The pivot columns of an elimination of the rows, ascending: rank-many
+    columns whose restriction to the rows is invertible, found without
+    back-substitution."""
+    adapter = _adapter(field, rows)
+    return sorted(c for comp in _split_components(rows, adapter)
+                  for c, _ in _eliminate_component(comp, adapter))
+
+
 def reduced_rows(input_rows, field: _FieldBase):
     """A deterministic reduced basis of the row span: monic rows with distinct
     pivot columns, each pivot column absent from every other row.
@@ -465,6 +474,7 @@ class SparseMatrix:
         self._rref = None
         self._cols = None
         self._rank = None
+        self._pivots = None  # rank-many independent columns, set by Homology
 
     # construction ---------------------------------------------------------
 
@@ -662,7 +672,15 @@ class SparseMatrix:
 # -- subspaces -------------------------------------------------------------------
 
 class Subspace:
-    """A subspace held by its canonical reduced-echelon basis."""
+    """A subspace held by a reduced basis: monic vectors with distinct pivot
+    columns, each pivot column absent from the other vectors.
+
+    ``from_vectors`` (and so ``sum_with`` and ``column_space``) gives the
+    canonical reduced echelon form.  ``SparseMatrix.kernel_space`` and
+    ``Homology.boundary_space`` give reduced bases that are not: their
+    pivots need not be leftmost, and the latter depends on the elimination.
+    ``reduce``, ``coords`` and ``equals`` work the same on either kind.
+    """
 
     def __init__(self, ambient_dim: int, field: _FieldBase, basis: list[dict],
                  pivot_cols: list[int]):
@@ -682,7 +700,8 @@ class Subspace:
         return len(self.basis)
 
     def reduce(self, vec: dict) -> dict:
-        """Canonical coset representative: eliminate all pivot coordinates."""
+        """The coset representative with no pivot coordinate; it depends on
+        the basis only through the pivot columns."""
         out = dict(vec)
         f = self.field
         hits = [c for c in out if c in self._pivot_map]
@@ -766,12 +785,24 @@ def preimage_subspace(f: SparseMatrix, target: Subspace) -> Subspace:
 class Homology:
     """ker(A) / im(B) where A follows B in a complex (so A @ B = 0).
 
-    Classes are carried in quotient coordinates: the reduced echelon form of
-    B's columns marks pivot coordinates, A restricted to the remaining
-    coordinates has the same rank as A, and its kernel is exactly the
-    homology.  Representatives are honest cycles supported on the free
-    coordinates.  This keeps the work proportional to rank(A) + rank(B) even
-    when a full kernel basis of A would be enormous.
+    Classes are carried in quotient coordinates: a reduced basis of im B
+    marks pivot coordinates, A restricted to the remaining coordinates has
+    the same rank as A, and its kernel is exactly the homology.
+    Representatives are honest cycles supported on the free coordinates.
+    This keeps the work proportional to rank(A) + rank(B) even when a full
+    kernel basis of A would be enormous.
+
+    The basis of im B is the ``reduced_rows`` basis of rank(B) independent
+    columns of B, not of all of them.  They are found from A @ B = 0: every
+    column of B lies in ker A, and a vector of ker A is fixed by its
+    coordinates outside the pivot columns of A's rows, so B's rows outside
+    those pivots have the column dependencies of B, and the pivot columns of
+    an elimination of those rows are the columns to keep.  Either pivot set
+    is cached on its matrix (``_pivots``), so along a complex each
+    differential's rows are eliminated once.  Both the basis and the
+    representatives depend on the elimination; the subspaces they span do
+    not.  Without A @ B = 0 the answer, and the pivots cached on B, are
+    wrong (pass check_complex to test it).
     """
 
     def __init__(self, A: SparseMatrix | None, B: SparseMatrix | None,
@@ -780,13 +811,14 @@ class Homology:
         if A is None and B is None and (space_dim is None or field is None):
             raise ValidationError("need a map or an explicit space dimension")
         self.field = field or (A.field if A is not None else B.field)
-        dim_here = space_dim
-        if A is not None:
-            dim_here = A.ncols
-        if B is not None:
-            if dim_here is not None and B.nrows != dim_here:
-                raise AmbientMismatch("B's codomain must be A's domain")
-            dim_here = B.nrows
+        sizes = [(name, n) for name, n in (
+            ("space_dim", space_dim),
+            ("A's domain", None if A is None else A.ncols),
+            ("B's codomain", None if B is None else B.nrows)) if n is not None]
+        dim_here = sizes[0][1]
+        if any(n != dim_here for _, n in sizes):
+            raise AmbientMismatch("the middle space has disagreeing sizes: "
+                                  + ", ".join("%s %d" % s for s in sizes))
         self.space_dim = dim_here
         self.A = A
         self.B = B
@@ -795,9 +827,19 @@ class Homology:
                 raise ValidationError("not a complex: composition is nonzero")
 
         if B is not None:
+            a_pivots = set()
+            if A is not None:
+                if A._pivots is None:
+                    A._pivots = _pivot_columns(A.rows, self.field)
+                a_pivots = set(A._pivots)
+            if B._pivots is None:
+                B._pivots = _pivot_columns(
+                    [row for i, row in enumerate(B.rows) if i not in a_pivots],
+                    self.field)
             # the cheap reduced basis: coset reduction does not need the
-            # canonical form, and B can be very wide here
-            b_rows, b_pivots = reduced_rows([dict(c) for c in B.columns()],
+            # canonical form
+            cols = B.columns()
+            b_rows, b_pivots = reduced_rows([cols[j] for j in B._pivots],
                                             self.field)
             self.boundary_space = Subspace(dim_here, self.field, b_rows, b_pivots)
         else:

@@ -180,6 +180,13 @@ class _CyclotomicFieldRaw(_FieldBase):
         return tuple(-x for x in a)
 
     def mul(self, a, b):
+        # a rational operand scales the other coefficientwise
+        if not any(a[1:]):
+            x = a[0]
+            return tuple(x * y for y in b)
+        if not any(b[1:]):
+            y = b[0]
+            return tuple(x * y for x in a)
         d = self.degree
         conv = [_ZERO] * (2 * d - 1)
         for i, x in enumerate(a):

@@ -1,5 +1,6 @@
 """Algebra constructors, validation diagnostics, ideals, and bimodules."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -52,6 +53,40 @@ def test_ground_field_with_fourth_root():
     i = Cyclotomic.zeta(4)
     prod = C.multiply({0: i.raw}, {0: i.raw})
     assert Cyclotomic.from_raw(prod[0], 4) == -1
+
+
+@pytest.mark.parametrize("m", [3, 5, 8])
+def test_products_with_unit_constants_match_the_general_route(m):
+    # constants of one (a group algebra over Q(zeta_m)) and others (2 and
+    # zeta_m, in a table that need not be associative: multiply does not ask)
+    from cychom.groups import group_algebra, symmetric_group_3
+    from cychom.linalg import vec_axpy
+    from cychom.spectrum import extend_scalars
+    rng = random.Random(m)
+    z = Cyclotomic.zeta(m)
+    odd = FDAlgebra(2, m, mul={(0, 0): {0: 1}, (0, 1): {1: 2},
+                               (1, 0): {0: z, 1: 1}, (1, 1): {0: 2 * z}})
+    for A in (extend_scalars(group_algebra(symmetric_group_3()), m), odd):
+        field = A.field
+
+        def element():
+            # nonzero entries, some of them rational
+            out = {}
+            for i in rng.sample(range(A.dim), min(A.dim, 3)):
+                rational = rng.random() < 0.5
+                coeffs = [Fraction(rng.randint(1, 4), 3)] + [
+                    Fraction(0 if rational else rng.randint(-4, 4), 3)
+                    for _ in range(field.degree - 1)]
+                out[i] = to_raw(Cyclotomic(coeffs, m), field)
+            return out
+
+        for _ in range(10):
+            u, v = element(), element()
+            expected = {}
+            for i, a in u.items():
+                for j, b in v.items():
+                    vec_axpy(expected, field.mul(a, b), A.mul[i][j], field)
+            assert A.multiply(u, v) == expected
 
 
 def test_points_algebra_products():

@@ -22,13 +22,14 @@ from cychom.algebra import (
     upper_triangular,
 )
 from cychom.config import BUDGET_ENV_VAR, Budget, default_budget
-from cychom.cyclic import operator_B
+from cychom.cyclic import cyclic_complex, operator_B
 from cychom.errors import NonUnital, NotMultiplicative, SizeOverflow, ValidationError
 from cychom.crossprod import crossed_product, trivial_action, \
     variety_crossed_product
 from cychom.groups import FiniteVarietyAction, cyclic_group, group_algebra, \
     group_metadata, symmetric_group_3
 from cychom.hochschild import (
+    _degree_homologies,
     _homology_report,
     bar_complex,
     center_action,
@@ -40,7 +41,9 @@ from cychom.hochschild import (
     induced_map_hh,
     tr_star_and_iota,
 )
-from cychom.linalg import SparseMatrix, homology, vec_add, vec_equal
+from cychom.linalg import SparseMatrix, Subspace, homology, induced_map, \
+    rref_rows, vec_add, vec_equal
+from cychom.scalars import Cyclotomic
 from cychom.spectrum import extend_scalars
 from cychom.structure import block_idempotents, split_idempotents
 
@@ -288,6 +291,69 @@ def test_b_prime_complex_of_ground_field_is_acyclic():
 
 # ---------------------------------------------------------------------------
 # homology
+
+
+def _zeta_basis_truncation():
+    """Q(zeta3)[x]/x^3 on the basis 1, zeta3 x, x^2: (zeta3 x)^2 = zeta3^2 x^2
+    puts an irrational entry into every window of it."""
+    z = Cyclotomic.zeta(3)
+    mul = {(0, k): {k: 1} for k in range(3)}
+    mul.update({(k, 0): {k: 1} for k in range(1, 3)})
+    mul[1, 1] = {2: z * z}
+    return FDAlgebra(3, 3, mul=mul, unit={0: 1})
+
+
+def _copy(m):
+    return SparseMatrix(m.nrows, m.ncols, m.field, rows=[dict(r) for r in m.rows])
+
+
+def _bar_window(A, top, normalized):
+    return lambda: bar_complex(A(), top, normalized=normalized)
+
+
+def _zeta_walk_window():
+    w = hh(_zeta_basis_truncation(), 4).window
+    assert any(any(e[1:]) for row in w.boundaries[2].rows for e in row.values())
+    return w
+
+
+WINDOWS = {"%s norm=%s" % (name, normalized): _bar_window(A, top, normalized)
+           for name, A, top in [
+               ("T3", lambda: truncated_polynomial(3), 4),
+               ("T4", lambda: truncated_polynomial(4), 4),
+               ("M2", lambda: matrix_algebra(ground_field(), 2), 3),
+               ("U2", lambda: upper_triangular(2), 3)]
+           for normalized in (False, True)}
+WINDOWS["QS3 walk"] = lambda: hh(group_algebra(symmetric_group_3()), 3).window
+WINDOWS["T4 totals"] = lambda: cyclic_complex(truncated_polynomial(4), 5)
+WINDOWS["zeta3 walk"] = _zeta_walk_window
+
+
+@pytest.mark.parametrize("name", list(WINDOWS))
+def test_boundary_basis_spans_the_image_of_every_column(name):
+    window = WINDOWS[name]()
+    maps = getattr(window, "totals", None) or window.boundaries
+    dims, field = window.dims, window.field
+    homologies = _degree_homologies(maps, dims, field, len(dims) - 2)
+    for n, H in enumerate(homologies):
+        A, B = maps[n] if n else None, maps[n + 1]
+        # the slow reference: the rref of all of B's columns
+        ref = Subspace.from_vectors(dims[n], field, B.columns())
+        assert rref_rows(H.boundary_space.basis, field) \
+            == (ref.basis, ref.pivot_cols)
+        rank_a = A.rank() if A is not None else 0
+        assert H.dim == dims[n] - rank_a - ref.dim
+        if A is not None:
+            assert all(not A.mat_vec(rep) for rep in H.representatives)
+        # every matrix now carries cached pivots; fresh copies recompute
+        # them from other rows, and the classes must agree
+        again = homology(A, B, space_dim=dims[n], field=field)
+        fresh = homology(None if A is None else _copy(A), _copy(B),
+                         space_dim=dims[n], field=field)
+        assert again.boundary_space.basis == H.boundary_space.basis
+        assert fresh.boundary_space.equals(H.boundary_space)
+        assert induced_map(SparseMatrix.identity(dims[n], field),
+                           H, fresh).rank() == H.dim
 
 
 def test_hh_of_ground_field():

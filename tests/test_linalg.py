@@ -437,6 +437,18 @@ def test_homology_of_two_point_circle():
     assert bare.dim == 2  # no differentials at all: the space itself
 
 
+def test_homology_refuses_a_space_dim_that_disagrees_with_the_maps():
+    A = SparseMatrix.zero(2, 3, Q)
+    B = SparseMatrix.zero(3, 2, Q)
+    with pytest.raises(AmbientMismatch, match="space_dim 5"):
+        Homology(A=A, B=None, space_dim=5)
+    with pytest.raises(AmbientMismatch, match="space_dim 7"):
+        Homology(A=None, B=B, space_dim=7)
+    with pytest.raises(AmbientMismatch, match="A's domain 3, B's codomain 2"):
+        Homology(A=A, B=SparseMatrix.zero(2, 2, Q))
+    assert Homology(A=A, B=B, space_dim=3).dim == 3
+
+
 def test_homology_trivial_pair():
     d = SparseMatrix.from_dense([[0, 1], [0, 0]], Q)
     h = Homology(A=d, B=d, check_complex=True)

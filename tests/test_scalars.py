@@ -140,6 +140,34 @@ def test_field_axioms_on_random_elements():
                 assert a * a.inverse() == one
 
 
+def _reference_product(a, b, m):
+    """a * b on coefficient tuples by polynomial product and long division
+    by Phi_m, the general route whatever the operands."""
+    phi = cyclotomic_polynomial(m)
+    d = len(phi) - 1
+    prod = [F(0)] * (2 * d - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for t in range(2 * d - 2, d - 1, -1):
+        c = prod[t]
+        for k, p in enumerate(phi):
+            prod[t - d + k] -= c * p
+    return tuple(prod[:d])
+
+
+@pytest.mark.parametrize("m", [3, 5, 8])
+def test_rational_operands_multiply_like_the_general_route(m):
+    # one operand rational takes the coefficientwise path in field.mul
+    rng = random.Random(m)
+    field = field_of_order(m)
+    for _ in range(20):
+        a = _random_element(rng, m).raw
+        r = field.from_rational(F(rng.randint(-6, 6), rng.randint(1, 5)))
+        for x, y in [(a, r), (r, a), (r, r), (a, a), (a, field.zero)]:
+            assert field.mul(x, y) == _reference_product(x, y, m)
+
+
 def test_conjugation_is_a_ring_involution():
     rng = random.Random(7)
     for m in ORDERS:

@@ -10,12 +10,17 @@ covers a fixed corpus of windows (normalized and unnormalized bar complexes,
 the (b, B) complexes behind hc, induced maps, Morita maps, coefficient
 windows, and bar windows relative to the central idempotents of
 structure.block_idempotents), hashed over the repr of their rows, so it also
-sees the order of the entries in each row.  The second covers the walk
-windows of hh (slot basis, its inverse and the boundaries) and the
+sees the order of the entries in each row.  The maps on homology (induced
+maps, Morita iota and Tr) are hashed in a basis the script derives from the
+complex alone (the rref of the boundary space and the canonical kernel of
+the outgoing differential on its free coordinates), not in the basis of the
+library's representatives, which depends on how the boundary basis was
+eliminated; every chain-level entry is hashed as it is.  The second covers
+the walk windows of hh (slot basis, its inverse and the boundaries) and the
 wedderburn_blocks reports of a few group algebras and upper_triangular(3)
 (idempotents, primitive points and central characters), hashed over sorted
 dict items, so only values count.  Two checkouts that compute the same
-windows and reports print the same lines.  The script re-runs itself with
+windows, maps and reports print the same lines.  The script re-runs itself with
 PYTHONHASHSEED=0, so set iteration order cannot change the hash between
 runs.
 """
@@ -70,7 +75,9 @@ def _entries():
     def induced(label, phi, top):
         ind = induced_map_hh(phi, top)
         for n, (f, h) in enumerate(zip(ind.chain_maps, ind.homology_maps)):
-            yield "%s induced%d" % (label, n), (f.rows, h.rows)
+            yield "%s induced%d" % (label, n), (f.rows, _canonical_map(
+                h, ind.source.degrees[n].homology,
+                ind.target.degrees[n].homology))
 
     for name, A, top in _algebras():
         for normalized in (False, True):
@@ -99,9 +106,56 @@ def _entries():
     for name, A, _ in _algebras()[:3]:
         morita = tr_star_and_iota(A, 2, 1)
         for n in range(2):
+            base = morita.base_report.degrees[n].homology
+            big = morita.matrix_report.degrees[n].homology
             yield "%s morita%d" % (name, n), (
                 morita.iota_chain[n].rows, morita.tr_chain[n].rows,
-                morita.iota_hh[n].rows, morita.tr_hh[n].rows)
+                _canonical_map(morita.iota_hh[n], base, big),
+                _canonical_map(morita.tr_hh[n], big, base))
+
+
+def _canonical_basis(H):
+    """Representatives of the homology H and coordinates in their basis,
+    fixed by the complex alone: the free coordinates are those off the
+    pivots of the rref of H's boundary space, and the representatives are
+    the canonical kernel of H.A restricted to them."""
+    from cychom.linalg import Subspace, kernel_from_rref, rref_rows
+    field = H.field
+    bound = Subspace.from_vectors(H.space_dim, field, H.boundary_space.basis)
+    pivots = set(bound.pivot_cols)
+    free = [j for j in range(H.space_dim) if j not in pivots]
+    pos = {j: k for k, j in enumerate(free)}
+    rows = [] if H.A is None else [
+        {pos[j]: v for j, v in row.items() if j in pos} for row in H.A.rows]
+    rref, small_pivots = rref_rows(rows, field)
+    kernel = kernel_from_rref(rref, small_pivots, len(free), field)
+    small_free = [free[k] for k in range(len(free))
+                  if k not in set(small_pivots)]
+
+    def coords(vec):
+        # a cycle reduced by the rref is the kernel combination whose
+        # coefficients sit at the kernel vectors' own free coordinates
+        reduced = bound.reduce(vec)
+        return [reduced.get(j, field.zero) for j in small_free]
+
+    return [{free[k]: v for k, v in vec.items()} for vec in kernel], coords
+
+
+def _canonical_map(h, source, target):
+    """The rows of h, a matrix from source's homology basis to target's, in
+    the bases of _canonical_basis, so representatives chosen another way
+    hash the same."""
+    from cychom.linalg import SparseMatrix, dense_to_sparse, vec_axpy
+    field = h.field
+    src_reps, _ = _canonical_basis(source)
+    tgt_reps, tgt_coords = _canonical_basis(target)
+    cols = []
+    for u in src_reps:
+        image = {}
+        for i, c in h.mat_vec(dense_to_sparse(source.coords(u), field)).items():
+            vec_axpy(image, c, target.representatives[i], field)
+        cols.append(dense_to_sparse(tgt_coords(image), field))
+    return SparseMatrix.from_columns(cols, len(tgt_reps), field).rows
 
 
 def _sorted(value):
