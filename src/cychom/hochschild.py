@@ -311,6 +311,16 @@ def _check_blocks(A: FDAlgebra, blocks) -> list:
     return blocks
 
 
+def _check_n_max(n_max) -> None:
+    # bool is a subclass of int, and a float passes the sign check only to
+    # fail later in range()
+    if not isinstance(n_max, int) or isinstance(n_max, bool):
+        raise ValidationError("n_max must be an int, not %s"
+                              % type(n_max).__name__)
+    if n_max < 0:
+        raise ValidationError("n_max must be at least 0")
+
+
 def bar_complex(A: FDAlgebra, n_max: int, variant: str = "b",
                 coefficients: Bimodule | None = None,
                 normalized: bool = False, budget=None,
@@ -330,8 +340,7 @@ def bar_complex(A: FDAlgebra, n_max: int, variant: str = "b",
     budget = budget or default_budget()
     if variant not in ("b", "b_prime"):
         raise ValidationError("variant must be b or b_prime")
-    if n_max < 0:
-        raise ValidationError("n_max must be at least 0")
+    _check_n_max(n_max)
     if normalized and not A.is_unital:
         raise NonUnital("the normalized complex needs a unit")
     if normalized and variant == "b_prime":
@@ -470,8 +479,7 @@ def _degree_homologies(maps, dims, field, n_max: int) -> list:
 
 def _homology_report(A: FDAlgebra, window, maps, n_max: int) -> HomologyReport:
     """Per-degree homology of a window whose differentials are maps."""
-    if n_max < 0:
-        raise ValidationError("n_max must be at least 0")
+    _check_n_max(n_max)
     homologies = _degree_homologies(maps, window.dims, window.field, n_max)
     degrees = [DegreeHomology(degree=n, dim=H.dim,
                               representatives=H.representatives, homology=H)
@@ -488,8 +496,7 @@ def h_unitality_report(A: FDAlgebra, n_max: int, budget=None) -> str:
     Unital algebras are contractible by the homotopy, so the check only
     carries information without a unit.
     """
-    if n_max < 0:
-        raise ValidationError("n_max must be at least 0")
+    _check_n_max(n_max)
     if A.is_unital:
         return "not-applicable"
     window = bar_complex(A, n_max + 1, variant="b_prime", budget=budget)

@@ -22,9 +22,10 @@ supports, the same on either route, and the reduced echelon form computed at
 the end is canonical (monic pivots, zeros above and below, pivot columns
 increasing), so every public answer is independent of elimination order.
 
-A reduced basis of the image of B, built from rank(B) of its columns, also
-powers a quotient-coordinate construction of homology that never
-materializes a full kernel basis of a large boundary map; see ``Homology``.
+Homology takes one row elimination per differential: the pivot rows it
+picks in B mark a complement of im B, the representatives are the kernel of
+A restricted to that complement, and a reduced basis of im B is built only
+when class coordinates are asked for, never for dims; see ``Homology``.
 """
 
 from __future__ import annotations
@@ -282,21 +283,25 @@ class _UnionFind:
             self.parent[ry] = rx
 
 
-def _eliminate_component(rows: list[dict], adapter) -> list[tuple[int, dict]]:
-    """Echelonize one component; returns (pivot col, primitive row) pairs in
-    the order the pivots were created.  A pivot row can still hold entries at
-    columns pivoted LATER (it is out of play by then), never earlier, so the
-    creation order is what back-substitution must walk backwards."""
+def _eliminate_component(rows, adapter, cols=None) -> list[tuple]:
+    """Echelonize one component of (row index, row) pairs; returns (pivot
+    col, row index, primitive row) triples in the order the pivots were
+    created.  Each pivot row is its input row plus multiples of earlier
+    pivot rows, so the inputs at the pivot rows and pivot columns form an
+    invertible submatrix.  A pivot row can still hold entries at columns
+    pivoted LATER (it is out of play by then), never earlier, so the
+    creation order is what back-substitution must walk backwards.  With
+    cols, pivots are taken only in those columns."""
     col_rows: dict[int, set[int]] = {}
     live: dict[int, dict] = {}
-    for rid, row in enumerate(rows):
-        if row:
-            live[rid] = row
-            for c in row:
+    for rid, row in rows:
+        live[rid] = row
+        for c in row:
+            if cols is None or c in cols:
                 col_rows.setdefault(c, set()).add(rid)
     heap = [(len(rids), c) for c, rids in col_rows.items()]
     heapq.heapify(heap)
-    pivots: list[tuple[int, dict]] = []
+    pivots: list[tuple] = []
     while heap:
         cnt, c = heapq.heappop(heap)
         rids = col_rows.get(c)
@@ -305,13 +310,14 @@ def _eliminate_component(rows: list[dict], adapter) -> list[tuple[int, dict]]:
         prid = min(rids, key=lambda rid: (len(live[rid]), rid))
         prow = live[prid]
         # combining with prow changes a row's support only at prow's columns,
-        # and each of those still holds prid, so its column set exists
+        # and each tracked one still holds prid, so its column set exists
+        pcols = prow if cols is None else [j for j in prow if j in cols]
         for rid in list(rids):
             if rid == prid:
                 continue
             old = live[rid]
             new = adapter.combine(old, prow, c)
-            for j in prow:
+            for j in pcols:
                 if j in old:
                     if j not in new:
                         col_rows[j].discard(rid)
@@ -323,42 +329,54 @@ def _eliminate_component(rows: list[dict], adapter) -> list[tuple[int, dict]]:
                 del live[rid]
         # retire the pivot row and requeue its columns at their new counts
         del live[prid]
-        for j in prow:
+        for j in pcols:
             s = col_rows[j]
             s.discard(prid)
             if s:
                 heapq.heappush(heap, (len(s), j))
             else:
                 del col_rows[j]
-        pivots.append((c, prow))
+        pivots.append((c, prid, prow))
     return pivots
 
 
-def _split_components(input_rows, adapter) -> list[list[dict]]:
+def _eliminate(indexed_rows, field: _FieldBase, cols=None):
+    """The row adapter and the pivot triples of ``_eliminate_component`` over
+    every connected component of the row/column incidence graph of the
+    (row index, row) pairs, each component's pivots in creation order."""
+    indexed_rows = list(indexed_rows)
+    adapter = _adapter(field, [row for _, row in indexed_rows])
     uf = _UnionFind()
-    prepared: list[dict] = []
-    for row in input_rows:
+    prepared = []
+    for rid, row in indexed_rows:
         row = adapter.prim(row)
         if not row:
             continue
-        prepared.append(row)
+        prepared.append((rid, row))
         it = iter(row)
         first = next(it)
         for c in it:
             uf.union(first, c)
-    groups: dict[int, list[dict]] = {}
-    for row in prepared:
-        groups.setdefault(uf.find(next(iter(row))), []).append(row)
-    return list(groups.values())
+    groups: dict[int, list] = {}
+    for pair in prepared:
+        groups.setdefault(uf.find(next(iter(pair[1]))), []).append(pair)
+    return adapter, [pivot for comp in groups.values()
+                     for pivot in _eliminate_component(comp, adapter, cols)]
 
 
-def _pivot_columns(rows, field: _FieldBase) -> list[int]:
-    """The pivot columns of an elimination of the rows, ascending: rank-many
-    columns whose restriction to the rows is invertible, found without
-    back-substitution."""
-    adapter = _adapter(field, rows)
-    return sorted(c for comp in _split_components(rows, adapter)
-                  for c, _ in _eliminate_component(comp, adapter))
+def _pivot_columns(indexed_rows, field: _FieldBase) -> tuple[list, list]:
+    """(pivot columns, pivot rows) of an elimination of the (row index, row)
+    pairs, both ascending and rank-many, found without back-substitution;
+    the rows restricted to the columns are invertible."""
+    _, pivots = _eliminate(indexed_rows, field)
+    return sorted(c for c, _, _ in pivots), sorted(r for _, r, _ in pivots)
+
+
+def _reduced(input_rows, field: _FieldBase, cols=None):
+    """``reduced_rows``, with pivots only in cols when they are given."""
+    adapter, pivots = _eliminate(enumerate(input_rows), field, cols)
+    # a pivot row may hold columns pivoted later, never earlier
+    return _back_substitute([(c, row) for c, _, row in pivots], adapter)
 
 
 def reduced_rows(input_rows, field: _FieldBase):
@@ -368,15 +386,11 @@ def reduced_rows(input_rows, field: _FieldBase):
     Unlike ``rref_rows`` the pivot of a row need not be its leftmost entry,
     so the output is not the canonical echelon form; it is the cheap variant
     for very large spans, where the strict leftmost rule causes fill.  All
-    coset reduction and coordinate extraction work the same on it.
+    coset reduction, coordinate extraction and ``kernel_from_rref`` work the
+    same on it.  ``Homology`` reads its representatives off the one of A
+    restricted to the coordinates outside its boundaries' pivot rows.
     """
-    input_rows = list(input_rows)
-    adapter = _adapter(field, input_rows)
-    ordered: list[tuple[int, dict]] = []
-    for rows in _split_components(input_rows, adapter):
-        ordered.extend(_eliminate_component(rows, adapter))
-    # a pivot row may hold columns pivoted later, never earlier
-    return _back_substitute(ordered, adapter)
+    return _reduced(input_rows, field)
 
 
 def rref_rows(input_rows, field: _FieldBase):
@@ -385,11 +399,8 @@ def rref_rows(input_rows, field: _FieldBase):
     Returns (rows, pivot_cols): monic rows sorted by strictly increasing pivot
     column, zero everywhere above and below each pivot.
     """
-    input_rows = list(input_rows)
-    adapter = _adapter(field, input_rows)
-    basis: list[dict] = []
-    for rows in _split_components(input_rows, adapter):
-        basis.extend(row for _, row in _eliminate_component(rows, adapter))
+    adapter, pivots = _eliminate(enumerate(input_rows), field)
+    basis = [row for _, _, row in pivots]
 
     # The cheap-column pass above gives some basis of the row space; the
     # canonical form needs leftmost pivots, so eliminate again with the
@@ -474,7 +485,10 @@ class SparseMatrix:
         self._rref = None
         self._cols = None
         self._rank = None
-        self._pivots = None  # rank-many independent columns, set by Homology
+        # rank-many pivot columns and pivot rows meeting in an invertible
+        # submatrix, set by Homology
+        self._pivots = None
+        self._pivot_rows = None
 
     # construction ---------------------------------------------------------
 
@@ -678,8 +692,10 @@ class Subspace:
     ``from_vectors`` (and so ``sum_with`` and ``column_space``) gives the
     canonical reduced echelon form.  ``SparseMatrix.kernel_space`` and
     ``Homology.boundary_space`` give reduced bases that are not: their
-    pivots need not be leftmost, and the latter depends on the elimination.
-    ``reduce``, ``coords`` and ``equals`` work the same on either kind.
+    pivots need not be leftmost, and the latter's pivots are the pivot rows
+    an elimination of the boundary map picked.  ``reduce``, ``coords`` and
+    ``equals`` work the same on either kind, and refuse a vector with a
+    coordinate outside ``range(ambient_dim)``.
     """
 
     def __init__(self, ambient_dim: int, field: _FieldBase, basis: list[dict],
@@ -702,6 +718,7 @@ class Subspace:
     def reduce(self, vec: dict) -> dict:
         """The coset representative with no pivot coordinate; it depends on
         the basis only through the pivot columns."""
+        self._check(vec)
         out = dict(vec)
         f = self.field
         hits = [c for c in out if c in self._pivot_map]
@@ -713,6 +730,12 @@ class Subspace:
             hits = [c for c in out if c in self._pivot_map]
         return out
 
+    def _check(self, vec: dict) -> None:
+        for i in vec:
+            if not 0 <= i < self.ambient_dim:
+                raise AmbientMismatch(
+                    f"index {i} outside an ambient space of {self.ambient_dim}")
+
     def contains(self, vec: dict) -> bool:
         return vec_is_zero(self.reduce(vec))
 
@@ -721,6 +744,7 @@ class Subspace:
 
     def coords(self, vec: dict) -> list | None:
         """Coefficients of vec in the echelon basis, or None if outside."""
+        self._check(vec)
         out = dict(vec)
         f = self.field
         coeffs = [f.zero] * len(self.basis)
@@ -752,6 +776,10 @@ class Subspace:
 
     def restrict_operator(self, op: SparseMatrix) -> SparseMatrix:
         """Matrix of op on this subspace in its basis; op must preserve it."""
+        if (op.nrows, op.ncols) != (self.ambient_dim, self.ambient_dim):
+            raise AmbientMismatch(
+                f"a {op.nrows}x{op.ncols} operator on an ambient space of "
+                f"{self.ambient_dim}")
         return operator_matrix(op, self.basis, self,
                                "operator does not preserve the subspace")
 
@@ -785,24 +813,31 @@ def preimage_subspace(f: SparseMatrix, target: Subspace) -> Subspace:
 class Homology:
     """ker(A) / im(B) where A follows B in a complex (so A @ B = 0).
 
-    Classes are carried in quotient coordinates: a reduced basis of im B
-    marks pivot coordinates, A restricted to the remaining coordinates has
-    the same rank as A, and its kernel is exactly the homology.
-    Representatives are honest cycles supported on the free coordinates.
-    This keeps the work proportional to rank(A) + rank(B) even when a full
-    kernel basis of A would be enormous.
+    One row elimination of B, without back-substitution, picks rank(B)
+    pivot columns P and one pivot row per pivot column, R*, and B[R*, P]
+    is invertible.  So im B maps isomorphically onto the coordinates R*,
+    the coordinates F outside them are a complement of im B, and since
+    im B lies in ker A, ker A is im B plus its part in F.  The homology is
+    the kernel of A restricted to F, and the representatives are its
+    ``reduced_rows`` kernel basis: honest cycles supported on F, one per
+    class, dim = space_dim - rank A - rank B.  Both pivot sets depend on B
+    alone and are cached on it (``_pivots``, ``_pivot_rows``).
 
-    The basis of im B is the ``reduced_rows`` basis of rank(B) independent
-    columns of B, not of all of them.  They are found from A @ B = 0: every
-    column of B lies in ker A, and a vector of ker A is fixed by its
-    coordinates outside the pivot columns of A's rows, so B's rows outside
-    those pivots have the column dependencies of B, and the pivot columns of
-    an elimination of those rows are the columns to keep.  Either pivot set
-    is cached on its matrix (``_pivots``), so along a complex each
-    differential's rows are eliminated once.  Both the basis and the
-    representatives depend on the elimination; the subspaces they span do
-    not.  Without A @ B = 0 the answer, and the pivots cached on B, are
-    wrong (pass check_complex to test it).
+    The elimination of B uses only B's rows outside A's pivot columns, which
+    carry B's column dependencies because every column of B lies in ker A
+    and a vector of ker A is fixed by its coordinates off A's pivots.
+    Along a complex the pivots found for B at degree n are A's at degree
+    n+1, so each differential's rows are eliminated once.
+
+    ``boundary_space``, a reduced basis of im B, is built on first use, by
+    ``coords`` or a direct read: B's P-columns eliminated with pivots taken
+    only in R*, then back-substituted, so its pivot columns are exactly R*.
+    Reducing a cycle by it leaves a vector of ker A on F, whose coordinates
+    are its values at the representatives' own free coordinates.  Dims
+    never build it.  Representatives and the basis depend on the
+    elimination; the subspaces they span do not.  Without A @ B = 0 the
+    answer, and the pivots cached on B, are wrong (pass check_complex to
+    test it).
     """
 
     def __init__(self, A: SparseMatrix | None, B: SparseMatrix | None,
@@ -826,72 +861,62 @@ class Homology:
             if not A.matmul(B).is_zero_matrix():
                 raise ValidationError("not a complex: composition is nonzero")
 
+        bound_rows = set()
         if B is not None:
-            a_pivots = set()
-            if A is not None:
-                if A._pivots is None:
-                    A._pivots = _pivot_columns(A.rows, self.field)
-                a_pivots = set(A._pivots)
             if B._pivots is None:
-                B._pivots = _pivot_columns(
-                    [row for i, row in enumerate(B.rows) if i not in a_pivots],
+                skip = set()
+                if A is not None:
+                    if A._pivots is None:
+                        A._pivots, A._pivot_rows = _pivot_columns(
+                            enumerate(A.rows), self.field)
+                    skip = set(A._pivots)
+                B._pivots, B._pivot_rows = _pivot_columns(
+                    ((i, row) for i, row in enumerate(B.rows) if i not in skip),
                     self.field)
-            # the cheap reduced basis: coset reduction does not need the
-            # canonical form
-            cols = B.columns()
-            b_rows, b_pivots = reduced_rows([cols[j] for j in B._pivots],
-                                            self.field)
-            self.boundary_space = Subspace(dim_here, self.field, b_rows, b_pivots)
-        else:
-            self.boundary_space = Subspace(dim_here, self.field, [], [])
-
-        pivset = set(self.boundary_space.pivot_cols)
-        free_cols = [j for j in range(dim_here) if j not in pivset]
-        self._free = free_cols
-        self._free_pos = {j: k for k, j in enumerate(free_cols)}
-
+            bound_rows = set(B._pivot_rows)
+        free = [j for j in range(dim_here) if j not in bound_rows]
         if A is not None:
-            # A restricted to the free coordinates, then its kernel
+            # A restricted to F, then its kernel
+            pos = {j: k for k, j in enumerate(free)}
             sub_rows = []
             for row in A.rows:
-                r = {self._free_pos[j]: v for j, v in row.items() if j in self._free_pos}
+                r = {pos[j]: v for j, v in row.items() if j in pos}
                 if r:
                     sub_rows.append(r)
-            rr, pivset_small = rref_rows(sub_rows, self.field)
-            small_kernel = kernel_from_rref(rr, pivset_small, len(free_cols), self.field)
+            rows, pivots = reduced_rows(sub_rows, self.field)
+            kernel = kernel_from_rref(rows, pivots, len(free), self.field)
         else:
-            pivset_small = []
-            small_kernel = [{k: self.field.one} for k in range(len(free_cols))]
-        self._small_kernel = small_kernel
-        taken = set(pivset_small)
-        self._small_free = [k for k in range(len(free_cols)) if k not in taken]
-        self.representatives = [
-            {free_cols[k]: v for k, v in vec.items()} for vec in small_kernel]
+            pivots = []
+            kernel = [{k: self.field.one} for k in range(len(free))]
+        taken = set(pivots)
+        # each kernel vector carries a lone 1 at its own free coordinate
+        self._class_cols = [free[k] for k in range(len(free)) if k not in taken]
+        self.representatives = [{free[k]: v for k, v in vec.items()}
+                                for vec in kernel]
+        self._boundary = None
+
+    @property
+    def boundary_space(self) -> Subspace:
+        if self._boundary is None:
+            basis, pivots = [], []
+            if self.B is not None:
+                cols = self.B.columns()
+                basis, pivots = _reduced([cols[j] for j in self.B._pivots],
+                                         self.field, set(self.B._pivot_rows))
+            self._boundary = Subspace(self.space_dim, self.field, basis, pivots)
+        return self._boundary
 
     @property
     def dim(self) -> int:
         return len(self.representatives)
 
     def coords(self, vec: dict) -> list | None:
-        """Coordinates of the class of vec, or None if it is not a cycle
-        modulo boundaries."""
+        """Coordinates of the class of vec, or None if it is not a cycle."""
         if self.A is not None:
             if not vec_is_zero(self.A.mat_vec(vec)):
                 return None
         reduced = self.boundary_space.reduce(vec)
-        small = {}
-        for j, v in reduced.items():
-            k = self._free_pos.get(j)
-            if k is None:
-                return None
-            small[k] = v
-        # kernel basis vectors carry a lone 1 at their own free coordinate
-        coeffs = [small.get(f, self.field.zero) for f in self._small_free]
-        residual = dict(small)
-        f = self.field
-        for c, basis_vec in zip(coeffs, self._small_kernel):
-            vec_axpy(residual, f.neg(c), basis_vec, f)
-        return coeffs if vec_is_zero(residual) else None
+        return [reduced.get(j, self.field.zero) for j in self._class_cols]
 
     def class_is_zero(self, vec: dict) -> bool:
         c = self.coords(vec)
@@ -909,5 +934,9 @@ def homology(A: SparseMatrix | None, B: SparseMatrix | None,
 
 def induced_map(f: SparseMatrix, source: Homology, target: Homology) -> SparseMatrix:
     """Matrix of the map induced on homology by a chain-level map."""
+    if (f.nrows, f.ncols) != (target.space_dim, source.space_dim):
+        raise AmbientMismatch(
+            f"a {f.nrows}x{f.ncols} chain map from a space of "
+            f"{source.space_dim} to one of {target.space_dim}")
     return operator_matrix(f, source.representatives, target,
                            "chain map does not send cycles to cycles")

@@ -41,8 +41,8 @@ from cychom.errors import (
 )
 from cychom.groups import cyclic_group, group_algebra, symmetric_group_3
 from cychom.hochschild import bar_complex, hh, homotopy_s
-from cychom.linalg import SparseMatrix, Subspace, homology, vec_add, \
-    vec_equal, vec_sub
+from cychom.linalg import SparseMatrix, Subspace, homology, induced_map, \
+    vec_add, vec_axpy, vec_equal, vec_sub
 
 
 def connes_quotient_hc_dims(A, n_max):
@@ -320,6 +320,39 @@ def test_hc_frozen_dimensions():
     assert hc(truncated_polynomial(2), 4).dims == [2, 0, 2, 0, 2]
     assert hc(truncated_polynomial(3), 4).dims == [3, 0, 3, 0, 3]
     assert hc(functions_on_points(2), 4).dims == [2, 0, 2, 0, 2]
+
+
+def test_hc_dims_leave_the_boundary_bases_unbuilt():
+    report = hc(truncated_polynomial(4), 5)
+    window, field = report.window, report.window.field
+    homologies = [d.homology for d in report.degrees]
+    assert all(H._boundary is None for H in homologies)
+    # the slow reference: the rref of all of B's columns
+    refs = [Subspace.from_vectors(H.space_dim, field,
+                                  window.totals[n + 1].columns())
+            for n, H in enumerate(homologies)]
+
+    def is_class(vec, coords, H, ref):
+        # vec minus the combination of representatives is a boundary
+        vec = dict(vec)
+        for c, rep in zip(coords, H.representatives):
+            vec_axpy(vec, field.neg(c), rep, field)
+        return ref.contains(vec)
+
+    rng = random.Random(5)
+    for H, ref in zip(homologies, refs):
+        for col in ref.basis:
+            cycle = dict(col)
+            for rep in H.representatives:
+                c = field.from_rational(rng.randint(-3, 3))
+                vec_axpy(cycle, c, rep, field)
+            assert is_class(cycle, H.coords(cycle), H, ref)
+    for n in range(2, 6):
+        S = induced_map(s_matrix(window, n), homologies[n], homologies[n - 2])
+        for j, rep in enumerate(homologies[n].representatives):
+            column = [S.entry(i, j) for i in range(S.nrows)]
+            assert is_class(s_matrix(window, n).mat_vec(rep), column,
+                            homologies[n - 2], refs[n - 2])
 
 
 def test_hc_zero_equals_hh_zero():

@@ -22,7 +22,7 @@ from cychom.algebra import (
     upper_triangular,
 )
 from cychom.config import BUDGET_ENV_VAR, Budget, default_budget
-from cychom.cyclic import cyclic_complex, operator_B
+from cychom.cyclic import cyclic_complex, hc, hp, operator_B
 from cychom.errors import NonUnital, NotMultiplicative, SizeOverflow, ValidationError
 from cychom.crossprod import crossed_product, trivial_action, \
     variety_crossed_product
@@ -220,6 +220,21 @@ def test_negative_degrees_are_rejected():
             call()
 
 
+def test_degrees_must_be_ints():
+    A = truncated_polynomial(2)
+    calls = [
+        lambda: bar_complex(A, 2.0),
+        lambda: bar_complex(A, True),
+        lambda: hh(A, 2.0),
+        lambda: hh(A, True),
+        lambda: hc(A, 2.0),
+        lambda: hp(A, "stabilization", cutoff=4.5),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match="must be an int"):
+            call()
+
+
 def test_window_size_budget():
     with pytest.raises(SizeOverflow):
         bar_complex(matrix_algebra(ground_field(), 2), 5,
@@ -341,6 +356,16 @@ def test_boundary_basis_spans_the_image_of_every_column(name):
         ref = Subspace.from_vectors(dims[n], field, B.columns())
         assert rref_rows(H.boundary_space.basis, field) \
             == (ref.basis, ref.pivot_cols)
+        # the basis is pivoted at B's cached pivot rows R*, B[R*, P] is
+        # invertible, and the representatives live off R*
+        rows, cols = B._pivot_rows, B._pivots
+        assert H.boundary_space.pivot_cols == rows
+        square = SparseMatrix(len(rows), len(cols), field, rows=[
+            {k: B.rows[i][j] for k, j in enumerate(cols) if j in B.rows[i]}
+            for i in rows])
+        assert square.inverse().matmul(square).equals(
+            SparseMatrix.identity(len(rows), field))
+        assert not any(set(rep) & set(rows) for rep in H.representatives)
         rank_a = A.rank() if A is not None else 0
         assert H.dim == dims[n] - rank_a - ref.dim
         if A is not None:

@@ -449,6 +449,34 @@ def test_homology_refuses_a_space_dim_that_disagrees_with_the_maps():
     assert Homology(A=A, B=B, space_dim=3).dim == 3
 
 
+def test_maps_of_the_wrong_shape_are_refused():
+    three = Homology(None, None, space_dim=3, field=Q)
+    ident = SparseMatrix.identity(3, Q)
+    for target in (Homology(None, None, space_dim=4, field=Q),
+                   Homology(None, None, space_dim=2, field=Q)):
+        with pytest.raises(AmbientMismatch, match="3x3 chain map"):
+            induced_map(ident, three, target)
+    with pytest.raises(AmbientMismatch, match="3x3 chain map"):
+        induced_map(ident, Homology(None, None, space_dim=2, field=Q), three)
+    assert induced_map(ident, three, three).equals(ident)
+    plane = Subspace.from_vectors(3, Q, [dense_to_sparse([1, -1, 0], Q)])
+    for op in (SparseMatrix.identity(4, Q), SparseMatrix.zero(3, 2, Q)):
+        with pytest.raises(AmbientMismatch, match="ambient space of 3"):
+            plane.restrict_operator(op)
+
+
+def test_coordinates_outside_the_ambient_space_are_refused():
+    plane = Subspace.from_vectors(3, Q, [dense_to_sparse([1, -1, 0], Q)])
+    d = SparseMatrix.from_dense([[1, 1, 0]], Q)
+    homologies = [Homology(None, None, space_dim=3, field=Q),
+                  Homology(A=d, B=None), Homology(A=None, B=d.transpose())]
+    for bad in ({5: 1}, {3: 1}, {-1: 1}, {0: 1, 7: 2}):
+        for call in (plane.reduce, plane.coords, plane.contains,
+                     *(H.coords for H in homologies)):
+            with pytest.raises(AmbientMismatch):
+                call(bad)
+
+
 def test_homology_trivial_pair():
     d = SparseMatrix.from_dense([[0, 1], [0, 0]], Q)
     h = Homology(A=d, B=d, check_complex=True)
