@@ -97,8 +97,10 @@ class _SlotData:
             self.interior = list(range(d))
         else:
             self._peirce(A, idempotents)
-            # pieces (i, j) and (k, l) multiply to zero unless j == k
-            self.mulf = [[self.e_to_f.mat_vec(A.multiply(x, y))
+            # pieces (i, j) and (k, l) multiply to zero unless j == k;
+            # _normalize_vec turns integral Fractions into ints
+            self.mulf = [[_normalize_vec(
+                              self.e_to_f.mat_vec(A.multiply(x, y)), A)
                           if a[1] == b[0] else {}
                           for y, b in zip(self.f_vectors, self.label)]
                          for x, a in zip(self.f_vectors, self.label)]

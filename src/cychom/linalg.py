@@ -2,8 +2,10 @@
 
 Vectors are dicts {index: raw scalar} that never store zeros; matrices hold
 sparse rows plus an explicit shape and field.  Raw scalars are whatever the
-field objects in scalars.py operate on (Fraction or int over Q, coefficient
-tuples over a cyclotomic field).
+field objects in scalars.py operate on: coefficient tuples over a cyclotomic
+field, and over Q an int when integral, else a Fraction, never a float.
+``to_raw`` and the reduced rows of an elimination follow that rule; an
+integral Fraction that arithmetic leaves behind is accepted everywhere.
 
 Elimination is fraction-free: rows are rescaled to integer content 1 and
 combined by cross-multiplication, which keeps entry growth polynomial without
@@ -16,10 +18,12 @@ coefficient tuples.  Combining a row with a pivot row changes its support only
 at the pivot row's columns, which is all the column index has to revisit.
 Pivots follow a cheapest-column-first order through a lazy heap, and the
 matrix is first split into connected components of its row/column incidence
-graph, which on boundary matrices of bar-type complexes cuts the work by
-orders of magnitude.  None of this affects results: pivots depend only on row
-supports, the same on either route, and the reduced echelon form computed at
-the end is canonical (monic pivots, zeros above and below, pivot columns
+graph.  The greedy order inside a component does not depend on the other
+components, so the split leaves the pivots as they are; what it buys is
+peak memory, since only one component's column index and heap are live at
+a time.  None of this affects results: pivots depend only on row supports,
+the same on either route, and the reduced echelon form computed at the end
+is canonical (monic pivots, zeros above and below, pivot columns
 increasing), so every public answer is independent of elimination order.
 
 Homology takes one row elimination per differential: the pivot rows it
@@ -109,7 +113,13 @@ def sparse_to_dense(v: dict, n: int, field: _FieldBase) -> list:
 
 
 def to_raw(value, field: _FieldBase):
-    """Accept Cyclotomic, Fraction, int, or a tuple of field.degree rationals."""
+    """Accept Cyclotomic, Fraction, int, or a tuple of field.degree rationals.
+
+    A bool is refused like a float.  Over Q an integral value comes back as
+    an int, any other rational as a Fraction.
+    """
+    if isinstance(value, bool):
+        raise ValidationError(f"{value!r} is a bool, not a scalar")
     order = getattr(value, "order", None)
     if order is not None and hasattr(value, "coeffs"):
         if order != field.order:
@@ -118,10 +128,10 @@ def to_raw(value, field: _FieldBase):
                     f"scalar of order {order} in a field of order {field.order}")
             from .scalars import lift_raw
             return lift_raw(value.raw, field_of_order(order), field)
-        return value.raw
+        value = value.raw
     if isinstance(value, (int, Fraction)):
         if field.order == 1:
-            return value
+            return value.numerator if value.denominator == 1 else value
         return field.from_rational(value)
     if (field.order > 1 and isinstance(value, tuple)
             and len(value) == field.degree
@@ -149,19 +159,20 @@ class _IntRows:
     ``prim`` is the only entry point: it clears denominators of arbitrary Q
     rows (ints and Fractions).  Every row that ``combine`` and ``monic`` see
     came out of ``prim`` or ``combine``, so it is a primitive integer row and
-    ``combine`` does plain integer arithmetic.
+    ``combine`` does plain integer arithmetic.  ``monic`` divides by the
+    pivot and keeps an exact quotient an int.
     """
 
     @staticmethod
     def prim(row: dict) -> dict:
         den = 1
         for v in row.values():
-            if isinstance(v, Fraction) and v.denominator != 1:
+            if type(v) is not int and v.denominator != 1:
                 den = den * v.denominator // gcd(den, v.denominator)
         ints = {}
         for j, v in row.items():
-            n = v.numerator * (den // v.denominator) \
-                if isinstance(v, Fraction) else v * den
+            n = v * den if type(v) is int \
+                else v.numerator * (den // v.denominator)
             if n:
                 ints[j] = n
         return _primitive(ints) if ints else ints
@@ -187,7 +198,8 @@ class _IntRows:
     @staticmethod
     def monic(row: dict, c) -> dict:
         piv = row[c]
-        return {j: Fraction(v, piv) for j, v in row.items()}
+        return {j: Fraction(v, piv) if v % piv else v // piv
+                for j, v in row.items()}
 
 
 class _RatCycRows(_IntRows):
@@ -264,25 +276,6 @@ def _adapter(field: _FieldBase, rows: list[dict]):
 
 # -- elimination ---------------------------------------------------------------
 
-class _UnionFind:
-    def __init__(self):
-        self.parent = {}
-
-    def find(self, x):
-        parent = self.parent
-        root = parent.setdefault(x, x)
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
-
-
 def _eliminate_component(rows, adapter, cols=None) -> list[tuple]:
     """Echelonize one component of (row index, row) pairs; returns (pivot
     col, row index, primitive row) triples in the order the pivots were
@@ -346,7 +339,15 @@ def _eliminate(indexed_rows, field: _FieldBase, cols=None):
     (row index, row) pairs, each component's pivots in creation order."""
     indexed_rows = list(indexed_rows)
     adapter = _adapter(field, [row for _, row in indexed_rows])
-    uf = _UnionFind()
+    parent: dict = {}  # union-find forest on columns
+
+    def find(x):
+        # path halving: each step points a node at its grandparent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
     prepared = []
     for rid, row in indexed_rows:
         row = adapter.prim(row)
@@ -355,11 +356,14 @@ def _eliminate(indexed_rows, field: _FieldBase, cols=None):
         prepared.append((rid, row))
         it = iter(row)
         first = next(it)
+        root = find(parent.setdefault(first, first))
         for c in it:
-            uf.union(first, c)
+            # a new column, or one already under root, needs no find
+            if parent.setdefault(c, root) != root:
+                parent[find(c)] = root
     groups: dict[int, list] = {}
     for pair in prepared:
-        groups.setdefault(uf.find(next(iter(pair[1]))), []).append(pair)
+        groups.setdefault(find(next(iter(pair[1]))), []).append(pair)
     return adapter, [pivot for comp in groups.values()
                      for pivot in _eliminate_component(comp, adapter, cols)]
 

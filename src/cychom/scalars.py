@@ -6,9 +6,9 @@ Fraction coefficients.  Reduction is canonical, so two scalars of the same
 order are equal exactly when their tuples are equal.  No rounding ever occurs.
 
 The hot linear-algebra paths do not want a wrapper object per entry, so the
-arithmetic lives in field objects operating on raw values (a bare Fraction for
-order 1, a coefficient tuple otherwise); the public Cyclotomic class is a thin
-immutable shell over the same functions.
+arithmetic lives in field objects operating on raw values (an int or a
+Fraction for order 1, a coefficient tuple otherwise); the public Cyclotomic
+class is a thin immutable shell over the same functions.
 """
 
 from __future__ import annotations
@@ -95,10 +95,14 @@ class _FieldBase:
 
 
 class _RationalField(_FieldBase):
+    """Q on raw values that are an int when integral, else a Fraction (see
+    linalg).  The one true division is ``inv``'s ``1 / Fraction(a)``, so no
+    float can appear."""
+
     order = 1
     degree = 1
-    zero = _ZERO
-    one = _ONE
+    zero = 0
+    one = 1
 
     @staticmethod
     def add(a, b):

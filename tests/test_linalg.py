@@ -12,7 +12,11 @@ from itertools import product
 import pytest
 
 from cychom import linalg
+from cychom.algebra import FDAlgebra, truncated_polynomial
+from cychom.cyclic import cyclic_complex
 from cychom.errors import AmbientMismatch, NotContained, ValidationError
+from cychom.groups import group_algebra, symmetric_group_3
+from cychom.hochschild import hh
 from cychom.linalg import (
     Homology,
     SparseMatrix,
@@ -24,6 +28,7 @@ from cychom.linalg import (
     reduced_rows,
     rref_rows,
     sparse_to_dense,
+    to_raw,
     vec_add,
     vec_equal,
     vec_is_zero,
@@ -532,3 +537,105 @@ def test_rref_idempotent():
     again_rows, again_pivots = rref_rows([dict(r) for r in rows], Q)
     assert again_pivots == pivots
     assert again_rows == rows
+
+
+# -- integral rationals as ints -------------------------------------------------
+
+def _windows():
+    """Rows of the (b, B) totals of Q[x]/x^4 and of the walk window of QS3."""
+    totals = cyclic_complex(truncated_polynomial(4), 5).totals[1:]
+    walks = hh(group_algebra(symmetric_group_3()), 3).window.boundaries[1:]
+    return [m.rows for m in totals], [m.rows for m in walks]
+
+
+def test_integral_window_entries_are_ints():
+    totals, walks = _windows()
+    for rows in totals:
+        assert all(type(v) is int for row in rows for v in row.values())
+    # the Peirce basis of QS3 has entries like 3/4; the integral ones are
+    # ints, and no entry is a float or a bool
+    kinds = {type(v) for rows in walks for row in rows for v in row.values()}
+    assert kinds == {int, Fraction}
+    for rows in walks:
+        for row in rows:
+            for v in row.values():
+                assert type(v) is int or v.denominator != 1, v
+
+
+def test_int_and_fraction_entries_eliminate_alike():
+    totals, walks = _windows()
+    for rows in totals + walks:
+        as_fractions = [{j: F(v) for j, v in r.items()} for r in rows]
+        got = [(reduced_rows(r, Q), rref_rows(r, Q),
+                linalg._pivot_columns(enumerate(r), Q))
+               for r in (rows, as_fractions)]
+        assert got[0] == got[1]
+        # exact quotients come back as ints on either input
+        for out in got:
+            for basis, _ in out[:2]:
+                for row in basis:
+                    for v in row.values():
+                        assert type(v) is int or v.denominator != 1, v
+
+
+def test_monic_keeps_an_exact_quotient_an_int():
+    row = linalg._IntRows.monic({0: 2, 1: 4, 3: 3}, 0)
+    assert row == {0: 1, 1: 2, 3: F(3, 2)}
+    assert [type(v) for v in row.values()] == [int, int, Fraction]
+    row = linalg._IntRows.monic({1: 6, 2: -3, 5: 1}, 2)
+    assert row == {1: -2, 2: 1, 5: F(-1, 3)}
+    assert [type(v) for v in row.values()] == [int, int, Fraction]
+
+
+def test_bool_scalars_are_refused():
+    for order in (1, 3):
+        for bad in (True, False):
+            with pytest.raises(ValidationError):
+                to_raw(bad, field_of_order(order))
+    with pytest.raises(ValidationError):
+        FDAlgebra(1, 1, {(0, 0): {0: True}})
+    with pytest.raises(ValidationError):
+        SparseMatrix(1, 1, Q).set(0, 0, True)
+    # over Q an integral rational is stored as an int, any other one as is
+    for value, raw in [(F(4, 2), 2), (Cyclotomic(-3), -3), (5, 5)]:
+        assert type(to_raw(value, Q)) is int and to_raw(value, Q) == raw
+    assert to_raw(F(1, 2), Q) == F(1, 2)
+    assert type(Q.zero) is int and type(Q.one) is int
+
+
+def _one_component(indexed_rows, field):
+    """Pivots of _eliminate_component on all prepared rows at once."""
+    adapter = linalg._adapter(field, [row for _, row in indexed_rows])
+    prepared = [(rid, adapter.prim(row)) for rid, row in indexed_rows]
+    return linalg._eliminate_component(
+        [(rid, row) for rid, row in prepared if row], adapter)
+
+
+def _sorted_pivots(pivots):
+    return sorted(c for c, _, _ in pivots), sorted(r for _, r, _ in pivots)
+
+
+def test_component_split_keeps_the_pivots_of_one_component():
+    totals, walks = _windows()
+    for rows in totals + walks:
+        indexed = list(enumerate(rows))
+        _, split = linalg._eliminate(indexed, Q)
+        assert _sorted_pivots(split) == _sorted_pivots(
+            _one_component(indexed, Q))
+
+
+def test_component_split_merges_components_joined_by_a_later_row():
+    rows = [{4: 1, 5: 2}, {0: 1, 1: 1}, {2: 3, 3: 1},
+            {5: 1, 1: -1},      # joins the first two
+            {3: 2, 1: 1},       # joins that with the third
+            {6: 1, 7: -2}, {8: 5}, {7: 1, 6: 1}]
+    indexed = list(enumerate(rows))
+    adapter, pivots = linalg._eliminate(indexed, Q)
+    # three components, in the order of their first rows
+    groups = [[0, 1, 2, 3, 4], [5, 7], [6]]
+    expected = [pivot for rids in groups
+                for pivot in linalg._eliminate_component(
+                    [(rid, adapter.prim(rows[rid])) for rid in rids], adapter)]
+    assert pivots == expected
+    assert _sorted_pivots(pivots) == _sorted_pivots(_one_component(indexed, Q))
+    assert len(pivots) == 8

@@ -19,7 +19,9 @@ eliminated; every chain-level entry is hashed as it is.  The second covers
 the walk windows of hh (slot basis, its inverse and the boundaries) and the
 wedderburn_blocks reports of a few group algebras and upper_triangular(3)
 (idempotents, primitive points and central characters), hashed over sorted
-dict items, so only values count.  Two checkouts that compute the same
+dict items, so only values count.  Both lines hash an integral Fraction as
+the equal int (a rational scalar may be stored either way), and the first
+still keeps every row's entry order.  Two checkouts that compute the same
 windows, maps and reports print the same lines.  The script re-runs itself with
 PYTHONHASHSEED=0, so set iteration order cannot change the hash between
 runs.
@@ -28,6 +30,7 @@ runs.
 import hashlib
 import os
 import sys
+from fractions import Fraction
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -158,12 +161,17 @@ def _canonical_map(h, source, target):
     return SparseMatrix.from_columns(cols, len(tgt_reps), field).rows
 
 
-def _sorted(value):
-    """value with every dict replaced by its sorted items."""
+def _canonical(value, sort):
+    """value with every integral Fraction replaced by the equal int, and
+    with sort every dict by its sorted items; without sort a dict keeps its
+    entry order."""
     if isinstance(value, dict):
-        return sorted((k, _sorted(v)) for k, v in value.items())
+        items = [(k, _canonical(v, sort)) for k, v in value.items()]
+        return sorted(items) if sort else dict(items)
     if isinstance(value, (list, tuple)):
-        return type(value)(_sorted(v) for v in value)
+        return type(value)(_canonical(v, sort) for v in value)
+    if isinstance(value, Fraction) and value.denominator == 1:
+        return value.numerator
     return value
 
 
@@ -208,8 +216,8 @@ def main():
         env = dict(os.environ, PYTHONHASHSEED="0")
         os.execve(sys.executable, [sys.executable] + sys.argv, env)
     sys.path.insert(0, os.path.join(ROOT, "src"))
-    print(_digest(_entries(), lambda value: value))
-    print(_digest(_walks_and_spectra(), _sorted))
+    print(_digest(_entries(), lambda value: _canonical(value, False)))
+    print(_digest(_walks_and_spectra(), lambda value: _canonical(value, True)))
 
 
 if __name__ == "__main__":
