@@ -317,10 +317,10 @@ def _check_n_max(n_max) -> None:
     # bool is a subclass of int, and a float passes the sign check only to
     # fail later in range()
     if not isinstance(n_max, int) or isinstance(n_max, bool):
-        raise ValidationError("n_max must be an int, not %s"
+        raise ValidationError("a degree bound must be an int, not %s"
                               % type(n_max).__name__)
     if n_max < 0:
-        raise ValidationError("n_max must be at least 0")
+        raise ValidationError("a degree bound must be at least 0")
 
 
 def bar_complex(A: FDAlgebra, n_max: int, variant: str = "b",

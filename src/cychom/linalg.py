@@ -645,9 +645,6 @@ class SparseMatrix:
         free = [j for j in range(self.ncols) if j not in pivset]
         return Subspace(self.ncols, self.field, basis, free)
 
-    def column_space(self) -> "Subspace":
-        return Subspace.from_vectors(self.nrows, self.field, self.columns())
-
     def solve(self, rhs: dict) -> dict | None:
         """One exact solution of self @ x = rhs (free variables zero), or None."""
         n = self.ncols
@@ -693,8 +690,8 @@ class Subspace:
     """A subspace held by a reduced basis: monic vectors with distinct pivot
     columns, each pivot column absent from the other vectors.
 
-    ``from_vectors`` (and so ``sum_with`` and ``column_space``) gives the
-    canonical reduced echelon form.  ``SparseMatrix.kernel_space`` and
+    ``from_vectors`` (and so ``sum_with``) gives the canonical reduced
+    echelon form.  ``SparseMatrix.kernel_space`` and
     ``Homology.boundary_space`` give reduced bases that are not: their
     pivots need not be leftmost, and the latter's pivots are the pivot rows
     an elimination of the boundary map picked.  ``reduce``, ``coords`` and
@@ -777,15 +774,6 @@ class Subspace:
         if self.ambient_dim != other.ambient_dim or self.dim != other.dim:
             return False
         return self.contains_subspace(other)
-
-    def restrict_operator(self, op: SparseMatrix) -> SparseMatrix:
-        """Matrix of op on this subspace in its basis; op must preserve it."""
-        if (op.nrows, op.ncols) != (self.ambient_dim, self.ambient_dim):
-            raise AmbientMismatch(
-                f"a {op.nrows}x{op.ncols} operator on an ambient space of "
-                f"{self.ambient_dim}")
-        return operator_matrix(op, self.basis, self,
-                               "operator does not preserve the subspace")
 
 
 def operator_matrix(op: SparseMatrix, vectors, target, message: str) -> SparseMatrix:

@@ -25,7 +25,6 @@ from .algebra import (
     TwoSidedIdeal,
     ideal_as_algebra,
     quotient_algebra,
-    subalgebra_closure,
     two_sided_ideal,
 )
 from .config import default_budget
@@ -178,18 +177,13 @@ def _sort_key(vec: dict, field):
     return sorted((k, tuple(field.to_coeffs(c))) for k, c in vec.items())
 
 
-def _blocks_over(ext: FDAlgebra, budget):
+def _blocks_over(ext: FDAlgebra):
     data, radical = semisimple_quotient(ext)
     ss = data.algebra
-    central = center(ss)
-    Zalg, Zinc = subalgebra_closure(ss, list(central.basis), budget=budget)
-    if not Zalg.is_unital:
-        raise ValidationError("center of a semisimple quotient lost its unit")
-    idems_z = _split_unit(Zalg, complete=True)
-    if idems_z is None:
+    idems = _split_unit(ss, center(ss).basis, complete=True)
+    if idems is None:
         return None
-    idems = sorted((Zinc.apply(e) for e in idems_z),
-                   key=lambda v: _sort_key(v, ss.field))
+    idems.sort(key=lambda v: _sort_key(v, ss.field))
     field = ss.field
     blocks, prim_points = [], []
     for e in idems:
@@ -242,7 +236,7 @@ def wedderburn_blocks(A: FDAlgebra, budget=None) -> SpectrumReport:
     step = A.field_order
     order = step
     while order <= budget.max_field_order:
-        report = _blocks_over(extend_scalars(A, order, budget=budget), budget)
+        report = _blocks_over(extend_scalars(A, order, budget=budget))
         if report is not None:
             return report
         order += step

@@ -5,13 +5,15 @@ Everything here is exact.  The radical comes from the kernel of the trace
 form of the left regular representation, which identifies it in
 characteristic zero; semisimplicity of the quotient and nilpotency of the
 radical are rechecked rather than assumed.  Central idempotents are found
-by splitting the center along operators whose eigenvalues lie in the
+by splitting the center along elements whose eigenvalues lie in the
 field; spectrum insists on a full split, hochschild takes the blocks the
 field sees and cuts them further by idempotents that need not be
-central.  A component of the split is the image of x -> e x, and its
-identity comes from the one linear solve for the two-sided identity of a
-span (_span_identity), which spectrum also uses to find the unit of an
-algebra built without one.
+central.  The identity of a component of the split is a polynomial in one
+element: for an eigenvalue lam of x in the component with identity e, it
+is q(x)/q(lam), where p is the minimal polynomial of x in e A e and
+q = p/(t - lam).  The one linear solve for the two-sided identity of a
+span (_span_identity) serves spectrum, which uses it to find the unit of
+an algebra built without one.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from .algebra import (
     two_sided_ideal,
     unitalization,
 )
-from .errors import NonUnital, ValidationError
-from .linalg import SparseMatrix, Subspace, add_term, vec_axpy, vec_equal
+from .errors import AmbientMismatch, NonUnital, ValidationError
+from .linalg import SparseMatrix, Subspace, vec_axpy, vec_equal
 from .scalars import divisors
 
 
@@ -87,6 +89,10 @@ def jacobson_radical(A: FDAlgebra) -> TwoSidedIdeal:
 
 def is_nilpotent_subspace(A: FDAlgebra, space: Subspace) -> bool:
     """Whether products of elements of the subspace die out in few steps."""
+    if space.ambient_dim != A.dim:
+        raise AmbientMismatch(
+            "a subspace of %d coordinates in an algebra of dimension %d"
+            % (space.ambient_dim, A.dim))
     current = space
     for _ in range(A.dim + 1):
         if current.dim == 0:
@@ -150,11 +156,11 @@ def _rational_root_candidates(fracs: list) -> list:
     return out
 
 
-def _eval_is_zero(poly, x, field) -> bool:
+def _evaluate(poly, x, field):
     acc = field.zero
     for c in reversed(poly):
         acc = field.add(field.mul(acc, x), c)
-    return field.is_zero(acc)
+    return acc
 
 
 def _roots_in_field(poly, field) -> list:
@@ -178,31 +184,28 @@ def _roots_in_field(poly, field) -> list:
             root = field.scale(field.zeta_pow[k], r) if m > 1 \
                 else field.from_rational(r)
             key = tuple(field.to_coeffs(root))
-            if key in seen or not _eval_is_zero(poly, root, field):
+            if key in seen or not field.is_zero(_evaluate(poly, root, field)):
                 continue
             seen.add(key)
             found.append(root)
     return found
 
 
-def _minimal_polynomial(op: SparseMatrix) -> list:
-    """Monic minimal polynomial of a square matrix."""
-    field, d = op.field, op.ncols
-    power = SparseMatrix.identity(d, field)
-    flats = []
+def _minimal_polynomial(A: FDAlgebra, e: dict, x: dict):
+    """(p, powers): the monic minimal polynomial p of x in an algebra with
+    unit e, low degree first, and the powers e, x, x^2, ... below its
+    degree."""
+    field = A.field
+    powers, power = [e], x
     while True:
-        flat = {}
-        for j, col in enumerate(power.columns()):
-            for i, c in col.items():
-                flat[j * d + i] = c
-        combo = SparseMatrix.from_columns(flats, d * d, field).solve(flat)
+        combo = SparseMatrix.from_columns(powers, A.dim, field).solve(power)
         if combo is not None:
-            out = [field.neg(combo.get(i, field.zero))
-                   for i in range(len(flats))]
-            out.append(field.one)
-            return out
-        flats.append(flat)
-        power = op.matmul(power)
+            poly = [field.neg(combo.get(i, field.zero))
+                    for i in range(len(powers))]
+            poly.append(field.one)
+            return poly, powers
+        powers.append(power)
+        power = A.multiply(power, x)
 
 
 # -- splitting a commutative algebra into idempotents ------------------------------
@@ -237,89 +240,67 @@ def _span_identity(A: FDAlgebra, vectors) -> dict | None:
     return e
 
 
-def _try_split(Z: FDAlgebra, span: Subspace, complete: bool):
-    """Split one component along an operator with an eigenvalue in the field.
-
-    Each eigenvalue in the field gives its eigenspace as a piece; unless
-    complete is set, the eigenvalues outside it, if any, give one more
-    piece together (the components are semisimple, so the operator is
-    diagonalizable over a splitting field).  Returns the idempotents of the
-    pieces, or None when no basis operator separates the component over the
-    current coefficients.
-    """
-    field = Z.field
-    for g in range(Z.dim):
-        op = span.restrict_operator(Z.left_mult_matrix(Z.basis_vector(g)))
-        cols = op.columns()
-        poly = _minimal_polynomial(op)
-        roots = _roots_in_field(poly, field)
-        # the eigenvalues outside the field make one more piece
-        outside = len(roots) < len(poly) - 1 and not complete
-        if len(roots) + outside < 2:
-            continue
-        pieces, total, rest = [], 0, None
-        for lam in roots:
-            shifted = []
-            for i, col in enumerate(cols):
-                entry = dict(col)
-                add_term(entry, i, field.neg(lam), field)
-                shifted.append(entry)
-            shifted = SparseMatrix.from_columns(shifted, span.dim, field)
-            ker = shifted.kernel_space()
-            pieces.append(ker)
-            total += ker.dim
-            if outside:
-                # they span the image of the product of the shifts by the
-                # eigenvalues inside the field
-                rest = shifted if rest is None else shifted.matmul(rest)
-        if rest is not None:
-            pieces.append(rest.column_space())
-            total += pieces[-1].dim
-        if total != span.dim:
-            # the operator does not split the component; try another one
-            continue
-        idems = []
+def _eigen_idempotents(field, poly, powers, roots) -> list:
+    """The idempotents q(x)/q(lam), q = p/(t - lam), of the given roots lam
+    of the minimal polynomial p of x, read off its powers e, x, x^2, ...;
+    when p has other roots, e minus their sum follows."""
+    pieces = []
+    for lam in roots:
+        # the coefficients of q by synthetic division
+        q, acc = [None] * (len(poly) - 1), field.zero
+        for i in range(len(poly) - 1, 0, -1):
+            acc = q[i - 1] = field.add(field.mul(acc, lam), poly[i])
+        # q(lam) is not zero: x is semisimple, so lam is a simple root
+        scale, piece = field.inv(_evaluate(q, lam, field)), {}
+        for c, power in zip(q, powers):
+            vec_axpy(piece, field.mul(scale, c), power, field)
+        pieces.append(piece)
+    if len(roots) < len(poly) - 1:
+        rest = dict(powers[0])
         for piece in pieces:
-            vecs = []
-            for combo in piece.basis:
-                acc = {}
-                for i, c in combo.items():
-                    vec_axpy(acc, c, span.basis[i], field)
-                vecs.append(acc)
-            e = _span_identity(
-                Z, Subspace.from_vectors(Z.dim, field, vecs).basis)
-            if e is None:
-                raise ValidationError(
-                    "a direct summand of the center has no identity element")
-            idems.append(e)
-        return idems
-    return None
+            vec_axpy(rest, field.neg(field.one), piece, field)
+        pieces.append(rest)
+    return pieces
 
 
-def _split_unit(Z: FDAlgebra, complete: bool):
-    """Split the unit of a commutative unital algebra into orthogonal
-    idempotents along basis operators whose eigenvalues lie in the field.
+def _split_unit(A: FDAlgebra, candidates, complete: bool):
+    """Split the unit of A into orthogonal idempotents, each a polynomial
+    in one product g e of a candidate g with a coarser idempotent e.  The
+    candidates are commuting semisimple elements of A: the basis of a
+    commutative semisimple algebra, or of the center of a semisimple one.
 
-    A component that no such operator separates stays whole: a field
-    component such as the Q(zeta_5) summand of QZ5 over Q.  With complete
-    set the first such component of dimension above one ends the search and
-    None is returned, so the caller can retry over a larger field.
+    A component e is cut along the first candidate g for which x = g e
+    has eigenvalues in the field: each of them gives a piece, and so,
+    unless complete is set, do the eigenvalues outside the field together.
+    The pieces are cut again in turn.  A component that no candidate cuts
+    stays whole: a field component such as the Q(zeta_5) summand of QZ5
+    over Q.  With complete set a component that stays whole although some
+    x = g e is not a multiple of e ends the search and None is returned,
+    so the caller can retry over a larger field.
     """
-    comps, whole = [dict(Z.unit)], [False]
-    while True:
-        spans = [Z.left_mult_matrix(e).column_space() for e in comps]
-        target = next((i for i, s in enumerate(spans)
-                       if s.dim > 1 and not whole[i]), None)
-        if target is None:
-            return comps
-        pieces = _try_split(Z, spans[target], complete)
-        if pieces is None:
-            if complete:
-                return None
-            whole[target] = True
+    field = A.field
+
+    def split(e):
+        wide = False
+        for g in candidates:
+            poly, powers = _minimal_polynomial(A, e, A.multiply(g, e))
+            if len(poly) == 2:
+                continue
+            wide = True
+            roots = _roots_in_field(poly, field)
+            if len(roots) == len(poly) - 1 or roots and not complete:
+                break
         else:
-            comps[target:target + 1] = pieces
-            whole[target:target + 1] = [False] * len(pieces)
+            return None if complete and wide else [e]
+        out = []
+        for piece in _eigen_idempotents(field, poly, powers, roots):
+            cut = split(piece)
+            if cut is None:
+                return None
+            out.extend(cut)
+        return out
+
+    return split(dict(A.unit))
 
 
 def _split(A: FDAlgebra, generators, budget=None) -> list:
@@ -327,16 +308,19 @@ def _split(A: FDAlgebra, generators, budget=None) -> list:
     commutative subalgebra generated by the generators, the unit among
     them.
 
-    The subalgebra modulo its radical is split as far as operators with
-    eigenvalues in the field allow, stopping at field components, and each
-    piece is lifted by e -> 3e^2 - 2e^3.  Idempotents of a commutative
+    The subalgebra modulo its radical is split by _split_unit along its
+    basis elements, as far as their eigenvalues in the field allow,
+    stopping at field components, and each piece, a polynomial in one
+    element, is lifted by e -> 3e^2 - 2e^3.  Idempotents of a commutative
     algebra lift uniquely modulo a nilpotent ideal, so the lifts are again
     orthogonal and sum to the unit.
     """
     field = A.field
     Z, include = subalgebra_closure(A, generators, budget=budget)
     data, _ = semisimple_quotient(Z)
-    comps = _split_unit(data.algebra, complete=False)
+    ss = data.algebra
+    comps = _split_unit(
+        ss, [ss.basis_vector(i) for i in range(ss.dim)], complete=False)
     if len(comps) == 1:
         return [dict(A.unit)]
     three, minus_two = field.from_rational(3), field.from_rational(-2)
@@ -358,7 +342,9 @@ def block_idempotents(A: FDAlgebra, budget=None) -> list:
     """Orthogonal central idempotents of A that sum to its unit.
 
     They cut A into the blocks its field sees: the split of the center
-    (QZ5 over Q gives two blocks, over Q(zeta_5) five).
+    (QZ5 over Q gives two blocks, over Q(zeta_5) five), each block's
+    idempotent a polynomial in one element of the center, read off that
+    element's minimal polynomial.
     """
     if not A.is_unital:
         raise NonUnital("blocks are cut by idempotents summing to the unit")
@@ -395,11 +381,12 @@ def split_idempotents(A: FDAlgebra, budget=None) -> list:
 
     They refine block_idempotents: an idempotent f is cut further while
     some basis element x makes y = f x f more than a multiple of f, by
-    splitting the commutative subalgebra generated by 1, f and y and
-    keeping the pieces under f.  In a split simple block the result is a
-    full set of primitive idempotents (the diagonal of M_n(Q), say);
-    commutative blocks, such as the Q(zeta_5) block of QZ5 over Q or a
-    local algebra, stay whole.
+    splitting the commutative subalgebra generated by 1, f and y into
+    idempotents that are polynomials in its elements, and keeping the
+    pieces under f.  In a split simple block the result is a full set of
+    primitive idempotents (the diagonal of M_n(Q), say); commutative
+    blocks, such as the Q(zeta_5) block of QZ5 over Q or a local algebra,
+    stay whole.
     """
     idems = block_idempotents(A, budget=budget)
     i = 0

@@ -60,7 +60,8 @@ def connes_quotient_hc_dims(A, n_max):
         cols = [cyclic_t(w, n, {j: field.one}) for j in range(w.dims[n])]
         t_mat = SparseMatrix.from_columns(cols, w.dims[n], field)
         one_minus_t = SparseMatrix.identity(w.dims[n], field).sub(t_mat)
-        image = one_minus_t.column_space()
+        image = Subspace.from_vectors(w.dims[n], field,
+                                      one_minus_t.columns())
         pivots = set(image.pivot_cols)
         free_cols.append([j for j in range(w.dims[n]) if j not in pivots])
         reducers.append(image)
@@ -441,6 +442,9 @@ def test_hp_stabilization_cutoff_guard():
         hp(truncated_polynomial(2), mode="stabilization", cutoff=3)
     with pytest.raises(ValidationError):
         hp(truncated_polynomial(2), mode="stabilization", cutoff=2)
+    for bad in ("6", True, 6.0):
+        with pytest.raises(ValidationError, match="must be an int"):
+            hp(truncated_polynomial(2), mode="stabilization", cutoff=bad)
 
 
 def test_hp_nonunital_values():
@@ -551,6 +555,9 @@ def test_excision_guards():
     J = two_sided_ideal(A, [{0: A.field.one}])
     with pytest.raises(ValidationError):
         excision_check(A, J, cutoff=5)
+    for bad in ("4", True, 4.0):
+        with pytest.raises(ValidationError, match="must be an int"):
+            excision_check(A, J, cutoff=bad)
     Z = FDAlgebra(1, 1, {}, labels=["x"])
     with pytest.raises(NonUnital):
         excision_check(Z, two_sided_ideal(Z, []))

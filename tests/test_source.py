@@ -1,5 +1,6 @@
 """Source hygiene: every definition in cychom has a caller, every
-parameter is read, and no floating point enters the package.
+parameter is read, every import is used, and no floating point enters the
+package.
 
 A private function, class or method that nothing else in the package
 refers to is dead code, and so is a public one that nothing in the
@@ -8,7 +9,8 @@ from coming back.  References are names, attribute lookups and imports
 outside the definition's own body, so a helper that only calls itself
 still counts as unused.  Likewise a parameter that the body never reads,
 or reads only to default it (``x = x or default``), is a knob nothing
-turns.
+turns, and an import whose name the module neither loads nor lists in
+``__all__`` is left over from deleted code.
 
 Exact arithmetic is the package's contract, so its source holds no float
 literal, no ``float(...)`` call and no ``math`` function outside the
@@ -79,6 +81,36 @@ def test_every_private_definition_is_referenced():
 def test_every_public_definition_is_referenced():
     unused = _unreferenced(False, [SRC, REPO / "tests", REPO / "perfbench"])
     assert not unused, "public definitions nothing refers to: %s" % unused
+
+
+def _exported(tree) -> set:
+    """The names listed in the module's ``__all__``."""
+    names = set()
+    for node in tree.body:
+        if (type(node) is ast.Assign
+                and any(type(t) is ast.Name and t.id == "__all__"
+                        for t in node.targets)):
+            names.update(item.value for item in ast.walk(node.value)
+                         if type(item) is ast.Constant)
+    return names
+
+
+def test_every_import_is_used():
+    unused = []
+    for path, tree in _trees():
+        loaded = {node.id for node in ast.walk(tree) if type(node) is ast.Name}
+        loaded |= _exported(tree)
+        for node in ast.walk(tree):
+            if type(node) is ast.Import:
+                names = [(a.asname or a.name).split(".")[0]
+                         for a in node.names]
+            elif type(node) is ast.ImportFrom and node.module != "__future__":
+                names = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unused.extend("%s:%d %s" % (path.name, node.lineno, name)
+                          for name in names if name not in loaded)
+    assert not unused, "imports nothing uses: %s" % unused
 
 
 def _defaults_itself(node, name) -> bool:

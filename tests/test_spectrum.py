@@ -20,6 +20,7 @@ from cychom.algebra import (
 from cychom.config import Budget
 from cychom.cyclic import hc
 from cychom.errors import (
+    AmbientMismatch,
     FiltrationNotRespected,
     FiltrationNotStandard,
     NonUnital,
@@ -51,7 +52,8 @@ from cychom.spectrum import (
     weakly_spectrum_preserving_check,
     wedderburn_blocks,
 )
-from cychom.structure import _span_identity, block_idempotents, center, \
+from cychom.structure import _minimal_polynomial, _span_identity, \
+    _split_unit, block_idempotents, center, is_nilpotent_subspace, \
     jacobson_radical, split_idempotents
 
 
@@ -255,6 +257,56 @@ def test_block_idempotents_lift_through_the_radical():
     with pytest.raises(NonUnital):
         block_idempotents(ideal_as_algebra(
             two_sided_ideal(truncated_polynomial(2), [{1: 1}]))[0])
+
+
+def test_block_idempotents_are_unchanged():
+    # pinned in order, like the wedderburn_blocks idempotents above
+    F = Fraction
+    s, f = F(1, 6), F(1, 5)
+    A = group_algebra(symmetric_group_3())
+    assert block_idempotents(A) == [
+        {0: F(2, 3), 4: F(-1, 3), 5: F(-1, 3)},
+        {0: s, 1: s, 2: s, 3: s, 4: s, 5: s},
+        {0: s, 1: -s, 2: -s, 3: -s, 4: s, 5: s}]
+    # Q[x]/x^3 + Q + QZ5 on the basis 1, x, x^2 | 1 | e, g, ..., g^4
+    B = direct_sum(truncated_polynomial(3),
+                   direct_sum(ground_field(),
+                              group_algebra(cyclic_group(5))).algebra).algebra
+    assert block_idempotents(B) == [
+        {k: f for k in range(4, 9)},
+        {4: 4 * f, 5: -f, 6: -f, 7: -f, 8: -f},
+        {3: 1},
+        {0: 1}]
+
+
+def test_minimal_polynomial_of_an_element():
+    A = group_algebra(cyclic_group(5))
+    poly, powers = _minimal_polynomial(A, A.unit, A.basis_vector(1))
+    assert poly == [-1, 0, 0, 0, 0, 1]
+    assert powers == [A.basis_vector(k) for k in range(5)]
+    T = truncated_polynomial(3)
+    poly, powers = _minimal_polynomial(T, T.unit, T.basis_vector(1))
+    assert poly == [0, 0, 0, 1]
+    assert powers == [T.basis_vector(k) for k in range(3)]
+
+
+def test_split_unit_of_qz4_leaves_the_gaussian_piece():
+    # Q[Z4] = Q + Q + Q(i): the Q(i) piece cannot be cut over Q, so a
+    # complete split fails and a partial one keeps it whole
+    A = group_algebra(cyclic_group(4))
+    candidates = center(A).basis
+    assert _split_unit(A, candidates, complete=True) is None
+    q, h = Fraction(1, 4), Fraction(1, 2)
+    assert _split_unit(A, candidates, complete=False) == [
+        {0: q, 1: q, 2: q, 3: q}, {0: q, 1: -q, 2: q, 3: -q}, {0: h, 2: -h}]
+
+
+def test_nilpotency_of_a_subspace_of_another_ambient_is_refused():
+    A = truncated_polynomial(3)
+    space = Subspace.from_vectors(5, A.field, [{4: 1}])
+    with pytest.raises(AmbientMismatch, match="5 coordinates"):
+        is_nilpotent_subspace(A, space)
+    assert is_nilpotent_subspace(A, jacobson_radical(A).space)
 
 
 def _whole_basis(A):
