@@ -19,6 +19,7 @@ from .errors import (
     NonUnital,
     SizeOverflow,
     ValidationError,
+    check_int,
 )
 from .linalg import (SparseMatrix, Subspace, add_term, dense_to_sparse,
                      to_raw, vec_axpy, vec_equal, vec_sub)
@@ -62,8 +63,7 @@ class FDAlgebra:
     def __init__(self, dim, field_order=1, mul=None, labels=None, unit=None,
                  name="", budget=None):
         budget = budget or default_budget()
-        if dim < 1:
-            raise ValidationError("algebra dimension must be at least 1")
+        check_int(dim, "algebra dimension", 1)
         if dim > budget.dim_cap:
             raise SizeOverflow(
                 "algebra dimension %d exceeds cap %d" % (dim, budget.dim_cap))
@@ -482,6 +482,7 @@ def ground_field(field_order=1, budget=None) -> FDAlgebra:
 
 def functions_on_points(l: int, field_order=1, budget=None) -> FDAlgebra:
     """Functions on l points: component-wise products of delta functions."""
+    check_int(l, "number of points", 1)
     field = field_of_order(field_order)
     mul = {(i, i): {i: field.one} for i in range(l)}
     unit = {i: field.one for i in range(l)}
@@ -492,6 +493,7 @@ def functions_on_points(l: int, field_order=1, budget=None) -> FDAlgebra:
 
 def truncated_polynomial(N: int, field_order=1, budget=None) -> FDAlgebra:
     """Q[x] / (x^N) on the basis 1, x, ..., x^(N-1)."""
+    check_int(N, "truncation degree", 1)
     field = field_of_order(field_order)
     mul = {}
     for i in range(N):
@@ -511,6 +513,7 @@ def matrix_algebra(base: FDAlgebra, N: int, budget=None) -> FDAlgebra:
     """
     if not base.is_unital:
         raise NonUnital("matrix algebra needs a unital base")
+    check_int(N, "matrix size", 1)
     d = base.dim
     dim = N * N * d
     plain = d == 1 and base.labels == ["1"]
@@ -559,6 +562,7 @@ def _unflatten(base: FDAlgebra, flat: dict, N: int) -> tuple:
 
 def upper_triangular(n: int, field_order=1, budget=None) -> FDAlgebra:
     """Upper triangular n x n matrices over the ground field."""
+    check_int(n, "matrix size", 1)
     field = field_of_order(field_order)
     pairs = [(p, q) for p in range(n) for q in range(p, n)]
     index = {pq: t for t, pq in enumerate(pairs)}

@@ -16,10 +16,10 @@ from .algebra import AlgebraMap, FDAlgebra, TwoSidedIdeal, direct_sum, \
     ideal_as_algebra, quotient_algebra, unitalization
 from .config import DEFAULT_HP_CUTOFF, default_budget
 from .errors import DegreeTooLow, NonUnital, NotMultiplicative, SizeOverflow, \
-    ValidationError
+    ValidationError, check_int
 from .hochschild import ChainComplexWindow, HomologyReport, \
-    _check_n_max, _degree_homologies, _homology_report, _phi_slot_maps, \
-    _require_degree, _tensor_chain_matrix, bar_complex, induced_map_hh
+    _degree_homologies, _homology_report, _phi_slot_maps, _require_degree, \
+    _tensor_chain_matrix, bar_complex, induced_map_hh
 from .linalg import SparseMatrix, Subspace, add_term, dense_to_sparse, \
     induced_map, operator_matrix
 from .structure import center, semisimple_quotient
@@ -401,7 +401,7 @@ def hp(A: FDAlgebra, mode: str = "radical_shortcut",
     report = HPReport(even_dim=even, odd_dim=0, method=mode)
     if mode == "radical_shortcut":
         return report
-    _check_n_max(cutoff)
+    check_int(cutoff, "a degree bound", 0)
     if cutoff < 4:
         raise ValidationError("stabilization needs cutoff >= 4")
     hc_report = hc(A, cutoff, normalized=normalized, budget=budget)
@@ -567,7 +567,7 @@ def excision_check(A: FDAlgebra, J: TwoSidedIdeal,
     """
     if not A.is_unital:
         raise NonUnital("excision check starts from a unital algebra")
-    _check_n_max(cutoff)
+    check_int(cutoff, "a degree bound", 0)
     if cutoff % 2 or cutoff < 4:
         raise ValidationError("cutoff must be even and at least 4")
     J.validate()

@@ -2,7 +2,7 @@
 
 Every failure the engine can signal deliberately has its own class so callers
 can tell validation problems, budget overruns and inconclusive computations
-apart.
+apart.  check_int is the one test of an integer size, degree or field order.
 """
 
 from __future__ import annotations
@@ -107,3 +107,18 @@ class NotInvertible(ValidationError):
 
 class OrderUnbounded(CychomError):
     """Invertible generates infinite multiplicative order within the bound."""
+
+
+def check_int(value, what: str, least: int) -> None:
+    """Refuse with ValidationError a size, degree or order that is not an
+    int of at least least.
+
+    bool is a subclass of int and is refused too; a float or a string
+    would otherwise fail later, as a TypeError from range() or from the
+    comparison itself."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValidationError("%s must be an int, not %s"
+                              % (what, type(value).__name__))
+    if value < least:
+        raise ValidationError("%s must be at least %d, got %d"
+                              % (what, least, value))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from .algebra import AlgebraMap, FDAlgebra, functions_on_points
-from .errors import NotAutomorphism, ValidationError
+from .errors import NotAutomorphism, ValidationError, check_int
 from .linalg import SparseMatrix
 from .scalars import Cyclotomic
 
@@ -137,6 +137,7 @@ class FiniteGroup:
 
 
 def cyclic_group(n: int) -> FiniteGroup:
+    check_int(n, "group order", 1)
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     names = ["e"] + ["g" if k == 1 else "g%d" % k for k in range(1, n)]
     return FiniteGroup(table, names=names, name="Z%d" % n)

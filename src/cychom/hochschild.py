@@ -16,7 +16,8 @@ e_(i_0) A e_(i_1) (x) e_(i_1) A e_(i_2) (x) .. (x) e_(i_n) A e_(i_0), and no
 e_i enters an interior slot.  Central idempotents are the case of one
 state per block, where the window is the direct sum of the blocks'
 normalized complexes.  hh takes this route with the idempotents of
-structure.split_idempotents.  Every other window has one state (r = 1):
+structure.split_idempotents, each a polynomial in one element e g e read
+off its minimal polynomial.  Every other window has one state (r = 1):
 bar_complex unless given blocks, the cyclic complexes behind hc, hp and
 sbi_check, induced maps, Morita maps, and the unnormalized and
 coefficient complexes.
@@ -34,6 +35,7 @@ from .errors import (
     NotMultiplicative,
     SizeOverflow,
     ValidationError,
+    check_int,
 )
 from .linalg import (
     Homology,
@@ -313,16 +315,6 @@ def _check_blocks(A: FDAlgebra, blocks) -> list:
     return blocks
 
 
-def _check_n_max(n_max) -> None:
-    # bool is a subclass of int, and a float passes the sign check only to
-    # fail later in range()
-    if not isinstance(n_max, int) or isinstance(n_max, bool):
-        raise ValidationError("a degree bound must be an int, not %s"
-                              % type(n_max).__name__)
-    if n_max < 0:
-        raise ValidationError("a degree bound must be at least 0")
-
-
 def bar_complex(A: FDAlgebra, n_max: int, variant: str = "b",
                 coefficients: Bimodule | None = None,
                 normalized: bool = False, budget=None,
@@ -342,7 +334,7 @@ def bar_complex(A: FDAlgebra, n_max: int, variant: str = "b",
     budget = budget or default_budget()
     if variant not in ("b", "b_prime"):
         raise ValidationError("variant must be b or b_prime")
-    _check_n_max(n_max)
+    check_int(n_max, "a degree bound", 0)
     if normalized and not A.is_unital:
         raise NonUnital("the normalized complex needs a unit")
     if normalized and variant == "b_prime":
@@ -481,7 +473,7 @@ def _degree_homologies(maps, dims, field, n_max: int) -> list:
 
 def _homology_report(A: FDAlgebra, window, maps, n_max: int) -> HomologyReport:
     """Per-degree homology of a window whose differentials are maps."""
-    _check_n_max(n_max)
+    check_int(n_max, "a degree bound", 0)
     homologies = _degree_homologies(maps, window.dims, window.field, n_max)
     degrees = [DegreeHomology(degree=n, dim=H.dim,
                               representatives=H.representatives, homology=H)
@@ -498,7 +490,7 @@ def h_unitality_report(A: FDAlgebra, n_max: int, budget=None) -> str:
     Unital algebras are contractible by the homotopy, so the check only
     carries information without a unit.
     """
-    _check_n_max(n_max)
+    check_int(n_max, "a degree bound", 0)
     if A.is_unital:
         return "not-applicable"
     window = bar_complex(A, n_max + 1, variant="b_prime", budget=budget)
@@ -523,17 +515,18 @@ def hh(A: FDAlgebra, n_max: int, normalized: bool | None = None,
 
     normalized defaults to the cheap path for unital algebras.  That path
     cuts A by the orthogonal idempotents of structure.split_idempotents,
-    which refine the blocks and need not be central, and works on the
-    complex relative to them, with the homology of the full complex
-    (Loday, Cyclic Homology, ch. 1, homology relative to a separable
-    subalgebra).  report.window is that walk window: its degree-n chains
-    are the closed walks e_(i_0) A e_(i_1) (x) .. (x) e_(i_n) A e_(i_0)
-    with no e_i in an interior slot, so M_3(Q) with its diagonal
-    idempotents has 3 * 2^n of them, against 9 * 8^n on the ordinary
-    normalized complex.  Every other route keeps one idempotent: bar_complex
-    called directly, the cyclic complexes behind hc, hp and sbi_check,
-    induced maps, Morita maps, the unnormalized and the coefficient
-    complexes.  Nonunital algebras always
+    which refine the blocks and need not be central (the split of the unit
+    along the center and then the basis of A, each piece a polynomial in
+    one element), and works on the complex relative to them, with the
+    homology of the full complex (Loday, Cyclic Homology, ch. 1, homology
+    relative to a separable subalgebra).  report.window is that walk
+    window: its degree-n chains are the closed walks
+    e_(i_0) A e_(i_1) (x) .. (x) e_(i_n) A e_(i_0) with no e_i in an
+    interior slot, so M_3(Q) with its diagonal idempotents has 3 * 2^n of
+    them, against 9 * 8^n on the ordinary normalized complex.  Every other
+    route keeps one idempotent: bar_complex called directly, the cyclic
+    complexes behind hc, hp and sbi_check, induced maps, Morita maps, the
+    unnormalized and the coefficient complexes.  Nonunital algebras always
     use the unnormalized complex, which is exactly the textbook boundary
     and never touches a unit; for them the report carries the empirical
     H-unitality tri-state.
@@ -542,7 +535,7 @@ def hh(A: FDAlgebra, n_max: int, normalized: bool | None = None,
         normalized = A.is_unital
     if normalized and not A.is_unital:
         raise NonUnital("normalized homology needs a unital algebra")
-    blocks = split_idempotents(A, budget=budget) if normalized else None
+    blocks = split_idempotents(A) if normalized else None
     report = _hh(A, n_max, normalized, budget, blocks)
     if not A.is_unital:
         report.h_unitality = h_unitality_report(A, n_max, budget=budget)

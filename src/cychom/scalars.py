@@ -18,7 +18,7 @@ import re
 from fractions import Fraction
 from math import lcm
 
-from .errors import DivisionByZero, FieldMismatch, ParseError, ValidationError
+from .errors import DivisionByZero, FieldMismatch, ParseError, check_int
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -275,10 +275,10 @@ class _CyclotomicFieldRaw(_FieldBase):
         return tuple(x * q for x in a)
 
 
-@functools.lru_cache(maxsize=None)
+# typed, so that True or 2.0, equal to 1 and 2, is not answered from the cache
+@functools.lru_cache(maxsize=None, typed=True)
 def field_of_order(m: int) -> _FieldBase:
-    if m < 1:
-        raise ValidationError(f"field order must be positive, got {m}")
+    check_int(m, "field order", 1)
     return _RationalField() if m == 1 else _CyclotomicFieldRaw(m)
 
 

@@ -1,19 +1,24 @@
 """Structure theory: the center, the Jacobson radical, nilpotency, and the
-split of a commutative algebra into idempotents.
+split of the unit into orthogonal idempotents.
 
 Everything here is exact.  The radical comes from the kernel of the trace
 form of the left regular representation, which identifies it in
 characteristic zero; semisimplicity of the quotient and nilpotency of the
-radical are rechecked rather than assumed.  Central idempotents are found
-by splitting the center along elements whose eigenvalues lie in the
-field; spectrum insists on a full split, hochschild takes the blocks the
-field sees and cuts them further by idempotents that need not be
-central.  The identity of a component of the split is a polynomial in one
-element: for an eigenvalue lam of x in the component with identity e, it
-is q(x)/q(lam), where p is the minimal polynomial of x in e A e and
-q = p/(t - lam).  The one linear solve for the two-sided identity of a
-span (_span_identity) serves spectrum, which uses it to find the unit of
-an algebra built without one.
+radical are rechecked rather than assumed.
+
+One mechanism splits the unit (_split_unit).  A component e, an
+idempotent, is cut along x = e g e for a candidate g, and every piece is a
+polynomial in x read off its minimal polynomial p in e A e: for a root lam
+of p in the field, of multiplicity k, and q = p/(t - lam)^k, q(x)/q(lam)
+is the piece of lam up to a nilpotent, which is 0 when k = 1 and which the
+lift u -> 3u^2 - 2u^3 removes otherwise.  No subalgebra is built.  The
+candidates decide what is split: the center gives the blocks
+(block_idempotents), the center and then the basis of A give idempotents
+that need not be central (split_idempotents, which hochschild cuts A by),
+and the center of the semisimple quotient over a large enough field gives
+spectrum its complete split.  The one linear solve for the two-sided
+identity of a span (_span_identity) serves spectrum, which uses it to find
+the unit of an algebra built without one.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ from .algebra import (
     FDAlgebra,
     TwoSidedIdeal,
     quotient_algebra,
-    subalgebra_closure,
     two_sided_ideal,
     unitalization,
 )
@@ -156,15 +160,25 @@ def _rational_root_candidates(fracs: list) -> list:
     return out
 
 
-def _evaluate(poly, x, field):
-    acc = field.zero
-    for c in reversed(poly):
-        acc = field.add(field.mul(acc, x), c)
-    return acc
+def _cofactor(poly, lam, field):
+    """(q, k, q(lam)) with poly = (t - lam)^k q and q(lam) not zero, by
+    synthetic division by t - lam for as long as it leaves no remainder;
+    q(lam) is the remainder of the division that does not, and k = 0 when
+    lam is not a root."""
+    k = 0
+    while True:
+        quot, acc = [None] * (len(poly) - 1), field.zero
+        for i in range(len(poly) - 1, 0, -1):
+            acc = quot[i - 1] = field.add(field.mul(acc, lam), poly[i])
+        value = field.add(field.mul(acc, lam), poly[0])
+        if not field.is_zero(value):
+            return poly, k, value
+        poly, k = quot, k + 1
 
 
-def _roots_in_field(poly, field) -> list:
-    """Roots of a monic polynomial that are rational multiples of roots of unity.
+def _root_factors(poly, field) -> list:
+    """The _cofactor (q, k, q(lam)) of each root lam of a monic polynomial
+    that is a rational multiple of a root of unity in the field.
 
     This family is complete for the corpus; an eigenvalue outside it is
     treated as unsplittable at this order and escalates the field search.
@@ -184,10 +198,12 @@ def _roots_in_field(poly, field) -> list:
             root = field.scale(field.zeta_pow[k], r) if m > 1 \
                 else field.from_rational(r)
             key = tuple(field.to_coeffs(root))
-            if key in seen or not field.is_zero(_evaluate(poly, root, field)):
+            if key in seen:
                 continue
-            seen.add(key)
-            found.append(root)
+            factor = _cofactor(poly, root, field)
+            if factor[1]:
+                seen.add(key)
+                found.append(factor)
     return found
 
 
@@ -208,7 +224,7 @@ def _minimal_polynomial(A: FDAlgebra, e: dict, x: dict):
         power = A.multiply(power, x)
 
 
-# -- splitting a commutative algebra into idempotents ------------------------------
+# -- splitting the unit into idempotents ------------------------------------
 
 def _span_identity(A: FDAlgebra, vectors) -> dict | None:
     """The two-sided identity of the span of independent vectors, an
@@ -240,60 +256,83 @@ def _span_identity(A: FDAlgebra, vectors) -> dict | None:
     return e
 
 
-def _eigen_idempotents(field, poly, powers, roots) -> list:
-    """The idempotents q(x)/q(lam), q = p/(t - lam), of the given roots lam
-    of the minimal polynomial p of x, read off its powers e, x, x^2, ...;
-    when p has other roots, e minus their sum follows."""
+def _eigen_idempotents(A: FDAlgebra, powers, factors, rest: bool) -> list:
+    """The idempotents of the roots lam in the field of the minimal
+    polynomial of x, one for each (q, k, q(lam)) of _root_factors, read off
+    the powers e, x, x^2, ... of x; when rest is set, e minus their sum
+    follows.
+
+    u = q(x)/q(lam) is 1 modulo (x - lam)^k and 0 modulo q(x), so it is
+    the idempotent of lam in the algebra of polynomials in x up to a
+    nilpotent.  That nilpotent is 0 when k = 1; otherwise the lift
+    u -> 3u^2 - 2u^3 removes it, since an idempotent lifts uniquely
+    through a nilpotent ideal of a commutative algebra.
+    """
+    field = A.field
+    three, minus_two = field.from_rational(3), field.from_rational(-2)
     pieces = []
-    for lam in roots:
-        # the coefficients of q by synthetic division
-        q, acc = [None] * (len(poly) - 1), field.zero
-        for i in range(len(poly) - 1, 0, -1):
-            acc = q[i - 1] = field.add(field.mul(acc, lam), poly[i])
-        # q(lam) is not zero: x is semisimple, so lam is a simple root
-        scale, piece = field.inv(_evaluate(q, lam, field)), {}
+    for q, k, value in factors:
+        scale, piece = field.inv(value), {}
         for c, power in zip(q, powers):
             vec_axpy(piece, field.mul(scale, c), power, field)
+        square = A.multiply(piece, piece) if k > 1 else piece
+        while not vec_equal(square, piece, field):
+            cube = A.multiply(square, piece)
+            piece = {}
+            vec_axpy(piece, three, square, field)
+            vec_axpy(piece, minus_two, cube, field)
+            square = A.multiply(piece, piece)
         pieces.append(piece)
-    if len(roots) < len(poly) - 1:
-        rest = dict(powers[0])
+    if rest:
+        other = dict(powers[0])
         for piece in pieces:
-            vec_axpy(rest, field.neg(field.one), piece, field)
-        pieces.append(rest)
+            vec_axpy(other, field.neg(field.one), piece, field)
+        pieces.append(other)
     return pieces
 
 
 def _split_unit(A: FDAlgebra, candidates, complete: bool):
     """Split the unit of A into orthogonal idempotents, each a polynomial
-    in one product g e of a candidate g with a coarser idempotent e.  The
-    candidates are commuting semisimple elements of A: the basis of a
-    commutative semisimple algebra, or of the center of a semisimple one.
+    in one element x = e g e of a candidate g and a coarser idempotent e.
 
-    A component e is cut along the first candidate g for which x = g e
-    has eigenvalues in the field: each of them gives a piece, and so,
-    unless complete is set, do the eigenvalues outside the field together.
-    The pieces are cut again in turn.  A component that no candidate cuts
-    stays whole: a field component such as the Q(zeta_5) summand of QZ5
-    over Q.  With complete set a component that stays whole although some
-    x = g e is not a multiple of e ends the search and None is returned,
-    so the caller can retry over a larger field.
+    A component e is cut along the first candidate g whose x = e g e gives
+    at least two pieces: one for each root of x's minimal polynomial p in
+    e A e that lies in the field, and, unless complete is set, one for the
+    roots outside it together.  A candidate with fewer, such as x = lam e
+    plus a nilpotent, is passed over, and the pieces are cut again in
+    turn.  A component with dim e A e = 1 (trace of x -> e x e) is
+    primitive and is not tried.  A component that no candidate cuts stays
+    whole: a field component such as the Q(zeta_5) summand of QZ5 over Q,
+    or a local one such as Q[x]/x^3.  With complete set a component that
+    stays whole although the root multiplicities of some p add up to less
+    than its degree is wide: the search ends and None is returned, so the
+    caller can retry over a larger field.
     """
+    if not A.is_unital:
+        raise NonUnital("idempotents are cut from the unit")
     field = A.field
 
     def split(e):
+        # x -> e x e projects onto e A e, so its trace is dim e A e
+        if field.is_zero(field.sub(A.left_mult_matrix(e).product_trace(
+                A.right_mult_matrix(e)), field.one)):
+            return [e]
         wide = False
         for g in candidates:
-            poly, powers = _minimal_polynomial(A, e, A.multiply(g, e))
+            poly, powers = _minimal_polynomial(
+                A, e, A.multiply(A.multiply(e, g), e))
             if len(poly) == 2:
                 continue
-            wide = True
-            roots = _roots_in_field(poly, field)
-            if len(roots) == len(poly) - 1 or roots and not complete:
+            factors = _root_factors(poly, field)
+            rest = sum(k for _, k, _ in factors) < len(poly) - 1
+            if complete and rest:
+                wide = True
+            elif len(factors) + rest > 1:
                 break
         else:
-            return None if complete and wide else [e]
+            return None if wide else [e]
         out = []
-        for piece in _eigen_idempotents(field, poly, powers, roots):
+        for piece in _eigen_idempotents(A, powers, factors, rest):
             cut = split(piece)
             if cut is None:
                 return None
@@ -303,99 +342,27 @@ def _split_unit(A: FDAlgebra, candidates, complete: bool):
     return split(dict(A.unit))
 
 
-def _split(A: FDAlgebra, generators, budget=None) -> list:
-    """Orthogonal idempotents of A that sum to its unit and split the
-    commutative subalgebra generated by the generators, the unit among
-    them.
-
-    The subalgebra modulo its radical is split by _split_unit along its
-    basis elements, as far as their eigenvalues in the field allow,
-    stopping at field components, and each piece, a polynomial in one
-    element, is lifted by e -> 3e^2 - 2e^3.  Idempotents of a commutative
-    algebra lift uniquely modulo a nilpotent ideal, so the lifts are again
-    orthogonal and sum to the unit.
-    """
-    field = A.field
-    Z, include = subalgebra_closure(A, generators, budget=budget)
-    data, _ = semisimple_quotient(Z)
-    ss = data.algebra
-    comps = _split_unit(
-        ss, [ss.basis_vector(i) for i in range(ss.dim)], complete=False)
-    if len(comps) == 1:
-        return [dict(A.unit)]
-    three, minus_two = field.from_rational(3), field.from_rational(-2)
-    out = []
-    for e in comps:
-        x = data.projection.matrix.solve(e)
-        square = Z.multiply(x, x)
-        while not vec_equal(square, x, field):
-            cube = Z.multiply(square, x)
-            x = {}
-            vec_axpy(x, three, square, field)
-            vec_axpy(x, minus_two, cube, field)
-            square = Z.multiply(x, x)
-        out.append(include.apply(x))
-    return out
-
-
-def block_idempotents(A: FDAlgebra, budget=None) -> list:
+def block_idempotents(A: FDAlgebra) -> list:
     """Orthogonal central idempotents of A that sum to its unit.
 
-    They cut A into the blocks its field sees: the split of the center
-    (QZ5 over Q gives two blocks, over Q(zeta_5) five), each block's
-    idempotent a polynomial in one element of the center, read off that
-    element's minimal polynomial.
+    They cut A into the blocks its field sees (QZ5 over Q gives two
+    blocks, over Q(zeta_5) five): _split_unit along the basis of the
+    center, so each is a polynomial in one central element, lifted through
+    the radical of the center where that element is not semisimple.
     """
-    if not A.is_unital:
-        raise NonUnital("blocks are cut by idempotents summing to the unit")
-    return _split(A, center(A).basis, budget=budget)
+    return _split_unit(A, center(A).basis, complete=False)
 
 
-def _cut(A: FDAlgebra, f: dict, budget) -> list:
-    """The pieces of the idempotent f along the first basis element x whose
-    y = f x f is more than a multiple of f, or [f] when there is none."""
-    field = A.field
-    # x -> f x f is a projection onto f A f, so its trace is dim f A f
-    if field.is_zero(field.sub(A.left_mult_matrix(f).product_trace(
-            A.right_mult_matrix(f)), field.one)):
-        return [f]
-    lead = min(f)
-    inv = field.inv(f[lead])
-    for k in range(A.dim):
-        y = A.multiply(A.multiply(f, A.basis_vector(k)), f)
-        scale = field.mul(y.get(lead, field.zero), inv)
-        if vec_equal(y, {j: field.mul(scale, c) for j, c in f.items()},
-                     field):
-            continue
-        # f commutes with the pieces, so p f is p's part under f
-        pieces = [A.multiply(p, f)
-                  for p in _split(A, [A.unit, f, y], budget=budget)]
-        pieces = [p for p in pieces if p]
-        if len(pieces) > 1:
-            return pieces
-    return [f]
-
-
-def split_idempotents(A: FDAlgebra, budget=None) -> list:
+def split_idempotents(A: FDAlgebra) -> list:
     """Orthogonal idempotents of A, central or not, that sum to its unit.
 
-    They refine block_idempotents: an idempotent f is cut further while
-    some basis element x makes y = f x f more than a multiple of f, by
-    splitting the commutative subalgebra generated by 1, f and y into
-    idempotents that are polynomials in its elements, and keeping the
-    pieces under f.  In a split simple block the result is a full set of
-    primitive idempotents (the diagonal of M_n(Q), say); commutative
-    blocks, such as the Q(zeta_5) block of QZ5 over Q or a local algebra,
-    stay whole.
+    _split_unit along the basis of the center and then the basis of A: the
+    central candidates give the blocks of block_idempotents, in their
+    order, and the basis elements cut each block further along x = e g e.
+    In a split simple block the result is a full set of primitive
+    idempotents (the diagonal of M_n(Q), say); commutative blocks, such as
+    the Q(zeta_5) block of QZ5 over Q or a local algebra, stay whole.
     """
-    idems = block_idempotents(A, budget=budget)
-    i = 0
-    while i < len(idems):
-        pieces = _cut(A, idems[i], budget)
-        idems[i:i + 1] = pieces
-        if len(pieces) == 1:
-            i += 1
-        elif len(idems) > A.dim:
-            # nonzero orthogonal idempotents are linearly independent
-            raise ValidationError("idempotent refinement overran")
-    return idems
+    return _split_unit(A, center(A).basis
+                       + [A.basis_vector(i) for i in range(A.dim)],
+                       complete=False)

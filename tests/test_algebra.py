@@ -33,6 +33,7 @@ from cychom.errors import (
     SizeOverflow,
     ValidationError,
 )
+from cychom.groups import cyclic_group
 from cychom.linalg import Subspace, to_raw
 from cychom.scalars import Cyclotomic, field_of_order
 
@@ -176,6 +177,23 @@ def test_require_valid_raises():
     A = FDAlgebra(2, 1, {(0, 0): {1: 1}, (1, 0): {0: 1}})
     with pytest.raises(ValidationError):
         A.require_valid()
+
+
+def test_sizes_that_are_not_ints_are_refused():
+    # bool is an int, and -1 squares to a valid matrix algebra dimension
+    for dim in (True, 1.0, 0):
+        with pytest.raises(ValidationError, match="algebra dimension"):
+            FDAlgebra(dim, 1, {(0, 0): {0: 1}})
+    with pytest.raises(ValidationError, match="field order"):
+        FDAlgebra(1, True, {(0, 0): {0: 1}})
+    for N in (-1, 0, 2.0, True):
+        with pytest.raises(ValidationError, match="matrix size"):
+            matrix_algebra(ground_field(), N)
+    for build in (truncated_polynomial, functions_on_points,
+                  upper_triangular, cyclic_group):
+        for n in (True, 2.0, -1):
+            with pytest.raises(ValidationError, match="must be"):
+                build(n)
 
 
 def test_out_of_range_coordinates_are_rejected():

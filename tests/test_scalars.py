@@ -240,6 +240,15 @@ def test_order_below_one_is_a_validation_error():
             field_of_order(m)
 
 
+def test_order_that_is_not_an_int_is_a_validation_error():
+    # True equals 1 and hashes like it, so the cached field of order 1
+    # must not answer for it
+    field_of_order(1)
+    for m in (2.0, "3", True):
+        with pytest.raises(ValidationError, match="must be an int"):
+            field_of_order(m)
+
+
 def test_zero_has_no_inverse():
     with pytest.raises(DivisionByZero):
         Cyclotomic(0, 1).inverse()

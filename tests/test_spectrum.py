@@ -38,7 +38,7 @@ from cychom.groups import (
     symmetric_group_3,
 )
 from cychom.hochschild import hh
-from cychom.linalg import Subspace, vec_add, vec_equal
+from cychom.linalg import SparseMatrix, Subspace, vec_add, vec_equal
 from cychom.scalars import field_of_order
 from cychom.spectrum import (
     IdealFiltration,
@@ -234,6 +234,26 @@ def test_block_idempotents_cut_the_unit(A, count):
     assert vec_equal(total, A.unit, field)
 
 
+def _t_squared_t_minus_one():
+    # Q[t]/t^2(t - 1) on the basis t, t^2, 1: the radical is spanned by
+    # t - t^2, so t is the idempotent t^2 up to a nilpotent, and the lift
+    # 3t^2 - 2t^3 takes it to t^2
+    return FDAlgebra(3, 1, {(0, 0): {1: 1}, (0, 1): {1: 1}, (1, 0): {1: 1},
+                            (1, 1): {1: 1}, (2, 0): {0: 1}, (0, 2): {0: 1},
+                            (2, 1): {1: 1}, (1, 2): {1: 1}, (2, 2): {2: 1}},
+                     unit={2: 1}).require_valid()
+
+
+def _rebased_upper_triangular():
+    # upper_triangular(3) on the basis E12 + E33, E11, E12, E13, E22, E23
+    U = upper_triangular(3)
+    basis = [{1: 1, 5: 1}] + [U.basis_vector(k) for k in range(5)]
+    back = SparseMatrix.from_columns(basis, 6, U.field).inverse()
+    mul = {(i, j): back.mat_vec(U.multiply(u, v))
+           for i, u in enumerate(basis) for j, v in enumerate(basis)}
+    return FDAlgebra(6, 1, mul, unit=back.mat_vec(U.unit)).require_valid()
+
+
 def test_block_idempotents_lift_through_the_radical():
     # Q[x]/x^3 + Q + Q(zeta_5): the center has a radical, and the lifted
     # idempotents are the units of the summands
@@ -243,13 +263,7 @@ def test_block_idempotents_lift_through_the_radical():
     blocks = block_idempotents(A)
     assert len(blocks) == 4
     assert sorted(A.left_mult_matrix(e).rank() for e in blocks) == [1, 1, 3, 4]
-    # Q[t]/t^2(t - 1) on the basis t, t^2, 1: the radical is spanned by
-    # t - t^2, the residue of the idempotent t^2 lifts first to t, and
-    # 3t^2 - 2t^3 corrects that to t^2
-    B = FDAlgebra(3, 1, {(0, 0): {1: 1}, (0, 1): {1: 1}, (1, 0): {1: 1},
-                         (1, 1): {1: 1}, (2, 0): {0: 1}, (0, 2): {0: 1},
-                         (2, 1): {1: 1}, (1, 2): {1: 1}, (2, 2): {2: 1}},
-                  unit={2: 1}).require_valid()
+    B = _t_squared_t_minus_one()
     blocks = block_idempotents(B)
     assert {vec_key(e, B.field) for e in blocks} == \
         {vec_key({1: 1}, B.field), vec_key({1: -1, 2: 1}, B.field)}
@@ -277,6 +291,51 @@ def test_block_idempotents_are_unchanged():
         {4: 4 * f, 5: -f, 6: -f, 7: -f, 8: -f},
         {3: 1},
         {0: 1}]
+
+
+def test_split_idempotents_are_unchanged():
+    # block_idempotents, then split_idempotents, pinned in order
+    F = Fraction
+    h, t, s = F(1, 2), F(1, 3), F(1, 6)
+    cases = [
+        (group_algebra(symmetric_group_3()),
+         [{0: 2 * t, 4: -t, 5: -t}, {k: s for k in range(6)},
+          {0: s, 1: -s, 2: -s, 3: -s, 4: s, 5: s}],
+         [{0: t, 1: t, 2: -s, 3: -s, 4: -s, 5: -s},
+          {0: t, 1: -t, 2: s, 3: s, 4: -s, 5: -s},
+          {k: s for k in range(6)},
+          {0: s, 1: -s, 2: -s, 3: -s, 4: s, 5: s}]),
+        (direct_sum(truncated_polynomial(3),
+                    matrix_algebra(ground_field(), 2)).algebra,
+         [{3: 1, 6: 1}, {0: 1}], [{6: 1}, {3: 1}, {0: 1}]),
+        (matrix_algebra(truncated_polynomial(2), 2),
+         [{0: 1, 6: 1}], [{6: 1}, {0: 1}]),
+        (_t_squared_t_minus_one(),
+         [{1: -1, 2: 1}, {1: 1}], [{1: -1, 2: 1}, {1: 1}]),
+        # the largest point-action crossed product, C(3) x S3
+        (_point_action_product(
+            symmetric_group_3(), [(0, 1, 2), (1, 0, 2), (2, 1, 0),
+                                  (0, 2, 1), (1, 2, 0), (2, 0, 1)]),
+         [{0: h, 1: h, 2: h, 5: h, 7: h, 9: h},
+          {0: h, 1: h, 2: h, 5: -h, 7: -h, 9: -h}],
+         [{2: h, 5: h}, {1: h, 7: h}, {0: h, 9: h},
+          {2: h, 5: -h}, {1: h, 7: -h}, {0: h, 9: -h}]),
+    ]
+    for A, blocks, idems in cases:
+        assert block_idempotents(A) == blocks
+        assert split_idempotents(A) == idems
+
+
+def test_a_non_central_cut_lifts_its_pieces():
+    # E12 + E33 has minimal polynomial t^2 (t - 1), so the cut of the unit
+    # along it reads the piece of the root 0 off q = t - 1 as
+    # E11 + E22 - E12, which only the lift makes idempotent
+    A = _rebased_upper_triangular()
+    poly, _ = _minimal_polynomial(A, A.unit, A.basis_vector(0))
+    assert poly == [0, 0, -1, 1]
+    # E22, E11 and E33 = (E12 + E33) - E12
+    assert split_idempotents(A) == [{4: 1}, {1: 1}, {0: 1, 2: -1}]
+    assert block_idempotents(A) == [A.unit]
 
 
 def test_minimal_polynomial_of_an_element():

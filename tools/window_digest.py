@@ -5,7 +5,7 @@ Run from the repository root:
 
     python3 tools/window_digest.py
 
-It prints two lines, each with a number of entries and a sha256.  The first
+It prints three lines, each with a number of entries and a sha256.  The first
 covers a fixed corpus of windows (normalized and unnormalized bar complexes,
 the (b, B) complexes behind hc, induced maps, Morita maps, coefficient
 windows, and bar windows relative to the central idempotents of
@@ -19,12 +19,18 @@ eliminated; every chain-level entry is hashed as it is.  The second covers
 the walk windows of hh (slot basis, its inverse and the boundaries) and the
 wedderburn_blocks reports of a few group algebras and upper_triangular(3)
 (idempotents, primitive points and central characters), hashed over sorted
-dict items, so only values count.  Both lines hash an integral Fraction as
-the equal int (a rational scalar may be stored either way), and the first
-still keeps every row's entry order.  Two checkouts that compute the same
-windows, maps and reports print the same lines.  The script re-runs itself with
-PYTHONHASHSEED=0, so set iteration order cannot change the hash between
-runs.
+dict items, so only values count.  The third covers
+structure.block_idempotents and structure.split_idempotents, each list in
+its order, on fifteen algebras: QS3 over Q and Q(zeta3), QD4, QZ4, QZ5,
+Q[x]/x^3 + M_2(Q), M_2(Q[x]/x^2), Q[t]/t^2(t - 1), upper_triangular(3) on
+its own basis and on one whose first element is not semisimple, and the
+five point-action crossed products of perfbench/cases.py; it is hashed like
+the second.  Every line hashes an integral Fraction as the equal int (a
+rational scalar may be stored either way), and the first still keeps every
+row's entry order.  Two checkouts that compute the same windows, maps,
+reports and idempotents print the same lines.  The script re-runs itself
+with PYTHONHASHSEED=0, so set iteration order cannot change the hash
+between runs.
 """
 
 import hashlib
@@ -202,6 +208,56 @@ def _walks_and_spectra():
                                        for c in report.central_characters]
 
 
+def _rebased_upper_triangular():
+    """upper_triangular(3) on the basis E12 + E33, E11, E12, E13, E22, E23,
+    whose first element has minimal polynomial t^2 (t - 1), so the split
+    cuts the unit along a non-semisimple element."""
+    from cychom.algebra import FDAlgebra, upper_triangular
+    from cychom.linalg import SparseMatrix
+    U = upper_triangular(3)
+    basis = [{1: 1, 5: 1}] + [U.basis_vector(k) for k in range(5)]
+    back = SparseMatrix.from_columns(basis, 6, U.field).inverse()
+    mul = {(i, j): back.mat_vec(U.multiply(u, v))
+           for i, u in enumerate(basis) for j, v in enumerate(basis)}
+    return FDAlgebra(6, 1, mul, unit=back.mat_vec(U.unit)).require_valid()
+
+
+def _splits():
+    from cychom.algebra import FDAlgebra, direct_sum, ground_field, \
+        matrix_algebra, truncated_polynomial, upper_triangular
+    from cychom.crossprod import variety_crossed_product
+    from cychom.groups import cyclic_group, dihedral_group_4, \
+        group_algebra, symmetric_group_3
+    from cychom.spectrum import extend_scalars
+    from cychom.structure import block_idempotents, split_idempotents
+    from perfbench.cases import point_actions
+
+    QS3 = group_algebra(symmetric_group_3())
+    # Q[t]/t^2(t - 1) on the basis t, t^2, 1
+    local_plus_point = FDAlgebra(
+        3, 1, {(0, 0): {1: 1}, (0, 1): {1: 1}, (1, 0): {1: 1},
+               (1, 1): {1: 1}, (2, 0): {0: 1}, (0, 2): {0: 1},
+               (2, 1): {1: 1}, (1, 2): {1: 1}, (2, 2): {2: 1}},
+        unit={2: 1}).require_valid()
+    corpus = [
+        ("QS3", QS3),
+        ("T3+M2", direct_sum(truncated_polynomial(3),
+                             matrix_algebra(ground_field(), 2)).algebra),
+        ("M2(T2)", matrix_algebra(truncated_polynomial(2), 2)),
+        ("t2(t-1)", local_plus_point),
+        ("QS3z3", extend_scalars(QS3, 3)),
+        ("QD4", group_algebra(dihedral_group_4())),
+        ("QZ4", group_algebra(cyclic_group(4))),
+        ("QZ5", group_algebra(cyclic_group(5))),
+        ("U3", upper_triangular(3)),
+        ("U3 rebased", _rebased_upper_triangular()),
+    ] + [(act.name, variety_crossed_product(act).product)
+         for act in point_actions()]
+    for name, A in corpus:
+        yield "%s blocks" % name, block_idempotents(A)
+        yield "%s split" % name, split_idempotents(A)
+
+
 def _digest(entries, canonical):
     digest = hashlib.sha256()
     count = 0
@@ -215,9 +271,10 @@ def main():
     if os.environ.get("PYTHONHASHSEED") != "0":
         env = dict(os.environ, PYTHONHASHSEED="0")
         os.execve(sys.executable, [sys.executable] + sys.argv, env)
-    sys.path.insert(0, os.path.join(ROOT, "src"))
+    sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
     print(_digest(_entries(), lambda value: _canonical(value, False)))
     print(_digest(_walks_and_spectra(), lambda value: _canonical(value, True)))
+    print(_digest(_splits(), lambda value: _canonical(value, True)))
 
 
 if __name__ == "__main__":
