@@ -227,14 +227,14 @@ def _character(rep: KClassRep, q: int, carrier: FDAlgebra, seed: tuple,
     """
     start = len(seed) - 1
     degree = start + 2 * q
-    window = cyclic_complex(carrier, degree + 2, normalized=False,
-                            budget=budget)
+    # nothing below reads a degree above the character's
+    window = cyclic_complex(carrier, degree, normalized=False, budget=budget)
     hoch = window.hochschild_window
     ch = _require_cycle(CyclicChain(
         window, start, {hoch.index_of(start, seed): window.field.one}), "seed")
     for _ in range(q):
         ch = _extend_cycle(ch)
-    tgt = cyclic_complex(rep.algebra, degree + 1, normalized=False,
+    tgt = cyclic_complex(rep.algebra, degree, normalized=False,
                          budget=budget)
     out = {}
     for k, (m, _) in enumerate(window.summands(degree)):

@@ -19,15 +19,13 @@ from math import lcm
 
 from .algebra import AlgebraMap, FDAlgebra, twisted_bimodule
 from .config import default_budget
-from .errors import (DegreePositive, EmptyTarget, SizeOverflow,
-                     ValidationError)
+from .errors import DegreePositive, SizeOverflow, ValidationError
 from .groups import (FiniteGroup, FiniteVarietyAction, GroupAction,
                      group_metadata)
 from .hochschild import _tensor_chain_matrix, hh, hh_with_coefficients
-from .linalg import (SparseMatrix, Subspace, add_term, induced_map, vec_axpy,
-                     vec_equal, vec_is_zero)
+from .linalg import (SparseMatrix, Subspace, add_term, induced_map,
+                     intersect_subspaces, vec_axpy, vec_equal, vec_is_zero)
 from .scalars import field_of_order, lift_raw
-from .spectrum import intersect_subspaces
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +380,6 @@ def psi_map(action: FiniteVarietyAction, budget=None) -> PsiMap:
             blocks.append(b)
             offset += b.dim
     target_dim = offset
-    if target_dim == 0:
-        raise EmptyTarget("every class has an empty fixed set")
 
     # block values per source basis element, then flattened columns
     values = []

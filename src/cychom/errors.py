@@ -89,10 +89,6 @@ class FiltrationNotRespected(ValidationError):
 
 # -- crossed products / chern ----------------------------------------------
 
-class EmptyTarget(CychomError):
-    """Every comparison-map component has an empty target (no fixed points)."""
-
-
 class DegreePositive(ValidationError):
     """phi_gamma is only defined in degree 0 here."""
 

@@ -157,7 +157,10 @@ class _SlotData:
         return sum(len(values) * walks[j][i]
                    for values, (i, j) in zip(self.slot0, self.pieces))
 
-    def words(self, n: int):
+    def ranks(self, n: int) -> dict:
+        return self._table(n)[1]
+
+    def blocks(self, n: int) -> list:
         """The chain layout.  A degree-n chain is a slot-0 value s and an
         interior word u, the tuple of interior codes c_1 .. c_n, that close
         up to a walk: if s lies in the piece (i, j), c_1 leaves j, each
@@ -167,20 +170,13 @@ class _SlotData:
         length n - 1 from j to each state t in turn, each followed by every
         code of the piece (t, i) in increasing order (degree 0 has the one
         empty word, a walk from j to j).  With one state, or one state per
-        block, that is lexicographic order.  words(n) yields the words
-        group by group, and ranks(n) maps each word to its rank within
-        its group.  The chain (s, u) of group g has index
+        block, that is lexicographic order.  ranks(n) maps each word to its
+        rank within its group.  The chain (s, u) of group g has index
         offset_g + (s - s_g) * #walks_g + rank(u), where s_g is the group's
         first slot-0 value and offset_g counts the chains of the groups
         before it; starts(n)[s] is the part before rank(u).  On a one-state
         window this is s * interior_radix**n + rank(u).
         """
-        return iter(self.ranks(n))
-
-    def ranks(self, n: int) -> dict:
-        return self._table(n)[1]
-
-    def blocks(self, n: int) -> list:
         return self._table(n)[0]
 
     def starts(self, n: int) -> list:
@@ -239,7 +235,7 @@ class ChainComplexWindow:
     """Degrees 0..n_max of a bar-type complex with explicit boundaries.
 
     boundaries[n] maps degree n to degree n-1; degree-n coordinates follow
-    the chain layout of the window's slot basis (_SlotData.words).
+    the chain layout of the window's slot basis (_SlotData.blocks).
     """
 
     def __init__(self, algebra, n_max, variant, module, normalized, slots,
@@ -266,7 +262,7 @@ class ChainComplexWindow:
 
     def index_of(self, n: int, tup) -> int:
         """The index of a chain (s, c_1, .., c_n); refuses a tuple that is
-        not a closed walk (see _SlotData.words)."""
+        not a closed walk (see _SlotData.blocks)."""
         _require_degree(self, n)
         if len(tup) != n + 1:
             raise ValidationError("tensor has wrong length for this degree")
@@ -494,10 +490,10 @@ def h_unitality_report(A: FDAlgebra, n_max: int, budget=None) -> str:
     if A.is_unital:
         return "not-applicable"
     window = bar_complex(A, n_max + 1, variant="b_prime", budget=budget)
+    homologies = _degree_homologies(window.boundaries, window.dims,
+                                    window.field, n_max)
     for n in range(1, n_max + 1):
-        H = homology(window.boundaries[n], window.boundaries[n + 1],
-                     space_dim=window.dims[n], field=window.field)
-        if H.dim != 0:
+        if homologies[n].dim != 0:
             return "fails at degree %d" % n
     return "acyclic-up-to-cutoff"
 

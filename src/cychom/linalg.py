@@ -376,25 +376,23 @@ def _pivot_columns(indexed_rows, field: _FieldBase) -> tuple[list, list]:
     return sorted(c for c, _, _ in pivots), sorted(r for _, r, _ in pivots)
 
 
-def _reduced(input_rows, field: _FieldBase, cols=None):
-    """``reduced_rows``, with pivots only in cols when they are given."""
-    adapter, pivots = _eliminate(enumerate(input_rows), field, cols)
-    # a pivot row may hold columns pivoted later, never earlier
-    return _back_substitute([(c, row) for c, _, row in pivots], adapter)
-
-
-def reduced_rows(input_rows, field: _FieldBase):
+def reduced_rows(input_rows, field: _FieldBase, cols=None):
     """A deterministic reduced basis of the row span: monic rows with distinct
-    pivot columns, each pivot column absent from every other row.
+    pivot columns, each pivot column absent from every other row.  With
+    cols, pivots are taken only in those columns (the rows must be
+    independent on them).
 
     Unlike ``rref_rows`` the pivot of a row need not be its leftmost entry,
     so the output is not the canonical echelon form; it is the cheap variant
     for very large spans, where the strict leftmost rule causes fill.  All
     coset reduction, coordinate extraction and ``kernel_from_rref`` work the
     same on it.  ``Homology`` reads its representatives off the one of A
-    restricted to the coordinates outside its boundaries' pivot rows.
+    restricted to the coordinates outside its boundaries' pivot rows, and
+    builds its boundary basis with pivots in those rows.
     """
-    return _reduced(input_rows, field)
+    adapter, pivots = _eliminate(enumerate(input_rows), field, cols)
+    # a pivot row may hold columns pivoted later, never earlier
+    return _back_substitute([(c, row) for c, _, row in pivots], adapter)
 
 
 def rref_rows(input_rows, field: _FieldBase):
@@ -488,9 +486,8 @@ class SparseMatrix:
             raise ValidationError(f"expected {nrows} rows, got {len(rows)}")
         self._rref = None
         self._cols = None
-        self._rank = None
         # rank-many pivot columns and pivot rows meeting in an invertible
-        # submatrix, set by Homology
+        # submatrix, set by rank() or by Homology
         self._pivots = None
         self._pivot_rows = None
 
@@ -618,19 +615,13 @@ class SparseMatrix:
         return self._rref
 
     def rank(self) -> int:
-        if self._rank is None:
-            if self._rref is not None or self.nrows <= self.ncols:
-                self._rank = len(self.rref()[1])
-            else:
-                # fewer rows after transposing; rank is the same either way
-                _, pivots = rref_rows([dict(c) for c in self.columns()],
-                                      self.field)
-                self._rank = len(pivots)
-        return self._rank
+        if self._pivots is None:
+            self._pivots, self._pivot_rows = _pivot_columns(
+                enumerate(self.rows), self.field)
+        return len(self._pivots)
 
     def kernel_basis(self) -> list[dict]:
-        rows, pivots = self.rref()
-        return kernel_from_rref(rows, pivots, self.ncols, self.field)
+        return self.kernel_space().basis
 
     def kernel_space(self) -> "Subspace":
         """The right kernel as a subspace, without re-reducing its basis.
@@ -722,13 +713,9 @@ class Subspace:
         self._check(vec)
         out = dict(vec)
         f = self.field
-        hits = [c for c in out if c in self._pivot_map]
-        while hits:
-            for c in hits:
-                if c in out:
-                    coef = f.neg(out[c])
-                    vec_axpy(out, coef, self._pivot_map[c], f)
-            hits = [c for c in out if c in self._pivot_map]
+        # a basis vector holds no other pivot column, so one pass clears them
+        for c in [c for c in out if c in self._pivot_map]:
+            vec_axpy(out, f.neg(out[c]), self._pivot_map[c], f)
         return out
 
     def _check(self, vec: dict) -> None:
@@ -792,12 +779,23 @@ def operator_matrix(op: SparseMatrix, vectors, target, message: str) -> SparseMa
 
 
 def preimage_subspace(f: SparseMatrix, target: Subspace) -> Subspace:
-    """{x : f(x) lies in target} as a subspace of the domain."""
+    """{x : f(x) lies in target} as a subspace of the domain: the
+    ``kernel_space`` of f followed by reduction modulo target."""
     if f.nrows != target.ambient_dim:
         raise AmbientMismatch("map codomain does not match the target's ambient space")
     residual_cols = [target.reduce(col) for col in f.columns()]
-    constraint = SparseMatrix.from_columns(residual_cols, f.nrows, f.field)
-    return Subspace.from_vectors(f.ncols, f.field, constraint.kernel_basis())
+    return SparseMatrix.from_columns(residual_cols, f.nrows,
+                                     f.field).kernel_space()
+
+
+def intersect_subspaces(U: Subspace, V: Subspace) -> Subspace:
+    """Vectors lying in both subspaces, as a canonical subspace: the images
+    of the combinations of V's basis that land in U."""
+    field = U.field
+    inclusion = SparseMatrix.from_columns(V.basis, V.ambient_dim, field)
+    return Subspace.from_vectors(U.ambient_dim, field, [
+        inclusion.mat_vec(combo)
+        for combo in preimage_subspace(inclusion, U).basis])
 
 
 # -- homology of a two-step complex -----------------------------------------------
@@ -857,10 +855,7 @@ class Homology:
         if B is not None:
             if B._pivots is None:
                 skip = set()
-                if A is not None:
-                    if A._pivots is None:
-                        A._pivots, A._pivot_rows = _pivot_columns(
-                            enumerate(A.rows), self.field)
+                if A is not None and A.rank():
                     skip = set(A._pivots)
                 B._pivots, B._pivot_rows = _pivot_columns(
                     ((i, row) for i, row in enumerate(B.rows) if i not in skip),
@@ -893,8 +888,9 @@ class Homology:
             basis, pivots = [], []
             if self.B is not None:
                 cols = self.B.columns()
-                basis, pivots = _reduced([cols[j] for j in self.B._pivots],
-                                         self.field, set(self.B._pivot_rows))
+                basis, pivots = reduced_rows(
+                    [cols[j] for j in self.B._pivots], self.field,
+                    set(self.B._pivot_rows))
             self._boundary = Subspace(self.space_dim, self.field, basis, pivots)
         return self._boundary
 

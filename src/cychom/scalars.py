@@ -96,8 +96,8 @@ class _FieldBase:
 
 class _RationalField(_FieldBase):
     """Q on raw values that are an int when integral, else a Fraction (see
-    linalg).  The one true division is ``inv``'s ``1 / Fraction(a)``, so no
-    float can appear."""
+    linalg); ``inv`` and ``from_coeffs`` follow that rule.  The one true
+    division is ``inv``'s ``1 / Fraction(a)``, so no float can appear."""
 
     order = 1
     degree = 1
@@ -124,7 +124,8 @@ class _RationalField(_FieldBase):
     def inv(a):
         if not a:
             raise DivisionByZero("inverse of zero")
-        return 1 / Fraction(a)
+        q = 1 / Fraction(a)
+        return q.numerator if q.denominator == 1 else q
 
     @staticmethod
     def conj(a):
@@ -140,7 +141,8 @@ class _RationalField(_FieldBase):
 
     @staticmethod
     def from_coeffs(coeffs):
-        return coeffs[0] if isinstance(coeffs[0], Fraction) else Fraction(coeffs[0])
+        c = coeffs[0]
+        return c.numerator if c.denominator == 1 else c
 
     @staticmethod
     def scale(a, q):

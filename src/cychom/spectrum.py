@@ -36,7 +36,14 @@ from .errors import (
     SplittingFieldTooLarge,
     ValidationError,
 )
-from .linalg import SparseMatrix, Subspace, dense_to_sparse, vec_axpy
+from .linalg import (
+    SparseMatrix,
+    Subspace,
+    dense_to_sparse,
+    intersect_subspaces,
+    preimage_subspace,
+    vec_axpy,
+)
 from .scalars import field_of_order, lift_raw
 from .structure import (
     _span_identity,
@@ -105,24 +112,6 @@ def _lift_matrix(mat: SparseMatrix, dst) -> SparseMatrix:
     rows = [{j: lift_raw(c, mat.field, dst) for j, c in row.items()}
             for row in mat.rows]
     return SparseMatrix(mat.nrows, mat.ncols, dst, rows=rows)
-
-
-# -- subspace intersection --------------------------------------------------------
-
-def intersect_subspaces(U: Subspace, V: Subspace) -> Subspace:
-    """Vectors lying in both subspaces, as a canonical subspace."""
-    if U.ambient_dim != V.ambient_dim:
-        raise ValidationError("intersection needs one ambient space")
-    field = U.field
-    if U.dim == 0 or V.dim == 0:
-        return Subspace.from_vectors(U.ambient_dim, field, [])
-    # combinations of V's basis killed by reduction modulo U
-    cols = [U.reduce(v) for v in V.basis]
-    mat = SparseMatrix.from_columns(cols, U.ambient_dim, field)
-    vecs = [V.linear_combination([combo.get(i, field.zero)
-                                  for i in range(V.dim)])
-            for combo in mat.kernel_space().basis]
-    return Subspace.from_vectors(U.ambient_dim, field, vecs)
 
 
 # -- the block decomposition ------------------------------------------------------
@@ -540,12 +529,10 @@ def spectrum_preserving_check(phi: AlgebraMap, budget=None) -> SpectrumVerdict:
     field = field_of_order(order)
     matrix = phi.matrix if phi.matrix.field.order == order \
         else _lift_matrix(phi.matrix, field)
-    columns = [matrix.mat_vec({i: field.one}) for i in range(L.dim)]
     pairs = []
     partners = []
     for j, point in enumerate(rJ.prim_points):
-        cols = [point.reduce(col) for col in columns]
-        preimage = SparseMatrix.from_columns(cols, J.dim, field).kernel_space()
+        preimage = preimage_subspace(matrix, point)
         mine = [i for i, src in enumerate(rL.prim_points)
                 if src.contains_subspace(preimage)]
         partners.append(mine)

@@ -50,10 +50,11 @@ def center(A: FDAlgebra) -> Subspace:
     return Subspace.from_vectors(A.dim, field, mat.kernel_basis())
 
 
-def _trace_form_rows(A: FDAlgebra):
-    # row j of the Gram matrix: x -> trace of left multiplication by x*e_j
+def _trace_form_kernel(A: FDAlgebra) -> list[dict]:
+    """The kernel of the regular trace form (x, y) -> trace(L_xy)."""
     field = A.field
     tvec = A.trace_vector()
+    # row j of the Gram matrix: x -> trace of left multiplication by x*e_j
     rows = []
     for j in range(A.dim):
         row = {}
@@ -64,7 +65,7 @@ def _trace_form_rows(A: FDAlgebra):
             if not field.is_zero(total):
                 row[i] = total
         rows.append(row)
-    return rows
+    return SparseMatrix(A.dim, A.dim, field, rows=rows).kernel_basis()
 
 
 def jacobson_radical(A: FDAlgebra) -> TwoSidedIdeal:
@@ -75,19 +76,13 @@ def jacobson_radical(A: FDAlgebra) -> TwoSidedIdeal:
     through their unitalization, where the criterion applies; the radical
     never meets the adjoined unit.
     """
-    if not A.is_unital:
-        plus = unitalization(A).algebra
-        kernel = SparseMatrix(plus.dim, plus.dim, plus.field,
-                              rows=_trace_form_rows(plus)).kernel_basis()
-        vectors = []
-        for vec in kernel:
-            if A.dim in vec:
-                raise ValidationError(
-                    "radical of the unitalization leaks onto the unit")
-            vectors.append(vec)
-        return two_sided_ideal(A, vectors, name="radical")
-    kernel = SparseMatrix(A.dim, A.dim, A.field,
-                          rows=_trace_form_rows(A)).kernel_basis()
+    if A.is_unital:
+        kernel = _trace_form_kernel(A)
+    else:
+        kernel = _trace_form_kernel(unitalization(A).algebra)
+        if any(A.dim in vec for vec in kernel):
+            raise ValidationError(
+                "radical of the unitalization leaks onto the unit")
     return two_sided_ideal(A, kernel, name="radical")
 
 
@@ -125,10 +120,7 @@ def semisimple_quotient(A: FDAlgebra):
     if not is_nilpotent_subspace(A, radical.space):
         raise ValidationError("radical candidate is not nilpotent")
     data = quotient_algebra(A, radical)
-    again = SparseMatrix(data.algebra.dim, data.algebra.dim,
-                         data.algebra.field,
-                         rows=_trace_form_rows(data.algebra)).kernel_basis()
-    if again:
+    if _trace_form_kernel(data.algebra):
         raise ValidationError("quotient by the radical is not semisimple")
     return data, radical
 

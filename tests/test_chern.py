@@ -16,7 +16,8 @@ from cychom.chern import (
     invertible_rep,
     pair_with_trace,
 )
-from cychom.errors import NotIdempotent
+from cychom.algebra import truncated_polynomial
+from cychom.errors import NotIdempotent, NotInvertible, OrderUnbounded
 from cychom.groups import cyclic_group, group_algebra
 from cychom.linalg import vec_equal
 from cychom.scalars import Cyclotomic
@@ -107,3 +108,26 @@ def test_characters_over_a_cyclotomic_field():
 def test_group_generator_is_not_idempotent():
     with pytest.raises(NotIdempotent):
         idempotent_rep(_qz(5), [[{1: 1}]])
+
+
+def test_characters_live_on_windows_of_their_own_degree():
+    e = idempotent_rep(_qz(5), [[_trivial_character(5)]])
+    u = invertible_rep(_qz(3), [[{1: 1}]])
+    for ch in (chern_idempotent(e, 0), chern_idempotent(e, 1),
+               chern_invertible(u, 0), chern_invertible(u, 1)):
+        assert ch.chain.window.n_max == ch.degree
+
+
+def test_matrices_without_an_inverse_are_refused():
+    T2 = truncated_polynomial(2)
+    with pytest.raises(NotInvertible, match="no right inverse exists"):
+        invertible_rep(T2, [[{1: 1}]])
+    # 1 + x is invertible, but its inverse is 1 - x
+    with pytest.raises(NotInvertible, match="stored inverse fails"):
+        invertible_rep(T2, [[{0: 1, 1: 1}]], inverse=[[{0: 1, 1: 1}]])
+
+
+def test_an_element_of_infinite_order_has_no_odd_character():
+    u = invertible_rep(truncated_polynomial(2), [[{0: 1, 1: 1}]])
+    with pytest.raises(OrderUnbounded):
+        chern_invertible(u, 0)

@@ -351,6 +351,12 @@ def test_invariants_needs_a_stable_subspace():
 # psi
 
 
+def test_psi_refuses_an_action_on_no_points():
+    act = FiniteVarietyAction(cyclic_group(2), 0, [(), ()])
+    with pytest.raises(ValidationError, match="number of points"):
+        psi_map(act)
+
+
 def test_psi_for_the_trivial_group_is_the_identity():
     act = FiniteVarietyAction(trivial_group(), 3, [(0, 1, 2)], name="triv3")
     psi = psi_map(act)

@@ -258,6 +258,14 @@ def test_zero_has_no_inverse():
         Cyclotomic(1, 5) / Cyclotomic(0, 5)
 
 
+def test_integral_rationals_come_back_as_ints():
+    Q = field_of_order(1)
+    for value, expected in [(Q.inv(F(1, 2)), 2), (Q.from_rational(3), 3),
+                            (Q.from_rational(F(4, 2)), 2)]:
+        assert type(value) is int and value == expected
+    assert Q.inv(3) == F(1, 3)
+
+
 # -- dispatcher -----------------------------------------------------------------
 
 def test_field_arith_dispatch():

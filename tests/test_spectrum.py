@@ -326,6 +326,13 @@ def test_split_idempotents_are_unchanged():
         assert split_idempotents(A) == idems
 
 
+def test_split_idempotents_over_q_keep_integral_values_as_ints():
+    A = direct_sum(truncated_polynomial(3),
+                   matrix_algebra(ground_field(), 2)).algebra
+    assert all(type(v) is int for e in split_idempotents(A)
+               for v in e.values())
+
+
 def test_a_non_central_cut_lifts_its_pieces():
     # E12 + E33 has minimal polynomial t^2 (t - 1), so the cut of the unit
     # along it reads the piece of the root 0 off q = t - 1 as

@@ -5,7 +5,7 @@ Run from the repository root:
 
     python3 tools/window_digest.py
 
-It prints three lines, each with a number of entries and a sha256.  The first
+It prints four lines, each with a number of entries and a sha256.  The first
 covers a fixed corpus of windows (normalized and unnormalized bar complexes,
 the (b, B) complexes behind hc, induced maps, Morita maps, coefficient
 windows, and bar windows relative to the central idempotents of
@@ -25,7 +25,12 @@ its order, on fifteen algebras: QS3 over Q and Q(zeta3), QD4, QZ4, QZ5,
 Q[x]/x^3 + M_2(Q), M_2(Q[x]/x^2), Q[t]/t^2(t - 1), upper_triangular(3) on
 its own basis and on one whose first element is not semisimple, and the
 five point-action crossed products of perfbench/cases.py; it is hashed like
-the second.  Every line hashes an integral Fraction as the equal int (a
+the second.  The fourth covers Chern character chains (degree and chain in
+the total complex): chern_idempotent of the trivial-character idempotent of
+QZ5 and of its 2 x 2 block sum with the complement for q <= 2,
+chern_invertible of the generator of QZ3 for q <= 1, and over Q(zeta3) the
+character idempotent of Z/3 for q <= 2 and chern_invertible of zeta3 at
+q = 1; it is hashed like the second.  Every line hashes an integral Fraction as the equal int (a
 rational scalar may be stored either way), and the first still keeps every
 row's entry order.  Two checkouts that compute the same windows, maps,
 reports and idempotents print the same lines.  The script re-runs itself
@@ -258,6 +263,38 @@ def _splits():
         yield "%s split" % name, split_idempotents(A)
 
 
+def _chern_chains():
+    from cychom.chern import chern_idempotent, chern_invertible, \
+        idempotent_rep, invertible_rep
+    from cychom.groups import cyclic_group, group_algebra
+    from cychom.scalars import Cyclotomic
+    from cychom.spectrum import extend_scalars
+
+    QZ5 = group_algebra(cyclic_group(5))
+    QZ3 = group_algebra(cyclic_group(3))
+    C3 = extend_scalars(QZ3, 3)
+    trivial = {g: Fraction(1, 5) for g in range(5)}
+    complement = {g: -c for g, c in trivial.items()}
+    complement[0] += 1
+    cases = [
+        ("QZ5 trivial", chern_idempotent,
+         idempotent_rep(QZ5, [[trivial]]), 2),
+        ("QZ5 block sum", chern_idempotent,
+         idempotent_rep(QZ5, [[trivial, {}], [{}, complement]]), 2),
+        ("QZ3 generator", chern_invertible,
+         invertible_rep(QZ3, [[{1: 1}]]), 1),
+        ("C3 character", chern_idempotent,
+         idempotent_rep(C3, [[{k: Cyclotomic.zeta(3, -k) / 3
+                               for k in range(3)}]]), 2),
+    ]
+    for name, character, rep, top in cases:
+        for q in range(top + 1):
+            ch = character(rep, q)
+            yield "%s q=%d" % (name, q), (ch.degree, ch.chain.chain)
+    ch = chern_invertible(invertible_rep(C3, [[{0: Cyclotomic.zeta(3)}]]), 1)
+    yield "C3 zeta3 q=1", (ch.degree, ch.chain.chain)
+
+
 def _digest(entries, canonical):
     digest = hashlib.sha256()
     count = 0
@@ -275,6 +312,7 @@ def main():
     print(_digest(_entries(), lambda value: _canonical(value, False)))
     print(_digest(_walks_and_spectra(), lambda value: _canonical(value, True)))
     print(_digest(_splits(), lambda value: _canonical(value, True)))
+    print(_digest(_chern_chains(), lambda value: _canonical(value, True)))
 
 
 if __name__ == "__main__":
