@@ -6,8 +6,11 @@ surviving as an idempotent), pushes it through the unital substitution
 sending that idempotent to the matrix, and collapses matrix indices with
 the generalized trace.  The odd character of an invertible matrix plays
 the same game over the group algebra of a finite cyclic group, seeded by
-inverse-tensor-generator in degree one.  Every produced chain is checked
-to be an exact cycle of the total complex.
+inverse-tensor-generator in degree one.  The substitution and the trace
+are the one chain-map builder of hochschild, _tensor_chain_matrix, applied
+to each Hochschild component of the carrier cycle; it maps only that
+component's own coordinates.  Every produced chain is checked to be an
+exact cycle of the total complex.
 """
 
 from dataclasses import dataclass
@@ -19,9 +22,10 @@ from .errors import (
     NotInvertible,
     OrderUnbounded,
     ValidationError,
+    check_int,
 )
 from .groups import cyclic_group, group_algebra
-from .hochschild import _trace_chain
+from .hochschild import _tensor_chain_matrix
 from .linalg import vec_equal, vec_is_zero
 from .scalars import Cyclotomic
 
@@ -238,8 +242,9 @@ def _character(rep: KClassRep, q: int, carrier: FDAlgebra, seed: tuple,
                          budget=budget)
     out = {}
     for k, (m, _) in enumerate(window.summands(degree)):
-        traced = _trace_chain(hoch, m, window.component(degree, ch.chain, k),
-                              mats, tgt.hochschild_window)
+        traced = _tensor_chain_matrix(
+            hoch, tgt.hochschild_window, m, mats, mats,
+            window.component(degree, ch.chain, k))
         out.update(tgt.include_component(degree, traced, k))
     pushed = CyclicChain(tgt, degree, out)
     return ChernClass(rep.kind, rep.algebra, q, rep,
@@ -250,8 +255,7 @@ def chern_idempotent(rep: KClassRep, q: int, budget=None) -> ChernClass:
     """The even character of an idempotent, as a degree-2q cycle."""
     if rep.kind != "idempotent":
         raise ValidationError("expected an idempotent representative")
-    if q < 0:
-        raise ValidationError("the even character needs q >= 0")
+    check_int(q, "the even character's q", 0)
     # the seed is the old unit p; keeping it apart from the fresh unit is
     # what lets the non-unital evaluation p -> rep stay a chain map
     mats = [_unflatten(rep.algebra, rep.matrices.unit, rep.size), rep.entries]
@@ -268,8 +272,7 @@ def chern_invertible(rep: KClassRep, q: int, budget=None) -> ChernClass:
     """
     if rep.kind != "invertible":
         raise ValidationError("expected an invertible representative")
-    if q < 0:
-        raise ValidationError("the odd character needs q >= 0")
+    check_int(q, "the odd character's q", 0)
     n = multiplicative_order(rep, ORDER_SEARCH_LIMIT)
     if n is None:
         raise OrderUnbounded(

@@ -19,7 +19,7 @@ from math import lcm
 
 from .algebra import AlgebraMap, FDAlgebra, twisted_bimodule
 from .config import default_budget
-from .errors import DegreePositive, SizeOverflow, ValidationError
+from .errors import DegreePositive, SizeOverflow, ValidationError, check_int
 from .groups import (FiniteGroup, FiniteVarietyAction, GroupAction,
                      group_metadata)
 from .hochschild import _tensor_chain_matrix, hh, hh_with_coefficients
@@ -196,6 +196,7 @@ def hh_decomposition(cp: CrossedProduct, n_max: int,
     complex so the centralizer acts by plain tensor substitution; the
     centralizer-invariant dimensions are what the class contributes.
     """
+    check_int(n_max, "a degree bound", 0)
     A = cp.base
     G = cp.group
     field = A.field
@@ -212,7 +213,8 @@ def hh_decomposition(cp: CrossedProduct, n_max: int,
                 continue
             ops = []
             for h in data.centralizer:
-                M = cp.action.automorphism(h).matrix
+                M = [[[col]] for col in
+                     cp.action.automorphism(h).matrix.columns()]
                 chain_op = _tensor_chain_matrix(rep.window, rep.window, q,
                                                 M, M)
                 ops.append(induced_map(chain_op, H, H))

@@ -17,9 +17,9 @@ from .algebra import AlgebraMap, FDAlgebra, TwoSidedIdeal, direct_sum, \
 from .config import DEFAULT_HP_CUTOFF, default_budget
 from .errors import DegreeTooLow, NonUnital, NotMultiplicative, SizeOverflow, \
     ValidationError, check_int
-from .hochschild import ChainComplexWindow, HomologyReport, \
-    _degree_homologies, _homology_report, _phi_slot_maps, _require_degree, \
-    _tensor_chain_matrix, bar_complex, induced_map_hh
+from .hochschild import ChainComplexWindow, HomologyReport, InducedMap, \
+    _degree_homologies, _homology_report, _induced, _phi_slot_maps, \
+    _require_degree, _tensor_chain_matrix, bar_complex, induced_map_hh
 from .linalg import SparseMatrix, Subspace, add_term, dense_to_sparse, \
     induced_map, operator_matrix
 from .structure import center, semisimple_quotient
@@ -252,6 +252,7 @@ def i_matrix(window: CyclicComplexWindow, n: int) -> SparseMatrix:
 def hc(A: FDAlgebra, n_max: int, normalized: bool | None = None,
        budget=None) -> HomologyReport:
     """Cyclic homology HC_0 .. HC_n_max of a unital algebra."""
+    check_int(n_max, "a degree bound", 0)
     window = cyclic_complex(A, n_max + 1, normalized=normalized,
                             budget=budget)
     return _homology_report(A, window, window.totals, n_max)
@@ -445,22 +446,12 @@ def hp_nonunital(A: FDAlgebra, mode: str = "radical_shortcut",
 # induced maps on the cyclic complex
 
 
-@dataclass
-class InducedHC:
-    source: HomologyReport
-    target: HomologyReport
-    chain_maps: list
-    homology_maps: list
-
-
 def _hc_chain_maps(phi: AlgebraMap, src_w: CyclicComplexWindow,
                    tgt_w: CyclicComplexWindow, n_max: int) -> list:
     """Blockwise chain matrices of a unital map on two cyclic windows."""
-    slot0, interior = _phi_slot_maps(phi, src_w.hochschild_window,
-                                     tgt_w.hochschild_window)
-    hoch_maps = [_tensor_chain_matrix(src_w.hochschild_window,
-                                      tgt_w.hochschild_window, m,
-                                      slot0, interior)
+    src, tgt = src_w.hochschild_window, tgt_w.hochschild_window
+    slot0, interior = _phi_slot_maps(phi, src, tgt)
+    hoch_maps = [_tensor_chain_matrix(src, tgt, m, slot0, interior)
                  for m in range(n_max + 1)]
     out = []
     for n in range(n_max + 1):
@@ -474,13 +465,14 @@ def _hc_chain_maps(phi: AlgebraMap, src_w: CyclicComplexWindow,
 
 def induced_map_hc(phi: AlgebraMap, n_max: int,
                    normalized: bool | None = None,
-                   budget=None) -> InducedHC:
+                   budget=None) -> InducedMap:
     """Per-degree cyclic homology matrices of a unital multiplicative map.
 
     The chain map acts blockwise on the stacked Hochschild components; it
     commutes with b by multiplicativity and with B because the unit maps
     to the unit.
     """
+    check_int(n_max, "a degree bound", 0)
     if not phi.multiplicative:
         raise NotMultiplicative("induced maps need a multiplicative map")
     if not phi.unital:
@@ -488,12 +480,8 @@ def induced_map_hc(phi: AlgebraMap, n_max: int,
     phi.validate()
     src = hc(phi.source, n_max, normalized=normalized, budget=budget)
     tgt = hc(phi.target, n_max, normalized=normalized, budget=budget)
-    chain_maps = _hc_chain_maps(phi, src.window, tgt.window, n_max)
-    hom_maps = [induced_map(chain_maps[n], src.degrees[n].homology,
-                            tgt.degrees[n].homology)
-                for n in range(n_max + 1)]
-    return InducedHC(source=src, target=tgt, chain_maps=chain_maps,
-                     homology_maps=hom_maps)
+    return _induced(src, tgt, _hc_chain_maps(phi, src.window, tgt.window,
+                                             n_max))
 
 
 # ---------------------------------------------------------------------------
@@ -591,14 +579,15 @@ def excision_check(A: FDAlgebra, J: TwoSidedIdeal,
     hc_Q = hc(Qp.algebra, cutoff, budget=budget)
     WA, WQ = hc_A.window, hc_Q.window
     pi_chain = _hc_chain_maps(pi_plus, WA, WQ, cutoff + 1)
+    rel = _SubComplex(WA, pi_chain, cutoff)
     for n in range(cutoff + 2):
-        if pi_chain[n].rank() != WQ.dims[n]:
+        # onto exactly when the kernel leaves room for the whole target
+        if WA.dims[n] - rel.spaces[n].dim != WQ.dims[n]:
             raise ValidationError(
                 "chain-level projection fails to be onto at degree %d" % n)
 
     HA = [d.homology for d in hc_A.degrees]
     HQ = [d.homology for d in hc_Q.degrees]
-    rel = _SubComplex(WA, pi_chain, cutoff)
 
     # homology-level maps of the long exact sequence of the pair
     incl_hom, pi_hom, del_hom = {}, {}, {}
@@ -759,6 +748,7 @@ def direct_sum_check(A: FDAlgebra, B: FDAlgebra, n_max: int,
     paired projections are also required to give an isomorphism onto the
     product in every degree.
     """
+    check_int(n_max, "a degree bound", 0)
     data = direct_sum(A, B, budget=budget)
     rows = []
     for induced in (induced_map_hh, induced_map_hc):

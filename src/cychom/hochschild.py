@@ -469,7 +469,6 @@ def _degree_homologies(maps, dims, field, n_max: int) -> list:
 
 def _homology_report(A: FDAlgebra, window, maps, n_max: int) -> HomologyReport:
     """Per-degree homology of a window whose differentials are maps."""
-    check_int(n_max, "a degree bound", 0)
     homologies = _degree_homologies(maps, window.dims, window.field, n_max)
     degrees = [DegreeHomology(degree=n, dim=H.dim,
                               representatives=H.representatives, homology=H)
@@ -527,6 +526,7 @@ def hh(A: FDAlgebra, n_max: int, normalized: bool | None = None,
     and never touches a unit; for them the report carries the empirical
     H-unitality tri-state.
     """
+    check_int(n_max, "a degree bound", 0)
     if normalized is None:
         normalized = A.is_unital
     if normalized and not A.is_unital:
@@ -551,6 +551,7 @@ def hh_with_coefficients(A: FDAlgebra, M: Bimodule, n_max: int,
                          normalized: bool | None = None,
                          budget=None) -> HomologyReport:
     """Homology of the bar complex with coefficients in a bimodule."""
+    check_int(n_max, "a degree bound", 0)
     M.validate()
     if normalized is None:
         normalized = A.is_unital
@@ -576,65 +577,103 @@ def hh0_traces(A: FDAlgebra):
 
 
 def _tensor_chain_matrix(src: ChainComplexWindow, tgt: ChainComplexWindow,
-                         n: int, slot0_map: SparseMatrix,
-                         interior_map: SparseMatrix) -> SparseMatrix:
-    """The map slot0_map (x) interior_map^(x n) in window coordinates.
+                         n: int, slot0, interior, chain: dict | None = None):
+    """The chain map that puts an N x N matrix over tgt in place of each
+    tensor factor of src and takes the generalized trace (Loday, Cyclic
+    Homology, 1.2), in window coordinates.
 
-    Each image chain must again be a closed walk of tgt: one-state targets
-    take any map, windows relative to several idempotents a map that keeps
-    every Peirce piece (the action of a central element, say).
+    slot0[s] and interior[c] are N x N matrices of sparse vectors over
+    tgt's slot-0 values and interior codes.  The chain (s, c_1, .., c_n)
+    goes to the sum, over the closed index paths p_0 -> p_1 -> .. -> p_n
+    -> p_0, of slot0[s][p_0][p_1] (x) interior[c_1][p_1][p_2] (x) .. (x)
+    interior[c_n][p_n][p_0]; N = 1 is the tensor power slot0 (x)
+    interior^(x n).  Image chains must be closed walks of tgt: one-state
+    targets take any matrices, windows relative to several idempotents
+    only those that keep every Peirce piece (a central element's action).
+    Each word's interior image is computed once.  Given chain, a sparse
+    chain of src, it returns the chain's image instead, mapping only the
+    chain's coordinates, whose coefficients it lifts into tgt's field
+    (Chern carriers are over Q, their targets need not be).
     """
     field = tgt.field
     rank, start = tgt.slots.ranks(n), tgt.slots.starts(n)
     own = src.slots.starts(n)
-    interior_cols = interior_map.columns()
-    slot0_cols = slot0_map.columns()
-    cols = [None] * src.dims[n]
+    weights = dict.fromkeys(range(src.dims[n]), field.one) if chain is None \
+        else {i: lift_raw(c, src.field, field) for i, c in chain.items()}
+    sizes = range(len(slot0[0]))
+    out, cols = {}, [None] * src.dims[n]
     for values, words in src.slots.blocks(n):
         for j, u in enumerate(words):
-            # the interior image of the word, as (target rank, coefficient)
-            image = {(): field.one}
+            chosen = [s for s in values if own[s] + j in weights]
+            if not chosen:
+                continue
+            # paths[q, p, w]: the coefficient of the target word w in the
+            # interior image of u along the index paths from q to p
+            paths = {(q, q, ()): field.one for q in sizes}
             for code in u:
-                image = {w + (k,): field.mul(c, ck) for w, c in image.items()
-                         for k, ck in interior_cols[code].items()}
-            image = [(rank[w], c) for w, c in image.items()]
-            for s in values:
-                cols[own[s] + j] = {start[i] + r: field.mul(a, c)
-                                    for i, a in slot0_cols[s].items()
-                                    for r, c in image}
+                new = {}
+                for (q, p, w), c in paths.items():
+                    for r, entry in enumerate(interior[code][p]):
+                        for k, a in entry.items():
+                            add_term(new, (q, r, w + (k,)), field.mul(c, a),
+                                     field)
+                paths = new
+            image = [(q, p, rank[w], c) for (q, p, w), c in paths.items()]
+            for s in chosen:
+                col = {} if chain is None else out
+                weight = weights[own[s] + j]
+                matrix = [[{i: field.mul(weight, a) for i, a in entry.items()}
+                           for entry in row] for row in slot0[s]]
+                # slot 0 closes each path, from its end p back to its start q
+                for q, p, r, c in image:
+                    for i, a in matrix[p][q].items():
+                        add_term(col, start[i] + r, field.mul(a, c), field)
+                cols[own[s] + j] = col
+    if chain is not None:
+        return out
     return SparseMatrix.from_columns(cols, tgt.dims[n], field)
 
 
 def _phi_slot_maps(phi: AlgebraMap, src: ChainComplexWindow,
                    tgt: ChainComplexWindow):
-    """Slot-0 and interior matrices of a multiplicative map in the two
-    windows' slot bases; the interior one keeps interior codes only."""
-    slot0 = tgt.slots.rebase(phi.matrix, src.slots)
-    cols = slot0.columns()
+    """Slot-0 and interior images of phi in the two windows' slot bases as
+    1 x 1 matrices; the interior ones keep interior codes only."""
+    slot0 = tgt.slots.rebase(phi.matrix, src.slots).columns()
     code = tgt.slots.code
-    interior = SparseMatrix.from_columns(
-        [{code[k]: c for k, c in cols[a].items() if k in code}
-         for a in src.slots.interior], tgt.slots.interior_radix, tgt.field)
-    return slot0, interior
+    interior = [[[{code[k]: c for k, c in slot0[a].items() if k in code}]]
+                for a in src.slots.interior]
+    return [[[col]] for col in slot0], interior
 
 
 @dataclass
-class InducedHH:
+class InducedMap:
+    """A chain map between two reports' windows, degree by degree, and the
+    maps it induces between their homologies."""
+
     source: HomologyReport
     target: HomologyReport
     chain_maps: list
     homology_maps: list
 
 
+def _induced(source, target, chain_maps: list) -> InducedMap:
+    """The maps on homology of per-degree chain maps from the window of the
+    report source to that of target."""
+    return InducedMap(source, target, chain_maps, [
+        induced_map(f, s.homology, t.homology)
+        for f, s, t in zip(chain_maps, source.degrees, target.degrees)])
+
+
 def induced_map_hh(phi: AlgebraMap, n_max: int,
                    normalized: bool | None = None,
-                   budget=None) -> InducedHH:
+                   budget=None) -> InducedMap:
     """Per-degree homology matrices of the map phi tensored with itself.
 
     phi must be flagged multiplicative; the flag is verified.  The
     normalized route needs phi to be unital as well, otherwise the
     degenerate subspaces would not be preserved.
     """
+    check_int(n_max, "a degree bound", 0)
     if not phi.multiplicative:
         raise NotMultiplicative("induced maps need a multiplicative map")
     phi.validate()
@@ -645,19 +684,12 @@ def induced_map_hh(phi: AlgebraMap, n_max: int,
         raise NotMultiplicative(
             "normalized induced maps need a unital map")
     # one-block windows: phi need not carry blocks into blocks
-    src_report = _hh(phi.source, n_max, normalized, budget)
-    tgt_report = _hh(phi.target, n_max, normalized, budget)
-    slot0, interior = _phi_slot_maps(phi, src_report.window,
-                                     tgt_report.window)
-    chain_maps, hom_maps = [], []
-    for n in range(n_max + 1):
-        f_n = _tensor_chain_matrix(src_report.window, tgt_report.window, n,
-                                   slot0, interior)
-        chain_maps.append(f_n)
-        hom_maps.append(induced_map(f_n, src_report.degrees[n].homology,
-                                    tgt_report.degrees[n].homology))
-    return InducedHH(source=src_report, target=tgt_report,
-                     chain_maps=chain_maps, homology_maps=hom_maps)
+    src = _hh(phi.source, n_max, normalized, budget)
+    tgt = _hh(phi.target, n_max, normalized, budget)
+    slot0, interior = _phi_slot_maps(phi, src.window, tgt.window)
+    return _induced(src, tgt, [
+        _tensor_chain_matrix(src.window, tgt.window, n, slot0, interior)
+        for n in range(n_max + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -682,72 +714,30 @@ def tr_star_and_iota(A: FDAlgebra, N: int, n_max: int,
     Tr sends (m_0 (x) a_0) (x) ... (x) (m_q (x) a_q) to the scalar
     Tr(m_0 m_1 ... m_q) times a_0 (x) ... (x) a_q; iota sends a to the
     diagonal matrix with a in every slot.  Their composite is N times the
-    identity, already at the level of chains.
+    identity, already at the level of chains.  Both are built by the one
+    chain-map builder, _tensor_chain_matrix: Tr puts each matrix unit
+    E_pq (x) a_j in place of itself, as an N x N matrix over A, and iota
+    puts the 1 x 1 matrix of the diagonal element in place of a_i.
     """
+    check_int(n_max, "a degree bound", 0)
     if not A.is_unital:
         raise NonUnital("Morita maps need a unital base algebra")
     M = matrix_algebra(A, N, budget=budget)
     base = hh(A, n_max, normalized=False, budget=budget)
     big = hh(M, n_max, normalized=False, budget=budget)
-    field = A.field
-    d = A.dim
-
-    iota_cols = []
-    for i in range(d):
-        col = {}
-        for p in range(N):
-            col[(p * N + p) * d + i] = field.one
-        iota_cols.append(col)
-    iota_mat = SparseMatrix.from_columns(iota_cols, M.dim, field)
-
-    # E_pq (x) a_i as a matrix over A, substituted for itself by the trace
-    units = [_unflatten(A, {j: field.one}, N) for j in range(M.dim)]
-
-    iota_chain, tr_chain, iota_hh, tr_hh = [], [], [], []
-    for n in range(n_max + 1):
-        f_n = _tensor_chain_matrix(base.window, big.window, n,
-                                   iota_mat, iota_mat)
-        iota_chain.append(f_n)
-        iota_hh.append(induced_map(f_n, base.degrees[n].homology,
-                                   big.degrees[n].homology))
-        t_n = SparseMatrix.from_columns(
-            [_trace_chain(big.window, n, {j: field.one}, units, base.window)
-             for j in range(big.window.dims[n])], base.window.dims[n], field)
-        tr_chain.append(t_n)
-        tr_hh.append(induced_map(t_n, big.degrees[n].homology,
-                                 base.degrees[n].homology))
+    one, d = A.field.one, A.dim
+    diagonal = [[[{(p * N + p) * d + i: one for p in range(N)}]]
+                for i in range(d)]
+    units = [_unflatten(A, {j: one}, N) for j in range(M.dim)]
+    iota = _induced(base, big, [
+        _tensor_chain_matrix(base.window, big.window, n, diagonal, diagonal)
+        for n in range(n_max + 1)])
+    tr = _induced(big, base, [
+        _tensor_chain_matrix(big.window, base.window, n, units, units)
+        for n in range(n_max + 1)])
     return MoritaData(size=N, base_report=base, matrix_report=big,
-                      iota_chain=iota_chain, tr_chain=tr_chain,
-                      iota_hh=iota_hh, tr_hh=tr_hh)
-
-
-def _trace_chain(src: ChainComplexWindow, n: int, chain: dict, mats,
-                tgt: ChainComplexWindow) -> dict:
-    """The generalized trace of a degree-n chain after a substitution.
-
-    mats[k] is an N x N matrix (entries sparse vectors over tgt's algebra)
-    put in place of basis element k of src's algebra in every slot; Tr then
-    multiplies the entries along each closed index path p_0 -> p_1 -> ...
-    -> p_n -> p_0 into one tensor of tgt.  Both windows are unnormalized.
-    Chain coefficients are lifted into tgt's field: the carriers of Chern
-    characters are over Q while the target may be over Q(zeta_m).
-    """
-    field = tgt.field
-    out = {}
-    for index, c in chain.items():
-        tup = src.tuple_of(n, index)
-        c = lift_raw(c, src.field, field)
-        for start in range(len(mats[tup[0]])):
-            paths = [(start, (), c)]
-            for k in tup:
-                paths = [(q, word + (i,), field.mul(v, a))
-                         for p, word, v in paths
-                         for q, entry in enumerate(mats[k][p])
-                         for i, a in entry.items()]
-            for p, word, v in paths:
-                if p == start:
-                    add_term(out, tgt.index_of(n, word), v, field)
-    return out
+                      iota_chain=iota.chain_maps, tr_chain=tr.chain_maps,
+                      iota_hh=iota.homology_maps, tr_hh=tr.homology_maps)
 
 
 # ---------------------------------------------------------------------------
@@ -770,6 +760,7 @@ def center_action(window: ChainComplexWindow, z: dict, n: int) -> SparseMatrix:
             not A.left_mult_matrix(z).equals(A.right_mult_matrix(z)):
         raise ValidationError(
             "a window relative to idempotents carries only central elements")
-    slot0 = slots.rebase(A.left_mult_matrix(z), slots)
-    ident = SparseMatrix.identity(slots.interior_radix, window.field)
-    return _tensor_chain_matrix(window, window, n, slot0, ident)
+    slot0 = slots.rebase(A.left_mult_matrix(z), slots).columns()
+    ident = [[[{c: window.field.one}]] for c in range(slots.interior_radix)]
+    return _tensor_chain_matrix(window, window, n,
+                                [[[col]] for col in slot0], ident)

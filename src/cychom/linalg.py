@@ -743,13 +743,6 @@ class Subspace:
                 vec_axpy(out, f.neg(c), row, f)
         return coeffs if vec_is_zero(out) else None
 
-    def linear_combination(self, coeffs) -> dict:
-        f = self.field
-        out: dict = {}
-        for c, row in zip(coeffs, self.basis):
-            vec_axpy(out, c, row, f)
-        return out
-
     def sum_with(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
             raise AmbientMismatch("subspace sum needs one ambient space")

@@ -343,6 +343,16 @@ class AbelianReport:
         return self.ends_at_radical and all(layer.ok for layer in self.layers)
 
 
+def _central_image(A: FDAlgebra, upper, lower, budget):
+    """The quotient B = A / lower, the image of upper in it, and the part of
+    that image in the center of B."""
+    data = quotient_algebra(A, lower, budget=budget)
+    B = data.algebra
+    image = Subspace.from_vectors(
+        B.dim, B.field, [data.projection.apply(v) for v in upper.space.basis])
+    return B, image, intersect_subspaces(image, center(B))
+
+
 def abelian_filtration_report(filt: IdealFiltration, budget=None) -> AbelianReport:
     filt.validate()
     A = filt.algebra
@@ -352,16 +362,11 @@ def abelian_filtration_report(filt: IdealFiltration, budget=None) -> AbelianRepo
         if lower.dim == A.dim:
             layers.append(AbelianLayerCheck(k, True, True, "zero quotient"))
             continue
-        data = quotient_algebra(A, lower, budget=budget)
-        B = data.algebra
+        B, image, central_part = _central_image(A, upper, lower, budget)
         semiprim = jacobson_radical(B).dim == 0
         if upper.dim == lower.dim:
             layers.append(AbelianLayerCheck(k, semiprim, True, "zero layer"))
             continue
-        image = Subspace.from_vectors(
-            B.dim, B.field,
-            [data.projection.apply(v) for v in upper.space.basis])
-        central_part = intersect_subspaces(image, center(B))
         products = []
         for w in central_part.basis:
             for i in range(B.dim):
@@ -455,16 +460,11 @@ def spectral_e1(A: FDAlgebra, filtration: IdealFiltration,
             entries.append(E1Entry(p=p, x_points=0, y_points=0, count=0,
                                    parity=p % 2))
             continue
-        data = quotient_algebra(ext, lower, budget=budget)
-        Bp = data.algebra
+        Bp, _, central_part = _central_image(ext, upper, lower, budget)
         sub = wedderburn_blocks(Bp, budget=budget)
         if sub.algebra.field_order != ext.field_order:
             raise ValidationError(
                 "quotient of a split algebra needed a further extension")
-        image = Subspace.from_vectors(
-            Bp.dim, Bp.field,
-            [data.projection.apply(v) for v in upper.space.basis])
-        central_part = intersect_subspaces(image, center(Bp))
         vanishing = 0
         for blk in sub.blocks:
             hit = any(Bp.multiply(blk.idempotent, w)

@@ -1,6 +1,7 @@
 """Bar complexes, Hochschild homology, traces, and Morita maps."""
 
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from cychom.algebra import (
     AlgebraMap,
+    _unflatten,
     FDAlgebra,
     diagonal_bimodule,
     direct_sum,
@@ -21,11 +23,15 @@ from cychom.algebra import (
     twisted_bimodule,
     upper_triangular,
 )
+from cychom.chern import CyclicChain, _adjoined_unit_scalars, \
+    _extend_cycle, chern_idempotent, chern_invertible, idempotent_rep, \
+    invertible_rep
 from cychom.config import BUDGET_ENV_VAR, Budget, default_budget
-from cychom.cyclic import cyclic_complex, hc, hp, operator_B
+from cychom.cyclic import cyclic_complex, direct_sum_check, hc, hp, \
+    induced_map_hc, operator_B, sbi_check
 from cychom.errors import NonUnital, NotMultiplicative, SizeOverflow, ValidationError
-from cychom.crossprod import crossed_product, trivial_action, \
-    variety_crossed_product
+from cychom.crossprod import crossed_product, hh_decomposition, \
+    trivial_action, variety_crossed_product
 from cychom.groups import FiniteVarietyAction, cyclic_group, group_algebra, \
     group_metadata, symmetric_group_3
 from cychom.hochschild import (
@@ -41,9 +47,9 @@ from cychom.hochschild import (
     induced_map_hh,
     tr_star_and_iota,
 )
-from cychom.linalg import SparseMatrix, Subspace, homology, induced_map, \
-    rref_rows, vec_add, vec_equal
-from cychom.scalars import Cyclotomic
+from cychom.linalg import SparseMatrix, Subspace, add_term, homology, \
+    induced_map, rref_rows, vec_add, vec_equal
+from cychom.scalars import Cyclotomic, lift_raw
 from cychom.spectrum import extend_scalars
 from cychom.structure import block_idempotents, split_idempotents
 
@@ -233,6 +239,39 @@ def test_degrees_must_be_ints():
     for call in calls:
         with pytest.raises(ValidationError, match="must be an int"):
             call()
+
+
+def _degree_bound_calls():
+    """Each public entry point that takes a degree bound or a character's
+    q, as a function of that value."""
+    T2 = truncated_polynomial(2)
+    ident = AlgebraMap.identity(T2)
+    QZ3 = group_algebra(cyclic_group(3))
+    swap = FiniteVarietyAction(cyclic_group(2), 2, [(0, 1), (1, 0)])
+    return {
+        "hh": lambda v: hh(T2, v),
+        "hc": lambda v: hc(T2, v),
+        "sbi_check": lambda v: sbi_check(T2, v),
+        "induced_map_hh": lambda v: induced_map_hh(ident, v),
+        "induced_map_hc": lambda v: induced_map_hc(ident, v),
+        "hh_with_coefficients":
+            lambda v: hh_with_coefficients(T2, diagonal_bimodule(T2), v),
+        "hh_decomposition":
+            lambda v: hh_decomposition(variety_crossed_product(swap), v),
+        "tr_star_and_iota": lambda v: tr_star_and_iota(T2, 2, v),
+        "direct_sum_check": lambda v: direct_sum_check(T2, T2, v),
+        "chern_idempotent": lambda v: chern_idempotent(
+            idempotent_rep(QZ3, [[{0: 1}]]), v),
+        "chern_invertible": lambda v: chern_invertible(
+            invertible_rep(QZ3, [[{1: 1}]]), v),
+    }
+
+
+@pytest.mark.parametrize("value", ["2", True, None])
+@pytest.mark.parametrize("entry", sorted(_degree_bound_calls()))
+def test_a_bad_degree_bound_is_a_validation_error(entry, value):
+    with pytest.raises(ValidationError, match="must be an int"):
+        _degree_bound_calls()[entry](value)
 
 
 def test_window_size_budget():
@@ -591,6 +630,75 @@ def test_morita_composite_is_n_times_identity():
             composite = data.tr_hh[n].matmul(data.iota_hh[n])
             expect = SparseMatrix.identity(dim, A.field).scaled(N)
             assert composite.equals(expect)
+
+
+def _trace_oracle(src, n, chain, mats, tgt):
+    """The generalized trace of a degree-n chain of src after putting the
+    N x N matrix mats[k] over tgt's algebra in place of basis element k in
+    every slot, one chain coordinate at a time: the entries are multiplied
+    along each closed index path p_0 -> p_1 -> .. -> p_n -> p_0.  Both
+    windows are unnormalized; coefficients are lifted into tgt's field."""
+    field = tgt.field
+    out = {}
+    for index, c in chain.items():
+        tup = src.tuple_of(n, index)
+        c = lift_raw(c, src.field, field)
+        for start in range(len(mats[tup[0]])):
+            paths = [(start, (), c)]
+            for k in tup:
+                paths = [(q, word + (i,), field.mul(v, a))
+                         for p, word, v in paths
+                         for q, entry in enumerate(mats[k][p])
+                         for i, a in entry.items()]
+            for p, word, v in paths:
+                if p == start:
+                    add_term(out, tgt.index_of(n, word), v, field)
+    return out
+
+
+@pytest.mark.parametrize("A, N, n_max", [
+    (ground_field(), 3, 2),
+    (truncated_polynomial(2), 3, 1),
+    (extend_scalars(truncated_polynomial(2), 3), 2, 2),
+])
+def test_morita_trace_matches_the_per_chain_oracle(A, N, n_max):
+    data = tr_star_and_iota(A, N, n_max)
+    big, base = data.matrix_report.window, data.base_report.window
+    one = A.field.one
+    units = [_unflatten(A, {j: one}, N) for j in range(big.algebra.dim)]
+    for n in range(n_max + 1):
+        cols = [_trace_oracle(big, n, {j: one}, units, base)
+                for j in range(big.dims[n])]
+        assert data.tr_chain[n].equals(
+            SparseMatrix.from_columns(cols, base.dims[n], A.field))
+
+
+def test_chern_push_matches_the_per_chain_oracle():
+    # the even characters push the degree-2q cycle over the scalars with
+    # a fresh unit, raised from the old unit p, through p -> the idempotent
+    QZ5 = group_algebra(cyclic_group(5))
+    C3 = extend_scalars(group_algebra(cyclic_group(3)), 3)
+    reps = [idempotent_rep(QZ5, [[{g: Fraction(1, 5) for g in range(5)}]]),
+            idempotent_rep(C3, [[{k: Cyclotomic.zeta(3, -k) / 3
+                                  for k in range(3)}]])]
+    carrier = _adjoined_unit_scalars()
+    for rep in reps:
+        mats = [_unflatten(rep.algebra, rep.matrices.unit, rep.size),
+                rep.entries]
+        for q in range(3):
+            window = cyclic_complex(carrier, 2 * q, normalized=False)
+            hoch = window.hochschild_window
+            cycle = CyclicChain(window, 0, {hoch.index_of(0, (1,)): 1})
+            for _ in range(q):
+                cycle = _extend_cycle(cycle)
+            pushed = chern_idempotent(rep, q)
+            tgt = pushed.chain.window.hochschild_window
+            for k, (m, _) in enumerate(window.summands(2 * q)):
+                expected = _trace_oracle(
+                    hoch, m, window.component(2 * q, cycle.chain, k), mats,
+                    tgt)
+                assert vec_equal(pushed.component(m), expected,
+                                 rep.algebra.field)
 
 
 def test_matrix_algebra_homology_matches_base():

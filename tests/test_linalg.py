@@ -31,6 +31,7 @@ from cychom.linalg import (
     sparse_to_dense,
     to_raw,
     vec_add,
+    vec_axpy,
     vec_equal,
     vec_is_zero,
 )
@@ -381,8 +382,10 @@ def test_subspace_membership_and_coords():
     assert s.dim == 2
     v = dense_to_sparse([2, 3, 5], Q)
     assert s.contains(v)
-    coords = s.coords(v)
-    assert vec_equal(s.linear_combination(coords), v, Q)
+    combination = {}
+    for c, row in zip(s.coords(v), s.basis):
+        vec_axpy(combination, c, row, Q)
+    assert vec_equal(combination, v, Q)
     outside = dense_to_sparse([0, 0, 1], Q)
     assert not s.contains(outside)
     assert s.coords(outside) is None

@@ -38,7 +38,8 @@ from cychom.groups import (
     symmetric_group_3,
 )
 from cychom.hochschild import hh
-from cychom.linalg import SparseMatrix, Subspace, vec_add, vec_equal
+from cychom.linalg import SparseMatrix, Subspace, vec_add, vec_axpy, \
+    vec_equal
 from cychom.scalars import field_of_order
 from cychom.spectrum import (
     IdealFiltration,
@@ -110,8 +111,10 @@ def grid_search_center_atoms(A, denominator):
                 for t, val in enumerate(prods[i][j]):
                     square[t] += ci * cj * val
         if any(combo) and list(combo) == square:
-            idems.append(central.linear_combination(
-                [field.from_rational(c) for c in combo]))
+            idem = {}
+            for c, row in zip(combo, central.basis):
+                vec_axpy(idem, field.from_rational(c), row, field)
+            idems.append(idem)
     def divides(e, f):
         prod = A.multiply(e, f)
         diff = dict(prod)

@@ -5,7 +5,7 @@ Run from the repository root:
 
     python3 tools/window_digest.py
 
-It prints four lines, each with a number of entries and a sha256.  The first
+It prints five lines, each with a number of entries and a sha256.  The first
 covers a fixed corpus of windows (normalized and unnormalized bar complexes,
 the (b, B) complexes behind hc, induced maps, Morita maps, coefficient
 windows, and bar windows relative to the central idempotents of
@@ -30,9 +30,16 @@ the total complex): chern_idempotent of the trivial-character idempotent of
 QZ5 and of its 2 x 2 block sum with the complement for q <= 2,
 chern_invertible of the generator of QZ3 for q <= 1, and over Q(zeta3) the
 character idempotent of Z/3 for q <= 2 and chern_invertible of zeta3 at
-q = 1; it is hashed like the second.  Every line hashes an integral Fraction as the equal int (a
-rational scalar may be stored either way), and the first still keeps every
-row's entry order.  Two checkouts that compute the same windows, maps,
+q = 1; it is hashed like the second.  The fifth covers chain maps that put
+matrices bigger than 1 x 1 in place of tensor factors or run over Q(zeta3):
+the Morita iota and Tr chains and their canonical homology maps of the
+ground field with N = 3 to degree 2, Q[x]/x^2 with N = 3 to degree 1 and
+Q(zeta3)[x]/x^2 with N = 2 to degree 2, the action of each basis vector of
+the center of QS3 on its hh walk window in degrees 0-2, and the chain maps
+of induced_map_hc of the swap of two points to degree 3; it is hashed like
+the first.  Every line hashes an integral Fraction as the equal int (a
+rational scalar may be stored either way), and the first and fifth still
+keep every row's entry order.  Two checkouts that compute the same windows, maps,
 reports and idempotents print the same lines.  The script re-runs itself
 with PYTHONHASHSEED=0, so set iteration order cannot change the hash
 between runs.
@@ -295,6 +302,40 @@ def _chern_chains():
     yield "C3 zeta3 q=1", (ch.degree, ch.chain.chain)
 
 
+def _general_chain_maps():
+    from cychom.algebra import AlgebraMap, functions_on_points, \
+        ground_field, truncated_polynomial
+    from cychom.cyclic import induced_map_hc
+    from cychom.groups import group_algebra, symmetric_group_3
+    from cychom.hochschild import center_action, hh, tr_star_and_iota
+    from cychom.spectrum import extend_scalars
+    from cychom.structure import center
+
+    for name, A, N, top in [
+            ("Q", ground_field(), 3, 2),
+            ("T2", truncated_polynomial(2), 3, 1),
+            ("T2z3", extend_scalars(truncated_polynomial(2), 3), 2, 2)]:
+        morita = tr_star_and_iota(A, N, top)
+        for n in range(top + 1):
+            base = morita.base_report.degrees[n].homology
+            big = morita.matrix_report.degrees[n].homology
+            yield "%s N=%d morita%d" % (name, N, n), (
+                morita.iota_chain[n].rows, morita.tr_chain[n].rows,
+                _canonical_map(morita.iota_hh[n], base, big),
+                _canonical_map(morita.tr_hh[n], big, base))
+    QS3 = group_algebra(symmetric_group_3())
+    walk = hh(QS3, 2).window
+    for k, z in enumerate(center(QS3).basis):
+        for n in range(3):
+            yield "QS3 center%d action%d" % (k, n), \
+                center_action(walk, z, n).rows
+    F2 = functions_on_points(2)
+    swap = AlgebraMap.from_images(F2, F2, [{1: 1}, {0: 1}],
+                                  multiplicative=True, unital=True)
+    for n, f in enumerate(induced_map_hc(swap, 3).chain_maps):
+        yield "swap hc%d" % n, f.rows
+
+
 def _digest(entries, canonical):
     digest = hashlib.sha256()
     count = 0
@@ -313,6 +354,8 @@ def main():
     print(_digest(_walks_and_spectra(), lambda value: _canonical(value, True)))
     print(_digest(_splits(), lambda value: _canonical(value, True)))
     print(_digest(_chern_chains(), lambda value: _canonical(value, True)))
+    print(_digest(_general_chain_maps(),
+                  lambda value: _canonical(value, False)))
 
 
 if __name__ == "__main__":
