@@ -61,12 +61,12 @@ class FDAlgebra:
     """
 
     def __init__(self, dim, field_order=1, mul=None, labels=None, unit=None,
-                 name="", budget=None):
-        budget = budget or default_budget()
+                 name=""):
+        cap = default_budget().dim_cap
         check_int(dim, "algebra dimension", 1)
-        if dim > budget.dim_cap:
+        if dim > cap:
             raise SizeOverflow(
-                "algebra dimension %d exceeds cap %d" % (dim, budget.dim_cap))
+                "algebra dimension %d exceeds cap %d" % (dim, cap))
         self.dim = dim
         self.field_order = field_order
         self.field = field_of_order(field_order)
@@ -474,13 +474,12 @@ def twisted_bimodule(A: FDAlgebra, g: AlgebraMap) -> Bimodule:
 # constructors
 
 
-def ground_field(field_order=1, budget=None) -> FDAlgebra:
+def ground_field(field_order=1) -> FDAlgebra:
     return FDAlgebra(1, field_order, {(0, 0): {0: 1}}, labels=["1"],
-                     unit={0: 1}, name="ground_field",
-                     budget=budget).require_valid()
+                     unit={0: 1}, name="ground_field").require_valid()
 
 
-def functions_on_points(l: int, field_order=1, budget=None) -> FDAlgebra:
+def functions_on_points(l: int, field_order=1) -> FDAlgebra:
     """Functions on l points: component-wise products of delta functions."""
     check_int(l, "number of points", 1)
     field = field_of_order(field_order)
@@ -488,10 +487,10 @@ def functions_on_points(l: int, field_order=1, budget=None) -> FDAlgebra:
     unit = {i: field.one for i in range(l)}
     labels = ["d%d" % i for i in range(l)]
     return FDAlgebra(l, field_order, mul, labels=labels, unit=unit,
-                     name="points_%d" % l, budget=budget).require_valid()
+                     name="points_%d" % l).require_valid()
 
 
-def truncated_polynomial(N: int, field_order=1, budget=None) -> FDAlgebra:
+def truncated_polynomial(N: int, field_order=1) -> FDAlgebra:
     """Q[x] / (x^N) on the basis 1, x, ..., x^(N-1)."""
     check_int(N, "truncation degree", 1)
     field = field_of_order(field_order)
@@ -502,10 +501,10 @@ def truncated_polynomial(N: int, field_order=1, budget=None) -> FDAlgebra:
                 mul[(i, j)] = {i + j: field.one}
     labels = ["1"] + ["x" if k == 1 else "x^%d" % k for k in range(1, N)]
     return FDAlgebra(N, field_order, mul, labels=labels, unit={0: field.one},
-                     name="trunc_poly_%d" % N, budget=budget).require_valid()
+                     name="trunc_poly_%d" % N).require_valid()
 
 
-def matrix_algebra(base: FDAlgebra, N: int, budget=None) -> FDAlgebra:
+def matrix_algebra(base: FDAlgebra, N: int) -> FDAlgebra:
     """N x N matrices over a unital base algebra.
 
     Basis is E_pq tensor a_i with index ((p*N)+q)*dim(base)+i; the unit is
@@ -544,9 +543,9 @@ def matrix_algebra(base: FDAlgebra, N: int, budget=None) -> FDAlgebra:
     for p in range(N):
         for i, c in base.unit.items():
             unit[idx(p, p, i)] = c
+    name = "matrix_%d(%s)" % (N, base.name or "base")
     return FDAlgebra(dim, base.field_order, mul, labels=labels, unit=unit,
-                     name="matrix_%d(%s)" % (N, base.name or "base"),
-                     budget=budget).require_valid()
+                     name=name).require_valid()
 
 
 def _unflatten(base: FDAlgebra, flat: dict, N: int) -> tuple:
@@ -560,7 +559,7 @@ def _unflatten(base: FDAlgebra, flat: dict, N: int) -> tuple:
     return tuple(tuple(row) for row in rows)
 
 
-def upper_triangular(n: int, field_order=1, budget=None) -> FDAlgebra:
+def upper_triangular(n: int, field_order=1) -> FDAlgebra:
     """Upper triangular n x n matrices over the ground field."""
     check_int(n, "matrix size", 1)
     field = field_of_order(field_order)
@@ -574,7 +573,7 @@ def upper_triangular(n: int, field_order=1, budget=None) -> FDAlgebra:
     labels = ["E%d%d" % (p + 1, q + 1) for (p, q) in pairs]
     unit = {index[(p, p)]: field.one for p in range(n)}
     return FDAlgebra(len(pairs), field_order, mul, labels=labels, unit=unit,
-                     name="upper_tri_%d" % n, budget=budget).require_valid()
+                     name="upper_tri_%d" % n).require_valid()
 
 
 @dataclass
@@ -586,7 +585,7 @@ class DirectSumData:
     project_right: AlgebraMap
 
 
-def direct_sum(A: FDAlgebra, B: FDAlgebra, budget=None) -> DirectSumData:
+def direct_sum(A: FDAlgebra, B: FDAlgebra) -> DirectSumData:
     """Product algebra A x B with the four structural maps.
 
     The inclusions are multiplicative but not unital; the projections are
@@ -613,9 +612,9 @@ def direct_sum(A: FDAlgebra, B: FDAlgebra, budget=None) -> DirectSumData:
         unit = dict(A.unit)
         for k, c in B.unit.items():
             unit[A.dim + k] = c
+    name = "%s+%s" % (A.name or "A", B.name or "B")
     C = FDAlgebra(dim, A.field_order, mul, labels=labels, unit=unit,
-                  name="%s+%s" % (A.name or "A", B.name or "B"),
-                  budget=budget).require_valid()
+                  name=name).require_valid()
     inc_a = AlgebraMap.from_images(
         A, C, [{i: field.one} for i in range(A.dim)], multiplicative=True)
     inc_b = AlgebraMap.from_images(
@@ -639,8 +638,7 @@ class QuotientData:
     projection: AlgebraMap
 
 
-def quotient_algebra(A: FDAlgebra, ideal: TwoSidedIdeal,
-                     budget=None) -> QuotientData:
+def quotient_algebra(A: FDAlgebra, ideal: TwoSidedIdeal) -> QuotientData:
     """A / J with its multiplicative projection map.
 
     Quotient coordinates are the ambient coordinates away from the pivot
@@ -669,9 +667,9 @@ def quotient_algebra(A: FDAlgebra, ideal: TwoSidedIdeal,
                 mul[(a, b)] = prod
     labels = [A.labels[f] for f in free]
     unit = residue(A.unit) if A.is_unital else None
+    name = (A.name or "A") + "_mod_" + (ideal.name or "J")
     Q = FDAlgebra(dim, A.field_order, mul, labels=labels, unit=unit,
-                  name=(A.name or "A") + "_mod_" + (ideal.name or "J"),
-                  budget=budget).require_valid()
+                  name=name).require_valid()
     proj = AlgebraMap.from_images(
         A, Q, [residue(A.basis_vector(i)) for i in range(A.dim)],
         multiplicative=True, unital=A.is_unital)
@@ -686,7 +684,7 @@ class UnitalizationData:
     augmentation: AlgebraMap
 
 
-def unitalization(A: FDAlgebra, budget=None) -> UnitalizationData:
+def unitalization(A: FDAlgebra) -> UnitalizationData:
     """Adjoin a unit: A+ = A + Q with (a, s)(b, t) = (ab + sb + ta, st).
 
     The original basis keeps its indices; the adjoined unit is the last
@@ -705,8 +703,8 @@ def unitalization(A: FDAlgebra, budget=None) -> UnitalizationData:
     mul[(d, d)] = {d: field.one}
     labels = list(A.labels) + ["u"]
     plus = FDAlgebra(d + 1, A.field_order, mul, labels=labels,
-                     unit={d: field.one}, name=(A.name or "A") + "_plus",
-                     budget=budget).require_valid()
+                     unit={d: field.one},
+                     name=(A.name or "A") + "_plus").require_valid()
     include = AlgebraMap.from_images(
         A, plus, [{i: field.one} for i in range(d)], multiplicative=True)
     include.validate()
@@ -718,14 +716,14 @@ def unitalization(A: FDAlgebra, budget=None) -> UnitalizationData:
     return UnitalizationData(plus, include, augmentation)
 
 
-def subalgebra_closure(A: FDAlgebra, generators, budget=None):
+def subalgebra_closure(A: FDAlgebra, generators):
     """Smallest subalgebra containing the generators.
 
     Returns (algebra, inclusion map).  The result has no unit unless the
     closure happens to contain one; callers needing units should include
     the unit among the generators.
     """
-    budget = budget or default_budget()
+    cap = default_budget().dim_cap
     field = A.field
     vectors = [_normalize_vec(v, A) for v in generators]
     space = Subspace.from_vectors(A.dim, field, vectors)
@@ -740,28 +738,26 @@ def subalgebra_closure(A: FDAlgebra, generators, budget=None):
             break
         space = Subspace.from_vectors(
             A.dim, field, list(space.basis) + new_vecs)
-        if space.dim > budget.dim_cap:
+        if space.dim > cap:
             raise ClosureOverflow(
-                "subalgebra closure exceeded dimension cap %d"
-                % budget.dim_cap)
+                "subalgebra closure exceeded dimension cap %d" % cap)
     if space.dim == 0:
         raise ValidationError("closure of zero generators is empty")
     return _algebra_on_subspace(A, space, (A.name or "A") + "_sub",
-                                A.is_unital and space.contains(A.unit),
-                                budget)
+                                A.is_unital and space.contains(A.unit))
 
 
-def ideal_as_algebra(ideal: TwoSidedIdeal, budget=None):
+def ideal_as_algebra(ideal: TwoSidedIdeal):
     """View a two-sided ideal as a nonunital algebra on its own basis.
 
     Returns (algebra, inclusion map into the parent).
     """
     return _algebra_on_subspace(ideal.parent, ideal.space, ideal.name or "J",
-                                False, budget)
+                                False)
 
 
 def _algebra_on_subspace(A: FDAlgebra, space: Subspace, name: str,
-                         with_unit: bool, budget):
+                         with_unit: bool):
     """The algebra A induces on a subspace closed under its product.
 
     Returns (algebra, inclusion map); the unit of A becomes the unit of the
@@ -779,8 +775,7 @@ def _algebra_on_subspace(A: FDAlgebra, space: Subspace, name: str,
             if entry:
                 mul[(a, b)] = entry
     unit = dense_to_sparse(space.coords(A.unit), field) if with_unit else None
-    sub = FDAlgebra(len(basis), A.field_order, mul, unit=unit, name=name,
-                    budget=budget)
+    sub = FDAlgebra(len(basis), A.field_order, mul, unit=unit, name=name)
     sub.require_valid()
     include = AlgebraMap.from_images(sub, A, basis, multiplicative=True,
                                      unital=with_unit)

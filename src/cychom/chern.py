@@ -97,11 +97,11 @@ def _extend_cycle(ch: CyclicChain) -> CyclicChain:
     return _require_cycle(CyclicChain(window, n + 2, out), "extension")
 
 
-def _adjoined_unit_scalars(budget=None) -> FDAlgebra:
+def _adjoined_unit_scalars() -> FDAlgebra:
     # the ground field with a fresh unit; the old unit is the idempotent p
     mul = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {1: 1}}
     return FDAlgebra(2, 1, mul, labels=["one", "p"], unit={0: 1},
-                     name="scalars_plus", budget=budget).require_valid()
+                     name="scalars_plus").require_valid()
 
 
 # ---------------------------------------------------------------------------
@@ -148,23 +148,22 @@ def _flatten(A: FDAlgebra, entries, N: int) -> dict:
     return out
 
 
-def idempotent_rep(A: FDAlgebra, matrix, budget=None) -> KClassRep:
+def idempotent_rep(A: FDAlgebra, matrix) -> KClassRep:
     """Validate a square matrix over A as an exact idempotent."""
     entries = _normalize_entries(A, matrix)
     N = len(entries)
-    M = matrix_algebra(A, N, budget=budget)
+    M = matrix_algebra(A, N)
     flat = _flatten(A, entries, N)
     if not vec_equal(M.multiply(flat, flat), flat, A.field):
         raise NotIdempotent("the matrix does not square to itself")
     return KClassRep("idempotent", A, N, M, entries, flat)
 
 
-def invertible_rep(A: FDAlgebra, matrix, inverse=None,
-                   budget=None) -> KClassRep:
+def invertible_rep(A: FDAlgebra, matrix, inverse=None) -> KClassRep:
     """Validate a square matrix over A with an exact two-sided inverse."""
     entries = _normalize_entries(A, matrix)
     N = len(entries)
-    M = matrix_algebra(A, N, budget=budget)
+    M = matrix_algebra(A, N)
     flat = _flatten(A, entries, N)
     if inverse is not None:
         inv = _flatten(A, _normalize_entries(A, inverse), N)
@@ -222,7 +221,7 @@ class ChernClass:
 
 
 def _character(rep: KClassRep, q: int, carrier: FDAlgebra, seed: tuple,
-               mats, budget) -> ChernClass:
+               mats) -> ChernClass:
     """Seed a cycle over the carrier, raise it q times, then substitute
     mats[k] for carrier basis element k and take the generalized trace.
 
@@ -232,14 +231,13 @@ def _character(rep: KClassRep, q: int, carrier: FDAlgebra, seed: tuple,
     start = len(seed) - 1
     degree = start + 2 * q
     # nothing below reads a degree above the character's
-    window = cyclic_complex(carrier, degree, normalized=False, budget=budget)
+    window = cyclic_complex(carrier, degree, normalized=False)
     hoch = window.hochschild_window
     ch = _require_cycle(CyclicChain(
         window, start, {hoch.index_of(start, seed): window.field.one}), "seed")
     for _ in range(q):
         ch = _extend_cycle(ch)
-    tgt = cyclic_complex(rep.algebra, degree, normalized=False,
-                         budget=budget)
+    tgt = cyclic_complex(rep.algebra, degree, normalized=False)
     out = {}
     for k, (m, _) in enumerate(window.summands(degree)):
         traced = _tensor_chain_matrix(
@@ -251,7 +249,7 @@ def _character(rep: KClassRep, q: int, carrier: FDAlgebra, seed: tuple,
                       _require_cycle(pushed, "%s character" % rep.kind))
 
 
-def chern_idempotent(rep: KClassRep, q: int, budget=None) -> ChernClass:
+def chern_idempotent(rep: KClassRep, q: int) -> ChernClass:
     """The even character of an idempotent, as a degree-2q cycle."""
     if rep.kind != "idempotent":
         raise ValidationError("expected an idempotent representative")
@@ -259,11 +257,10 @@ def chern_idempotent(rep: KClassRep, q: int, budget=None) -> ChernClass:
     # the seed is the old unit p; keeping it apart from the fresh unit is
     # what lets the non-unital evaluation p -> rep stay a chain map
     mats = [_unflatten(rep.algebra, rep.matrices.unit, rep.size), rep.entries]
-    return _character(rep, q, _adjoined_unit_scalars(budget), (1,), mats,
-                      budget)
+    return _character(rep, q, _adjoined_unit_scalars(), (1,), mats)
 
 
-def chern_invertible(rep: KClassRep, q: int, budget=None) -> ChernClass:
+def chern_invertible(rep: KClassRep, q: int) -> ChernClass:
     """The odd character of an invertible, as a degree-(2q+1) cycle.
 
     The carrier is the group algebra of the cyclic group whose order is
@@ -284,8 +281,8 @@ def chern_invertible(rep: KClassRep, q: int, budget=None) -> ChernClass:
         powers.append(_unflatten(rep.algebra, flat, rep.size))
         flat = rep.matrices.multiply(flat, rep.flat)
     # the seed is inverse-tensor-generator, g^-1 (x) g
-    return _character(rep, q, group_algebra(cyclic_group(n), budget=budget),
-                      (n - 1, 1) if n > 1 else (0, 0), powers, budget)
+    return _character(rep, q, group_algebra(cyclic_group(n)),
+                      (n - 1, 1) if n > 1 else (0, 0), powers)
 
 
 # ---------------------------------------------------------------------------

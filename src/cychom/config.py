@@ -1,7 +1,12 @@
 """Budgets and tunables.
 
-All hard limits live in one place so the environment override hits the
-same knobs the library defaults use.
+All hard limits live here and nowhere else: no function takes a limit as
+a parameter.  Each limit check calls ``default_budget()`` when it runs, so
+a limit holds for the whole call tree of a public call.  ``default_budget``
+reads the ``DEFAULT_*`` constants below at call time, and the environment
+variable ``CYCHOM_BUDGET_DIMS`` overrides ``max_chain_dim``.  A caller or
+a test sets a limit by assigning the module constant (for instance
+``monkeypatch.setattr(config, "DEFAULT_DIM_CAP", 3)``) or the variable.
 """
 
 from __future__ import annotations
@@ -29,21 +34,22 @@ class Budget:
     max_field_order  largest cyclotomic order the splitting search may reach
     """
 
-    max_chain_dim: int = DEFAULT_CHAIN_DIM_BUDGET
-    dim_cap: int = DEFAULT_DIM_CAP
-    max_field_order: int = DEFAULT_MAX_FIELD_ORDER
+    max_chain_dim: int
+    dim_cap: int
+    max_field_order: int
 
 
 def default_budget() -> Budget:
-    """Budget with the environment override applied."""
+    """The current limits, with the environment override applied."""
     raw = os.environ.get(BUDGET_ENV_VAR)
-    if raw is None:
-        return Budget()
-    try:
-        dims = int(raw)
-    except ValueError:
-        dims = 0
-    if dims <= 0:
-        raise ValidationError(
-            f"{BUDGET_ENV_VAR} must be a positive integer, got {raw!r}")
-    return Budget(max_chain_dim=dims)
+    dims = DEFAULT_CHAIN_DIM_BUDGET
+    if raw is not None:
+        try:
+            dims = int(raw)
+        except ValueError:
+            dims = 0
+        if dims <= 0:
+            raise ValidationError(
+                f"{BUDGET_ENV_VAR} must be a positive integer, got {raw!r}")
+    return Budget(max_chain_dim=dims, dim_cap=DEFAULT_DIM_CAP,
+                  max_field_order=DEFAULT_MAX_FIELD_ORDER)

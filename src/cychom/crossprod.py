@@ -65,18 +65,17 @@ class CrossedProduct:
                                       unital=self.base.is_unital)
 
 
-def crossed_product(A: FDAlgebra, action: GroupAction, budget=None,
+def crossed_product(A: FDAlgebra, action: GroupAction,
                     variety: FiniteVarietyAction | None = None) -> CrossedProduct:
     """Build A x| Gamma from a validated action of Gamma on A."""
-    budget = budget or default_budget()
+    cap = default_budget().dim_cap
     if action.algebra is not A:
         raise ValidationError("action must act on the given algebra")
     G = action.group
     dim = G.order * A.dim
-    if dim > budget.dim_cap:
+    if dim > cap:
         raise SizeOverflow(
-            "crossed product dimension %d exceeds cap %d"
-            % (dim, budget.dim_cap))
+            "crossed product dimension %d exceeds cap %d" % (dim, cap))
     field = A.field
     moved = [[action.apply(g, {j: field.one}) for j in range(A.dim)]
              for g in range(G.order)]
@@ -98,8 +97,7 @@ def crossed_product(A: FDAlgebra, action: GroupAction, budget=None,
     if A.is_unital:
         unit = {G.identity * A.dim + i: c for i, c in A.unit.items()}
     product = FDAlgebra(dim, A.field_order, mul, labels=labels, unit=unit,
-                        name="%s@%s" % (A.name or "A", G.name or "G"),
-                        budget=budget)
+                        name="%s@%s" % (A.name or "A", G.name or "G"))
     product.require_valid()
     cp = CrossedProduct(base=A, group=G, action=action, product=product,
                         variety=variety)
@@ -113,11 +111,11 @@ def trivial_action(group: FiniteGroup, algebra: FDAlgebra) -> GroupAction:
                        name="trivial")
 
 
-def variety_crossed_product(action: FiniteVarietyAction, field_order: int = 1,
-                            budget=None) -> CrossedProduct:
+def variety_crossed_product(action: FiniteVarietyAction,
+                            field_order: int = 1) -> CrossedProduct:
     """Crossed product of the functions on the points by the permutations."""
-    ga = action.algebra_action(field_order, budget=budget)
-    return crossed_product(ga.algebra, ga, budget=budget, variety=action)
+    ga = action.algebra_action(field_order)
+    return crossed_product(ga.algebra, ga, variety=action)
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +185,7 @@ def _whole_space(dim: int, field) -> Subspace:
                                  [{k: field.one} for k in range(dim)])
 
 
-def hh_decomposition(cp: CrossedProduct, n_max: int,
-                     budget=None) -> DecompositionReport:
+def hh_decomposition(cp: CrossedProduct, n_max: int) -> DecompositionReport:
     """Class-by-class homology of the product against the direct computation.
 
     Per class representative gamma the base homology is taken with
@@ -204,7 +201,7 @@ def hh_decomposition(cp: CrossedProduct, n_max: int,
     contributions = []
     for data in meta.classes:
         rep = hh_with_coefficients(A, twisted_bimodule(A, cp.action.automorphism(data.rep)),
-                                   n_max, normalized=False, budget=budget)
+                                   n_max, normalized=False)
         inv_dims = []
         for q in range(n_max + 1):
             H = rep.degrees[q].homology
@@ -222,7 +219,7 @@ def hh_decomposition(cp: CrossedProduct, n_max: int,
         contributions.append(ClassContribution(
             rep=data.rep, rep_name=G.names[data.rep], size=data.size,
             twisted_dims=list(rep.dims), dims=inv_dims))
-    direct = hh(cp.product, n_max, budget=budget)
+    direct = hh(cp.product, n_max)
     return DecompositionReport(crossed=cp, n_max=n_max,
                                contributions=contributions,
                                direct_dims=list(direct.dims))
@@ -356,7 +353,7 @@ class PsiMap(_ComparisonMap):
         return out
 
 
-def psi_map(action: FiniteVarietyAction, budget=None) -> PsiMap:
+def psi_map(action: FiniteVarietyAction) -> PsiMap:
     """The multiplicative comparison map, one block per class and character.
 
     Built over the cyclotomic field of the group exponent.  Every block is
@@ -366,7 +363,7 @@ def psi_map(action: FiniteVarietyAction, budget=None) -> PsiMap:
     G = action.group
     order = G.exponent()
     field = field_of_order(order)
-    cp = variety_crossed_product(action, field_order=order, budget=budget)
+    cp = variety_crossed_product(action, field_order=order)
     meta = group_metadata(G)
     geoms = [_ClassGeometry(G, data, action, field) for data in meta.classes]
 
@@ -458,6 +455,13 @@ class PhiGamma(_ComparisonMap):
 def phi_gamma(cp: CrossedProduct, gamma: int, q: int = 0) -> PhiGamma:
     """Character-weighted trace map onto functions on the fixed set.
 
+    The block traces of psi for gamma's class are weighted by
+    (1/d) sum_pi conj(pi(gamma)) pi(gamma^k), d the order of gamma.  By
+    the orthogonality of the characters of <gamma> that weight is 1 at
+    k = 1 mod d and 0 elsewhere, so phi_gamma(delta_x (x) g) is the sum,
+    over coset representatives h of <gamma> with h^-1 g h = gamma, of
+    h^-1 . delta_x restricted to the fixed set.
+
     Only degree zero carries content here: on a finite point set every
     higher form space is zero, so q > 0 is rejected.
     """
@@ -480,29 +484,17 @@ def phi_gamma(cp: CrossedProduct, gamma: int, q: int = 0) -> PhiGamma:
     order = lcm(G.exponent(), cp.product.field_order)
     field = field_of_order(order)
     geom = _ClassGeometry(G, data, action, field)
-    d = len(geom.cyclic)
-
-    # weight[k] = (1/d) sum_pi conj(pi(gamma)) pi(gamma^k)
-    weights = []
-    for k in range(d):
-        total = field.zero
-        for row in geom.characters:
-            total = field.add(total, field.mul(field.conj(row[1 % d]),
-                                               row[k]))
-        weights.append(field.scale(total, Fraction(1, d)))
-
     cols = []
     for flat in range(cp.product.dim):
         g, x = cp.split_index(flat)
         col = {}
         for gi in geom.cosets:
             gi_inv = G.inverse(gi)
-            k = geom.pos.get(G.table[G.table[gi_inv][g]][gi])
-            if k is None:
+            if G.table[G.table[gi_inv][g]][gi] != gamma:
                 continue
             t = geom.fixed_pos.get(action.perms[gi_inv][x])
             if t is not None:
-                add_term(col, t, weights[k], field)
+                add_term(col, t, field.one, field)
         cols.append(col)
     matrix = SparseMatrix.from_columns(cols, len(geom.fixed), field)
     return PhiGamma(gamma=gamma, gamma_name=G.names[gamma], crossed=cp,

@@ -172,16 +172,15 @@ class CyclicComplexWindow:
                     "total differential squared is nonzero at degree %d" % n)
 
 
-def cyclic_complex(A: FDAlgebra, n_max: int, normalized: bool | None = None,
-                   budget=None) -> CyclicComplexWindow:
+def cyclic_complex(A: FDAlgebra, n_max: int,
+                   normalized: bool | None = None) -> CyclicComplexWindow:
     """Build the cyclic bicomplex window for degrees 0..n_max."""
-    budget = budget or default_budget()
+    max_dim = default_budget().max_chain_dim
     if not A.is_unital:
         raise NonUnital("the cyclic bicomplex needs a unital algebra")
     if normalized is None:
         normalized = True
-    hoch = bar_complex(A, n_max, variant="b", normalized=normalized,
-                       budget=budget)
+    hoch = bar_complex(A, n_max, variant="b", normalized=normalized)
     b_up = [_B_matrix(hoch, m) for m in range(n_max)]
 
     dims, offsets = [], []
@@ -190,10 +189,10 @@ def cyclic_complex(A: FDAlgebra, n_max: int, normalized: bool | None = None,
         for m in range(n, -1, -2):
             offs.append(total)
             total += hoch.dims[m]
-        if total > budget.max_chain_dim:
+        if total > max_dim:
             raise SizeOverflow(
                 "degree-%d total space needs %d coordinates, budget is %d"
-                % (n, total, budget.max_chain_dim))
+                % (n, total, max_dim))
         dims.append(total)
         offsets.append(offs)
 
@@ -219,9 +218,9 @@ def cyclic_complex(A: FDAlgebra, n_max: int, normalized: bool | None = None,
 
 def s_matrix(window: CyclicComplexWindow, n: int) -> SparseMatrix:
     """The periodicity projection: drop the top Hochschild component."""
+    _require_degree(window, n)
     if n < 2:
         raise DegreeTooLow("the periodicity operator needs degree >= 2")
-    _require_degree(window, n)
     field = window.field
     cut = window.hochschild_window.dims[n]
     mat = SparseMatrix.zero(window.dims[n - 2], window.dims[n], field)
@@ -231,9 +230,9 @@ def s_matrix(window: CyclicComplexWindow, n: int) -> SparseMatrix:
 
 
 def operator_S(window: CyclicComplexWindow, n: int, chain: dict) -> dict:
+    _require_degree(window, n)
     if n < 2:
         raise DegreeTooLow("the periodicity operator needs degree >= 2")
-    _require_degree(window, n)
     cut = window.hochschild_window.dims[n]
     return {i - cut: c for i, c in chain.items() if i >= cut}
 
@@ -249,12 +248,11 @@ def i_matrix(window: CyclicComplexWindow, n: int) -> SparseMatrix:
     return mat
 
 
-def hc(A: FDAlgebra, n_max: int, normalized: bool | None = None,
-       budget=None) -> HomologyReport:
+def hc(A: FDAlgebra, n_max: int,
+       normalized: bool | None = None) -> HomologyReport:
     """Cyclic homology HC_0 .. HC_n_max of a unital algebra."""
     check_int(n_max, "a degree bound", 0)
-    window = cyclic_complex(A, n_max + 1, normalized=normalized,
-                            budget=budget)
+    window = cyclic_complex(A, n_max + 1, normalized=normalized)
     return _homology_report(A, window, window.totals, n_max)
 
 
@@ -323,15 +321,15 @@ class SBIReport:
         return all(node.exact for node in self.nodes)
 
 
-def sbi_check(A: FDAlgebra, n_max: int, normalized: bool | None = None,
-              budget=None) -> SBIReport:
+def sbi_check(A: FDAlgebra, n_max: int,
+              normalized: bool | None = None) -> SBIReport:
     """Exactness of ... -> HH_n -> HC_n -> HC_{n-2} -> HH_{n-1} -> ...
 
     All three maps are realized on homology through explicit chain
     matrices; each node reports the incoming rank and the outgoing kernel
     dimension, which agree exactly when the sequence is exact there.
     """
-    hc_report = hc(A, n_max, normalized=normalized, budget=budget)
+    hc_report = hc(A, n_max, normalized=normalized)
     window = hc_report.window
     hoch = window.hochschild_window
     hh_report = _homology_report(A, hoch, hoch.boundaries, n_max)
@@ -383,8 +381,8 @@ class HPReport:
 
 
 def hp(A: FDAlgebra, mode: str = "radical_shortcut",
-       cutoff: int = DEFAULT_HP_CUTOFF, normalized: bool | None = None,
-       budget=None) -> HPReport:
+       cutoff: int = DEFAULT_HP_CUTOFF,
+       normalized: bool | None = None) -> HPReport:
     """Periodic cyclic homology as an (even, odd) pair of dimensions.
 
     The radical shortcut quotients out the (nilpotent) radical, which
@@ -405,7 +403,7 @@ def hp(A: FDAlgebra, mode: str = "radical_shortcut",
     check_int(cutoff, "a degree bound", 0)
     if cutoff < 4:
         raise ValidationError("stabilization needs cutoff >= 4")
-    hc_report = hc(A, cutoff, normalized=normalized, budget=budget)
+    hc_report = hc(A, cutoff, normalized=normalized)
     homologies = [d.homology for d in hc_report.degrees]
     s_hom = _s_on_homology(hc_report.window, homologies, cutoff)
     stable = []
@@ -426,15 +424,15 @@ def hp(A: FDAlgebra, mode: str = "radical_shortcut",
 
 
 def hp_nonunital(A: FDAlgebra, mode: str = "radical_shortcut",
-                 cutoff: int = DEFAULT_HP_CUTOFF, budget=None) -> HPReport:
+                 cutoff: int = DEFAULT_HP_CUTOFF) -> HPReport:
     """HP of a possibly nonunital algebra through its unitalization.
 
     The augmentation splits off the ground field's contribution, one even
     dimension, which is subtracted.  On an algebra that happens to be
     unital this agrees with the direct computation.
     """
-    plus = unitalization(A, budget=budget).algebra
-    inner = hp(plus, mode=mode, cutoff=cutoff, budget=budget)
+    plus = unitalization(A).algebra
+    inner = hp(plus, mode=mode, cutoff=cutoff)
     return HPReport(even_dim=inner.even_dim - 1, odd_dim=inner.odd_dim,
                     method=inner.method + "+unitalization",
                     stabilized=inner.stabilized,
@@ -464,8 +462,7 @@ def _hc_chain_maps(phi: AlgebraMap, src_w: CyclicComplexWindow,
 
 
 def induced_map_hc(phi: AlgebraMap, n_max: int,
-                   normalized: bool | None = None,
-                   budget=None) -> InducedMap:
+                   normalized: bool | None = None) -> InducedMap:
     """Per-degree cyclic homology matrices of a unital multiplicative map.
 
     The chain map acts blockwise on the stacked Hochschild components; it
@@ -478,8 +475,8 @@ def induced_map_hc(phi: AlgebraMap, n_max: int,
     if not phi.unital:
         raise NotMultiplicative("cyclic induced maps need a unital map")
     phi.validate()
-    src = hc(phi.source, n_max, normalized=normalized, budget=budget)
-    tgt = hc(phi.target, n_max, normalized=normalized, budget=budget)
+    src = hc(phi.source, n_max, normalized=normalized)
+    tgt = hc(phi.target, n_max, normalized=normalized)
     return _induced(src, tgt, _hc_chain_maps(phi, src.window, tgt.window,
                                              n_max))
 
@@ -542,8 +539,7 @@ class _SubComplex:
 
 
 def excision_check(A: FDAlgebra, J: TwoSidedIdeal,
-                   cutoff: int = DEFAULT_HP_CUTOFF,
-                   budget=None) -> ExcisionReport:
+                   cutoff: int = DEFAULT_HP_CUTOFF) -> ExcisionReport:
     """Six-term periodic exactness for an ideal, checked at chain level.
 
     The three legs are embedded uniformly through adjoined units; the
@@ -562,12 +558,12 @@ def excision_check(A: FDAlgebra, J: TwoSidedIdeal,
     Jalg, _ = ideal_as_algebra(J)
     Qd = quotient_algebra(A, J)
 
-    ideal_hp = hp_nonunital(Jalg, budget=budget)
-    algebra_hp = hp(A, budget=budget)
-    quotient_hp = hp(Qd.algebra, budget=budget)
+    ideal_hp = hp_nonunital(Jalg)
+    algebra_hp = hp(A)
+    quotient_hp = hp(Qd.algebra)
 
-    Ap = unitalization(A, budget=budget)
-    Qp = unitalization(Qd.algebra, budget=budget)
+    Ap = unitalization(A)
+    Qp = unitalization(Qd.algebra)
     field = A.field
     images = [Qd.projection.apply({i: field.one}) for i in range(A.dim)]
     images.append({Qd.algebra.dim: field.one})
@@ -575,8 +571,8 @@ def excision_check(A: FDAlgebra, J: TwoSidedIdeal,
                                      multiplicative=True, unital=True)
     pi_plus.validate()
 
-    hc_A = hc(Ap.algebra, cutoff, budget=budget)
-    hc_Q = hc(Qp.algebra, cutoff, budget=budget)
+    hc_A = hc(Ap.algebra, cutoff)
+    hc_Q = hc(Qp.algebra, cutoff)
     WA, WQ = hc_A.window, hc_Q.window
     pi_chain = _hc_chain_maps(pi_plus, WA, WQ, cutoff + 1)
     rel = _SubComplex(WA, pi_chain, cutoff)
@@ -740,8 +736,8 @@ class DirectSumReport:
                 and all(r.ok for r in self.hc_rows) and self.hp_ok)
 
 
-def direct_sum_check(A: FDAlgebra, B: FDAlgebra, n_max: int,
-                     budget=None) -> DirectSumReport:
+def direct_sum_check(A: FDAlgebra, B: FDAlgebra,
+                     n_max: int) -> DirectSumReport:
     """Additivity of HH, HC and HP over a direct sum of unital algebras.
 
     Dimension counts alone would pass for accidental equalities, so the
@@ -749,11 +745,11 @@ def direct_sum_check(A: FDAlgebra, B: FDAlgebra, n_max: int,
     product in every degree.
     """
     check_int(n_max, "a degree bound", 0)
-    data = direct_sum(A, B, budget=budget)
+    data = direct_sum(A, B)
     rows = []
     for induced in (induced_map_hh, induced_map_hc):
-        left = induced(data.project_left, n_max, budget=budget)
-        right = induced(data.project_right, n_max, budget=budget)
+        left = induced(data.project_left, n_max)
+        right = induced(data.project_right, n_max)
         rows.append([])
         for n in range(n_max + 1):
             # both projections leave the sum: stack them into the product
@@ -767,5 +763,4 @@ def direct_sum_check(A: FDAlgebra, B: FDAlgebra, n_max: int,
                 left.source.dims[n], stacked.rank()))
     return DirectSumReport(
         hh_rows=rows[0], hc_rows=rows[1],
-        hp_left=hp(A, budget=budget), hp_right=hp(B, budget=budget),
-        hp_sum=hp(data.algebra, budget=budget))
+        hp_left=hp(A), hp_right=hp(B), hp_sum=hp(data.algebra))

@@ -211,14 +211,14 @@ def quaternion_group() -> FiniteGroup:
 # group algebras and conjugacy metadata
 
 
-def group_algebra(G: FiniteGroup, field_order=1, budget=None) -> FDAlgebra:
+def group_algebra(G: FiniteGroup, field_order=1) -> FDAlgebra:
     mul = {}
     for i in range(G.order):
         for j in range(G.order):
             mul[(i, j)] = {G.table[i][j]: 1}
     A = FDAlgebra(G.order, field_order, mul, labels=list(G.names),
                   unit={G.identity: 1},
-                  name="group_algebra(%s)" % (G.name or "G"), budget=budget)
+                  name="group_algebra(%s)" % (G.name or "G"))
     A.group = G
     return A.require_valid()
 
@@ -346,9 +346,9 @@ class FiniteVarietyAction:
             out.append(orbit)
         return out
 
-    def algebra_action(self, field_order=1, budget=None) -> GroupAction:
+    def algebra_action(self, field_order=1) -> GroupAction:
         """The induced action on functions, sending delta_x to delta_(g.x)."""
-        A = functions_on_points(self.n_points, field_order, budget=budget)
+        A = functions_on_points(self.n_points, field_order)
         maps = []
         for g in range(self.group.order):
             images = [{self.perms[g][x]: A.field.one}

@@ -226,7 +226,8 @@ def _pieces(A: FDAlgebra, idempotents):
 
 
 def _require_degree(window, n: int) -> None:
-    if not 0 <= n <= window.n_max:
+    check_int(n, "a degree", 0)
+    if n > window.n_max:
         raise ValidationError("degree %d is outside the window 0..%d"
                               % (n, window.n_max))
 
@@ -313,7 +314,7 @@ def _check_blocks(A: FDAlgebra, blocks) -> list:
 
 def bar_complex(A: FDAlgebra, n_max: int, variant: str = "b",
                 coefficients: Bimodule | None = None,
-                normalized: bool = False, budget=None,
+                normalized: bool = False,
                 blocks=None) -> ChainComplexWindow:
     """Build degrees 0..n_max of the bar-type complex.
 
@@ -327,7 +328,7 @@ def bar_complex(A: FDAlgebra, n_max: int, variant: str = "b",
     idempotents make it the direct sum of the blocks' normalized
     complexes.  The default is the one idempotent [unit].
     """
-    budget = budget or default_budget()
+    max_dim = default_budget().max_chain_dim
     if variant not in ("b", "b_prime"):
         raise ValidationError("variant must be b or b_prime")
     check_int(n_max, "a degree bound", 0)
@@ -364,10 +365,10 @@ def bar_complex(A: FDAlgebra, n_max: int, variant: str = "b",
     dims = []
     for n in range(n_max + 1):
         size = slots.dim(n)
-        if size > budget.max_chain_dim:
+        if size > max_dim:
             raise SizeOverflow(
                 "degree-%d chain space needs %d coordinates, budget is %d"
-                % (n, size, budget.max_chain_dim))
+                % (n, size, max_dim))
         dims.append(size)
 
     boundaries = [None]
@@ -479,7 +480,7 @@ def _homology_report(A: FDAlgebra, window, maps, n_max: int) -> HomologyReport:
                           window=window)
 
 
-def h_unitality_report(A: FDAlgebra, n_max: int, budget=None) -> str:
+def h_unitality_report(A: FDAlgebra, n_max: int) -> str:
     """Acyclicity of the b' complex up to the cutoff, as a tri-state string.
 
     Unital algebras are contractible by the homotopy, so the check only
@@ -488,7 +489,7 @@ def h_unitality_report(A: FDAlgebra, n_max: int, budget=None) -> str:
     check_int(n_max, "a degree bound", 0)
     if A.is_unital:
         return "not-applicable"
-    window = bar_complex(A, n_max + 1, variant="b_prime", budget=budget)
+    window = bar_complex(A, n_max + 1, variant="b_prime")
     homologies = _degree_homologies(window.boundaries, window.dims,
                                     window.field, n_max)
     for n in range(1, n_max + 1):
@@ -497,8 +498,8 @@ def h_unitality_report(A: FDAlgebra, n_max: int, budget=None) -> str:
     return "acyclic-up-to-cutoff"
 
 
-def hh(A: FDAlgebra, n_max: int, normalized: bool | None = None,
-       budget=None) -> HomologyReport:
+def hh(A: FDAlgebra, n_max: int,
+       normalized: bool | None = None) -> HomologyReport:
     """Hochschild homology HH_0 .. HH_n_max with cycle representatives.
 
     Each representative is a cycle of report.window supported off the
@@ -532,31 +533,30 @@ def hh(A: FDAlgebra, n_max: int, normalized: bool | None = None,
     if normalized and not A.is_unital:
         raise NonUnital("normalized homology needs a unital algebra")
     blocks = split_idempotents(A) if normalized else None
-    report = _hh(A, n_max, normalized, budget, blocks)
+    report = _hh(A, n_max, normalized, blocks)
     if not A.is_unital:
-        report.h_unitality = h_unitality_report(A, n_max, budget=budget)
+        report.h_unitality = h_unitality_report(A, n_max)
     return report
 
 
-def _hh(A: FDAlgebra, n_max: int, normalized: bool, budget,
+def _hh(A: FDAlgebra, n_max: int, normalized: bool,
         blocks=None) -> HomologyReport:
     """HH_0 .. HH_n_max on one bar window, relative to the unit alone
     unless blocks are given."""
     window = bar_complex(A, n_max + 1, variant="b", normalized=normalized,
-                         budget=budget, blocks=blocks)
+                         blocks=blocks)
     return _homology_report(A, window, window.boundaries, n_max)
 
 
 def hh_with_coefficients(A: FDAlgebra, M: Bimodule, n_max: int,
-                         normalized: bool | None = None,
-                         budget=None) -> HomologyReport:
+                         normalized: bool | None = None) -> HomologyReport:
     """Homology of the bar complex with coefficients in a bimodule."""
     check_int(n_max, "a degree bound", 0)
     M.validate()
     if normalized is None:
         normalized = A.is_unital
     window = bar_complex(A, n_max + 1, variant="b", coefficients=M,
-                         normalized=normalized, budget=budget)
+                         normalized=normalized)
     return _homology_report(A, window, window.boundaries, n_max)
 
 
@@ -665,8 +665,7 @@ def _induced(source, target, chain_maps: list) -> InducedMap:
 
 
 def induced_map_hh(phi: AlgebraMap, n_max: int,
-                   normalized: bool | None = None,
-                   budget=None) -> InducedMap:
+                   normalized: bool | None = None) -> InducedMap:
     """Per-degree homology matrices of the map phi tensored with itself.
 
     phi must be flagged multiplicative; the flag is verified.  The
@@ -684,8 +683,8 @@ def induced_map_hh(phi: AlgebraMap, n_max: int,
         raise NotMultiplicative(
             "normalized induced maps need a unital map")
     # one-block windows: phi need not carry blocks into blocks
-    src = _hh(phi.source, n_max, normalized, budget)
-    tgt = _hh(phi.target, n_max, normalized, budget)
+    src = _hh(phi.source, n_max, normalized)
+    tgt = _hh(phi.target, n_max, normalized)
     slot0, interior = _phi_slot_maps(phi, src.window, tgt.window)
     return _induced(src, tgt, [
         _tensor_chain_matrix(src.window, tgt.window, n, slot0, interior)
@@ -707,8 +706,7 @@ class MoritaData:
     tr_hh: list
 
 
-def tr_star_and_iota(A: FDAlgebra, N: int, n_max: int,
-                     budget=None) -> MoritaData:
+def tr_star_and_iota(A: FDAlgebra, N: int, n_max: int) -> MoritaData:
     """The trace chain map out of M_N(A) and the diagonal inclusion into it.
 
     Tr sends (m_0 (x) a_0) (x) ... (x) (m_q (x) a_q) to the scalar
@@ -722,9 +720,9 @@ def tr_star_and_iota(A: FDAlgebra, N: int, n_max: int,
     check_int(n_max, "a degree bound", 0)
     if not A.is_unital:
         raise NonUnital("Morita maps need a unital base algebra")
-    M = matrix_algebra(A, N, budget=budget)
-    base = hh(A, n_max, normalized=False, budget=budget)
-    big = hh(M, n_max, normalized=False, budget=budget)
+    M = matrix_algebra(A, N)
+    base = hh(A, n_max, normalized=False)
+    big = hh(M, n_max, normalized=False)
     one, d = A.field.one, A.dim
     diagonal = [[[{(p * N + p) * d + i: one for p in range(N)}]]
                 for i in range(d)]

@@ -35,6 +35,7 @@ from .errors import (
     NonUnital,
     SplittingFieldTooLarge,
     ValidationError,
+    check_int,
 )
 from .linalg import (
     SparseMatrix,
@@ -80,12 +81,13 @@ __all__ = [
 
 # -- coefficient extension --------------------------------------------------------
 
-def extend_scalars(A: FDAlgebra, order: int, budget=None) -> FDAlgebra:
+def extend_scalars(A: FDAlgebra, order: int) -> FDAlgebra:
     """The same structure constants read over a larger cyclotomic field.
 
     The basis and labels are unchanged, so subspaces of the original
     algebra make sense coordinatewise in the extension.
     """
+    check_int(order, "field order", 1)
     if order == A.field_order:
         return A
     if order % A.field_order != 0:
@@ -105,7 +107,7 @@ def extend_scalars(A: FDAlgebra, order: int, budget=None) -> FDAlgebra:
     if A.unit is not None:
         unit = {k: lift_raw(c, src, dst) for k, c in A.unit.items()}
     return FDAlgebra(A.dim, order, mul, labels=list(A.labels), unit=unit,
-                     name=A.name, budget=budget).require_valid()
+                     name=A.name).require_valid()
 
 
 def _lift_matrix(mat: SparseMatrix, dst) -> SparseMatrix:
@@ -211,36 +213,35 @@ def _blocks_over(ext: FDAlgebra):
         closure_relations=[], semisimple=data)
 
 
-def wedderburn_blocks(A: FDAlgebra, budget=None) -> SpectrumReport:
+def wedderburn_blocks(A: FDAlgebra) -> SpectrumReport:
     """Split A modulo its radical into simple blocks.
 
     The center of the semisimple part is factored into primitive
     idempotents; when that needs a larger cyclotomic field the whole
     computation moves there automatically, trying orders in increasing
-    multiples of the base order up to the budget bound.
+    multiples of the base order up to config.DEFAULT_MAX_FIELD_ORDER.
     """
-    budget = budget or default_budget()
+    max_order = default_budget().max_field_order
     if not A.is_unital:
         raise NonUnital("block decomposition needs a unital algebra")
     step = A.field_order
     order = step
-    while order <= budget.max_field_order:
-        report = _blocks_over(extend_scalars(A, order, budget=budget))
+    while order <= max_order:
+        report = _blocks_over(extend_scalars(A, order))
         if report is not None:
             return report
         order += step
     raise SplittingFieldTooLarge(
-        "center did not split over cyclotomic orders up to %d"
-        % budget.max_field_order)
+        "center did not split over cyclotomic orders up to %d" % max_order)
 
 
-def central_character(A: FDAlgebra, budget=None) -> list:
+def central_character(A: FDAlgebra) -> list:
     """Maximal ideal of the center attached to each primitive ideal.
 
     Entry j is the intersection of prim point j with the center, in the
     coordinates of the center's canonical basis.
     """
-    return wedderburn_blocks(A, budget=budget).central_characters
+    return wedderburn_blocks(A).central_characters
 
 
 # -- ideal filtrations ------------------------------------------------------------
@@ -276,14 +277,14 @@ class IdealFiltration:
         return [ideal.dim for ideal in self.chain]
 
 
-def standard_filtration(A: FDAlgebra, budget=None) -> IdealFiltration:
+def standard_filtration(A: FDAlgebra) -> IdealFiltration:
     """Kernels of the representations of size at most k, for k = 0, 1, ...
 
     Term k is the intersection of the primitive ideals whose block size
     is at most k; term 0 is the whole algebra and the last term is the
     radical.  The chain lives over the splitting extension.
     """
-    report = wedderburn_blocks(A, budget=budget)
+    report = wedderburn_blocks(A)
     ext = report.algebra
     whole = two_sided_ideal(
         ext, [ext.basis_vector(i) for i in range(ext.dim)], name="J0")
@@ -343,17 +344,17 @@ class AbelianReport:
         return self.ends_at_radical and all(layer.ok for layer in self.layers)
 
 
-def _central_image(A: FDAlgebra, upper, lower, budget):
+def _central_image(A: FDAlgebra, upper, lower):
     """The quotient B = A / lower, the image of upper in it, and the part of
     that image in the center of B."""
-    data = quotient_algebra(A, lower, budget=budget)
+    data = quotient_algebra(A, lower)
     B = data.algebra
     image = Subspace.from_vectors(
         B.dim, B.field, [data.projection.apply(v) for v in upper.space.basis])
     return B, image, intersect_subspaces(image, center(B))
 
 
-def abelian_filtration_report(filt: IdealFiltration, budget=None) -> AbelianReport:
+def abelian_filtration_report(filt: IdealFiltration) -> AbelianReport:
     filt.validate()
     A = filt.algebra
     layers = []
@@ -362,7 +363,7 @@ def abelian_filtration_report(filt: IdealFiltration, budget=None) -> AbelianRepo
         if lower.dim == A.dim:
             layers.append(AbelianLayerCheck(k, True, True, "zero quotient"))
             continue
-        B, image, central_part = _central_image(A, upper, lower, budget)
+        B, image, central_part = _central_image(A, upper, lower)
         semiprim = jacobson_radical(B).dim == 0
         if upper.dim == lower.dim:
             layers.append(AbelianLayerCheck(k, semiprim, True, "zero layer"))
@@ -379,7 +380,7 @@ def abelian_filtration_report(filt: IdealFiltration, budget=None) -> AbelianRepo
                                             "product ideal is everything"))
             continue
         prod_ideal = two_sided_ideal(B, list(prod_space.basis))
-        inner = quotient_algebra(B, prod_ideal, budget=budget)
+        inner = quotient_algebra(B, prod_ideal)
         residue = Subspace.from_vectors(
             inner.algebra.dim, B.field,
             [inner.projection.apply(v) for v in image.basis])
@@ -424,8 +425,7 @@ class E1Report:
                 and self.odd_total == self.hp.odd_dim)
 
 
-def spectral_e1(A: FDAlgebra, filtration: IdealFiltration,
-                budget=None) -> E1Report:
+def spectral_e1(A: FDAlgebra, filtration: IdealFiltration) -> E1Report:
     """Point counts of the filtration strata against the periodic dimensions.
 
     The filtration must be the standard one; each level contributes the
@@ -440,7 +440,7 @@ def spectral_e1(A: FDAlgebra, filtration: IdealFiltration,
                 or ext.field_order % A.field_order != 0):
             raise ValidationError(
                 "filtration does not belong to this algebra")
-    reference = standard_filtration(ext, budget=budget)
+    reference = standard_filtration(ext)
     if len(reference.chain) != len(filtration.chain):
         raise FiltrationNotStandard(
             "expected %d filtration terms, got %d"
@@ -450,7 +450,7 @@ def spectral_e1(A: FDAlgebra, filtration: IdealFiltration,
         if not given.space.equals(expected.space):
             raise FiltrationNotStandard(
                 "filtration term %d is not the standard one" % k)
-    abelian = abelian_filtration_report(filtration, budget=budget)
+    abelian = abelian_filtration_report(filtration)
     if not abelian.ok:
         raise ValidationError("standard filtration failed the layer checks")
     entries = []
@@ -460,8 +460,8 @@ def spectral_e1(A: FDAlgebra, filtration: IdealFiltration,
             entries.append(E1Entry(p=p, x_points=0, y_points=0, count=0,
                                    parity=p % 2))
             continue
-        Bp, _, central_part = _central_image(ext, upper, lower, budget)
-        sub = wedderburn_blocks(Bp, budget=budget)
+        Bp, _, central_part = _central_image(ext, upper, lower)
+        sub = wedderburn_blocks(Bp)
         if sub.algebra.field_order != ext.field_order:
             raise ValidationError(
                 "quotient of a split algebra needed a further extension")
@@ -476,7 +476,7 @@ def spectral_e1(A: FDAlgebra, filtration: IdealFiltration,
                                count=x_points - vanishing, parity=p % 2))
     even_total = sum(e.count for e in entries)
     return E1Report(entries=entries, even_total=even_total, odd_total=0,
-                    hp=hp(ext, budget=budget), abelian=abelian)
+                    hp=hp(ext), abelian=abelian)
 
 
 # -- spectrum-preserving morphisms ------------------------------------------------
@@ -506,7 +506,7 @@ class SpectrumVerdict:
                 and self.hp_source.odd_dim == self.hp_target.odd_dim)
 
 
-def spectrum_preserving_check(phi: AlgebraMap, budget=None) -> SpectrumVerdict:
+def spectrum_preserving_check(phi: AlgebraMap) -> SpectrumVerdict:
     """Test whether a linear map matches the two spectra point by point.
 
     For each primitive ideal of the target, its preimage subspace under
@@ -517,15 +517,13 @@ def spectrum_preserving_check(phi: AlgebraMap, budget=None) -> SpectrumVerdict:
     L, J = phi.source, phi.target
     if not (L.is_unital and J.is_unital):
         raise NonUnital("spectrum comparison needs unital algebras")
-    rL = wedderburn_blocks(L, budget=budget)
-    rJ = wedderburn_blocks(J, budget=budget)
+    rL = wedderburn_blocks(L)
+    rJ = wedderburn_blocks(J)
     order = math.lcm(rL.field_order, rJ.field_order)
     if rL.field_order != order:
-        rL = wedderburn_blocks(extend_scalars(L, order, budget=budget),
-                               budget=budget)
+        rL = wedderburn_blocks(extend_scalars(L, order))
     if rJ.field_order != order:
-        rJ = wedderburn_blocks(extend_scalars(J, order, budget=budget),
-                               budget=budget)
+        rJ = wedderburn_blocks(extend_scalars(J, order))
     field = field_of_order(order)
     matrix = phi.matrix if phi.matrix.field.order == order \
         else _lift_matrix(phi.matrix, field)
@@ -548,8 +546,8 @@ def spectrum_preserving_check(phi: AlgebraMap, budget=None) -> SpectrumVerdict:
         pairs=pairs, n_source_points=len(rL.prim_points),
         n_target_points=len(rJ.prim_points), is_function=is_function,
         bijection=bijection, preserving=preserving,
-        hp_source=hp(rL.algebra, budget=budget),
-        hp_target=hp(rJ.algebra, budget=budget),
+        hp_source=hp(rL.algebra),
+        hp_target=hp(rJ.algebra),
         field_order=order)
 
 
@@ -609,12 +607,12 @@ def _detect_unit(A: FDAlgebra) -> FDAlgebra:
 class _Layer:
     """One consecutive quotient of a filtration, with coordinate helpers."""
 
-    def __init__(self, upper: TwoSidedIdeal, lower: TwoSidedIdeal, budget):
+    def __init__(self, upper: TwoSidedIdeal, lower: TwoSidedIdeal):
         self.dim = upper.dim - lower.dim
         if self.dim == 0:
             self.algebra = None
             return
-        sub, _ = ideal_as_algebra(upper, budget=budget)
+        sub, _ = ideal_as_algebra(upper)
         if lower.dim == 0:
             self.algebra = _detect_unit(sub)
             self._project = None
@@ -625,8 +623,7 @@ class _Layer:
                 if co is None:
                     raise ValidationError("filtration terms are not nested")
                 inner_vecs.append(dense_to_sparse(co, sub.field))
-            data = quotient_algebra(
-                sub, two_sided_ideal(sub, inner_vecs), budget=budget)
+            data = quotient_algebra(sub, two_sided_ideal(sub, inner_vecs))
             self.algebra = _detect_unit(data.algebra)
             self._project = data.projection
         self._upper = upper
@@ -663,10 +660,9 @@ class _Layer:
             "layer algebra is neither nilpotent nor unital")
 
 
-def weakly_spectrum_preserving_check(phi: AlgebraMap,
-                                     source_filtration: IdealFiltration,
-                                     target_filtration: IdealFiltration,
-                                     budget=None) -> WeaklyReport:
+def weakly_spectrum_preserving_check(
+        phi: AlgebraMap, source_filtration: IdealFiltration,
+        target_filtration: IdealFiltration) -> WeaklyReport:
     """Compare two filtered algebras layer by layer along a linear map.
 
     The map must carry each source term into the matching target term.
@@ -692,8 +688,8 @@ def weakly_spectrum_preserving_check(phi: AlgebraMap,
                     "the map sends filtration term %d outside its target" % k)
     layers = []
     for k in range(1, length):
-        side_L = _Layer(chain_L[k - 1], chain_L[k], budget)
-        side_J = _Layer(chain_J[k - 1], chain_J[k], budget)
+        side_L = _Layer(chain_L[k - 1], chain_L[k])
+        side_J = _Layer(chain_J[k - 1], chain_J[k])
         unital_L = side_L.algebra is not None and side_L.algebra.is_unital
         unital_J = side_J.algebra is not None and side_J.algebra.is_unital
         if unital_L and unital_J:
@@ -701,7 +697,7 @@ def weakly_spectrum_preserving_check(phi: AlgebraMap,
                       for t in range(side_L.algebra.dim)]
             layer_map = AlgebraMap.from_images(
                 side_L.algebra, side_J.algebra, images)
-            verdict = spectrum_preserving_check(layer_map, budget=budget)
+            verdict = spectrum_preserving_check(layer_map)
             layers.append(LayerVerdict(k, "spectral", verdict.preserving,
                                        verdict))
             continue
@@ -714,8 +710,8 @@ def weakly_spectrum_preserving_check(phi: AlgebraMap,
         kind = "zero" if (side_L.algebra is None and side_J.algebra is None) \
             else "nilpotent"
         layers.append(LayerVerdict(k, kind, nil_L and nil_J))
-    hp_L = hp(L, budget=budget) if L.is_unital else hp_nonunital(L, budget=budget)
-    hp_J = hp(J, budget=budget) if J.is_unital else hp_nonunital(J, budget=budget)
+    hp_L = hp(L) if L.is_unital else hp_nonunital(L)
+    hp_J = hp(J) if J.is_unital else hp_nonunital(J)
     return WeaklyReport(
         layers=layers, preserving=all(layer.passed for layer in layers),
         hp_source=hp_L, hp_target=hp_J)

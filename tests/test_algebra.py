@@ -24,7 +24,7 @@ from cychom.algebra import (
     unitalization,
     upper_triangular,
 )
-from cychom.config import Budget
+from cychom import config
 from cychom.errors import (
     ClosureOverflow,
     NotAutomorphism,
@@ -223,9 +223,10 @@ def test_out_of_range_coordinates_are_rejected():
     assert all(type(c) is Fraction for c in raw)
 
 
-def test_dimension_cap():
+def test_dimension_cap(monkeypatch):
+    monkeypatch.setattr(config, "DEFAULT_DIM_CAP", 4)
     with pytest.raises(SizeOverflow):
-        functions_on_points(5, budget=Budget(dim_cap=4))
+        functions_on_points(5)
 
 
 def test_trace_vector_matrix_algebra():
@@ -459,11 +460,11 @@ def test_closure_is_idempotent():
     assert again.dim == sub.dim == 2
 
 
-def test_closure_overflow():
+def test_closure_overflow(monkeypatch):
     M2 = matrix_algebra(ground_field(), 2)
+    monkeypatch.setattr(config, "DEFAULT_DIM_CAP", 3)
     with pytest.raises(ClosureOverflow):
-        subalgebra_closure(M2, [M2.basis_vector(1), M2.basis_vector(2)],
-                           budget=Budget(dim_cap=3))
+        subalgebra_closure(M2, [M2.basis_vector(1), M2.basis_vector(2)])
 
 
 # ---------------------------------------------------------------------------

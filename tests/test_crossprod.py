@@ -39,7 +39,7 @@ from cychom.groups import (
 )
 from cychom.hochschild import hh
 from cychom.linalg import SparseMatrix, Subspace, vec_axpy, vec_is_zero
-from cychom.scalars import field_of_order
+from cychom.scalars import field_of_order, lift_raw
 from cychom.spectrum import wedderburn_blocks
 
 
@@ -95,30 +95,40 @@ def twisted_class_dim_oracle(A, action, gamma):
 
 
 def phi_oracle_matrix(cp, data):
-    """phi for one class by counting conjugating coset representatives.
+    """phi for one class as the character-weighted sum of psi's block traces.
 
-    Character orthogonality collapses the weighted trace sum: the entry of
-    phi at delta_x (x) h and a fixed point y counts the coset reps r of
-    the cyclic subgroup with r^-1 h r equal to the representative and
-    r^-1 x = y.  Derived independently of the psi blocks.
+    The entry at delta_x (x) h and a fixed point y sums, over the coset
+    reps r of the cyclic subgroup <gamma> with r^-1 h r = gamma^k and
+    r^-1 x = y, the weight (1/d) sum_pi conj(pi(gamma)) pi(gamma^k), d the
+    order of gamma.  phi_gamma uses that the weight is 1 at k = 1 mod d and
+    0 elsewhere; this oracle sums the characters instead.
     """
     G = cp.group
     act = cp.variety
     field = field_of_order(lcm(G.exponent(), cp.product.field_order))
+    d = len(data.cyclic)
+    pos = {g: k for k, g in enumerate(data.cyclic)}
+    chars = [[lift_raw(v.raw, field_of_order(v.order), field) for v in row]
+             for row in data.characters]
+    weights = []
+    for k in range(d):
+        total = field.zero
+        for row in chars:
+            total = field.add(total, field.mul(field.conj(row[1 % d]),
+                                               row[k]))
+        weights.append(field.scale(total, Fraction(1, d)))
     fixed = act.fixed_points(data.rep)
     fpos = {x: t for t, x in enumerate(fixed)}
-    cosets = G.coset_representatives(G.cyclic_subgroup(data.rep))
     cols = []
     for flat in range(cp.product.dim):
         g, x = cp.split_index(flat)
         col = {}
-        for gi in cosets:
+        for gi in G.coset_representatives(data.cyclic):
             inv = G.inverse(gi)
-            if G.table[G.table[inv][g]][gi] != data.rep:
-                continue
+            k = pos.get(G.table[G.table[inv][g]][gi])
             t = fpos.get(act.perms[inv][x])
-            if t is not None:
-                col[t] = field.add(col.get(t, field.zero), field.one)
+            if k is not None and t is not None:
+                col[t] = field.add(col.get(t, field.zero), weights[k])
         cols.append({t: v for t, v in col.items() if not field.is_zero(v)})
     return SparseMatrix.from_columns(cols, len(fixed), field)
 
@@ -478,13 +488,14 @@ def test_phi_for_the_trivial_group_is_the_identity():
         assert set(image) == {x} and raw_is(field, image[x], 1)
 
 
-def test_phi_matches_the_conjugation_count_oracle():
+def test_phi_matches_the_character_weighted_oracle():
     for act in point_actions():
-        cp = variety_crossed_product(act)
-        for data in group_metadata(cp.group).classes:
-            phi = phi_gamma(cp, data.rep)
-            oracle = phi_oracle_matrix(cp, data)
-            assert phi.matrix.equals(oracle), (act.name, data.rep)
+        for order in (1, act.group.exponent()):
+            cp = variety_crossed_product(act, field_order=order)
+            for data in group_metadata(cp.group).classes:
+                phi = phi_gamma(cp, data.rep)
+                oracle = phi_oracle_matrix(cp, data)
+                assert phi.matrix.equals(oracle), (act.name, order, data.rep)
 
 
 def test_phi_is_bijective_class_by_class():

@@ -17,6 +17,7 @@ from cychom.algebra import (
     two_sided_ideal,
     upper_triangular,
 )
+from cychom import config
 from cychom.cyclic import (
     CyclicComplexWindow,
     cyclic_complex,
@@ -37,10 +38,11 @@ from cychom.errors import (
     DegreeTooLow,
     NonUnital,
     NotMultiplicative,
+    SizeOverflow,
     ValidationError,
 )
 from cychom.groups import cyclic_group, group_algebra, symmetric_group_3
-from cychom.hochschild import bar_complex, hh, homotopy_s
+from cychom.hochschild import bar_complex, center_action, hh, homotopy_s
 from cychom.linalg import SparseMatrix, Subspace, homology, induced_map, \
     vec_add, vec_axpy, vec_equal, vec_sub
 
@@ -249,6 +251,26 @@ def test_negative_degrees_are_rejected():
             call()
 
 
+_DEGREE_CALLS = {
+    "s_matrix": s_matrix,
+    "operator_S": lambda w, n: operator_S(w, n, {}),
+    "i_matrix": i_matrix,
+    "tuple_of": lambda w, n: w.hochschild_window.tuple_of(n, 0),
+    "index_of": lambda w, n: w.hochschild_window.index_of(n, (0, 0)),
+    "center_action": lambda w, n: center_action(
+        w.hochschild_window, {0: 1}, n),
+}
+
+
+@pytest.mark.parametrize("n", [2.0, True, "1"])
+@pytest.mark.parametrize("call", sorted(_DEGREE_CALLS))
+def test_a_degree_that_is_not_an_int_is_refused(call, n):
+    # True would pass for degree 1 and 2.0 for degree 2 in a range test
+    w = cyclic_complex(truncated_polynomial(2), 3)
+    with pytest.raises(ValidationError, match="must be an int"):
+        _DEGREE_CALLS[call](w, n)
+
+
 def test_nonunital_algebra_is_rejected():
     Z = FDAlgebra(1, 1, {}, labels=["x"])
     with pytest.raises(NonUnital):
@@ -420,6 +442,14 @@ def test_hp_examples_through_the_radical():
             hp(upper_triangular(2)).odd_dim) == (2, 0)
     assert (hp(matrix_algebra(ground_field(), 2)).even_dim,
             hp(matrix_algebra(ground_field(), 2)).odd_dim) == (1, 0)
+
+
+def test_a_limit_set_in_config_reaches_the_whole_call_tree(monkeypatch):
+    # the radical route builds the 4-dimensional semisimple quotient
+    M2 = matrix_algebra(ground_field(), 2)
+    monkeypatch.setattr(config, "DEFAULT_DIM_CAP", 3)
+    with pytest.raises(SizeOverflow):
+        hp(M2)
 
 
 def test_hp_both_modes_agree_on_truncated_polynomials():

@@ -26,7 +26,7 @@ from cychom.algebra import (
 from cychom.chern import CyclicChain, _adjoined_unit_scalars, \
     _extend_cycle, chern_idempotent, chern_invertible, idempotent_rep, \
     invertible_rep
-from cychom.config import BUDGET_ENV_VAR, Budget, default_budget
+from cychom.config import BUDGET_ENV_VAR, default_budget
 from cychom.cyclic import cyclic_complex, direct_sum_check, hc, hp, \
     induced_map_hc, operator_B, sbi_check
 from cychom.errors import NonUnital, NotMultiplicative, SizeOverflow, ValidationError
@@ -274,10 +274,10 @@ def test_a_bad_degree_bound_is_a_validation_error(entry, value):
         _degree_bound_calls()[entry](value)
 
 
-def test_window_size_budget():
+def test_window_size_budget(monkeypatch):
+    monkeypatch.setenv(BUDGET_ENV_VAR, "1000")
     with pytest.raises(SizeOverflow):
-        bar_complex(matrix_algebra(ground_field(), 2), 5,
-                    budget=Budget(max_chain_dim=1000))
+        bar_complex(matrix_algebra(ground_field(), 2), 5)
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-3"])

@@ -1,6 +1,6 @@
 """Source hygiene: every definition in cychom has a caller, every
-parameter is read, every import is used, and no floating point enters the
-package.
+parameter is read, every import is used, every limit is set in config, and
+no floating point enters the package.
 
 A private function, class or method that nothing else in the package
 refers to is dead code, and so is a public one that nothing in the
@@ -11,6 +11,9 @@ still counts as unused.  Likewise a parameter that the body never reads,
 or reads only to default it (``x = x or default``), is a knob nothing
 turns, and an import whose name the module neither loads nor lists in
 ``__all__`` is left over from deleted code.
+
+Resource limits live in ``config``: no function takes a ``budget``
+parameter and no other module builds a ``Budget``.
 
 Exact arithmetic is the package's contract, so its source holds no float
 literal, no ``float(...)`` call and no ``math`` function outside the
@@ -170,3 +173,21 @@ def test_no_floating_point():
             if what:
                 found.append("%s:%d %s" % (path.name, node.lineno, what))
     assert not found, "floating point in the exact package: %s" % found
+
+
+def test_limits_are_read_in_one_place():
+    # a per-call limit reaches only the calls that forward it; the limit
+    # checks read config.default_budget() when they run instead
+    found = []
+    for path, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                if any(param.arg == "budget" for param in
+                       args.posonlyargs + args.args + args.kwonlyargs):
+                    found.append("%s:%d %s(budget)"
+                                 % (path.name, node.lineno, node.name))
+            elif (type(node) is ast.Call and _reference(node.func) == "Budget"
+                  and path.name != "config.py"):
+                found.append("%s:%d Budget(...)" % (path.name, node.lineno))
+    assert not found, "limits set outside config: %s" % found

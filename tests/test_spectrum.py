@@ -17,7 +17,7 @@ from cychom.algebra import (
     two_sided_ideal,
     upper_triangular,
 )
-from cychom.config import Budget
+from cychom import config
 from cychom.cyclic import hc
 from cychom.errors import (
     AmbientMismatch,
@@ -478,10 +478,12 @@ def test_blocks_of_dual_numbers_form_one_point():
     assert point.contains_subspace(report.radical)
 
 
-def test_splitting_search_respects_the_field_bound():
+def test_splitting_search_respects_the_field_bound(monkeypatch):
     A = group_algebra(cyclic_group(5))
-    with pytest.raises(SplittingFieldTooLarge):
-        wedderburn_blocks(A, budget=Budget(max_field_order=4))
+    with monkeypatch.context() as m:
+        m.setattr(config, "DEFAULT_MAX_FIELD_ORDER", 4)
+        with pytest.raises(SplittingFieldTooLarge):
+            wedderburn_blocks(A)
     report = wedderburn_blocks(A)
     assert report.field_order == 5
     assert report.sizes == (1, 1, 1, 1, 1)
@@ -821,3 +823,6 @@ def test_extending_scalars_keeps_homology_dimensions(homology, A, order, n_max):
     AK = extend_scalars(A, order)
     assert AK.field.order == order
     assert homology(AK, n_max).dims == homology(A, n_max).dims
+    # True == 1 would pass an equality test and return A unchanged
+    with pytest.raises(ValidationError, match="field order"):
+        extend_scalars(A, True)
