@@ -26,7 +26,7 @@ from .errors import (
 )
 from .groups import cyclic_group, group_algebra
 from .hochschild import _tensor_chain_matrix
-from .linalg import vec_equal, vec_is_zero
+from .linalg import vec_equal
 from .scalars import Cyclotomic
 
 ORDER_SEARCH_LIMIT = 24
@@ -60,7 +60,7 @@ class CyclicChain:
     def is_cycle(self) -> bool:
         if self.degree == 0:
             return True
-        return vec_is_zero(self.window.totals[self.degree].mat_vec(self.chain))
+        return self.window.totals[self.degree].annihilates(self.chain)
 
     def equals(self, other: "CyclicChain") -> bool:
         return (self.degree == other.degree

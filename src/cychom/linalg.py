@@ -2,10 +2,11 @@
 
 Vectors are dicts {index: raw scalar} that never store zeros; matrices hold
 sparse rows plus an explicit shape and field.  Raw scalars are whatever the
-field objects in scalars.py operate on: coefficient tuples over a cyclotomic
-field, and over Q an int when integral, else a Fraction, never a float.
-``to_raw`` and the reduced rows of an elimination follow that rule; an
-integral Fraction that arithmetic leaves behind is accepted everywhere.
+field objects in scalars.py operate on: over Q an int when integral, else a
+Fraction, never a float; over Q(zeta_m) a coefficient tuple whose entries
+follow the same rule.  ``to_raw`` and the reduced rows of an elimination
+follow it on either field; an integral Fraction that arithmetic leaves
+behind is accepted everywhere.
 
 Elimination is fraction-free: rows are rescaled to integer content 1 and
 combined by cross-multiplication, which keeps entry growth polynomial without
@@ -14,8 +15,9 @@ the row adapter's ``prim`` is the only entry point for input rows; everything
 after it works on primitive integer rows, so ``combine`` never meets a
 Fraction.  A Q(zeta_m) matrix whose entries all lie in Q takes that route on
 first coefficients; only one with an irrational entry is eliminated on
-coefficient tuples.  Combining a row with a pivot row changes its support only
-at the pivot row's columns, which is all the column index has to revisit.
+coefficient tuples, which its ``prim`` likewise makes integer tuples.
+Combining a row with a pivot row changes its support only at the pivot
+row's columns, which is all the column index has to revisit.
 Pivots follow a cheapest-column-first order through a lazy heap, and the
 matrix is first split into connected components of its row/column incidence
 graph.  The greedy order inside a component does not depend on the other
@@ -115,8 +117,8 @@ def sparse_to_dense(v: dict, n: int, field: _FieldBase) -> list:
 def to_raw(value, field: _FieldBase):
     """Accept Cyclotomic, Fraction, int, or a tuple of field.degree rationals.
 
-    A bool is refused like a float.  Over Q an integral value comes back as
-    an int, any other rational as a Fraction.
+    A bool is refused like a float.  An integral rational comes back as an
+    int, any other as a Fraction, also inside a coefficient tuple.
     """
     if isinstance(value, bool):
         raise ValidationError(f"{value!r} is a bool, not a scalar")
@@ -130,8 +132,6 @@ def to_raw(value, field: _FieldBase):
             return lift_raw(value.raw, field_of_order(order), field)
         value = value.raw
     if isinstance(value, (int, Fraction)):
-        if field.order == 1:
-            return value.numerator if value.denominator == 1 else value
         return field.from_rational(value)
     if (field.order > 1 and isinstance(value, tuple)
             and len(value) == field.degree
@@ -214,36 +214,39 @@ class _RatCycRows(_IntRows):
         return _IntRows.prim({j: e[0] for j, e in row.items()})
 
     def monic(self, row: dict, c) -> dict:
-        piv = row[c]
-        return {j: self.field.from_rational(Fraction(v, piv))
-                for j, v in row.items()}
+        pad = self.field.zero[1:]
+        return {j: (q,) + pad for j, q in _IntRows.monic(row, c).items()}
 
 
 class _CycRows:
     """Order-m rows with an irrational entry (and the reference route for
-    ``_RatCycRows``): Fraction tuples, normalized by rational content."""
+    ``_RatCycRows``): coefficient tuples, divided by their rational content
+    into integer tuples, so ``combine`` does integer arithmetic."""
 
     def __init__(self, field: _FieldBase):
         self.field = field
 
     def prim(self, row: dict) -> dict:
-        if not row:
-            return row
-        den = 1
-        num = 0
+        """The row over its content gcd(numerators) / lcm(denominators),
+        signed so that the first coefficient at the lowest column is
+        positive: int tuples whose coefficients have gcd 1."""
+        den, num, ints = 1, 0, True
         for entry in row.values():
             for fr in entry:
                 if fr:
-                    den = den * fr.denominator // gcd(den, fr.denominator)
+                    if type(fr) is not int:
+                        ints = False
+                        den = den * fr.denominator // gcd(den, fr.denominator)
                     num = gcd(num, fr.numerator)
         if not num:
             return {}
-        first = row[min(row)]
-        lead = next(fr for fr in first if fr)
-        scale = Fraction(den, num if lead > 0 else -num)
-        if scale == 1:
+        if next(fr for fr in row[min(row)] if fr) < 0:
+            num = -num
+        if ints and num == 1:
             return dict(row)
-        return {j: tuple(fr * scale for fr in entry) for j, entry in row.items()}
+        return {j: tuple(fr.numerator * (den // fr.denominator) // num
+                         for fr in entry)
+                for j, entry in row.items()}
 
     def combine(self, r: dict, p: dict, c) -> dict:
         f = self.field
@@ -261,8 +264,9 @@ class _CycRows:
         return self.prim(out)
 
     def monic(self, row: dict, c) -> dict:
-        inv = self.field.inv(row[c])
-        return {j: self.field.mul(inv, v) for j, v in row.items()}
+        f = self.field
+        inv = f.inv(row[c])
+        return {j: f.from_coeffs(f.mul(inv, v)) for j, v in row.items()}
 
 
 def _adapter(field: _FieldBase, rows: list[dict]):
@@ -580,6 +584,29 @@ class SparseMatrix:
                 raise AmbientMismatch(f"index {j} outside {self.ncols} columns")
             vec_axpy(out, x, cols[j], self.field)
         return out
+
+    def annihilates(self, v: dict) -> bool:
+        """Whether self @ v = 0, without forming the product: v is scaled to
+        its primitive multiple (over Q(zeta_m) an integer tuple vector), which
+        leaves the answer as it is, and the rows are read in order up to the
+        first nonzero entry of the product."""
+        for j in v:
+            if not 0 <= j < self.ncols:
+                raise AmbientMismatch(f"index {j} outside {self.ncols} columns")
+        field = self.field
+        if field.order == 1:
+            w = _IntRows.prim(v)
+            return not any(sum(c * w[j] for j, c in row.items() if j in w)
+                           for row in self.rows)
+        w = _CycRows(field).prim(v)
+        for row in self.rows:
+            total = field.zero
+            for j, c in row.items():
+                if j in w:
+                    total = field.add(total, field.mul(c, w[j]))
+            if not field.is_zero(total):
+                return False
+        return True
 
     def product_trace(self, other: "SparseMatrix"):
         """The trace of self . other, without forming the product."""

@@ -1,9 +1,13 @@
 """Exact scalars: rationals and cyclotomic extensions Q(zeta_m).
 
 An element of Q(zeta_m) is kept as its reduced coefficient tuple in the power
-basis 1, z, ..., z^(phi(m)-1) modulo the m-th cyclotomic polynomial, with
-Fraction coefficients.  Reduction is canonical, so two scalars of the same
-order are equal exactly when their tuples are equal.  No rounding ever occurs.
+basis 1, z, ..., z^(phi(m)-1) modulo the m-th cyclotomic polynomial.  Each
+coefficient follows the rule for Q: an int when integral, else a Fraction.
+``from_coeffs`` and ``inv`` return values in that form; other arithmetic may
+leave an integral Fraction behind, which equals and hashes like the int, so
+tuples compare and hash the same either way.  Reduction is canonical, so two
+scalars of the same order are equal exactly when their tuples are equal.  No
+rounding ever occurs: the only true divisions have a Fraction operand.
 
 The hot linear-algebra paths do not want a wrapper object per entry, so the
 arithmetic lives in field objects operating on raw values (an int or a
@@ -20,8 +24,14 @@ from math import lcm
 
 from .errors import DivisionByZero, FieldMismatch, ParseError, check_int
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+def _exact(c):
+    """A rational as an int when integral, else as a Fraction."""
+    if type(c) is int:
+        return c
+    if not isinstance(c, Fraction):
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def divisors(n: int) -> list[int]:
@@ -82,8 +92,7 @@ class _FieldBase:
     # is_zero, to_coeffs, from_coeffs, scale.
 
     def from_rational(self, q) -> object:
-        q = q if isinstance(q, Fraction) else Fraction(q)
-        return self.from_coeffs((q,) + (_ZERO,) * (self.degree - 1))
+        return self.from_coeffs((q,) + (0,) * (self.degree - 1))
 
     def pow(self, a, n: int):
         if n < 0:
@@ -96,8 +105,8 @@ class _FieldBase:
 
 class _RationalField(_FieldBase):
     """Q on raw values that are an int when integral, else a Fraction (see
-    linalg); ``inv`` and ``from_coeffs`` follow that rule.  The one true
-    division is ``inv``'s ``1 / Fraction(a)``, so no float can appear."""
+    linalg); ``inv`` and ``from_coeffs`` follow that rule.  ``inv`` divides
+    with a Fraction operand, so no float can appear."""
 
     order = 1
     degree = 1
@@ -124,8 +133,7 @@ class _RationalField(_FieldBase):
     def inv(a):
         if not a:
             raise DivisionByZero("inverse of zero")
-        q = 1 / Fraction(a)
-        return q.numerator if q.denominator == 1 else q
+        return _exact(1 / Fraction(a))
 
     @staticmethod
     def conj(a):
@@ -137,12 +145,11 @@ class _RationalField(_FieldBase):
 
     @staticmethod
     def to_coeffs(a):
-        return (a if isinstance(a, Fraction) else Fraction(a),)
+        return (a,)
 
     @staticmethod
     def from_coeffs(coeffs):
-        c = coeffs[0]
-        return c.numerator if c.denominator == 1 else c
+        return _exact(coeffs[0])
 
     @staticmethod
     def scale(a, q):
@@ -155,23 +162,23 @@ class _CyclotomicFieldRaw(_FieldBase):
         phi_poly = cyclotomic_polynomial(m)
         d = len(phi_poly) - 1
         self.degree = d
-        self.zero = (_ZERO,) * d
-        self.one = (_ONE,) + (_ZERO,) * (d - 1)
-        # z^(d+k) reduced, for k = 0 .. d-2, as dense Fraction tuples.
-        red: list[tuple[Fraction, ...]] = []
-        base = [Fraction(-c) for c in phi_poly[:d]]  # z^d = -(lower part)
+        self.zero = (0,) * d
+        self.one = (1,) + (0,) * (d - 1)
+        # z^(d+k) reduced, for k = 0 .. d-2, as dense int tuples.
+        red: list[tuple[int, ...]] = []
+        base = [-c for c in phi_poly[:d]]  # z^d = -(lower part)
         red.append(tuple(base))
         for _ in range(d - 2):
             prev = red[-1]
-            shifted = [_ZERO] + list(prev[: d - 1])
+            shifted = [0] + list(prev[: d - 1])
             top = prev[d - 1]
             if top:
                 shifted = [s + top * b for s, b in zip(shifted, base)]
             red.append(tuple(shifted))
         self._red = red
         # zeta^j for j in 0..m-1, reduced.
-        pows: list[tuple[Fraction, ...]] = [self.one]
-        gen = (_ZERO, _ONE) + (_ZERO,) * (d - 2) if d >= 2 else tuple(base)
+        pows: list[tuple[int, ...]] = [self.one]
+        gen = (0, 1) + (0,) * (d - 2) if d >= 2 else tuple(base)
         for _ in range(m - 1):
             pows.append(self.mul(pows[-1], gen))
         self.zeta_pow = pows
@@ -194,7 +201,7 @@ class _CyclotomicFieldRaw(_FieldBase):
             y = b[0]
             return tuple(x * y for x in a)
         d = self.degree
-        conv = [_ZERO] * (2 * d - 1)
+        conv = [0] * (2 * d - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
@@ -203,7 +210,7 @@ class _CyclotomicFieldRaw(_FieldBase):
         for t in range(2 * d - 2, d - 1, -1):
             c = conv[t]
             if c:
-                conv[t] = _ZERO
+                conv[t] = 0
                 for idx, val in enumerate(self._red[t - d]):
                     if val:
                         conv[idx] += c * val
@@ -213,28 +220,28 @@ class _CyclotomicFieldRaw(_FieldBase):
         if self.is_zero(a):
             raise DivisionByZero("inverse of zero")
         # Extended Euclid in Q[x] against Phi_m (irreducible over Q).
-        r0 = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
+        r0 = list(cyclotomic_polynomial(self.order))
         r1 = _poly_trim(list(a))
-        s0, s1 = [], [_ONE]  # coefficients of a in the Bezout combination
+        s0, s1 = [], [1]  # coefficients of a in the Bezout combination
         while len(r1) > 1:
             # divide r0 by r1
-            quot = [_ZERO] * (len(r0) - len(r1) + 1)
+            quot = [0] * (len(r0) - len(r1) + 1)
             rem = list(r0)
             lead = r1[-1]
             for k in range(len(rem) - len(r1), -1, -1):
-                c = rem[k + len(r1) - 1] / lead
+                c = Fraction(rem[k + len(r1) - 1], lead)
                 if c:
                     quot[k] = c
                     for i, rc in enumerate(r1):
                         rem[k + i] -= c * rc
             rem = _poly_trim(rem)
             # s2 = s0 - quot*s1
-            prod = [_ZERO] * (len(quot) + len(s1) - 1)
+            prod = [0] * (len(quot) + len(s1) - 1)
             for i, qc in enumerate(quot):
                 if qc:
                     for j, sc in enumerate(s1):
                         prod[i + j] += qc * sc
-            s2 = [_ZERO] * max(len(s0), len(prod))
+            s2 = [0] * max(len(s0), len(prod))
             for i, c in enumerate(s0):
                 s2[i] += c
             for i, c in enumerate(prod):
@@ -244,15 +251,15 @@ class _CyclotomicFieldRaw(_FieldBase):
         if not r1:
             raise DivisionByZero("inverse of zero")
         g = r1[0]
-        out = [c / g for c in s1]
-        out += [_ZERO] * (self.degree - len(out))
-        return tuple(out[: self.degree])
+        out = [Fraction(c, g) for c in s1]
+        out += [0] * (self.degree - len(out))
+        return self.from_coeffs(out[: self.degree])
 
     def conj(self, a):
         m = self.order
         if m <= 2:
             return a
-        out = [_ZERO] * self.degree
+        out = [0] * self.degree
         for k, c in enumerate(a):
             if c:
                 for idx, val in enumerate(self.zeta_pow[(m - k) % m]):
@@ -270,7 +277,7 @@ class _CyclotomicFieldRaw(_FieldBase):
 
     @staticmethod
     def from_coeffs(coeffs):
-        return tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
+        return tuple(map(_exact, coeffs))
 
     @staticmethod
     def scale(a, q):
@@ -292,20 +299,19 @@ def lift_raw(a, src: _FieldBase, dst: _FieldBase):
         raise FieldMismatch(
             f"cannot embed order {src.order} into order {dst.order}")
     step = dst.order // src.order
-    coeffs = src.to_coeffs(a)
     out = dst.zero
-    for j, c in enumerate(coeffs):
+    for j, c in enumerate(src.to_coeffs(a)):
         if c:
-            out = dst.add(out, dst.scale(dst.zeta_pow[(j * step) % dst.order], c)) \
-                if dst.order > 1 else dst.add(out, c)
-    return out
+            out = dst.add(out, dst.scale(dst.zeta_pow[j * step], c))
+    return dst.from_coeffs(out)
 
 
 class Cyclotomic:
     """Immutable element of Q(zeta_m).
 
     order   the m of Q(zeta_m); 1 means a plain rational
-    coeffs  reduced coefficient tuple in the power basis, length phi(m)
+    coeffs  reduced coefficient tuple in the power basis, length phi(m),
+            each coefficient an int when integral, else a Fraction
     """
 
     __slots__ = ("order", "coeffs", "_hash")
@@ -319,7 +325,7 @@ class Cyclotomic:
         elif isinstance(value, (int, Fraction)):
             coeffs = field.to_coeffs(field.from_rational(value))
         else:
-            seq = tuple(Fraction(c) for c in value)
+            seq = tuple(map(_exact, value))
             if len(seq) != field.degree:
                 raise ValueError(
                     f"order {order} needs {field.degree} coefficients, got {len(seq)}")
@@ -427,7 +433,7 @@ class Cyclotomic:
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.coeffs[0])
 
     def lift(self, order: int) -> "Cyclotomic":
         """Embed into Q(zeta_order); order must be a multiple of self.order."""
@@ -447,7 +453,7 @@ class Cyclotomic:
             sol = SparseMatrix.from_columns(cols, self.field.degree,
                                             field_of_order(1)).solve(target)
             if sol is not None:
-                return (d, tuple(sol.get(j, _ZERO) for j in range(sub.degree)))
+                return (d, tuple(sol.get(j, 0) for j in range(sub.degree)))
         return (self.order, self.coeffs)
 
     def __eq__(self, other):

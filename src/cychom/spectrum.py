@@ -219,18 +219,20 @@ def wedderburn_blocks(A: FDAlgebra) -> SpectrumReport:
     The center of the semisimple part is factored into primitive
     idempotents; when that needs a larger cyclotomic field the whole
     computation moves there automatically, trying orders in increasing
-    multiples of the base order up to config.DEFAULT_MAX_FIELD_ORDER.
+    multiples of the base order up to config.DEFAULT_MAX_FIELD_ORDER.  An
+    order m = 2k with k odd and a multiple of the base order is skipped:
+    Q(zeta_m) = Q(zeta_k), which was already tried.
     """
     max_order = default_budget().max_field_order
     if not A.is_unital:
         raise NonUnital("block decomposition needs a unital algebra")
     step = A.field_order
-    order = step
-    while order <= max_order:
+    for order in range(step, max_order + 1, step):
+        if order % 4 == 2 and (order // 2) % step == 0:
+            continue
         report = _blocks_over(extend_scalars(A, order))
         if report is not None:
             return report
-        order += step
     raise SplittingFieldTooLarge(
         "center did not split over cyclotomic orders up to %d" % max_order)
 

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from cychom.chern import (
+    CyclicChain,
     chern_idempotent,
     chern_invertible,
     idempotent_rep,
@@ -40,6 +41,19 @@ def test_trivial_idempotent_pairs_to_its_rank():
     trace = dict(enumerate(QZ5.trace_vector()))
     for q in (0, 1, 2):
         assert pair_with_trace(chern_idempotent(e, q), trace) == 1
+
+
+def test_changing_one_coordinate_breaks_the_cycle():
+    QZ5 = _qz(5)
+    ch = chern_idempotent(idempotent_rep(QZ5, [[_trivial_character(5)]]), 2).chain
+    assert ch.is_cycle()
+    field = ch.window.field
+    cols = ch.window.totals[ch.degree].columns()
+    # a coordinate the differential sees, so the change cannot cancel
+    k = next(k for k in sorted(ch.chain) if cols[k])
+    for value in (field.add(ch.chain[k], field.one), field.neg(ch.chain[k])):
+        broken = CyclicChain(ch.window, ch.degree, {**ch.chain, k: value})
+        assert not broken.is_cycle()
 
 
 def test_pairing_is_additive_on_block_sums():

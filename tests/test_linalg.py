@@ -157,7 +157,11 @@ def _random_raw_rows(rng, field, nrows, ncols, rational=False):
                 coeffs += [0] * (field.degree - len(coeffs))
                 value = Cyclotomic(coeffs, order) * scale
                 if value:
-                    raw = value.raw
+                    # arithmetic may leave integral Fractions behind: over Q
+                    # half the integral entries are ints, over Q(zeta_m)
+                    # every coefficient is a Fraction
+                    raw = F(value.raw) if order == 1 \
+                        else tuple(map(F, value.raw))
                     if order == 1 and raw.denominator == 1 and rng.random() < 0.5:
                         raw = raw.numerator
                     row[j] = raw
@@ -194,6 +198,36 @@ def test_reduced_rows_matches_dense_oracle_random(order, rational):
             assert row[p] == field.one, trial
         for p in pivots:
             assert sum(p in row for row in rows) == 1, trial
+
+
+@pytest.mark.parametrize("order", [1, 3])
+def test_annihilates_matches_the_product(order):
+    # the oracle forms M @ v through the columns; annihilates scales v to an
+    # integer vector and reads rows
+    field = field_of_order(order)
+    rng = random.Random(700 + order)
+    verdicts = set()
+    for trial in range(40):
+        ncols = rng.randint(1, 7)
+        rows = _random_raw_rows(rng, field, rng.randint(1, 6), ncols)
+        M = SparseMatrix(len(rows), ncols, field, rows=rows)
+        cycle = {}
+        for k in M.kernel_basis():
+            c = Cyclotomic([F(rng.randint(-9, 9), rng.randint(1, 7))
+                            for _ in range(field.degree)], order).raw
+            vec_axpy(cycle, c, k, field)
+        other = _random_raw_rows(rng, field, 1, ncols)[0]
+        for v in (cycle, other, {}):
+            v = {j: F(x) if order == 1 else tuple(map(F, x))
+                 for j, x in v.items()}
+            expected = vec_is_zero(M.mat_vec(v))
+            assert M.annihilates(v) == expected, trial
+            verdicts.add((bool(v), expected))
+        assert M.annihilates(cycle), trial
+    assert verdicts == {(False, True), (True, True), (True, False)}
+    for index in (-1, 3):
+        with pytest.raises(AmbientMismatch):
+            SparseMatrix.identity(3, field).annihilates({0: field.one, index: field.one})
 
 
 def _spy_routes(monkeypatch) -> list:

@@ -266,6 +266,73 @@ def test_integral_rationals_come_back_as_ints():
     assert Q.inv(3) == F(1, 3)
 
 
+def _exact_types(raw) -> bool:
+    """Every coefficient an int when integral, else a Fraction."""
+    return all(type(c) is int or (type(c) is F and c.denominator != 1)
+               for c in raw)
+
+
+def test_cyclotomic_field_keeps_integral_coefficients_as_ints():
+    for m in (3, 4, 5, 7, 8, 12):
+        field = field_of_order(m)
+        assert _exact_types(field.zero) and _exact_types(field.one)
+        assert all(_exact_types(z) for z in field.zeta_pow)
+        assert field.from_coeffs((F(4, 2),) + (F(1, 2),) * (field.degree - 1)) \
+            == (2,) + (F(1, 2),) * (field.degree - 1)
+        assert _exact_types(field.from_coeffs((F(4, 2),) * field.degree))
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 7, 8, 12])
+def test_inverse_of_int_tuples_is_exact(m):
+    # int / int would be a float; inv must stay on ints and Fractions
+    field = field_of_order(m)
+    rng = random.Random(1000 + m)
+    for _ in range(10):
+        a = tuple(rng.randint(-4, 4) for _ in range(field.degree))
+        if not any(a):
+            continue
+        inv = field.inv(a)
+        assert _exact_types(inv)
+        assert field.mul(a, inv) == field.one
+    assert field.inv(field.one) == field.one
+    assert _exact_types(field.inv(field.zeta_pow[1]))
+
+
+def test_cyclotomic_coefficients_have_one_representation():
+    for m in (1, 3, 8):
+        deg = field_of_order(m).degree
+        seq = [F(4, 2)] + [F(1, 2)] * (deg - 1)
+        built = Cyclotomic(seq, m)
+        # repr tells an int coefficient from an integral Fraction
+        assert repr(built.coeffs) == repr(Cyclotomic.from_raw(built.raw, m).coeffs)
+        assert [type(c) for c in built.coeffs] == [int] + [F] * (deg - 1)
+        assert repr(Cyclotomic([2] + seq[1:], m).coeffs) == repr(built.coeffs)
+    assert Cyclotomic(F(6, 3)).coeffs == (2,) and type(Cyclotomic(F(6, 3)).raw) is int
+
+
+def test_as_fraction_returns_a_fraction_for_an_int_coefficient():
+    for value in (Cyclotomic(3), Cyclotomic(3, 5), Cyclotomic.zeta(3) ** 3,
+                  Cyclotomic([F(-6, 3), 0], 3)):
+        q = value.as_fraction()
+        assert type(q) is F and q == value.coeffs[0]
+    assert type(Cyclotomic.rational(F(1, 2)).as_fraction()) is F
+
+
+def test_int_and_fraction_tuples_compare_and_hash_alike():
+    field = field_of_order(3)
+    ints, fracs = (2, -1), (F(2), F(-1))
+    assert ints == fracs and hash(ints) == hash(fracs)
+    assert field.add(ints, field.zero) == field.add(fracs, field.zero)
+    assert {ints: 1}[fracs] == 1
+    a, b = Cyclotomic(ints, 3), Cyclotomic(fracs, 3)
+    assert a == b and hash(a) == hash(b)
+    # arithmetic may leave integral Fractions behind; they equal the ints
+    left = field.scale(field.one, F(2, 2))
+    assert type(left[0]) is F and left == field.one
+    assert hash(left) == hash(field.one)
+    assert Cyclotomic(2, 3) == 2 and hash(Cyclotomic(2, 3)) == hash(F(2))
+
+
 # -- dispatcher -----------------------------------------------------------------
 
 def test_field_arith_dispatch():

@@ -17,7 +17,9 @@ parameter and no other module builds a ``Budget``.
 
 Exact arithmetic is the package's contract, so its source holds no float
 literal, no ``float(...)`` call and no ``math`` function outside the
-integer-valued ones.
+integer-valued ones.  Scalars are ints wherever they are integral, and
+``int / int`` is a float, so every true division has a ``Fraction(...)``
+call as an operand.
 """
 
 import ast
@@ -152,12 +154,21 @@ def test_every_parameter_is_read():
     assert not unread, "parameters nothing reads: %s" % unread
 
 
+def _is_fraction_call(node) -> bool:
+    return type(node) is ast.Call and _reference(node.func) == "Fraction"
+
+
 def test_no_floating_point():
     found = []
     for path, tree in _trees():
         for node in ast.walk(tree):
             kind = type(node)
-            if kind is ast.Constant and isinstance(node.value, (float, complex)):
+            if kind in (ast.BinOp, ast.AugAssign) and type(node.op) is ast.Div:
+                operands = (node.left, node.right) if kind is ast.BinOp \
+                    else (node.target, node.value)
+                what = "" if any(map(_is_fraction_call, operands)) \
+                    else "/ without a Fraction(...) operand"
+            elif kind is ast.Constant and isinstance(node.value, (float, complex)):
                 what = "literal %r" % node.value
             elif (kind is ast.Call and type(node.func) is ast.Name
                   and node.func.id == "float"):

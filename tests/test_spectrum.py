@@ -489,6 +489,28 @@ def test_splitting_search_respects_the_field_bound(monkeypatch):
     assert report.sizes == (1, 1, 1, 1, 1)
 
 
+def test_splitting_search_skips_an_order_it_has_tried(monkeypatch):
+    # Q(zeta_2) = Q and Q(zeta_6) = Q(zeta_3): an order 2k with k odd
+    # repeats the attempt at k
+    from cychom import spectrum
+    A = group_algebra(cyclic_group(5))
+    tried = []
+
+    def spy(B, order):
+        tried.append(order)
+        return extend_scalars(B, order)
+
+    monkeypatch.setattr(spectrum, "extend_scalars", spy)
+    report = wedderburn_blocks(A)
+    assert tried == [1, 3, 4, 5]
+    direct = spectrum._blocks_over(extend_scalars(A, 5))
+    assert report.field_order == direct.field_order == 5
+    assert report.sizes == direct.sizes == (1, 1, 1, 1, 1)
+    assert report.blocks == direct.blocks
+    assert [c.basis for c in report.central_characters] == \
+        [c.basis for c in direct.central_characters]
+
+
 def test_block_decomposition_requires_a_unit():
     strict = ideal_as_algebra(jacobson_radical(upper_triangular(2)))[0]
     with pytest.raises(NonUnital):
