@@ -380,33 +380,41 @@ def bar_complex(A: FDAlgebra, n_max: int, variant: str = "b",
 
 
 def _boundary_matrix(slots, left, right, last_face, n, dims, field):
+    """The degree-n boundary, written as rows.  Each word's interior faces
+    are computed once per block; the columns are then visited with slot-0
+    values outside and words inside, which is increasing column order, so
+    every row holds its entries in increasing column order."""
     f_of, imul = slots.interior, slots.imul
     rank, start = slots.ranks(n - 1), slots.starts(n - 1)
     own = slots.starts(n)
-    cols = [None] * dims[n]
+    rows = [{} for _ in range(dims[n - 1])]
     for values, words in slots.blocks(n):
-        for j, u in enumerate(words):
+        faces = []
+        for u in words:
             # interior faces: adjacent factors multiply, slot 0 rides along
             inner = {}
             for i in range(1, n):
                 for k, c in imul[u[i - 1]][u[i]].items():
                     add_term(inner, rank[u[:i - 1] + (k,) + u[i + 1:]],
                              field.neg(c) if i % 2 else c, field)
-            first, tail = right[f_of[u[0]]], rank[u[1:]]
-            last, head = left[f_of[u[-1]]], rank[u[:-1]]
-            # the slot-0 values of the word's block
-            for s in values:
-                out = {start[s] + r: c for r, c in inner.items()}
+            faces.append((inner, right[f_of[u[0]]], rank[u[1:]],
+                          left[f_of[u[-1]]], rank[u[:-1]]))
+        # the slot-0 values of the words' block
+        for s in values:
+            for j, (inner, first, tail, last, head) in enumerate(faces):
+                col = own[s] + j
+                base = start[s]
+                for r, c in inner.items():
+                    rows[base + r][col] = c
                 # face 0: multiply the first interior factor into slot 0
                 for i, c in first[s].items():
-                    add_term(out, start[i] + tail, c, field)
+                    add_term(rows[start[i] + tail], col, c, field)
                 # last face: wrap the final factor around to act on slot 0
                 if last_face:
                     for i, c in last[s].items():
-                        add_term(out, start[i] + head,
+                        add_term(rows[start[i] + head], col,
                                  field.neg(c) if n % 2 else c, field)
-                cols[own[s] + j] = out
-    return SparseMatrix.from_columns(cols, dims[n - 1], field)
+    return SparseMatrix(dims[n - 1], dims[n], field, rows=rows)
 
 
 def homotopy_s(window: ChainComplexWindow, n: int, chain: dict) -> dict:
@@ -590,22 +598,32 @@ def _tensor_chain_matrix(src: ChainComplexWindow, tgt: ChainComplexWindow,
     interior^(x n).  Image chains must be closed walks of tgt: one-state
     targets take any matrices, windows relative to several idempotents
     only those that keep every Peirce piece (a central element's action).
-    Each word's interior image is computed once.  Given chain, a sparse
-    chain of src, it returns the chain's image instead, mapping only the
-    chain's coordinates, whose coefficients it lifts into tgt's field
-    (Chern carriers are over Q, their targets need not be).
+    Each word's interior image is computed once per block, and the matrix
+    is written as rows like _boundary_matrix's, each in increasing column
+    order.  Given chain, a sparse chain of src, it returns the chain's
+    image instead, mapping only the chain's coordinates, whose coefficients
+    it lifts into tgt's field (Chern carriers are over Q, their targets
+    need not be).
     """
     field = tgt.field
     rank, start = tgt.slots.ranks(n), tgt.slots.starts(n)
     own = src.slots.starts(n)
-    weights = dict.fromkeys(range(src.dims[n]), field.one) if chain is None \
-        else {i: lift_raw(c, src.field, field) for i, c in chain.items()}
+    weights = None if chain is None else \
+        {i: lift_raw(c, src.field, field) for i, c in chain.items()}
     sizes = range(len(slot0[0]))
-    out, cols = {}, [None] * src.dims[n]
+
+    def close(col, matrix, image):
+        # slot 0 closes each path, from its end p back to its start q
+        for q, p, r, c in image:
+            for i, a in matrix[p][q].items():
+                add_term(col, start[i] + r, field.mul(a, c), field)
+
+    out, rows = {}, [{} for _ in range(tgt.dims[n])] if chain is None else []
     for values, words in src.slots.blocks(n):
+        images = {}
         for j, u in enumerate(words):
-            chosen = [s for s in values if own[s] + j in weights]
-            if not chosen:
+            if weights is not None and \
+                    not any(own[s] + j in weights for s in values):
                 continue
             # paths[q, p, w]: the coefficient of the target word w in the
             # interior image of u along the index paths from q to p
@@ -618,20 +636,28 @@ def _tensor_chain_matrix(src: ChainComplexWindow, tgt: ChainComplexWindow,
                             add_term(new, (q, r, w + (k,)), field.mul(c, a),
                                      field)
                 paths = new
-            image = [(q, p, rank[w], c) for (q, p, w), c in paths.items()]
-            for s in chosen:
-                col = {} if chain is None else out
-                weight = weights[own[s] + j]
-                matrix = [[{i: field.mul(weight, a) for i, a in entry.items()}
-                           for entry in row] for row in slot0[s]]
-                # slot 0 closes each path, from its end p back to its start q
-                for q, p, r, c in image:
-                    for i, a in matrix[p][q].items():
-                        add_term(col, start[i] + r, field.mul(a, c), field)
-                cols[own[s] + j] = col
+            images[j] = [(q, p, rank[w], c) for (q, p, w), c in paths.items()]
+        if weights is None:
+            # slot-0 values outside, words inside: increasing column order,
+            # so every row gets its entries in that order
+            for s in values:
+                for j, image in images.items():
+                    col = {}
+                    close(col, slot0[s], image)
+                    for i, c in col.items():
+                        rows[i][own[s] + j] = c
+            continue
+        for j, image in images.items():
+            for s in values:
+                weight = weights.get(own[s] + j)
+                if weight is not None:
+                    close(out, [[{i: field.mul(weight, a)
+                                  for i, a in entry.items()}
+                                 for entry in row] for row in slot0[s]],
+                          image)
     if chain is not None:
         return out
-    return SparseMatrix.from_columns(cols, tgt.dims[n], field)
+    return SparseMatrix(tgt.dims[n], src.dims[n], field, rows=rows)
 
 
 def _phi_slot_maps(phi: AlgebraMap, src: ChainComplexWindow,

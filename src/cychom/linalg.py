@@ -23,10 +23,15 @@ matrix is first split into connected components of its row/column incidence
 graph.  The greedy order inside a component does not depend on the other
 components, so the split leaves the pivots as they are; what it buys is
 peak memory, since only one component's column index and heap are live at
-a time.  None of this affects results: pivots depend only on row supports,
-the same on either route, and the reduced echelon form computed at the end
-is canonical (monic pivots, zeros above and below, pivot columns
-increasing), so every public answer is independent of elimination order.
+a time.  Inside a component the columns with one row are peeled first, the
+first step of structured Gaussian elimination (LaMacchia and Odlyzko,
+CRYPTO '90): the heap order takes them first anyway, lowest index first,
+so a min-heap of those columns over plain per-column counts gives the same
+pivots, and only the rows left over get column index sets.  None of this
+affects results: pivots depend only on row supports, the same on either
+route, and the reduced echelon form computed at the end is canonical
+(monic pivots, zeros above and below, pivot columns increasing), so every
+public answer is independent of elimination order.
 
 Homology takes one row elimination per differential: the pivot rows it
 picks in B mark a complement of im B, the representatives are the kernel of
@@ -288,17 +293,57 @@ def _eliminate_component(rows, adapter, cols=None) -> list[tuple]:
     invertible submatrix.  A pivot row can still hold entries at columns
     pivoted LATER (it is out of play by then), never earlier, so the
     creation order is what back-substitution must walk backwards.  With
-    cols, pivots are taken only in those columns."""
-    col_rows: dict[int, set[int]] = {}
+    cols, pivots are taken only in those columns.
+
+    The pivot loop pops the column with the fewest live rows, lowest index
+    on ties, from a lazy heap of (count, col).  While some column has one
+    live row it pops such a column, and its row becomes a pivot with no
+    combination; retiring that row only lowers counts.  So the loop first
+    peels on plain ints: a count and a sum of row indices per column (the
+    sum is the one row's index once the count is 1) and a min-heap of the
+    columns at count 1.  That gives the loop's own first pivots in its own
+    order, and only the rows left over get column sets and the heap.
+    """
+    # stat[c]: the live rows at c, and the sum of their indices
+    stat: dict[int, list[int]] = {}
     live: dict[int, dict] = {}
     for rid, row in rows:
         live[rid] = row
         for c in row:
             if cols is None or c in cols:
+                e = stat.get(c)
+                if e is None:
+                    stat[c] = [1, rid]
+                else:
+                    e[0] += 1
+                    e[1] += rid
+    pivots: list[tuple] = []
+    ones = [c for c, e in stat.items() if e[0] == 1]
+    heapq.heapify(ones)
+    while ones:
+        c = heapq.heappop(ones)
+        # counts only fall here, so a column is queued once at 1 and is
+        # stale only at 0
+        live_at_c, prid = stat[c]
+        if live_at_c:
+            prow = live.pop(prid)
+            for j in prow:
+                e = stat.get(j)
+                if e is not None:
+                    e[0] -= 1
+                    e[1] -= prid
+                    if e[0] == 1:
+                        heapq.heappush(ones, j)
+            pivots.append((c, prid, prow))
+
+    # every counted column of a leftover row has two live rows or more
+    col_rows: dict[int, set[int]] = {}
+    for rid, row in live.items():
+        for c in row:
+            if c in stat:
                 col_rows.setdefault(c, set()).add(rid)
     heap = [(len(rids), c) for c, rids in col_rows.items()]
     heapq.heapify(heap)
-    pivots: list[tuple] = []
     while heap:
         cnt, c = heapq.heappop(heap)
         rids = col_rows.get(c)
@@ -534,7 +579,13 @@ class SparseMatrix:
             self.rows[i][j] = raw
 
     def paste(self, block: "SparseMatrix", row_off: int, col_off: int) -> None:
-        """Write block's entries with their indices shifted by the offsets."""
+        """Write block's entries with their indices shifted by the offsets;
+        a block that does not fit inside self is refused."""
+        if not (0 <= row_off and row_off + block.nrows <= self.nrows
+                and 0 <= col_off and col_off + block.ncols <= self.ncols):
+            raise AmbientMismatch(
+                f"a {block.nrows}x{block.ncols} block at ({row_off}, "
+                f"{col_off}) does not fit a {self.nrows}x{self.ncols} matrix")
         for i, row in enumerate(block.rows):
             if row:
                 out = self.rows[row_off + i]

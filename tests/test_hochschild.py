@@ -51,7 +51,7 @@ from cychom.linalg import SparseMatrix, Subspace, add_term, homology, \
     induced_map, rref_rows, vec_add, vec_equal
 from cychom.scalars import Cyclotomic, lift_raw
 from cychom.spectrum import extend_scalars
-from cychom.structure import block_idempotents, split_idempotents
+from cychom.structure import block_idempotents, center, split_idempotents
 
 
 def truncated_polynomial_hh_oracle(N, n_max):
@@ -654,6 +654,30 @@ def _trace_oracle(src, n, chain, mats, tgt):
                 if p == start:
                     add_term(out, tgt.index_of(n, word), v, field)
     return out
+
+
+def test_built_rows_hold_their_columns_in_increasing_order():
+    # boundaries and full chain maps are written as rows, visiting the
+    # columns in increasing order
+    F2 = functions_on_points(2)
+    swap = AlgebraMap.from_images(F2, F2, [{1: 1}, {0: 1}],
+                                  multiplicative=True, unital=True)
+    QS3 = group_algebra(symmetric_group_3())
+    T3 = truncated_polynomial(3)
+    walk = hh(QS3, 2).window
+    matrices = [w.boundaries[n] for w in (
+        bar_complex(T3, 3), bar_complex(T3, 3, normalized=True),
+        bar_complex(QS3, 2, normalized=True, blocks=block_idempotents(QS3)),
+        walk, bar_complex(F2, 3, coefficients=twisted_bimodule(F2, swap)))
+        for n in range(1, w.n_max + 1)]
+    matrices += induced_map_hh(swap, 2).chain_maps
+    matrices += tr_star_and_iota(T3, 2, 1).tr_chain
+    matrices += [center_action(walk, z, n)
+                 for z in center(QS3).basis for n in range(3)]
+    assert sum(len(row) > 2 for m in matrices for row in m.rows) > 50
+    for m in matrices:
+        for row in m.rows:
+            assert list(row) == sorted(row)
 
 
 @pytest.mark.parametrize("A, N, n_max", [

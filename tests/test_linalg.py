@@ -5,6 +5,7 @@ directly from the textbook algorithm; the sparse module never sees it.
 Hand-computed fixtures are worked out on paper first.
 """
 
+import heapq
 import random
 from fractions import Fraction
 from itertools import product
@@ -673,3 +674,133 @@ def test_component_split_merges_components_joined_by_a_later_row():
     assert pivots == expected
     assert _sorted_pivots(pivots) == _sorted_pivots(_one_component(indexed, Q))
     assert len(pivots) == 8
+
+
+# -- the singleton peel ------------------------------------------------------
+
+def _heap_only_pivots(rows, adapter, cols=None):
+    """The pivot loop of ``_eliminate_component`` without the peel: every
+    column goes through the lazy (count, col) heap, with its row set, from
+    the start.  The oracle for the peel, which must give the same triples
+    in the same order."""
+    col_rows = {}
+    live = {}
+    for rid, row in rows:
+        live[rid] = row
+        for c in row:
+            if cols is None or c in cols:
+                col_rows.setdefault(c, set()).add(rid)
+    heap = [(len(rids), c) for c, rids in col_rows.items()]
+    heapq.heapify(heap)
+    pivots = []
+    while heap:
+        cnt, c = heapq.heappop(heap)
+        rids = col_rows.get(c)
+        if not rids or cnt != len(rids):
+            continue
+        prid = min(rids, key=lambda rid: (len(live[rid]), rid))
+        prow = live[prid]
+        pcols = prow if cols is None else [j for j in prow if j in cols]
+        for rid in list(rids):
+            if rid == prid:
+                continue
+            old = live[rid]
+            new = adapter.combine(old, prow, c)
+            for j in pcols:
+                if j in old:
+                    if j not in new:
+                        col_rows[j].discard(rid)
+                elif j in new:
+                    col_rows[j].add(rid)
+            if new:
+                live[rid] = new
+            else:
+                del live[rid]
+        del live[prid]
+        for j in pcols:
+            s = col_rows[j]
+            s.discard(prid)
+            if s:
+                heapq.heappush(heap, (len(s), j))
+            else:
+                del col_rows[j]
+        pivots.append((c, prid, prow))
+    return pivots
+
+
+def _assert_peel_matches_the_heap(raw_rows, field, cols=None):
+    adapter = linalg._adapter(field, raw_rows)
+    prepared = [(rid, adapter.prim(row)) for rid, row in enumerate(raw_rows)]
+    prepared = [(rid, row) for rid, row in prepared if row]
+    got = linalg._eliminate_component(prepared, adapter, cols)
+    # repr also sees the entry order and the int / Fraction kinds
+    assert repr(got) == repr(_heap_only_pivots(prepared, adapter, cols))
+    return got
+
+
+def test_peel_matches_the_heap_on_windows():
+    totals, walks = _windows()
+    for rows in totals + walks:
+        _assert_peel_matches_the_heap(rows, Q)
+        ncols = 1 + max((j for row in rows for j in row), default=0)
+        _assert_peel_matches_the_heap(rows, Q, set(range(0, ncols, 2)))
+
+
+@pytest.mark.parametrize("order, rational", [
+    pytest.param(1, False, id="1"),
+    pytest.param(3, False, id="3"),
+    pytest.param(3, True, id="3-rational"),
+])
+def test_peel_matches_the_heap_on_random_rows(order, rational):
+    field = field_of_order(order)
+    rng = random.Random(900 + order + 10 * rational)
+    for _ in range(60):
+        ncols = rng.randint(1, 10)
+        rows = _random_raw_rows(rng, field, rng.randint(1, 10), ncols,
+                                rational)
+        # sparser rows too, so that columns with one row are common
+        rows += [{j: v for j, v in row.items() if rng.random() < 0.4}
+                 for row in rows]
+        _assert_peel_matches_the_heap(rows, field)
+        cols = {j for j in range(ncols) if rng.random() < 0.6}
+        _assert_peel_matches_the_heap(rows, field, cols)
+
+
+def test_peel_edge_cases():
+    # an all-singleton diagonal peels whole, lowest column first
+    diagonal = [{4 - i: i + 1} for i in range(5)]
+    got = _assert_peel_matches_the_heap(diagonal, Q)
+    assert [(c, rid) for c, rid, _ in got] == [(i, 4 - i) for i in range(5)]
+    # a column shared by every row, each row with a private column too:
+    # once four rows are peeled, the shared column 0 has one row left and
+    # comes before column 5
+    shared = [{0: 1, i: i} for i in range(1, 6)]
+    got = _assert_peel_matches_the_heap(shared, Q)
+    assert [c for c, _, _ in got] == [1, 2, 3, 4, 0]
+    # ... and the shared column alone, so nothing peels
+    _assert_peel_matches_the_heap([{0: i, 1: 1} for i in range(1, 5)], Q)
+    # duplicate rows: one becomes a pivot, the others cancel against it,
+    # after the last row peels at column 7
+    got = _assert_peel_matches_the_heap([{2: 3, 5: -1}] * 3 + [{5: 2, 7: 1}],
+                                        Q)
+    assert got[0][:2] == (7, 3)
+    assert len(got) == 2
+    # a row whose only columns lie outside cols never becomes a pivot
+    rows = [{0: 1, 1: 2}, {3: 5}, {1: 1, 2: 1}, {3: 1, 4: 1}]
+    got = _assert_peel_matches_the_heap(rows, Q, {0, 1, 2})
+    assert 1 not in {rid for _, rid, _ in got}
+    assert _assert_peel_matches_the_heap([{3: 5}], Q, {0, 1}) == []
+    assert _assert_peel_matches_the_heap([], Q) == []
+
+
+def test_paste_refuses_a_block_that_does_not_fit():
+    target = SparseMatrix.zero(2, 2, Q)
+    for row_off, col_off in [(0, 1), (1, 0), (-1, 0), (0, -1), (2, 2)]:
+        with pytest.raises(AmbientMismatch):
+            target.paste(SparseMatrix.identity(2, Q), row_off, col_off)
+    assert target.is_zero_matrix()
+    wide = SparseMatrix.zero(3, 4, Q)
+    wide.paste(SparseMatrix.identity(2, Q), 1, 2)
+    assert wide.rows == [{}, {2: 1}, {3: 1}]
+    # an empty block fits at the far corner
+    wide.paste(SparseMatrix.zero(0, 0, Q), 3, 4)

@@ -1,0 +1,33 @@
+"""tools/window_digest.py against its reference lines.
+
+The script prints five digests of windows, maps, reports and idempotents
+(see its docstring).  A change that alters any of them on purpose updates
+REFERENCE below and says which entries changed and why.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "window_digest.py"
+
+REFERENCE = [
+    "225 entries sha256 "
+    "4f53e208d6ee0fe5873ef89a690e643273bd7561ab0271d664922d142d342b78",
+    "79 entries sha256 "
+    "de2c06514a84f79412168dbead529744d4508f558922c291bd5d1fbe40221d75",
+    "30 entries sha256 "
+    "7e0a1cb12ed9d4f856f176addcc65e8d631a3366ed31b19ec5f692570699ba70",
+    "12 entries sha256 "
+    "0176330a743261f1481d7b6176725d6ba3bf6041cdb3162c79e86791b41c1e87",
+    "21 entries sha256 "
+    "6773b3782a2843729c20bc10a574f5d8ed573430afe86a88afdef0e37d3aa9c7",
+]
+
+
+def test_window_digest_matches_the_reference():
+    # the script puts src/ on its own path and re-runs itself with a fixed
+    # hash seed
+    result = subprocess.run([sys.executable, str(SCRIPT)], capture_output=True,
+                            text=True, timeout=600, check=True)
+    assert result.stdout.splitlines() == REFERENCE
