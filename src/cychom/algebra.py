@@ -445,7 +445,7 @@ class Bimodule:
 
 
 def _action_of(mats, vec, dim, field):
-    out = SparseMatrix.zero(dim, dim, field)
+    out = SparseMatrix(dim, dim, field)
     for i, c in vec.items():
         out = out.add(mats[i].scaled(c))
     return out

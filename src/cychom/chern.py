@@ -79,6 +79,8 @@ def _extend_cycle(ch: CyclicChain) -> CyclicChain:
 
     The new top component solves b(top) = -B(previous top); the solver's
     echelon preimage (free variables zero) makes the choice canonical.
+    Below it sits ch itself, shifted up by the top's width (the layout of
+    CyclicComplexWindow).
     """
     window = ch.window
     n = ch.degree
@@ -90,10 +92,9 @@ def _extend_cycle(ch: CyclicChain) -> CyclicChain:
     if top is None:
         raise ValidationError(
             "no chain-level extension exists at degree %d" % (n + 2))
-    out = dict(window.include_component(n + 2, top, 0))
-    for k in range(len(window.offsets[n])):
-        comp = window.component(n, ch.chain, k)
-        out.update(window.include_component(n + 2, comp, k + 1))
+    out = window.include_component(n + 2, top, 0)
+    cut = hoch.dims[n + 2]
+    out.update({i + cut: c for i, c in ch.chain.items()})
     return _require_cycle(CyclicChain(window, n + 2, out), "extension")
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import SizeOverflow, ValidationError
 
 # Environment variable overriding the default chain-space budget.
 BUDGET_ENV_VAR = "CYCHOM_BUDGET_DIMS"
@@ -53,3 +53,14 @@ def default_budget() -> Budget:
                 f"{BUDGET_ENV_VAR} must be a positive integer, got {raw!r}")
     return Budget(max_chain_dim=dims, dim_cap=DEFAULT_DIM_CAP,
                   max_field_order=DEFAULT_MAX_FIELD_ORDER)
+
+
+def check_chain_dims(dims, what: str) -> None:
+    """Refuse with SizeOverflow a window whose degree-n space, of dims[n]
+    coordinates, is larger than the chain-dimension limit."""
+    max_dim = default_budget().max_chain_dim
+    for n, size in enumerate(dims):
+        if size > max_dim:
+            raise SizeOverflow(
+                "degree-%d %s space needs %d coordinates, budget is %d"
+                % (n, what, size, max_dim))

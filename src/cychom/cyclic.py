@@ -10,13 +10,14 @@ stabilizing the images of the periodicity operator.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import accumulate
 
 from .algebra import AlgebraMap, FDAlgebra, TwoSidedIdeal, direct_sum, \
     ideal_as_algebra, quotient_algebra, unitalization
-from .config import DEFAULT_HP_CUTOFF, default_budget
-from .errors import DegreeTooLow, NonUnital, NotMultiplicative, SizeOverflow, \
-    ValidationError, check_int
+from .config import DEFAULT_HP_CUTOFF, check_chain_dims
+from .errors import AmbientMismatch, DegreeTooLow, NonUnital, \
+    NotMultiplicative, ValidationError, check_int
 from .hochschild import ChainComplexWindow, HomologyReport, InducedMap, \
     _degree_homologies, _homology_report, _induced, _phi_slot_maps, \
     _require_degree, _tensor_chain_matrix, bar_complex, induced_map_hh
@@ -133,36 +134,61 @@ def operator_B(window: ChainComplexWindow, n: int, chain: dict) -> dict:
 class CyclicComplexWindow:
     """Degrees 0..n_max of the total complex of the (b, B) bicomplex.
 
-    Degree-n coordinates stack the Hochschild degrees n, n-2, ... in that
-    order; summand k starts at offsets[n][k].  totals[n] is the full
-    differential b + B into degree n-1.
+    The layout, stated once: with dims_H the Hochschild window's dims,
+    degree n stacks the Hochschild degrees n, n-2, ...; summand k holds
+    degree n-2k and starts at offsets[n][k] = sum_{i<k} dims_H[n-2i].
+    So S, dropping the top summand, shifts coordinates down by dims_H[n];
+    and below its top summand degree n+2 is degree n shifted up by
+    dims_H[n+2], as offsets[n+2][k+1] = dims_H[n+2] + offsets[n][k].
+    b_up[m] is B out of Hochschild degree m.  totals[n] is b + B into
+    degree n-1: b keeps summand k, B moves summand k+1 to summand k.
     """
 
-    def __init__(self, algebra, n_max, normalized, hochschild_window,
-                 b_up, dims, offsets, totals):
+    def __init__(self, algebra, n_max, normalized, hochschild_window):
         self.algebra = algebra
         self.n_max = n_max
         self.normalized = normalized
-        self.hochschild_window = hochschild_window
-        self.b_up = b_up
-        self.dims = dims
-        self.offsets = offsets
-        self.totals = totals
+        self.hochschild_window = hoch = hochschild_window
         self.field = algebra.field
+        self.offsets = [list(accumulate(hoch.dims[n::-2], initial=0))
+                        for n in range(n_max + 1)]
+        self.dims = [offs.pop() for offs in self.offsets]
+        check_chain_dims(self.dims, "total")  # before any B is built
+        self.b_up = [_B_matrix(hoch, m) for m in range(n_max)]
+        self.totals = [None]
+        for n in range(1, n_max + 1):
+            b = [(k, k, hoch.boundaries[m])
+                 for k, m in enumerate(range(n, 0, -2))]
+            B = [(k, k + 1, self.b_up[m])
+                 for k, m in enumerate(range(n - 2, -1, -2))]
+            self.totals.append(_stacked(self, n - 1, self, n, b + B))
+
+    def _span(self, n: int, k: int) -> tuple:
+        """Start and width of summand k of degree n, if the window has it."""
+        _require_degree(self, n)
+        check_int(k, "a summand index", 0)
+        if k > n // 2:
+            raise ValidationError("degree %d has summands 0..%d, not %d"
+                                  % (n, n // 2, k))
+        return self.offsets[n][k], self.hochschild_window.dims[n - 2 * k]
 
     def summands(self, n: int) -> list:
-        return [(n - 2 * k, self.offsets[n][k])
-                for k in range(len(self.offsets[n]))]
+        """(Hochschild degree, offset) of each summand of degree n."""
+        _require_degree(self, n)
+        return [(n - 2 * k, off) for k, off in enumerate(self.offsets[n])]
 
     def component(self, n: int, chain: dict, k: int) -> dict:
         """The Hochschild degree n-2k part of a total chain, re-based."""
-        start = self.offsets[n][k]
-        width = self.hochschild_window.dims[n - 2 * k]
+        start, width = self._span(n, k)
         return {i - start: c for i, c in chain.items()
                 if start <= i < start + width}
 
     def include_component(self, n: int, vec: dict, k: int) -> dict:
-        start = self.offsets[n][k]
+        """A Hochschild degree n-2k chain as summand k of degree n."""
+        start, width = self._span(n, k)
+        if any(not 0 <= i < width for i in vec):
+            raise AmbientMismatch("summand %d of degree %d has coordinates "
+                                  "0..%d" % (k, n, width - 1))
         return {i + start: c for i, c in vec.items()}
 
     def check_differential(self) -> None:
@@ -172,44 +198,41 @@ class CyclicComplexWindow:
                     "total differential squared is nonzero at degree %d" % n)
 
 
+def _stacked(tgt: CyclicComplexWindow, m: int, src: CyclicComplexWindow,
+             n: int, blocks) -> SparseMatrix:
+    """The matrix from total degree n of src to total degree m of tgt whose
+    block (l, k, M) puts M from summand k into summand l; every summand of
+    tgt gets at least one block.
+
+    A row is made by its first block and extended by the others, in
+    increasing k, so it holds its entries in increasing column order when
+    the blocks' rows do.
+    """
+    parts = defaultdict(list)
+    for l, k, M in sorted(blocks, key=lambda block: block[1]):
+        parts[l].append((src.offsets[n][k], M.rows))
+    rows = []
+    for l in range(len(tgt.offsets[m])):
+        (off, first), *rest = parts[l]
+        made = [{off + j: c for j, c in row.items()} if off else dict(row)
+                for row in first]
+        for off, block in rest:
+            for row, extra in zip(made, block):
+                for j, c in extra.items():
+                    row[off + j] = c
+        rows += made
+    return SparseMatrix(tgt.dims[m], src.dims[n], tgt.field, rows=rows)
+
+
 def cyclic_complex(A: FDAlgebra, n_max: int,
                    normalized: bool | None = None) -> CyclicComplexWindow:
     """Build the cyclic bicomplex window for degrees 0..n_max."""
-    max_dim = default_budget().max_chain_dim
     if not A.is_unital:
         raise NonUnital("the cyclic bicomplex needs a unital algebra")
     if normalized is None:
         normalized = True
     hoch = bar_complex(A, n_max, variant="b", normalized=normalized)
-    b_up = [_B_matrix(hoch, m) for m in range(n_max)]
-
-    dims, offsets = [], []
-    for n in range(n_max + 1):
-        offs, total = [], 0
-        for m in range(n, -1, -2):
-            offs.append(total)
-            total += hoch.dims[m]
-        if total > max_dim:
-            raise SizeOverflow(
-                "degree-%d total space needs %d coordinates, budget is %d"
-                % (n, total, max_dim))
-        dims.append(total)
-        offsets.append(offs)
-
-    totals = [None]
-    for n in range(1, n_max + 1):
-        mat = SparseMatrix.zero(dims[n - 1], dims[n], A.field)
-        for k in range(len(offsets[n])):
-            m = n - 2 * k
-            col_off = offsets[n][k]
-            # b keeps the column index k, B moves one column left
-            if m >= 1:
-                mat.paste(hoch.boundaries[m], offsets[n - 1][k], col_off)
-            if k >= 1:
-                mat.paste(b_up[m], offsets[n - 1][k - 1], col_off)
-        totals.append(mat)
-    return CyclicComplexWindow(A, n_max, normalized, hoch, b_up, dims,
-                               offsets, totals)
+    return CyclicComplexWindow(A, n_max, normalized, hoch)
 
 
 # ---------------------------------------------------------------------------
@@ -217,19 +240,20 @@ def cyclic_complex(A: FDAlgebra, n_max: int,
 
 
 def s_matrix(window: CyclicComplexWindow, n: int) -> SparseMatrix:
-    """The periodicity projection: drop the top Hochschild component."""
+    """The periodicity projection: drop the top Hochschild component, a
+    shift (see CyclicComplexWindow)."""
     _require_degree(window, n)
     if n < 2:
         raise DegreeTooLow("the periodicity operator needs degree >= 2")
-    field = window.field
+    one = window.field.one
     cut = window.hochschild_window.dims[n]
-    mat = SparseMatrix.zero(window.dims[n - 2], window.dims[n], field)
-    for j in range(window.dims[n] - cut):
-        mat.rows[j][cut + j] = field.one
-    return mat
+    return SparseMatrix(window.dims[n - 2], window.dims[n], window.field,
+                        rows=[{cut + j: one}
+                              for j in range(window.dims[n - 2])])
 
 
 def operator_S(window: CyclicComplexWindow, n: int, chain: dict) -> dict:
+    """S on one chain: the shift of CyclicComplexWindow's layout."""
     _require_degree(window, n)
     if n < 2:
         raise DegreeTooLow("the periodicity operator needs degree >= 2")
@@ -240,12 +264,11 @@ def operator_S(window: CyclicComplexWindow, n: int, chain: dict) -> dict:
 def i_matrix(window: CyclicComplexWindow, n: int) -> SparseMatrix:
     """Inclusion of the Hochschild complex as the first column."""
     _require_degree(window, n)
-    field = window.field
-    mat = SparseMatrix.zero(window.dims[n], window.hochschild_window.dims[n],
-                            field)
-    for j in range(window.hochschild_window.dims[n]):
-        mat.rows[j][j] = field.one
-    return mat
+    one = window.field.one
+    width = window.hochschild_window.dims[n]
+    return SparseMatrix(window.dims[n], width, window.field,
+                        rows=[{j: one} for j in range(width)]
+                        + [{} for _ in range(window.dims[n] - width)])
 
 
 def hc(A: FDAlgebra, n_max: int,
@@ -336,18 +359,16 @@ def sbi_check(A: FDAlgebra, n_max: int,
     hh_degrees, hc_degrees = hh_report.degrees, hc_report.degrees
 
     # homology-level matrices
-    i_maps, del_maps = {}, {}
-    for n in range(n_max + 1):
-        i_maps[n] = induced_map(i_matrix(window, n),
-                                hh_degrees[n].homology,
-                                hc_degrees[n].homology)
+    i_maps = {n: induced_map(i_matrix(window, n), hh_degrees[n].homology,
+                             hc_degrees[n].homology)
+              for n in range(n_max + 1)}
+    del_maps = {}
     s_maps = _s_on_homology(window, [d.homology for d in hc_degrees], n_max)
     for n in range(0, n_max):
         # the connecting map out of HC_n: apply B to the top Hochschild
         # component; on cycles the lower components contribute nothing
-        chain = SparseMatrix.zero(hoch.dims[n + 1], window.dims[n],
-                                  window.field)
-        chain.paste(window.b_up[n], 0, 0)
+        chain = SparseMatrix(hoch.dims[n + 1], window.dims[n], window.field,
+                             rows=window.b_up[n].rows)
         del_maps[n] = induced_map(chain, hc_degrees[n].homology,
                                   hh_degrees[n + 1].homology)
 
@@ -433,11 +454,8 @@ def hp_nonunital(A: FDAlgebra, mode: str = "radical_shortcut",
     """
     plus = unitalization(A).algebra
     inner = hp(plus, mode=mode, cutoff=cutoff)
-    return HPReport(even_dim=inner.even_dim - 1, odd_dim=inner.odd_dim,
-                    method=inner.method + "+unitalization",
-                    stabilized=inner.stabilized,
-                    stabilization_window=inner.stabilization_window,
-                    stabilization_dims=inner.stabilization_dims)
+    return replace(inner, even_dim=inner.even_dim - 1,
+                   method=inner.method + "+unitalization")
 
 
 # ---------------------------------------------------------------------------
@@ -451,14 +469,10 @@ def _hc_chain_maps(phi: AlgebraMap, src_w: CyclicComplexWindow,
     slot0, interior = _phi_slot_maps(phi, src, tgt)
     hoch_maps = [_tensor_chain_matrix(src, tgt, m, slot0, interior)
                  for m in range(n_max + 1)]
-    out = []
-    for n in range(n_max + 1):
-        mat = SparseMatrix.zero(tgt_w.dims[n], src_w.dims[n], tgt_w.field)
-        for k in range(len(src_w.offsets[n])):
-            mat.paste(hoch_maps[n - 2 * k], tgt_w.offsets[n][k],
-                      src_w.offsets[n][k])
-        out.append(mat)
-    return out
+    return [_stacked(tgt_w, n, src_w, n,
+                     [(k, k, hoch_maps[m])
+                      for k, m in enumerate(range(n, -1, -2))])
+            for n in range(n_max + 1)]
 
 
 def induced_map_hc(phi: AlgebraMap, n_max: int,

@@ -29,11 +29,10 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import groupby
 
-from .config import default_budget
+from .config import check_chain_dims
 from .errors import (
     NonUnital,
     NotMultiplicative,
-    SizeOverflow,
     ValidationError,
     check_int,
 )
@@ -328,7 +327,6 @@ def bar_complex(A: FDAlgebra, n_max: int, variant: str = "b",
     idempotents make it the direct sum of the blocks' normalized
     complexes.  The default is the one idempotent [unit].
     """
-    max_dim = default_budget().max_chain_dim
     if variant not in ("b", "b_prime"):
         raise ValidationError("variant must be b or b_prime")
     check_int(n_max, "a degree bound", 0)
@@ -362,14 +360,8 @@ def bar_complex(A: FDAlgebra, n_max: int, variant: str = "b",
                         for vec in slots.f_vectors]
                        for mats in (coefficients.left, coefficients.right)]
 
-    dims = []
-    for n in range(n_max + 1):
-        size = slots.dim(n)
-        if size > max_dim:
-            raise SizeOverflow(
-                "degree-%d chain space needs %d coordinates, budget is %d"
-                % (n, size, max_dim))
-        dims.append(size)
+    dims = [slots.dim(n) for n in range(n_max + 1)]
+    check_chain_dims(dims, "chain")
 
     boundaries = [None]
     for n in range(1, n_max + 1):

@@ -562,14 +562,8 @@ class SparseMatrix:
 
     @staticmethod
     def identity(n: int, field: _FieldBase) -> "SparseMatrix":
-        m = SparseMatrix(n, n, field)
-        for i in range(n):
-            m.rows[i][i] = field.one
-        return m
-
-    @staticmethod
-    def zero(nrows: int, ncols: int, field: _FieldBase) -> "SparseMatrix":
-        return SparseMatrix(nrows, ncols, field)
+        return SparseMatrix(n, n, field,
+                            rows=[{i: field.one} for i in range(n)])
 
     def set(self, i: int, j: int, value) -> None:
         raw = to_raw(value, self.field)
@@ -577,20 +571,6 @@ class SparseMatrix:
             self.rows[i].pop(j, None)
         else:
             self.rows[i][j] = raw
-
-    def paste(self, block: "SparseMatrix", row_off: int, col_off: int) -> None:
-        """Write block's entries with their indices shifted by the offsets;
-        a block that does not fit inside self is refused."""
-        if not (0 <= row_off and row_off + block.nrows <= self.nrows
-                and 0 <= col_off and col_off + block.ncols <= self.ncols):
-            raise AmbientMismatch(
-                f"a {block.nrows}x{block.ncols} block at ({row_off}, "
-                f"{col_off}) does not fit a {self.nrows}x{self.ncols} matrix")
-        for i, row in enumerate(block.rows):
-            if row:
-                out = self.rows[row_off + i]
-                for j, c in row.items():
-                    out[col_off + j] = c
 
     # views ------------------------------------------------------------------
 

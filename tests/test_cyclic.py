@@ -35,6 +35,7 @@ from cychom.cyclic import (
     sbi_check,
 )
 from cychom.errors import (
+    AmbientMismatch,
     DegreeTooLow,
     NonUnital,
     NotMultiplicative,
@@ -45,6 +46,7 @@ from cychom.groups import cyclic_group, group_algebra, symmetric_group_3
 from cychom.hochschild import bar_complex, center_action, hh, homotopy_s
 from cychom.linalg import SparseMatrix, Subspace, homology, induced_map, \
     vec_add, vec_axpy, vec_equal, vec_sub
+from cychom.spectrum import extend_scalars
 
 
 def connes_quotient_hc_dims(A, n_max):
@@ -237,6 +239,30 @@ def test_component_inclusion_roundtrip():
                 assert w.component(4, total, other) == {}
 
 
+@pytest.mark.parametrize("A, top, normalized", [
+    (truncated_polynomial(3), 5, True),
+    (truncated_polynomial(3), 5, False),
+    (extend_scalars(group_algebra(cyclic_group(3)), 3), 3, True),
+], ids=["T3-normalized", "T3-unnormalized", "QZ3-over-Qzeta3"])
+def test_totals_are_b_and_B_on_every_basis_chain(A, top, normalized):
+    # column by column from the chain-level B and the Hochschild boundary,
+    # placed by include_component: b keeps summand k, B lands in k-1
+    w = cyclic_complex(A, top, normalized=normalized)
+    hoch = w.hochschild_window
+    for n in range(1, top + 1):
+        columns = w.totals[n].columns()
+        for k, (m, start) in enumerate(w.summands(n)):
+            b_columns = hoch.boundaries[m].columns() if m else None
+            for j in range(hoch.dims[m]):
+                expected = {}
+                if m:
+                    expected.update(w.include_component(n - 1, b_columns[j], k))
+                if k:
+                    expected.update(w.include_component(
+                        n - 1, operator_B(hoch, m, {j: w.field.one}), k - 1))
+                assert vec_equal(columns[start + j], expected, w.field)
+
+
 def test_negative_degrees_are_rejected():
     A = truncated_polynomial(2)
     ident = AlgebraMap.identity(A)
@@ -249,6 +275,54 @@ def test_negative_degrees_are_rejected():
                  lambda: s_matrix(w, 4), lambda: operator_S(w, 4, {})):
         with pytest.raises(ValidationError):
             call()
+
+
+_LAYOUT_CALLS = {
+    # degree 4 has summands 0..2 and degree 2 has 15 coordinates, 12 + 3
+    "summand -1 of degree 4": (
+        lambda w: w.include_component(4, {0: 1}, -1), ValidationError),
+    "summand -1 of degree 2": (
+        lambda w: w.include_component(2, {5: 1}, -1), ValidationError),
+    "summand 3 of degree 4": (lambda w: w.component(4, {}, 3),
+                              ValidationError),
+    "summand 2 of degree 3": (
+        lambda w: w.include_component(3, {}, 2), ValidationError),
+    "summand 1.0": (lambda w: w.component(4, {}, 1.0), ValidationError),
+    "summands of degree -1": (lambda w: w.summands(-1), ValidationError),
+    "summands of degree 5": (lambda w: w.summands(5), ValidationError),
+    "component of degree 5": (lambda w: w.component(5, {}, 0),
+                              ValidationError),
+    "index 3 of a width-3 summand": (
+        lambda w: w.include_component(2, {3: 1}, 1), AmbientMismatch),
+    "index 12 of a width-12 summand": (
+        lambda w: w.include_component(2, {0: 1, 12: 1}, 0), AmbientMismatch),
+    "index -1": (lambda w: w.include_component(4, {-1: 1}, 0),
+                 AmbientMismatch),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_LAYOUT_CALLS))
+def test_the_layout_accessors_refuse_what_the_window_lacks(call):
+    w = cyclic_complex(truncated_polynomial(3), 4)
+    assert w.dims[2] == 15 and len(w.summands(4)) == 3
+    fn, error = _LAYOUT_CALLS[call]
+    with pytest.raises(error) as info:
+        fn(w)
+    # AmbientMismatch is a ValidationError too: name the one expected
+    assert type(info.value) is error
+
+
+def test_a_total_space_over_budget_is_refused_before_B(monkeypatch):
+    # the Hochschild dims 3, 6, 12, 24, 48 fit; degree 4's 48 + 12 + 3 not
+    monkeypatch.setattr(config, "DEFAULT_CHAIN_DIM_BUDGET", 50)
+    assert bar_complex(truncated_polynomial(3), 4,
+                       normalized=True).dims == [3, 6, 12, 24, 48]
+    built = []
+    monkeypatch.setattr("cychom.cyclic._B_matrix",
+                        lambda *args: built.append(args))
+    with pytest.raises(SizeOverflow, match="degree-4 total space needs 63"):
+        cyclic_complex(truncated_polynomial(3), 4)
+    assert built == []
 
 
 _DEGREE_CALLS = {

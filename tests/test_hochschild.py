@@ -63,7 +63,7 @@ def truncated_polynomial_hh_oracle(N, n_max):
     """
     A = truncated_polynomial(N)
     field = A.field
-    mult_zero = SparseMatrix.zero(N, N, field)
+    mult_zero = SparseMatrix(N, N, field)
     mult_top = A.left_mult_matrix({N - 1: N})
     dims = []
     for q in range(n_max + 1):
@@ -773,7 +773,7 @@ def test_center_action_on_a_block_window():
             center_action(w, z, n - 1).matmul(w.boundaries[n]))
     # each block idempotent is the identity on its block's chains
     for n in range(4):
-        total = SparseMatrix.zero(w.dims[n], w.dims[n], A.field)
+        total = SparseMatrix(w.dims[n], w.dims[n], A.field)
         for e in block_idempotents(A):
             total = total.add(center_action(w, e, n))
         assert total.equals(SparseMatrix.identity(w.dims[n], A.field))

@@ -482,14 +482,14 @@ def test_homology_of_two_point_circle():
 
 
 def test_homology_refuses_a_space_dim_that_disagrees_with_the_maps():
-    A = SparseMatrix.zero(2, 3, Q)
-    B = SparseMatrix.zero(3, 2, Q)
+    A = SparseMatrix(2, 3, Q)
+    B = SparseMatrix(3, 2, Q)
     with pytest.raises(AmbientMismatch, match="space_dim 5"):
         Homology(A=A, B=None, space_dim=5)
     with pytest.raises(AmbientMismatch, match="space_dim 7"):
         Homology(A=None, B=B, space_dim=7)
     with pytest.raises(AmbientMismatch, match="A's domain 3, B's codomain 2"):
-        Homology(A=A, B=SparseMatrix.zero(2, 2, Q))
+        Homology(A=A, B=SparseMatrix(2, 2, Q))
     assert Homology(A=A, B=B, space_dim=3).dim == 3
 
 
@@ -525,8 +525,8 @@ def test_homology_trivial_pair():
 
 def test_homology_coords_and_induced_map():
     # complex 0 -> Q --0--> Q^2 --0--> 0 has middle homology Q^2
-    zero_in = SparseMatrix.zero(2, 1, Q)
-    zero_out = SparseMatrix.zero(1, 2, Q)
+    zero_in = SparseMatrix(2, 1, Q)
+    zero_out = SparseMatrix(1, 2, Q)
     h = Homology(A=zero_out, B=zero_in)
     assert h.dim == 2
     v = dense_to_sparse([3, 4], Q)
@@ -792,15 +792,3 @@ def test_peel_edge_cases():
     assert _assert_peel_matches_the_heap([{3: 5}], Q, {0, 1}) == []
     assert _assert_peel_matches_the_heap([], Q) == []
 
-
-def test_paste_refuses_a_block_that_does_not_fit():
-    target = SparseMatrix.zero(2, 2, Q)
-    for row_off, col_off in [(0, 1), (1, 0), (-1, 0), (0, -1), (2, 2)]:
-        with pytest.raises(AmbientMismatch):
-            target.paste(SparseMatrix.identity(2, Q), row_off, col_off)
-    assert target.is_zero_matrix()
-    wide = SparseMatrix.zero(3, 4, Q)
-    wide.paste(SparseMatrix.identity(2, Q), 1, 2)
-    assert wide.rows == [{}, {2: 1}, {3: 1}]
-    # an empty block fits at the far corner
-    wide.paste(SparseMatrix.zero(0, 0, Q), 3, 4)

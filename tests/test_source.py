@@ -20,10 +20,15 @@ literal, no ``float(...)`` call and no ``math`` function outside the
 integer-valued ones.  Scalars are ints wherever they are integral, and
 ``int / int`` is a float, so every true division has a ``Fraction(...)``
 call as an operand.
+
+The benchmark's tracer (``perfbench/tracer.py``) wraps functions it names
+in its ``BOUNDARIES`` list; each of those names resolves in cychom, so a
+deleted or renamed boundary fails here rather than in a traced run.
 """
 
 import ast
 import functools
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -202,3 +207,25 @@ def test_limits_are_read_in_one_place():
                   and path.name != "config.py"):
                 found.append("%s:%d Budget(...)" % (path.name, node.lineno))
     assert not found, "limits set outside config: %s" % found
+
+
+def test_every_traced_boundary_resolves():
+    # read the list from the source; the tracer looks each name up in the
+    # namespace of its module or class, as below
+    tree = ast.parse((REPO / "perfbench" / "tracer.py").read_text())
+    boundaries = [node.value for node in tree.body
+                  if type(node) is ast.Assign
+                  and any(type(t) is ast.Name and t.id == "BOUNDARIES"
+                          for t in node.targets)]
+    assert len(boundaries) == 1 and boundaries[0].elts
+    missing = []
+    for entry in boundaries[0].elts:
+        module, qualname = (ast.literal_eval(item) for item in entry.elts[:2])
+        owner = importlib.import_module("cychom." + module)
+        *path, attr = qualname.split(".")
+        for part in path:
+            owner = getattr(owner, part, None)
+        found = vars(owner).get(attr) if owner is not None else None
+        if not callable(found):
+            missing.append("%s.%s" % (module, qualname))
+    assert not missing, "traced boundaries cychom lacks: %s" % missing
