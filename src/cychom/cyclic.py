@@ -1,10 +1,17 @@
-"""Cyclic homology: the operators t and B, the bicomplex, S, SBI, HP.
+"""Cyclic homology: the operators t and B, the bicomplex, Connes' complex,
+S, SBI, HP.
 
 The bicomplex columns are the Hochschild complex of the algebra; degree-n
-total chains are stacked Hochschild chains of degrees n, n-2, ...  The
-periodic theory is computed two independent ways: through the radical
-(nilpotent ideals do not change it, and what is left is semisimple) and by
-stabilizing the images of the periodicity operator.
+total chains are stacked Hochschild chains of degrees n, n-2, ...  It
+carries S, B and chain maps, so sbi_check, hp's stabilization,
+induced_map_hc, excision_check and the Chern characters work on it.  hc
+wants the dims and nothing else, and takes Connes' complex
+A^(x)(n+1) / (1 - t) under b instead, which has the same homology over a
+field containing Q (Loday, Cyclic Homology, 2.1) and about 1/(n + 1) of
+the Hochschild chains in degree n.  The periodic theory is computed two
+independent ways: through the radical (nilpotent ideals do not change it,
+and what is left is semisimple) and by stabilizing the images of the
+periodicity operator.
 """
 
 from __future__ import annotations
@@ -19,8 +26,9 @@ from .config import DEFAULT_HP_CUTOFF, check_chain_dims
 from .errors import AmbientMismatch, DegreeTooLow, NonUnital, \
     NotMultiplicative, ValidationError, check_int
 from .hochschild import ChainComplexWindow, HomologyReport, InducedMap, \
-    _degree_homologies, _homology_report, _induced, _phi_slot_maps, \
-    _require_degree, _tensor_chain_matrix, bar_complex, induced_map_hh
+    _SlotData, _degree_homologies, _homology_report, _induced, \
+    _phi_slot_maps, _require_degree, _tensor_chain_matrix, bar_complex, \
+    induced_map_hh
 from .linalg import SparseMatrix, Subspace, add_term, dense_to_sparse, \
     induced_map, operator_matrix
 from .structure import center, semisimple_quotient
@@ -236,6 +244,112 @@ def cyclic_complex(A: FDAlgebra, n_max: int,
 
 
 # ---------------------------------------------------------------------------
+# Connes' complex
+
+
+def _necklaces(m: int, length: int):
+    """Yield (word, period) for each word of the given length over the codes
+    0..m-1 that is the least of its rotations, in lexicographic order.
+
+    The Fredricksen-Kessler-Maiorana algorithm: it visits the prenecklaces,
+    the prefixes of such words, in lexicographic order, and one whose
+    longest Lyndon prefix has length p is a necklace of period p when p
+    divides the length.
+    """
+    if not m:
+        return
+    word, p = [0] * length, 1
+    while True:
+        if length % p == 0:
+            yield tuple(word), p
+        # raise the last letter below m - 1, then repeat the prefix up to it
+        i = length - 1
+        while i >= 0 and word[i] == m - 1:
+            i -= 1
+        if i < 0:
+            return
+        word[i] += 1
+        for j in range(i + 1, length):
+            word[j] = word[j - i - 1]
+        p = i + 1
+
+
+class _ConnesWindow:
+    """Degrees 0..n_max of Connes' complex on a one-state slot basis.
+
+    The slot basis is the one bar_complex would use (_SlotData); a degree-n
+    coordinate is the class of a word of n + 1 interior codes, and words[n]
+    lists the stored ones, each the least of its rotations, in
+    lexicographic order.  Rotation acts with the sign of t, so
+    [rot^k w] = (-1)^(nk) [w]; an orbit of odd period is its own negative
+    in odd degrees and is dropped.  On the normalized slot basis the codes
+    span A/k, and the window is the reduced complex plus the isolated cycle
+    1^(x)(n+1) in each even degree n, the last coordinate there, which adds
+    HC(k); on the unnormalized one it is C^lambda(A) itself.
+    boundaries[n] is b into degree n - 1, computed on the stored words.
+    """
+
+    def __init__(self, algebra, n_max, normalized):
+        self.algebra = algebra
+        self.n_max = n_max
+        self.normalized = normalized
+        self.field = field = algebra.field
+        self.slots = slots = _SlotData(algebra,
+                                       [algebra.unit] if normalized else None)
+        m = slots.interior_radix
+        # the words of n + 1 codes bound the prenecklaces _necklaces
+        # visits; refuse on them before any is visited
+        check_chain_dims([m ** (n + 1) for n in range(n_max + 1)],
+                         "cyclic word")
+        self.words, self.dims, self.boundaries = [], [], [None]
+        index = None
+        for n in range(n_max + 1):
+            words = [w for w, p in _necklaces(m, n + 1)
+                     if not (n % 2 and p % 2)]
+            self.words.append(words)
+            unit_class = normalized and n % 2 == 0
+            self.dims.append(len(words) + (1 if unit_class else 0))
+            if n:
+                self.boundaries.append(SparseMatrix(
+                    self.dims[n - 1], self.dims[n], field,
+                    rows=_connes_rows(words, index, self.dims[n - 1],
+                                      slots.imul, field)))
+            index = {w: k for k, w in enumerate(words)}
+
+
+def _connes_rows(words, target: dict, nrows: int, imul, field) -> list:
+    """b out of degree n = len(word) - 1 as rows, column k from words[k].
+
+    Face i < n multiplies c_i c_(i+1) and face n wraps c_n c_0 to the front,
+    with sign (-1)^i, each through imul, so a unit part is dropped.  A face
+    word is read back as its least rotation, shifted r places, which is
+    (-1)^((n-1) r) times a coordinate of target, or zero when its orbit was
+    dropped.  Columns are visited in order, so each row holds its entries
+    in increasing column order.
+    """
+    rows = [{} for _ in range(nrows)]
+    for col, w in enumerate(words):
+        n = len(w) - 1
+        for i in range(n + 1):
+            pair = imul[w[i]][w[i + 1]] if i < n else imul[w[n]][w[0]]
+            if not pair:
+                continue
+            head, tail = (w[:i], w[i + 2:]) if i < n else ((), w[1:n])
+            for k, c in pair.items():
+                face = head + (k,) + tail
+                twice = face + face
+                rotations = [twice[r:r + n] for r in range(n)]
+                least = min(rotations)
+                row = target.get(least)
+                if row is not None:
+                    r = rotations.index(least)
+                    add_term(rows[row], col,
+                             field.neg(c) if (i + (n - 1) * r) % 2 else c,
+                             field)
+    return rows
+
+
+# ---------------------------------------------------------------------------
 # S, I, and cyclic homology
 
 
@@ -273,7 +387,30 @@ def i_matrix(window: CyclicComplexWindow, n: int) -> SparseMatrix:
 
 def hc(A: FDAlgebra, n_max: int,
        normalized: bool | None = None) -> HomologyReport:
-    """Cyclic homology HC_0 .. HC_n_max of a unital algebra."""
+    """Cyclic homology HC_0 .. HC_n_max of a unital algebra.
+
+    The dims come from Connes' complex C^lambda_n = A^(x)(n+1) / (1 - t)
+    under b, whose homology over a field containing Q is that of the
+    (b, B) bicomplex (Loday, Cyclic Homology, 2.1); report.window is a
+    _ConnesWindow.  In degree n it has about 1/(n + 1) of the Hochschild
+    chains, where the total complex stacks the Hochschild degrees n,
+    n - 2, ..  The normalized route, the default, works on the reduced
+    complex (A/k)^(x)(n+1) / (1 - t) and adds HC(k), one class in each even
+    degree; normalized=False builds the full C^lambda(A).  The callers that
+    need S, B or chain maps (sbi_check, hp's stabilization, induced_map_hc,
+    excision_check) stay on the total complex, through _bicomplex_hc.
+    """
+    check_int(n_max, "a degree bound", 0)
+    if not A.is_unital:
+        raise NonUnital("cyclic homology needs a unital algebra")
+    window = _ConnesWindow(A, n_max + 1, normalized is None or normalized)
+    return _homology_report(A, window, window.boundaries, n_max)
+
+
+def _bicomplex_hc(A: FDAlgebra, n_max: int,
+                  normalized: bool | None = None) -> HomologyReport:
+    """HC_0 .. HC_n_max on the (b, B) total complex, whose window carries
+    S, B and the chain maps; the oracle of hc's Connes route."""
     check_int(n_max, "a degree bound", 0)
     window = cyclic_complex(A, n_max + 1, normalized=normalized)
     return _homology_report(A, window, window.totals, n_max)
@@ -352,7 +489,7 @@ def sbi_check(A: FDAlgebra, n_max: int,
     matrices; each node reports the incoming rank and the outgoing kernel
     dimension, which agree exactly when the sequence is exact there.
     """
-    hc_report = hc(A, n_max, normalized=normalized)
+    hc_report = _bicomplex_hc(A, n_max, normalized=normalized)
     window = hc_report.window
     hoch = window.hochschild_window
     hh_report = _homology_report(A, hoch, hoch.boundaries, n_max)
@@ -424,7 +561,7 @@ def hp(A: FDAlgebra, mode: str = "radical_shortcut",
     check_int(cutoff, "a degree bound", 0)
     if cutoff < 4:
         raise ValidationError("stabilization needs cutoff >= 4")
-    hc_report = hc(A, cutoff, normalized=normalized)
+    hc_report = _bicomplex_hc(A, cutoff, normalized=normalized)
     homologies = [d.homology for d in hc_report.degrees]
     s_hom = _s_on_homology(hc_report.window, homologies, cutoff)
     stable = []
@@ -489,8 +626,8 @@ def induced_map_hc(phi: AlgebraMap, n_max: int,
     if not phi.unital:
         raise NotMultiplicative("cyclic induced maps need a unital map")
     phi.validate()
-    src = hc(phi.source, n_max, normalized=normalized)
-    tgt = hc(phi.target, n_max, normalized=normalized)
+    src = _bicomplex_hc(phi.source, n_max, normalized=normalized)
+    tgt = _bicomplex_hc(phi.target, n_max, normalized=normalized)
     return _induced(src, tgt, _hc_chain_maps(phi, src.window, tgt.window,
                                              n_max))
 
@@ -585,8 +722,8 @@ def excision_check(A: FDAlgebra, J: TwoSidedIdeal,
                                      multiplicative=True, unital=True)
     pi_plus.validate()
 
-    hc_A = hc(Ap.algebra, cutoff)
-    hc_Q = hc(Qp.algebra, cutoff)
+    hc_A = _bicomplex_hc(Ap.algebra, cutoff)
+    hc_Q = _bicomplex_hc(Qp.algebra, cutoff)
     WA, WQ = hc_A.window, hc_Q.window
     pi_chain = _hc_chain_maps(pi_plus, WA, WQ, cutoff + 1)
     rel = _SubComplex(WA, pi_chain, cutoff)

@@ -162,18 +162,25 @@ class _IntRows:
     """Order-1 rows: entries kept as primitive integer vectors.
 
     ``prim`` is the only entry point: it clears denominators of arbitrary Q
-    rows (ints and Fractions).  Every row that ``combine`` and ``monic`` see
+    rows (ints and Fractions), and returns a row that is already primitive
+    as it is, not a copy.  Every row that ``combine`` and ``monic`` see
     came out of ``prim`` or ``combine``, so it is a primitive integer row and
-    ``combine`` does plain integer arithmetic.  ``monic`` divides by the
-    pivot and keeps an exact quotient an int.
+    ``combine`` does plain integer arithmetic; no step writes into a row it
+    was given.  ``monic`` divides by the pivot and keeps an exact quotient
+    an int.
     """
 
     @staticmethod
     def prim(row: dict) -> dict:
-        den = 1
+        den, integral = 1, True
         for v in row.values():
-            if type(v) is not int and v.denominator != 1:
-                den = den * v.denominator // gcd(den, v.denominator)
+            if type(v) is not int:
+                integral = False
+                if v.denominator != 1:
+                    den = den * v.denominator // gcd(den, v.denominator)
+        if integral and row and 0 not in row.values() and row[min(row)] > 0 \
+                and gcd(*row.values()) == 1:
+            return row
         ints = {}
         for j, v in row.items():
             n = v * den if type(v) is int \

@@ -20,6 +20,7 @@ from cychom.algebra import (
 from cychom import config
 from cychom.cyclic import (
     CyclicComplexWindow,
+    _bicomplex_hc,
     cyclic_complex,
     cyclic_t,
     direct_sum_check,
@@ -47,6 +48,7 @@ from cychom.hochschild import bar_complex, center_action, hh, homotopy_s
 from cychom.linalg import SparseMatrix, Subspace, homology, induced_map, \
     vec_add, vec_axpy, vec_equal, vec_sub
 from cychom.spectrum import extend_scalars
+from test_hochschild import _relabelled, _zeta_basis_truncation
 
 
 def connes_quotient_hc_dims(A, n_max):
@@ -419,23 +421,17 @@ def test_hc_frozen_dimensions():
     assert hc(functions_on_points(2), 4).dims == [2, 0, 2, 0, 2]
 
 
-def test_hc_dims_leave_the_boundary_bases_unbuilt():
-    report = hc(truncated_polynomial(4), 5)
-    window, field = report.window, report.window.field
+def _checked_classes(report, maps):
+    """Check an hc report whose differentials are maps: the dims left every
+    boundary basis unbuilt, and coords reads the class of a boundary plus a
+    combination of representatives.  Returns the homologies and, as the
+    slow references, the rref of all of each outgoing differential's
+    columns."""
+    field = report.window.field
     homologies = [d.homology for d in report.degrees]
     assert all(H._boundary is None for H in homologies)
-    # the slow reference: the rref of all of B's columns
-    refs = [Subspace.from_vectors(H.space_dim, field,
-                                  window.totals[n + 1].columns())
+    refs = [Subspace.from_vectors(H.space_dim, field, maps[n + 1].columns())
             for n, H in enumerate(homologies)]
-
-    def is_class(vec, coords, H, ref):
-        # vec minus the combination of representatives is a boundary
-        vec = dict(vec)
-        for c, rep in zip(coords, H.representatives):
-            vec_axpy(vec, field.neg(c), rep, field)
-        return ref.contains(vec)
-
     rng = random.Random(5)
     for H, ref in zip(homologies, refs):
         for col in ref.basis:
@@ -443,13 +439,90 @@ def test_hc_dims_leave_the_boundary_bases_unbuilt():
             for rep in H.representatives:
                 c = field.from_rational(rng.randint(-3, 3))
                 vec_axpy(cycle, c, rep, field)
-            assert is_class(cycle, H.coords(cycle), H, ref)
+            assert _is_class(cycle, H.coords(cycle), H, ref)
+    return homologies, refs
+
+
+def _is_class(vec, coords, H, ref):
+    # vec minus the combination of representatives is a boundary
+    vec = dict(vec)
+    for c, rep in zip(coords, H.representatives):
+        vec_axpy(vec, H.field.neg(c), rep, H.field)
+    return ref.contains(vec)
+
+
+def test_hc_dims_leave_the_boundary_bases_unbuilt():
+    report = hc(truncated_polynomial(4), 5)
+    _checked_classes(report, report.window.boundaries)
+    # S lives on the total complex, the route of hp and sbi_check
+    report = _bicomplex_hc(truncated_polynomial(4), 5)
+    window = report.window
+    homologies, refs = _checked_classes(report, window.totals)
     for n in range(2, 6):
         S = induced_map(s_matrix(window, n), homologies[n], homologies[n - 2])
         for j, rep in enumerate(homologies[n].representatives):
             column = [S.entry(i, j) for i in range(S.nrows)]
-            assert is_class(s_matrix(window, n).mat_vec(rep), column,
-                            homologies[n - 2], refs[n - 2])
+            assert _is_class(s_matrix(window, n).mat_vec(rep), column,
+                             homologies[n - 2], refs[n - 2])
+
+
+def _unit_first(dim, products):
+    """The algebra on the basis 1, b_1 .. b_(dim-1) in which b_i b_j is
+    c b_k for products[i, j] = (k, c) and zero otherwise."""
+    mul = {(0, k): {k: 1} for k in range(dim)}
+    mul.update({(k, 0): {k: 1} for k in range(1, dim)})
+    mul.update({ij: {k: c} for ij, (k, c) in products.items()})
+    return FDAlgebra(dim, 1, mul=mul, unit={0: 1}).require_valid()
+
+
+# (algebra, top degree, HC_0 .. HC_top); the first three have odd HC
+HC_CASES = {
+    "Q[x,y]/(x,y)^2": (lambda: _unit_first(3, {}), 5, [3, 1, 5, 4, 9, 10]),
+    "Q[x,y]/(x^2,y^2)": (
+        lambda: _unit_first(4, {(1, 2): (3, 1), (2, 1): (3, 1)}), 4,
+        [4, 1, 5, 2, 6]),
+    "exterior(Q^2)": (
+        lambda: _unit_first(4, {(1, 2): (3, 1), (2, 1): (3, -1)}), 4,
+        [3, 2, 5, 4, 7]),
+    "Q(zeta3)[x]/x^3": (_zeta_basis_truncation, 4, [3, 0, 3, 0, 3]),
+    "QS3 over Q(zeta3)": (
+        lambda: extend_scalars(group_algebra(symmetric_group_3()), 3), 2,
+        [3, 0, 3]),
+    "M2(Q)": (lambda: matrix_algebra(ground_field(), 2), 3, [1, 0, 1, 0]),
+    "U3": (lambda: upper_triangular(3), 3, [3, 0, 3, 0]),
+}
+
+
+@pytest.mark.parametrize("normalized", [True, False])
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("name", sorted(HC_CASES))
+def test_hc_on_connes_complex_equals_the_total_complex(name, seed, normalized):
+    # seed 0 keeps the algebra's own basis
+    make, top, dims = HC_CASES[name]
+    A = _relabelled(make(), seed) if seed else make()
+    report = hc(A, top, normalized=normalized)
+    assert report.dims == dims
+    assert _bicomplex_hc(A, top, normalized=normalized).dims == dims
+    w = report.window
+    for n in range(2, top + 2):
+        assert w.boundaries[n - 1].matmul(w.boundaries[n]).is_zero_matrix()
+
+
+def test_hc_over_budget_is_refused_before_any_word(monkeypatch):
+    # Q[x]/x^3 has two interior codes, so 2^(n+1) words of degree n: 32 in
+    # degree 4, the top of hc(., 3)'s window, where the total complex has
+    # 48 + 12 + 3 coordinates
+    monkeypatch.setattr(config, "DEFAULT_CHAIN_DIM_BUDGET", 50)
+    assert hc(truncated_polynomial(3), 3).dims == [3, 0, 3, 0]
+    with pytest.raises(SizeOverflow, match="degree-4 total space needs 63"):
+        _bicomplex_hc(truncated_polynomial(3), 3)
+    visited = []
+    monkeypatch.setattr("cychom.cyclic._necklaces",
+                        lambda *args: visited.append(args) or iter(()))
+    with pytest.raises(SizeOverflow,
+                       match="degree-5 cyclic word space needs 64"):
+        hc(truncated_polynomial(3), 4)
+    assert visited == []
 
 
 def test_hc_zero_equals_hh_zero():

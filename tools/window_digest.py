@@ -5,9 +5,10 @@ Run from the repository root:
 
     python3 tools/window_digest.py
 
-It prints five lines, each with a number of entries and a sha256.  The first
+It prints six lines, each with a number of entries and a sha256.  The first
 covers a fixed corpus of windows (normalized and unnormalized bar complexes,
-the (b, B) complexes behind hc, induced maps, Morita maps, coefficient
+the (b, B) complexes behind hp's stabilization, sbi_check and
+induced_map_hc, induced maps, Morita maps, coefficient
 windows, and bar windows relative to the central idempotents of
 structure.block_idempotents), hashed over the repr of their rows, so it also
 sees the order of the entries in each row.  The maps on homology (induced
@@ -37,10 +38,13 @@ ground field with N = 3 to degree 2, Q[x]/x^2 with N = 3 to degree 1 and
 Q(zeta3)[x]/x^2 with N = 2 to degree 2, the action of each basis vector of
 the center of QS3 on its hh walk window in degrees 0-2, and the chain maps
 of induced_map_hc of the swap of two points to degree 3; it is hashed like
-the first.  Every line hashes an integral Fraction as the equal int (a
-rational scalar may be stored either way), and the first and fifth still
-keep every row's entry order.  Two checkouts that compute the same windows, maps,
-reports and idempotents print the same lines.  The script re-runs itself
+the first.  The sixth covers the windows of Connes' complex behind hc (dims
+and boundaries) of Q[x]/x^4 and Q[x]/x^5 to degree 6 and of Q(zeta3)[x]/x^3
+on the basis 1, zeta3 x, x^2 to degree 4, normalized and not; it is hashed
+like the first.  Every line hashes an integral Fraction as the equal int (a
+rational scalar may be stored either way), and the first, fifth and sixth
+still keep every row's entry order.  Two checkouts that compute the same
+windows, maps, reports and idempotents print the same lines.  The script re-runs itself
 with PYTHONHASHSEED=0, so set iteration order cannot change the hash
 between runs.
 """
@@ -336,6 +340,34 @@ def _general_chain_maps():
         yield "swap hc%d" % n, f.rows
 
 
+def _zeta_truncation():
+    """Q(zeta3)[x]/x^3 on the basis 1, zeta3 x, x^2, where (zeta3 x)^2 =
+    zeta3^2 x^2 puts an irrational entry into every window."""
+    from cychom.algebra import FDAlgebra
+    from cychom.scalars import Cyclotomic
+    z = Cyclotomic.zeta(3)
+    mul = {(0, k): {k: 1} for k in range(3)}
+    mul.update({(k, 0): {k: 1} for k in range(1, 3)})
+    mul[1, 1] = {2: z * z}
+    return FDAlgebra(3, 3, mul=mul, unit={0: 1})
+
+
+def _connes_windows():
+    from cychom.algebra import truncated_polynomial
+    from cychom.cyclic import hc
+
+    for name, A, top in [("T4", truncated_polynomial(4), 6),
+                         ("T5", truncated_polynomial(5), 6),
+                         ("T3z3", _zeta_truncation(), 4)]:
+        for normalized in (True, False):
+            # hc's window reaches one degree past the homology it reports
+            w = hc(A, top - 1, normalized=normalized).window
+            label = "%s connes norm=%s" % (name, normalized)
+            yield label + " dims", w.dims
+            for n in range(1, top + 1):
+                yield "%s d%d" % (label, n), w.boundaries[n].rows
+
+
 def _digest(entries, canonical):
     digest = hashlib.sha256()
     count = 0
@@ -356,6 +388,7 @@ def main():
     print(_digest(_chern_chains(), lambda value: _canonical(value, True)))
     print(_digest(_general_chain_maps(),
                   lambda value: _canonical(value, False)))
+    print(_digest(_connes_windows(), lambda value: _canonical(value, False)))
 
 
 if __name__ == "__main__":
