@@ -3,12 +3,12 @@ S, SBI, HP.
 
 The bicomplex columns are the Hochschild complex of the algebra; degree-n
 total chains are stacked Hochschild chains of degrees n, n-2, ...  It
-carries S, B and chain maps, so sbi_check, hp's stabilization,
-induced_map_hc, excision_check and the Chern characters work on it.  hc
-wants the dims and nothing else, and takes Connes' complex
-A^(x)(n+1) / (1 - t) under b instead, which has the same homology over a
-field containing Q (Loday, Cyclic Homology, 2.1) and about 1/(n + 1) of
-the Hochschild chains in degree n.  The periodic theory is computed two
+carries S, B and chain maps, so sbi_check, induced_map_hc, excision_check
+and the Chern characters work on it.  hc and hp's stabilization take
+Connes' complex A^(x)(n+1) / (1 - t) under b instead, which has the same
+homology over a field containing Q (Loday, Cyclic Homology, 2.1) and about
+1/(n + 1) of the Hochschild chains in degree n; its window carries a
+chain-level S of its own.  The periodic theory is computed two
 independent ways: through the radical (nilpotent ideals do not change it,
 and what is left is semisimple) and by stabilizing the images of the
 periodicity operator.
@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, replace
+from functools import partial
+from fractions import Fraction
 from itertools import accumulate
 
 from .algebra import AlgebraMap, FDAlgebra, TwoSidedIdeal, direct_sum, \
@@ -280,13 +282,14 @@ class _ConnesWindow:
     The slot basis is the one bar_complex would use (_SlotData); a degree-n
     coordinate is the class of a word of n + 1 interior codes, and words[n]
     lists the stored ones, each the least of its rotations, in
-    lexicographic order.  Rotation acts with the sign of t, so
-    [rot^k w] = (-1)^(nk) [w]; an orbit of odd period is its own negative
-    in odd degrees and is dropped.  On the normalized slot basis the codes
-    span A/k, and the window is the reduced complex plus the isolated cycle
-    1^(x)(n+1) in each even degree n, the last coordinate there, which adds
-    HC(k); on the unnormalized one it is C^lambda(A) itself.
-    boundaries[n] is b into degree n - 1, computed on the stored words.
+    lexicographic order (index[n] is the inverse).  Rotation acts with the
+    sign of t, so [rot^k w] = (-1)^(nk) [w]; an orbit of odd period is its
+    own negative in odd degrees and is dropped.  On the normalized slot
+    basis the codes span A/k, and the window is the reduced complex plus
+    the isolated cycle 1^(x)(n+1) in each even degree n, the last
+    coordinate there, which adds HC(k); on the unnormalized one it is
+    C^lambda(A) itself.  boundaries[n] is b into degree n - 1, computed on
+    the stored words, and periodicity is S on a cycle.
     """
 
     def __init__(self, algebra, n_max, normalized):
@@ -301,8 +304,8 @@ class _ConnesWindow:
         # visits; refuse on them before any is visited
         check_chain_dims([m ** (n + 1) for n in range(n_max + 1)],
                          "cyclic word")
-        self.words, self.dims, self.boundaries = [], [], [None]
-        index = None
+        self.words, self.index, self.dims = [], [], []
+        self.boundaries = [None]
         for n in range(n_max + 1):
             words = [w for w, p in _necklaces(m, n + 1)
                      if not (n % 2 and p % 2)]
@@ -312,40 +315,119 @@ class _ConnesWindow:
             if n:
                 self.boundaries.append(SparseMatrix(
                     self.dims[n - 1], self.dims[n], field,
-                    rows=_connes_rows(words, index, self.dims[n - 1],
-                                      slots.imul, field)))
-            index = {w: k for k, w in enumerate(words)}
+                    rows=_connes_rows(words, self.index[n - 1],
+                                      self.dims[n - 1], slots.imul, field)))
+            self.index.append({w: k for k, w in enumerate(words)})
+        # lam[a, b]: the unit coefficient of the product of the codes a and
+        # b, which imul drops on the normalized slot basis
+        unit = min(slots.units[0]) if normalized else None
+        f_of = slots.interior
+        self.lam = {(a, b): slots.mulf[f][g][unit]
+                    for a, f in enumerate(f_of) for b, g in enumerate(f_of)
+                    if unit in slots.mulf[f][g]}
+
+    def periodicity(self, n: int, chain: dict) -> dict:
+        """Connes' S on a degree-n cycle x, n >= 2, as a degree n - 2 chain.
+
+        b x on words of n codes is z, the faces of _faces kept exact, plus
+        1 (x) U, the unit parts that face 0 and the wrap face drop:
+        lam(w_0, w_1) w[2:] and (-1)^n lam(w_n, w_0) w[1:n].  As x is a
+        cycle, z lies in the image of 1 - t, and y = -(1/n) sum_(k<n) k t^k z
+        has (1 - t) y = z, where t(a_1 .. a_n) = (-1)^(n-1) (a_n, a_1, ..).
+        So c = x - 1 (x) y has b c = 1 (x) w, w = U - b'(y), where b' merges
+        the letters i, i + 1 with sign (-1)^i for i = 1..n-1; w is
+        t-invariant, (c, -w/(n - 1), ..) starts a (b, B) total cycle, and
+        S(x) = -w/(n - 1), read back into the stored classes.  The unit
+        class goes to the unit class.  The unit component of S on reduced
+        classes is left out: it lies in the span of HC(k), where S is
+        invertible, so no rank of a composite of S changes.  On the
+        unnormalized window U = 0 and there is no unit class.
+        """
+        field, imul, lam = self.field, self.slots.imul, self.lam
+        words = self.words[n]
+        out, z, w = {}, {}, {}
+        for k, c in chain.items():
+            if k == len(words):
+                out[len(self.words[n - 2])] = c
+                continue
+            word = words[k]
+            for i, face, v in _faces(word, imul):
+                add_term(z, face, field.mul(field.neg(c) if i % 2 else c, v),
+                         field)
+            # w holds n times w, n U here and b'(Y) = -n b'(y) below, so
+            # that only integers scale it before q does
+            for pair, rest, times in (((word[0], word[1]), word[2:], n),
+                                      ((word[n], word[0]), word[1:n],
+                                       (-1) ** n * n)):
+                if pair in lam:
+                    add_term(w, rest, field.scale(field.mul(c, lam[pair]),
+                                                  times), field)
+        # Y = -n y: t^r moves the last r letters to the front
+        Y = {}
+        for u, c in z.items():
+            for r in range(1, n):
+                add_term(Y, u[n - r:] + u[:n - r],
+                         field.scale(c, -r if (n - 1) * r % 2 else r), field)
+        # b' is minus the faces other than the wrap face, i = n - 1
+        for u, c in Y.items():
+            for i, face, v in _faces(u, imul):
+                if i < n - 1:
+                    add_term(w, face, field.mul(c if i % 2 else field.neg(c),
+                                                v), field)
+        q = Fraction(-1, n * (n - 1))
+        target = self.index[n - 2]
+        for u, c in w.items():
+            stored = _read_back(u, target)
+            if stored is not None:
+                k, odd = stored
+                add_term(out, k, field.scale(c, -q if odd else q), field)
+        return out
+
+
+def _faces(word, imul):
+    """The faces of b on a word of degree n = len(word) - 1, as (i, face,
+    c): face i < n multiplies c_i c_(i+1) and face n wraps c_n c_0 to the
+    front, with sign (-1)^i, and c is the coefficient of the face word's
+    product code in imul."""
+    n = len(word) - 1
+    for i in range(n + 1):
+        pair = imul[word[i]][word[i + 1]] if i < n else imul[word[n]][word[0]]
+        if pair:
+            head, tail = (word[:i], word[i + 2:]) if i < n else ((), word[1:n])
+            for k, c in pair.items():
+                yield i, head + (k,) + tail, c
+
+
+def _read_back(word, index: dict):
+    """The stored class of a word of degree d = len(word) - 1: (k, odd) with
+    [word] = (-1)^odd [the word of index k], or None when its orbit was
+    dropped.  The stored word is the least rotation, shifted r places, and
+    odd is the parity of d r."""
+    length = len(word)
+    twice = word + word
+    rotations = [twice[r:r + length] for r in range(length)]
+    least = min(rotations)
+    k = index.get(least)
+    if k is None:
+        return None
+    return k, (length - 1) * rotations.index(least) % 2
 
 
 def _connes_rows(words, target: dict, nrows: int, imul, field) -> list:
     """b out of degree n = len(word) - 1 as rows, column k from words[k].
 
-    Face i < n multiplies c_i c_(i+1) and face n wraps c_n c_0 to the front,
-    with sign (-1)^i, each through imul, so a unit part is dropped.  A face
-    word is read back as its least rotation, shifted r places, which is
-    (-1)^((n-1) r) times a coordinate of target, or zero when its orbit was
-    dropped.  Columns are visited in order, so each row holds its entries
-    in increasing column order.
+    Each face of _faces goes through imul, so a unit part is dropped, and
+    is read back by _read_back into target.  Columns are visited in order,
+    so each row holds its entries in increasing column order.
     """
     rows = [{} for _ in range(nrows)]
     for col, w in enumerate(words):
-        n = len(w) - 1
-        for i in range(n + 1):
-            pair = imul[w[i]][w[i + 1]] if i < n else imul[w[n]][w[0]]
-            if not pair:
-                continue
-            head, tail = (w[:i], w[i + 2:]) if i < n else ((), w[1:n])
-            for k, c in pair.items():
-                face = head + (k,) + tail
-                twice = face + face
-                rotations = [twice[r:r + n] for r in range(n)]
-                least = min(rotations)
-                row = target.get(least)
-                if row is not None:
-                    r = rotations.index(least)
-                    add_term(rows[row], col,
-                             field.neg(c) if (i + (n - 1) * r) % 2 else c,
-                             field)
+        for i, face, c in _faces(w, imul):
+            stored = _read_back(face, target)
+            if stored is not None:
+                row, odd = stored
+                add_term(rows[row], col,
+                         field.neg(c) if (i + odd) % 2 else c, field)
     return rows
 
 
@@ -392,13 +474,14 @@ def hc(A: FDAlgebra, n_max: int,
     The dims come from Connes' complex C^lambda_n = A^(x)(n+1) / (1 - t)
     under b, whose homology over a field containing Q is that of the
     (b, B) bicomplex (Loday, Cyclic Homology, 2.1); report.window is a
-    _ConnesWindow.  In degree n it has about 1/(n + 1) of the Hochschild
-    chains, where the total complex stacks the Hochschild degrees n,
-    n - 2, ..  The normalized route, the default, works on the reduced
-    complex (A/k)^(x)(n+1) / (1 - t) and adds HC(k), one class in each even
-    degree; normalized=False builds the full C^lambda(A).  The callers that
-    need S, B or chain maps (sbi_check, hp's stabilization, induced_map_hc,
-    excision_check) stay on the total complex, through _bicomplex_hc.
+    _ConnesWindow, whose periodicity is S on its cycles.  In degree n it
+    has about 1/(n + 1) of the Hochschild chains, where the total complex
+    stacks the Hochschild degrees n, n - 2, ..  The normalized route, the
+    default, works on the reduced complex (A/k)^(x)(n+1) / (1 - t) and adds
+    HC(k), one class in each even degree; normalized=False builds the full
+    C^lambda(A).  hp's stabilization runs on this report.  The callers
+    that need B or chain maps (sbi_check, induced_map_hc, excision_check)
+    stay on the total complex, through _bicomplex_hc.
     """
     check_int(n_max, "a degree bound", 0)
     if not A.is_unital:
@@ -410,17 +493,28 @@ def hc(A: FDAlgebra, n_max: int,
 def _bicomplex_hc(A: FDAlgebra, n_max: int,
                   normalized: bool | None = None) -> HomologyReport:
     """HC_0 .. HC_n_max on the (b, B) total complex, whose window carries
-    S, B and the chain maps; the oracle of hc's Connes route."""
+    S, B and the chain maps; the oracle of the Connes route of hc and of
+    hp's stabilization."""
     check_int(n_max, "a degree bound", 0)
     window = cyclic_complex(A, n_max + 1, normalized=normalized)
     return _homology_report(A, window, window.totals, n_max)
 
 
-def _s_on_homology(window: CyclicComplexWindow, homologies, top: int) -> dict:
-    """{n: S from homology degree n to n-2} for n = 2..top."""
-    return {n: induced_map(s_matrix(window, n), homologies[n],
-                           homologies[n - 2])
-            for n in range(2, top + 1)}
+def _s_on_homology(S, homologies, top: int) -> dict:
+    """{n: S from homology degree n to n-2} for n = 2..top, where S(n, x)
+    is a chain-level S on a degree-n cycle x."""
+    s_hom = {}
+    for n in range(2, top + 1):
+        target = homologies[n - 2]
+        cols = []
+        for rep in homologies[n].representatives:
+            coords = target.coords(S(n, rep))
+            if coords is None:
+                raise ValidationError(
+                    "S does not send a degree-%d cycle to a cycle" % n)
+            cols.append(dense_to_sparse(coords, target.field))
+        s_hom[n] = SparseMatrix.from_columns(cols, target.dim, target.field)
+    return s_hom
 
 
 def _s_tower(s_hom: dict, parity: int, cutoff: int):
@@ -500,7 +594,8 @@ def sbi_check(A: FDAlgebra, n_max: int,
                              hc_degrees[n].homology)
               for n in range(n_max + 1)}
     del_maps = {}
-    s_maps = _s_on_homology(window, [d.homology for d in hc_degrees], n_max)
+    s_maps = _s_on_homology(partial(operator_S, window),
+                            [d.homology for d in hc_degrees], n_max)
     for n in range(0, n_max):
         # the connecting map out of HC_n: apply B to the top Hochschild
         # component; on cycles the lower components contribute nothing
@@ -546,9 +641,11 @@ def hp(A: FDAlgebra, mode: str = "radical_shortcut",
     The radical shortcut quotients out the (nilpotent) radical, which
     leaves the periodic theory unchanged, and reads the answer off the
     semisimple part.  Stabilization instead watches the images of iterated
-    S on a window of cyclic homology; when several consecutive images
-    agree the tower has become constant.  Inconclusive stabilization is
-    reported, not raised; the radical answer is authoritative either way.
+    S on hc(A, cutoff, normalized)'s window of Connes' complex, with the
+    chain-level S of _ConnesWindow.periodicity, and builds no (b, B)
+    complex; when several consecutive images agree the tower has become
+    constant.  Inconclusive stabilization is reported, not raised; the
+    radical answer is authoritative either way.
     """
     if mode not in ("radical_shortcut", "stabilization"):
         raise ValidationError("unknown hp mode %r" % mode)
@@ -561,9 +658,9 @@ def hp(A: FDAlgebra, mode: str = "radical_shortcut",
     check_int(cutoff, "a degree bound", 0)
     if cutoff < 4:
         raise ValidationError("stabilization needs cutoff >= 4")
-    hc_report = _bicomplex_hc(A, cutoff, normalized=normalized)
-    homologies = [d.homology for d in hc_report.degrees]
-    s_hom = _s_on_homology(hc_report.window, homologies, cutoff)
+    hc_report = hc(A, cutoff, normalized=normalized)
+    s_hom = _s_on_homology(hc_report.window.periodicity,
+                           [d.homology for d in hc_report.degrees], cutoff)
     stable = []
     for parity in (0, 1):
         top, ranks, _ = _s_tower(s_hom, parity, cutoff)
@@ -741,8 +838,8 @@ def excision_check(A: FDAlgebra, J: TwoSidedIdeal,
     for n in range(cutoff + 1):
         incl_hom[n] = induced_map(rel.embed(n), rel.homologies[n], HA[n])
         pi_hom[n] = induced_map(pi_chain[n], HA[n], HQ[n])
-    sA_hom = _s_on_homology(WA, HA, cutoff)
-    sQ_hom = _s_on_homology(WQ, HQ, cutoff)
+    sA_hom = _s_on_homology(partial(operator_S, WA), HA, cutoff)
+    sQ_hom = _s_on_homology(partial(operator_S, WQ), HQ, cutoff)
     for n in range(1, cutoff + 1):
         cols = []
         for rep in HQ[n].representatives:

@@ -1,6 +1,7 @@
 """Cyclic homology: t and B, the bicomplex, S, SBI, HP, excision."""
 
 import random
+from functools import partial
 
 import pytest
 
@@ -18,9 +19,13 @@ from cychom.algebra import (
     upper_triangular,
 )
 from cychom import config
+from cychom.crossprod import variety_crossed_product
 from cychom.cyclic import (
     CyclicComplexWindow,
     _bicomplex_hc,
+    _read_back,
+    _s_on_homology,
+    _s_tower,
     cyclic_complex,
     cyclic_t,
     direct_sum_check,
@@ -43,10 +48,11 @@ from cychom.errors import (
     SizeOverflow,
     ValidationError,
 )
-from cychom.groups import cyclic_group, group_algebra, symmetric_group_3
+from cychom.groups import FiniteVarietyAction, cyclic_group, group_algebra, \
+    symmetric_group_3
 from cychom.hochschild import bar_complex, center_action, hh, homotopy_s
-from cychom.linalg import SparseMatrix, Subspace, homology, induced_map, \
-    vec_add, vec_axpy, vec_equal, vec_sub
+from cychom.linalg import SparseMatrix, Subspace, add_term, homology, \
+    induced_map, vec_add, vec_axpy, vec_equal, vec_sub
 from cychom.spectrum import extend_scalars
 from test_hochschild import _relabelled, _zeta_basis_truncation
 
@@ -522,6 +528,137 @@ def test_hc_over_budget_is_refused_before_any_word(monkeypatch):
     with pytest.raises(SizeOverflow,
                        match="degree-5 cyclic word space needs 64"):
         hc(truncated_polynomial(3), 4)
+    assert visited == []
+
+
+def _top_as_connes(connes, total, n, chain):
+    """pi: the top summand of a degree-n total chain as a Connes chain.  A
+    term whose slot 0 holds the unit (no interior code) is dropped, and
+    the rest is read back into the stored words."""
+    hoch, field, code = total.hochschild_window, total.field, connes.slots.code
+    out = {}
+    for i, c in total.component(n, chain, 0).items():
+        s, *word = hoch.tuple_of(n, i)
+        if s in code:
+            stored = _read_back((code[s],) + tuple(word), connes.index[n])
+            if stored is not None:
+                k, odd = stored
+                add_term(out, k, field.neg(c) if odd else c, field)
+    return out
+
+
+# (algebra, cutoff normalized, cutoff unnormalized)
+S_ORACLE_CASES = {
+    "QZ3": (lambda: group_algebra(cyclic_group(3)), 5, 4),
+    "QZ3 over Q(zeta3)": (
+        lambda: extend_scalars(group_algebra(cyclic_group(3)), 3), 4, 3),
+    "U3": (lambda: upper_triangular(3), 4, 3),
+    "M2(Q) seed 7": (
+        lambda: _relabelled(matrix_algebra(ground_field(), 2), 7), 4, 3),
+    "exterior(Q^2) seed 7": (
+        lambda: _relabelled(HC_CASES["exterior(Q^2)"][0](), 7), 4, 3),
+    "Q[x]/x^4 seed 7": (lambda: _relabelled(truncated_polynomial(4), 7), 5, 4),
+}
+
+
+@pytest.mark.parametrize("normalized", [True, False])
+@pytest.mark.parametrize("name", sorted(S_ORACLE_CASES))
+def test_connes_S_is_the_total_complex_S_at_chain_level(name, normalized):
+    # pi is a chain map from the total complex to Connes' complex; for each
+    # representative z of the total complex, S(pi z) and pi(S z) are the
+    # same class off the unit class, whose component S on the Connes window
+    # leaves out (see _ConnesWindow.periodicity)
+    make, top, top_plain = S_ORACLE_CASES[name]
+    A = make()
+    cutoff = top if normalized else top_plain
+    report = hc(A, cutoff, normalized=normalized)
+    connes = report.window
+    total = _bicomplex_hc(A, cutoff, normalized=normalized)
+    for n in range(2, cutoff + 1):
+        H = report.degrees[n - 2].homology
+        unit = len(connes.words[n - 2]) if normalized and n % 2 == 0 else None
+        for z in total.degrees[n].representatives:
+            x = _top_as_connes(connes, total.window, n, z)
+            assert report.degrees[n].homology.coords(x) is not None
+            left = connes.periodicity(n, x)
+            right = _top_as_connes(connes, total.window, n - 2,
+                                   operator_S(total.window, n, z))
+            left.pop(unit, None)
+            right.pop(unit, None)
+            assert H.coords(left) is not None
+            assert H.coords(left) == H.coords(right)
+
+
+def _tower_ranks(report, S, cutoff):
+    s_hom = _s_on_homology(S, [d.homology for d in report.degrees], cutoff)
+    return [_s_tower(s_hom, parity, cutoff)[1] for parity in (0, 1)]
+
+
+def _point_crossed_product(size, images):
+    # Z/2 acting on points by the permutation images
+    act = FiniteVarietyAction(cyclic_group(2), size,
+                              [tuple(range(size)), images])
+    return variety_crossed_product(act).product
+
+
+# (algebra, cutoff): HC_CASES at seeds 0 and 7, and the point-action crossed
+# products of dimension 2, 4 and 6
+TOWER_CASES = {"%s seed %d" % (name, seed): (
+    (lambda make=make, seed=seed: _relabelled(make(), seed)) if seed
+    else make, top)
+    for name, (make, top, _) in HC_CASES.items() for seed in (0, 7)}
+TOWER_CASES.update({
+    "QZ3": (lambda: group_algebra(cyclic_group(3)), 6),
+    "U3": (lambda: upper_triangular(3), 4),
+    "Z/2 on a point": (lambda: _point_crossed_product(1, (0,)), 4),
+    "Z/2 swapping two points": (
+        lambda: _point_crossed_product(2, (1, 0)), 4),
+    "Z/2 swapping two of three points": (
+        lambda: _point_crossed_product(3, (1, 0, 2)), 4),
+})
+
+
+@pytest.mark.parametrize("name", sorted(TOWER_CASES))
+def test_connes_S_towers_equal_the_total_complex(name):
+    make, cutoff = TOWER_CASES[name]
+    A = make()
+    report = hc(A, cutoff)
+    total = _bicomplex_hc(A, cutoff)
+    assert _tower_ranks(report, report.window.periodicity, cutoff) == \
+        _tower_ranks(total, partial(operator_S, total.window), cutoff)
+    if cutoff >= 4:
+        assert hp(A, "stabilization", cutoff, normalized=False) == \
+            hp(A, "stabilization", cutoff)
+
+
+def test_an_S_image_that_is_not_a_cycle_is_refused():
+    report = hc(truncated_polynomial(3), 4)
+    window = report.window
+    # a degree-2 chain with a nonzero boundary, as the image of HC_4
+    j = next(j for j, col in enumerate(window.boundaries[2].columns()) if col)
+    assert report.dims[4]
+    with pytest.raises(ValidationError, match="degree-4 cycle to a cycle"):
+        _s_on_homology(lambda n, x: {j: 1} if n == 4
+                       else window.periodicity(n, x),
+                       [d.homology for d in report.degrees], 4)
+
+
+def test_hp_over_budget_is_refused_on_cyclic_words(monkeypatch):
+    # Q[x]/x^3 has two reduced codes: 2^8 = 256 words of degree 7, the top
+    # of hp's window at cutoff 6, where the normalized bar complex has 384
+    T3 = truncated_polynomial(3)
+    monkeypatch.setattr(config, "DEFAULT_CHAIN_DIM_BUDGET", 300)
+    report = hp(T3, "stabilization")
+    assert report.stabilized and report.stabilization_dims == (1, 0)
+    with pytest.raises(SizeOverflow, match="degree-7 chain space needs 384"):
+        _bicomplex_hc(T3, 6)
+    monkeypatch.setattr(config, "DEFAULT_CHAIN_DIM_BUDGET", 200)
+    visited = []
+    monkeypatch.setattr("cychom.cyclic._necklaces",
+                        lambda *args: visited.append(args) or iter(()))
+    with pytest.raises(SizeOverflow,
+                       match="degree-7 cyclic word space needs 256"):
+        hp(T3, "stabilization")
     assert visited == []
 
 

@@ -5,9 +5,9 @@ Run from the repository root:
 
     python3 tools/window_digest.py
 
-It prints six lines, each with a number of entries and a sha256.  The first
-covers a fixed corpus of windows (normalized and unnormalized bar complexes,
-the (b, B) complexes behind hp's stabilization, sbi_check and
+It prints seven lines, each with a number of entries and a sha256.  The
+first covers a fixed corpus of windows (normalized and unnormalized bar
+complexes, the (b, B) complexes behind sbi_check, excision_check and
 induced_map_hc, induced maps, Morita maps, coefficient
 windows, and bar windows relative to the central idempotents of
 structure.block_idempotents), hashed over the repr of their rows, so it also
@@ -41,7 +41,11 @@ of induced_map_hc of the swap of two points to degree 3; it is hashed like
 the first.  The sixth covers the windows of Connes' complex behind hc (dims
 and boundaries) of Q[x]/x^4 and Q[x]/x^5 to degree 6 and of Q(zeta3)[x]/x^3
 on the basis 1, zeta3 x, x^2 to degree 4, normalized and not; it is hashed
-like the first.  Every line hashes an integral Fraction as the equal int (a
+like the first.  The seventh covers Connes' S, the chain-level periodicity
+map behind hp's stabilization: its image of every homology representative
+of hc's window in degrees 2 and up, for Q[x]/x^4 and QZ3 to degree 6 and
+upper_triangular(3) to degree 4, normalized and not; it is hashed like the
+second.  Every line hashes an integral Fraction as the equal int (a
 rational scalar may be stored either way), and the first, fifth and sixth
 still keep every row's entry order.  Two checkouts that compute the same
 windows, maps, reports and idempotents print the same lines.  The script re-runs itself
@@ -368,6 +372,22 @@ def _connes_windows():
                 yield "%s d%d" % (label, n), w.boundaries[n].rows
 
 
+def _connes_periodicity():
+    from cychom.algebra import truncated_polynomial, upper_triangular
+    from cychom.cyclic import hc
+    from cychom.groups import cyclic_group, group_algebra
+
+    for name, A, top in [("T4", truncated_polynomial(4), 6),
+                         ("QZ3", group_algebra(cyclic_group(3)), 6),
+                         ("U3", upper_triangular(3), 4)]:
+        for normalized in (True, False):
+            report = hc(A, top, normalized=normalized)
+            for n in range(2, top + 1):
+                for k, rep in enumerate(report.degrees[n].representatives):
+                    yield "%s norm=%s S%d rep%d" % (name, normalized, n, k), \
+                        report.window.periodicity(n, rep)
+
+
 def _digest(entries, canonical):
     digest = hashlib.sha256()
     count = 0
@@ -389,6 +409,8 @@ def main():
     print(_digest(_general_chain_maps(),
                   lambda value: _canonical(value, False)))
     print(_digest(_connes_windows(), lambda value: _canonical(value, False)))
+    print(_digest(_connes_periodicity(),
+                  lambda value: _canonical(value, True)))
 
 
 if __name__ == "__main__":
