@@ -289,7 +289,8 @@ class _ConnesWindow:
     the isolated cycle 1^(x)(n+1) in each even degree n, the last
     coordinate there, which adds HC(k); on the unnormalized one it is
     C^lambda(A) itself.  boundaries[n] is b into degree n - 1, computed on
-    the stored words, and periodicity is S on a cycle.
+    the stored words, and periodicity is S on a cycle; both read faces back
+    through a local memo of _read_back that holds only the orbits met.
     """
 
     def __init__(self, algebra, n_max, normalized):
@@ -343,6 +344,10 @@ class _ConnesWindow:
         invertible, so no rank of a composite of S changes.  On the
         unnormalized window U = 0 and there is no unit class.
         """
+        _require_s_degree(self, n)
+        if any(not 0 <= k < self.dims[n] for k in chain):
+            raise AmbientMismatch("degree %d has coordinates 0..%d"
+                                  % (n, self.dims[n] - 1))
         field, imul, lam = self.field, self.slots.imul, self.lam
         words = self.words[n]
         out, z, w = {}, {}, {}
@@ -375,9 +380,11 @@ class _ConnesWindow:
                     add_term(w, face, field.mul(c if i % 2 else field.neg(c),
                                                 v), field)
         q = Fraction(-1, n * (n - 1))
-        target = self.index[n - 2]
+        target, memo = self.index[n - 2], {}
         for u, c in w.items():
-            stored = _read_back(u, target)
+            stored = memo.get(u, _UNREAD)
+            if stored is _UNREAD:
+                stored = _read_back(u, target, memo)
             if stored is not None:
                 k, odd = stored
                 add_term(out, k, field.scale(c, -q if odd else q), field)
@@ -398,32 +405,48 @@ def _faces(word, imul):
                 yield i, head + (k,) + tail, c
 
 
-def _read_back(word, index: dict):
+# the memo value of a word whose orbit _read_back has not met yet
+_UNREAD = object()
+
+
+def _read_back(word, index: dict, memo: dict):
     """The stored class of a word of degree d = len(word) - 1: (k, odd) with
     [word] = (-1)^odd [the word of index k], or None when its orbit was
-    dropped.  The stored word is the least rotation, shifted r places, and
-    odd is the parity of d r."""
+    dropped.  memo, which a caller keeps for one target degree and reads
+    first, gets the same for every rotation, so each orbit met is rotated
+    once.  The stored word is the least rotation, r0 places on, so the
+    rotation r places on has odd = d (r0 - r) mod 2; a word of period p
+    repeats its rotations, and a kept orbit has d p even, so they agree.
+    """
     length = len(word)
     twice = word + word
     rotations = [twice[r:r + length] for r in range(length)]
     least = min(rotations)
     k = index.get(least)
     if k is None:
+        memo.update(dict.fromkeys(rotations))
         return None
-    return k, (length - 1) * rotations.index(least) % 2
+    d, r0 = length - 1, rotations.index(least)
+    signed = (k, 0), (k, 1)
+    memo.update({u: signed[d * (r0 - r) % 2] for r, u in enumerate(rotations)})
+    return memo[word]
 
 
 def _connes_rows(words, target: dict, nrows: int, imul, field) -> list:
     """b out of degree n = len(word) - 1 as rows, column k from words[k].
 
     Each face of _faces goes through imul, so a unit part is dropped, and
-    is read back by _read_back into target.  Columns are visited in order,
-    so each row holds its entries in increasing column order.
+    is read back into target through one memo of _read_back local to this
+    boundary.  Columns are visited in order, so each row holds its entries
+    in increasing column order.
     """
     rows = [{} for _ in range(nrows)]
+    memo = {}
     for col, w in enumerate(words):
         for i, face, c in _faces(w, imul):
-            stored = _read_back(face, target)
+            stored = memo.get(face, _UNREAD)
+            if stored is _UNREAD:
+                stored = _read_back(face, target, memo)
             if stored is not None:
                 row, odd = stored
                 add_term(rows[row], col,
@@ -435,12 +458,16 @@ def _connes_rows(words, target: dict, nrows: int, imul, field) -> list:
 # S, I, and cyclic homology
 
 
-def s_matrix(window: CyclicComplexWindow, n: int) -> SparseMatrix:
-    """The periodicity projection: drop the top Hochschild component, a
-    shift (see CyclicComplexWindow)."""
+def _require_s_degree(window, n: int) -> None:
     _require_degree(window, n)
     if n < 2:
         raise DegreeTooLow("the periodicity operator needs degree >= 2")
+
+
+def s_matrix(window: CyclicComplexWindow, n: int) -> SparseMatrix:
+    """The periodicity projection: drop the top Hochschild component, a
+    shift (see CyclicComplexWindow)."""
+    _require_s_degree(window, n)
     one = window.field.one
     cut = window.hochschild_window.dims[n]
     return SparseMatrix(window.dims[n - 2], window.dims[n], window.field,
@@ -450,9 +477,7 @@ def s_matrix(window: CyclicComplexWindow, n: int) -> SparseMatrix:
 
 def operator_S(window: CyclicComplexWindow, n: int, chain: dict) -> dict:
     """S on one chain: the shift of CyclicComplexWindow's layout."""
-    _require_degree(window, n)
-    if n < 2:
-        raise DegreeTooLow("the periodicity operator needs degree >= 2")
+    _require_s_degree(window, n)
     cut = window.hochschild_window.dims[n]
     return {i - cut: c for i, c in chain.items() if i >= cut}
 
@@ -656,8 +681,9 @@ def hp(A: FDAlgebra, mode: str = "radical_shortcut",
     if mode == "radical_shortcut":
         return report
     check_int(cutoff, "a degree bound", 0)
-    if cutoff < 4:
-        raise ValidationError("stabilization needs cutoff >= 4")
+    # the odd tower starts at degree 3 and needs two S-composites
+    if cutoff < 5:
+        raise ValidationError("stabilization needs cutoff >= 5")
     hc_report = hc(A, cutoff, normalized=normalized)
     s_hom = _s_on_homology(hc_report.window.periodicity,
                            [d.homology for d in hc_report.degrees], cutoff)

@@ -23,6 +23,7 @@ from cychom.crossprod import variety_crossed_product
 from cychom.cyclic import (
     CyclicComplexWindow,
     _bicomplex_hc,
+    _faces,
     _read_back,
     _s_on_homology,
     _s_tower,
@@ -531,6 +532,20 @@ def test_hc_over_budget_is_refused_before_any_word(monkeypatch):
     assert visited == []
 
 
+def _slow_read_back(word, index):
+    """_read_back without a memo: every rotation of the word is sliced,
+    and the stored word is their least, shifted r places, with odd the
+    parity of d r."""
+    length = len(word)
+    twice = word + word
+    rotations = [twice[r:r + length] for r in range(length)]
+    least = min(rotations)
+    k = index.get(least)
+    if k is None:
+        return None
+    return k, (length - 1) * rotations.index(least) % 2
+
+
 def _top_as_connes(connes, total, n, chain):
     """pi: the top summand of a degree-n total chain as a Connes chain.  A
     term whose slot 0 holds the unit (no interior code) is dropped, and
@@ -540,7 +555,8 @@ def _top_as_connes(connes, total, n, chain):
     for i, c in total.component(n, chain, 0).items():
         s, *word = hoch.tuple_of(n, i)
         if s in code:
-            stored = _read_back((code[s],) + tuple(word), connes.index[n])
+            stored = _slow_read_back((code[s],) + tuple(word),
+                                     connes.index[n])
             if stored is not None:
                 k, odd = stored
                 add_term(out, k, field.neg(c) if odd else c, field)
@@ -589,6 +605,52 @@ def test_connes_S_is_the_total_complex_S_at_chain_level(name, normalized):
             assert H.coords(left) == H.coords(right)
 
 
+@pytest.mark.parametrize("normalized", [True, False])
+@pytest.mark.parametrize("name", ["Q[x]/x^4 seed 7", "QZ3 over Q(zeta3)",
+                                  "U3", "exterior(Q^2) seed 7"])
+def test_the_orbit_memo_reads_back_like_every_rotation(name, normalized):
+    # one memo per target degree, as _connes_rows keeps it: each face of
+    # each stored word, whether it fills the memo or hits it, and every
+    # rotation the memo holds, has the class and sign of the slow route
+    make, top, top_plain = S_ORACLE_CASES[name]
+    window = hc(make(), top if normalized else top_plain,
+                normalized=normalized).window
+    held = 0
+    for n in range(1, window.n_max + 1):
+        target, memo = window.index[n - 1], {}
+        for word in window.words[n]:
+            for _, face, _ in _faces(word, window.slots.imul):
+                stored = memo[face] if face in memo else \
+                    _read_back(face, target, memo)
+                assert stored == _slow_read_back(face, target)
+        for u, stored in memo.items():
+            assert stored == _slow_read_back(u, target)
+        held += len(memo)
+    assert held
+
+
+def test_the_orbit_memo_fills_once_per_orbit_met(monkeypatch):
+    # hc(Q[x]/x^5, 5)'s window: 4 reduced codes, degrees 0..6
+    fills = []
+
+    def counted(word, index, memo):
+        fills.append(word)
+        return _read_back(word, index, memo)
+
+    monkeypatch.setattr("cychom.cyclic._read_back", counted)
+    window = hc(truncated_polynomial(5), 5).window
+    for n in range(1, window.n_max + 1):
+        met = [w for w in fills if len(w) == n]
+        faces = {face for word in window.words[n]
+                 for _, face, _ in _faces(word, window.slots.imul)}
+        orbits = {min(w[r:] + w[:r] for r in range(n)) for w in met}
+        dropped = sum(1 for w in orbits if w not in window.index[n - 1])
+        assert len(orbits) == len(met)
+        assert len(met) <= len(faces)
+        assert len(met) <= len(window.words[n - 1]) + dropped
+    assert len(fills) == 1007
+
+
 def _tower_ranks(report, S, cutoff):
     s_hom = _s_on_homology(S, [d.homology for d in report.degrees], cutoff)
     return [_s_tower(s_hom, parity, cutoff)[1] for parity in (0, 1)]
@@ -626,8 +688,12 @@ def test_connes_S_towers_equal_the_total_complex(name):
     total = _bicomplex_hc(A, cutoff)
     assert _tower_ranks(report, report.window.periodicity, cutoff) == \
         _tower_ranks(total, partial(operator_S, total.window), cutoff)
-    if cutoff >= 4:
+    if cutoff >= 5:
         assert hp(A, "stabilization", cutoff, normalized=False) == \
+            hp(A, "stabilization", cutoff)
+    elif cutoff == 4:
+        # one odd S-composite: the odd tower cannot stabilize
+        with pytest.raises(ValidationError, match="cutoff >= 5"):
             hp(A, "stabilization", cutoff)
 
 
@@ -641,6 +707,23 @@ def test_an_S_image_that_is_not_a_cycle_is_refused():
         _s_on_homology(lambda n, x: {j: 1} if n == 4
                        else window.periodicity(n, x),
                        [d.homology for d in report.degrees], 4)
+
+
+def test_connes_S_refuses_what_the_window_lacks():
+    # hc(., 4) builds degrees 0..5; degree 4 has dims[4] coordinates
+    window = hc(truncated_polynomial(3), 4).window
+    for n in (0, 1):
+        with pytest.raises(DegreeTooLow):
+            window.periodicity(n, {})
+    for n in (6, -1):
+        with pytest.raises(ValidationError,
+                           match="outside the window|at least 0"):
+            window.periodicity(n, {})
+    for k in (window.dims[4], -1):
+        with pytest.raises(AmbientMismatch, match="coordinates 0..%d"
+                           % (window.dims[4] - 1)):
+            window.periodicity(4, {k: 1})
+    assert window.periodicity(5, {}) == {}
 
 
 def test_hp_over_budget_is_refused_on_cyclic_words(monkeypatch):
@@ -752,8 +835,9 @@ def test_hp_stabilization_sees_the_full_center():
 
 
 def test_hp_stabilization_cutoff_guard():
-    with pytest.raises(ValidationError):
-        hp(truncated_polynomial(2), mode="stabilization", cutoff=3)
+    for short in (4, 3):
+        with pytest.raises(ValidationError, match="cutoff >= 5"):
+            hp(truncated_polynomial(2), mode="stabilization", cutoff=short)
     with pytest.raises(ValidationError):
         hp(truncated_polynomial(2), mode="stabilization", cutoff=2)
     for bad in ("6", True, 6.0):
