@@ -14,8 +14,8 @@ SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "window_digest.py"
 REFERENCE = [
     "225 entries sha256 "
     "4f53e208d6ee0fe5873ef89a690e643273bd7561ab0271d664922d142d342b78",
-    "79 entries sha256 "
-    "de2c06514a84f79412168dbead529744d4508f558922c291bd5d1fbe40221d75",
+    "89 entries sha256 "
+    "c32e8b3cc1b4f23c24d68806557a6dc60bd6020103d4e51defb90cfcd4c7e3a5",
     "30 entries sha256 "
     "7e0a1cb12ed9d4f856f176addcc65e8d631a3366ed31b19ec5f692570699ba70",
     "12 entries sha256 "

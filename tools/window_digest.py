@@ -17,10 +17,10 @@ complex alone (the rref of the boundary space and the canonical kernel of
 the outgoing differential on its free coordinates), not in the basis of the
 library's representatives, which depends on how the boundary basis was
 eliminated; every chain-level entry is hashed as it is.  The second covers
-the walk windows of hh (slot basis, its inverse and the boundaries) and the
-wedderburn_blocks reports of a few group algebras and upper_triangular(3)
-(idempotents, primitive points and central characters), hashed over sorted
-dict items, so only values count.  The third covers
+the walk windows of hh (slot basis, its inverse, its product table mulf and
+the boundaries) and the wedderburn_blocks reports of a few group algebras
+and upper_triangular(3) (idempotents, primitive points and central
+characters), hashed over sorted dict items, so only values count.  The third covers
 structure.block_idempotents and structure.split_idempotents, each list in
 its order, on fifteen algebras: QS3 over Q and Q(zeta3), QD4, QZ4, QZ5,
 Q[x]/x^3 + M_2(Q), M_2(Q[x]/x^2), Q[t]/t^2(t - 1), upper_triangular(3) on
@@ -212,6 +212,7 @@ def _walks_and_spectra():
         w = hh(A, top).window
         yield "%s walk f_vectors" % name, w.slots.f_vectors
         yield "%s walk e_to_f" % name, w.slots.e_to_f.rows
+        yield "%s walk mulf" % name, w.slots.mulf
         yield "%s walk dims" % name, w.dims
         for n in range(1, top + 1):
             yield "%s walk d%d" % (name, n), w.boundaries[n].rows
