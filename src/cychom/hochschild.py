@@ -30,6 +30,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import groupby
+from math import lcm
 
 from .config import check_chain_dims
 from .errors import (
@@ -42,10 +43,13 @@ from .linalg import (
     Homology,
     SparseMatrix,
     add_term,
+    cleared,
+    divided,
     homology,
     induced_map,
     vec_axpy,
     vec_equal,
+    vec_scale,
 )
 from .algebra import AlgebraMap, Bimodule, FDAlgebra, _action_of, \
     _normalize_vec, _unflatten, matrix_algebra
@@ -86,6 +90,15 @@ class _SlotData:
 
     slot0 lists the slot-0 values as runs of one piece each, and pieces
     the piece of each run.
+
+    The Peirce basis and mulf are computed on cleared vectors
+    (linalg.cleared, v = w / D with w integral): _pieces multiplies by
+    D_i e_i, and mulf[a][b] is the cleared inverse delta * e_to_f applied
+    to the product of D_a f_a and D_b f_b.  Each result is divided once at
+    the end (linalg.divided), by D_i D_j for a basis vector of the piece
+    (i, j) and by delta D_a D_b for mulf[a][b].  Pivot choices do not change
+    under nonzero scaling, so every value is that of the rational route;
+    only the arithmetic runs on ints.
     """
 
     def __init__(self, A: FDAlgebra, idempotents, slot0: int | None = None):
@@ -100,13 +113,19 @@ class _SlotData:
             self.interior = list(range(d))
         else:
             self._peirce(A, idempotents)
-            # pieces (i, j) and (k, l) multiply to zero unless j == k;
-            # _normalize_vec turns integral Fractions into ints
-            self.mulf = [[_normalize_vec(
-                              self.e_to_f.mat_vec(A.multiply(x, y)), A)
+            fs = [cleared(f, field) for f in self.f_vectors]
+            dens, rows = zip(*(cleared(row, field)
+                               for row in self.e_to_f.rows))
+            delta = lcm(*dens)
+            inverse = SparseMatrix(d, d, field, rows=[
+                vec_scale(row, field.from_rational(delta // den), field)
+                for den, row in zip(dens, rows)])
+            # pieces (i, j) and (k, l) multiply to zero unless j == k
+            self.mulf = [[divided(inverse.mat_vec(A.multiply(x, y)),
+                                  delta * dx * dy, field)
                           if a[1] == b[0] else {}
-                          for y, b in zip(self.f_vectors, self.label)]
-                         for x, a in zip(self.f_vectors, self.label)]
+                          for (dy, y), b in zip(fs, self.label)]
+                         for (dx, x), a in zip(fs, self.label)]
         self.code = {f: k for k, f in enumerate(self.interior)}
         self.interior_radix = len(self.interior)
         self.imul = [[{self.code[k]: c for k, c in self.mulf[a][b].items()
@@ -214,16 +233,19 @@ def _pieces(A: FDAlgebra, idempotents):
     (0, 0), (0, 1), .., (r-1, r-1).  basis holds the leftmost vectors
     e_i x_k e_j that span the piece: the pivot columns u_p of the columns
     e_i x_k span e_i A, and the pivot columns of the u_p e_j span the piece.
+    The products run on cleared idempotents (see _SlotData).
     """
     field = A.field
-    rights = [A.right_mult_matrix(e) for e in idempotents]
-    for i, e in enumerate(idempotents):
-        left = A.left_mult_matrix(e)
+    cleared_units = [cleared(e, field) for e in idempotents]
+    rights = [(den, A.right_mult_matrix(w)) for den, w in cleared_units]
+    for i, (den_i, w) in enumerate(cleared_units):
+        left = A.left_mult_matrix(w)
         ideal = [left.columns()[p] for p in left.rref()[1]]
-        for j, right in enumerate(rights):
+        for j, (den_j, right) in enumerate(rights):
             mult = SparseMatrix.from_columns(
                 [right.mat_vec(u) for u in ideal], A.dim, field)
-            yield i, j, [mult.columns()[q] for q in mult.rref()[1]]
+            yield i, j, [divided(mult.columns()[q], den_i * den_j, field)
+                         for q in mult.rref()[1]]
 
 
 def _require_degree(window, n: int) -> None:
@@ -294,17 +316,25 @@ class ChainComplexWindow:
 
 
 def _check_blocks(A: FDAlgebra, blocks) -> list:
-    """The blocks as vectors over A, refused unless they are nonzero
-    idempotents summing to the unit."""
+    """The blocks as vectors over A, refused unless they are a list of
+    nonzero idempotents summing to the unit."""
     # nonzero idempotents that sum to the unit are orthogonal in
     # characteristic zero: their left multiplications are projections whose
     # ranks (= traces) add up to the dimension, so their images are
     # independent
+    if not isinstance(blocks, (list, tuple)) or \
+            not all(isinstance(e, dict) for e in blocks):
+        raise ValidationError("blocks must be a list of vectors {index: "
+                              "scalar}")
     field = A.field
     blocks = [_normalize_vec(e, A) for e in blocks]
     total = {}
     for e in blocks:
-        if not e or not vec_equal(A.multiply(e, e), e, field):
+        # e e = e, tested on the cleared w = D e as w w = D w
+        den, w = cleared(e, field)
+        if not e or not vec_equal(
+                A.multiply(w, w),
+                vec_scale(w, field.from_rational(den), field), field):
             raise ValidationError("blocks must be nonzero idempotents")
         vec_axpy(total, field.one, e, field)
     if not vec_equal(total, A.unit, field):

@@ -147,6 +147,41 @@ def to_raw(value, field: _FieldBase):
 
 # -- row normalization adapters ------------------------------------------------
 
+_RATIONAL = field_of_order(1)
+
+
+def cleared(vec: dict, field: _FieldBase) -> tuple[int, dict]:
+    """(den, w) with vec = w / den: den is the least positive integer that
+    makes den * vec integral and w = den * vec has int entries (int
+    coefficient tuples over Q(zeta_m)).  A vec of ints is returned as it
+    is, with den 1, not copied.  The row adapters' prim starts here."""
+    rational = field.order == 1
+    den, ints = 1, True
+    for c in vec.values() if rational else \
+            (c for e in vec.values() for c in e):
+        if type(c) is not int:
+            ints = False
+            if c.denominator != 1:
+                den = den * c.denominator // gcd(den, c.denominator)
+    if ints:
+        return 1, vec
+    if rational:
+        return den, {j: v.numerator * (den // v.denominator)
+                     for j, v in vec.items()}
+    return den, {j: tuple(c.numerator * (den // c.denominator) for c in e)
+                 for j, e in vec.items()}
+
+
+def divided(w: dict, den: int, field: _FieldBase) -> dict:
+    """w / den, the inverse of cleared, with every entry an int where it is
+    integral (also inside a coefficient tuple); w may hold any rationals,
+    such as a product of cleared vectors in an algebra whose structure
+    constants are Fractions."""
+    return {j: field.from_coeffs([Fraction(c, den)
+                                  for c in field.to_coeffs(v)])
+            for j, v in w.items()}
+
+
 def _primitive(ints: dict) -> dict:
     """A nonempty integer row divided by its content, signed so that the entry
     at the lowest column is positive."""
@@ -172,21 +207,11 @@ class _IntRows:
 
     @staticmethod
     def prim(row: dict) -> dict:
-        den, integral = 1, True
-        for v in row.values():
-            if type(v) is not int:
-                integral = False
-                if v.denominator != 1:
-                    den = den * v.denominator // gcd(den, v.denominator)
-        if integral and row and 0 not in row.values() and row[min(row)] > 0 \
-                and gcd(*row.values()) == 1:
+        ints = cleared(row, _RATIONAL)[1]
+        if ints is row and row and 0 not in row.values() \
+                and row[min(row)] > 0 and gcd(*row.values()) == 1:
             return row
-        ints = {}
-        for j, v in row.items():
-            n = v * den if type(v) is int \
-                else v.numerator * (den // v.denominator)
-            if n:
-                ints[j] = n
+        ints = {j: n for j, n in ints.items() if n}
         return _primitive(ints) if ints else ints
 
     @staticmethod
@@ -242,23 +267,16 @@ class _CycRows:
         """The row over its content gcd(numerators) / lcm(denominators),
         signed so that the first coefficient at the lowest column is
         positive: int tuples whose coefficients have gcd 1."""
-        den, num, ints = 1, 0, True
-        for entry in row.values():
-            for fr in entry:
-                if fr:
-                    if type(fr) is not int:
-                        ints = False
-                        den = den * fr.denominator // gcd(den, fr.denominator)
-                    num = gcd(num, fr.numerator)
+        ints = cleared(row, self.field)[1]
+        num = gcd(*(c for entry in ints.values() for c in entry))
         if not num:
             return {}
-        if next(fr for fr in row[min(row)] if fr) < 0:
+        if next(c for c in ints[min(ints)] if c) < 0:
             num = -num
-        if ints and num == 1:
-            return dict(row)
-        return {j: tuple(fr.numerator * (den // fr.denominator) // num
-                         for fr in entry)
-                for j, entry in row.items()}
+        if num == 1:
+            return ints
+        return {j: tuple(c // num for c in entry)
+                for j, entry in ints.items()}
 
     def combine(self, r: dict, p: dict, c) -> dict:
         f = self.field

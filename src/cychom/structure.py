@@ -34,7 +34,7 @@ from .algebra import (
     unitalization,
 )
 from .errors import AmbientMismatch, NonUnital, ValidationError
-from .linalg import SparseMatrix, Subspace, vec_axpy, vec_equal
+from .linalg import SparseMatrix, Subspace, cleared, vec_axpy, vec_equal
 from .scalars import divisors
 
 
@@ -305,9 +305,11 @@ def _split_unit(A: FDAlgebra, candidates, complete: bool):
     field = A.field
 
     def split(e):
-        # x -> e x e projects onto e A e, so its trace is dim e A e
-        if field.is_zero(field.sub(A.left_mult_matrix(e).product_trace(
-                A.right_mult_matrix(e)), field.one)):
+        # x -> e x e projects onto e A e, so its trace is dim e A e; on the
+        # cleared w = D e the trace of x -> w x w is D^2 dim e A e
+        den, w = cleared(e, field)
+        if field.is_zero(field.sub(A.left_mult_matrix(w).product_trace(
+                A.right_mult_matrix(w)), field.from_rational(den * den))):
             return [e]
         wide = False
         for g in candidates:

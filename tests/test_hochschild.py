@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from cychom.algebra import (
     AlgebraMap,
+    _normalize_vec,
     _unflatten,
     FDAlgebra,
     diagonal_bimodule,
@@ -32,8 +33,9 @@ from cychom.cyclic import cyclic_complex, direct_sum_check, hc, hp, \
 from cychom.errors import NonUnital, NotMultiplicative, SizeOverflow, ValidationError
 from cychom.crossprod import crossed_product, hh_decomposition, \
     trivial_action, variety_crossed_product
-from cychom.groups import FiniteVarietyAction, cyclic_group, group_algebra, \
-    group_metadata, symmetric_group_3
+from cychom.groups import FiniteVarietyAction, cyclic_group, \
+    dihedral_group_4, group_algebra, group_metadata, quaternion_group, \
+    symmetric_group_3
 from cychom.hochschild import (
     _degree_homologies,
     _homology_report,
@@ -1047,6 +1049,131 @@ def test_blocks_must_cut_the_algebra_into_a_direct_sum():
         _homology_report(T, one, one.boundaries, 2).dims
     with pytest.raises(ValidationError):
         bar_complex(A, 2, blocks=[A.unit])
+
+
+@pytest.mark.parametrize("blocks", [True, [[1]], [None]],
+                         ids=["bool", "list", "None"])
+def test_malformed_blocks_are_refused_before_any_work(blocks):
+    A = group_algebra(symmetric_group_3())
+    with pytest.raises(ValidationError):
+        bar_complex(A, 2, normalized=True, blocks=blocks)
+
+
+def test_cleared_idempotent_checks_still_refuse():
+    A = group_algebra(symmetric_group_3())
+    trivial, sign, *rest = split_idempotents(A)
+    half_unit = {k: Fraction(1, 2) * c for k, c in A.unit.items()}
+    # non-idempotents with denominators 2 and 3 summing to the unit
+    a = {0: Fraction(1, 2), 1: Fraction(1, 3)}
+    b = {0: Fraction(1, 2), 1: Fraction(-1, 3)}
+    for blocks in ([{k: 2 * c for k, c in trivial.items()}, sign] + rest,
+                   [half_unit, half_unit], [a, b]):
+        with pytest.raises(ValidationError):
+            bar_complex(A, 2, normalized=True, blocks=blocks)
+    bar_complex(A, 2, normalized=True, blocks=[trivial, sign] + rest)
+
+
+def _fraction_pieces(A, idempotents):
+    """hochschild._pieces on the idempotents as given, with no denominator
+    cleared: the route the cleared one must reproduce."""
+    field = A.field
+    rights = [A.right_mult_matrix(e) for e in idempotents]
+    for i, e in enumerate(idempotents):
+        left = A.left_mult_matrix(e)
+        ideal = [left.columns()[p] for p in left.rref()[1]]
+        for j, right in enumerate(rights):
+            mult = SparseMatrix.from_columns(
+                [right.mat_vec(u) for u in ideal], A.dim, field)
+            yield i, j, [mult.columns()[q] for q in mult.rref()[1]]
+
+
+def _fraction_slot_basis(A, idempotents):
+    """(f_vectors, label, interior, e_to_f, mulf) of the Peirce basis built
+    on _fraction_pieces, with mulf[a][b] = e_to_f (f_a f_b)."""
+    field = A.field
+    f_vectors, label, firsts = [], [], set()
+    for i, j, basis in _fraction_pieces(A, idempotents):
+        if i == j:
+            e = idempotents[i]
+            top = min(SparseMatrix.from_columns(basis, A.dim,
+                                                field).solve(e))
+            firsts.add(len(f_vectors))
+            basis = [dict(e)] + basis[:top] + basis[top + 1:]
+        f_vectors += basis
+        label += [(i, j)] * len(basis)
+    e_to_f = SparseMatrix.from_columns(f_vectors, A.dim, field).inverse()
+    interior = [f for f in range(A.dim) if f not in firsts]
+    mulf = [[_normalize_vec(e_to_f.mat_vec(A.multiply(x, y)), A)
+             if a[1] == b[0] else {}
+             for y, b in zip(f_vectors, label)]
+            for x, a in zip(f_vectors, label)]
+    return f_vectors, label, interior, e_to_f, mulf
+
+
+def _scaled_basis(A, scales):
+    """A on the basis scales[k] x_k, so its structure constants are
+    Fractions."""
+    mul = {(i, j): {k: Fraction(s * scales[i] * scales[j], scales[k])
+                    for k, s in A.mul[i][j].items()}
+           for i in range(A.dim) for j in range(A.dim)}
+    unit = {k: Fraction(c, scales[k]) for k, c in A.unit.items()}
+    return FDAlgebra(A.dim, A.field_order, mul, unit=unit).require_valid()
+
+
+def _mixed_denominators():
+    """M_3(Q) cut by E11 (denominator 1) and E22 + 2/3 E23, E33 - 2/3 E23
+    (denominator 3), idempotents that are not central."""
+    A = matrix_algebra(ground_field(), 3)
+    return A, [{0: 1}, {4: 1, 5: Fraction(2, 3)}, {8: 1, 5: Fraction(-2, 3)}]
+
+
+def _gauss_denominators():
+    """QZ4 cut by (1/4)(1 + g + g^2 + g^3), (1/4)(1 - g + g^2 - g^3) and
+    (1/2)(1 - g^2)."""
+    A = group_algebra(cyclic_group(4))
+    q, h = Fraction(1, 4), Fraction(1, 2)
+    return A, [{0: q, 1: q, 2: q, 3: q}, {0: q, 1: -q, 2: q, 3: -q},
+               {0: h, 2: -h}]
+
+
+def _split(build):
+    def cut():
+        A = build()
+        return A, split_idempotents(A)
+    return cut
+
+
+@pytest.mark.parametrize("case", [
+    _split(lambda: group_algebra(symmetric_group_3())),
+    _split(lambda: extend_scalars(group_algebra(symmetric_group_3()), 3)),
+    _split(lambda: group_algebra(dihedral_group_4())),
+    _split(lambda: group_algebra(quaternion_group())),
+    _split(lambda: extend_scalars(group_algebra(cyclic_group(5)), 5)),
+    _split(lambda: matrix_algebra(truncated_polynomial(2), 2)),
+    _split(lambda: upper_triangular(3)),
+    _split(_rot3),
+    _split(lambda: _scaled_basis(group_algebra(symmetric_group_3()),
+                                 [2, 3, 1, 1, 6, 1])),
+    _mixed_denominators, _gauss_denominators],
+    ids=["QS3", "QS3-zeta3", "QD4", "QQ8", "QZ5-zeta5", "M2(T2)", "U3",
+         "rot3", "QS3-scaled", "M3-mixed", "QZ4-mixed"])
+def test_cleared_slot_basis_matches_the_fraction_route(case):
+    A, idems = case()
+    # bar_complex refuses a list that is not a cut of the unit
+    slots = bar_complex(A, 1, normalized=True, blocks=idems).slots
+    f_vectors, label, interior, e_to_f, mulf = _fraction_slot_basis(
+        A, [_normalize_vec(e, A) for e in idems])
+    assert slots.f_vectors == f_vectors
+    assert slots.label == label
+    assert slots.interior == interior
+    assert slots.e_to_f.rows == e_to_f.rows
+    assert slots.mulf == mulf
+    # mulf keeps the raw rule: an int wherever a rational is integral
+    for row in slots.mulf:
+        for vec in row:
+            for v in vec.values():
+                for c in A.field.to_coeffs(v):
+                    assert type(c) is int or c.denominator != 1
 
 
 def test_budget_counts_the_block_window(monkeypatch):

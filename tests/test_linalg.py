@@ -9,6 +9,7 @@ import heapq
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -22,7 +23,9 @@ from cychom.linalg import (
     Homology,
     SparseMatrix,
     Subspace,
+    cleared,
     dense_to_sparse,
+    divided,
     induced_map,
     kernel_from_rref,
     operator_matrix,
@@ -287,6 +290,26 @@ def test_one_irrational_entry_takes_the_coefficient_tuple_route(monkeypatch):
     rows, pivots = reduced_rows([dict(r) for r in raw_rows], field)
     assert dense_rref_oracle(dense(rows)) == (oracle_rows, oracle_pivots)
     assert routes == [linalg._CycRows, linalg._CycRows]
+
+
+@pytest.mark.parametrize("order", [1, 3, 5])
+def test_cleared_vectors_are_integral_and_divide_back(order):
+    field = field_of_order(order)
+    rng = random.Random(500 + order)
+    for row in _random_raw_rows(rng, field, 30, 6):
+        den, w = cleared(row, field)
+        coeffs = [c for v in w.values() for c in field.to_coeffs(v)]
+        assert all(type(c) is int for c in coeffs)
+        # den is the least: no factor of den divides every coefficient
+        assert gcd(den, *coeffs) == 1
+        back = divided(w, den, field)
+        assert back == row and list(back) == list(row)
+        assert repr(back) == repr({j: to_raw(Cyclotomic.from_raw(v, order),
+                                             field)
+                                   for j, v in row.items()})
+    integral = {0: field.one, 3: field.neg(field.one)}
+    assert cleared(integral, field) == (1, integral)
+    assert cleared(integral, field)[1] is integral
 
 
 # -- kernel / rank-nullity --------------------------------------------------------

@@ -17,7 +17,7 @@ from cychom.algebra import (
     two_sided_ideal,
     upper_triangular,
 )
-from cychom import config
+from cychom import config, structure
 from cychom.cyclic import hc
 from cychom.errors import (
     AmbientMismatch,
@@ -368,6 +368,25 @@ def test_split_unit_of_qz4_leaves_the_gaussian_piece():
     q, h = Fraction(1, 4), Fraction(1, 2)
     assert _split_unit(A, candidates, complete=False) == [
         {0: q, 1: q, 2: q, 3: q}, {0: q, 1: -q, 2: q, 3: -q}, {0: h, 2: -h}]
+
+
+def test_the_trace_test_takes_the_trivial_idempotent_of_qz5_as_primitive(
+        monkeypatch):
+    # (1/5) sum g has dim eAe = 1, read off the cleared 5e as a trace of
+    # 5^2, so the split never reads a minimal polynomial inside it
+    A = group_algebra(cyclic_group(5))
+    trivial = {g: Fraction(1, 5) for g in range(5)}
+    cut = []
+
+    def spy(A, e, x):
+        cut.append(e)
+        return _minimal_polynomial(A, e, x)
+
+    monkeypatch.setattr(structure, "_minimal_polynomial", spy)
+    idems = split_idempotents(A)
+    assert idems[0] == trivial and len(idems) == 2
+    assert A.unit in cut and idems[1] in cut
+    assert trivial not in cut
 
 
 def test_nilpotency_of_a_subspace_of_another_ambient_is_refused():
