@@ -173,13 +173,16 @@ def cleared(vec: dict, field: _FieldBase) -> tuple[int, dict]:
 
 
 def divided(w: dict, den: int, field: _FieldBase) -> dict:
-    """w / den, the inverse of cleared, with every entry an int where it is
-    integral (also inside a coefficient tuple); w may hold any rationals,
-    such as a product of cleared vectors in an algebra whose structure
-    constants are Fractions."""
-    return {j: field.from_coeffs([Fraction(c, den)
-                                  for c in field.to_coeffs(v)])
-            for j, v in w.items()}
+    """w / den for a nonzero integer den, the inverse of cleared, with every
+    entry an int where it is integral (also inside a coefficient tuple); w
+    may hold any rationals, such as a product of cleared vectors in an
+    algebra whose structure constants are Fractions."""
+    def exact(c):
+        return Fraction(c, den) if c % den else c // den
+
+    if field.order == 1:
+        return {j: exact(v) for j, v in w.items()}
+    return {j: tuple(map(exact, e)) for j, e in w.items()}
 
 
 def _primitive(ints: dict) -> dict:
@@ -207,7 +210,7 @@ class _IntRows:
 
     @staticmethod
     def prim(row: dict) -> dict:
-        ints = cleared(row, _RATIONAL)[1]
+        _, ints = cleared(row, _RATIONAL)
         if ints is row and row and 0 not in row.values() \
                 and row[min(row)] > 0 and gcd(*row.values()) == 1:
             return row
@@ -234,9 +237,7 @@ class _IntRows:
 
     @staticmethod
     def monic(row: dict, c) -> dict:
-        piv = row[c]
-        return {j: Fraction(v, piv) if v % piv else v // piv
-                for j, v in row.items()}
+        return divided(row, row[c], _RATIONAL)
 
 
 class _RatCycRows(_IntRows):
@@ -267,7 +268,7 @@ class _CycRows:
         """The row over its content gcd(numerators) / lcm(denominators),
         signed so that the first coefficient at the lowest column is
         positive: int tuples whose coefficients have gcd 1."""
-        ints = cleared(row, self.field)[1]
+        _, ints = cleared(row, self.field)
         num = gcd(*(c for entry in ints.values() for c in entry))
         if not num:
             return {}
