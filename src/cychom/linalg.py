@@ -177,12 +177,11 @@ def divided(w: dict, den: int, field: _FieldBase) -> dict:
     entry an int where it is integral (also inside a coefficient tuple); w
     may hold any rationals, such as a product of cleared vectors in an
     algebra whose structure constants are Fractions."""
-    def exact(c):
-        return Fraction(c, den) if c % den else c // den
-
     if field.order == 1:
-        return {j: exact(v) for j, v in w.items()}
-    return {j: tuple(map(exact, e)) for j, e in w.items()}
+        return {j: Fraction(v, den) if v % den else v // den
+                for j, v in w.items()}
+    return {j: tuple(Fraction(c, den) if c % den else c // den for c in e)
+            for j, e in w.items()}
 
 
 def _primitive(ints: dict) -> dict:
@@ -210,11 +209,15 @@ class _IntRows:
 
     @staticmethod
     def prim(row: dict) -> dict:
-        _, ints = cleared(row, _RATIONAL)
-        if ints is row and row and 0 not in row.values() \
-                and row[min(row)] > 0 and gcd(*row.values()) == 1:
+        try:
+            g = gcd(*row.values())
+        except TypeError:
+            # a Fraction entry
+            _, row = cleared(row, _RATIONAL)
+            g = gcd(*row.values())
+        if g == 1 and 0 not in row.values() and row[min(row)] > 0:
             return row
-        ints = {j: n for j, n in ints.items() if n}
+        ints = {j: n for j, n in row.items() if n}
         return _primitive(ints) if ints else ints
 
     @staticmethod
