@@ -154,7 +154,7 @@ def cleared(vec: dict, field: _FieldBase) -> tuple[int, dict]:
     """(den, w) with vec = w / den: den is the least positive integer that
     makes den * vec integral and w = den * vec has int entries (int
     coefficient tuples over Q(zeta_m)).  A vec of ints is returned as it
-    is, with den 1, not copied.  The row adapters' prim starts here."""
+    is, with den 1, not copied.  The row adapters' prim clear rows here."""
     rational = field.order == 1
     den, ints = 1, True
     for c in vec.values() if rational else \
