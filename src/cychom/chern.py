@@ -6,18 +6,21 @@ surviving as an idempotent), pushes it through the unital substitution
 sending that idempotent to the matrix, and collapses matrix indices with
 the generalized trace.  The odd character of an invertible matrix plays
 the same game over the group algebra of a finite cyclic group, seeded by
-inverse-tensor-generator in degree one.  The substitution and the trace
-are the one chain-map builder of hochschild, _tensor_chain_matrix, applied
-to each Hochschild component of the carrier cycle; it maps only that
-component's own coordinates.  Every produced chain is checked to be an
-exact cycle of the total complex.
+inverse-tensor-generator in degree one.  The chains live on the layout of
+the (b, B) total chains, cyclic.CyclicComplexWindow.  The substitution and
+the trace are the one chain-map builder of hochschild, _tensor_chain_matrix,
+applied to each Hochschild component of the carrier cycle; it maps only
+that component's own coordinates.  Every produced chain is checked to be
+a cycle, b x_m + B x_(m-2) = 0 in each tensor degree m.
 """
 
 from dataclasses import dataclass
 
 from .algebra import FDAlgebra, _normalize_vec, _unflatten, matrix_algebra
-from .cyclic import CyclicComplexWindow, cyclic_complex, operator_S
+from .cyclic import CyclicComplexWindow, cyclic_complex, operator_B, \
+    operator_S
 from .errors import (
+    AmbientMismatch,
     NotIdempotent,
     NotInvertible,
     OrderUnbounded,
@@ -25,8 +28,8 @@ from .errors import (
     check_int,
 )
 from .groups import cyclic_group, group_algebra
-from .hochschild import _tensor_chain_matrix
-from .linalg import vec_equal
+from .hochschild import _require_degree, _tensor_chain_matrix
+from .linalg import cleared, vec_add, vec_equal
 from .scalars import Cyclotomic
 
 ORDER_SEARCH_LIMIT = 24
@@ -38,11 +41,18 @@ ORDER_SEARCH_LIMIT = 24
 
 @dataclass
 class CyclicChain:
-    """A total-degree homogeneous chain of the (b, B) total complex."""
+    """A total-degree homogeneous chain of the (b, B) total complex, in a
+    degree of its window and in that degree's coordinates."""
 
     window: CyclicComplexWindow
     degree: int
     chain: dict
+
+    def __post_init__(self):
+        _require_degree(self.window, self.degree)
+        if any(not 0 <= i < self.window.dims[self.degree] for i in self.chain):
+            raise AmbientMismatch("degree %d has coordinates 0..%d" % (
+                self.degree, self.window.dims[self.degree] - 1))
 
     def component(self, m: int) -> dict:
         """The piece sitting in tensor degree m, in bar-window coordinates."""
@@ -58,9 +68,18 @@ class CyclicChain:
                            operator_S(self.window, self.degree, self.chain))
 
     def is_cycle(self) -> bool:
-        if self.degree == 0:
-            return True
-        return self.window.totals[self.degree].annihilates(self.chain)
+        """Whether b x_m + B x_(m-2) = 0 for each tensor degree m > 0, x_m
+        the component in tensor degree m, read on the chain cleared to ints
+        (linalg.cleared), which leaves the answer as it is."""
+        hoch, field = self.window.hochschild_window, self.window.field
+        ints = cleared(self.chain, field)[1]
+        x = {m: self.window.component(self.degree, ints, k)
+             for k, (m, _) in enumerate(self.window.summands(self.degree))}
+        for m in filter(None, x):
+            B = operator_B(hoch, m - 2, x[m - 2]) if m > 1 else {}
+            if vec_add(hoch.boundaries[m].mat_vec(x[m]), B, field):
+                return False
+        return True
 
     def equals(self, other: "CyclicChain") -> bool:
         return (self.degree == other.degree
@@ -86,7 +105,7 @@ def _extend_cycle(ch: CyclicChain) -> CyclicChain:
     n = ch.degree
     hoch = window.hochschild_window
     field = window.field
-    rhs = window.b_up[n].mat_vec(window.component(n, ch.chain, 0))
+    rhs = operator_B(hoch, n, window.component(n, ch.chain, 0))
     negated = {i: field.neg(c) for i, c in rhs.items()}
     top = hoch.boundaries[n + 2].solve(negated)
     if top is None:

@@ -1,17 +1,17 @@
-"""Cyclic homology: the operators t and B, the bicomplex, Connes' complex,
-S, SBI, HP.
+"""Cyclic homology: the operators t and B, Connes' complex, S, SBI, HP,
+induced maps and excision.
 
-The bicomplex columns are the Hochschild complex of the algebra; degree-n
-total chains are stacked Hochschild chains of degrees n, n-2, ...  It
-carries S, B and chain maps, so sbi_check, induced_map_hc, excision_check
-and the Chern characters work on it.  hc and hp's stabilization take
-Connes' complex A^(x)(n+1) / (1 - t) under b instead, which has the same
-homology over a field containing Q (Loday, Cyclic Homology, 2.1) and about
-1/(n + 1) of the Hochschild chains in degree n; its window carries a
-chain-level S of its own.  The periodic theory is computed two
-independent ways: through the radical (nilpotent ideals do not change it,
-and what is left is semisimple) and by stabilizing the images of the
-periodicity operator.
+Every route to HC runs on Connes' complex A^(x)(n+1) / (1 - t) under b,
+whose homology over a field containing Q is that of the (b, B) bicomplex
+(Loday, Cyclic Homology, 2.1), with about 1/(n + 1) of the Hochschild
+chains in degree n: hc and hp's stabilization, and, with I, S and the
+connecting map B written on it (Loday 2.2), sbi_check, excision_check and
+induced_map_hc.  Its window carries a chain-level S of its own.  Of the
+bicomplex only the layout of the total chains is kept
+(CyclicComplexWindow), on which the Chern characters raise their cycles
+with operator_B.  The periodic theory is computed two independent ways:
+through the radical (nilpotent ideals do not change it, and what is left
+is semisimple) and by stabilizing the images of the periodicity operator.
 """
 
 from __future__ import annotations
@@ -29,10 +29,9 @@ from .errors import AmbientMismatch, DegreeTooLow, NonUnital, \
     NotMultiplicative, ValidationError, check_int
 from .hochschild import ChainComplexWindow, HomologyReport, InducedMap, \
     _SlotData, _degree_homologies, _homology_report, _induced, \
-    _phi_slot_maps, _require_degree, _tensor_chain_matrix, bar_complex, \
-    induced_map_hh
+    _phi_slot_maps, _require_degree, bar_complex, induced_map_hh
 from .linalg import SparseMatrix, Subspace, add_term, dense_to_sparse, \
-    induced_map, operator_matrix
+    induced_map, operator_matrix, vec_sub
 from .structure import center, semisimple_quotient
 
 
@@ -104,15 +103,6 @@ def _B_rows(window: ChainComplexWindow, n: int, chains, rows) -> None:
                          c[n * (j + 1) % 2], field)
 
 
-def _B_matrix(window: ChainComplexWindow, n: int) -> SparseMatrix:
-    """B out of degree n, on every chain in index order."""
-    chains = [(s, u) for values, words in window.slots.blocks(n)
-              for s in values for u in words]
-    rows = [{} for _ in range(window.dims[n + 1])]
-    _B_rows(window, n, chains, rows)
-    return SparseMatrix(len(rows), len(chains), window.field, rows=rows)
-
-
 def operator_B(window: ChainComplexWindow, n: int, chain: dict) -> dict:
     """Connes' degree-raising differential applied to a degree-n chain.
 
@@ -138,20 +128,20 @@ def operator_B(window: ChainComplexWindow, n: int, chain: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# the bicomplex window
+# the layout of the bicomplex's total chains
 
 
 class CyclicComplexWindow:
-    """Degrees 0..n_max of the total complex of the (b, B) bicomplex.
+    """Degrees 0..n_max of the total chains of the (b, B) bicomplex.
 
     The layout, stated once: with dims_H the Hochschild window's dims,
     degree n stacks the Hochschild degrees n, n-2, ...; summand k holds
     degree n-2k and starts at offsets[n][k] = sum_{i<k} dims_H[n-2i].
     So S, dropping the top summand, shifts coordinates down by dims_H[n];
     and below its top summand degree n+2 is degree n shifted up by
-    dims_H[n+2], as offsets[n+2][k+1] = dims_H[n+2] + offsets[n][k].
-    b_up[m] is B out of Hochschild degree m.  totals[n] is b + B into
-    degree n-1: b keeps summand k, B moves summand k+1 to summand k.
+    dims_H[n+2], as offsets[n+2][k+1] = dims_H[n+2] + offsets[n][k].  The
+    window holds no matrix: b is the Hochschild window's boundaries, B is
+    operator_B, and b + B takes summand k to summands k and k - 1.
     """
 
     def __init__(self, algebra, n_max, normalized, hochschild_window):
@@ -163,15 +153,7 @@ class CyclicComplexWindow:
         self.offsets = [list(accumulate(hoch.dims[n::-2], initial=0))
                         for n in range(n_max + 1)]
         self.dims = [offs.pop() for offs in self.offsets]
-        check_chain_dims(self.dims, "total")  # before any B is built
-        self.b_up = [_B_matrix(hoch, m) for m in range(n_max)]
-        self.totals = [None]
-        for n in range(1, n_max + 1):
-            b = [(k, k, hoch.boundaries[m])
-                 for k, m in enumerate(range(n, 0, -2))]
-            B = [(k, k + 1, self.b_up[m])
-                 for k, m in enumerate(range(n - 2, -1, -2))]
-            self.totals.append(_stacked(self, n - 1, self, n, b + B))
+        check_chain_dims(self.dims, "total")
 
     def _span(self, n: int, k: int) -> tuple:
         """Start and width of summand k of degree n, if the window has it."""
@@ -201,42 +183,10 @@ class CyclicComplexWindow:
                                   "0..%d" % (k, n, width - 1))
         return {i + start: c for i, c in vec.items()}
 
-    def check_differential(self) -> None:
-        for n in range(2, self.n_max + 1):
-            if not self.totals[n - 1].matmul(self.totals[n]).is_zero_matrix():
-                raise ValidationError(
-                    "total differential squared is nonzero at degree %d" % n)
-
-
-def _stacked(tgt: CyclicComplexWindow, m: int, src: CyclicComplexWindow,
-             n: int, blocks) -> SparseMatrix:
-    """The matrix from total degree n of src to total degree m of tgt whose
-    block (l, k, M) puts M from summand k into summand l; every summand of
-    tgt gets at least one block.
-
-    A row is made by its first block and extended by the others, in
-    increasing k, so it holds its entries in increasing column order when
-    the blocks' rows do.
-    """
-    parts = defaultdict(list)
-    for l, k, M in sorted(blocks, key=lambda block: block[1]):
-        parts[l].append((src.offsets[n][k], M.rows))
-    rows = []
-    for l in range(len(tgt.offsets[m])):
-        (off, first), *rest = parts[l]
-        made = [{off + j: c for j, c in row.items()} if off else dict(row)
-                for row in first]
-        for off, block in rest:
-            for row, extra in zip(made, block):
-                for j, c in extra.items():
-                    row[off + j] = c
-        rows += made
-    return SparseMatrix(tgt.dims[m], src.dims[n], tgt.field, rows=rows)
-
 
 def cyclic_complex(A: FDAlgebra, n_max: int,
                    normalized: bool | None = None) -> CyclicComplexWindow:
-    """Build the cyclic bicomplex window for degrees 0..n_max."""
+    """The (b, B) bicomplex's total chains in degrees 0..n_max, a layout."""
     if not A.is_unital:
         raise NonUnital("the cyclic bicomplex needs a unital algebra")
     if normalized is None:
@@ -291,6 +241,10 @@ class _ConnesWindow:
     C^lambda(A) itself.  boundaries[n] is b into degree n - 1, computed on
     the stored words, and periodicity is S on a cycle; both read faces back
     through a local memo of _read_back that holds only the orbits met.
+    The normalized window's homology is HC(A) once a trace tau, tau(1) = 1,
+    names the reduced classes, those x of degree 2k with tau(S^k x) = 0.
+    periodicity is S on HC(A) for every tau; sbi_check and induced_map_hc
+    take the regular trace over dim A (_unit_trace).
     """
 
     def __init__(self, algebra, n_max, normalized):
@@ -316,8 +270,9 @@ class _ConnesWindow:
             if n:
                 self.boundaries.append(SparseMatrix(
                     self.dims[n - 1], self.dims[n], field,
-                    rows=_connes_rows(words, self.index[n - 1],
-                                      self.dims[n - 1], slots.imul, field)))
+                    rows=_connes_rows(words, partial(_faces, imul=slots.imul),
+                                      self.index[n - 1], self.dims[n - 1],
+                                      field)))
             self.index.append({w: k for k, w in enumerate(words)})
         # lam[a, b]: the unit coefficient of the product of the codes a and
         # b, which imul drops on the normalized slot basis
@@ -348,14 +303,18 @@ class _ConnesWindow:
         if any(not 0 <= k < self.dims[n] for k in chain):
             raise AmbientMismatch("degree %d has coordinates 0..%d"
                                   % (n, self.dims[n] - 1))
-        field, imul, lam = self.field, self.slots.imul, self.lam
         words = self.words[n]
-        out, z, w = {}, {}, {}
-        for k, c in chain.items():
-            if k == len(words):
-                out[len(self.words[n - 2])] = c
-                continue
-            word = words[k]
+        out = {len(self.words[n - 2]): c for k, c in chain.items()
+               if k == len(words)}
+        return self._s_of_words(n, [(words[k], c) for k, c in chain.items()
+                                    if k < len(words)], out)
+
+    def _s_of_words(self, n: int, terms, out: dict) -> dict:
+        """periodicity's S of the sum of c w over (w, c) in terms, added into
+        out; other words for the same classes move it by a boundary."""
+        field, imul, lam = self.field, self.slots.imul, self.lam
+        z, w = {}, {}
+        for word, c in terms:
             for i, face, v in _faces(word, imul):
                 add_term(z, face, field.mul(field.neg(c) if i % 2 else c, v),
                          field)
@@ -432,18 +391,17 @@ def _read_back(word, index: dict, memo: dict):
     return memo[word]
 
 
-def _connes_rows(words, target: dict, nrows: int, imul, field) -> list:
-    """b out of degree n = len(word) - 1 as rows, column k from words[k].
-
-    Each face of _faces goes through imul, so a unit part is dropped, and
-    is read back into target through one memo of _read_back local to this
-    boundary.  Columns are visited in order, so each row holds its entries
-    in increasing column order.
+def _connes_rows(words, terms, target: dict, nrows: int, field) -> list:
+    """Rows of the map that sends column k to the sum of (-1)^i c [u] over
+    the (i, u, c) of terms(words[k]) (the faces of b, or the terms of a
+    chain map), each u read back into target through one memo of
+    _read_back local to this map.  Columns are visited in order, so each
+    row holds its entries in increasing column order.
     """
     rows = [{} for _ in range(nrows)]
     memo = {}
     for col, w in enumerate(words):
-        for i, face, c in _faces(w, imul):
+        for i, face, c in terms(w):
             stored = memo.get(face, _UNREAD)
             if stored is _UNREAD:
                 stored = _read_back(face, target, memo)
@@ -452,6 +410,34 @@ def _connes_rows(words, target: dict, nrows: int, imul, field) -> list:
                 add_term(rows[row], col,
                          field.neg(c) if (i + odd) % 2 else c, field)
     return rows
+
+
+def _connes_chain_maps(src: _ConnesWindow, tgt: _ConnesWindow, letters,
+                       top: int) -> list:
+    """phi^(x)(n+1) from src to tgt in degrees 0..top, word by word, where
+    letters are the interior images of hochschild._phi_slot_maps.  It
+    commutes with b and t.  On the normalized windows a term with a unit
+    letter lies in the tensors with a 1, which the reduced complex divides
+    out, and the unit class goes to the unit class (phi is unital).
+    """
+    field = tgt.field
+
+    def power(word):
+        # distinct prefixes take distinct last letters: no term repeats
+        image = {(): field.one}
+        for code in word:
+            image = {u + (k,): field.mul(c, a) for u, c in image.items()
+                     for k, a in letters[code][0][0].items()}
+        return [(0, u, c) for u, c in image.items()]
+
+    maps = []
+    for n in range(top + 1):
+        rows = _connes_rows(src.words[n], power, tgt.index[n], tgt.dims[n],
+                            field)
+        if src.dims[n] > len(src.words[n]):
+            rows[-1][src.dims[n] - 1] = field.one
+        maps.append(SparseMatrix(tgt.dims[n], src.dims[n], field, rows=rows))
+    return maps
 
 
 # ---------------------------------------------------------------------------
@@ -464,32 +450,11 @@ def _require_s_degree(window, n: int) -> None:
         raise DegreeTooLow("the periodicity operator needs degree >= 2")
 
 
-def s_matrix(window: CyclicComplexWindow, n: int) -> SparseMatrix:
-    """The periodicity projection: drop the top Hochschild component, a
-    shift (see CyclicComplexWindow)."""
-    _require_s_degree(window, n)
-    one = window.field.one
-    cut = window.hochschild_window.dims[n]
-    return SparseMatrix(window.dims[n - 2], window.dims[n], window.field,
-                        rows=[{cut + j: one}
-                              for j in range(window.dims[n - 2])])
-
-
 def operator_S(window: CyclicComplexWindow, n: int, chain: dict) -> dict:
     """S on one chain: the shift of CyclicComplexWindow's layout."""
     _require_s_degree(window, n)
     cut = window.hochschild_window.dims[n]
     return {i - cut: c for i, c in chain.items() if i >= cut}
-
-
-def i_matrix(window: CyclicComplexWindow, n: int) -> SparseMatrix:
-    """Inclusion of the Hochschild complex as the first column."""
-    _require_degree(window, n)
-    one = window.field.one
-    width = window.hochschild_window.dims[n]
-    return SparseMatrix(window.dims[n], width, window.field,
-                        rows=[{j: one} for j in range(width)]
-                        + [{} for _ in range(window.dims[n] - width)])
 
 
 def hc(A: FDAlgebra, n_max: int,
@@ -500,13 +465,11 @@ def hc(A: FDAlgebra, n_max: int,
     under b, whose homology over a field containing Q is that of the
     (b, B) bicomplex (Loday, Cyclic Homology, 2.1); report.window is a
     _ConnesWindow, whose periodicity is S on its cycles.  In degree n it
-    has about 1/(n + 1) of the Hochschild chains, where the total complex
-    stacks the Hochschild degrees n, n - 2, ..  The normalized route, the
-    default, works on the reduced complex (A/k)^(x)(n+1) / (1 - t) and adds
-    HC(k), one class in each even degree; normalized=False builds the full
-    C^lambda(A).  hp's stabilization runs on this report.  The callers
-    that need B or chain maps (sbi_check, induced_map_hc, excision_check)
-    stay on the total complex, through _bicomplex_hc.
+    has about 1/(n + 1) of the Hochschild chains.  The normalized route,
+    the default, works on the reduced complex (A/k)^(x)(n+1) / (1 - t) and
+    adds HC(k), one class in each even degree; normalized=False builds the
+    full C^lambda(A).  hp's stabilization, sbi_check, induced_map_hc and
+    excision_check all run on this report.
     """
     check_int(n_max, "a degree bound", 0)
     if not A.is_unital:
@@ -515,31 +478,33 @@ def hc(A: FDAlgebra, n_max: int,
     return _homology_report(A, window, window.boundaries, n_max)
 
 
-def _bicomplex_hc(A: FDAlgebra, n_max: int,
-                  normalized: bool | None = None) -> HomologyReport:
-    """HC_0 .. HC_n_max on the (b, B) total complex, whose window carries
-    S, B and the chain maps; the oracle of the Connes route of hc and of
-    hp's stabilization."""
-    check_int(n_max, "a degree bound", 0)
-    window = cyclic_complex(A, n_max + 1, normalized=normalized)
-    return _homology_report(A, window, window.totals, n_max)
+def _unit_trace(A: FDAlgebra, vectors) -> dict:
+    """{j: tau(vectors[j])} for tau the regular trace over dim A, the trace
+    of _ConnesWindow."""
+    trace = {i: A.field.scale(t, Fraction(1, A.dim))
+             for i, t in enumerate(A.trace_vector())}
+    return SparseMatrix(1, A.dim, A.field, rows=[trace]).matmul(
+        SparseMatrix.from_columns(vectors, A.dim, A.field)).rows[0]
+
+
+def _on_homology(f, source, target, refusal: str) -> SparseMatrix:
+    """The matrix of f, from source's representatives to chains of
+    target's complex, on homology; an image that is no cycle is refused."""
+    cols = []
+    for rep in source.representatives:
+        coords = target.coords(f(rep))
+        if coords is None:
+            raise ValidationError(refusal)
+        cols.append(dense_to_sparse(coords, target.field))
+    return SparseMatrix.from_columns(cols, target.dim, target.field)
 
 
 def _s_on_homology(S, homologies, top: int) -> dict:
     """{n: S from homology degree n to n-2} for n = 2..top, where S(n, x)
     is a chain-level S on a degree-n cycle x."""
-    s_hom = {}
-    for n in range(2, top + 1):
-        target = homologies[n - 2]
-        cols = []
-        for rep in homologies[n].representatives:
-            coords = target.coords(S(n, rep))
-            if coords is None:
-                raise ValidationError(
-                    "S does not send a degree-%d cycle to a cycle" % n)
-            cols.append(dense_to_sparse(coords, target.field))
-        s_hom[n] = SparseMatrix.from_columns(cols, target.dim, target.field)
-    return s_hom
+    return {n: _on_homology(partial(S, n), homologies[n], homologies[n - 2],
+                            "S does not send a degree-%d cycle to a cycle" % n)
+            for n in range(2, top + 1)}
 
 
 def _s_tower(s_hom: dict, parity: int, cutoff: int):
@@ -604,30 +569,47 @@ def sbi_check(A: FDAlgebra, n_max: int,
               normalized: bool | None = None) -> SBIReport:
     """Exactness of ... -> HH_n -> HC_n -> HC_{n-2} -> HH_{n-1} -> ...
 
-    All three maps are realized on homology through explicit chain
-    matrices; each node reports the incoming rank and the outgoing kernel
-    dimension, which agree exactly when the sequence is exact there.
+    The maps are chain matrices between hc's Connes window and the bar
+    window on the same slot basis (Loday, Cyclic Homology, 2.2).  I sends
+    (s, u) to the class of the word code(s) u, or to nothing when s is the
+    unit (a tensor with a 1), and in degree 0 adds tau(s) times the unit
+    class (see _ConnesWindow).  S is periodicity.  The connecting map is B
+    on each stored word w read as the bar chain (f_(w_0), w_1 .. w_n): B
+    factors through 1 - t and kills the tensors with a 1.  Each node
+    reports the incoming rank and the outgoing kernel dimension, which
+    agree exactly when the sequence is exact there.
     """
-    hc_report = _bicomplex_hc(A, n_max, normalized=normalized)
+    hc_report = hc(A, n_max, normalized=normalized)
     window = hc_report.window
-    hoch = window.hochschild_window
+    hoch = bar_complex(A, n_max + 1, normalized=window.normalized)
     hh_report = _homology_report(A, hoch, hoch.boundaries, n_max)
     hh_degrees, hc_degrees = hh_report.degrees, hc_report.degrees
+    field, code, f_of = window.field, window.slots.code, window.slots.interior
 
-    # homology-level matrices
-    i_maps = {n: induced_map(i_matrix(window, n), hh_degrees[n].homology,
-                             hc_degrees[n].homology)
-              for n in range(n_max + 1)}
-    del_maps = {}
-    s_maps = _s_on_homology(partial(operator_S, window),
+    def projected(chain):
+        s, u = chain
+        return [(0, (code[s],) + u, field.one)] if s in code else []
+
+    i_maps = {}
+    for n in range(n_max + 1):
+        rows = _connes_rows([(s, u) for values, words in hoch.slots.blocks(n)
+                             for s in values for u in words], projected,
+                            window.index[n], window.dims[n], field)
+        if n == 0 and window.normalized:
+            rows[-1] = _unit_trace(A, window.slots.f_vectors)
+        i_maps[n] = induced_map(
+            SparseMatrix(window.dims[n], hoch.dims[n], field, rows=rows),
+            hh_degrees[n].homology, hc_degrees[n].homology)
+    s_maps = _s_on_homology(window.periodicity,
                             [d.homology for d in hc_degrees], n_max)
-    for n in range(0, n_max):
-        # the connecting map out of HC_n: apply B to the top Hochschild
-        # component; on cycles the lower components contribute nothing
-        chain = SparseMatrix(hoch.dims[n + 1], window.dims[n], window.field,
-                             rows=window.b_up[n].rows)
-        del_maps[n] = induced_map(chain, hc_degrees[n].homology,
-                                  hh_degrees[n + 1].homology)
+    del_maps = {}
+    for n in range(n_max):
+        rows = [{} for _ in range(hoch.dims[n + 1])]
+        _B_rows(hoch, n, [(f_of[w[0]], w[1:]) for w in window.words[n]],
+                rows)
+        del_maps[n] = induced_map(
+            SparseMatrix(hoch.dims[n + 1], window.dims[n], field, rows=rows),
+            hc_degrees[n].homology, hh_degrees[n + 1].homology)
 
     nodes = []
     for n in range(n_max + 1):
@@ -667,10 +649,10 @@ def hp(A: FDAlgebra, mode: str = "radical_shortcut",
     leaves the periodic theory unchanged, and reads the answer off the
     semisimple part.  Stabilization instead watches the images of iterated
     S on hc(A, cutoff, normalized)'s window of Connes' complex, with the
-    chain-level S of _ConnesWindow.periodicity, and builds no (b, B)
-    complex; when several consecutive images agree the tower has become
-    constant.  Inconclusive stabilization is reported, not raised; the
-    radical answer is authoritative either way.
+    chain-level S of _ConnesWindow.periodicity; when several consecutive
+    images agree the tower has become constant.  Inconclusive
+    stabilization is reported, not raised; the radical answer is
+    authoritative either way.
     """
     if mode not in ("radical_shortcut", "stabilization"):
         raise ValidationError("unknown hp mode %r" % mode)
@@ -722,26 +704,16 @@ def hp_nonunital(A: FDAlgebra, mode: str = "radical_shortcut",
 # induced maps on the cyclic complex
 
 
-def _hc_chain_maps(phi: AlgebraMap, src_w: CyclicComplexWindow,
-                   tgt_w: CyclicComplexWindow, n_max: int) -> list:
-    """Blockwise chain matrices of a unital map on two cyclic windows."""
-    src, tgt = src_w.hochschild_window, tgt_w.hochschild_window
-    slot0, interior = _phi_slot_maps(phi, src, tgt)
-    hoch_maps = [_tensor_chain_matrix(src, tgt, m, slot0, interior)
-                 for m in range(n_max + 1)]
-    return [_stacked(tgt_w, n, src_w, n,
-                     [(k, k, hoch_maps[m])
-                      for k, m in enumerate(range(n, -1, -2))])
-            for n in range(n_max + 1)]
-
-
 def induced_map_hc(phi: AlgebraMap, n_max: int,
                    normalized: bool | None = None) -> InducedMap:
     """Per-degree cyclic homology matrices of a unital multiplicative map.
 
-    The chain map acts blockwise on the stacked Hochschild components; it
-    commutes with b by multiplicativity and with B because the unit maps
-    to the unit.
+    The chain maps are phi^(x)(n+1) between hc's Connes windows
+    (_connes_chain_maps).  phi keeps HC(k) but not the trace that names
+    the reduced classes of a normalized window (see _ConnesWindow), so
+    there the unit class's row in degree 2k is sigma P^k, P periodicity on
+    every word and sigma = tau' phi - tau on degree 0 (sigma(1) = 0): a
+    cocycle, as P takes boundaries to boundaries and sigma kills them.
     """
     check_int(n_max, "a degree bound", 0)
     if not phi.multiplicative:
@@ -749,10 +721,23 @@ def induced_map_hc(phi: AlgebraMap, n_max: int,
     if not phi.unital:
         raise NotMultiplicative("cyclic induced maps need a unital map")
     phi.validate()
-    src = _bicomplex_hc(phi.source, n_max, normalized=normalized)
-    tgt = _bicomplex_hc(phi.target, n_max, normalized=normalized)
-    return _induced(src, tgt, _hc_chain_maps(phi, src.window, tgt.window,
-                                             n_max))
+    src = hc(phi.source, n_max, normalized=normalized)
+    tgt = hc(phi.target, n_max, normalized=normalized)
+    W, V = src.window, tgt.window
+    maps = _connes_chain_maps(W, V, _phi_slot_maps(phi, W, V)[1], n_max)
+    if W.normalized:
+        field, one = W.field, W.field.one
+        codes = [W.slots.f_vectors[f] for f in W.slots.interior]
+        row = SparseMatrix(1, W.dims[0], field, rows=[vec_sub(
+            _unit_trace(V.algebra, [phi.apply(v) for v in codes]),
+            _unit_trace(W.algebra, codes), field)])
+        for n in range(0, n_max + 1, 2):
+            if n:
+                row = row.matmul(SparseMatrix.from_columns(
+                    [W.periodicity(n, {j: one}) for j in range(W.dims[n])],
+                    W.dims[n - 2], field))
+            maps[n].rows[-1] = {**row.rows[0], W.dims[n] - 1: one}
+    return _induced(src, tgt, maps)
 
 
 # ---------------------------------------------------------------------------
@@ -782,28 +767,37 @@ class ExcisionReport:
 
 
 class _SubComplex:
-    """A kernel subcomplex of a cyclic window, with its own homology and S."""
+    """A kernel subcomplex of a Connes window, with its own homology and S:
+    periodicity's S on each class written as the average of its word's
+    signed rotations, which a word-by-word chain map keeps, so the kernel
+    keeps S at chain level."""
 
-    def __init__(self, window: CyclicComplexWindow, chain_maps: list,
+    def __init__(self, window: _ConnesWindow, chain_maps: list,
                  cutoff: int):
         self.window = window
         self.spaces = [chain_maps[n].kernel_space()
                        for n in range(cutoff + 2)]
-        self.diffs = [None] + [self._restrict(window.totals[n], n, n - 1)
-                               for n in range(1, cutoff + 2)]
+        self.diffs = [None] + [operator_matrix(
+            window.boundaries[n], self.spaces[n].basis, self.spaces[n - 1],
+            "the boundary does not preserve the subcomplex")
+            for n in range(1, cutoff + 2)]
         self.homologies = _degree_homologies(
             self.diffs, [space.dim for space in self.spaces], window.field,
             cutoff)
-        self.s_hom = {}
-        for n in range(2, cutoff + 1):
-            self.s_hom[n] = induced_map(
-                self._restrict(s_matrix(window, n), n, n - 2),
-                self.homologies[n], self.homologies[n - 2])
+        self.s_hom = _s_on_homology(self._periodicity, self.homologies,
+                                    cutoff)
 
-    def _restrict(self, op: SparseMatrix, n: int, m: int) -> SparseMatrix:
-        """An ambient operator from degree n to m, in the subspace bases."""
-        return operator_matrix(op, self.spaces[n].basis, self.spaces[m],
-                               "operator does not preserve the subcomplex")
+    def _periodicity(self, n: int, x: dict) -> dict:
+        window, field = self.window, self.window.field
+        # [rot^r w] = (-1)^(nr) [w], and the kernel has no unit class
+        share = [Fraction((-1) ** (n * r), n + 1) for r in range(n + 1)]
+        coords = self.spaces[n - 2].coords(window._s_of_words(n, [
+            (w[r:] + w[:r], field.scale(c, share[r]))
+            for k, c in self.embed(n).mat_vec(x).items()
+            for w in [window.words[n][k]] for r in range(n + 1)], {}))
+        if coords is None:
+            raise ValidationError("S does not preserve the subcomplex")
+        return dense_to_sparse(coords, field)
 
     def embed(self, n: int) -> SparseMatrix:
         """Coordinates of the degree-n subspace inside the window."""
@@ -820,8 +814,11 @@ def excision_check(A: FDAlgebra, J: TwoSidedIdeal,
     relative subcomplex (kernel of the chain-level projection) plays the
     role of the ideal, and its stabilized dimensions are matched against
     the ideal's own periodic theory computed independently through the
-    radical.  Connecting maps come from lifting cycles through the
-    projection and applying the total differential.
+    radical.  It runs on hc's Connes windows of the unitalizations, whose
+    codes are the algebras' bases, free of the adjoined unit in products:
+    with the augmentation as the trace of _ConnesWindow, the projection's
+    word-by-word chain maps are its maps on HC.  Connecting maps come from
+    lifting cycles through the projection and applying b.
     """
     if not A.is_unital:
         raise NonUnital("excision check starts from a unital algebra")
@@ -845,10 +842,11 @@ def excision_check(A: FDAlgebra, J: TwoSidedIdeal,
                                      multiplicative=True, unital=True)
     pi_plus.validate()
 
-    hc_A = _bicomplex_hc(Ap.algebra, cutoff)
-    hc_Q = _bicomplex_hc(Qp.algebra, cutoff)
+    hc_A = hc(Ap.algebra, cutoff)
+    hc_Q = hc(Qp.algebra, cutoff)
     WA, WQ = hc_A.window, hc_Q.window
-    pi_chain = _hc_chain_maps(pi_plus, WA, WQ, cutoff + 1)
+    pi_chain = _connes_chain_maps(WA, WQ, _phi_slot_maps(pi_plus, WA, WQ)[1],
+                                  cutoff + 1)
     rel = _SubComplex(WA, pi_chain, cutoff)
     for n in range(cutoff + 2):
         # onto exactly when the kernel leaves room for the whole target
@@ -860,31 +858,27 @@ def excision_check(A: FDAlgebra, J: TwoSidedIdeal,
     HQ = [d.homology for d in hc_Q.degrees]
 
     # homology-level maps of the long exact sequence of the pair
-    incl_hom, pi_hom, del_hom = {}, {}, {}
+    incl_hom, pi_hom = {}, {}
     for n in range(cutoff + 1):
         incl_hom[n] = induced_map(rel.embed(n), rel.homologies[n], HA[n])
         pi_hom[n] = induced_map(pi_chain[n], HA[n], HQ[n])
-    sA_hom = _s_on_homology(partial(operator_S, WA), HA, cutoff)
-    sQ_hom = _s_on_homology(partial(operator_S, WQ), HQ, cutoff)
-    for n in range(1, cutoff + 1):
-        cols = []
-        for rep in HQ[n].representatives:
-            lift = pi_chain[n].solve(rep)
-            if lift is None:
-                raise ValidationError("cycle in the quotient has no lift")
-            image = WA.totals[n].mat_vec(lift)
-            in_rel = rel.spaces[n - 1].coords(image)
-            if in_rel is None:
-                raise ValidationError(
-                    "boundary of a lifted cycle misses the relative complex")
-            coords = rel.homologies[n - 1].coords(
-                dense_to_sparse(in_rel, field))
-            if coords is None:
-                raise ValidationError(
-                    "connecting image is not a relative cycle")
-            cols.append(dense_to_sparse(coords, field))
-        del_hom[n] = SparseMatrix.from_columns(cols, rel.homologies[n - 1].dim,
-                                               field)
+    sA_hom = _s_on_homology(WA.periodicity, HA, cutoff)
+    sQ_hom = _s_on_homology(WQ.periodicity, HQ, cutoff)
+
+    def connecting(n, rep):
+        lift = pi_chain[n].solve(rep)
+        if lift is None:
+            raise ValidationError("cycle in the quotient has no lift")
+        in_rel = rel.spaces[n - 1].coords(WA.boundaries[n].mat_vec(lift))
+        if in_rel is None:
+            raise ValidationError(
+                "boundary of a lifted cycle misses the relative complex")
+        return dense_to_sparse(in_rel, field)
+
+    del_hom = {n: _on_homology(partial(connecting, n), HQ[n],
+                               rel.homologies[n - 1],
+                               "connecting image is not a relative cycle")
+               for n in range(1, cutoff + 1)}
 
     hc_nodes = []
     for n in range(cutoff):
@@ -914,7 +908,6 @@ def excision_check(A: FDAlgebra, J: TwoSidedIdeal,
             stable[(name, parity)] = (space, preimages, top)
     plus_dims = {name: (stable[(name, 0)][0].dim, stable[(name, 1)][0].dim)
                  for name in ("relative", "algebra", "quotient")}
-    relative_dims = plus_dims["relative"]
 
     def stable_map(src_key, tgt_key, level_maps):
         # matrix of a degree-preserving homology map between stable parts
@@ -940,35 +933,25 @@ def excision_check(A: FDAlgebra, J: TwoSidedIdeal,
                  for p in (0, 1)}
     del_stable = {p: stable_connecting(p) for p in (0, 1)}
 
-    hp_nodes = []
-    for p in (0, 1):
-        hp_nodes.append(_node("HP_%d(relative)" % p,
-                              stable[("relative", p)][0].dim,
-                              del_stable[1 - p], incl_stable[p]))
-        hp_nodes.append(_node("HP_%d(algebra)" % p,
-                              stable[("algebra", p)][0].dim,
-                              incl_stable[p], pi_stable[p]))
-        hp_nodes.append(_node("HP_%d(quotient)" % p,
-                              stable[("quotient", p)][0].dim,
-                              pi_stable[p], del_stable[p]))
+    hp_nodes = [_node("HP_%d(%s)" % (p, name), stable[(name, p)][0].dim,
+                      into, out)
+                for p in (0, 1) for name, into, out in (
+                    ("relative", del_stable[1 - p], incl_stable[p]),
+                    ("algebra", incl_stable[p], pi_stable[p]),
+                    ("quotient", pi_stable[p], del_stable[p]))]
 
     # the adjoined units contribute one even dimension to the algebra and
     # quotient legs; the relative leg matches the ideal as-is
-    report = ExcisionReport(
+    for name, leg in (("algebra", algebra_hp), ("quotient", quotient_hp)):
+        expected = (leg.even_dim + 1, leg.odd_dim)
+        if plus_dims[name] != expected:
+            raise ValidationError(
+                "stabilized %s leg %r disagrees with the radical route %r"
+                % (name, plus_dims[name], expected))
+    return ExcisionReport(
         ideal_hp=ideal_hp, algebra_hp=algebra_hp, quotient_hp=quotient_hp,
-        relative_dims=relative_dims, plus_dims=plus_dims,
+        relative_dims=plus_dims["relative"], plus_dims=plus_dims,
         hc_nodes=hc_nodes, hp_nodes=hp_nodes)
-    expected_alg = (algebra_hp.even_dim + 1, algebra_hp.odd_dim)
-    expected_quo = (quotient_hp.even_dim + 1, quotient_hp.odd_dim)
-    if plus_dims["algebra"] != expected_alg:
-        raise ValidationError(
-            "stabilized algebra leg %r disagrees with the radical route %r"
-            % (plus_dims["algebra"], expected_alg))
-    if plus_dims["quotient"] != expected_quo:
-        raise ValidationError(
-            "stabilized quotient leg %r disagrees with the radical route %r"
-            % (plus_dims["quotient"], expected_quo))
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,8 @@ state per block, where the window is the direct sum of the blocks'
 normalized complexes.  hh takes this route with the idempotents of
 structure.split_idempotents, each a polynomial in one element e g e read
 off its minimal polynomial.  Every other window has one state (r = 1):
-bar_complex unless given blocks, the (b, B) complexes behind hp's
-stabilization, sbi_check and induced_map_hc, the slot basis of hc's
-Connes complex (cyclic._ConnesWindow, which builds no bar window),
-induced maps, Morita maps, and the unnormalized and coefficient
+bar_complex unless given blocks, the slot basis of cyclic's Connes
+complex, induced maps, Morita maps, and the unnormalized and coefficient
 complexes.
 """
 
@@ -552,9 +550,8 @@ def hh(A: FDAlgebra, n_max: int,
     e_(i_0) A e_(i_1) (x) .. (x) e_(i_n) A e_(i_0) with no e_i in an
     interior slot, so M_3(Q) with its diagonal idempotents has 3 * 2^n of
     them, against 9 * 8^n on the ordinary normalized complex.  Every other
-    route keeps one idempotent: bar_complex called directly, the (b, B)
-    complexes behind hp's stabilization, sbi_check and induced_map_hc, the
-    slot basis of hc's Connes complex, induced maps, Morita maps, the
+    route keeps one idempotent: bar_complex called directly, the slot
+    basis of cyclic's Connes complex, induced maps, Morita maps, the
     unnormalized and the coefficient complexes.  Nonunital algebras always
     use the unnormalized complex, which is exactly the textbook boundary
     and never touches a unit; for them the report carries the empirical

@@ -18,11 +18,14 @@ from cychom.chern import (
     pair_with_trace,
 )
 from cychom.algebra import truncated_polynomial
-from cychom.errors import NotIdempotent, NotInvertible, OrderUnbounded
+from cychom.cyclic import cyclic_complex
+from cychom.errors import AmbientMismatch, NotIdempotent, NotInvertible, \
+    OrderUnbounded, ValidationError
 from cychom.groups import cyclic_group, group_algebra
 from cychom.linalg import vec_equal
 from cychom.scalars import Cyclotomic
 from cychom.spectrum import extend_scalars
+from bicomplex_oracle import total_complex
 
 F = Fraction
 
@@ -48,12 +51,26 @@ def test_changing_one_coordinate_breaks_the_cycle():
     ch = chern_idempotent(idempotent_rep(QZ5, [[_trivial_character(5)]]), 2).chain
     assert ch.is_cycle()
     field = ch.window.field
-    cols = ch.window.totals[ch.degree].columns()
+    total = total_complex(ch.window.algebra, ch.degree, normalized=False)
+    assert total.totals[ch.degree].annihilates(ch.chain)
+    cols = total.totals[ch.degree].columns()
     # a coordinate the differential sees, so the change cannot cancel
     k = next(k for k in sorted(ch.chain) if cols[k])
     for value in (field.add(ch.chain[k], field.one), field.neg(ch.chain[k])):
         broken = CyclicChain(ch.window, ch.degree, {**ch.chain, k: value})
         assert not broken.is_cycle()
+
+
+def test_a_chain_outside_its_window_is_refused_when_made():
+    # Q[x]/x^3's layout to degree 3 has 3 coordinates in degree 0
+    w = cyclic_complex(truncated_polynomial(3), 3, normalized=False)
+    assert w.dims[0] == 3
+    with pytest.raises(ValidationError, match="outside the window"):
+        CyclicChain(w, 5, {0: 1})
+    for index in (99, 3, -1):
+        with pytest.raises(AmbientMismatch, match="coordinates 0..2"):
+            CyclicChain(w, 0, {index: 1})
+    assert CyclicChain(w, 0, {2: 1}).is_cycle()
 
 
 def test_pairing_is_additive_on_block_sums():

@@ -28,8 +28,8 @@ from cychom.chern import CyclicChain, _adjoined_unit_scalars, \
     _extend_cycle, chern_idempotent, chern_invertible, idempotent_rep, \
     invertible_rep
 from cychom.config import BUDGET_ENV_VAR, default_budget
-from cychom.cyclic import cyclic_complex, direct_sum_check, hc, hp, \
-    induced_map_hc, operator_B, sbi_check
+from cychom.cyclic import direct_sum_check, hc, hp, induced_map_hc, \
+    operator_B, sbi_check
 from cychom.errors import NonUnital, NotMultiplicative, SizeOverflow, ValidationError
 from cychom.crossprod import crossed_product, hh_decomposition, \
     trivial_action, variety_crossed_product
@@ -54,6 +54,7 @@ from cychom.linalg import SparseMatrix, Subspace, add_term, homology, \
 from cychom.scalars import Cyclotomic, lift_raw
 from cychom.spectrum import extend_scalars
 from cychom.structure import block_idempotents, center, split_idempotents
+from bicomplex_oracle import extend_cycle, total_complex
 
 
 def truncated_polynomial_hh_oracle(N, n_max):
@@ -381,7 +382,7 @@ WINDOWS = {"%s norm=%s" % (name, normalized): _bar_window(A, top, normalized)
                ("U2", lambda: upper_triangular(2), 3)]
            for normalized in (False, True)}
 WINDOWS["QS3 walk"] = lambda: hh(group_algebra(symmetric_group_3()), 3).window
-WINDOWS["T4 totals"] = lambda: cyclic_complex(truncated_polynomial(4), 5)
+WINDOWS["T4 totals"] = lambda: total_complex(truncated_polynomial(4), 5)
 WINDOWS["zeta3 walk"] = _zeta_walk_window
 
 
@@ -673,6 +674,8 @@ def test_built_rows_hold_their_columns_in_increasing_order():
         walk, bar_complex(F2, 3, coefficients=twisted_bimodule(F2, swap)))
         for n in range(1, w.n_max + 1)]
     matrices += induced_map_hh(swap, 2).chain_maps
+    matrices += induced_map_hc(swap, 3).chain_maps
+    matrices += induced_map_hc(swap, 3, normalized=False).chain_maps
     matrices += tr_star_and_iota(T3, 2, 1).tr_chain
     matrices += [center_action(walk, z, n)
                  for z in center(QS3).basis for n in range(3)]
@@ -707,22 +710,28 @@ def test_chern_push_matches_the_per_chain_oracle():
     reps = [idempotent_rep(QZ5, [[{g: Fraction(1, 5) for g in range(5)}]]),
             idempotent_rep(C3, [[{k: Cyclotomic.zeta(3, -k) / 3
                                   for k in range(3)}]])]
+    # the carrier cycle is raised on the oracle's total complex
     carrier = _adjoined_unit_scalars()
     for rep in reps:
         mats = [_unflatten(rep.algebra, rep.matrices.unit, rep.size),
                 rep.entries]
         for q in range(3):
-            window = cyclic_complex(carrier, 2 * q, normalized=False)
+            window = total_complex(carrier, 2 * q, normalized=False)
             hoch = window.hochschild_window
-            cycle = CyclicChain(window, 0, {hoch.index_of(0, (1,)): 1})
+            cycle = {hoch.index_of(0, (1,)): 1}
+            for n in range(0, 2 * q, 2):
+                cycle = extend_cycle(window, n, cycle)
+            if q:
+                assert window.totals[2 * q].annihilates(cycle)
+            raised = CyclicChain(window, 0, {hoch.index_of(0, (1,)): 1})
             for _ in range(q):
-                cycle = _extend_cycle(cycle)
+                raised = _extend_cycle(raised)
+            assert raised.chain == cycle
             pushed = chern_idempotent(rep, q)
             tgt = pushed.chain.window.hochschild_window
             for k, (m, _) in enumerate(window.summands(2 * q)):
                 expected = _trace_oracle(
-                    hoch, m, window.component(2 * q, cycle.chain, k), mats,
-                    tgt)
+                    hoch, m, window.component(2 * q, cycle, k), mats, tgt)
                 assert vec_equal(pushed.component(m), expected,
                                  rep.algebra.field)
 

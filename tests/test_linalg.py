@@ -15,7 +15,6 @@ import pytest
 
 from cychom import linalg
 from cychom.algebra import FDAlgebra, truncated_polynomial
-from cychom.cyclic import cyclic_complex
 from cychom.errors import AmbientMismatch, NotContained, ValidationError
 from cychom.groups import group_algebra, symmetric_group_3
 from cychom.hochschild import hh
@@ -40,6 +39,7 @@ from cychom.linalg import (
     vec_is_zero,
 )
 from cychom.scalars import Cyclotomic, field_of_order
+from bicomplex_oracle import total_complex
 
 F = Fraction
 Q = field_of_order(1)
@@ -601,7 +601,7 @@ def test_rref_idempotent():
 
 def _windows():
     """Rows of the (b, B) totals of Q[x]/x^4 and of the walk window of QS3."""
-    totals = cyclic_complex(truncated_polynomial(4), 5).totals[1:]
+    totals = total_complex(truncated_polynomial(4), 5).totals[1:]
     walks = hh(group_algebra(symmetric_group_3()), 3).window.boundaries[1:]
     return [m.rows for m in totals], [m.rows for m in walks]
 

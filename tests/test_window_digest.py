@@ -20,8 +20,10 @@ REFERENCE = [
     "7e0a1cb12ed9d4f856f176addcc65e8d631a3366ed31b19ec5f692570699ba70",
     "12 entries sha256 "
     "0176330a743261f1481d7b6176725d6ba3bf6041cdb3162c79e86791b41c1e87",
+    # the "swap hc" entries are induced_map_hc's chain maps between hc's
+    # Connes windows, word by word, no longer blocks of the total complex
     "21 entries sha256 "
-    "6773b3782a2843729c20bc10a574f5d8ed573430afe86a88afdef0e37d3aa9c7",
+    "ba665c071a8b7a20fd6f7303b0238ca03187044db27425bb647d528ee61a074a",
     "38 entries sha256 "
     "a245b3434423d6beff8f65785d520e1a28b923c067f5d633c6be0f44a0344eec",
     "54 entries sha256 "

@@ -7,11 +7,12 @@ Run from the repository root:
 
 It prints seven lines, each with a number of entries and a sha256.  The
 first covers a fixed corpus of windows (normalized and unnormalized bar
-complexes, the (b, B) complexes behind sbi_check, excision_check and
-induced_map_hc, induced maps, Morita maps, coefficient
-windows, and bar windows relative to the central idempotents of
-structure.block_idempotents), hashed over the repr of their rows, so it also
-sees the order of the entries in each row.  The maps on homology (induced
+complexes, the B blocks and total differentials of the (b, B) complex that
+tests/bicomplex_oracle.py builds as the oracle of the routes on Connes'
+complex, induced maps, Morita maps, coefficient windows, and bar windows
+relative to the central idempotents of structure.block_idempotents),
+hashed over the repr of their rows, so it also sees the order of the
+entries in each row.  The maps on homology (induced
 maps, Morita iota and Tr) are hashed in a basis the script derives from the
 complex alone (the rref of the boundary space and the canonical kernel of
 the outgoing differential on its free coordinates), not in the basis of the
@@ -37,8 +38,9 @@ the Morita iota and Tr chains and their canonical homology maps of the
 ground field with N = 3 to degree 2, Q[x]/x^2 with N = 3 to degree 1 and
 Q(zeta3)[x]/x^2 with N = 2 to degree 2, the action of each basis vector of
 the center of QS3 on its hh walk window in degrees 0-2, and the chain maps
-of induced_map_hc of the swap of two points to degree 3; it is hashed like
-the first.  The sixth covers the windows of Connes' complex behind hc (dims
+of induced_map_hc of the swap of two points to degree 3, word by word
+between the normalized Connes windows of hc; it is hashed like the
+first.  The sixth covers the windows of Connes' complex behind hc (dims
 and boundaries) of Q[x]/x^4 and Q[x]/x^5 to degree 6 and of Q(zeta3)[x]/x^3
 on the basis 1, zeta3 x, x^2 to degree 4, normalized and not; it is hashed
 like the first.  The seventh covers Connes' S, the chain-level periodicity
@@ -91,10 +93,10 @@ def _algebras():
 def _entries():
     from cychom.algebra import AlgebraMap, functions_on_points, \
         twisted_bimodule
-    from cychom.cyclic import cyclic_complex
     from cychom.hochschild import bar_complex, hh_with_coefficients, \
         induced_map_hh, tr_star_and_iota
     from cychom.structure import block_idempotents
+    from tests.bicomplex_oracle import total_complex
 
     def window(label, w):
         yield label + " dims", w.dims
@@ -115,7 +117,7 @@ def _entries():
         yield from window("%s blocks" % name,
                           bar_complex(A, top, normalized=True,
                                       blocks=block_idempotents(A)))
-        cyc = cyclic_complex(A, top)
+        cyc = total_complex(A, top)
         for n, B in enumerate(cyc.b_up):
             yield "%s B%d" % (name, n), B.rows
         for n in range(1, top + 1):
