@@ -270,7 +270,7 @@ class _ConnesWindow:
             if n:
                 self.boundaries.append(SparseMatrix(
                     self.dims[n - 1], self.dims[n], field,
-                    rows=_connes_rows(words, partial(_faces, imul=slots.imul),
+                    rows=_connes_rows((_faces(w, slots.imul) for w in words),
                                       self.index[n - 1], self.dims[n - 1],
                                       field)))
             self.index.append({w: k for k, w in enumerate(words)})
@@ -391,17 +391,17 @@ def _read_back(word, index: dict, memo: dict):
     return memo[word]
 
 
-def _connes_rows(words, terms, target: dict, nrows: int, field) -> list:
+def _connes_rows(columns, target: dict, nrows: int, field) -> list:
     """Rows of the map that sends column k to the sum of (-1)^i c [u] over
-    the (i, u, c) of terms(words[k]) (the faces of b, or the terms of a
+    the (i, u, c) of the k-th of columns (the faces of b, or the terms of a
     chain map), each u read back into target through one memo of
     _read_back local to this map.  Columns are visited in order, so each
     row holds its entries in increasing column order.
     """
     rows = [{} for _ in range(nrows)]
     memo = {}
-    for col, w in enumerate(words):
-        for i, face, c in terms(w):
+    for col, terms in enumerate(columns):
+        for i, face, c in terms:
             stored = memo.get(face, _UNREAD)
             if stored is _UNREAD:
                 stored = _read_back(face, target, memo)
@@ -421,19 +421,20 @@ def _connes_chain_maps(src: _ConnesWindow, tgt: _ConnesWindow, letters,
     out, and the unit class goes to the unit class (phi is unital).
     """
     field = tgt.field
+    images = [e[0][0] for e in letters]
 
     def power(word):
         # distinct prefixes take distinct last letters: no term repeats
         image = {(): field.one}
         for code in word:
             image = {u + (k,): field.mul(c, a) for u, c in image.items()
-                     for k, a in letters[code][0][0].items()}
+                     for k, a in images[code].items()}
         return [(0, u, c) for u, c in image.items()]
 
     maps = []
     for n in range(top + 1):
-        rows = _connes_rows(src.words[n], power, tgt.index[n], tgt.dims[n],
-                            field)
+        rows = _connes_rows(map(power, src.words[n]), tgt.index[n],
+                            tgt.dims[n], field)
         if src.dims[n] > len(src.words[n]):
             rows[-1][src.dims[n] - 1] = field.one
         maps.append(SparseMatrix(tgt.dims[n], src.dims[n], field, rows=rows))
@@ -585,16 +586,13 @@ def sbi_check(A: FDAlgebra, n_max: int,
     hh_report = _homology_report(A, hoch, hoch.boundaries, n_max)
     hh_degrees, hc_degrees = hh_report.degrees, hc_report.degrees
     field, code, f_of = window.field, window.slots.code, window.slots.interior
-
-    def projected(chain):
-        s, u = chain
-        return [(0, (code[s],) + u, field.one)] if s in code else []
-
     i_maps = {}
     for n in range(n_max + 1):
-        rows = _connes_rows([(s, u) for values, words in hoch.slots.blocks(n)
-                             for s in values for u in words], projected,
-                            window.index[n], window.dims[n], field)
+        rows = _connes_rows(
+            ([(0, (code[s],) + u, field.one)] if s in code else []
+             for values, words in hoch.slots.blocks(n)
+             for s in values for u in words),
+            window.index[n], window.dims[n], field)
         if n == 0 and window.normalized:
             rows[-1] = _unit_trace(A, window.slots.f_vectors)
         i_maps[n] = induced_map(
@@ -728,9 +726,9 @@ def induced_map_hc(phi: AlgebraMap, n_max: int,
     if W.normalized:
         field, one = W.field, W.field.one
         codes = [W.slots.f_vectors[f] for f in W.slots.interior]
-        row = SparseMatrix(1, W.dims[0], field, rows=[vec_sub(
+        row = SparseMatrix(1, W.dims[0], field, rows=[dict(sorted(vec_sub(
             _unit_trace(V.algebra, [phi.apply(v) for v in codes]),
-            _unit_trace(W.algebra, codes), field)])
+            _unit_trace(W.algebra, codes), field).items()))])
         for n in range(0, n_max + 1, 2):
             if n:
                 row = row.matmul(SparseMatrix.from_columns(
