@@ -726,9 +726,10 @@ def induced_map_hc(phi: AlgebraMap, n_max: int,
     if W.normalized:
         field, one = W.field, W.field.one
         codes = [W.slots.f_vectors[f] for f in W.slots.interior]
-        row = SparseMatrix(1, W.dims[0], field, rows=[dict(sorted(vec_sub(
-            _unit_trace(V.algebra, [phi.apply(v) for v in codes]),
-            _unit_trace(W.algebra, codes), field).items()))])
+        sigma = vec_sub(_unit_trace(V.algebra, [phi.apply(v) for v in codes]),
+                        _unit_trace(W.algebra, codes), field)
+        row = SparseMatrix(1, W.dims[0], field,
+                           rows=[dict(sorted(sigma.items()))])
         for n in range(0, n_max + 1, 2):
             if n:
                 row = row.matmul(SparseMatrix.from_columns(
