@@ -21,8 +21,8 @@ from .errors import (
     ValidationError,
     check_int,
 )
-from .linalg import (SparseMatrix, Subspace, add_term, dense_to_sparse,
-                     to_raw, vec_axpy, vec_equal, vec_sub)
+from .linalg import (SparseMatrix, Subspace, add_term, to_raw, vec_axpy,
+                     vec_equal, vec_sub)
 from .scalars import field_of_order, scalar_to_string
 
 
@@ -763,18 +763,16 @@ def _algebra_on_subspace(A: FDAlgebra, space: Subspace, name: str,
     Returns (algebra, inclusion map); the unit of A becomes the unit of the
     result when with_unit is set (the caller checks it lies in the space).
     """
-    field = A.field
     basis = list(space.basis)
     mul = {}
     for a, x in enumerate(basis):
         for b, y in enumerate(basis):
-            coords = space.coords(A.multiply(x, y))
-            if coords is None:
+            entry = space.coords(A.multiply(x, y))
+            if entry is None:
                 raise ValidationError("subspace is not closed under products")
-            entry = dense_to_sparse(coords, field)
             if entry:
                 mul[(a, b)] = entry
-    unit = dense_to_sparse(space.coords(A.unit), field) if with_unit else None
+    unit = space.coords(A.unit) if with_unit else None
     sub = FDAlgebra(len(basis), A.field_order, mul, unit=unit, name=name)
     sub.require_valid()
     include = AlgebraMap.from_images(sub, A, basis, multiplicative=True,

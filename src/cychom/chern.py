@@ -319,12 +319,13 @@ def pair_with_trace(x, tau: dict, algebra: FDAlgebra | None = None):
     """
     if isinstance(x, ChernClass):
         vec = x.degree_zero_part()
-        field = x.algebra.field
+        algebra = x.algebra
     else:
         if algebra is None:
             raise ValidationError("plain vectors need the algebra")
-        vec = dict(x)
-        field = algebra.field
+        vec = _normalize_vec(x, algebra)
+    tau = _normalize_vec(tau, algebra)
+    field = algebra.field
     total = field.zero
     for i, c in vec.items():
         t = tau.get(i)

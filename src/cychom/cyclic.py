@@ -30,8 +30,8 @@ from .errors import AmbientMismatch, DegreeTooLow, NonUnital, \
 from .hochschild import ChainComplexWindow, HomologyReport, InducedMap, \
     _SlotData, _degree_homologies, _homology_report, _induced, \
     _phi_slot_maps, _require_degree, bar_complex, induced_map_hh
-from .linalg import SparseMatrix, Subspace, add_term, dense_to_sparse, \
-    induced_map, operator_matrix, vec_sub
+from .linalg import SparseMatrix, Subspace, add_term, induced_map, \
+    operator_matrix, vec_sub
 from .structure import center, semisimple_quotient
 
 
@@ -488,23 +488,13 @@ def _unit_trace(A: FDAlgebra, vectors) -> dict:
         SparseMatrix.from_columns(vectors, A.dim, A.field)).rows[0]
 
 
-def _on_homology(f, source, target, refusal: str) -> SparseMatrix:
-    """The matrix of f, from source's representatives to chains of
-    target's complex, on homology; an image that is no cycle is refused."""
-    cols = []
-    for rep in source.representatives:
-        coords = target.coords(f(rep))
-        if coords is None:
-            raise ValidationError(refusal)
-        cols.append(dense_to_sparse(coords, target.field))
-    return SparseMatrix.from_columns(cols, target.dim, target.field)
-
-
 def _s_on_homology(S, homologies, top: int) -> dict:
     """{n: S from homology degree n to n-2} for n = 2..top, where S(n, x)
     is a chain-level S on a degree-n cycle x."""
-    return {n: _on_homology(partial(S, n), homologies[n], homologies[n - 2],
-                            "S does not send a degree-%d cycle to a cycle" % n)
+    return {n: operator_matrix(
+                partial(S, n), homologies[n].representatives,
+                homologies[n - 2],
+                "S does not send a degree-%d cycle to a cycle" % n)
             for n in range(2, top + 1)}
 
 
@@ -777,7 +767,8 @@ class _SubComplex:
         self.spaces = [chain_maps[n].kernel_space()
                        for n in range(cutoff + 2)]
         self.diffs = [None] + [operator_matrix(
-            window.boundaries[n], self.spaces[n].basis, self.spaces[n - 1],
+            window.boundaries[n].mat_vec, self.spaces[n].basis,
+            self.spaces[n - 1],
             "the boundary does not preserve the subcomplex")
             for n in range(1, cutoff + 2)]
         self.homologies = _degree_homologies(
@@ -796,7 +787,7 @@ class _SubComplex:
             for w in [window.words[n][k]] for r in range(n + 1)], {}))
         if coords is None:
             raise ValidationError("S does not preserve the subcomplex")
-        return dense_to_sparse(coords, field)
+        return coords
 
     def embed(self, n: int) -> SparseMatrix:
         """Coordinates of the degree-n subspace inside the window."""
@@ -872,11 +863,11 @@ def excision_check(A: FDAlgebra, J: TwoSidedIdeal,
         if in_rel is None:
             raise ValidationError(
                 "boundary of a lifted cycle misses the relative complex")
-        return dense_to_sparse(in_rel, field)
+        return in_rel
 
-    del_hom = {n: _on_homology(partial(connecting, n), HQ[n],
-                               rel.homologies[n - 1],
-                               "connecting image is not a relative cycle")
+    del_hom = {n: operator_matrix(partial(connecting, n),
+                                  HQ[n].representatives, rel.homologies[n - 1],
+                                  "connecting image is not a relative cycle")
                for n in range(1, cutoff + 1)}
 
     hc_nodes = []
@@ -910,7 +901,8 @@ def excision_check(A: FDAlgebra, J: TwoSidedIdeal,
 
     def stable_map(src_key, tgt_key, level_maps):
         # matrix of a degree-preserving homology map between stable parts
-        return operator_matrix(level_maps[src_key[1]], stable[src_key][0].basis,
+        return operator_matrix(level_maps[src_key[1]].mat_vec,
+                               stable[src_key][0].basis,
                                stable[tgt_key][0],
                                "stable part is not preserved by an induced map")
 
@@ -923,7 +915,8 @@ def excision_check(A: FDAlgebra, J: TwoSidedIdeal,
         while level > 1 - parity:
             op = rel.s_hom[level].matmul(op)
             level -= 2
-        return operator_matrix(op, preimages, stable[("relative", 1 - parity)][0],
+        return operator_matrix(op.mat_vec, preimages,
+                               stable[("relative", 1 - parity)][0],
                                "connecting image leaves the stable part")
 
     incl_stable = {p: stable_map(("relative", p), ("algebra", p), incl_hom)

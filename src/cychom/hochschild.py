@@ -802,6 +802,7 @@ def center_action(window: ChainComplexWindow, z: dict, n: int) -> SparseMatrix:
     _require_degree(window, n)
     slots = window.slots
     A = window.algebra
+    z = _normalize_vec(z, A)
     if len(slots.units) > 1 and \
             not A.left_mult_matrix(z).equals(A.right_mult_matrix(z)):
         raise ValidationError(

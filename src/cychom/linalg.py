@@ -1,12 +1,13 @@
 """Exact sparse linear algebra over Q and Q(zeta_m).
 
-Vectors are dicts {index: raw scalar} that never store zeros; matrices hold
-sparse rows plus an explicit shape and field.  Raw scalars are whatever the
-field objects in scalars.py operate on: over Q an int when integral, else a
-Fraction, never a float; over Q(zeta_m) a coefficient tuple whose entries
-follow the same rule.  ``to_raw`` and the reduced rows of an elimination
-follow it on either field; an integral Fraction that arithmetic leaves
-behind is accepted everywhere.
+Vectors are dicts {index: raw scalar} that never store zeros, and so are
+coordinates: a vector read in a basis is {basis index: raw scalar}.
+Matrices hold sparse rows plus an explicit shape and field.  Raw scalars
+are whatever the field objects in scalars.py operate on: over Q an int when
+integral, else a Fraction, never a float; over Q(zeta_m) a coefficient
+tuple whose entries follow the same rule.  ``to_raw`` and the reduced rows
+of an elimination follow it on either field; an integral Fraction that
+arithmetic leaves behind is accepted everywhere.
 
 Elimination is fraction-free: rows are rescaled to integer content 1 and
 combined by cross-multiplication, which keeps entry growth polynomial without
@@ -774,7 +775,8 @@ class Subspace:
     pivots need not be leftmost, and the latter's pivots are the pivot rows
     an elimination of the boundary map picked.  ``reduce``, ``coords`` and
     ``equals`` work the same on either kind, and refuse a vector with a
-    coordinate outside ``range(ambient_dim)``.
+    coordinate outside ``range(ambient_dim)``.  ``coords`` follows the
+    module's sparse convention.
     """
 
     def __init__(self, ambient_dim: int, field: _FieldBase, basis: list[dict],
@@ -783,7 +785,7 @@ class Subspace:
         self.field = field
         self.basis = basis
         self.pivot_cols = pivot_cols
-        self._pivot_map = dict(zip(pivot_cols, basis))
+        self._index = {p: k for k, p in enumerate(pivot_cols)}
 
     @staticmethod
     def from_vectors(ambient_dim: int, field: _FieldBase, vectors) -> "Subspace":
@@ -801,8 +803,8 @@ class Subspace:
         out = dict(vec)
         f = self.field
         # a basis vector holds no other pivot column, so one pass clears them
-        for c in [c for c in out if c in self._pivot_map]:
-            vec_axpy(out, f.neg(out[c]), self._pivot_map[c], f)
+        for c in [c for c in out if c in self._index]:
+            vec_axpy(out, f.neg(out[c]), self.basis[self._index[c]], f)
         return out
 
     def _check(self, vec: dict) -> None:
@@ -817,18 +819,14 @@ class Subspace:
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(b) for b in other.basis)
 
-    def coords(self, vec: dict) -> list | None:
-        """Coefficients of vec in the echelon basis, or None if outside."""
-        self._check(vec)
-        out = dict(vec)
-        f = self.field
-        coeffs = [f.zero] * len(self.basis)
-        for idx, (row, p) in enumerate(zip(self.basis, self.pivot_cols)):
-            if p in out:
-                c = out[p]
-                coeffs[idx] = c
-                vec_axpy(out, f.neg(c), row, f)
-        return coeffs if vec_is_zero(out) else None
+    def coords(self, vec: dict) -> dict | None:
+        """{basis index: coefficient} of vec, or None if it is outside.
+
+        A basis vector is 1 at its pivot and the others are 0 there, so a
+        coefficient is vec's entry at that pivot."""
+        if self.reduce(vec):
+            return None
+        return {self._index[c]: x for c, x in vec.items() if c in self._index}
 
     def sum_with(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
@@ -843,18 +841,20 @@ class Subspace:
         return self.contains_subspace(other)
 
 
-def operator_matrix(op: SparseMatrix, vectors, target, message: str) -> SparseMatrix:
-    """Matrix whose column j is op(vectors[j]) in the basis of target.
+def operator_matrix(f, vectors, target, message: str) -> SparseMatrix:
+    """Matrix whose column j is f(vectors[j]) in the basis of target.
 
-    target is a Subspace or a Homology: anything with ``coords``, ``dim``
-    and ``field``.  An image outside it raises NotContained with message.
+    f maps a sparse vector to one (a matrix passes its ``mat_vec``); target
+    is a Subspace or a Homology, anything with ``coords``, ``dim`` and
+    ``field``, and the columns are its coordinates, sparse as in the module
+    docstring.  An image outside it raises NotContained with message.
     """
     cols = []
     for v in vectors:
-        c = target.coords(op.mat_vec(v))
+        c = target.coords(f(v))
         if c is None:
             raise NotContained(message)
-        cols.append(dense_to_sparse(c, target.field))
+        cols.append(c)
     return SparseMatrix.from_columns(cols, target.dim, target.field)
 
 
@@ -956,8 +956,10 @@ class Homology:
             pivots = []
             kernel = [{k: self.field.one} for k in range(len(free))]
         taken = set(pivots)
-        # each kernel vector carries a lone 1 at its own free coordinate
-        self._class_cols = [free[k] for k in range(len(free)) if k not in taken]
+        # each kernel vector carries a lone 1 at its own free coordinate:
+        # {that coordinate: class index}
+        self._class_index = {j: i for i, j in enumerate(
+            free[k] for k in range(len(free)) if k not in taken)}
         self.representatives = [{free[k]: v for k, v in vec.items()}
                                 for vec in kernel]
         self._boundary = None
@@ -978,19 +980,20 @@ class Homology:
     def dim(self) -> int:
         return len(self.representatives)
 
-    def coords(self, vec: dict) -> list | None:
-        """Coordinates of the class of vec, or None if it is not a cycle."""
-        if self.A is not None:
-            if not vec_is_zero(self.A.mat_vec(vec)):
-                return None
-        reduced = self.boundary_space.reduce(vec)
-        return [reduced.get(j, self.field.zero) for j in self._class_cols]
+    def coords(self, vec: dict) -> dict | None:
+        """{class index: coefficient} of the class of vec, sparse as in the
+        module docstring, or None if vec is not a cycle."""
+        if self.A is not None and self.A.mat_vec(vec):
+            return None
+        index = self._class_index
+        return {index[j]: x for j, x in self.boundary_space.reduce(vec).items()
+                if j in index}
 
     def class_is_zero(self, vec: dict) -> bool:
         c = self.coords(vec)
         if c is None:
             raise NotContained("not a cycle modulo boundaries")
-        return all(self.field.is_zero(x) for x in c)
+        return not c
 
 
 def homology(A: SparseMatrix | None, B: SparseMatrix | None,
@@ -1006,5 +1009,5 @@ def induced_map(f: SparseMatrix, source: Homology, target: Homology) -> SparseMa
         raise AmbientMismatch(
             f"a {f.nrows}x{f.ncols} chain map from a space of "
             f"{source.space_dim} to one of {target.space_dim}")
-    return operator_matrix(f, source.representatives, target,
+    return operator_matrix(f.mat_vec, source.representatives, target,
                            "chain map does not send cycles to cycles")

@@ -40,7 +40,6 @@ from .errors import (
 from .linalg import (
     SparseMatrix,
     Subspace,
-    dense_to_sparse,
     intersect_subspaces,
     preimage_subspace,
     vec_axpy,
@@ -198,10 +197,9 @@ def _blocks_over(ext: FDAlgebra):
     characters = []
     for point in prim_points:
         meet = intersect_subspaces(point, central_full)
-        coords = [central_full.coords(v) for v in meet.basis]
         inner = Subspace.from_vectors(
             central_full.dim, field,
-            [dense_to_sparse(co, field) for co in coords])
+            [central_full.coords(v) for v in meet.basis])
         if central_full.dim - inner.dim != 1:
             raise ValidationError(
                 "central character is not a maximal ideal of the center")
@@ -624,17 +622,16 @@ class _Layer:
                 co = upper.space.coords(v)
                 if co is None:
                     raise ValidationError("filtration terms are not nested")
-                inner_vecs.append(dense_to_sparse(co, sub.field))
+                inner_vecs.append(co)
             data = quotient_algebra(sub, two_sided_ideal(sub, inner_vecs))
             self.algebra = _detect_unit(data.algebra)
             self._project = data.projection
         self._upper = upper
 
     def to_layer(self, ambient_vec: dict) -> dict:
-        co = self._upper.space.coords(ambient_vec)
-        if co is None:
+        vec = self._upper.space.coords(ambient_vec)
+        if vec is None:
             raise ValidationError("vector leaves the filtration term")
-        vec = dense_to_sparse(co, self._upper.parent.field)
         return self._project.apply(vec) if self._project else vec
 
     def representative(self, index: int) -> dict:

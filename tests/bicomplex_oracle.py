@@ -25,8 +25,8 @@ from cychom.errors import NonUnital, NotMultiplicative, ValidationError, \
     check_int
 from cychom.hochschild import _degree_homologies, _homology_report, \
     _induced, _phi_slot_maps, _require_degree, _tensor_chain_matrix
-from cychom.linalg import SparseMatrix, Subspace, dense_to_sparse, \
-    induced_map, operator_matrix
+from cychom.linalg import SparseMatrix, Subspace, induced_map, \
+    operator_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +232,8 @@ class _SubComplex:
 
     def _restrict(self, op: SparseMatrix, n: int, m: int) -> SparseMatrix:
         """An ambient operator from degree n to m, in the subspace bases."""
-        return operator_matrix(op, self.spaces[n].basis, self.spaces[m],
+        return operator_matrix(op.mat_vec, self.spaces[n].basis,
+                               self.spaces[m],
                                "operator does not preserve the subcomplex")
 
     def embed(self, n: int) -> SparseMatrix:
@@ -297,12 +298,11 @@ def excision_check(A, J, cutoff: int = DEFAULT_HP_CUTOFF) -> ExcisionReport:
             if in_rel is None:
                 raise ValidationError(
                     "boundary of a lifted cycle misses the relative complex")
-            coords = rel.homologies[n - 1].coords(
-                dense_to_sparse(in_rel, field))
+            coords = rel.homologies[n - 1].coords(in_rel)
             if coords is None:
                 raise ValidationError(
                     "connecting image is not a relative cycle")
-            cols.append(dense_to_sparse(coords, field))
+            cols.append(coords)
         del_hom[n] = SparseMatrix.from_columns(cols, rel.homologies[n - 1].dim,
                                                field)
 
@@ -334,7 +334,8 @@ def excision_check(A, J, cutoff: int = DEFAULT_HP_CUTOFF) -> ExcisionReport:
                  for name in ("relative", "algebra", "quotient")}
 
     def stable_map(src_key, tgt_key, level_maps):
-        return operator_matrix(level_maps[src_key[1]], stable[src_key][0].basis,
+        return operator_matrix(level_maps[src_key[1]].mat_vec,
+                               stable[src_key][0].basis,
                                stable[tgt_key][0],
                                "stable part is not preserved by an induced map")
 
@@ -345,7 +346,8 @@ def excision_check(A, J, cutoff: int = DEFAULT_HP_CUTOFF) -> ExcisionReport:
         while level > 1 - parity:
             op = rel.s_hom[level].matmul(op)
             level -= 2
-        return operator_matrix(op, preimages, stable[("relative", 1 - parity)][0],
+        return operator_matrix(op.mat_vec, preimages,
+                               stable[("relative", 1 - parity)][0],
                                "connecting image leaves the stable part")
 
     incl_stable = {p: stable_map(("relative", p), ("algebra", p), incl_hom)

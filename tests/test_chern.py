@@ -84,6 +84,19 @@ def test_pairing_is_additive_on_block_sums():
         assert pair_with_trace(chern_idempotent(block, q), trace) == 5
 
 
+def test_pairing_refuses_coordinates_outside_the_algebra():
+    # Q[x]/x^3 has basis 1, x, x^2; on QZ5 the character's part is sound
+    # and only the trace overruns
+    A = truncated_polynomial(3)
+    for vec, tau in (({-1: 1, 7: 2}, {7: 5}), ({0: 1}, {7: 5}),
+                     ({0: 1}, {-1: 1}), ({3: 1}, {0: 1})):
+        with pytest.raises(ValidationError, match="outside a basis"):
+            pair_with_trace(vec, tau, A)
+    ch = chern_idempotent(idempotent_rep(_qz(5), [[_trivial_character(5)]]), 0)
+    with pytest.raises(ValidationError, match="outside a basis"):
+        pair_with_trace(ch, {5: 1})
+
+
 def test_conjugate_idempotents_pair_alike_with_every_coordinate_trace():
     QZ5 = _qz(5)
     eps = _trivial_character(5)

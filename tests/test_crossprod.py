@@ -38,7 +38,7 @@ from cychom.groups import (
     trivial_group,
 )
 from cychom.hochschild import hh
-from cychom.linalg import SparseMatrix, Subspace, vec_axpy, vec_is_zero
+from cychom.linalg import SparseMatrix, Subspace, vec_axpy
 from cychom.scalars import field_of_order, lift_raw
 from cychom.spectrum import wedderburn_blocks
 

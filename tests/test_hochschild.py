@@ -16,7 +16,6 @@ from cychom.algebra import (
     direct_sum,
     ground_field,
     functions_on_points,
-    ideal_as_algebra,
     ideal_generated_by,
     matrix_algebra,
     quotient_algebra,
@@ -800,6 +799,14 @@ def test_center_action_unnormalized():
     z2 = center_action(w, z, 2)
     z1 = center_action(w, z, 1)
     assert w.boundaries[2].matmul(z2).equals(z1.matmul(w.boundaries[2]))
+
+
+def test_center_action_refuses_coordinates_outside_the_algebra():
+    # Q[x]/x^3 has basis 1, x, x^2: -1 would read as x^2 and 3 overruns
+    w = bar_complex(truncated_polynomial(3), 2)
+    for z in ({-1: 1}, {3: 1}, {0: 1, 3: 2}):
+        with pytest.raises(ValidationError, match="outside a basis"):
+            center_action(w, z, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from cychom.linalg import (
     dense_to_sparse,
     divided,
     induced_map,
-    kernel_from_rref,
     operator_matrix,
     preimage_subspace,
     reduced_rows,
@@ -433,22 +432,33 @@ def test_cyclotomic_rref_matches_structure():
 # -- subspaces -----------------------------------------------------------------------
 
 def test_subspace_membership_and_coords():
-    s = Subspace.from_vectors(3, Q, [
-        dense_to_sparse([1, 0, 1], Q),
-        dense_to_sparse([0, 1, 1], Q),
-    ])
-    assert s.dim == 2
-    v = dense_to_sparse([2, 3, 5], Q)
-    assert s.contains(v)
-    combination = {}
-    for c, row in zip(s.coords(v), s.basis):
-        vec_axpy(combination, c, row, Q)
-    assert vec_equal(combination, v, Q)
-    outside = dense_to_sparse([0, 0, 1], Q)
-    assert not s.contains(outside)
-    assert s.coords(outside) is None
-    reduced = s.reduce(outside)
-    assert not vec_is_zero(reduced)
+    # coords is {basis index: coefficient} with no zero value, and the
+    # combination it names gives the vector back; the second vector inside
+    # is a multiple of the second echelon vector alone
+    z = Cyclotomic.zeta(3)
+    for field, spanning, inside, outside in (
+            (Q, [[1, 0, 1], [0, 1, 1]], [[2, 3, 5], [0, 4, 4]], [0, 0, 1]),
+            (field_of_order(3), [[1, z, 0], [0, 1, z * z]],
+             [[2, 2 * z + 3, 3 * z * z], [0, z, 1]], [0, 0, z])):
+        s = Subspace.from_vectors(
+            3, field, [dense_to_sparse(u, field) for u in spanning])
+        assert s.dim == 2
+        for values, support in zip(inside, ([0, 1], [1])):
+            v = dense_to_sparse(values, field)
+            assert s.contains(v)
+            c = s.coords(v)
+            assert isinstance(c, dict) and sorted(c) == support
+            assert not any(field.is_zero(x) for x in c.values())
+            combination = {}
+            for k, x in c.items():
+                vec_axpy(combination, x, s.basis[k], field)
+            assert vec_equal(combination, v, field)
+        assert s.coords({}) == {}
+        outside = dense_to_sparse(outside, field)
+        assert not s.contains(outside)
+        assert s.coords(outside) is None
+        reduced = s.reduce(outside)
+        assert not vec_is_zero(reduced)
 
 
 def test_subspace_sum_and_equality():
@@ -469,13 +479,13 @@ def test_operator_matrix_on_invariant_plane():
         dense_to_sparse([1, -1, 0], Q),
         dense_to_sparse([0, 1, -1], Q),
     ])
-    small = operator_matrix(shift, plane.basis, plane, "not invariant")
+    small = operator_matrix(shift.mat_vec, plane.basis, plane, "not invariant")
     assert small.nrows == small.ncols == 2
     # the restriction still satisfies T^3 = 1
     assert small.matmul(small).matmul(small).equals(SparseMatrix.identity(2, Q))
     line = Subspace.from_vectors(3, Q, [dense_to_sparse([1, 0, 0], Q)])
     with pytest.raises(NotContained, match="not invariant"):
-        operator_matrix(shift, line.basis, line, "not invariant")
+        operator_matrix(shift.mat_vec, line.basis, line, "not invariant")
 
 
 def test_preimage_subspace_hand_case():
@@ -552,11 +562,34 @@ def test_homology_coords_and_induced_map():
     zero_out = SparseMatrix(1, 2, Q)
     h = Homology(A=zero_out, B=zero_in)
     assert h.dim == 2
-    v = dense_to_sparse([3, 4], Q)
-    assert [F(c) for c in h.coords(v)] == [F(3), F(4)]
+    assert h.coords(dense_to_sparse([3, 4], Q)) == {0: 3, 1: 4}
+    assert h.coords(dense_to_sparse([0, 4], Q)) == {1: 4}
     swap = SparseMatrix.from_dense([[0, 1], [1, 0]], Q)
     m = induced_map(swap, h, h)
     assert to_dense(m) == [[F(0), F(1)], [F(1), F(0)]]
+    # over Q(zeta3), modulo a boundary: K -> K^3 -> K with one class;
+    # coords is sparse, and the combination it names differs from the
+    # cycle by a boundary
+    K, z = field_of_order(3), Cyclotomic.zeta(3)
+    bound = dense_to_sparse([1, -1, z], K)
+    h = Homology(A=SparseMatrix.from_dense([[1, 1, 0]], K),
+                 B=SparseMatrix.from_columns([bound], 3, K), check_complex=True)
+    assert h.dim == 1
+    boundaries = Subspace.from_vectors(3, K, [bound])
+    for values in ([2, -2, 0], [z, -z, 1 + z], [1 + z, -1 - z, z + z * z],
+                   [0, 0, 0]):
+        cycle = dense_to_sparse(values, K)
+        c = h.coords(cycle)
+        assert isinstance(c, dict) and set(c) <= {0}
+        assert not any(K.is_zero(x) for x in c.values())
+        residual = dict(cycle)
+        for k, x in c.items():
+            vec_axpy(residual, K.neg(x), h.representatives[k], K)
+        assert boundaries.contains(residual)
+        assert h.class_is_zero(cycle) == (not c)
+    # (1 + z) * bound is a boundary, the zero class
+    assert h.coords(dense_to_sparse([1 + z, -1 - z, z + z * z], K)) == {}
+    assert h.coords(dense_to_sparse([1, 0, 0], K)) is None
 
 
 def test_homology_mod_boundaries_random():
@@ -581,7 +614,7 @@ def test_homology_mod_boundaries_random():
         for rep in h.representatives:
             assert vec_is_zero(d1.mat_vec(rep))
             c = h.coords(rep)
-            assert c is not None and any(c)
+            assert c
         # boundaries map to the zero class
         for col in d2.columns():
             if col:

@@ -10,7 +10,8 @@ outside the definition's own body, so a helper that only calls itself
 still counts as unused.  Likewise a parameter that the body never reads,
 or reads only to default it (``x = x or default``), is a knob nothing
 turns, and an import whose name the module neither loads nor lists in
-``__all__`` is left over from deleted code.
+``__all__`` is left over from deleted code, in the package, its tests and
+its tools alike.
 
 Resource limits live in ``config``: no function takes a ``budget``
 parameter and no other module builds a ``Budget``.
@@ -107,7 +108,8 @@ def _exported(tree) -> set:
 
 def test_every_import_is_used():
     unused = []
-    for path, tree in _trees():
+    for path, tree in [pair for folder in (SRC, REPO / "tests", REPO / "tools")
+                       for pair in _trees(folder)]:
         loaded = {node.id for node in ast.walk(tree) if type(node) is ast.Name}
         loaded |= _exported(tree)
         for node in ast.walk(tree):
@@ -118,7 +120,8 @@ def test_every_import_is_used():
                 names = [a.asname or a.name for a in node.names]
             else:
                 continue
-            unused.extend("%s:%d %s" % (path.name, node.lineno, name)
+            unused.extend("%s/%s:%d %s" % (path.parent.name, path.name,
+                                           node.lineno, name)
                           for name in names if name not in loaded)
     assert not unused, "imports nothing uses: %s" % unused
 

@@ -38,8 +38,8 @@ from cychom.groups import (
     symmetric_group_3,
 )
 from cychom.hochschild import hh
-from cychom.linalg import SparseMatrix, Subspace, vec_add, vec_axpy, \
-    vec_equal
+from cychom.linalg import SparseMatrix, Subspace, sparse_to_dense, \
+    vec_add, vec_axpy, vec_equal
 from cychom.scalars import field_of_order
 from cychom.spectrum import (
     IdealFiltration,
@@ -95,7 +95,8 @@ def grid_search_center_atoms(A, denominator):
     """
     field = A.field
     central = center(A)
-    prods = [[central.coords(A.multiply(u, v)) for v in central.basis]
+    prods = [[sparse_to_dense(central.coords(A.multiply(u, v)), central.dim,
+                              field) for v in central.basis]
              for u in central.basis]
     values = [Fraction(k, denominator)
               for k in range(-denominator, denominator + 1)]

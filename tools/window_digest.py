@@ -160,14 +160,14 @@ def _canonical_basis(H):
         {pos[j]: v for j, v in row.items() if j in pos} for row in H.A.rows]
     rref, small_pivots = rref_rows(rows, field)
     kernel = kernel_from_rref(rref, small_pivots, len(free), field)
-    small_free = [free[k] for k in range(len(free))
-                  if k not in set(small_pivots)]
+    small_free = {free[k]: i for i, k in enumerate(
+        k for k in range(len(free)) if k not in set(small_pivots))}
 
     def coords(vec):
         # a cycle reduced by the rref is the kernel combination whose
         # coefficients sit at the kernel vectors' own free coordinates
-        reduced = bound.reduce(vec)
-        return [reduced.get(j, field.zero) for j in small_free]
+        return {small_free[j]: x for j, x in bound.reduce(vec).items()
+                if j in small_free}
 
     return [{free[k]: v for k, v in vec.items()} for vec in kernel], coords
 
@@ -176,16 +176,16 @@ def _canonical_map(h, source, target):
     """The rows of h, a matrix from source's homology basis to target's, in
     the bases of _canonical_basis, so representatives chosen another way
     hash the same."""
-    from cychom.linalg import SparseMatrix, dense_to_sparse, vec_axpy
+    from cychom.linalg import SparseMatrix, vec_axpy
     field = h.field
     src_reps, _ = _canonical_basis(source)
     tgt_reps, tgt_coords = _canonical_basis(target)
     cols = []
     for u in src_reps:
         image = {}
-        for i, c in h.mat_vec(dense_to_sparse(source.coords(u), field)).items():
+        for i, c in h.mat_vec(source.coords(u)).items():
             vec_axpy(image, c, target.representatives[i], field)
-        cols.append(dense_to_sparse(tgt_coords(image), field))
+        cols.append(tgt_coords(image))
     return SparseMatrix.from_columns(cols, len(tgt_reps), field).rows
 
 
