@@ -959,7 +959,7 @@ class Homology:
         # each kernel vector carries a lone 1 at its own free coordinate:
         # {that coordinate: class index}
         self._class_index = {j: i for i, j in enumerate(
-            free[k] for k in range(len(free)) if k not in taken)}
+            j for k, j in enumerate(free) if k not in taken)}
         self.representatives = [{free[k]: v for k, v in vec.items()}
                                 for vec in kernel]
         self._boundary = None

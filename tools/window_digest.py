@@ -160,8 +160,9 @@ def _canonical_basis(H):
         {pos[j]: v for j, v in row.items() if j in pos} for row in H.A.rows]
     rref, small_pivots = rref_rows(rows, field)
     kernel = kernel_from_rref(rref, small_pivots, len(free), field)
-    small_free = {free[k]: i for i, k in enumerate(
-        k for k in range(len(free)) if k not in set(small_pivots))}
+    taken = set(small_pivots)
+    small_free = {j: i for i, j in enumerate(
+        j for k, j in enumerate(free) if k not in taken)}
 
     def coords(vec):
         # a cycle reduced by the rref is the kernel combination whose
