@@ -145,9 +145,6 @@ class KClassRep:
     flat: dict
     inverse_flat: dict | None = None
 
-    def entry(self, p: int, q: int) -> dict:
-        return dict(self.entries[p][q])
-
 
 def _normalize_entries(A: FDAlgebra, matrix) -> tuple:
     N = len(matrix)

@@ -335,12 +335,6 @@ class PsiMap(_ComparisonMap):
     matrix: SparseMatrix
     target_dim: int
 
-    def block(self, class_index: int, char_index: int) -> PsiBlock:
-        for b in self.blocks:
-            if b.class_index == class_index and b.char_index == char_index:
-                return b
-        raise ValidationError("no such block")
-
     def component(self, image: dict, block: PsiBlock) -> dict:
         """Slice one block out of a target vector, keyed (r, c, t)."""
         nfix = len(block.fixed)

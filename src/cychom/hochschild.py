@@ -486,9 +486,6 @@ class HomologyReport:
     window: ChainComplexWindow
     h_unitality: str = "not-applicable"
 
-    def degree(self, n: int) -> DegreeHomology:
-        return self.degrees[n]
-
 
 def _degree_homologies(maps, dims, field, n_max: int) -> list:
     """Homology in degrees 0..n_max of a complex whose differential out of

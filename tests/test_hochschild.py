@@ -477,6 +477,17 @@ def test_h_unitality_of_unital_algebra_is_not_applicable():
     assert hh(truncated_polynomial(2), 2).h_unitality == "not-applicable"
 
 
+def test_an_algebra_with_a_left_unit_is_h_unital_up_to_the_cutoff():
+    # span{E11, E12}, E11 a left unit: b' is contractible, so HH is the
+    # one class of E11 and the tri-state reads acyclic
+    A = FDAlgebra(2, 1, {(0, 0): {0: 1}, (0, 1): {1: 1}},
+                  labels=["E11", "E12"])
+    assert not A.is_unital
+    report = hh(A, 2)
+    assert report.dims == [1, 0, 0]
+    assert report.h_unitality == "acyclic-up-to-cutoff"
+
+
 # ---------------------------------------------------------------------------
 # coefficients
 
@@ -721,7 +732,7 @@ def test_chern_push_matches_the_per_chain_oracle():
             for n in range(0, 2 * q, 2):
                 cycle = extend_cycle(window, n, cycle)
             if q:
-                assert window.totals[2 * q].annihilates(cycle)
+                assert not window.totals[2 * q].mat_vec(cycle)
             raised = CyclicChain(window, 0, {hoch.index_of(0, (1,)): 1})
             for _ in range(q):
                 raised = _extend_cycle(raised)

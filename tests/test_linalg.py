@@ -121,7 +121,7 @@ def test_rref_is_invariant_under_row_shuffling():
 
 
 def test_block_structure_does_not_leak():
-    # interleaved block-diagonal matrix; elimination splits it into components
+    # interleaved block-diagonal matrix, two components in one elimination
     rng = random.Random(77)
     a = random_matrix(rng, 4, 4)
     b = random_matrix(rng, 3, 3)
@@ -201,36 +201,6 @@ def test_reduced_rows_matches_dense_oracle_random(order, rational):
             assert row[p] == field.one, trial
         for p in pivots:
             assert sum(p in row for row in rows) == 1, trial
-
-
-@pytest.mark.parametrize("order", [1, 3])
-def test_annihilates_matches_the_product(order):
-    # the oracle forms M @ v through the columns; annihilates scales v to an
-    # integer vector and reads rows
-    field = field_of_order(order)
-    rng = random.Random(700 + order)
-    verdicts = set()
-    for trial in range(40):
-        ncols = rng.randint(1, 7)
-        rows = _random_raw_rows(rng, field, rng.randint(1, 6), ncols)
-        M = SparseMatrix(len(rows), ncols, field, rows=rows)
-        cycle = {}
-        for k in M.kernel_basis():
-            c = Cyclotomic([F(rng.randint(-9, 9), rng.randint(1, 7))
-                            for _ in range(field.degree)], order).raw
-            vec_axpy(cycle, c, k, field)
-        other = _random_raw_rows(rng, field, 1, ncols)[0]
-        for v in (cycle, other, {}):
-            v = {j: F(x) if order == 1 else tuple(map(F, x))
-                 for j, x in v.items()}
-            expected = vec_is_zero(M.mat_vec(v))
-            assert M.annihilates(v) == expected, trial
-            verdicts.add((bool(v), expected))
-        assert M.annihilates(cycle), trial
-    assert verdicts == {(False, True), (True, True), (True, False)}
-    for index in (-1, 3):
-        with pytest.raises(AmbientMismatch):
-            SparseMatrix.identity(3, field).annihilates({0: field.one, index: field.one})
 
 
 def _spy_routes(monkeypatch) -> list:
@@ -694,51 +664,61 @@ def test_bool_scalars_are_refused():
     assert type(Q.zero) is int and type(Q.one) is int
 
 
-def _one_component(indexed_rows, field):
-    """Pivots of _eliminate_component on all prepared rows at once."""
-    adapter = linalg._adapter(field, [row for _, row in indexed_rows])
-    prepared = [(rid, adapter.prim(row)) for rid, row in indexed_rows]
-    return linalg._eliminate_component(
-        [(rid, row) for rid, row in prepared if row], adapter)
+def _assert_union_eliminates_blockwise(blocks, cols=None):
+    """blocks: row lists of one length, with at most one nonempty row at
+    each index and pairwise disjoint columns.  Eliminating their union gives
+    each block's pivot triples in the order the block alone gives them, and
+    reduced_rows of the union is the union of the blocks' reduced_rows."""
+    union = [next((b[i] for b in blocks if b[i]), {})
+             for i in range(len(blocks[0]))]
+    _, pivots = linalg._eliminate(enumerate(union), Q, cols)
+    expected = []
+    for block in blocks:
+        own = {j for row in block for j in row}
+        _, alone = linalg._eliminate(enumerate(block), Q, cols)
+        # repr also sees the entry order and the int / Fraction kinds
+        assert repr([p for p in pivots if p[0] in own]) == repr(alone)
+        rows, pivot_cols = reduced_rows(block, Q)
+        expected += zip(pivot_cols, rows)
+    rows, pivot_cols = reduced_rows(union, Q)
+    assert repr(list(zip(pivot_cols, rows))) == repr(sorted(
+        expected, key=lambda pair: pair[0]))
+    return pivots
 
 
-def _sorted_pivots(pivots):
-    return sorted(c for c, _, _ in pivots), sorted(r for _, r, _ in pivots)
-
-
-def test_component_split_keeps_the_pivots_of_one_component():
-    totals, walks = _windows()
-    for rows in totals + walks:
-        indexed = list(enumerate(rows))
-        _, split = linalg._eliminate(indexed, Q)
-        assert _sorted_pivots(split) == _sorted_pivots(
-            _one_component(indexed, Q))
-
-
-def test_component_split_merges_components_joined_by_a_later_row():
+def test_one_pass_eliminates_each_component_as_if_alone():
     rows = [{4: 1, 5: 2}, {0: 1, 1: 1}, {2: 3, 3: 1},
             {5: 1, 1: -1},      # joins the first two
             {3: 2, 1: 1},       # joins that with the third
             {6: 1, 7: -2}, {8: 5}, {7: 1, 6: 1}]
-    indexed = list(enumerate(rows))
-    adapter, pivots = linalg._eliminate(indexed, Q)
-    # three components, in the order of their first rows
-    groups = [[0, 1, 2, 3, 4], [5, 7], [6]]
-    expected = [pivot for rids in groups
-                for pivot in linalg._eliminate_component(
-                    [(rid, adapter.prim(rows[rid])) for rid in rids], adapter)]
-    assert pivots == expected
-    assert _sorted_pivots(pivots) == _sorted_pivots(_one_component(indexed, Q))
-    assert len(pivots) == 8
+    groups = [{0, 1, 2, 3, 4}, {5, 7}, {6}]
+    blocks = [[row if i in g else {} for i, row in enumerate(rows)]
+              for g in groups]
+    assert len(_assert_union_eliminates_blockwise(blocks)) == 8
+    # the windows, interleaved: row r and column c of window k go to
+    # r*K + k and c*K + k, so the heap meets every window's columns in turn
+    totals, walks = _windows()
+    windows = totals + walks
+    K = len(windows)
+    height = max(len(rows) for rows in windows)
+    blocks = []
+    for k, rows in enumerate(windows):
+        block = [{} for _ in range(K * height)]
+        for r, row in enumerate(rows):
+            block[r * K + k] = {c * K + k: v for c, v in row.items()}
+        blocks.append(block)
+    _assert_union_eliminates_blockwise(blocks)
+    width = 1 + max(j for block in blocks for row in block for j in row)
+    _assert_union_eliminates_blockwise(blocks, set(range(0, width, 3)))
 
 
 # -- the singleton peel ------------------------------------------------------
 
 def _heap_only_pivots(rows, adapter, cols=None):
-    """The pivot loop of ``_eliminate_component`` without the peel: every
-    column goes through the lazy (count, col) heap, with its row set, from
-    the start.  The oracle for the peel, which must give the same triples
-    in the same order."""
+    """The pivot loop of ``_eliminate`` without the peel: every column goes
+    through the lazy (count, col) heap, with its row set, from the start.
+    The oracle for the peel, which must give the same triples in the same
+    order."""
     col_rows = {}
     live = {}
     for rid, row in rows:
@@ -785,10 +765,9 @@ def _heap_only_pivots(rows, adapter, cols=None):
 
 
 def _assert_peel_matches_the_heap(raw_rows, field, cols=None):
-    adapter = linalg._adapter(field, raw_rows)
+    adapter, got = linalg._eliminate(enumerate(raw_rows), field, cols)
     prepared = [(rid, adapter.prim(row)) for rid, row in enumerate(raw_rows)]
     prepared = [(rid, row) for rid, row in prepared if row]
-    got = linalg._eliminate_component(prepared, adapter, cols)
     # repr also sees the entry order and the int / Fraction kinds
     assert repr(got) == repr(_heap_only_pivots(prepared, adapter, cols))
     return got

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from cychom.errors import DivisionByZero, FieldMismatch, ParseError, ValidationError
+from cychom.linalg import to_raw
 from cychom.scalars import (
     Cyclotomic,
     common_order,
@@ -232,6 +233,13 @@ def test_mixed_orders_refuse_silent_coercion():
         Cyclotomic.zeta(3) + Cyclotomic.zeta(4)
     with pytest.raises(FieldMismatch):
         Cyclotomic.zeta(6).lift(4)
+    # to_raw lifts a scalar only into a field whose order its own divides:
+    # zeta3 = zeta6^2 = zeta6 - 1 by Phi_6 = x^2 - x + 1, and zeta4 = zeta12^3
+    assert to_raw(Cyclotomic.zeta(3), field_of_order(6)) == (-1, 1)
+    f12 = field_of_order(12)
+    assert to_raw(Cyclotomic.zeta(4), f12) == f12.zeta_pow[3] == (0, 0, 0, 1)
+    with pytest.raises(FieldMismatch):
+        to_raw(Cyclotomic.zeta(4), field_of_order(6))
 
 
 def test_order_below_one_is_a_validation_error():

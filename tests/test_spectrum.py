@@ -165,6 +165,10 @@ def test_radical_of_cubic_is_the_nilpotent_span():
     assert rad.contains({1: one})
     assert rad.contains({2: one})
     assert not rad.contains({0: one})
+    # the ideal (x) as a nonunital algebra is its own radical
+    ideal = ideal_as_algebra(two_sided_ideal(A, [{1: one}, {2: one}]))[0]
+    assert not ideal.is_unital
+    assert jacobson_radical(ideal).dim == 2
 
 
 def test_radical_of_upper_triangular_is_the_strict_part():
@@ -172,6 +176,12 @@ def test_radical_of_upper_triangular_is_the_strict_part():
     rad = jacobson_radical(A)
     assert rad.dim == 1
     assert rad.contains({A.labels.index("E12"): A.field.one})
+    # so does its nonunital subalgebra span{E11, E12}, where E11 is a left
+    # unit and nothing is a right one
+    rad = jacobson_radical(FDAlgebra(2, 1, {(0, 0): {0: 1}, (0, 1): {1: 1}},
+                                     labels=["E11", "E12"]))
+    assert rad.dim == 1
+    assert rad.contains({1: 1})
 
 
 # -- block decompositions ----------------------------------------------------------
@@ -737,6 +747,21 @@ def test_diagonal_embedding_is_rejected():
     # both target points pull back inside the unique source point
     assert verdict.pairs == [(0, 0), (1, 0)]
     assert not verdict.hp_agrees
+    # across field orders both sides are compared over Q(zeta3), where QZ3
+    # has three points: the unit map sends all three to the one point of Q
+    QZ3 = group_algebra(cyclic_group(3))
+    unit = spectrum_preserving_check(AlgebraMap.from_images(
+        Q, QZ3, [QZ3.unit], multiplicative=True, unital=True))
+    assert unit.pairs == [(0, 0), (1, 0), (2, 0)]
+    assert unit.is_function and not unit.preserving
+    assert unit.field_order == 3
+    # ... and the augmentation pulls the point of Q back to one of them
+    augmentation = AlgebraMap.from_images(
+        QZ3, Q, [{0: one}] * 3, multiplicative=True, unital=True)
+    augmentation.validate()
+    verdict = spectrum_preserving_check(augmentation)
+    assert verdict.pairs == [(0, 2)]
+    assert verdict.is_function and not verdict.preserving
 
 
 def test_swap_automorphism_is_the_point_swap():
