@@ -686,17 +686,11 @@ def _assert_union_eliminates_blockwise(blocks, cols=None):
     return pivots
 
 
-def test_one_pass_eliminates_each_component_as_if_alone():
-    rows = [{4: 1, 5: 2}, {0: 1, 1: 1}, {2: 3, 3: 1},
-            {5: 1, 1: -1},      # joins the first two
-            {3: 2, 1: 1},       # joins that with the third
-            {6: 1, 7: -2}, {8: 5}, {7: 1, 6: 1}]
-    groups = [{0, 1, 2, 3, 4}, {5, 7}, {6}]
-    blocks = [[row if i in g else {} for i, row in enumerate(rows)]
-              for g in groups]
-    assert len(_assert_union_eliminates_blockwise(blocks)) == 8
-    # the windows, interleaved: row r and column c of window k go to
-    # r*K + k and c*K + k, so the heap meets every window's columns in turn
+def test_component_split_keeps_the_pivots_of_one_component():
+    """Rows of different components share no column, so the one pass over
+    all of them gives each component the pivots it gets alone.  The windows,
+    interleaved: row r and column c of window k go to r*K + k and c*K + k,
+    so the heap meets every window's columns in turn."""
     totals, walks = _windows()
     windows = totals + walks
     K = len(windows)
@@ -710,6 +704,19 @@ def test_one_pass_eliminates_each_component_as_if_alone():
     _assert_union_eliminates_blockwise(blocks)
     width = 1 + max(j for block in blocks for row in block for j in row)
     _assert_union_eliminates_blockwise(blocks, set(range(0, width, 3)))
+
+
+def test_component_split_merges_components_joined_by_a_later_row():
+    """Rows that first look apart and are joined by a later row eliminate
+    as one component."""
+    rows = [{4: 1, 5: 2}, {0: 1, 1: 1}, {2: 3, 3: 1},
+            {5: 1, 1: -1},      # joins the first two
+            {3: 2, 1: 1},       # joins that with the third
+            {6: 1, 7: -2}, {8: 5}, {7: 1, 6: 1}]
+    groups = [{0, 1, 2, 3, 4}, {5, 7}, {6}]
+    blocks = [[row if i in g else {} for i, row in enumerate(rows)]
+              for g in groups]
+    assert len(_assert_union_eliminates_blockwise(blocks)) == 8
 
 
 # -- the singleton peel ------------------------------------------------------
