@@ -21,8 +21,8 @@ from .errors import (
     ValidationError,
     check_int,
 )
-from .linalg import (SparseMatrix, Subspace, add_term, to_raw, vec_axpy,
-                     vec_equal, vec_sub)
+from .linalg import (SparseMatrix, Subspace, to_raw, vec_axpy, vec_equal,
+                     vec_sub)
 from .scalars import field_of_order, scalar_to_string
 
 
@@ -99,19 +99,28 @@ class FDAlgebra:
         return {i: self.field.one}
 
     def multiply(self, u: dict, v: dict) -> dict:
-        """Product of two sparse coordinate vectors."""
+        """Product of two sparse coordinate vectors.
+
+        Vectors store no zeros and Q(zeta_m) is a field, so the product of
+        two entries is never zero and needs no test; the terms are summed
+        per coordinate and the coordinates whose sum is zero are dropped
+        once, at the end.
+        """
         field = self.field
-        one = field.one
+        mul, add, one = field.mul, field.add, field.one
         out = {}
+        get = out.get
         for i, a in u.items():
+            row = self.mul[i]
             for j, b in v.items():
-                c = field.mul(a, b)
-                if field.is_zero(c):
-                    continue
+                c = mul(a, b)
                 # group algebras and matrix units have constants of one
-                for k, s in self.mul[i][j].items():
-                    add_term(out, k, c if s == one else field.mul(c, s), field)
-        return out
+                for k, s in row[j].items():
+                    t = c if s == one else mul(c, s)
+                    prev = get(k)
+                    out[k] = t if prev is None else add(prev, t)
+        is_zero = field.is_zero
+        return {k: c for k, c in out.items() if not is_zero(c)}
 
     def left_mult_matrix(self, vec: dict) -> SparseMatrix:
         """Matrix of x -> vec * x."""

@@ -112,8 +112,10 @@ class _SlotData:
         else:
             self._peirce(A, idempotents)
             fs = [cleared(f, field) for f in self.f_vectors]
-            dens, rows = zip(*(cleared(row, field)
-                               for row in self.e_to_f.rows))
+            # a list, not a generator, so that the argument tuple is taken
+            # from the free list of its length (see linalg._CycRows.prim)
+            dens, rows = zip(*[cleared(row, field)
+                               for row in self.e_to_f.rows])
             delta = lcm(*dens)
             inverse = SparseMatrix(d, d, field, rows=[
                 vec_scale(row, field.from_rational(delta // den), field)

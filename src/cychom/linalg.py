@@ -274,7 +274,11 @@ class _CycRows:
         signed so that the first coefficient at the lowest column is
         positive: int tuples whose coefficients have gcd 1."""
         _, ints = cleared(row, self.field)
-        num = gcd(*(c for entry in ints.values() for c in entry))
+        # a list, not a generator: an argument tuple built from a generator
+        # is allocated at ten slots and shrunk, so it is freed into the free
+        # list of its own length, which the next such call does not take
+        # from, and up to 2,000 tuples of each length stay allocated
+        num = gcd(*[c for entry in ints.values() for c in entry])
         if not num:
             return {}
         if next(c for c in ints[min(ints)] if c) < 0:
@@ -312,6 +316,34 @@ def _adapter(field: _FieldBase, rows: list[dict]):
     if all(not any(e[1:]) for row in rows for e in row.values()):
         return _RatCycRows(field)
     return _CycRows(field)
+
+
+class Echelon:
+    """An echelon with leftmost pivots that takes its rows one at a time.
+
+    ``add`` reduces a row against the pivot rows, each keyed by its leading
+    column, until its leading column is no pivot's, and keeps what is left
+    as a new pivot row; it returns that remainder, empty when the row lay
+    in the span of the rows before it.  The rows are a row adapter's
+    integer rows, over Q(zeta_m) coefficient tuples (_CycRows), since the
+    rows to come are not known up front.
+    """
+
+    def __init__(self, field: _FieldBase):
+        self.adapter = _IntRows() if field.order == 1 else _CycRows(field)
+        self.pivots: dict[int, dict] = {}
+
+    def add(self, row: dict) -> dict:
+        adapter, pivots = self.adapter, self.pivots
+        row = adapter.prim(row)
+        while row:
+            c = min(row)
+            pivot = pivots.get(c)
+            if pivot is None:
+                pivots[c] = row
+                break
+            row = adapter.combine(row, pivot, c)
+        return row
 
 
 # -- elimination ---------------------------------------------------------------

@@ -18,8 +18,10 @@ class is a thin immutable shell over the same functions.
 from __future__ import annotations
 
 import functools
+import operator
 import re
 from fractions import Fraction
+from itertools import repeat
 from math import lcm
 
 from .errors import DivisionByZero, FieldMismatch, ParseError, check_int
@@ -183,23 +185,25 @@ class _CyclotomicFieldRaw(_FieldBase):
             pows.append(self.mul(pows[-1], gen))
         self.zeta_pow = pows
 
-    def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+    @staticmethod
+    def add(a, b):
+        return tuple(map(operator.add, a, b))
 
-    def sub(self, a, b):
-        return tuple(x - y for x, y in zip(a, b))
+    @staticmethod
+    def sub(a, b):
+        return tuple(map(operator.sub, a, b))
 
-    def neg(self, a):
-        return tuple(-x for x in a)
+    @staticmethod
+    def neg(a):
+        return tuple(map(operator.neg, a))
 
     def mul(self, a, b):
-        # a rational operand scales the other coefficientwise
+        # a rational operand scales the other coefficientwise; repeat, not
+        # the bound x.__mul__, since int.__mul__(Fraction) is NotImplemented
         if not any(a[1:]):
-            x = a[0]
-            return tuple(x * y for y in b)
+            return tuple(map(operator.mul, repeat(a[0]), b))
         if not any(b[1:]):
-            y = b[0]
-            return tuple(x * y for x in a)
+            return tuple(map(operator.mul, a, repeat(b[0])))
         d = self.degree
         conv = [0] * (2 * d - 1)
         for i, x in enumerate(a):

@@ -34,7 +34,8 @@ from .algebra import (
     unitalization,
 )
 from .errors import AmbientMismatch, NonUnital, ValidationError
-from .linalg import SparseMatrix, Subspace, cleared, vec_axpy, vec_equal
+from .linalg import Echelon, SparseMatrix, Subspace, cleared, vec_axpy, \
+    vec_equal
 from .scalars import divisors
 
 
@@ -127,29 +128,31 @@ def semisimple_quotient(A: FDAlgebra):
 
 # -- root finding for the idempotent split ----------------------------------------
 
-def _rational_root_candidates(fracs: list) -> list:
-    """Possible rational roots of a rational-coefficient polynomial.
-
-    Standard numerator-denominator divisor candidates after clearing
-    denominators; callers verify every candidate exactly.
-    """
-    coeffs = list(fracs)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    if len(coeffs) <= 1:
-        return []
-    scale = math.lcm(*[f.denominator for f in coeffs])
-    ints = [int(f * scale) for f in coeffs]
+def _rational_root_candidates(ints: list) -> list:
+    """The numerator-denominator divisor candidates p/q for the rational
+    roots of an integer polynomial, low degree first, whose leading
+    coefficient is not zero, as pairs (p, q); callers verify every
+    candidate exactly."""
     low = 0
     while ints[low] == 0:
         low += 1
-    out = [Fraction(0)] if low > 0 else []
+    out = [(0, 1)] if low > 0 else []
     lead = ints[-1]
     for p in divisors(ints[low]):
         for q in divisors(lead):
-            out.append(Fraction(p, q))
-            out.append(Fraction(-p, q))
+            out.append((p, q))
+            out.append((-p, q))
     return out
+
+
+def _vanishes_at(ints: list, p: int, q: int) -> bool:
+    """Whether p/q (q > 0) is a root of an integer polynomial, low degree
+    first: sum c_i p^i q^(n-i) == 0, by Horner's rule on ints."""
+    value, qpow = ints[-1], 1
+    for c in reversed(ints[:-1]):
+        qpow *= q
+        value = value * p + c * qpow
+    return value == 0
 
 
 def _cofactor(poly, lam, field):
@@ -174,6 +177,11 @@ def _root_factors(poly, field) -> list:
 
     This family is complete for the corpus; an eigenvalue outside it is
     treated as unsplittable at this order and escalates the field search.
+    For each zeta^k the rational candidates r come from one coefficient
+    slot of p(zeta^k t), one whose leading coefficient is not zero, cleared
+    to ints once.  If zeta^k r is a root of p, r is a root of every slot of
+    p(zeta^k t), so a candidate at which that slot does not vanish on ints
+    is passed over, and only the others go through _cofactor in the field.
     """
     m = field.order
     found, seen = [], set()
@@ -186,7 +194,12 @@ def _root_factors(poly, field) -> list:
         lead = field.to_coeffs(subbed[-1])
         slot = next(i for i, c in enumerate(lead) if c)
         slot_poly = [field.to_coeffs(c)[slot] for c in subbed]
-        for r in _rational_root_candidates(slot_poly):
+        scale = math.lcm(*[c.denominator for c in slot_poly])
+        ints = [c.numerator * (scale // c.denominator) for c in slot_poly]
+        for p, q in _rational_root_candidates(ints):
+            if not _vanishes_at(ints, p, q):
+                continue
+            r = Fraction(p, q)
             root = field.scale(field.zeta_pow[k], r) if m > 1 \
                 else field.from_rational(r)
             key = tuple(field.to_coeffs(root))
@@ -202,18 +215,27 @@ def _root_factors(poly, field) -> list:
 def _minimal_polynomial(A: FDAlgebra, e: dict, x: dict):
     """(p, powers): the monic minimal polynomial p of x in an algebra with
     unit e, low degree first, and the powers e, x, x^2, ... below its
-    degree."""
-    field = A.field
-    powers, power = [e], x
+    degree.
+
+    The powers go one by one into a single integer echelon with leftmost
+    pivots (linalg.Echelon), the power x^k as its coordinates with a one
+    in the tag column dim + k.  The first power whose coordinates
+    reduce to zero leaves the relation sum c_k x^k = 0 in its tags, and p
+    is that row made monic at its last tag, with every coefficient an int
+    where it is integral.
+    """
+    field, d = A.field, A.dim
+    echelon = Echelon(field)
+    powers, power = [], e
     while True:
-        combo = SparseMatrix.from_columns(powers, A.dim, field).solve(power)
-        if combo is not None:
-            poly = [field.neg(combo.get(i, field.zero))
-                    for i in range(len(powers))]
-            poly.append(field.one)
-            return poly, powers
+        k = len(powers)
+        row = echelon.add({**power, d + k: field.one})
+        if min(row) >= d:
+            relation = echelon.adapter.monic(row, d + k)
+            return [relation.get(d + i, field.zero)
+                    for i in range(k + 1)], powers
         powers.append(power)
-        power = A.multiply(power, x)
+        power = A.multiply(power, x) if k else x
 
 
 # -- splitting the unit into idempotents ------------------------------------

@@ -173,6 +173,17 @@ def test_validate_reports_bad_unit():
     assert "unit" in report.messages[0]
 
 
+def test_validate_reports_a_left_unit_that_fails_on_the_right():
+    # span{E11, E12} with E11 as its unit: E11 x = x for both basis
+    # vectors, but E12 E11 = 0
+    A = FDAlgebra(2, 1, {(0, 0): {0: 1}, (0, 1): {1: 1}}, unit={0: 1})
+    report = A.validate()
+    assert not report.ok
+    assert not report.unital
+    assert report.messages == ["unit fails on the right at basis 1"]
+    assert report.failing_triple == (1, 1, 1)
+
+
 def test_require_valid_raises():
     A = FDAlgebra(2, 1, {(0, 0): {1: 1}, (1, 0): {0: 1}})
     with pytest.raises(ValidationError):

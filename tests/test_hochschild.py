@@ -201,6 +201,9 @@ def test_codec_rejects_out_of_range_codes_and_indices():
     for bad in ((0, 3), (0, -1), (3, 0), (-1, 2)):
         with pytest.raises(ValidationError):
             w.index_of(1, bad)
+    for bad in ((1,), (1, 0, 0)):
+        with pytest.raises(ValidationError, match="wrong length"):
+            w.index_of(1, bad)
     for n, bad in ((1, 9), (1, -1), (3, 0), (-1, 0)):
         with pytest.raises(ValidationError):
             w.tuple_of(n, bad)
@@ -1098,6 +1101,15 @@ def test_cleared_idempotent_checks_still_refuse():
         with pytest.raises(ValidationError):
             bar_complex(A, 2, normalized=True, blocks=blocks)
     bar_complex(A, 2, normalized=True, blocks=[trivial, sign] + rest)
+
+
+def test_idempotents_that_do_not_sum_to_the_unit_are_refused():
+    A = group_algebra(symmetric_group_3())
+    trivial, sign = split_idempotents(A)[:2]
+    for blocks in ([A.unit, A.unit], [trivial, sign]):
+        with pytest.raises(ValidationError,
+                           match="orthogonal idempotents summing to the unit"):
+            bar_complex(A, 1, normalized=True, blocks=blocks)
 
 
 def _fraction_pieces(A, idempotents):

@@ -1,6 +1,7 @@
 """Spectra: blocks, central characters, filtrations, page one, morphisms."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -38,9 +39,9 @@ from cychom.groups import (
     symmetric_group_3,
 )
 from cychom.hochschild import hh
-from cychom.linalg import SparseMatrix, Subspace, sparse_to_dense, \
+from cychom.linalg import SparseMatrix, Subspace, add_term, sparse_to_dense, \
     vec_add, vec_axpy, vec_equal
-from cychom.scalars import field_of_order
+from cychom.scalars import divisors, field_of_order
 from cychom.spectrum import (
     IdealFiltration,
     abelian_filtration_report,
@@ -53,8 +54,9 @@ from cychom.spectrum import (
     weakly_spectrum_preserving_check,
     wedderburn_blocks,
 )
-from cychom.structure import _minimal_polynomial, _span_identity, \
-    _split_unit, block_idempotents, center, is_nilpotent_subspace, \
+from cychom.structure import _cofactor, _minimal_polynomial, \
+    _rational_root_candidates, _root_factors, _span_identity, _split_unit, \
+    _vanishes_at, block_idempotents, center, is_nilpotent_subspace, \
     jacobson_radical, split_idempotents
 
 
@@ -368,6 +370,158 @@ def test_minimal_polynomial_of_an_element():
     poly, powers = _minimal_polynomial(T, T.unit, T.basis_vector(1))
     assert poly == [0, 0, 0, 1]
     assert powers == [T.basis_vector(k) for k in range(3)]
+
+
+# -- the parent routes of the split, kept as oracles --------------------------
+
+def _add_term_multiply(A, u, v):
+    """FDAlgebra.multiply term by term through add_term, testing each
+    product of entries for zero."""
+    field = A.field
+    out = {}
+    for i, a in u.items():
+        for j, b in v.items():
+            c = field.mul(a, b)
+            if field.is_zero(c):
+                continue
+            for k, s in A.mul[i][j].items():
+                add_term(out, k, c if s == field.one else field.mul(c, s),
+                         field)
+    return out
+
+
+def _solve_per_power_minimal_polynomial(A, e, x):
+    """_minimal_polynomial by a fresh solve against e, x, .., x^(k-1) for
+    each new power x^k."""
+    field = A.field
+    powers, power = [e], x
+    while True:
+        combo = SparseMatrix.from_columns(powers, A.dim, field).solve(power)
+        if combo is not None:
+            poly = [field.neg(combo.get(i, field.zero))
+                    for i in range(len(powers))]
+            poly.append(field.one)
+            return poly, powers
+        powers.append(power)
+        power = _add_term_multiply(A, power, x)
+
+
+def _every_candidate_root_factors(poly, field):
+    """_root_factors with _cofactor run in the field on every rational
+    candidate, found on the Fraction slot polynomial."""
+    m = field.order
+    found, seen = [], set()
+    for k in range(max(m, 1)):
+        subbed = [field.mul(c, field.zeta_pow[(k * i) % m])
+                  for i, c in enumerate(poly)] if m > 1 else list(poly)
+        lead = field.to_coeffs(subbed[-1])
+        slot = next(i for i, c in enumerate(lead) if c)
+        coeffs = [Fraction(field.to_coeffs(c)[slot]) for c in subbed]
+        scale = math.lcm(*[f.denominator for f in coeffs])
+        ints = [int(f * scale) for f in coeffs]
+        low = next(i for i, c in enumerate(ints) if c)
+        candidates = [Fraction(0)] if low > 0 else []
+        for p in divisors(ints[low]):
+            for q in divisors(ints[-1]):
+                candidates += [Fraction(p, q), Fraction(-p, q)]
+        for r in candidates:
+            root = field.scale(field.zeta_pow[k], r) if m > 1 \
+                else field.from_rational(r)
+            key = tuple(field.to_coeffs(root))
+            if key in seen:
+                continue
+            factor = _cofactor(poly, root, field)
+            if factor[1]:
+                seen.add(key)
+                found.append(factor)
+    return found
+
+
+def _scaled_group_algebra():
+    """QS3 on the basis 2e, 3g_1, g_2, .., so its structure constants and
+    its unit are Fractions."""
+    A = group_algebra(symmetric_group_3())
+    scales = [2, 3, 1, 1, 6, 1]
+    mul = {(i, j): {k: Fraction(s * scales[i] * scales[j], scales[k])
+                    for k, s in A.mul[i][j].items()}
+           for i in range(A.dim) for j in range(A.dim)}
+    unit = {k: Fraction(c, scales[k]) for k, c in A.unit.items()}
+    return FDAlgebra(A.dim, 1, mul, unit=unit).require_valid()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: group_algebra(symmetric_group_3()),
+    lambda: group_algebra(dihedral_group_4()),
+    lambda: group_algebra(quaternion_group()),
+    lambda: group_algebra(cyclic_group(4)),
+    lambda: group_algebra(cyclic_group(5)),
+    lambda: matrix_algebra(truncated_polynomial(2), 2),
+    lambda: upper_triangular(3),
+    _rebased_upper_triangular,
+    _t_squared_t_minus_one,
+    _scaled_group_algebra,
+    lambda: extend_scalars(group_algebra(symmetric_group_3()), 3),
+    lambda: extend_scalars(group_algebra(cyclic_group(3)), 3),
+    lambda: extend_scalars(group_algebra(cyclic_group(4)), 4),
+    lambda: extend_scalars(group_algebra(dihedral_group_4()), 4),
+    lambda: extend_scalars(group_algebra(cyclic_group(5)), 5),
+], ids=["QS3", "QD4", "QQ8", "QZ4", "QZ5", "M2(T2)", "U3", "U3-rebased",
+        "t2(t-1)", "QS3-scaled", "QS3-zeta3", "QZ3-zeta3", "QZ4-zeta4",
+        "QD4-zeta4", "QZ5-zeta5"])
+def test_the_split_matches_its_parent_routes(build, monkeypatch):
+    # every minimal polynomial, root search and product that hh's split
+    # and set-up meet, against the solve per power, _cofactor on every
+    # candidate and the add_term product; the first two also keep the raw
+    # rule (an int where a rational is integral), so repr must agree
+    A = build()
+    cuts, polys, products = [], [], []
+    minimal_polynomial, root_factors = \
+        structure._minimal_polynomial, structure._root_factors
+
+    def spy_cut(A, e, x):
+        cuts.append((e, x))
+        return minimal_polynomial(A, e, x)
+
+    def spy_roots(poly, field):
+        polys.append(poly)
+        return root_factors(poly, field)
+
+    def spy_product(u, v):
+        products.append((u, v))
+        return FDAlgebra.multiply(A, u, v)
+
+    monkeypatch.setattr(structure, "_minimal_polynomial", spy_cut)
+    monkeypatch.setattr(structure, "_root_factors", spy_roots)
+    monkeypatch.setattr(A, "multiply", spy_product)
+    block_idempotents(A)
+    hh(A, 1)
+    monkeypatch.undo()
+    assert cuts and products
+    for e, x in cuts:
+        assert repr(_minimal_polynomial(A, e, x)) == \
+            repr(_solve_per_power_minimal_polynomial(A, e, x))
+    for poly in polys:
+        assert repr(_root_factors(poly, A.field)) == \
+            repr(_every_candidate_root_factors(poly, A.field))
+    for u, v in products:
+        assert A.multiply(u, v) == _add_term_multiply(A, u, v)
+
+
+def test_the_root_pre_test_reads_the_slot_on_ints():
+    # t^3 - 7/2 t^2 + 7/2 t - 1 = (t - 1)(t - 2)(t - 1/2), cleared to
+    # 2t^3 - 7t^2 + 7t - 2
+    ints = [-2, 7, -7, 2]
+    roots = {Fraction(p, q) for p, q in _rational_root_candidates(ints)
+             if _vanishes_at(ints, p, q)}
+    assert roots == {1, 2, Fraction(1, 2)}
+    # 0 is a candidate only when the constant term vanishes
+    assert (0, 1) in _rational_root_candidates([0, -1, 1])
+    assert (0, 1) not in _rational_root_candidates(ints)
+    field = field_of_order(1)
+    poly = [-1, Fraction(7, 2), Fraction(-7, 2), 1]
+    # the roots 1, 1/2 and 2 in candidate order, with the values q(lam)
+    assert [(k, value) for _, k, value in _root_factors(poly, field)] == [
+        (1, Fraction(-1, 2)), (1, Fraction(3, 4)), (1, Fraction(3, 2))]
 
 
 def test_split_unit_of_qz4_leaves_the_gaussian_piece():
