@@ -45,6 +45,7 @@ from .linalg import (
     divided,
     homology,
     induced_map,
+    leading_columns,
     vec_axpy,
     vec_equal,
     vec_scale,
@@ -232,20 +233,19 @@ def _pieces(A: FDAlgebra, idempotents):
     """Yield (i, j, basis) for each Peirce piece e_i A e_j, in the order
     (0, 0), (0, 1), .., (r-1, r-1).  basis holds the leftmost vectors
     e_i x_k e_j that span the piece: the pivot columns u_p of the columns
-    e_i x_k span e_i A, and the pivot columns of the u_p e_j span the piece.
-    The products run on cleared idempotents (see _SlotData).
+    e_i x_k span e_i A, and the pivot columns of the u_p e_j span the piece,
+    read by leading_columns off products by cleared units (see _SlotData).
     """
     field = A.field
     cleared_units = [cleared(e, field) for e in idempotents]
-    rights = [(den, A.right_mult_matrix(w)) for den, w in cleared_units]
     for i, (den_i, w) in enumerate(cleared_units):
         left = A.left_mult_matrix(w)
-        ideal = [left.columns()[p] for p in left.rref()[1]]
-        for j, (den_j, right) in enumerate(rights):
+        ideal = [left.columns()[p] for p in leading_columns(left.rows, field)]
+        for j, (den_j, v) in enumerate(cleared_units):
             mult = SparseMatrix.from_columns(
-                [right.mat_vec(u) for u in ideal], A.dim, field)
+                [A.multiply(u, v) for u in ideal], A.dim, field)
             yield i, j, [divided(mult.columns()[q], den_i * den_j, field)
-                         for q in mult.rref()[1]]
+                         for q in leading_columns(mult.rows, field)]
 
 
 def _require_degree(window, n: int) -> None:

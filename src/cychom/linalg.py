@@ -309,41 +309,53 @@ class _CycRows:
         return {j: f.from_coeffs(f.mul(inv, v)) for j, v in row.items()}
 
 
-def _adapter(field: _FieldBase, rows: list[dict]):
-    """Integer rows unless a Q(zeta_m) entry of this call is irrational."""
+def _adapter(field: _FieldBase, rows: list[dict] | None):
+    """Integer rows unless a Q(zeta_m) entry may be irrational (rows None)."""
     if field.order == 1:
         return _IntRows()
-    if all(not any(e[1:]) for row in rows for e in row.values()):
-        return _RatCycRows(field)
-    return _CycRows(field)
+    if rows is None or any(any(e[1:]) for row in rows for e in row.values()):
+        return _CycRows(field)
+    return _RatCycRows(field)
 
 
 class Echelon:
-    """An echelon with leftmost pivots that takes its rows one at a time.
+    """The one echelon with leftmost pivots, fed one row at a time.
 
-    ``add`` reduces a row against the pivot rows, each keyed by its leading
-    column, until its leading column is no pivot's, and keeps what is left
-    as a new pivot row; it returns that remainder, empty when the row lay
-    in the span of the rows before it.  The rows are a row adapter's
-    integer rows, over Q(zeta_m) coefficient tuples (_CycRows), since the
-    rows to come are not known up front.
+    ``add`` reduces a row by the pivot rows, each keyed by its leading
+    column, to a new pivot row and returns it, empty when the row lay in
+    the span of the rows before it.  A row shorter than the pivot row at
+    its leading column takes its place and the pivot row is reduced
+    instead, so the pivot rows stay sparse.  Rows come as the caller's
+    adapter's primitive rows, which ``prim`` may not read again.  The keys
+    of ``pivots`` are the leading columns of a row echelon form, which are
+    the pivot columns of the reduced one.
     """
 
-    def __init__(self, field: _FieldBase):
-        self.adapter = _IntRows() if field.order == 1 else _CycRows(field)
+    def __init__(self, adapter):
+        self.adapter = adapter
         self.pivots: dict[int, dict] = {}
 
     def add(self, row: dict) -> dict:
         adapter, pivots = self.adapter, self.pivots
-        row = adapter.prim(row)
         while row:
             c = min(row)
             pivot = pivots.get(c)
             if pivot is None:
                 pivots[c] = row
                 break
+            if len(row) < len(pivot):
+                pivots[c], row, pivot = row, pivot, row
             row = adapter.combine(row, pivot, c)
         return row
+
+
+def leading_columns(rows, field: _FieldBase) -> list:
+    """The pivot columns of the matrix with these rows, in ascending order."""
+    adapter = _adapter(field, rows)
+    echelon = Echelon(adapter)
+    for row in rows:
+        echelon.add(adapter.prim(row))
+    return sorted(echelon.pivots)
 
 
 # -- elimination ---------------------------------------------------------------
@@ -481,41 +493,15 @@ def rref_rows(input_rows, field: _FieldBase):
     """Canonical reduced echelon form of the span of the given sparse rows.
 
     Returns (rows, pivot_cols): monic rows sorted by strictly increasing pivot
-    column, zero everywhere above and below each pivot.
+    column, zero everywhere above and below each pivot: ``_eliminate``'s
+    basis of the span (the leftmost rule alone fills in) in an ``Echelon``.
     """
     adapter, pivots = _eliminate(enumerate(input_rows), field)
-    basis = [row for _, _, row in pivots]
-
-    # The cheap-column pass above gives some basis of the row space; the
-    # canonical form needs leftmost pivots, so eliminate again with the
-    # strict column order.  A row combined on its leading column only ever
-    # moves right, so buckets keyed by current leading column suffice.
-    buckets: dict[int, list[dict]] = {}
-    for row in basis:
-        buckets.setdefault(min(row), []).append(row)
-    keyheap = list(buckets)
-    heapq.heapify(keyheap)
-    pivots: dict[int, dict] = {}
-    while keyheap:
-        c = heapq.heappop(keyheap)
-        here = buckets.pop(c, None)
-        if not here:
-            continue
-        here.sort(key=len)
-        pivot = here[0]
-        pivots[c] = pivot
-        for row in here[1:]:
-            new = adapter.combine(row, pivot, c)
-            if new:
-                lead = min(new)
-                if lead in buckets:
-                    buckets[lead].append(new)
-                else:
-                    buckets[lead] = [new]
-                    heapq.heappush(keyheap, lead)
-
+    echelon = Echelon(adapter)
+    for _, _, row in pivots:
+        echelon.add(row)
     # in echelon order a row only holds later pivots' columns
-    return _back_substitute(sorted(pivots.items()), adapter)
+    return _back_substitute(sorted(echelon.pivots.items()), adapter)
 
 
 def _back_substitute(ordered, adapter):
@@ -599,6 +585,8 @@ class SparseMatrix:
                             rows=[{i: field.one} for i in range(n)])
 
     def set(self, i: int, j: int, value) -> None:
+        if not (0 <= i < self.nrows and 0 <= j < self.ncols):
+            raise AmbientMismatch(f"entry ({i}, {j}) outside the matrix")
         raw = to_raw(value, self.field)
         if self.field.is_zero(raw):
             self.rows[i].pop(j, None)
@@ -649,16 +637,6 @@ class SparseMatrix:
             vec_axpy(out, x, cols[j], self.field)
         return out
 
-    def product_trace(self, other: "SparseMatrix"):
-        """The trace of self . other, without forming the product."""
-        field = self.field
-        total = field.zero
-        for row, col in zip(self.rows, other.columns()):
-            for k, c in row.items():
-                if k in col:
-                    total = field.add(total, field.mul(c, col[k]))
-        return total
-
     def matmul(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.ncols != other.nrows:
             raise AmbientMismatch(
@@ -671,9 +649,6 @@ class SparseMatrix:
             raise AmbientMismatch("shape mismatch in matrix sum")
         rows = [vec_add(a, b, self.field) for a, b in zip(self.rows, other.rows)]
         return SparseMatrix(self.nrows, self.ncols, self.field, rows=rows)
-
-    def sub(self, other: "SparseMatrix") -> "SparseMatrix":
-        return self.add(other.scaled(self.field.neg(self.field.one)))
 
     # elimination-backed queries ----------------------------------------------
 
@@ -745,6 +720,13 @@ class SparseMatrix:
 
 # -- subspaces -------------------------------------------------------------------
 
+def _check_ambient(vec: dict, ambient_dim: int) -> None:
+    for i in vec:
+        if not 0 <= i < ambient_dim:
+            raise AmbientMismatch(
+                f"index {i} outside an ambient space of {ambient_dim}")
+
+
 class Subspace:
     """A subspace held by a reduced basis: monic vectors with distinct pivot
     columns, each pivot column absent from the other vectors.
@@ -754,9 +736,9 @@ class Subspace:
     ``Homology.boundary_space`` give reduced bases that are not: their
     pivots need not be leftmost, and the latter's pivots are the pivot rows
     an elimination of the boundary map picked.  ``reduce``, ``coords`` and
-    ``equals`` work the same on either kind, and refuse a vector with a
-    coordinate outside ``range(ambient_dim)``.  ``coords`` follows the
-    module's sparse convention.
+    ``equals`` work the same on either kind.  They and ``from_vectors``
+    refuse a vector with a coordinate outside ``range(ambient_dim)``, and
+    ``coords`` follows the module's sparse convention.
     """
 
     def __init__(self, ambient_dim: int, field: _FieldBase, basis: list[dict],
@@ -769,7 +751,10 @@ class Subspace:
 
     @staticmethod
     def from_vectors(ambient_dim: int, field: _FieldBase, vectors) -> "Subspace":
-        rows, pivots = rref_rows(list(vectors), field)
+        vectors = list(vectors)
+        for vec in vectors:
+            _check_ambient(vec, ambient_dim)
+        rows, pivots = rref_rows(vectors, field)
         return Subspace(ambient_dim, field, rows, pivots)
 
     @property
@@ -779,19 +764,13 @@ class Subspace:
     def reduce(self, vec: dict) -> dict:
         """The coset representative with no pivot coordinate; it depends on
         the basis only through the pivot columns."""
-        self._check(vec)
+        _check_ambient(vec, self.ambient_dim)
         out = dict(vec)
         f = self.field
         # a basis vector holds no other pivot column, so one pass clears them
         for c in [c for c in out if c in self._index]:
             vec_axpy(out, f.neg(out[c]), self.basis[self._index[c]], f)
         return out
-
-    def _check(self, vec: dict) -> None:
-        for i in vec:
-            if not 0 <= i < self.ambient_dim:
-                raise AmbientMismatch(
-                    f"index {i} outside an ambient space of {self.ambient_dim}")
 
     def contains(self, vec: dict) -> bool:
         return vec_is_zero(self.reduce(vec))

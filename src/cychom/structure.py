@@ -34,19 +34,25 @@ from .algebra import (
     unitalization,
 )
 from .errors import AmbientMismatch, NonUnital, ValidationError
-from .linalg import Echelon, SparseMatrix, Subspace, cleared, vec_axpy, \
-    vec_equal
+from .linalg import Echelon, SparseMatrix, Subspace, _adapter, add_term, \
+    cleared, vec_axpy, vec_equal
 from .scalars import divisors
 
 
 def center(A: FDAlgebra) -> Subspace:
-    """Elements commuting with the whole algebra, as a canonical subspace."""
-    field = A.field
+    """Elements commuting with the whole algebra, as a canonical subspace:
+    the kernel of the rows (b, k), x -> coordinate k of e_b x - x e_b, read
+    off the structure constants (entry i is mul[b][i] - mul[i][b] at k)."""
+    field, mul = A.field, A.mul
     rows = []
-    for i in range(A.dim):
-        basis = A.basis_vector(i)
-        diff = A.left_mult_matrix(basis).sub(A.right_mult_matrix(basis))
-        rows.extend(dict(r) for r in diff.rows if r)
+    for b in range(A.dim):
+        by_k = [{} for _ in range(A.dim)]
+        for i in range(A.dim):
+            for k, c in mul[b][i].items():
+                by_k[k][i] = c
+            for k, c in mul[i][b].items():
+                add_term(by_k[k], i, field.neg(c), field)
+        rows.extend(row for row in by_k if row)
     mat = SparseMatrix(len(rows), A.dim, field, rows=rows)
     return Subspace.from_vectors(A.dim, field, mat.kernel_basis())
 
@@ -218,20 +224,21 @@ def _minimal_polynomial(A: FDAlgebra, e: dict, x: dict):
     degree.
 
     The powers go one by one into a single integer echelon with leftmost
-    pivots (linalg.Echelon), the power x^k as its coordinates with a one
-    in the tag column dim + k.  The first power whose coordinates
-    reduce to zero leaves the relation sum c_k x^k = 0 in its tags, and p
-    is that row made monic at its last tag, with every coefficient an int
-    where it is integral.
+    pivots (linalg.Echelon, on the general row adapter: the powers to come
+    are unknown), x^k as its coordinates and a one in the tag column
+    dim + k.  The first power whose coordinates reduce to zero leaves the
+    relation sum c_k x^k = 0 in its tags, and p is that row made monic at
+    its last tag, with every coefficient an int where it is integral.
     """
     field, d = A.field, A.dim
-    echelon = Echelon(field)
+    adapter = _adapter(field, None)
+    echelon = Echelon(adapter)
     powers, power = [], e
     while True:
         k = len(powers)
-        row = echelon.add({**power, d + k: field.one})
+        row = echelon.add(adapter.prim({**power, d + k: field.one}))
         if min(row) >= d:
-            relation = echelon.adapter.monic(row, d + k)
+            relation = adapter.monic(row, d + k)
             return [relation.get(d + i, field.zero)
                     for i in range(k + 1)], powers
         powers.append(power)
@@ -268,6 +275,18 @@ def _span_identity(A: FDAlgebra, vectors) -> dict | None:
     for i, c in sol.items():
         vec_axpy(e, c, vectors[i], field)
     return e
+
+
+def _corner_trace(A: FDAlgebra, w: dict):
+    """The trace of x -> w x w: the sum of (w e_i)_k (e_k w)_i over i, k."""
+    field = A.field
+    rights = [A.multiply(A.basis_vector(k), w) for k in range(A.dim)]
+    total = field.zero
+    for i in range(A.dim):
+        for k, c in A.multiply(w, A.basis_vector(i)).items():
+            if i in rights[k]:
+                total = field.add(total, field.mul(c, rights[k][i]))
+    return total
 
 
 def _eigen_idempotents(A: FDAlgebra, powers, factors, rest: bool) -> list:
@@ -314,13 +333,14 @@ def _split_unit(A: FDAlgebra, candidates, complete: bool):
     e A e that lies in the field, and, unless complete is set, one for the
     roots outside it together.  A candidate with fewer, such as x = lam e
     plus a nilpotent, is passed over, and the pieces are cut again in
-    turn.  A component with dim e A e = 1 (trace of x -> e x e) is
-    primitive and is not tried.  A component that no candidate cuts stays
-    whole: a field component such as the Q(zeta_5) summand of QZ5 over Q,
-    or a local one such as Q[x]/x^3.  With complete set a component that
-    stays whole although the root multiplicities of some p add up to less
-    than its degree is wide: the search ends and None is returned, so the
-    caller can retry over a larger field.
+    turn.  A component with dim e A e = 1 (the trace of x -> e x e, read
+    off the products by _corner_trace) is primitive and is not tried.  A
+    component that no candidate cuts stays whole: a field component such
+    as the Q(zeta_5) summand of QZ5 over Q, or a local one such as
+    Q[x]/x^3.  With complete set a component that stays whole although the
+    root multiplicities of some p add up to less than its degree is wide:
+    the search ends and None is returned, so the caller can retry over a
+    larger field.
     """
     if not A.is_unital:
         raise NonUnital("idempotents are cut from the unit")
@@ -330,8 +350,8 @@ def _split_unit(A: FDAlgebra, candidates, complete: bool):
         # x -> e x e projects onto e A e, so its trace is dim e A e; on the
         # cleared w = D e the trace of x -> w x w is D^2 dim e A e
         den, w = cleared(e, field)
-        if field.is_zero(field.sub(A.left_mult_matrix(w).product_trace(
-                A.right_mult_matrix(w)), field.from_rational(den * den))):
+        if field.is_zero(field.sub(_corner_trace(A, w),
+                                   field.from_rational(den * den))):
             return [e]
         wide = False
         for g in candidates:

@@ -77,7 +77,8 @@ def connes_quotient_hc_dims(A, n_max):
     for n in range(n_max + 2):
         cols = [cyclic_t(w, n, {j: field.one}) for j in range(w.dims[n])]
         t_mat = SparseMatrix.from_columns(cols, w.dims[n], field)
-        one_minus_t = SparseMatrix.identity(w.dims[n], field).sub(t_mat)
+        one_minus_t = SparseMatrix.identity(w.dims[n], field).add(
+            t_mat.scaled(-1))
         image = Subspace.from_vectors(w.dims[n], field,
                                       one_minus_t.columns())
         pivots = set(image.pivot_cols)

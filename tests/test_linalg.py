@@ -36,6 +36,7 @@ from cychom.linalg import (
     vec_axpy,
     vec_equal,
     vec_is_zero,
+    vec_scale,
 )
 from cychom.scalars import Cyclotomic, field_of_order
 from bicomplex_oracle import total_complex
@@ -259,6 +260,38 @@ def test_one_irrational_entry_takes_the_coefficient_tuple_route(monkeypatch):
     rows, pivots = reduced_rows([dict(r) for r in raw_rows], field)
     assert dense_rref_oracle(dense(rows)) == (oracle_rows, oracle_pivots)
     assert routes == [linalg._CycRows, linalg._CycRows]
+
+
+@pytest.mark.parametrize("order, rational, route", [
+    pytest.param(1, False, linalg._IntRows, id="1"),
+    pytest.param(3, True, linalg._RatCycRows, id="3-rational"),
+    pytest.param(3, False, linalg._CycRows, id="3"),
+])
+def test_leading_columns_are_the_pivot_columns_of_the_rref(
+        order, rational, route, monkeypatch):
+    # the Echelon of the rows themselves, against rref()[1] (the cheap-column
+    # pass first) and the dense oracle; a zero row, a sum of two rows and a
+    # multiple of a row are among the rows
+    field = field_of_order(order)
+    rng = random.Random(900 + order + 10 * rational)
+    routes = _spy_routes(monkeypatch)
+    for trial in range(40):
+        ncols = rng.randint(1, 8)
+        raw_rows = _random_raw_rows(rng, field, rng.randint(1, 8), ncols,
+                                    rational)
+        raw_rows.insert(rng.randint(0, len(raw_rows)), {})
+        raw_rows.append(vec_scale(raw_rows[-1], to_raw(F(-5, 2), field),
+                                  field))
+        dense = [[Cyclotomic.from_raw(r.get(j, field.zero), order)
+                  for j in range(ncols)] for r in raw_rows]
+        got = linalg.leading_columns([dict(r) for r in raw_rows], field)
+        matrix = SparseMatrix(len(raw_rows), ncols, field,
+                              rows=[dict(r) for r in raw_rows])
+        assert got == matrix.rref()[1] == dense_rref_oracle(dense)[1], trial
+    if rational or order == 1:
+        assert set(routes) == {route}
+    else:
+        assert route in routes
 
 
 @pytest.mark.parametrize("order", [1, 3, 5])
@@ -646,6 +679,30 @@ def test_monic_keeps_an_exact_quotient_an_int():
     row = linalg._IntRows.monic({1: 6, 2: -3, 5: 1}, 2)
     assert row == {1: -2, 2: 1, 5: F(-1, 3)}
     assert [type(v) for v in row.values()] == [int, int, Fraction]
+
+
+def test_matrix_refusals():
+    with pytest.raises(ValidationError, match="expected 2 rows, got 1"):
+        SparseMatrix(2, 2, Q, rows=[{}])
+    m = SparseMatrix(2, 2, Q)
+    for i, j in [(5, 0), (0, 2), (-1, 0), (0, -1)]:
+        with pytest.raises(AmbientMismatch):
+            m.set(i, j, 1)
+    assert m.is_zero_matrix()
+    eye = SparseMatrix.identity(2, Q)
+    assert eye.equals(SparseMatrix.identity(2, Q))
+    assert not eye.equals(SparseMatrix.identity(3, Q))
+    assert not eye.equals(SparseMatrix(2, 3, Q, rows=[{0: 1}, {1: 1}]))
+    assert not eye.equals(SparseMatrix.identity(2, field_of_order(3)))
+
+
+def test_subspace_from_vectors_refuses_coordinates_outside_the_ambient():
+    for index in (5, 2, -1):
+        with pytest.raises(AmbientMismatch, match="ambient space of 2"):
+            Subspace.from_vectors(2, Q, [{0: 1}, {index: 1}])
+    space = Subspace.from_vectors(2, Q, [{1: 1}, {0: 2, 1: 2}])
+    assert space.dim == 2
+    assert all(space.contains(v) for v in space.basis)
 
 
 def test_bool_scalars_are_refused():

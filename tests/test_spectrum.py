@@ -40,7 +40,7 @@ from cychom.groups import (
 )
 from cychom.hochschild import hh
 from cychom.linalg import SparseMatrix, Subspace, add_term, sparse_to_dense, \
-    vec_add, vec_axpy, vec_equal
+    vec_add, vec_axpy, vec_equal, vec_sub
 from cychom.scalars import divisors, field_of_order
 from cychom.spectrum import (
     IdealFiltration,
@@ -437,6 +437,32 @@ def _every_candidate_root_factors(poly, field):
     return found
 
 
+def _stacked_center(A):
+    """center from the stacked matrices L_b - R_b of the basis vectors."""
+    field = A.field
+    rows = []
+    for b in range(A.dim):
+        diff = SparseMatrix.from_columns(
+            [vec_sub(A.multiply({b: field.one}, {i: field.one}),
+                     A.multiply({i: field.one}, {b: field.one}), field)
+             for i in range(A.dim)], A.dim, field)
+        rows += [row for row in diff.rows if row]
+    kernel = SparseMatrix(len(rows), A.dim, field, rows=rows).kernel_basis()
+    return Subspace.from_vectors(A.dim, field, kernel)
+
+
+def _matrix_trace(A, w):
+    """tr(L_w R_w), the diagonal of the product of the two multiplication
+    matrices."""
+    field = A.field
+    product = A.left_mult_matrix(w).matmul(A.right_mult_matrix(w))
+    total = field.zero
+    for i, row in enumerate(product.rows):
+        if i in row:
+            total = field.add(total, row[i])
+    return total
+
+
 def _scaled_group_algebra():
     """QS3 on the basis 2e, 3g_1, g_2, .., so its structure constants and
     its unit are Fractions."""
@@ -469,14 +495,17 @@ def _scaled_group_algebra():
         "t2(t-1)", "QS3-scaled", "QS3-zeta3", "QZ3-zeta3", "QZ4-zeta4",
         "QD4-zeta4", "QZ5-zeta5"])
 def test_the_split_matches_its_parent_routes(build, monkeypatch):
-    # every minimal polynomial, root search and product that hh's split
-    # and set-up meet, against the solve per power, _cofactor on every
-    # candidate and the add_term product; the first two also keep the raw
-    # rule (an int where a rational is integral), so repr must agree
+    # every minimal polynomial, root search, primitivity trace and product
+    # that hh's split and set-up meet, against the solve per power,
+    # _cofactor on every candidate, tr(L_w R_w) and the add_term product,
+    # and the center against the stacked L_b - R_b; the first two and the
+    # center also keep the raw rule (an int where a rational is integral),
+    # so repr must agree
     A = build()
-    cuts, polys, products = [], [], []
-    minimal_polynomial, root_factors = \
-        structure._minimal_polynomial, structure._root_factors
+    cuts, polys, products, traced = [], [], [], []
+    minimal_polynomial, root_factors, corner_trace = \
+        structure._minimal_polynomial, structure._root_factors, \
+        structure._corner_trace
 
     def spy_cut(A, e, x):
         cuts.append((e, x))
@@ -486,17 +515,28 @@ def test_the_split_matches_its_parent_routes(build, monkeypatch):
         polys.append(poly)
         return root_factors(poly, field)
 
+    def spy_trace(A, w):
+        traced.append(w)
+        return corner_trace(A, w)
+
     def spy_product(u, v):
         products.append((u, v))
         return FDAlgebra.multiply(A, u, v)
 
     monkeypatch.setattr(structure, "_minimal_polynomial", spy_cut)
     monkeypatch.setattr(structure, "_root_factors", spy_roots)
+    monkeypatch.setattr(structure, "_corner_trace", spy_trace)
     monkeypatch.setattr(A, "multiply", spy_product)
     block_idempotents(A)
     hh(A, 1)
     monkeypatch.undo()
-    assert cuts and products
+    assert cuts and products and traced
+    new, stacked = center(A), _stacked_center(A)
+    assert new.pivot_cols == stacked.pivot_cols
+    assert repr([sorted(v.items()) for v in new.basis]) == \
+        repr([sorted(v.items()) for v in stacked.basis])
+    for w in traced:
+        assert corner_trace(A, w) == _matrix_trace(A, w)
     for e, x in cuts:
         assert repr(_minimal_polynomial(A, e, x)) == \
             repr(_solve_per_power_minimal_polynomial(A, e, x))
