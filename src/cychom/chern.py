@@ -1,38 +1,41 @@
 """Chern characters of idempotents and invertibles, with trace pairings.
 
-The even character of an idempotent matrix starts from the canonical
-degree-2q cycle over the scalars with a fresh unit adjoined (the old unit
-surviving as an idempotent), pushes it through the unital substitution
-sending that idempotent to the matrix, and collapses matrix indices with
-the generalized trace.  The odd character of an invertible matrix plays
-the same game over the group algebra of a finite cyclic group, seeded by
-inverse-tensor-generator in degree one.  The chains live on the layout of
-the (b, B) total chains, cyclic.CyclicComplexWindow.  The substitution and
-the trace are the one chain-map builder of hochschild, _tensor_chain_matrix,
-applied to each Hochschild component of the carrier cycle; it maps only
-that component's own coordinates.  Every produced chain is checked to be
-a cycle, b x_m + B x_(m-2) = 0 in each tensor degree m.
+Both characters are built one way (Loday, Cyclic Homology, 8.3).  The
+class's own tensor, an idempotent e in degree 0 or u^-1 (x) u for an
+invertible u in degree 1, is a cycle of the (b, B) total complex of its
+carrier: the subalgebra of the N x N matrices that the unit and the
+tensor's factors generate (algebra.subalgebra_closure), so every
+idempotent and every invertible has one, whatever the order of u.  That
+cycle is raised q times, keeping its image under S, and then each carrier
+basis element, an N x N matrix over the algebra, is put in place of each
+tensor factor and the matrix indices are collapsed by the generalized
+trace.  The chains live on the layout of the (b, B) total chains,
+cyclic.CyclicComplexWindow.  The substitution and the trace are the one
+chain-map builder of hochschild, _tensor_chain_matrix, applied to each
+Hochschild component of the carrier cycle; it maps only that component's
+own coordinates.  Carrier and target share one field.  Every produced
+chain is checked to be a cycle, b x_m + B x_(m-2) = 0 in each tensor
+degree m.
 """
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import product
 
-from .algebra import FDAlgebra, _normalize_vec, _unflatten, matrix_algebra
+from .algebra import FDAlgebra, _normalize_vec, _unflatten, matrix_algebra, \
+    subalgebra_closure
 from .cyclic import CyclicComplexWindow, cyclic_complex, operator_B, \
     operator_S
 from .errors import (
     AmbientMismatch,
     NotIdempotent,
     NotInvertible,
-    OrderUnbounded,
     ValidationError,
     check_int,
 )
-from .groups import cyclic_group, group_algebra
 from .hochschild import _require_degree, _tensor_chain_matrix
 from .linalg import cleared, vec_add, vec_equal
 from .scalars import Cyclotomic
-
-ORDER_SEARCH_LIMIT = 24
 
 
 # ---------------------------------------------------------------------------
@@ -117,13 +120,6 @@ def _extend_cycle(ch: CyclicChain) -> CyclicChain:
     return _require_cycle(CyclicChain(window, n + 2, out), "extension")
 
 
-def _adjoined_unit_scalars() -> FDAlgebra:
-    # the ground field with a fresh unit; the old unit is the idempotent p
-    mul = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {1: 1}}
-    return FDAlgebra(2, 1, mul, labels=["one", "p"], unit={0: 1},
-                     name="scalars_plus").require_valid()
-
-
 # ---------------------------------------------------------------------------
 # K-class representatives
 
@@ -132,16 +128,14 @@ def _adjoined_unit_scalars() -> FDAlgebra:
 class KClassRep:
     """An N x N idempotent or invertible matrix over an algebra.
 
-    entries[p][q] is a sparse vector over the base; flat is the same
-    matrix as an element of the matrix algebra.  Invertibles carry their
-    verified two-sided inverse.
+    flat is the matrix as an element of matrices, the N x N matrices over
+    the algebra.  Invertibles carry their verified two-sided inverse.
     """
 
     kind: str
     algebra: FDAlgebra
     size: int
     matrices: FDAlgebra
-    entries: tuple
     flat: dict
     inverse_flat: dict | None = None
 
@@ -173,11 +167,15 @@ def idempotent_rep(A: FDAlgebra, matrix) -> KClassRep:
     flat = _flatten(A, entries, N)
     if not vec_equal(M.multiply(flat, flat), flat, A.field):
         raise NotIdempotent("the matrix does not square to itself")
-    return KClassRep("idempotent", A, N, M, entries, flat)
+    return KClassRep("idempotent", A, N, M, flat)
 
 
 def invertible_rep(A: FDAlgebra, matrix, inverse=None) -> KClassRep:
-    """Validate a square matrix over A with an exact two-sided inverse."""
+    """Validate a square matrix over A with an exact two-sided inverse.
+
+    Only u v = 1 is checked: in a finite-dimensional unital algebra it
+    makes x -> u x onto, hence one to one, and u (v u) = u gives v u = 1.
+    """
     entries = _normalize_entries(A, matrix)
     N = len(entries)
     M = matrix_algebra(A, N)
@@ -190,20 +188,7 @@ def invertible_rep(A: FDAlgebra, matrix, inverse=None) -> KClassRep:
             raise NotInvertible("no right inverse exists")
     if not vec_equal(M.multiply(flat, inv), M.unit, A.field):
         raise NotInvertible("the stored inverse fails on the right")
-    if not vec_equal(M.multiply(inv, flat), M.unit, A.field):
-        raise NotInvertible("the stored inverse fails on the left")
-    return KClassRep("invertible", A, N, M, entries, flat, inverse_flat=inv)
-
-
-def multiplicative_order(rep: KClassRep, limit: int) -> int | None:
-    """Smallest k >= 1 with rep^k = 1, or None past the limit."""
-    M = rep.matrices
-    power = rep.flat
-    for k in range(1, limit + 1):
-        if vec_equal(power, M.unit, M.field):
-            return k
-        power = M.multiply(power, rep.flat)
-    return None
+    return KClassRep("invertible", A, N, M, flat, inverse_flat=inv)
 
 
 # ---------------------------------------------------------------------------
@@ -237,23 +222,32 @@ class ChernClass:
                           self.chain.s())
 
 
-def _character(rep: KClassRep, q: int, carrier: FDAlgebra, seed: tuple,
-               mats) -> ChernClass:
-    """Seed a cycle over the carrier, raise it q times, then substitute
-    mats[k] for carrier basis element k and take the generalized trace.
+def _character(rep: KClassRep, q: int, seed: tuple) -> ChernClass:
+    """Raise the seed q times over its carrier, then put each carrier basis
+    element's N x N matrix in place of it and take the generalized trace.
 
-    The seed is the basis tensor seed in Hochschild degree len(seed) - 1;
-    the q-fold image of the raised cycle under S is exactly that seed.
+    seed holds the class's tensor factors as elements of rep.matrices; the
+    carrier is the subalgebra they and the unit generate, and the seed
+    tensor, read in the carrier's basis, is a cycle in Hochschild degree
+    len(seed) - 1.  The q-fold image of the raised cycle under S is
+    exactly that seed.
     """
+    M, field = rep.matrices, rep.algebra.field
+    carrier, include = subalgebra_closure(M, [M.unit, *seed])
     start = len(seed) - 1
     degree = start + 2 * q
     # nothing below reads a degree above the character's
     window = cyclic_complex(carrier, degree, normalized=False)
     hoch = window.hochschild_window
-    ch = _require_cycle(CyclicChain(
-        window, start, {hoch.index_of(start, seed): window.field.one}), "seed")
+    coords = [include.matrix.solve(x).items() for x in seed]
+    ch = _require_cycle(CyclicChain(window, start, {
+        hoch.index_of(start, tuple(k for k, _ in word)):
+            reduce(field.mul, (c for _, c in word))
+        for word in product(*coords)}), "seed")
     for _ in range(q):
         ch = _extend_cycle(ch)
+    mats = [_unflatten(rep.algebra, col, rep.size)
+            for col in include.matrix.columns()]
     tgt = cyclic_complex(rep.algebra, degree, normalized=False)
     out = {}
     for k, (m, _) in enumerate(window.summands(degree)):
@@ -267,39 +261,25 @@ def _character(rep: KClassRep, q: int, carrier: FDAlgebra, seed: tuple,
 
 
 def chern_idempotent(rep: KClassRep, q: int) -> ChernClass:
-    """The even character of an idempotent, as a degree-2q cycle."""
+    """The even character of an idempotent e, as a degree-2q cycle raised
+    from e itself."""
     if rep.kind != "idempotent":
         raise ValidationError("expected an idempotent representative")
     check_int(q, "the even character's q", 0)
-    # the seed is the old unit p; keeping it apart from the fresh unit is
-    # what lets the non-unital evaluation p -> rep stay a chain map
-    mats = [_unflatten(rep.algebra, rep.matrices.unit, rep.size), rep.entries]
-    return _character(rep, q, _adjoined_unit_scalars(), (1,), mats)
+    return _character(rep, q, (rep.flat,))
 
 
 def chern_invertible(rep: KClassRep, q: int) -> ChernClass:
-    """The odd character of an invertible, as a degree-(2q+1) cycle.
+    """The odd character of an invertible u, as a degree-(2q+1) cycle
+    raised from u^-1 (x) u.
 
-    The carrier is the group algebra of the cyclic group whose order is
-    the multiplicative order of the matrix; elements of unbounded order
-    fall outside the finite carrier and are reported as such.
+    The carrier is the subalgebra that u and u^-1 generate, a quotient of
+    the Laurent polynomials in u, so u need not have finite order.
     """
     if rep.kind != "invertible":
         raise ValidationError("expected an invertible representative")
     check_int(q, "the odd character's q", 0)
-    n = multiplicative_order(rep, ORDER_SEARCH_LIMIT)
-    if n is None:
-        raise OrderUnbounded(
-            "no power up to %d returns to the identity; out of the finite "
-            "carrier's range" % ORDER_SEARCH_LIMIT)
-    powers = []
-    flat = rep.matrices.unit
-    for _ in range(n):
-        powers.append(_unflatten(rep.algebra, flat, rep.size))
-        flat = rep.matrices.multiply(flat, rep.flat)
-    # the seed is inverse-tensor-generator, g^-1 (x) g
-    return _character(rep, q, group_algebra(cyclic_group(n)),
-                      (n - 1, 1) if n > 1 else (0, 0), powers)
+    return _character(rep, q, (rep.inverse_flat, rep.flat))
 
 
 # ---------------------------------------------------------------------------

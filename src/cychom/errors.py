@@ -101,10 +101,6 @@ class NotInvertible(ValidationError):
     """Claimed invertible has no two-sided inverse."""
 
 
-class OrderUnbounded(CychomError):
-    """Invertible generates infinite multiplicative order within the bound."""
-
-
 def check_int(value, what: str, least: int) -> None:
     """Refuse with ValidationError a size, degree or order that is not an
     int of at least least.

@@ -52,7 +52,6 @@ from .linalg import (
 )
 from .algebra import AlgebraMap, Bimodule, FDAlgebra, _action_of, \
     _normalize_vec, _unflatten, matrix_algebra
-from .scalars import lift_raw
 from .structure import split_idempotents
 
 
@@ -622,15 +621,11 @@ def _tensor_chain_matrix(src: ChainComplexWindow, tgt: ChainComplexWindow,
     Each word's interior image is computed once per block, and the matrix
     is written as rows like _boundary_matrix's, each in increasing column
     order.  Given chain, a sparse chain of src, it returns the chain's
-    image instead, mapping only the chain's coordinates, whose coefficients
-    it lifts into tgt's field (Chern carriers are over Q, their targets
-    need not be).
+    image instead, mapping only the chain's coordinates.
     """
     field = tgt.field
     rank, start = tgt.slots.ranks(n), tgt.slots.starts(n)
     own = src.slots.starts(n)
-    weights = None if chain is None else \
-        {i: lift_raw(c, src.field, field) for i, c in chain.items()}
     sizes = range(len(slot0[0]))
 
     def close(col, matrix, image):
@@ -643,8 +638,8 @@ def _tensor_chain_matrix(src: ChainComplexWindow, tgt: ChainComplexWindow,
     for values, words in src.slots.blocks(n):
         images = {}
         for j, u in enumerate(words):
-            if weights is not None and \
-                    not any(own[s] + j in weights for s in values):
+            if chain is not None and \
+                    not any(own[s] + j in chain for s in values):
                 continue
             # paths[q, p, w]: the coefficient of the target word w in the
             # interior image of u along the index paths from q to p
@@ -658,7 +653,7 @@ def _tensor_chain_matrix(src: ChainComplexWindow, tgt: ChainComplexWindow,
                                      field)
                 paths = new
             images[j] = [(q, p, rank[w], c) for (q, p, w), c in paths.items()]
-        if weights is None:
+        if chain is None:
             # slot-0 values outside, words inside: increasing column order,
             # so every row gets its entries in that order
             for s in values:
@@ -670,7 +665,7 @@ def _tensor_chain_matrix(src: ChainComplexWindow, tgt: ChainComplexWindow,
             continue
         for j, image in images.items():
             for s in values:
-                weight = weights.get(own[s] + j)
+                weight = chain.get(own[s] + j)
                 if weight is not None:
                     close(out, [[{i: field.mul(weight, a)
                                   for i, a in entry.items()}

@@ -481,8 +481,17 @@ def spectral_e1(A: FDAlgebra, filtration: IdealFiltration) -> E1Report:
 
 # -- spectrum-preserving morphisms ------------------------------------------------
 
+class _ComparesHP:
+    """hp_agrees for a report that holds hp_source and hp_target."""
+
+    @property
+    def hp_agrees(self) -> bool:
+        return (self.hp_source.even_dim == self.hp_target.even_dim
+                and self.hp_source.odd_dim == self.hp_target.odd_dim)
+
+
 @dataclass
-class SpectrumVerdict:
+class SpectrumVerdict(_ComparesHP):
     """Outcome of the point-correspondence test for one linear map.
 
     pairs lists the relation as (target point index, source point index);
@@ -499,11 +508,6 @@ class SpectrumVerdict:
     hp_source: HPReport
     hp_target: HPReport
     field_order: int
-
-    @property
-    def hp_agrees(self) -> bool:
-        return (self.hp_source.even_dim == self.hp_target.even_dim
-                and self.hp_source.odd_dim == self.hp_target.odd_dim)
 
 
 def spectrum_preserving_check(phi: AlgebraMap) -> SpectrumVerdict:
@@ -562,16 +566,11 @@ class LayerVerdict:
 
 
 @dataclass
-class WeaklyReport:
+class WeaklyReport(_ComparesHP):
     layers: list
     preserving: bool
     hp_source: HPReport
     hp_target: HPReport
-
-    @property
-    def hp_agrees(self) -> bool:
-        return (self.hp_source.even_dim == self.hp_target.even_dim
-                and self.hp_source.odd_dim == self.hp_target.odd_dim)
 
     @property
     def ok(self) -> bool:

@@ -100,9 +100,8 @@ def is_nilpotent_subspace(A: FDAlgebra, space: Subspace) -> bool:
             "a subspace of %d coordinates in an algebra of dimension %d"
             % (space.ambient_dim, A.dim))
     current = space
-    for _ in range(A.dim + 1):
-        if current.dim == 0:
-            return True
+    # each pass returns or lowers current.dim, so the loop ends
+    while current.dim:
         products = []
         for u in current.basis:
             for v in space.basis:
@@ -113,7 +112,7 @@ def is_nilpotent_subspace(A: FDAlgebra, space: Subspace) -> bool:
         if nxt.dim >= current.dim:
             return False
         current = nxt
-    return current.dim == 0
+    return True
 
 
 def semisimple_quotient(A: FDAlgebra):

@@ -11,18 +11,21 @@ import pytest
 
 from cychom.chern import (
     CyclicChain,
+    _extend_cycle,
     chern_idempotent,
     chern_invertible,
     idempotent_rep,
     invertible_rep,
     pair_with_trace,
 )
-from cychom.algebra import truncated_polynomial
+from cychom.algebra import FDAlgebra, _unflatten, ground_field, \
+    truncated_polynomial
 from cychom.cyclic import cyclic_complex
 from cychom.errors import AmbientMismatch, NotIdempotent, NotInvertible, \
-    OrderUnbounded, ValidationError
+    ValidationError
 from cychom.groups import cyclic_group, group_algebra
-from cychom.linalg import vec_equal
+from cychom.hochschild import _tensor_chain_matrix
+from cychom.linalg import vec_add, vec_equal, vec_scale
 from cychom.scalars import Cyclotomic
 from cychom.spectrum import extend_scalars
 from bicomplex_oracle import total_complex
@@ -135,8 +138,8 @@ def test_s_lowers_the_odd_character_at_chain_level():
 
 
 def test_characters_over_a_cyclotomic_field():
-    # the carrier chains are over Q, so the trace must lift their
-    # coefficients into Q(zeta3) before multiplying matrix entries
+    # the carriers are subalgebras of the matrices over Q(zeta3), so their
+    # chains carry irrational coefficients into the trace
     C3 = extend_scalars(_qz(3), 3)
     # the character idempotent (1/3) sum_k zeta^-k g^k, a rank-one projection
     e = idempotent_rep(C3, [[{k: Cyclotomic.zeta(3, -k) / 3
@@ -171,7 +174,110 @@ def test_matrices_without_an_inverse_are_refused():
         invertible_rep(T2, [[{0: 1, 1: 1}]], inverse=[[{0: 1, 1: 1}]])
 
 
-def test_an_element_of_infinite_order_has_no_odd_character():
-    u = invertible_rep(truncated_polynomial(2), [[{0: 1, 1: 1}]])
-    with pytest.raises(OrderUnbounded):
-        chern_invertible(u, 0)
+@pytest.mark.parametrize("A, entry", [
+    # 1 + x has infinite order, zeta25 has order 25
+    (truncated_polynomial(2), {0: 1, 1: 1}),
+    (ground_field(25), {0: Cyclotomic.zeta(25)}),
+], ids=["one_plus_x", "zeta25"])
+def test_invertibles_of_any_order_have_odd_characters(A, entry):
+    u = invertible_rep(A, [[entry]])
+    below = None
+    for q in range(3):
+        ch = chern_invertible(u, q)
+        assert ch.degree == 2 * q + 1 and ch.chain.is_cycle()
+        if below is not None:
+            assert ch.s().chain.equals(below.chain)
+        below = ch
+
+
+def _refusal(error, match, call, *args):
+    # the refusal's own type, not a subclass of it
+    with pytest.raises(error, match=match) as info:
+        call(*args)
+    assert info.type is error
+
+
+def test_chern_refusals_are_typed():
+    QZ3 = _qz(3)
+    e = idempotent_rep(QZ3, [[_trivial_character(3)]])
+    u = invertible_rep(QZ3, [[{1: 1}]])
+    _refusal(ValidationError, "matrix must be square",
+             idempotent_rep, QZ3, [[{0: 1}, {}]])
+    _refusal(ValidationError, "expected an idempotent representative",
+             chern_idempotent, u, 0)
+    _refusal(ValidationError, "expected an invertible representative",
+             chern_invertible, e, 0)
+    odd = chern_invertible(u, 0)
+    _refusal(ValidationError, "odd classes have no degree-zero part",
+             odd.degree_zero_part)
+    _refusal(ValidationError, "odd classes have no degree-zero part",
+             pair_with_trace, odd, {0: 1})
+    _refusal(ValidationError, "plain vectors need the algebra",
+             pair_with_trace, {0: 1}, {0: 1})
+    even = chern_idempotent(e, 1)
+    assert even.component(0) == even.degree_zero_part()
+    for m in (1, 3, 4, -2):
+        _refusal(ValidationError,
+                 "degree-2 chains have no tensor degree %d part" % m,
+                 even.component, m)
+
+
+def _parent_character(rep, q):
+    """The character on the carriers it had before the subalgebra the class
+    generates: the ground field with a fresh unit, its old unit p sent to
+    the idempotent, or the group algebra of Z/n, n the order of the
+    invertible, its generator g sent to the matrix and seeded by g^-1 (x) g.
+    The carrier is built over the target's field, which is what lifting the
+    rational carrier's chain did."""
+    A, M, order = rep.algebra, rep.matrices, rep.algebra.field_order
+    if rep.kind == "idempotent":
+        carrier = FDAlgebra(2, order, {(0, 0): {0: 1}, (0, 1): {1: 1},
+                                       (1, 0): {1: 1}, (1, 1): {1: 1}},
+                            unit={0: 1}).require_valid()
+        images, seed = [M.unit, rep.flat], (1,)
+    else:
+        images = [M.unit]
+        power = rep.flat
+        while not vec_equal(power, M.unit, A.field):
+            images.append(power)
+            power = M.multiply(power, rep.flat)
+        n = len(images)
+        carrier = group_algebra(cyclic_group(n), order)
+        seed = (n - 1, 1) if n > 1 else (0, 0)
+    mats = [_unflatten(A, image, rep.size) for image in images]
+    degree = len(seed) - 1 + 2 * q
+    window = cyclic_complex(carrier, degree, normalized=False)
+    hoch = window.hochschild_window
+    ch = CyclicChain(window, len(seed) - 1,
+                     {hoch.index_of(len(seed) - 1, seed): window.field.one})
+    for _ in range(q):
+        ch = _extend_cycle(ch)
+    tgt = cyclic_complex(A, degree, normalized=False)
+    out = {}
+    for k, (m, _) in enumerate(window.summands(degree)):
+        out.update(tgt.include_component(degree, _tensor_chain_matrix(
+            hoch, tgt.hochschild_window, m, mats, mats,
+            window.component(degree, ch.chain, k)), k))
+    return out
+
+
+@pytest.mark.parametrize("order", [1, 3])
+def test_the_subalgebra_carrier_keeps_the_parent_classes(order):
+    # the two carriers pick other raised cycles, so the chains may differ,
+    # but only by a boundary of the total complex of the target
+    A = extend_scalars(_qz(3), order) if order > 1 else _qz(3)
+    cases = [(chern_idempotent, idempotent_rep(A, [[_trivial_character(3)]]),
+              2), (chern_invertible, invertible_rep(A, [[{1: 1}]]), 1)]
+    for character, rep, top in cases:
+        for q in range(top + 1):
+            new = character(rep, q)
+            field = new.chain.window.field
+            total = total_complex(A, new.degree + 1, normalized=False)
+            diff = vec_add(new.chain.chain, vec_scale(
+                _parent_character(rep, q), field.neg(field.one), field),
+                field)
+            assert total.totals[new.degree + 1].solve(diff) is not None
+            if rep.kind == "idempotent":
+                # the even classes pair to 1, so no boundary hits them
+                assert total.totals[new.degree + 1].solve(
+                    new.chain.chain) is None

@@ -19,13 +19,13 @@ from cychom.algebra import (
     ideal_generated_by,
     matrix_algebra,
     quotient_algebra,
+    subalgebra_closure,
     truncated_polynomial,
     twisted_bimodule,
     upper_triangular,
 )
-from cychom.chern import CyclicChain, _adjoined_unit_scalars, \
-    _extend_cycle, chern_idempotent, chern_invertible, idempotent_rep, \
-    invertible_rep
+from cychom.chern import CyclicChain, _extend_cycle, chern_idempotent, \
+    chern_invertible, idempotent_rep, invertible_rep
 from cychom.config import BUDGET_ENV_VAR, default_budget
 from cychom.cyclic import direct_sum_check, hc, hp, induced_map_hc, \
     operator_B, sbi_check
@@ -50,7 +50,7 @@ from cychom.hochschild import (
 )
 from cychom.linalg import SparseMatrix, Subspace, add_term, homology, \
     induced_map, rref_rows, vec_add, vec_equal
-from cychom.scalars import Cyclotomic, lift_raw
+from cychom.scalars import Cyclotomic
 from cychom.spectrum import extend_scalars
 from cychom.structure import block_idempotents, center, split_idempotents
 from bicomplex_oracle import extend_cycle, total_complex
@@ -653,12 +653,11 @@ def _trace_oracle(src, n, chain, mats, tgt):
     N x N matrix mats[k] over tgt's algebra in place of basis element k in
     every slot, one chain coordinate at a time: the entries are multiplied
     along each closed index path p_0 -> p_1 -> .. -> p_n -> p_0.  Both
-    windows are unnormalized; coefficients are lifted into tgt's field."""
+    windows are unnormalized and over one field."""
     field = tgt.field
     out = {}
     for index, c in chain.items():
         tup = src.tuple_of(n, index)
-        c = lift_raw(c, src.field, field)
         for start in range(len(mats[tup[0]])):
             paths = [(start, (), c)]
             for k in tup:
@@ -716,37 +715,53 @@ def test_morita_trace_matches_the_per_chain_oracle(A, N, n_max):
 
 
 def test_chern_push_matches_the_per_chain_oracle():
-    # the even characters push the degree-2q cycle over the scalars with
-    # a fresh unit, raised from the old unit p, through p -> the idempotent
+    # each character raises the class's own tensor, e or u^-1 (x) u, over
+    # the subalgebra it and the unit generate, and puts each carrier basis
+    # element's matrix in place of it
     QZ5 = group_algebra(cyclic_group(5))
     C3 = extend_scalars(group_algebra(cyclic_group(3)), 3)
+    z = Cyclotomic.zeta(3)
     reps = [idempotent_rep(QZ5, [[{g: Fraction(1, 5) for g in range(5)}]]),
             idempotent_rep(C3, [[{k: Cyclotomic.zeta(3, -k) / 3
-                                  for k in range(3)}]])]
-    # the carrier cycle is raised on the oracle's total complex
-    carrier = _adjoined_unit_scalars()
+                                  for k in range(3)}]]),
+            invertible_rep(QZ5, [[{1: 1}]]),
+            invertible_rep(C3, [[{0: z}, {1: 1}], [{}, {2: 1}]])]
     for rep in reps:
-        mats = [_unflatten(rep.algebra, rep.matrices.unit, rep.size),
-                rep.entries]
-        for q in range(3):
-            window = total_complex(carrier, 2 * q, normalized=False)
+        M, field = rep.matrices, rep.algebra.field
+        seed = (rep.flat,) if rep.kind == "idempotent" else \
+            (rep.inverse_flat, rep.flat)
+        character = chern_idempotent if rep.kind == "idempotent" else \
+            chern_invertible
+        carrier, include = subalgebra_closure(M, [M.unit, *seed])
+        mats = [_unflatten(rep.algebra, col, rep.size)
+                for col in include.matrix.columns()]
+        start = len(seed) - 1
+        for q in range(3 - start):
+            degree = start + 2 * q
+            # the carrier cycle is raised on the oracle's total complex
+            window = total_complex(carrier, degree, normalized=False)
             hoch = window.hochschild_window
-            cycle = {hoch.index_of(0, (1,)): 1}
-            for n in range(0, 2 * q, 2):
+            cycle = {}
+            for word in product(*(include.matrix.solve(x).items()
+                                  for x in seed)):
+                value = field.one
+                for _, c in word:
+                    value = field.mul(value, c)
+                add_term(cycle, hoch.index_of(start, tuple(
+                    k for k, _ in word)), value, field)
+            raised = CyclicChain(window, start, dict(cycle))
+            for n in range(start, degree, 2):
                 cycle = extend_cycle(window, n, cycle)
-            if q:
-                assert not window.totals[2 * q].mat_vec(cycle)
-            raised = CyclicChain(window, 0, {hoch.index_of(0, (1,)): 1})
-            for _ in range(q):
                 raised = _extend_cycle(raised)
+            if degree:
+                assert not window.totals[degree].mat_vec(cycle)
             assert raised.chain == cycle
-            pushed = chern_idempotent(rep, q)
+            pushed = character(rep, q)
             tgt = pushed.chain.window.hochschild_window
-            for k, (m, _) in enumerate(window.summands(2 * q)):
+            for k, (m, _) in enumerate(window.summands(degree)):
                 expected = _trace_oracle(
-                    hoch, m, window.component(2 * q, cycle, k), mats, tgt)
-                assert vec_equal(pushed.component(m), expected,
-                                 rep.algebra.field)
+                    hoch, m, window.component(degree, cycle, k), mats, tgt)
+                assert vec_equal(pushed.component(m), expected, field)
 
 
 def test_matrix_algebra_homology_matches_base():

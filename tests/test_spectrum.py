@@ -602,6 +602,16 @@ def test_nilpotency_of_a_subspace_of_another_ambient_is_refused():
     assert is_nilpotent_subspace(A, jacobson_radical(A).space)
 
 
+def test_a_subspace_holding_an_idempotent_is_not_nilpotent():
+    # the unit of Q[x]/x^2 squares to itself, so its span never shrinks;
+    # the span of x dies after one product, and the zero space at once
+    A = truncated_polynomial(2)
+    for vectors, nilpotent in (([A.unit], False), ([{0: 1, 1: 1}], False),
+                               ([{1: 1}], True), ([], True)):
+        space = Subspace.from_vectors(A.dim, A.field, vectors)
+        assert is_nilpotent_subspace(A, space) is nilpotent
+
+
 def _whole_basis(A):
     return [A.basis_vector(i) for i in range(A.dim)]
 

@@ -18,8 +18,12 @@ REFERENCE = [
     "c32e8b3cc1b4f23c24d68806557a6dc60bd6020103d4e51defb90cfcd4c7e3a5",
     "30 entries sha256 "
     "7e0a1cb12ed9d4f856f176addcc65e8d631a3366ed31b19ec5f692570699ba70",
+    # the Chern chains are raised over the subalgebra the class generates,
+    # not over the scalars with a fresh unit or the group algebra of Z/n:
+    # the idempotents' chains for q >= 1 and zeta3's odd chain change, by
+    # a boundary, and the generator of QZ3 keeps its chains
     "12 entries sha256 "
-    "0176330a743261f1481d7b6176725d6ba3bf6041cdb3162c79e86791b41c1e87",
+    "ae3d8008df9bbc05b6966a6a99905cd543fb4b7a9136cf7b13fa731fa3807cb2",
     # the "swap hc" entries are induced_map_hc's chain maps between hc's
     # Connes windows, word by word, no longer blocks of the total complex
     "21 entries sha256 "

@@ -28,11 +28,13 @@ Q[x]/x^3 + M_2(Q), M_2(Q[x]/x^2), Q[t]/t^2(t - 1), upper_triangular(3) on
 its own basis and on one whose first element is not semisimple, and the
 five point-action crossed products of perfbench/cases.py; it is hashed like
 the second.  The fourth covers Chern character chains (degree and chain in
-the total complex): chern_idempotent of the trivial-character idempotent of
-QZ5 and of its 2 x 2 block sum with the complement for q <= 2,
-chern_invertible of the generator of QZ3 for q <= 1, and over Q(zeta3) the
-character idempotent of Z/3 for q <= 2 and chern_invertible of zeta3 at
-q = 1; it is hashed like the second.  The fifth covers chain maps that put
+the total complex), each raised over its carrier, the subalgebra of the
+matrices that the unit and the class's tensor factors generate, and pushed
+into the total complex of the algebra: chern_idempotent of the
+trivial-character idempotent of QZ5 and of its 2 x 2 block sum with the
+complement for q <= 2, chern_invertible of the generator of QZ3 for
+q <= 1, and over Q(zeta3) the character idempotent of Z/3 for q <= 2 and
+chern_invertible of zeta3 at q = 1; it is hashed like the second.  The fifth covers chain maps that put
 matrices bigger than 1 x 1 in place of tensor factors or run over Q(zeta3):
 the Morita iota and Tr chains and their canonical homology maps of the
 ground field with N = 3 to degree 2, Q[x]/x^2 with N = 3 to degree 1 and
