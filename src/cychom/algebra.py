@@ -89,6 +89,10 @@ class FDAlgebra:
                     % ((i, j), dim))
             table[i][j] = _normalize_vec(entry, self)
         self.mul = table
+        # whether multiply may run on first coefficients (over Q always)
+        self._rational_constants = field_order == 1 or not any(
+            any(s[1:]) for row in table for entry in row
+            for s in entry.values())
         self.unit = _normalize_vec(unit, self) if unit is not None else None
 
     @property
@@ -101,12 +105,28 @@ class FDAlgebra:
     def multiply(self, u: dict, v: dict) -> dict:
         """Product of two sparse coordinate vectors.
 
-        Vectors store no zeros and Q(zeta_m) is a field, so the product of
-        two entries is never zero and needs no test; the terms are summed
-        per coordinate and the coordinates whose sum is zero are dropped
-        once, at the end.
+        Two routes give the same values.  When every structure constant is
+        rational (always over Q; over Q(zeta_m) read once, at construction)
+        and every entry of u and v is rational, ``_native_product`` runs
+        the whole product in native int and Fraction arithmetic: over Q on
+        the entries themselves, over Q(zeta_m) on their first coefficients,
+        each sum then wrapped as (c, 0, .., 0).  Otherwise the terms run in
+        the field's arithmetic.  Vectors store no zeros and Q(zeta_m) is a
+        field, so the product of two entries is never zero and needs no
+        test; the terms are summed per coordinate and the coordinates whose
+        sum is zero are dropped once, at the end.
         """
         field = self.field
+        if field.order == 1:
+            return {k: c for k, c in
+                    _native_product(self.mul, u, v, False).items() if c}
+        if self._rational_constants:
+            u0 = _first_coefficients(u)
+            v0 = None if u0 is None else _first_coefficients(v)
+            if v0 is not None:
+                pad = field.zero[1:]
+                return {k: (c,) + pad for k, c in
+                        _native_product(self.mul, u0, v0, True).items() if c}
         mul, add, one = field.mul, field.add, field.one
         out = {}
         get = out.get
@@ -231,6 +251,38 @@ class FDAlgebra:
             else:
                 parts.append("%s*%s" % (c, label))
         return " + ".join(parts).replace("+ -", "- ")
+
+
+def _first_coefficients(vec: dict) -> dict | None:
+    """{k: c} for a vector over Q(zeta_m) whose entries are all rational,
+    each (c, 0, .., 0); None when an entry is irrational."""
+    out = {}
+    for k, e in vec.items():
+        if any(e[1:]):
+            return None
+        out[k] = e[0]
+    return out
+
+
+def _native_product(table, u: dict, v: dict, first: bool) -> dict:
+    """The sums over i and j of u[i] v[j] table[i][j][k], one per k, in
+    native * and + on rationals, with no field call per term; a sum may be
+    zero.  With first set the constants are coefficient tuples of rationals
+    and their first coefficients are read."""
+    out = {}
+    get = out.get
+    for i, a in u.items():
+        row = table[i]
+        for j, b in v.items():
+            c = a * b
+            for k, s in row[j].items():
+                if first:
+                    s = s[0]
+                # group algebras and matrix units have constants of one
+                t = c if s == 1 else c * s
+                prev = get(k)
+                out[k] = t if prev is None else prev + t
+    return out
 
 
 def _wrap(raw, field):

@@ -170,7 +170,8 @@ def cleared(vec: dict, field: _FieldBase) -> tuple[int, dict]:
     if rational:
         return den, {j: v.numerator * (den // v.denominator)
                      for j, v in vec.items()}
-    return den, {j: tuple(c.numerator * (den // c.denominator) for c in e)
+    # lists, not generators (see _CyclotomicFieldRaw.add in scalars)
+    return den, {j: tuple([c.numerator * (den // c.denominator) for c in e])
                  for j, e in vec.items()}
 
 
@@ -182,7 +183,7 @@ def divided(w: dict, den: int, field: _FieldBase) -> dict:
     if field.order == 1:
         return {j: Fraction(v, den) if v % den else v // den
                 for j, v in w.items()}
-    return {j: tuple(Fraction(c, den) if c % den else c // den for c in e)
+    return {j: tuple([Fraction(c, den) if c % den else c // den for c in e])
             for j, e in w.items()}
 
 
@@ -285,7 +286,7 @@ class _CycRows:
             num = -num
         if num == 1:
             return ints
-        return {j: tuple(c // num for c in entry)
+        return {j: tuple([c // num for c in entry])
                 for j, entry in ints.items()}
 
     def combine(self, r: dict, p: dict, c) -> dict:

@@ -24,7 +24,8 @@ from fractions import Fraction
 from itertools import repeat
 from math import lcm
 
-from .errors import DivisionByZero, FieldMismatch, ParseError, check_int
+from .errors import (DivisionByZero, FieldMismatch, ParseError,
+                     ValidationError, check_int)
 
 
 def _exact(c):
@@ -76,7 +77,7 @@ def _poly_divmod_exact(num: list[int], den: list[int]) -> list[int]:
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Integer coefficients of Phi_m, low degree first, monic."""
     if m < 1:
-        raise ValueError("order must be positive")
+        raise ValidationError("order must be positive")
     poly = [-1] + [0] * (m - 1) + [1]  # x^m - 1
     for d in divisors(m):
         if d < m:
@@ -185,25 +186,31 @@ class _CyclotomicFieldRaw(_FieldBase):
             pows.append(self.mul(pows[-1], gen))
         self.zeta_pow = pows
 
+    # Tuples are built from a list, at their final length: one built from
+    # map or a generator is allocated at ten slots and shrunk, so it is
+    # freed into the free list of its own length, which the next such call
+    # does not take from, and up to 2,000 tuples of each length stay
+    # allocated.
+
     @staticmethod
     def add(a, b):
-        return tuple(map(operator.add, a, b))
+        return tuple([*map(operator.add, a, b)])
 
     @staticmethod
     def sub(a, b):
-        return tuple(map(operator.sub, a, b))
+        return tuple([*map(operator.sub, a, b)])
 
     @staticmethod
     def neg(a):
-        return tuple(map(operator.neg, a))
+        return tuple([*map(operator.neg, a)])
 
     def mul(self, a, b):
         # a rational operand scales the other coefficientwise; repeat, not
         # the bound x.__mul__, since int.__mul__(Fraction) is NotImplemented
         if not any(a[1:]):
-            return tuple(map(operator.mul, repeat(a[0]), b))
+            return tuple([*map(operator.mul, repeat(a[0]), b)])
         if not any(b[1:]):
-            return tuple(map(operator.mul, a, repeat(b[0])))
+            return tuple([*map(operator.mul, a, repeat(b[0]))])
         d = self.degree
         conv = [0] * (2 * d - 1)
         for i, x in enumerate(a):
@@ -281,11 +288,11 @@ class _CyclotomicFieldRaw(_FieldBase):
 
     @staticmethod
     def from_coeffs(coeffs):
-        return tuple(map(_exact, coeffs))
+        return tuple([*map(_exact, coeffs)])
 
     @staticmethod
     def scale(a, q):
-        return tuple(x * q for x in a)
+        return tuple([x * q for x in a])
 
 
 # typed, so that True or 2.0, equal to 1 and 2, is not answered from the cache
@@ -331,7 +338,7 @@ class Cyclotomic:
         else:
             seq = tuple(map(_exact, value))
             if len(seq) != field.degree:
-                raise ValueError(
+                raise ValidationError(
                     f"order {order} needs {field.degree} coefficients, got {len(seq)}")
             coeffs = seq
         object.__setattr__(self, "order", order)
@@ -436,7 +443,7 @@ class Cyclotomic:
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
-            raise ValueError(f"{self} is not rational")
+            raise ValidationError(f"{self} is not rational")
         return Fraction(self.coeffs[0])
 
     def lift(self, order: int) -> "Cyclotomic":
@@ -497,7 +504,7 @@ def field_arith(op: str, operands) -> Cyclotomic | bool:
     """
     ops = list(operands)
     if not ops:
-        raise ValueError("no operands")
+        raise ValidationError("no operands")
     first = ops[0]
     for other in ops[1:]:
         if other.order != first.order:
@@ -509,7 +516,7 @@ def field_arith(op: str, operands) -> Cyclotomic | bool:
         return out
     if op == "sub":
         if len(ops) != 2:
-            raise ValueError("sub takes two operands")
+            raise ValidationError("sub takes two operands")
         return ops[0] - ops[1]
     if op == "mul":
         out = first
@@ -518,17 +525,17 @@ def field_arith(op: str, operands) -> Cyclotomic | bool:
         return out
     if op == "inv":
         if len(ops) != 1:
-            raise ValueError("inv takes one operand")
+            raise ValidationError("inv takes one operand")
         return first.inverse()
     if op == "conj":
         if len(ops) != 1:
-            raise ValueError("conj takes one operand")
+            raise ValidationError("conj takes one operand")
         return first.conjugate()
     if op == "is_zero":
         if len(ops) != 1:
-            raise ValueError("is_zero takes one operand")
+            raise ValidationError("is_zero takes one operand")
         return first.is_zero()
-    raise ValueError(f"unknown op {op!r}")
+    raise ValidationError(f"unknown op {op!r}")
 
 
 # -- canonical string form ----------------------------------------------------

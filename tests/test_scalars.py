@@ -222,7 +222,7 @@ def test_rational_detection_after_cancellation():
     v = z + z * z  # equals -1
     assert v.is_rational()
     assert v.as_fraction() == -1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         z.as_fraction()
 
 
@@ -255,6 +255,32 @@ def test_order_that_is_not_an_int_is_a_validation_error():
     for m in (2.0, "3", True):
         with pytest.raises(ValidationError, match="must be an int"):
             field_of_order(m)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: field_arith("add", []), "no operands"),
+    (lambda: field_arith("sub", [Cyclotomic.zeta(4)]),
+     "sub takes two operands"),
+    (lambda: field_arith("inv", [Cyclotomic(1, 4)] * 2),
+     "inv takes one operand"),
+    (lambda: field_arith("conj", [Cyclotomic(1, 4)] * 2),
+     "conj takes one operand"),
+    (lambda: field_arith("is_zero", [Cyclotomic(1, 4)] * 2),
+     "is_zero takes one operand"),
+    (lambda: field_arith("frobnicate", [Cyclotomic.zeta(4)]),
+     "unknown op 'frobnicate'"),
+    (lambda: Cyclotomic((1, 2, 3), 4), "order 4 needs 2 coefficients, got 3"),
+    (lambda: Cyclotomic.zeta(3).as_fraction(), "z @ order=3 is not rational"),
+    (lambda: cyclotomic_polynomial(0), "order must be positive"),
+    (lambda: cyclotomic_polynomial(-2), "order must be positive"),
+], ids=["no-operands", "sub-arity", "inv-arity", "conj-arity",
+        "is-zero-arity", "unknown-op", "coefficient-count", "irrational",
+        "phi-0", "phi-negative"])
+def test_scalar_refusals_are_typed(call, message):
+    with pytest.raises(ValidationError) as caught:
+        call()
+    assert type(caught.value) is ValidationError
+    assert str(caught.value) == message
 
 
 def test_zero_has_no_inverse():
@@ -353,7 +379,7 @@ def test_field_arith_dispatch():
     assert field_arith("is_zero", [Cyclotomic(0, 4)]) is True
     with pytest.raises(FieldMismatch):
         field_arith("add", [z, Cyclotomic.zeta(3)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         field_arith("frobnicate", [z])
 
 

@@ -22,6 +22,10 @@ integer-valued ones.  Scalars are ints wherever they are integral, and
 ``int / int`` is a float, so every true division has a ``Fraction(...)``
 call as an operand.
 
+Every deliberate failure is typed: a ``raise`` in the package raises a
+class of ``errors`` or re-raises, apart from the few exceptions that
+Python's own protocols name.
+
 The benchmark's tracer (``perfbench/tracer.py``) wraps functions it names
 in its ``BOUNDARIES`` list; each of those names resolves in cychom, so a
 deleted or renamed boundary fails here rather than in a traced run.
@@ -210,6 +214,41 @@ def test_limits_are_read_in_one_place():
                   and path.name != "config.py"):
                 found.append("%s:%d Budget(...)" % (path.name, node.lineno))
     assert not found, "limits set outside config: %s" % found
+
+
+# (module, function, exception) of the raises that are not refusals
+UNTYPED_RAISES = {
+    # an immutable object refuses assignment as Python's objects do
+    ("scalars.py", "__setattr__", "AttributeError"),
+    # an operand of no scalar type, as Python's operators refuse one
+    ("scalars.py", "_pair", "TypeError"),
+    # an internal check, not a refusal: Phi_d divides x^m - 1 for d | m
+    ("scalars.py", "_poly_divmod_exact", "ArithmeticError"),
+}
+
+
+def test_every_raise_is_typed():
+    trees = dict(_trees())
+    typed = {node.name for node in trees[SRC / "errors.py"].body
+             if type(node) is ast.ClassDef}
+    found = []
+    for path, tree in trees.items():
+        # ast.walk meets an outer function before the ones nested in it,
+        # so each raise ends up with its innermost function
+        owner = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(inner), node.name) for inner in ast.walk(node)
+                             if type(inner) is ast.Raise)
+        for node in ast.walk(tree):
+            if type(node) is not ast.Raise or node.exc is None:
+                continue
+            exc = node.exc.func if type(node.exc) is ast.Call else node.exc
+            name = _reference(exc)
+            if name not in typed and \
+                    (path.name, owner.get(id(node)), name) not in UNTYPED_RAISES:
+                found.append("%s:%d raise %s" % (path.name, node.lineno, name))
+    assert not found, "raises of no class in errors.py: %s" % found
 
 
 def test_every_traced_boundary_resolves():

@@ -475,6 +475,35 @@ def _scaled_group_algebra():
     return FDAlgebra(A.dim, 1, mul, unit=unit).require_valid()
 
 
+def _twisted_cubic():
+    """Q(zeta3)[x]/x^3 on the basis 1, zeta3 x, x^2, so that
+    (zeta3 x)^2 = zeta3^2 x^2 has an irrational structure constant."""
+    zeta_squared = field_of_order(3).zeta_pow[2]
+    mul = {(0, 0): {0: 1}, (0, 1): {1: 1}, (0, 2): {2: 1}, (1, 0): {1: 1},
+           (2, 0): {2: 1}, (1, 1): {2: zeta_squared}}
+    return FDAlgebra(3, 3, mul, unit={0: 1}).require_valid()
+
+
+def _multiply_route(A, u, v):
+    """Which route of FDAlgebra.multiply the product u v takes."""
+    if A.field.order > 1 and any(any(s[1:]) for row in A.mul
+                                 for entry in row for s in entry.values()):
+        return "irrational constants"
+    if A.field.order > 1 and any(any(e[1:]) for w in (u, v)
+                                 for e in w.values()):
+        return "irrational operands"
+    return "rational"
+
+
+# the routes of FDAlgebra.multiply that a case's products must reach
+MULTIPLY_ROUTES = {
+    "QS3": {"rational"},
+    "QS3-zeta3": {"rational"},
+    "QZ5-zeta5": {"rational", "irrational operands"},
+    "x3-zeta3": {"irrational constants"},
+}
+
+
 @pytest.mark.parametrize("build", [
     lambda: group_algebra(symmetric_group_3()),
     lambda: group_algebra(dihedral_group_4()),
@@ -491,16 +520,19 @@ def _scaled_group_algebra():
     lambda: extend_scalars(group_algebra(cyclic_group(4)), 4),
     lambda: extend_scalars(group_algebra(dihedral_group_4()), 4),
     lambda: extend_scalars(group_algebra(cyclic_group(5)), 5),
+    _twisted_cubic,
 ], ids=["QS3", "QD4", "QQ8", "QZ4", "QZ5", "M2(T2)", "U3", "U3-rebased",
         "t2(t-1)", "QS3-scaled", "QS3-zeta3", "QZ3-zeta3", "QZ4-zeta4",
-        "QD4-zeta4", "QZ5-zeta5"])
-def test_the_split_matches_its_parent_routes(build, monkeypatch):
+        "QD4-zeta4", "QZ5-zeta5", "x3-zeta3"])
+def test_the_split_matches_its_parent_routes(build, monkeypatch, request):
     # every minimal polynomial, root search, primitivity trace and product
     # that hh's split and set-up meet, against the solve per power,
     # _cofactor on every candidate, tr(L_w R_w) and the add_term product,
     # and the center against the stacked L_b - R_b; the first two and the
     # center also keep the raw rule (an int where a rational is integral),
-    # so repr must agree
+    # so repr must agree, and so must the products on their rational route:
+    # over Q the values, over Q(zeta_m) the first coefficients, the others
+    # an int 0
     A = build()
     cuts, polys, products, traced = [], [], [], []
     minimal_polynomial, root_factors, corner_trace = \
@@ -543,8 +575,21 @@ def test_the_split_matches_its_parent_routes(build, monkeypatch):
     for poly in polys:
         assert repr(_root_factors(poly, A.field)) == \
             repr(_every_candidate_root_factors(poly, A.field))
+    routes = set()
     for u, v in products:
-        assert A.multiply(u, v) == _add_term_multiply(A, u, v)
+        got, parent = A.multiply(u, v), _add_term_multiply(A, u, v)
+        assert got == parent
+        route = _multiply_route(A, u, v)
+        routes.add(route)
+        if route != "rational":
+            continue
+        if A.field.order > 1:
+            assert all(type(c) is int and c == 0
+                       for e in got.values() for c in e[1:])
+            got = {k: e[0] for k, e in got.items()}
+            parent = {k: e[0] for k, e in parent.items()}
+        assert repr(sorted(got.items())) == repr(sorted(parent.items()))
+    assert MULTIPLY_ROUTES.get(request.node.callspec.id, set()) <= routes
 
 
 def test_the_root_pre_test_reads_the_slot_on_ints():

@@ -1,4 +1,5 @@
-"""Print where hh spends its time on QS3 over Q and over Q(zeta3).
+"""Print where hh spends its time on QS3 over Q and over Q(zeta3), and
+how many products it makes.
 
 Run from the repository root:
 
@@ -12,8 +13,11 @@ _check_blocks are replaced by timing wrappers in the hochschild module for
 the run and restored after it, and "rest" is what is left of each call.
 Each stage prints the median of its N times and its share of the median
 call.  The shares are in-process wall times, so they move with the load of
-the host; the benchmark (perfbench/run.py) is what measures a gain.  It
-writes nothing into the repository.
+the host; the benchmark (perfbench/run.py) is what measures a gain.  A last
+line per algebra counts the FDAlgebra.multiply calls of one hh call and how
+many of them ran on native rational arithmetic (algebra._native_product,
+wrapped for that call by a counter).  It writes nothing into the
+repository.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from time import perf_counter
 sys.dont_write_bytecode = True
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from cychom import hochschild  # noqa: E402
+from cychom import algebra, hochschild  # noqa: E402
 from cychom.groups import group_algebra, symmetric_group_3  # noqa: E402
 from cychom.spectrum import extend_scalars  # noqa: E402
 
@@ -72,6 +76,29 @@ def stage_times(A, n_max: int, calls: int) -> dict:
             for name in spent[0]}
 
 
+def product_counts(A, n_max: int) -> tuple:
+    """(products, rational) of one hh(A, n_max) call: its FDAlgebra.multiply
+    calls and how many of them ran algebra._native_product."""
+    counts = {"multiply": 0, "_native_product": 0}
+    originals = {"multiply": (algebra.FDAlgebra, algebra.FDAlgebra.multiply),
+                 "_native_product": (algebra, algebra._native_product)}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    try:
+        for name, (owner, fn) in originals.items():
+            setattr(owner, name, counted(name, fn))
+        hochschild.hh(A, n_max)
+    finally:
+        for name, (owner, fn) in originals.items():
+            setattr(owner, name, fn)
+    return counts["multiply"], counts["_native_product"]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--calls", type=int, default=300)
@@ -88,6 +115,8 @@ def main(argv=None) -> int:
         for name, seconds in medians.items():
             print("  %-18s %6.2f ms %4.0f%%"
                   % (name, 1e3 * seconds, 100 * seconds / total))
+        print("  products: %d FDAlgebra.multiply calls, %d on rationals"
+              % product_counts(A, n_max))
     return 0
 
 
