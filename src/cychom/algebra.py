@@ -235,12 +235,14 @@ class FDAlgebra:
         return self
 
     def element_str(self, vec: dict) -> str:
+        """The vector as a sum of coefficient*label terms; a coefficient of
+        more than one term in z is parenthesized."""
         if not vec:
             return "0"
         parts = []
         for k in sorted(vec):
-            c = scalar_to_string(
-                _wrap(vec[k], self.field), with_order=False)
+            x = _wrap(vec[k], self.field)
+            c = scalar_to_string(x, with_order=False)
             label = self.labels[k]
             if label == "1":
                 parts.append(c)
@@ -248,6 +250,8 @@ class FDAlgebra:
                 parts.append(label)
             elif c == "-1":
                 parts.append("-" + label)
+            elif sum(1 for a in x.coeffs if a) > 1:
+                parts.append("(%s)*%s" % (c, label))
             else:
                 parts.append("%s*%s" % (c, label))
         return " + ".join(parts).replace("+ -", "- ")

@@ -129,7 +129,7 @@ class KClassRep:
     """An N x N idempotent or invertible matrix over an algebra.
 
     flat is the matrix as an element of matrices, the N x N matrices over
-    the algebra.  Invertibles carry their verified two-sided inverse.
+    the algebra.  Invertibles carry their two-sided inverse.
     """
 
     kind: str
@@ -170,24 +170,20 @@ def idempotent_rep(A: FDAlgebra, matrix) -> KClassRep:
     return KClassRep("idempotent", A, N, M, flat)
 
 
-def invertible_rep(A: FDAlgebra, matrix, inverse=None) -> KClassRep:
-    """Validate a square matrix over A with an exact two-sided inverse.
+def invertible_rep(A: FDAlgebra, matrix) -> KClassRep:
+    """Validate a square matrix u over A as invertible, with its inverse.
 
-    Only u v = 1 is checked: in a finite-dimensional unital algebra it
-    makes x -> u x onto, hence one to one, and u (v u) = u gives v u = 1.
+    The inverse is solved for, as the v with u v = 1: in a
+    finite-dimensional unital algebra that makes x -> u x onto, hence one
+    to one, and u (v u) = u gives v u = 1, so v is two-sided.
     """
     entries = _normalize_entries(A, matrix)
     N = len(entries)
     M = matrix_algebra(A, N)
     flat = _flatten(A, entries, N)
-    if inverse is not None:
-        inv = _flatten(A, _normalize_entries(A, inverse), N)
-    else:
-        inv = M.left_mult_matrix(flat).solve(M.unit)
-        if inv is None:
-            raise NotInvertible("no right inverse exists")
-    if not vec_equal(M.multiply(flat, inv), M.unit, A.field):
-        raise NotInvertible("the stored inverse fails on the right")
+    inv = M.left_mult_matrix(flat).solve(M.unit)
+    if inv is None:
+        raise NotInvertible("no right inverse exists")
     return KClassRep("invertible", A, N, M, flat, inverse_flat=inv)
 
 
@@ -286,23 +282,16 @@ def chern_invertible(rep: KClassRep, q: int) -> ChernClass:
 # trace pairings
 
 
-def pair_with_trace(x, tau: dict, algebra: FDAlgebra | None = None):
-    """Evaluate a trace functional on a degree-zero class.
+def pair_with_trace(ch: ChernClass, tau: dict):
+    """Evaluate a trace functional on the degree-zero part of a character.
 
-    Accepts a character with a degree-zero part or a plain sparse vector
-    over the algebra (a degree-zero homology representative).  The value
-    is a Cyclotomic in every field, so it compares equal to ints and
-    Fractions.
+    tau is a sparse vector of the trace's values on the basis of the
+    character's algebra.  The value is a Cyclotomic in every field, so it
+    compares equal to ints and Fractions.
     """
-    if isinstance(x, ChernClass):
-        vec = x.degree_zero_part()
-        algebra = x.algebra
-    else:
-        if algebra is None:
-            raise ValidationError("plain vectors need the algebra")
-        vec = _normalize_vec(x, algebra)
-    tau = _normalize_vec(tau, algebra)
-    field = algebra.field
+    vec = ch.degree_zero_part()
+    field = ch.algebra.field
+    tau = _normalize_vec(tau, ch.algebra)
     total = field.zero
     for i, c in vec.items():
         t = tau.get(i)

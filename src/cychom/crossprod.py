@@ -13,13 +13,14 @@ class by class.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 from .algebra import AlgebraMap, FDAlgebra, twisted_bimodule
 from .config import default_budget
-from .errors import DegreePositive, SizeOverflow, ValidationError, check_int
+from .errors import SizeOverflow, ValidationError, check_int
 from .groups import (FiniteGroup, FiniteVarietyAction, GroupAction,
                      group_metadata)
 from .hochschild import _tensor_chain_matrix, hh, hh_with_coefficients
@@ -38,15 +39,17 @@ class CrossedProduct:
 
     Basis layout is group-major: the pair (i, g) sits at flat coordinate
     g * base.dim + i, so the copy of the base over the identity occupies
-    an initial contiguous block.  ``variety`` is set when the action came
-    from a point permutation; the comparison maps require it.
+    an initial contiguous block.  ``variety`` is the point permutation the
+    action was built from, set only by variety_crossed_product; the
+    comparison maps require it.
     """
 
     base: FDAlgebra
     group: FiniteGroup
     action: GroupAction
     product: FDAlgebra
-    variety: FiniteVarietyAction | None = None
+    variety: FiniteVarietyAction | None = dataclasses.field(default=None,
+                                                            init=False)
 
     def pair_index(self, i: int, g: int) -> int:
         return g * self.base.dim + i
@@ -65,9 +68,9 @@ class CrossedProduct:
                                       unital=self.base.is_unital)
 
 
-def crossed_product(A: FDAlgebra, action: GroupAction,
-                    variety: FiniteVarietyAction | None = None) -> CrossedProduct:
-    """Build A x| Gamma from a validated action of Gamma on A."""
+def crossed_product(A: FDAlgebra, action: GroupAction) -> CrossedProduct:
+    """Build A x| Gamma from a validated action of Gamma on A, with no
+    point permutation (see variety_crossed_product)."""
     cap = default_budget().dim_cap
     if action.algebra is not A:
         raise ValidationError("action must act on the given algebra")
@@ -99,8 +102,7 @@ def crossed_product(A: FDAlgebra, action: GroupAction,
     product = FDAlgebra(dim, A.field_order, mul, labels=labels, unit=unit,
                         name="%s@%s" % (A.name or "A", G.name or "G"))
     product.require_valid()
-    cp = CrossedProduct(base=A, group=G, action=action, product=product,
-                        variety=variety)
+    cp = CrossedProduct(base=A, group=G, action=action, product=product)
     cp.base_inclusion().validate()
     return cp
 
@@ -113,9 +115,12 @@ def trivial_action(group: FiniteGroup, algebra: FDAlgebra) -> GroupAction:
 
 def variety_crossed_product(action: FiniteVarietyAction,
                             field_order: int = 1) -> CrossedProduct:
-    """Crossed product of the functions on the points by the permutations."""
+    """Crossed product of the functions on the points by the permutations,
+    which it keeps as its variety: the action is built from them here."""
     ga = action.algebra_action(field_order)
-    return crossed_product(ga.algebra, ga, variety=action)
+    cp = crossed_product(ga.algebra, ga)
+    cp.variety = action
+    return cp
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +451,7 @@ class PhiGamma(_ComparisonMap):
     matrix: SparseMatrix
 
 
-def phi_gamma(cp: CrossedProduct, gamma: int, q: int = 0) -> PhiGamma:
+def phi_gamma(cp: CrossedProduct, gamma: int) -> PhiGamma:
     """Character-weighted trace map onto functions on the fixed set.
 
     The block traces of psi for gamma's class are weighted by
@@ -456,11 +461,10 @@ def phi_gamma(cp: CrossedProduct, gamma: int, q: int = 0) -> PhiGamma:
     over coset representatives h of <gamma> with h^-1 g h = gamma, of
     h^-1 . delta_x restricted to the fixed set.
 
-    Only degree zero carries content here: on a finite point set every
-    higher form space is zero, so q > 0 is rejected.
+    This is the map in degree zero, the only degree with content: on a
+    finite point set every higher form space is zero.  cp must come from
+    variety_crossed_product.
     """
-    if q != 0:
-        raise DegreePositive("the comparison map is only defined in degree 0")
     if cp.variety is None:
         raise ValidationError(
             "needs a crossed product built from a point permutation")
@@ -545,7 +549,7 @@ def phi_isomorphism_report(cp: CrossedProduct) -> PhiReport:
 
     verdicts = []
     for data in meta.classes:
-        phi = phi_gamma(cp, data.rep, 0)
+        phi = phi_gamma(cp, data.rep)
         members = set(data.members)
         span_vecs = []
         for g in sorted(members):

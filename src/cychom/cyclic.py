@@ -12,12 +12,14 @@ bicomplex only the layout of the total chains is kept
 with operator_B.  The periodic theory is computed two independent ways:
 through the radical (nilpotent ideals do not change it, and what is left
 is semisimple) and by stabilizing the images of the periodicity operator.
+hp takes nonunital algebras too, such as the ideals and layers of a
+filtration, through their unitalizations.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from fractions import Fraction
 from itertools import accumulate
@@ -641,13 +643,21 @@ def hp(A: FDAlgebra, mode: str = "radical_shortcut",
     images agree the tower has become constant.  Inconclusive
     stabilization is reported, not raised; the radical answer is
     authoritative either way.
+
+    A nonunital A is read through its unitalization A+ = A + k: the
+    augmentation splits HP(A+) as HP(A) plus HP(k), one even class
+    (Loday, Cyclic Homology, 2.2; Cuntz-Quillen excision), so both routes
+    run on A+ and that class is subtracted from even_dim and from the
+    stabilized even dimension; method then ends in "+unitalization".
     """
     if mode not in ("radical_shortcut", "stabilization"):
         raise ValidationError("unknown hp mode %r" % mode)
-    if not A.is_unital:
-        raise NonUnital("hp needs a unital algebra; see the nonunital path")
-    even = center(semisimple_quotient(A)[0].algebra).dim
-    report = HPReport(even_dim=even, odd_dim=0, method=mode)
+    adjoined = 0 if A.is_unital else 1
+    if adjoined:
+        A = unitalization(A).algebra
+    even = center(semisimple_quotient(A)[0].algebra).dim - adjoined
+    report = HPReport(even_dim=even, odd_dim=0,
+                      method=mode + ("+unitalization" if adjoined else ""))
     if mode == "radical_shortcut":
         return report
     check_int(cutoff, "a degree bound", 0)
@@ -664,7 +674,7 @@ def hp(A: FDAlgebra, mode: str = "radical_shortcut",
             stable.append((ranks[0], (parity, top)))
     report.stabilized = len(stable) == 2
     if report.stabilized:
-        dims = tuple(dim for dim, _ in stable)
+        dims = (stable[0][0] - adjoined, stable[1][0])
         report.stabilization_dims = dims
         report.stabilization_window = tuple(span for _, span in stable)
         if dims != (report.even_dim, report.odd_dim):
@@ -672,20 +682,6 @@ def hp(A: FDAlgebra, mode: str = "radical_shortcut",
                 "stabilized S-images disagree with the radical shortcut: "
                 "%r vs %r" % (dims, (report.even_dim, report.odd_dim)))
     return report
-
-
-def hp_nonunital(A: FDAlgebra, mode: str = "radical_shortcut",
-                 cutoff: int = DEFAULT_HP_CUTOFF) -> HPReport:
-    """HP of a possibly nonunital algebra through its unitalization.
-
-    The augmentation splits off the ground field's contribution, one even
-    dimension, which is subtracted.  On an algebra that happens to be
-    unital this agrees with the direct computation.
-    """
-    plus = unitalization(A).algebra
-    inner = hp(plus, mode=mode, cutoff=cutoff)
-    return replace(inner, even_dim=inner.even_dim - 1,
-                   method=inner.method + "+unitalization")
 
 
 # ---------------------------------------------------------------------------
@@ -819,7 +815,7 @@ def excision_check(A: FDAlgebra, J: TwoSidedIdeal,
     Jalg, _ = ideal_as_algebra(J)
     Qd = quotient_algebra(A, J)
 
-    ideal_hp = hp_nonunital(Jalg)
+    ideal_hp = hp(Jalg)
     algebra_hp = hp(A)
     quotient_hp = hp(Qd.algebra)
 
@@ -1003,8 +999,6 @@ def direct_sum_check(A: FDAlgebra, B: FDAlgebra,
         for n in range(n_max + 1):
             # both projections leave the sum: stack them into the product
             top, bottom = left.homology_maps[n], right.homology_maps[n]
-            if top.ncols != bottom.ncols:
-                raise ValidationError("stacked maps must share a source")
             stacked = SparseMatrix(top.nrows + bottom.nrows, top.ncols,
                                    top.field, rows=top.rows + bottom.rows)
             rows[-1].append(DirectSumRow(

@@ -89,10 +89,6 @@ class FiltrationNotRespected(ValidationError):
 
 # -- crossed products / chern ----------------------------------------------
 
-class DegreePositive(ValidationError):
-    """phi_gamma is only defined in degree 0 here."""
-
-
 class NotIdempotent(ValidationError):
     """Claimed idempotent fails e*e = e."""
 

@@ -28,7 +28,7 @@ from .algebra import (
     two_sided_ideal,
 )
 from .config import default_budget
-from .cyclic import HPReport, hp, hp_nonunital
+from .cyclic import HPReport, hp
 from .errors import (
     FiltrationNotRespected,
     FiltrationNotStandard,
@@ -708,8 +708,6 @@ def weakly_spectrum_preserving_check(
         kind = "zero" if (side_L.algebra is None and side_J.algebra is None) \
             else "nilpotent"
         layers.append(LayerVerdict(k, kind, nil_L and nil_J))
-    hp_L = hp(L) if L.is_unital else hp_nonunital(L)
-    hp_J = hp(J) if J.is_unital else hp_nonunital(J)
     return WeaklyReport(
         layers=layers, preserving=all(layer.passed for layer in layers),
-        hp_source=hp_L, hp_target=hp_J)
+        hp_source=hp(L), hp_target=hp(J))

@@ -20,7 +20,7 @@ from cychom.algebra import AlgebraMap, ideal_as_algebra, quotient_algebra, \
 from cychom.config import DEFAULT_HP_CUTOFF
 from cychom.cyclic import CyclicComplexWindow, ExcisionReport, SBIReport, \
     _B_rows, _node, _require_s_degree, _s_on_homology, _s_tower, \
-    cyclic_complex, hp, hp_nonunital, operator_S
+    cyclic_complex, hp, operator_S
 from cychom.errors import NonUnital, NotMultiplicative, ValidationError, \
     check_int
 from cychom.hochschild import _degree_homologies, _homology_report, \
@@ -255,7 +255,7 @@ def excision_check(A, J, cutoff: int = DEFAULT_HP_CUTOFF) -> ExcisionReport:
     Jalg, _ = ideal_as_algebra(J)
     Qd = quotient_algebra(A, J)
 
-    ideal_hp = hp_nonunital(Jalg)
+    ideal_hp = hp(Jalg)
     algebra_hp = hp(A)
     quotient_hp = hp(Qd.algebra)
 

@@ -33,7 +33,7 @@ from cychom.errors import (
     SizeOverflow,
     ValidationError,
 )
-from cychom.groups import cyclic_group
+from cychom.groups import cyclic_group, group_algebra
 from cychom.linalg import Subspace, to_raw
 from cychom.scalars import Cyclotomic, field_of_order
 
@@ -251,7 +251,21 @@ def test_element_str():
     A = truncated_polynomial(2)
     assert A.element_str({0: 1, 1: 2}) == "1 + 2*x"
     assert A.element_str({1: -1}) == "-x"
+    assert A.element_str({1: 1}) == "x"
     assert A.element_str({}) == "0"
+
+
+def test_element_str_parenthesizes_a_coefficient_of_several_terms():
+    # over Q(zeta3), on the basis e, g, g2 of the group algebra of Z/3
+    C3 = group_algebra(cyclic_group(3), 3)
+    half_minus_z = Cyclotomic((Fraction(1, 2), -1), 3)
+    z = Cyclotomic.zeta(3)
+    assert C3.element_str({1: half_minus_z, 2: 1}) == "(1/2 - z)*g + g2"
+    assert C3.element_str({0: -z, 2: 2 * z}) == "-z*e + 2*z*g2"
+    # on the basis 1, x the unit's coefficient stands alone
+    T2 = truncated_polynomial(2, 3)
+    assert T2.element_str({0: half_minus_z, 1: half_minus_z}) == \
+        "1/2 - z + (1/2 - z)*x"
 
 
 # ---------------------------------------------------------------------------

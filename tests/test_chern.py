@@ -88,16 +88,12 @@ def test_pairing_is_additive_on_block_sums():
 
 
 def test_pairing_refuses_coordinates_outside_the_algebra():
-    # Q[x]/x^3 has basis 1, x, x^2; on QZ5 the character's part is sound
-    # and only the trace overruns
-    A = truncated_polynomial(3)
-    for vec, tau in (({-1: 1, 7: 2}, {7: 5}), ({0: 1}, {7: 5}),
-                     ({0: 1}, {-1: 1}), ({3: 1}, {0: 1})):
-        with pytest.raises(ValidationError, match="outside a basis"):
-            pair_with_trace(vec, tau, A)
+    # QZ5 has basis 1, g, .., g^4: the character's part is sound and only
+    # the trace overruns
     ch = chern_idempotent(idempotent_rep(_qz(5), [[_trivial_character(5)]]), 0)
-    with pytest.raises(ValidationError, match="outside a basis"):
-        pair_with_trace(ch, {5: 1})
+    for tau in ({5: 1}, {-1: 1}, {0: 1, 7: 5}):
+        with pytest.raises(ValidationError, match="outside a basis"):
+            pair_with_trace(ch, tau)
 
 
 def test_conjugate_idempotents_pair_alike_with_every_coordinate_trace():
@@ -105,8 +101,9 @@ def test_conjugate_idempotents_pair_alike_with_every_coordinate_trace():
     eps = _trivial_character(5)
     one = {0: 1}
     # the elementary unit u = [[1, g], [0, 1]] has inverse [[1, -g], [0, 1]]
-    u = invertible_rep(QZ5, [[one, {1: 1}], [{}, one]],
-                       inverse=[[one, {1: -1}], [{}, one]])
+    u = invertible_rep(QZ5, [[one, {1: 1}], [{}, one]])
+    assert vec_equal(u.inverse_flat, invertible_rep(
+        QZ5, [[one, {1: -1}], [{}, one]]).flat, QZ5.field)
     e = idempotent_rep(QZ5, [[eps, {}], [{}, {}]])
     # u e u^-1 = [[eps, -eps g], [0, 0]], and eps g = eps
     conj = idempotent_rep(QZ5, [[eps, {g: -c for g, c in eps.items()}],
@@ -169,9 +166,6 @@ def test_matrices_without_an_inverse_are_refused():
     T2 = truncated_polynomial(2)
     with pytest.raises(NotInvertible, match="no right inverse exists"):
         invertible_rep(T2, [[{1: 1}]])
-    # 1 + x is invertible, but its inverse is 1 - x
-    with pytest.raises(NotInvertible, match="stored inverse fails"):
-        invertible_rep(T2, [[{0: 1, 1: 1}]], inverse=[[{0: 1, 1: 1}]])
 
 
 @pytest.mark.parametrize("A, entry", [
@@ -212,8 +206,6 @@ def test_chern_refusals_are_typed():
              odd.degree_zero_part)
     _refusal(ValidationError, "odd classes have no degree-zero part",
              pair_with_trace, odd, {0: 1})
-    _refusal(ValidationError, "plain vectors need the algebra",
-             pair_with_trace, {0: 1}, {0: 1})
     even = chern_idempotent(e, 1)
     assert even.component(0) == even.degree_zero_part()
     for m in (1, 3, 4, -2):

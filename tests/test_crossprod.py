@@ -12,6 +12,7 @@ from cychom.algebra import (
     truncated_polynomial,
 )
 from cychom.crossprod import (
+    CrossedProduct,
     crossed_product,
     hh_decomposition,
     invariants,
@@ -21,11 +22,7 @@ from cychom.crossprod import (
     trivial_action,
     variety_crossed_product,
 )
-from cychom.errors import (
-    DegreePositive,
-    SizeOverflow,
-    ValidationError,
-)
+from cychom.errors import SizeOverflow, ValidationError
 from cychom.groups import (
     FiniteVarietyAction,
     GroupAction,
@@ -507,17 +504,26 @@ def test_phi_is_bijective_class_by_class():
             assert v.summand_dim == v.target_dim
 
 
-def test_phi_rejects_positive_degrees():
-    cp = variety_crossed_product(point_actions()[0])
-    with pytest.raises(DegreePositive):
-        phi_gamma(cp, 1, q=1)
-
-
 def test_phi_needs_a_point_action():
     Q = ground_field()
     cp = crossed_product(Q, trivial_action(cyclic_group(2), Q))
+    assert cp.variety is None
     with pytest.raises(ValidationError):
         phi_gamma(cp, 1)
+
+
+def test_only_the_point_permutation_sets_the_variety():
+    # the variety is the permutation the action was built from; no call
+    # takes one beside an action, so the two cannot disagree
+    swap = point_actions()[1]
+    cp = variety_crossed_product(swap)
+    assert cp.variety is swap
+    still = FiniteVarietyAction(cyclic_group(2), 2, [(0, 1), (0, 1)])
+    with pytest.raises(TypeError):
+        crossed_product(cp.base, cp.action, variety=still)
+    with pytest.raises(TypeError):
+        CrossedProduct(cp.base, cp.group, cp.action, cp.product,
+                       variety=still)
 
 
 def test_phi_wants_class_representatives():

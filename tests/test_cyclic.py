@@ -17,10 +17,12 @@ from cychom.algebra import (
     direct_sum,
     functions_on_points,
     ground_field,
+    ideal_as_algebra,
     ideal_generated_by,
     matrix_algebra,
     truncated_polynomial,
     two_sided_ideal,
+    unitalization,
     upper_triangular,
 )
 from cychom import config
@@ -36,7 +38,6 @@ from cychom.cyclic import (
     excision_check,
     hc,
     hp,
-    hp_nonunital,
     induced_map_hc,
     operator_B,
     operator_S,
@@ -366,8 +367,6 @@ def test_nonunital_algebra_is_rejected():
     Z = FDAlgebra(1, 1, {}, labels=["x"])
     with pytest.raises(NonUnital):
         cyclic_complex(Z, 2)
-    with pytest.raises(NonUnital):
-        hp(Z)
 
 
 # ---------------------------------------------------------------------------
@@ -842,6 +841,8 @@ def test_hp_stabilization_sees_the_full_center():
 
 
 def test_hp_stabilization_cutoff_guard():
+    with pytest.raises(ValidationError, match="unknown hp mode 'radical'"):
+        hp(truncated_polynomial(2), mode="radical")
     for short in (4, 3):
         with pytest.raises(ValidationError, match="cutoff >= 5"):
             hp(truncated_polynomial(2), mode="stabilization", cutoff=short)
@@ -854,19 +855,22 @@ def test_hp_stabilization_cutoff_guard():
 
 def test_hp_nonunital_values():
     Z = FDAlgebra(1, 1, {}, labels=["x"])
-    r = hp_nonunital(Z)
+    r = hp(Z)
     assert (r.even_dim, r.odd_dim) == (0, 0)
+    assert r.method == "radical_shortcut+unitalization"
     A = functions_on_points(2)
     line = ideal_generated_by(A, [{0: A.field.one}])
-    from cychom.algebra import ideal_as_algebra
-    r = hp_nonunital(ideal_as_algebra(line)[0])
+    r = hp(ideal_as_algebra(line)[0])
     assert (r.even_dim, r.odd_dim) == (1, 0)
 
 
 def test_hp_nonunital_agrees_on_unital_input():
+    # the unitalization route, taken by hand on a unital algebra, gives
+    # what hp gives on the algebra itself
     M = matrix_algebra(ground_field(), 2)
-    r = hp_nonunital(M)
-    assert (r.even_dim, r.odd_dim) == (hp(M).even_dim, hp(M).odd_dim)
+    r = hp(unitalization(M).algebra)
+    assert (r.even_dim - 1, r.odd_dim) == (hp(M).even_dim, hp(M).odd_dim)
+    assert hp(M).method == "radical_shortcut"
 
 
 # ---------------------------------------------------------------------------
@@ -1147,6 +1151,31 @@ EXCISIONS = {
     "Q[x]/x^2 + Q, Q[x]/x^2": (lambda: direct_sum(
         truncated_polynomial(2), ground_field()).algebra, [{0: 1}]),
 }
+
+
+# the nonunital algebras the tests build: each ideal above, (x) in
+# Q[x]/x^2 being the zero-product line, and the M2(Q) summand of
+# test_excision_along_a_matrix_summand
+IDEALS = {**EXCISIONS, "Q[x]/x^2 + M2(Q), M2(Q)": (
+    CORPUS["Q[x]/x^2 + M2(Q)"], [{2: 1}])}
+
+
+@pytest.mark.parametrize("name", sorted(IDEALS))
+def test_hp_of_a_nonunital_algebra_subtracts_the_adjoined_unit(name):
+    # both routes run on the unitalization and drop its unit's class: the
+    # stabilized dims agree with the radical route's, with even_dim, and
+    # with HP of the unitalization less one even class
+    make, generators = IDEALS[name]
+    J = ideal_as_algebra(ideal_generated_by(make(), generators))[0]
+    assert not J.is_unital
+    report = hp(J, mode="stabilization")
+    dims = (report.even_dim, report.odd_dim)
+    assert report.stabilized and report.stabilization_dims == dims
+    assert report.method == "stabilization+unitalization"
+    radical = hp(J)
+    assert (radical.even_dim, radical.odd_dim) == dims
+    plus = hp(unitalization(J).algebra)
+    assert (plus.even_dim - 1, plus.odd_dim) == dims
 
 
 def _excision(report):

@@ -185,3 +185,43 @@ def test_group_action_rejects_wrong_order_automorphism():
     double = AlgebraMap.from_images(A, A, [{0: 1}, {1: 2}])
     with pytest.raises(NotAutomorphism):
         GroupAction(G, A, [AlgebraMap.identity(A), double])
+
+
+def _action_on_dual_numbers(*maps):
+    # Z/2 on A = Q[x]/x^2, each element's map built from A
+    A = truncated_polynomial(2)
+    return GroupAction(cyclic_group(2), A, [m(A) for m in maps])
+
+
+def _sign(A):
+    return AlgebraMap.from_images(A, A, [{0: 1}, {1: -1}])
+
+
+def _on_a_copy(A):
+    return AlgebraMap.identity(truncated_polynomial(2))
+
+
+@pytest.mark.parametrize("error, message, build", [
+    (ValidationError, "multiplication table must be square",
+     lambda: FiniteGroup([[0, 1], [1]])),
+    (ValidationError, "table entry out of range",
+     lambda: FiniteGroup([[0, 2], [1, 0]])),
+    (ValidationError, "expected 2 element names",
+     lambda: FiniteGroup([[0, 1], [1, 0]], names=["e"])),
+    (ValidationError, "need one automorphism per group element",
+     lambda: _action_on_dual_numbers(AlgebraMap.identity)),
+    (NotAutomorphism, "action maps must live on the algebra",
+     lambda: _action_on_dual_numbers(AlgebraMap.identity, _on_a_copy)),
+    (NotAutomorphism, "identity element must act as identity",
+     lambda: _action_on_dual_numbers(_sign, AlgebraMap.identity)),
+    (ValidationError, "need one permutation per group element",
+     lambda: FiniteVarietyAction(cyclic_group(2), 2, [(0, 1)])),
+    (ValidationError, "identity element must fix every point",
+     lambda: FiniteVarietyAction(cyclic_group(2), 2, [(1, 0), (0, 1)])),
+], ids=["non-square table", "entry out of range", "names", "automorphisms",
+        "map on another algebra", "identity acts", "permutations",
+        "identity moves a point"])
+def test_group_refusals_are_typed(error, message, build):
+    with pytest.raises(error) as info:
+        build()
+    assert info.type is error and str(info.value) == message

@@ -2,7 +2,7 @@
 
 Run from the repository root:
 
-    python3 tools/unexecuted.py
+    python3 tools/unexecuted.py [pytest arguments]
 
 It runs the tier-1 suite (pytest on tests/) in this process under
 sys.settrace, tracing only frames whose code lives under src/cychom, and
@@ -15,6 +15,12 @@ Left out:
 - ``try`` itself, whose header runs no code of its own;
 - code that only a subprocess started by a test reaches
   (tests/test_window_digest.py runs tools/window_digest.py in one).
+
+Arguments go to pytest in place of tests/, so that
+
+    python3 tools/unexecuted.py tests/test_groups.py
+
+counts what that one file's tests leave unexecuted.
 
 It writes nothing into the repository: no bytecode, no pytest or
 hypothesis cache.  Traced, the suite runs about four times slower (about
@@ -73,13 +79,17 @@ def _tracer(hits: dict):
     return global_trace
 
 
-def main() -> int:
+def main(args: list) -> int:
     sys.dont_write_bytecode = True
     os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
     sys.path.insert(0, str(PACKAGE.parent))
     hits: dict = {}
     trace = _tracer(hits)
     cwd = os.getcwd()
+    # pytest runs in a scratch directory: paths given relative to here
+    # are made absolute first
+    args = [os.path.abspath(a) if os.path.exists(a.split("::")[0]) else a
+            for a in args] or [str(ROOT / "tests")]
     # hypothesis keeps a cache under the working directory it is imported in
     with tempfile.TemporaryDirectory() as scratch:
         os.chdir(scratch)
@@ -89,7 +99,7 @@ def main() -> int:
         sys.settrace(trace)
         try:
             code = pytest.main(["-q", "-p", "no:cacheprovider",
-                                "--rootdir", str(ROOT), str(ROOT / "tests")])
+                                "--rootdir", str(ROOT), *args])
         finally:
             sys.settrace(None)
             threading.settrace(None)
@@ -112,4 +122,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
