@@ -749,8 +749,8 @@ class UnitalizationData:
     augmentation: AlgebraMap
 
 
-def unitalization(A: FDAlgebra) -> UnitalizationData:
-    """Adjoin a unit: A+ = A + Q with (a, s)(b, t) = (ab + sb + ta, st).
+def adjoin_unit(A: FDAlgebra) -> FDAlgebra:
+    """A+ = A + Q with (a, s)(b, t) = (ab + sb + ta, st), validated.
 
     The original basis keeps its indices; the adjoined unit is the last
     coordinate.  Works whether or not A already has a unit.
@@ -767,9 +767,14 @@ def unitalization(A: FDAlgebra) -> UnitalizationData:
         mul[(d, i)] = {i: field.one}
     mul[(d, d)] = {d: field.one}
     labels = list(A.labels) + ["u"]
-    plus = FDAlgebra(d + 1, A.field_order, mul, labels=labels,
+    return FDAlgebra(d + 1, A.field_order, mul, labels=labels,
                      unit={d: field.one},
                      name=(A.name or "A") + "_plus").require_valid()
+
+
+def unitalization(A: FDAlgebra) -> UnitalizationData:
+    """adjoin_unit's A+ with the inclusion of A and the augmentation."""
+    field, d, plus = A.field, A.dim, adjoin_unit(A)
     include = AlgebraMap.from_images(
         A, plus, [{i: field.one} for i in range(d)], multiplicative=True)
     include.validate()

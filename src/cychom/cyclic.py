@@ -20,12 +20,12 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from fractions import Fraction
 from itertools import accumulate
 
-from .algebra import AlgebraMap, FDAlgebra, TwoSidedIdeal, direct_sum, \
-    ideal_as_algebra, quotient_algebra, unitalization
+from .algebra import AlgebraMap, FDAlgebra, TwoSidedIdeal, adjoin_unit, \
+    direct_sum, ideal_as_algebra, quotient_algebra
 from .config import DEFAULT_HP_CUTOFF, check_chain_dims
 from .errors import AmbientMismatch, DegreeTooLow, NonUnital, \
     NotMultiplicative, ValidationError, check_int
@@ -234,26 +234,29 @@ class _ConnesWindow:
     The slot basis is the one bar_complex would use (_SlotData); a degree-n
     coordinate is the class of a word of n + 1 interior codes, and words[n]
     lists the stored ones, each the least of its rotations, in
-    lexicographic order (index[n] is the inverse).  Rotation acts with the
-    sign of t, so [rot^k w] = (-1)^(nk) [w]; an orbit of odd period is its
-    own negative in odd degrees and is dropped.  On the normalized slot
+    lexicographic order.  With m the number of interior codes, a word
+    w_0 .. w_(L-1) is keyed by the integer sum w_j m^(L-1-j) (_code), so
+    that words of one length order as their integers do, and index[n] maps
+    the integer of each stored word to its coordinate.  Rotation acts with
+    the sign of t, so [rot^k w] = (-1)^(nk) [w]; an orbit of odd period is
+    its own negative in odd degrees and is dropped.  On the normalized slot
     basis the codes span A/k, and the window is the reduced complex plus
     the isolated cycle 1^(x)(n+1) in each even degree n, the last
     coordinate there, which adds HC(k); on the unnormalized one it is
     C^lambda(A) itself.  boundaries[n] is b into degree n - 1, computed on
-    the stored words, and periodicity is S on a cycle; both read faces back
-    through a local memo of _read_back that holds only the orbits met.
-    The normalized window's homology is HC(A) once a trace tau, tau(1) = 1,
-    names the reduced classes, those x of degree 2k with tau(S^k x) = 0.
-    periodicity is S on HC(A) for every tau; sbi_check and induced_map_hc
-    take the regular trace over dim A (_unit_trace).
+    the stored words (_add_degree), and periodicity is S on a cycle; both
+    read faces back through a local memo of _read_back that holds only the
+    orbits met.  The normalized window's homology is HC(A) once a trace
+    tau, tau(1) = 1, names the reduced classes, those x of degree 2k with
+    tau(S^k x) = 0.  periodicity is S on HC(A) for every tau; sbi_check and
+    induced_map_hc take the regular trace over dim A (_unit_trace).
     """
 
     def __init__(self, algebra, n_max, normalized):
         self.algebra = algebra
         self.n_max = n_max
         self.normalized = normalized
-        self.field = field = algebra.field
+        self.field = algebra.field
         self.slots = slots = _SlotData(algebra,
                                        [algebra.unit] if normalized else None)
         m = slots.interior_radix
@@ -264,18 +267,7 @@ class _ConnesWindow:
         self.words, self.index, self.dims = [], [], []
         self.boundaries = [None]
         for n in range(n_max + 1):
-            words = [w for w, p in _necklaces(m, n + 1)
-                     if not (n % 2 and p % 2)]
-            self.words.append(words)
-            unit_class = normalized and n % 2 == 0
-            self.dims.append(len(words) + (1 if unit_class else 0))
-            if n:
-                self.boundaries.append(SparseMatrix(
-                    self.dims[n - 1], self.dims[n], field,
-                    rows=_connes_rows((_faces(w, slots.imul) for w in words),
-                                      self.index[n - 1], self.dims[n - 1],
-                                      field)))
-            self.index.append({w: k for k, w in enumerate(words)})
+            self._add_degree(n)
         # lam[a, b]: the unit coefficient of the product of the codes a and
         # b, which imul drops on the normalized slot basis
         unit = min(slots.units[0]) if normalized else None
@@ -284,10 +276,57 @@ class _ConnesWindow:
                     for a, f in enumerate(f_of) for b, g in enumerate(f_of)
                     if unit in slots.mulf[f][g]}
 
+    def _add_degree(self, n: int) -> None:
+        """Store the words of degree n, their index and, for n >= 1, b on
+        them, in one pass: each face's integer comes by arithmetic on the
+        word's integer (_face_sum), is read back through one memo of
+        _read_back for the degree and added into its row in place, so each
+        row holds its entries in increasing column order."""
+        m, field = self.slots.interior_radix, self.field
+        words = [w for w, p in _necklaces(m, n + 1) if not (n % 2 and p % 2)]
+        self.words.append(words)
+        unit_class = self.normalized and n % 2 == 0
+        self.dims.append(len(words) + (1 if unit_class else 0))
+        self.index.append(index := {})
+        if not n:
+            index.update((w[0], k) for k, w in enumerate(words))
+            return
+        target, memo = self.index[n - 1], {}
+        rows = [{} for _ in range(self.dims[n - 1])]
+        add, is_zero = field.add, field.is_zero
+        # both signs of each product of two codes
+        signed = [[[(k, (c, field.neg(c))) for k, c in prod.items()]
+                   for prod in row] for row in self.slots.imul]
+        steps = [m ** (n - 1 - i % n) for i in range(n + 1)]
+        for col, w in enumerate(words):
+            x = 0
+            for a in w:
+                x = x * m + a
+            index[x] = col
+            for i, (a, b) in enumerate(zip(w, w[1:] + w[:1])):
+                if pairs := signed[a][b]:
+                    step = steps[i]
+                    base = x // (step * m * m) * step * m + x % step \
+                        if i < n else x // m % step
+                    for k, cs in pairs:
+                        stored = memo.get(face := base + k * step, _UNREAD)
+                        if stored is _UNREAD:
+                            stored = _read_back(face, m, n, target, memo)
+                        if stored is not None:
+                            r, odd = stored
+                            row, c = rows[r], cs[(i + odd) & 1]
+                            prev = row.get(col)
+                            if prev is not None and is_zero(c := add(prev, c)):
+                                del row[col]
+                            else:
+                                row[col] = c
+        self.boundaries.append(SparseMatrix(self.dims[n - 1], self.dims[n],
+                                            field, rows=rows))
+
     def periodicity(self, n: int, chain: dict) -> dict:
         """Connes' S on a degree-n cycle x, n >= 2, as a degree n - 2 chain.
 
-        b x on words of n codes is z, the faces of _faces kept exact, plus
+        b x on words of n codes is z, the faces of b kept exact, plus
         1 (x) U, the unit parts that face 0 and the wrap face drop:
         lam(w_0, w_1) w[2:] and (-1)^n lam(w_n, w_0) w[1:n].  As x is a
         cycle, z lies in the image of 1 - t, and y = -(1/n) sum_(k<n) k t^k z
@@ -305,83 +344,111 @@ class _ConnesWindow:
         if any(not 0 <= k < self.dims[n] for k in chain):
             raise AmbientMismatch("degree %d has coordinates 0..%d"
                                   % (n, self.dims[n] - 1))
-        words = self.words[n]
-        out = {len(self.words[n - 2]): c for k, c in chain.items()
-               if k == len(words)}
-        return self._s_of_words(n, [(words[k], c) for k, c in chain.items()
-                                    if k < len(words)], out)
+        words, m = self.words[n], self.slots.interior_radix
+        out = self._s_of_words(n, [(_code(words[k], m), c)
+                                   for k, c in chain.items()
+                                   if k < len(words)])
+        if len(words) in chain:
+            out[len(self.words[n - 2])] = chain[len(words)]
+        return out
 
-    def _s_of_words(self, n: int, terms, out: dict) -> dict:
-        """periodicity's S of the sum of c w over (w, c) in terms, added into
-        out; other words for the same classes move it by a boundary."""
+    def _s_of_words(self, n: int, terms) -> dict:
+        """periodicity's S of the sum of c w over (x, c) in terms, x the
+        integer of a word w of n + 1 codes, off the unit class; other words
+        for the same classes move it by a boundary."""
         field, imul, lam = self.field, self.slots.imul, self.lam
-        z, w = {}, {}
-        for word, c in terms:
-            for i, face, v in _faces(word, imul):
-                add_term(z, face, field.mul(field.neg(c) if i % 2 else c, v),
-                         field)
-            # w holds n times w, n U here and b'(Y) = -n b'(y) below, so
-            # that only integers scale it before q does
-            for pair, rest, times in (((word[0], word[1]), word[2:], n),
-                                      ((word[n], word[0]), word[1:n],
+        m = self.slots.interior_radix
+        z = _face_sum(terms, m, n + 1, n + 1, imul, field)
+        # w holds n times w, n U here and b'(Y) = -n b'(y) below, so that
+        # only integers scale it before q does; x is w_0 then rest = w[1:]
+        w, low = {}, m ** (n - 1)
+        for x, c in terms:
+            first, rest = divmod(x, m * low)
+            for pair, tail, times in (((first, rest // low), rest % low, n),
+                                      ((x % m, first), rest // m,
                                        (-1) ** n * n)):
                 if pair in lam:
-                    add_term(w, rest, field.scale(field.mul(c, lam[pair]),
+                    add_term(w, tail, field.scale(field.mul(c, lam[pair]),
                                                   times), field)
-        # Y = -n y: t^r moves the last r letters to the front
+        # Y = -n y: t^r moves the last r letters to the front, which is
+        # the rotation n - r places left
         Y = {}
         for u, c in z.items():
+            rotations = _rotations(u, m, n)
             for r in range(1, n):
-                add_term(Y, u[n - r:] + u[:n - r],
+                add_term(Y, rotations[n - r],
                          field.scale(c, -r if (n - 1) * r % 2 else r), field)
         # b' is minus the faces other than the wrap face, i = n - 1
-        for u, c in Y.items():
-            for i, face, v in _faces(u, imul):
-                if i < n - 1:
-                    add_term(w, face, field.mul(c if i % 2 else field.neg(c),
-                                                v), field)
-        q = Fraction(-1, n * (n - 1))
+        for u, c in _face_sum(Y.items(), m, n, n - 1, imul, field).items():
+            add_term(w, u, field.neg(c), field)
+        q, out = Fraction(-1, n * (n - 1)), {}
         target, memo = self.index[n - 2], {}
         for u, c in w.items():
             stored = memo.get(u, _UNREAD)
             if stored is _UNREAD:
-                stored = _read_back(u, target, memo)
+                stored = _read_back(u, m, n - 1, target, memo)
             if stored is not None:
                 k, odd = stored
                 add_term(out, k, field.scale(c, -q if odd else q), field)
         return out
 
 
-def _faces(word, imul):
-    """The faces of b on a word of degree n = len(word) - 1, as (i, face,
-    c): face i < n multiplies c_i c_(i+1) and face n wraps c_n c_0 to the
-    front, with sign (-1)^i, and c is the coefficient of the face word's
-    product code in imul."""
-    n = len(word) - 1
-    for i in range(n + 1):
-        pair = imul[word[i]][word[i + 1]] if i < n else imul[word[n]][word[0]]
-        if pair:
-            head, tail = (word[:i], word[i + 2:]) if i < n else ((), word[1:n])
-            for k, c in pair.items():
-                yield i, head + (k,) + tail, c
+def _code(word, m: int) -> int:
+    """The integer sum w_j m^(L-1-j) of the word w_0 .. w_(L-1)."""
+    return reduce(lambda x, a: x * m + a, word, 0)
+
+
+def _rotations(x: int, m: int, length: int) -> list:
+    """The integers of the rotations w_r .. w_(L-1) w_0 .. w_(r-1), r = 0 ..
+    L - 1, of the word of length L with the integer x: one place on is
+    (x mod m^(L-1)) m + x div m^(L-1)."""
+    top = m ** (length - 1)
+    out = [x]
+    for _ in range(length - 1):
+        x = x % top * m + x // top
+        out.append(x)
+    return out
+
+
+def _face_sum(terms, m: int, length: int, count: int, imul, field) -> dict:
+    """The faces i < count of b, with the signs (-1)^i, on the sum of c w
+    over (x, c) in terms, w the word of the given length with the integer
+    x, as {face integer: coefficient}.  With n = length - 1, face i < n puts
+    a code k of the product w_i w_(i+1) in place of the pair, which gives
+    the integer (x div m^(n+1-i)) m^(n-i) + k m^(n-1-i) + x mod m^(n-1-i);
+    the wrap face n puts a code k of w_n w_0 in front of w_1 .. w_(n-1),
+    which gives k m^(n-1) + (x div m) mod m^(n-1).  _ConnesWindow's
+    boundary takes its faces by the same arithmetic, inline."""
+    n, out = length - 1, {}
+    for x, c in terms:
+        word = [x // m ** (n - j) % m for j in range(length)]
+        for i in range(count):
+            if prod := imul[word[i]][word[(i + 1) % length]]:
+                step = m ** (n - 1 - i % n)
+                base = x // (step * m * m) * step * m + x % step if i < n \
+                    else x // m % step
+                signed = field.neg(c) if i % 2 else c
+                for k, v in prod.items():
+                    add_term(out, base + k * step, field.mul(signed, v), field)
+    return out
 
 
 # the memo value of a word whose orbit _read_back has not met yet
 _UNREAD = object()
 
 
-def _read_back(word, index: dict, memo: dict):
-    """The stored class of a word of degree d = len(word) - 1: (k, odd) with
-    [word] = (-1)^odd [the word of index k], or None when its orbit was
-    dropped.  memo, which a caller keeps for one target degree and reads
-    first, gets the same for every rotation, so each orbit met is rotated
-    once.  The stored word is the least rotation, r0 places on, so the
-    rotation r places on has odd = d (r0 - r) mod 2; a word of period p
-    repeats its rotations, and a kept orbit has d p even, so they agree.
+def _read_back(x: int, m: int, length: int, index: dict, memo: dict):
+    """The stored class of the word w_0 .. w_(L-1), L = length, whose
+    integer is x = sum w_j m^(L-1-j): (k, odd) with [word] = (-1)^odd [the
+    word of coordinate k], or None when its orbit was dropped.  memo, which
+    a caller keeps for one target degree and reads first, gets the same for
+    every rotation, so each orbit met is rotated once: one place on is
+    (x mod m^(L-1)) m + x div m^(L-1) (_rotations).  The stored word is the
+    least rotation, the least integer, r0 places on, so the rotation r
+    places on has odd = (L - 1)(r0 - r) mod 2; a word of period p repeats
+    its rotations, and a kept orbit has (L - 1) p even, so they agree.
     """
-    length = len(word)
-    twice = word + word
-    rotations = [twice[r:r + length] for r in range(length)]
+    rotations = _rotations(x, m, length)
     least = min(rotations)
     k = index.get(least)
     if k is None:
@@ -390,27 +457,27 @@ def _read_back(word, index: dict, memo: dict):
     d, r0 = length - 1, rotations.index(least)
     signed = (k, 0), (k, 1)
     memo.update({u: signed[d * (r0 - r) % 2] for r, u in enumerate(rotations)})
-    return memo[word]
+    return memo[x]
 
 
-def _connes_rows(columns, target: dict, nrows: int, field) -> list:
-    """Rows of the map that sends column k to the sum of (-1)^i c [u] over
-    the (i, u, c) of the k-th of columns (the faces of b, or the terms of a
-    chain map), each u read back into target through one memo of
-    _read_back local to this map.  Columns are visited in order, so each
-    row holds its entries in increasing column order.
+def _connes_rows(columns, target: dict, m: int, length: int, nrows: int,
+                 field) -> list:
+    """Rows of the map that sends column k to the sum of c [u] over the
+    (x, c) of the k-th of columns (the terms of a chain map), u the word of
+    the given length with the integer x, each read back into target through
+    one memo of _read_back local to this map.  Columns are visited in
+    order, so each row holds its entries in increasing column order.
     """
     rows = [{} for _ in range(nrows)]
     memo = {}
     for col, terms in enumerate(columns):
-        for i, face, c in terms:
-            stored = memo.get(face, _UNREAD)
+        for x, c in terms:
+            stored = memo.get(x, _UNREAD)
             if stored is _UNREAD:
-                stored = _read_back(face, target, memo)
+                stored = _read_back(x, m, length, target, memo)
             if stored is not None:
                 row, odd = stored
-                add_term(rows[row], col,
-                         field.neg(c) if (i + odd) % 2 else c, field)
+                add_term(rows[row], col, field.neg(c) if odd else c, field)
     return rows
 
 
@@ -422,20 +489,21 @@ def _connes_chain_maps(src: _ConnesWindow, tgt: _ConnesWindow, letters,
     letter lies in the tensors with a 1, which the reduced complex divides
     out, and the unit class goes to the unit class (phi is unital).
     """
-    field = tgt.field
+    field, m = tgt.field, tgt.slots.interior_radix
     images = [e[0][0] for e in letters]
 
     def power(word):
-        # distinct prefixes take distinct last letters: no term repeats
-        image = {(): field.one}
+        # the integers of the image words, letter by letter: distinct
+        # prefixes take distinct integers, so no term repeats
+        image = {0: field.one}
         for code in word:
-            image = {u + (k,): field.mul(c, a) for u, c in image.items()
+            image = {u * m + k: field.mul(c, a) for u, c in image.items()
                      for k, a in images[code].items()}
-        return [(0, u, c) for u, c in image.items()]
+        return image.items()
 
     maps = []
     for n in range(top + 1):
-        rows = _connes_rows(map(power, src.words[n]), tgt.index[n],
+        rows = _connes_rows(map(power, src.words[n]), tgt.index[n], m, n + 1,
                             tgt.dims[n], field)
         if src.dims[n] > len(src.words[n]):
             rows[-1][src.dims[n] - 1] = field.one
@@ -578,13 +646,15 @@ def sbi_check(A: FDAlgebra, n_max: int,
     hh_report = _homology_report(A, hoch, hoch.boundaries, n_max)
     hh_degrees, hc_degrees = hh_report.degrees, hc_report.degrees
     field, code, f_of = window.field, window.slots.code, window.slots.interior
+    m = window.slots.interior_radix
     i_maps = {}
     for n in range(n_max + 1):
+        # on this one-state window the chain (s, u) has the index
+        # s m^n + rank(u), and rank(u) is the integer of u
         rows = _connes_rows(
-            ([(0, (code[s],) + u, field.one)] if s in code else []
-             for values, words in hoch.slots.blocks(n)
-             for s in values for u in words),
-            window.index[n], window.dims[n], field)
+            ([(code[s] * m ** n + r, field.one)] if s in code else []
+             for s, r in (divmod(j, m ** n) for j in range(hoch.dims[n]))),
+            window.index[n], m, n + 1, window.dims[n], field)
         if n == 0 and window.normalized:
             rows[-1] = _unit_trace(A, window.slots.f_vectors)
         i_maps[n] = induced_map(
@@ -654,7 +724,7 @@ def hp(A: FDAlgebra, mode: str = "radical_shortcut",
         raise ValidationError("unknown hp mode %r" % mode)
     adjoined = 0 if A.is_unital else 1
     if adjoined:
-        A = unitalization(A).algebra
+        A = adjoin_unit(A)
     even = center(semisimple_quotient(A)[0].algebra).dim - adjoined
     report = HPReport(even_dim=even, odd_dim=0,
                       method=mode + ("+unitalization" if adjoined else ""))
@@ -775,12 +845,14 @@ class _SubComplex:
 
     def _periodicity(self, n: int, x: dict) -> dict:
         window, field = self.window, self.window.field
+        m = window.slots.interior_radix
         # [rot^r w] = (-1)^(nr) [w], and the kernel has no unit class
         share = [Fraction((-1) ** (n * r), n + 1) for r in range(n + 1)]
         coords = self.spaces[n - 2].coords(window._s_of_words(n, [
-            (w[r:] + w[:r], field.scale(c, share[r]))
+            (u, field.scale(c, share[r]))
             for k, c in self.embed(n).mat_vec(x).items()
-            for w in [window.words[n][k]] for r in range(n + 1)], {}))
+            for r, u in enumerate(_rotations(_code(window.words[n][k], m), m,
+                                             n + 1))]))
         if coords is None:
             raise ValidationError("S does not preserve the subcomplex")
         return coords
@@ -819,17 +891,17 @@ def excision_check(A: FDAlgebra, J: TwoSidedIdeal,
     algebra_hp = hp(A)
     quotient_hp = hp(Qd.algebra)
 
-    Ap = unitalization(A)
-    Qp = unitalization(Qd.algebra)
+    Ap = adjoin_unit(A)
+    Qp = adjoin_unit(Qd.algebra)
     field = A.field
     images = [Qd.projection.apply({i: field.one}) for i in range(A.dim)]
     images.append({Qd.algebra.dim: field.one})
-    pi_plus = AlgebraMap.from_images(Ap.algebra, Qp.algebra, images,
+    pi_plus = AlgebraMap.from_images(Ap, Qp, images,
                                      multiplicative=True, unital=True)
     pi_plus.validate()
 
-    hc_A = hc(Ap.algebra, cutoff)
-    hc_Q = hc(Qp.algebra, cutoff)
+    hc_A = hc(Ap, cutoff)
+    hc_Q = hc(Qp, cutoff)
     WA, WQ = hc_A.window, hc_Q.window
     pi_chain = _connes_chain_maps(WA, WQ, _phi_slot_maps(pi_plus, WA, WQ)[1],
                                   cutoff + 1)

@@ -29,9 +29,9 @@ from fractions import Fraction
 from .algebra import (
     FDAlgebra,
     TwoSidedIdeal,
+    adjoin_unit,
     quotient_algebra,
     two_sided_ideal,
-    unitalization,
 )
 from .errors import AmbientMismatch, NonUnital, ValidationError
 from .linalg import Echelon, SparseMatrix, Subspace, _adapter, add_term, \
@@ -86,7 +86,7 @@ def jacobson_radical(A: FDAlgebra) -> TwoSidedIdeal:
     if A.is_unital:
         kernel = _trace_form_kernel(A)
     else:
-        kernel = _trace_form_kernel(unitalization(A).algebra)
+        kernel = _trace_form_kernel(adjoin_unit(A))
         if any(A.dim in vec for vec in kernel):
             raise ValidationError(
                 "radical of the unitalization leaks onto the unit")

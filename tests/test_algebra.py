@@ -9,6 +9,7 @@ from cychom.algebra import (
     AlgebraMap,
     FDAlgebra,
     TwoSidedIdeal,
+    adjoin_unit,
     diagonal_bimodule,
     direct_sum,
     functions_on_points,
@@ -446,6 +447,8 @@ def test_unitalization_of_zero_multiplication_line():
     data.augmentation.validate()
     assert data.augmentation.apply(P.unit) == {0: 1}
     assert data.augmentation.apply(x) == {}
+    # the maps ride on the one builder of A+, which hp calls alone
+    assert adjoin_unit(Z).mul == P.mul and adjoin_unit(Z).unit == P.unit
 
 
 def test_unitalization_of_unital_algebra_keeps_old_unit_inside():

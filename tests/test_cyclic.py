@@ -5,6 +5,7 @@ bicomplex_oracle; every route on Connes' complex is compared with it.
 """
 
 import random
+from fractions import Fraction
 from functools import partial
 from itertools import product
 
@@ -28,8 +29,10 @@ from cychom.algebra import (
 from cychom import config
 from cychom.crossprod import variety_crossed_product
 from cychom.cyclic import (
-    _faces,
+    _code,
+    _connes_chain_maps,
     _read_back,
+    _unit_trace,
     _s_on_homology,
     _s_tower,
     cyclic_complex,
@@ -53,8 +56,8 @@ from cychom.errors import (
 )
 from cychom.groups import FiniteVarietyAction, cyclic_group, group_algebra, \
     symmetric_group_3
-from cychom.hochschild import bar_complex, center_action, hh, homotopy_s, \
-    induced_map_hh
+from cychom.hochschild import _phi_slot_maps, bar_complex, center_action, \
+    hh, homotopy_s, induced_map_hh
 from cychom.linalg import SparseMatrix, Subspace, add_term, homology, \
     induced_map, vec_add, vec_axpy, vec_equal, vec_sub
 from cychom.spectrum import extend_scalars
@@ -369,6 +372,27 @@ def test_nonunital_algebra_is_rejected():
         cyclic_complex(Z, 2)
 
 
+def _coefficient_window():
+    A = truncated_polynomial(2)
+    return bar_complex(A, 2, coefficients=diagonal_bimodule(A))
+
+
+@pytest.mark.parametrize("error, message, call", [
+    (ValidationError, "the B operator needs coefficients in A",
+     lambda: operator_B(_coefficient_window(), 0, {})),
+    (NonUnital, "cyclic homology needs a unital algebra",
+     lambda: hc(FDAlgebra(1, 1, {}, labels=["x"]), 2)),
+    (NotMultiplicative, "induced maps need a multiplicative map",
+     lambda: induced_map_hc(AlgebraMap(
+         truncated_polynomial(2), truncated_polynomial(2),
+         SparseMatrix.identity(2, truncated_polynomial(2).field)), 1)),
+], ids=["B with coefficients", "hc without a unit", "hc of a linear map"])
+def test_cyclic_refusals_are_typed(error, message, call):
+    with pytest.raises(error) as info:
+        call()
+    assert info.type is error and str(info.value) == message
+
+
 # ---------------------------------------------------------------------------
 # S and I
 
@@ -538,6 +562,149 @@ def test_hc_over_budget_is_refused_before_any_word(monkeypatch):
     assert visited == []
 
 
+# The tuple route that the library took before it keyed words by integers
+# (see _ConnesWindow), kept as the oracle of the integer route: faces are
+# tuples sliced out of the words, read back by slicing every rotation.
+
+
+def _faces(word, imul):
+    """The faces of b on a word of degree n = len(word) - 1, as (i, face,
+    c): face i < n multiplies c_i c_(i+1) and face n wraps c_n c_0 to the
+    front, with sign (-1)^i, and c is the coefficient of the face word's
+    product code in imul."""
+    n = len(word) - 1
+    for i in range(n + 1):
+        pair = imul[word[i]][word[i + 1]] if i < n else imul[word[n]][word[0]]
+        if pair:
+            head, tail = (word[:i], word[i + 2:]) if i < n else ((), word[1:n])
+            for k, c in pair.items():
+                yield i, head + (k,) + tail, c
+
+
+def _tuple_read_back(word, index, memo):
+    """The stored class (k, odd) of a tuple word, or None, with every
+    rotation put into memo."""
+    length = len(word)
+    twice = word + word
+    rotations = [twice[r:r + length] for r in range(length)]
+    least = min(rotations)
+    k = index.get(least)
+    if k is None:
+        memo.update(dict.fromkeys(rotations))
+        return None
+    d, r0 = length - 1, rotations.index(least)
+    signed = (k, 0), (k, 1)
+    memo.update({u: signed[d * (r0 - r) % 2] for r, u in enumerate(rotations)})
+    return memo[word]
+
+
+def _tuple_connes_rows(columns, target, nrows, field):
+    """Rows of the map that sends column k to the sum of (-1)^i c [u] over
+    the (i, u, c) of the k-th of columns, u a tuple read back into target."""
+    rows = [{} for _ in range(nrows)]
+    memo = {}
+    for col, terms in enumerate(columns):
+        for i, face, c in terms:
+            stored = memo[face] if face in memo else \
+                _tuple_read_back(face, target, memo)
+            if stored is not None:
+                row, odd = stored
+                add_term(rows[row], col,
+                         field.neg(c) if (i + odd) % 2 else c, field)
+    return rows
+
+
+def _tuple_index(window, n):
+    return {w: k for k, w in enumerate(window.words[n])}
+
+
+def _tuple_boundary(window, n):
+    return _tuple_connes_rows(
+        (_faces(w, window.slots.imul) for w in window.words[n]),
+        _tuple_index(window, n - 1), window.dims[n - 1], window.field)
+
+
+def _tuple_periodicity(window, n, chain):
+    """_ConnesWindow.periodicity on tuples, step for step."""
+    field, imul, lam = window.field, window.slots.imul, window.lam
+    words = window.words[n]
+    out = {len(window.words[n - 2]): c for k, c in chain.items()
+           if k == len(words)}
+    z, w = {}, {}
+    for k, c in chain.items():
+        if k == len(words):
+            continue
+        word = words[k]
+        for i, face, v in _faces(word, imul):
+            add_term(z, face, field.mul(field.neg(c) if i % 2 else c, v),
+                     field)
+        for pair, rest, times in (((word[0], word[1]), word[2:], n),
+                                  ((word[n], word[0]), word[1:n],
+                                   (-1) ** n * n)):
+            if pair in lam:
+                add_term(w, rest, field.scale(field.mul(c, lam[pair]), times),
+                         field)
+    Y = {}
+    for u, c in z.items():
+        for r in range(1, n):
+            add_term(Y, u[n - r:] + u[:n - r],
+                     field.scale(c, -r if (n - 1) * r % 2 else r), field)
+    for u, c in Y.items():
+        for i, face, v in _faces(u, imul):
+            if i < n - 1:
+                add_term(w, face, field.mul(c if i % 2 else field.neg(c), v),
+                         field)
+    q = Fraction(-1, n * (n - 1))
+    target, memo = _tuple_index(window, n - 2), {}
+    for u, c in w.items():
+        stored = memo[u] if u in memo else _tuple_read_back(u, target, memo)
+        if stored is not None:
+            k, odd = stored
+            add_term(out, k, field.scale(c, -q if odd else q), field)
+    return out
+
+
+def _tuple_chain_maps(src, tgt, letters, top):
+    """_connes_chain_maps on tuples: each word's image word by word."""
+    field = tgt.field
+    images = [e[0][0] for e in letters]
+
+    def power(word):
+        image = {(): field.one}
+        for code in word:
+            image = {u + (k,): field.mul(c, a) for u, c in image.items()
+                     for k, a in images[code].items()}
+        return [(0, u, c) for u, c in image.items()]
+
+    maps = []
+    for n in range(top + 1):
+        rows = _tuple_connes_rows(map(power, src.words[n]),
+                                  _tuple_index(tgt, n), tgt.dims[n], field)
+        if src.dims[n] > len(src.words[n]):
+            rows[-1][src.dims[n] - 1] = field.one
+        maps.append(rows)
+    return maps
+
+
+def _tuple_i_rows(window, hoch, n):
+    """sbi_check's I in degree n on tuples: (s, u) goes to the class of
+    code(s) u, or to nothing when s is outside the interior."""
+    field, code = window.field, window.slots.code
+    rows = _tuple_connes_rows(
+        ([(0, (code[s],) + u, field.one)] if s in code else []
+         for values, words in hoch.slots.blocks(n)
+         for s in values for u in words),
+        _tuple_index(window, n), window.dims[n], field)
+    if n == 0 and window.normalized:
+        rows[-1] = _unit_trace(window.algebra, window.slots.f_vectors)
+    return rows
+
+
+def _ordered(rows):
+    """Rows with the order of their entries, which the matrices keep."""
+    return [list(row.items()) for row in rows]
+
+
 def _slow_read_back(word, index):
     """_read_back without a memo: every rotation of the word is sliced,
     and the stored word is their least, shifted r places, with odd the
@@ -557,12 +724,12 @@ def _top_as_connes(connes, total, n, chain):
     term whose slot 0 holds the unit (no interior code) is dropped, and
     the rest is read back into the stored words."""
     hoch, field, code = total.hochschild_window, total.field, connes.slots.code
+    index = _tuple_index(connes, n)
     out = {}
     for i, c in total.component(n, chain, 0).items():
         s, *word = hoch.tuple_of(n, i)
         if s in code:
-            stored = _slow_read_back((code[s],) + tuple(word),
-                                     connes.index[n])
+            stored = _slow_read_back((code[s],) + tuple(word), index)
             if stored is not None:
                 k, odd = stored
                 add_term(out, k, field.neg(c) if odd else c, field)
@@ -581,6 +748,40 @@ S_ORACLE_CASES = {
         lambda: _relabelled(HC_CASES["exterior(Q^2)"][0](), 7), 4, 3),
     "Q[x]/x^4 seed 7": (lambda: _relabelled(truncated_polynomial(4), 7), 5, 4),
 }
+
+
+@pytest.mark.parametrize("normalized", [True, False])
+@pytest.mark.parametrize("name", sorted(S_ORACLE_CASES))
+def test_integer_words_give_the_tuple_route(name, normalized, monkeypatch):
+    # the boundaries, entry order included, S on every stored word, the
+    # chain maps of the projection A + k -> A and sbi_check's I-maps
+    make, top, top_plain = S_ORACLE_CASES[name]
+    A = make()
+    window = hc(A, top if normalized else top_plain,
+                normalized=normalized).window
+    field, one = window.field, window.field.one
+    for n in range(1, window.n_max + 1):
+        assert _ordered(window.boundaries[n].rows) == \
+            _ordered(_tuple_boundary(window, n))
+    for n in range(2, window.n_max):
+        for j in range(window.dims[n]):
+            assert window.periodicity(n, {j: one}) == \
+                _tuple_periodicity(window, n, {j: one})
+    phi = direct_sum(A, ground_field(A.field_order)).project_left
+    src = hc(phi.source, 3, normalized=normalized).window
+    tgt = hc(A, 3, normalized=normalized).window
+    letters = _phi_slot_maps(phi, src, tgt)[1]
+    assert [_ordered(f.rows) for f in _connes_chain_maps(src, tgt, letters, 3)] \
+        == [_ordered(rows) for rows in _tuple_chain_maps(src, tgt, letters, 3)]
+    seen = []
+    monkeypatch.setattr("cychom.cyclic.induced_map",
+                        lambda f, *args: seen.append(f) or induced_map(f, *args))
+    report = sbi_check(A, 2, normalized=normalized)
+    hoch = bar_complex(A, 3, normalized=normalized)
+    # the first induced maps of sbi_check are I in degrees 0, 1, 2
+    for n in range(3):
+        assert _ordered(seen[n].rows) == \
+            _ordered(_tuple_i_rows(report.cyclic.window, hoch, n))
 
 
 @pytest.mark.parametrize("normalized", [True, False])
@@ -611,26 +812,35 @@ def test_connes_S_is_the_total_complex_S_at_chain_level(name, normalized):
             assert H.coords(left) == H.coords(right)
 
 
+def _word(x, m, length):
+    """The word of the given length whose integer is x."""
+    return tuple(x // m ** (length - 1 - j) % m for j in range(length))
+
+
 @pytest.mark.parametrize("normalized", [True, False])
 @pytest.mark.parametrize("name", ["Q[x]/x^4 seed 7", "QZ3 over Q(zeta3)",
                                   "U3", "exterior(Q^2) seed 7"])
 def test_the_orbit_memo_reads_back_like_every_rotation(name, normalized):
-    # one memo per target degree, as _connes_rows keeps it: each face of
+    # one memo per target degree, as the boundary keeps it: each face of
     # each stored word, whether it fills the memo or hits it, and every
     # rotation the memo holds, has the class and sign of the slow route
     make, top, top_plain = S_ORACLE_CASES[name]
     window = hc(make(), top if normalized else top_plain,
                 normalized=normalized).window
+    m = window.slots.interior_radix
     held = 0
     for n in range(1, window.n_max + 1):
         target, memo = window.index[n - 1], {}
+        slow = _tuple_index(window, n - 1)
+        assert list(target) == [_code(w, m) for w in window.words[n - 1]]
         for word in window.words[n]:
             for _, face, _ in _faces(word, window.slots.imul):
-                stored = memo[face] if face in memo else \
-                    _read_back(face, target, memo)
-                assert stored == _slow_read_back(face, target)
-        for u, stored in memo.items():
-            assert stored == _slow_read_back(u, target)
+                x = _code(face, m)
+                stored = memo[x] if x in memo else \
+                    _read_back(x, m, n, target, memo)
+                assert stored == _slow_read_back(face, slow)
+        for x, stored in memo.items():
+            assert stored == _slow_read_back(_word(x, m, n), slow)
         held += len(memo)
     assert held
 
@@ -639,9 +849,9 @@ def test_the_orbit_memo_fills_once_per_orbit_met(monkeypatch):
     # hc(Q[x]/x^5, 5)'s window: 4 reduced codes, degrees 0..6
     fills = []
 
-    def counted(word, index, memo):
-        fills.append(word)
-        return _read_back(word, index, memo)
+    def counted(x, m, length, index, memo):
+        fills.append(_word(x, m, length))
+        return _read_back(x, m, length, index, memo)
 
     monkeypatch.setattr("cychom.cyclic._read_back", counted)
     window = hc(truncated_polynomial(5), 5).window
@@ -650,7 +860,8 @@ def test_the_orbit_memo_fills_once_per_orbit_met(monkeypatch):
         faces = {face for word in window.words[n]
                  for _, face, _ in _faces(word, window.slots.imul)}
         orbits = {min(w[r:] + w[:r] for r in range(n)) for w in met}
-        dropped = sum(1 for w in orbits if w not in window.index[n - 1])
+        dropped = sum(1 for w in orbits
+                      if w not in _tuple_index(window, n - 1))
         assert len(orbits) == len(met)
         assert len(met) <= len(faces)
         assert len(met) <= len(window.words[n - 1]) + dropped

@@ -16,12 +16,14 @@ from cychom.algebra import (
     direct_sum,
     ground_field,
     functions_on_points,
+    ideal_as_algebra,
     ideal_generated_by,
     matrix_algebra,
     quotient_algebra,
     subalgebra_closure,
     truncated_polynomial,
     twisted_bimodule,
+    two_sided_ideal,
     upper_triangular,
 )
 from cychom.chern import CyclicChain, _extend_cycle, chern_idempotent, \
@@ -828,6 +830,53 @@ def test_center_action_unnormalized():
     z2 = center_action(w, z, 2)
     z1 = center_action(w, z, 1)
     assert w.boundaries[2].matmul(z2).equals(z1.matmul(w.boundaries[2]))
+
+
+def _zero_line():
+    """The nonunital line x with x^2 = 0."""
+    return FDAlgebra(1, 1, {}, labels=["x"])
+
+
+def _coefficient_window():
+    A = truncated_polynomial(2)
+    return bar_complex(A, 2, coefficients=diagonal_bimodule(A))
+
+
+@pytest.mark.parametrize("error, message, call", [
+    (ValidationError, "variant must be b or b_prime",
+     lambda: bar_complex(truncated_polynomial(2), 2, variant="c")),
+    (NonUnital, "coefficient complexes need a unital algebra",
+     lambda: bar_complex(Z := _zero_line(), 2,
+                         coefficients=diagonal_bimodule(Z))),
+    (ValidationError, "bimodule belongs to a different algebra",
+     lambda: bar_complex(truncated_polynomial(2), 2, coefficients=(
+         diagonal_bimodule(truncated_polynomial(2))))),
+    (NonUnital, "the homotopy needs a unit",
+     lambda: homotopy_s(bar_complex(_zero_line(), 2), 0, {})),
+    (ValidationError, "the homotopy lives on the unnormalized complex",
+     lambda: homotopy_s(bar_complex(truncated_polynomial(2), 2,
+                                    normalized=True), 0, {})),
+    (ValidationError, "the homotopy is for the coefficient-free complex",
+     lambda: homotopy_s(_coefficient_window(), 0, {})),
+    (ValidationError, "window too short for the homotopy target degree",
+     lambda: homotopy_s(bar_complex(truncated_polynomial(2), 2), 2, {})),
+    (NotMultiplicative, "normalized induced maps need a unital map",
+     lambda: induced_map_hh(ideal_as_algebra(two_sided_ideal(
+         truncated_polynomial(3), [{1: 1}, {2: 1}]))[1], 1,
+         normalized=True)),
+    (NonUnital, "Morita maps need a unital base algebra",
+     lambda: tr_star_and_iota(_zero_line(), 2, 1)),
+    (ValidationError, "center action is for the coefficient-free complex",
+     lambda: center_action(_coefficient_window(), {0: 1}, 0)),
+], ids=["unknown variant", "nonunital coefficients", "foreign bimodule",
+        "homotopy without a unit", "homotopy on the reduced window",
+        "homotopy with coefficients", "homotopy past the window",
+        "normalized map without a unit", "Morita without a unit",
+        "center action with coefficients"])
+def test_hochschild_refusals_are_typed(error, message, call):
+    with pytest.raises(error) as info:
+        call()
+    assert info.type is error and str(info.value) == message
 
 
 def test_center_action_refuses_coordinates_outside_the_algebra():
