@@ -17,14 +17,7 @@ class ValidationError(CychomError):
 
 
 class ParseError(CychomError):
-    """A serialized file or scalar string could not be read.
-
-    Carries ``line`` (1-based) when the offending line is known.
-    """
-
-    def __init__(self, message: str, line: int | None = None):
-        super().__init__(message if line is None else f"line {line}: {message}")
-        self.line = line
+    """A scalar string could not be read."""
 
 
 # -- scalar / linear algebra ------------------------------------------------
@@ -77,10 +70,6 @@ class DegreeTooLow(ValidationError):
 
 class SplittingFieldTooLarge(CychomError):
     """Central idempotents need a cyclotomic order beyond the configured bound."""
-
-
-class FiltrationNotStandard(ValidationError):
-    """Filtration handed to the spectral sequence is not the standard one."""
 
 
 class FiltrationNotRespected(ValidationError):

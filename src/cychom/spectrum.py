@@ -31,7 +31,6 @@ from .config import default_budget
 from .cyclic import HPReport, hp
 from .errors import (
     FiltrationNotRespected,
-    FiltrationNotStandard,
     NonUnital,
     SplittingFieldTooLarge,
     ValidationError,
@@ -139,9 +138,7 @@ class SpectrumReport:
     the coefficient field that splits its center; ``field_order`` names
     that field.  ``central_characters[j]`` is the maximal ideal of the
     center cut out by ``prim_points[j]``, in the coordinates of the
-    center's own basis.  The topology on the finite point set is
-    discrete; ``closure_relations`` records the (empty) list of proper
-    specializations so downstream consumers see the general data model.
+    center's own basis.  ``semisimple`` is the quotient by the radical.
     """
 
     algebra: FDAlgebra
@@ -151,8 +148,7 @@ class SpectrumReport:
     prim_points: list
     central_characters: list
     center: Subspace
-    closure_relations: list
-    semisimple: object = None
+    semisimple: object
 
     @property
     def n_points(self) -> int:
@@ -208,7 +204,7 @@ def _blocks_over(ext: FDAlgebra):
         algebra=ext, field_order=ext.field_order, radical=radical.space,
         blocks=blocks, prim_points=prim_points,
         central_characters=characters, center=central_full,
-        closure_relations=[], semisimple=data)
+        semisimple=data)
 
 
 def wedderburn_blocks(A: FDAlgebra) -> SpectrumReport:
@@ -252,7 +248,6 @@ class IdealFiltration:
 
     algebra: FDAlgebra
     chain: list
-    spectrum: SpectrumReport | None = None
 
     def validate(self) -> None:
         if not self.chain:
@@ -267,10 +262,6 @@ class IdealFiltration:
                 raise ValidationError(
                     "filtration term %d is not contained in term %d"
                     % (k, k - 1))
-
-    @property
-    def length(self) -> int:
-        return len(self.chain) - 1
 
     @property
     def dims(self) -> list:
@@ -302,7 +293,7 @@ def standard_filtration(A: FDAlgebra) -> IdealFiltration:
     if not (last.dim == report.radical.dim
             and report.radical.contains_subspace(last)):
         raise ValidationError("standard filtration does not end at the radical")
-    return IdealFiltration(ext, chain, spectrum=report)
+    return IdealFiltration(ext, chain)
 
 
 # -- the layered-filtration conditions --------------------------------------------
@@ -327,17 +318,13 @@ class AbelianReport:
     term has zero radical, and each consecutive layer becomes nilpotent
     after dividing by the product of its central part with the quotient
     algebra.  The localization condition on the non-vanishing locus holds
-    automatically for split matrix blocks and is recorded, not rechecked.
-    The division in the layer condition is read as the quotient by the
-    product ideal; ``product_ideal_reading`` flags that choice.
+    automatically for split matrix blocks and is not rechecked.  The
+    division in the layer condition is read as the quotient by the
+    product ideal.
     """
 
     layers: list
     ends_at_radical: bool
-    azumaya_note: str = ("split matrix blocks satisfy the localization "
-                         "condition; recorded, not rechecked")
-    product_ideal_reading: str = ("layer modulo central part means the "
-                                  "quotient by the product ideal")
 
     @property
     def ok(self) -> bool:
@@ -398,58 +385,40 @@ def abelian_filtration_report(filt: IdealFiltration) -> AbelianReport:
 class E1Entry:
     """Contribution of filtration level p: points of the level-p stratum.
 
-    The stratum is the part of the spectrum of the level-p quotient on
-    which the previous level's central part acts nontrivially.  Each of
-    its points contributes one periodic class sitting in degrees of the
-    parity of p.
+    The level-p quotient has x_points points, and the previous level's
+    central part vanishes on y_points of them.  The other count points
+    form the stratum, and each contributes one even periodic class.
     """
 
     p: int
     x_points: int
     y_points: int
     count: int
-    parity: int
 
 
 @dataclass
 class E1Report:
     entries: list
     even_total: int
-    odd_total: int
     hp: HPReport
     abelian: AbelianReport
 
     @property
     def agrees(self) -> bool:
-        return (self.even_total == self.hp.even_dim
-                and self.odd_total == self.hp.odd_dim)
+        return self.even_total == self.hp.even_dim and self.hp.odd_dim == 0
 
 
-def spectral_e1(A: FDAlgebra, filtration: IdealFiltration) -> E1Report:
-    """Point counts of the filtration strata against the periodic dimensions.
+def spectral_e1(A: FDAlgebra) -> E1Report:
+    """Point counts of the strata of A's standard filtration against the
+    periodic dimensions.
 
-    The filtration must be the standard one; each level contributes the
-    points of its quotient's spectrum that are new at that level, and the
-    parity-graded totals are compared with the periodic theory of the
-    algebra itself.
+    The filtration lives over the field that splits A; each level
+    contributes the points of its quotient's spectrum that are new at
+    that level, and the even total is compared with the periodic theory
+    of the algebra over that field, whose odd part it expects to vanish.
     """
-    filtration.validate()
+    filtration = standard_filtration(A)
     ext = filtration.algebra
-    if ext is not A:
-        if (ext.dim != A.dim or ext.labels != A.labels
-                or ext.field_order % A.field_order != 0):
-            raise ValidationError(
-                "filtration does not belong to this algebra")
-    reference = standard_filtration(ext)
-    if len(reference.chain) != len(filtration.chain):
-        raise FiltrationNotStandard(
-            "expected %d filtration terms, got %d"
-            % (len(reference.chain), len(filtration.chain)))
-    for k, (given, expected) in enumerate(zip(filtration.chain,
-                                              reference.chain)):
-        if not given.space.equals(expected.space):
-            raise FiltrationNotStandard(
-                "filtration term %d is not the standard one" % k)
     abelian = abelian_filtration_report(filtration)
     if not abelian.ok:
         raise ValidationError("standard filtration failed the layer checks")
@@ -457,8 +426,7 @@ def spectral_e1(A: FDAlgebra, filtration: IdealFiltration) -> E1Report:
     for p in range(1, len(filtration.chain)):
         lower, upper = filtration.chain[p], filtration.chain[p - 1]
         if lower.dim == ext.dim:
-            entries.append(E1Entry(p=p, x_points=0, y_points=0, count=0,
-                                   parity=p % 2))
+            entries.append(E1Entry(p=p, x_points=0, y_points=0, count=0))
             continue
         Bp, _, central_part = _central_image(ext, upper, lower)
         sub = wedderburn_blocks(Bp)
@@ -473,9 +441,8 @@ def spectral_e1(A: FDAlgebra, filtration: IdealFiltration) -> E1Report:
                 vanishing += 1
         x_points = sub.n_points
         entries.append(E1Entry(p=p, x_points=x_points, y_points=vanishing,
-                               count=x_points - vanishing, parity=p % 2))
-    even_total = sum(e.count for e in entries)
-    return E1Report(entries=entries, even_total=even_total, odd_total=0,
+                               count=x_points - vanishing))
+    return E1Report(entries=entries, even_total=sum(e.count for e in entries),
                     hp=hp(ext), abelian=abelian)
 
 
@@ -593,9 +560,8 @@ def _padded(chain: list, algebra: FDAlgebra, length: int) -> list:
 
 
 def _detect_unit(A: FDAlgebra) -> FDAlgebra:
-    """Rebuild with the two-sided identity element, when one exists."""
-    if A.is_unital:
-        return A
+    """Rebuild A, a layer and so without a unit, with its two-sided
+    identity element when one exists."""
     unit = _span_identity(A, [A.basis_vector(i) for i in range(A.dim)])
     if unit is None:
         return A
@@ -616,12 +582,8 @@ class _Layer:
             self.algebra = _detect_unit(sub)
             self._project = None
         else:
-            inner_vecs = []
-            for v in lower.space.basis:
-                co = upper.space.coords(v)
-                if co is None:
-                    raise ValidationError("filtration terms are not nested")
-                inner_vecs.append(co)
+            # the filtration is nested, so each vector has coordinates
+            inner_vecs = [upper.space.coords(v) for v in lower.space.basis]
             data = quotient_algebra(sub, two_sided_ideal(sub, inner_vecs))
             self.algebra = _detect_unit(data.algebra)
             self._project = data.projection
@@ -629,16 +591,13 @@ class _Layer:
 
     def to_layer(self, ambient_vec: dict) -> dict:
         vec = self._upper.space.coords(ambient_vec)
-        if vec is None:
-            raise ValidationError("vector leaves the filtration term")
         return self._project.apply(vec) if self._project else vec
 
     def representative(self, index: int) -> dict:
         if self._project is None:
             return dict(self._upper.space.basis[index])
+        # the projection is onto, so every coordinate lifts
         lift = self._project.matrix.solve({index: self.algebra.field.one})
-        if lift is None:
-            raise ValidationError("layer coordinate has no representative")
         out = {}
         for i, c in lift.items():
             vec_axpy(out, c, self._upper.space.basis[i],

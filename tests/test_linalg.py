@@ -473,6 +473,9 @@ def test_subspace_sum_and_equality():
         dense_to_sparse([1, 1, 0], Q), dense_to_sparse([1, 2, 1], Q)])
     assert c.equals(again)
     assert c.contains_subspace(a) and c.contains_subspace(b)
+    # a subspace of another dimension or of another ambient space differs
+    assert not c.equals(a) and not a.equals(c)
+    assert not a.equals(Subspace.from_vectors(2, Q, [dense_to_sparse([1, 1], Q)]))
 
 
 def test_operator_matrix_on_invariant_plane():

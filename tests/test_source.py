@@ -7,11 +7,13 @@ refers to is dead code, and so is a public one that nothing in the
 package, its tests or its benchmark refers to; this keeps deleted code
 from coming back.  References are names, attribute lookups and imports
 outside the definition's own body, so a helper that only calls itself
-still counts as unused.  Likewise a parameter that the body never reads,
-or reads only to default it (``x = x or default``), is a knob nothing
-turns, and an import whose name the module neither loads nor lists in
-``__all__`` is left over from deleted code, in the package, its tests and
-its tools alike.
+still counts as unused.  A function defined in a class body is reached
+only as an attribute, so only attribute lookups count for it: a local
+variable of the same name does not keep a method alive.  Likewise a
+parameter that the body never reads, or reads only to default it
+(``x = x or default``), is a knob nothing turns, and an import whose
+name the module neither loads nor lists in ``__all__`` is left over from
+deleted code, in the package, its tests and its tools alike.
 
 Resource limits live in ``config``: no function takes a ``budget``
 parameter and no other module builds a ``Budget``.
@@ -66,24 +68,31 @@ def _reference(node):
 
 def _unreferenced(private: bool, folders) -> list:
     """Definitions in the package, private or public ones, that nothing in
-    the given folders refers to outside their own body."""
-    referenced = Counter()
+    the given folders refers to outside their own body; for a method only
+    attribute lookups count."""
+    referenced, looked_up = Counter(), Counter()
     for folder in folders:
         for _, tree in _trees(folder):
             for node in ast.walk(tree):
                 name = _reference(node)
                 if name is not None:
                     referenced[name] += 1
+                    looked_up[name] += type(node) is ast.Attribute
     unused = []
     for path, tree in _trees():
+        methods = {id(item) for node in ast.walk(tree)
+                   if type(node) is ast.ClassDef for item in node.body
+                   if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))}
         for node in ast.walk(tree):
             if (not isinstance(node, DEFINITIONS)
                     or node.name.startswith("__")
                     or node.name.startswith("_") != private):
                 continue
+            method = id(node) in methods
             own = sum(1 for inner in ast.walk(node)
-                      if _reference(inner) == node.name)
-            if referenced[node.name] <= own:
+                      if _reference(inner) == node.name
+                      and (not method or type(inner) is ast.Attribute))
+            if (looked_up if method else referenced)[node.name] <= own:
                 unused.append("%s:%d %s" % (path.name, node.lineno, node.name))
     return unused
 

@@ -18,12 +18,11 @@ from cychom.algebra import (
     two_sided_ideal,
     upper_triangular,
 )
-from cychom import config, structure
+from cychom import config, spectrum, structure
 from cychom.cyclic import hc
 from cychom.errors import (
     AmbientMismatch,
     FiltrationNotRespected,
-    FiltrationNotStandard,
     NonUnital,
     SplittingFieldTooLarge,
     ValidationError,
@@ -771,7 +770,6 @@ def test_splitting_search_respects_the_field_bound(monkeypatch):
 def test_splitting_search_skips_an_order_it_has_tried(monkeypatch):
     # Q(zeta_2) = Q and Q(zeta_6) = Q(zeta_3): an order 2k with k odd
     # repeats the attempt at k
-    from cychom import spectrum
     A = group_algebra(cyclic_group(5))
     tried = []
 
@@ -900,11 +898,24 @@ def test_filtration_validation_rejects_bad_chains():
     one = A.field.one
     line = two_sided_ideal(A, [{0: one}])
     whole = two_sided_ideal(A, [{0: one}, {1: one}])
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as info:
+        IdealFiltration(A, []).validate()
+    assert (type(info.value), str(info.value)) == (
+        ValidationError, "filtration chain is empty")
+    with pytest.raises(ValidationError) as info:
         IdealFiltration(A, [line]).validate()
+    assert (type(info.value), str(info.value)) == (
+        ValidationError, "filtration must start at the whole algebra")
+    # an equal copy of A is still another algebra
+    with pytest.raises(ValidationError) as info:
+        IdealFiltration(A, [whole_ideal(functions_on_points(2))]).validate()
+    assert (type(info.value), str(info.value)) == (
+        ValidationError, "filtration term 0 belongs to a different algebra")
     other = two_sided_ideal(A, [{1: one}])
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as info:
         IdealFiltration(A, [whole, line, other]).validate()
+    assert (type(info.value), str(info.value)) == (
+        ValidationError, "filtration term 2 is not contained in term 1")
 
 
 def test_layer_conditions_hold_for_standard_filtrations():
@@ -914,59 +925,86 @@ def test_layer_conditions_hold_for_standard_filtrations():
         assert report.ends_at_radical, name
 
 
+def test_a_repeated_term_is_a_zero_layer():
+    T2 = upper_triangular(2)
+    rad = jacobson_radical(T2)
+    report = abelian_filtration_report(
+        IdealFiltration(T2, [whole_ideal(T2), rad, rad]))
+    assert [(l.k, l.semiprimitive_ok, l.layer_nilpotent_ok, l.note)
+            for l in report.layers] == [
+        (1, True, True, "product ideal is everything"),
+        (2, True, True, "zero layer")]
+    assert report.ok
+
+
 # -- page one of the spectral sequence ---------------------------------------------
 
 
 def test_e1_table_of_s3():
-    A = group_algebra(symmetric_group_3())
-    report = spectral_e1(A, standard_filtration(A))
+    report = spectral_e1(group_algebra(symmetric_group_3()))
     rows = [(e.p, e.x_points, e.y_points, e.count) for e in report.entries]
     assert rows == [(1, 2, 0, 2), (2, 3, 2, 1)]
-    assert (report.even_total, report.odd_total) == (3, 0)
+    assert report.even_total == 3
     assert report.agrees
 
 
+def test_e1_builds_the_standard_filtration_once(monkeypatch):
+    calls = []
+
+    def counted(A):
+        calls.append(A)
+        return standard_filtration(A)
+
+    monkeypatch.setattr(spectrum, "standard_filtration", counted)
+    A = group_algebra(symmetric_group_3())
+    assert spectral_e1(A).agrees
+    assert calls == [A]
+
+
 def test_e1_single_level_for_split_points():
-    A = functions_on_points(3)
-    report = spectral_e1(A, standard_filtration(A))
+    report = spectral_e1(functions_on_points(3))
     assert [(e.p, e.count) for e in report.entries] == [(1, 3)]
     assert report.agrees
 
 
 def test_e1_of_dual_numbers_counts_one_point():
-    A = truncated_polynomial(2)
-    report = spectral_e1(A, standard_filtration(A))
+    report = spectral_e1(truncated_polynomial(2))
     assert [(e.p, e.count) for e in report.entries] == [(1, 1)]
-    assert (report.even_total, report.odd_total) == (1, 0)
+    assert report.even_total == 1
     assert report.agrees
 
 
 def test_e1_of_matrix_algebra_skips_level_one():
-    A = matrix_algebra(ground_field(), 2)
-    report = spectral_e1(A, standard_filtration(A))
+    report = spectral_e1(matrix_algebra(ground_field(), 2))
     rows = [(e.p, e.x_points, e.y_points, e.count) for e in report.entries]
     assert rows == [(1, 0, 0, 0), (2, 1, 0, 1)]
     assert report.agrees
 
 
+# (p, x_points, y_points, count) of each level, per corpus algebra: a
+# commutative or basic algebra has all its points at level one
+E1_ROWS = {name: [(1, n, 0, n)] for name, n in [
+    ("ground", 1), ("points2", 2), ("points3", 3), ("points5", 5),
+    ("dual", 1), ("cubic", 1), ("upper2", 2), ("QZ2", 2), ("QZ3", 3),
+    ("QZ4", 4)]}
+E1_ROWS.update({
+    "matrix2": [(1, 0, 0, 0), (2, 1, 0, 1)],
+    "QS3": [(1, 2, 0, 2), (2, 3, 2, 1)],
+    "QD4": [(1, 4, 0, 4), (2, 5, 4, 1)],
+    "QQ8": [(1, 4, 0, 4), (2, 5, 4, 1)],
+})
+
+
 def test_e1_totals_match_hp_on_the_corpus():
     for name, A in algebra_corpus():
-        filt = standard_filtration(A)
-        report = spectral_e1(filt.algebra, filt)
-        assert report.agrees, name
-        assert report.odd_total == 0, name
-
-
-def test_e1_rejects_non_standard_filtrations():
-    A = upper_triangular(2)
-    whole = two_sided_ideal(A, [A.basis_vector(i) for i in range(3)])
-    wrong = IdealFiltration(
-        A, [whole, two_sided_ideal(A, [])])
-    with pytest.raises(FiltrationNotStandard):
-        spectral_e1(A, wrong)
-    short = IdealFiltration(A, [whole])
-    with pytest.raises(FiltrationNotStandard):
-        spectral_e1(A, short)
+        # over the splitting field the standard filtration is the same
+        for B in (A, standard_filtration(A).algebra):
+            report = spectral_e1(B)
+            rows = [(e.p, e.x_points, e.y_points, e.count)
+                    for e in report.entries]
+            assert rows == E1_ROWS[name], name
+            assert report.even_total == sum(row[3] for row in rows), name
+            assert report.agrees, name
 
 
 # -- spectrum-preserving morphisms --------------------------------------------------
@@ -1086,6 +1124,44 @@ def test_corner_inclusion_is_weakly_preserving():
     assert report.ok
 
 
+def test_filtrations_of_other_algebras_are_refused():
+    QQ = functions_on_points(2)
+    Q = ground_field()
+    filt = IdealFiltration(Q, [whole_ideal(Q)])
+    with pytest.raises(ValidationError) as info:
+        weakly_spectrum_preserving_check(AlgebraMap.identity(QQ), filt, filt)
+    assert (type(info.value), str(info.value)) == (
+        ValidationError, "filtrations do not match the map's algebras")
+
+
+def test_a_layer_with_only_a_one_sided_unit_is_refused():
+    # span{E11, E12} is the ideal of T2 with zero second row: E11 is a left
+    # unit of it but not a right one, and it is not nilpotent
+    T2 = upper_triangular(2)
+    one = T2.field.one
+    e11, e12 = T2.labels.index("E11"), T2.labels.index("E12")
+    row = two_sided_ideal(T2, [{e11: one}, {e12: one}])
+    filt = IdealFiltration(T2, [whole_ideal(T2), row])
+    with pytest.raises(ValidationError) as info:
+        weakly_spectrum_preserving_check(AlgebraMap.identity(T2), filt, filt)
+    assert (type(info.value), str(info.value)) == (
+        ValidationError, "layer algebra is neither nilpotent nor unital")
+
+
+def test_a_unital_layer_against_an_empty_one_is_mismatched():
+    Q = ground_field()
+    T = truncated_polynomial(2)
+    unit = AlgebraMap.from_images(Q, T, [T.unit],
+                                  multiplicative=True, unital=True)
+    report = weakly_spectrum_preserving_check(
+        unit, IdealFiltration(Q, [whole_ideal(Q)]),
+        IdealFiltration(T, [whole_ideal(T), whole_ideal(T)]))
+    # Q's point meets T's empty first layer, and T's point Q's empty second
+    assert [(l.k, l.kind, l.passed) for l in report.layers] == [
+        (1, "mismatched", False), (2, "mismatched", False)]
+    assert not report.preserving and report.hp_agrees and not report.ok
+
+
 def test_collapsing_two_points_fails_in_its_layer():
     QQ = functions_on_points(2)
     Q = ground_field()
@@ -1142,3 +1218,11 @@ def test_extending_scalars_keeps_homology_dimensions(homology, A, order, n_max):
     # True == 1 would pass an equality test and return A unchanged
     with pytest.raises(ValidationError, match="field order"):
         extend_scalars(A, True)
+
+
+def test_extending_scalars_to_an_order_that_is_not_a_multiple_is_refused():
+    A = extend_scalars(group_algebra(cyclic_group(3)), 3)
+    with pytest.raises(ValidationError) as info:
+        extend_scalars(A, 4)
+    assert (type(info.value), str(info.value)) == (
+        ValidationError, "cannot extend coefficients of order 3 to order 4")

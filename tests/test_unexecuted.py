@@ -1,12 +1,14 @@
 """tools/unexecuted.py runs the tests it is given and counts the statements
 of src/cychom they leave unexecuted."""
 
+import importlib.util
 import re
 import subprocess
 import sys
 from pathlib import Path
 
-SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "unexecuted.py"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "tools" / "unexecuted.py"
 
 
 def test_the_tool_counts_what_one_test_file_leaves(tmp_path):
@@ -28,3 +30,32 @@ def test_the_tool_counts_what_one_test_file_leaves(tmp_path):
     assert len(listed) == missed and 0 < missed < total
     assert not any(line.startswith("src/cychom/errors.py") and
                    "isinstance(value, int)" in line for line in listed)
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("unexecuted", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_options_alone_keep_the_whole_suite(monkeypatch):
+    tool = _tool()
+    monkeypatch.chdir(ROOT)
+    tests = str(ROOT / "tests")
+    assert tool.pytest_args([]) == [tests]
+    assert tool.pytest_args(["-q"]) == ["-q", tests]
+    assert tool.pytest_args(["-x", "-k", "groups"]) == ["-x", "-k", "groups",
+                                                         tests]
+    # a path that does not exist names nothing, and pytest reports it
+    assert tool.pytest_args(["tests/no_such_file.py"]) == [
+        "tests/no_such_file.py", tests]
+
+
+def test_paths_and_node_ids_replace_the_suite(monkeypatch):
+    tool = _tool()
+    monkeypatch.chdir(ROOT)
+    node = "tests/test_groups.py::test_cyclic_four_basics"
+    assert tool.pytest_args(["-q", "tests/test_groups.py"]) == [
+        "-q", str(ROOT / "tests" / "test_groups.py")]
+    assert tool.pytest_args([node]) == [str(ROOT / node)]

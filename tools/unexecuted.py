@@ -16,11 +16,13 @@ Left out:
 - code that only a subprocess started by a test reaches
   (tests/test_window_digest.py runs tools/window_digest.py in one).
 
-Arguments go to pytest in place of tests/, so that
+Arguments go to pytest.  When one of them names an existing path or node
+id, they run in place of tests/, so that
 
     python3 tools/unexecuted.py tests/test_groups.py
 
-counts what that one file's tests leave unexecuted.
+counts what that one file's tests leave unexecuted; options alone, as in
+``python3 tools/unexecuted.py -x``, still run tests/.
 
 It writes nothing into the repository: no bytecode, no pytest or
 hypothesis cache.  Traced, the suite runs about four times slower (about
@@ -79,6 +81,14 @@ def _tracer(hits: dict):
     return global_trace
 
 
+def pytest_args(args: list) -> list:
+    """args with each path or node id made absolute, since pytest runs in
+    a scratch directory, and with tests/ added when none names one."""
+    named = [os.path.exists(a.split("::")[0]) for a in args]
+    args = [os.path.abspath(a) if path else a for a, path in zip(args, named)]
+    return args if any(named) else args + [str(ROOT / "tests")]
+
+
 def main(args: list) -> int:
     sys.dont_write_bytecode = True
     os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
@@ -86,10 +96,7 @@ def main(args: list) -> int:
     hits: dict = {}
     trace = _tracer(hits)
     cwd = os.getcwd()
-    # pytest runs in a scratch directory: paths given relative to here
-    # are made absolute first
-    args = [os.path.abspath(a) if os.path.exists(a.split("::")[0]) else a
-            for a in args] or [str(ROOT / "tests")]
+    args = pytest_args(args)
     # hypothesis keeps a cache under the working directory it is imported in
     with tempfile.TemporaryDirectory() as scratch:
         os.chdir(scratch)
