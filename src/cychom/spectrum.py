@@ -7,11 +7,15 @@ small irreducible representations.  On top of those sit the page-one
 table of the filtration spectral sequence and the two spectrum-preserving
 morphism checks.
 
-Coefficients stay exact throughout.  When the center of the semisimple
-part refuses to split over the given field, the computation retries over
-cyclotomic extensions of increasing order until a configured bound, so a
-caller always gets either a fully split decomposition or an explicit
-refusal.
+Coefficients stay exact throughout.  The radical, the semisimple quotient
+and its center are computed once, over the algebra's own field.  When that
+center refuses to split there, only the quotient is retried over
+cyclotomic extensions of increasing order until a configured bound, and
+the algebra is extended once, to the order that splits, so a caller
+always gets either a fully split decomposition or an explicit refusal.
+This loses nothing: in characteristic 0 the radical and the center of
+A (x) K are those of A read over K, and a reduced echelon basis with
+entries in the smaller field keeps its pivots over K.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from dataclasses import dataclass
 from .algebra import (
     AlgebraMap,
     FDAlgebra,
+    QuotientData,
     TwoSidedIdeal,
     ideal_as_algebra,
     quotient_algebra,
@@ -39,6 +44,7 @@ from .errors import (
 from .linalg import (
     SparseMatrix,
     Subspace,
+    cleared,
     intersect_subspaces,
     preimage_subspace,
     vec_axpy,
@@ -108,10 +114,20 @@ def extend_scalars(A: FDAlgebra, order: int) -> FDAlgebra:
                      name=A.name).require_valid()
 
 
+def _lift_vec(vec: dict, src, dst) -> dict:
+    return {j: lift_raw(c, src, dst) for j, c in vec.items()}
+
+
 def _lift_matrix(mat: SparseMatrix, dst) -> SparseMatrix:
-    rows = [{j: lift_raw(c, mat.field, dst) for j, c in row.items()}
-            for row in mat.rows]
+    rows = [_lift_vec(row, mat.field, dst) for row in mat.rows]
     return SparseMatrix(mat.nrows, mat.ncols, dst, rows=rows)
+
+
+def _lift_subspace(space: Subspace, dst) -> Subspace:
+    """The same reduced basis read over dst; its pivots stay pivots."""
+    return Subspace(space.ambient_dim, dst,
+                    [_lift_vec(v, space.field, dst) for v in space.basis],
+                    list(space.pivot_cols))
 
 
 # -- the block decomposition ------------------------------------------------------
@@ -163,70 +179,109 @@ def _sort_key(vec: dict, field):
     return sorted((k, tuple(field.to_coeffs(c))) for k, c in vec.items())
 
 
-def _blocks_over(ext: FDAlgebra):
-    data, radical = semisimple_quotient(ext)
-    ss = data.algebra
-    idems = _split_unit(ss, center(ss).basis, complete=True)
-    if idems is None:
-        return None
-    idems.sort(key=lambda v: _sort_key(v, ss.field))
+def _canonical_kernel(mat: SparseMatrix) -> Subspace:
+    """The kernel of mat on its canonical basis, with leftmost pivots.
+
+    Those pivots are the columns that an elimination from the right leaves
+    free, so the kernel of mat with its columns reversed, read back, is
+    already that basis."""
+    n = mat.ncols
+    flipped = SparseMatrix(mat.nrows, n, mat.field, rows=[
+        {n - 1 - j: c for j, c in row.items()} for row in mat.rows])
+    kernel = flipped.kernel_space()
+    return Subspace(n, mat.field, [
+        {n - 1 - j: c for j, c in v.items()} for v in reversed(kernel.basis)],
+        [n - 1 - p for p in reversed(kernel.pivot_cols)])
+
+
+def _block_report(A: FDAlgebra, data, radical, ss: FDAlgebra,
+                  idems: list) -> SpectrumReport:
+    """The report over the field of ss, the quotient A/rad extended to an
+    order whose center split into idems."""
     field = ss.field
-    blocks, prim_points = [], []
+    ext = extend_scalars(A, ss.field_order)
+    projection = _lift_matrix(data.projection.matrix, field)
+    central_full = _lift_subspace(center(A), field)
+    traces = ss.trace_vector()
+    idems.sort(key=lambda v: _sort_key(v, field))
+    blocks, prim_points, characters = [], [], []
     for e in idems:
-        # the block is the image of x -> e x, and its primitive ideal the
-        # kernel of x -> e pi(x), pi the quotient map onto ss
-        left = ss.left_mult_matrix(e)
-        dimension = left.rank()
-        size = math.isqrt(dimension)
-        if size * size != dimension:
+        # left multiplication by e is a projection onto its block, so in
+        # characteristic 0 its trace is the block's dimension
+        trace = field.zero
+        for k, c in e.items():
+            trace = field.add(trace, field.mul(c, traces[k]))
+        value, *rest = field.to_coeffs(trace)
+        size = math.isqrt(max(int(value), 0))
+        dimension = size * size
+        if any(rest) or dimension != value:
             raise ValidationError(
-                "block dimension %d is not a perfect square" % dimension)
+                "block dimension %s is not a perfect square" % (trace,))
         blocks.append(BlockData(idempotent=e, dimension=dimension, size=size))
-        point = left.matmul(data.projection.matrix).kernel_space()
+        # the primitive ideal is the kernel of x -> w pi(x), pi the
+        # quotient map onto ss and w = D e with integer entries
+        _, w = cleared(e, field)
+        image = SparseMatrix.from_columns(
+            [ss.multiply(w, col) for col in projection.columns()],
+            ss.dim, field)
+        point = image.kernel_space()
         if ext.dim - point.dim != dimension:
             raise ValidationError(
                 "primitive ideal has the wrong codimension")
         prim_points.append(point)
-    if sum(b.dimension for b in blocks) != ss.dim:
-        raise ValidationError("block dimensions do not fill the quotient")
-    central_full = center(ext)
-    characters = []
-    for point in prim_points:
-        meet = intersect_subspaces(point, central_full)
-        inner = Subspace.from_vectors(
-            central_full.dim, field,
-            [central_full.coords(v) for v in meet.basis])
+        # and the central character the kernel of z -> w pi(z) on the
+        # center's basis
+        on_center = SparseMatrix.from_columns(
+            [image.mat_vec(z) for z in central_full.basis], ss.dim, field)
+        inner = _canonical_kernel(on_center)
         if central_full.dim - inner.dim != 1:
             raise ValidationError(
                 "central character is not a maximal ideal of the center")
         characters.append(inner)
+    if sum(b.dimension for b in blocks) != ss.dim:
+        raise ValidationError("block dimensions do not fill the quotient")
+    semisimple = QuotientData(ss, AlgebraMap(
+        ext, ss, projection, multiplicative=True, unital=True))
     return SpectrumReport(
-        algebra=ext, field_order=ext.field_order, radical=radical.space,
-        blocks=blocks, prim_points=prim_points,
-        central_characters=characters, center=central_full,
-        semisimple=data)
+        algebra=ext, field_order=ext.field_order,
+        radical=_lift_subspace(radical.space, field), blocks=blocks,
+        prim_points=prim_points, central_characters=characters,
+        center=central_full, semisimple=semisimple)
 
 
 def wedderburn_blocks(A: FDAlgebra) -> SpectrumReport:
     """Split A modulo its radical into simple blocks.
 
-    The center of the semisimple part is factored into primitive
-    idempotents; when that needs a larger cyclotomic field the whole
-    computation moves there automatically, trying orders in increasing
-    multiples of the base order up to config.DEFAULT_MAX_FIELD_ORDER.  An
-    order m = 2k with k odd and a multiple of the base order is skipped:
-    Q(zeta_m) = Q(zeta_k), which was already tried.
+    The radical J, the quotient A/J and the center of A/J are computed
+    once, over A's own field.  The center is then factored into primitive
+    idempotents; when that needs a larger cyclotomic field, only A/J moves
+    there, trying orders in increasing multiples of the base order up to
+    config.DEFAULT_MAX_FIELD_ORDER.  An order m = 2k with k odd and a
+    multiple of the base order is skipped: Q(zeta_m) = Q(zeta_k), which
+    was already tried.  A is extended once, to the order that splits.
+
+    This is exact: over a field K of characteristic 0, J(A (x) K) =
+    J (x) K and Z(A (x) K) = Z(A) (x) K, and the reduced echelon basis of
+    a subspace spanned by vectors over the smaller field keeps its pivots
+    over K, so the radical, the center and the projection read over K
+    are those computed there from scratch.
     """
     max_order = default_budget().max_field_order
     if not A.is_unital:
         raise NonUnital("block decomposition needs a unital algebra")
+    data, radical = semisimple_quotient(A)
+    quotient = data.algebra
+    central = center(quotient).basis
     step = A.field_order
     for order in range(step, max_order + 1, step):
         if order % 4 == 2 and (order // 2) % step == 0:
             continue
-        report = _blocks_over(extend_scalars(A, order))
-        if report is not None:
-            return report
+        ss = extend_scalars(quotient, order)
+        idems = _split_unit(
+            ss, [_lift_vec(z, quotient.field, ss.field) for z in central],
+            complete=True)
+        if idems is not None:
+            return _block_report(A, data, radical, ss, idems)
     raise SplittingFieldTooLarge(
         "center did not split over cyclotomic orders up to %d" % max_order)
 
@@ -341,16 +396,28 @@ def _central_image(A: FDAlgebra, upper, lower):
     return B, image, intersect_subspaces(image, center(B))
 
 
-def abelian_filtration_report(filt: IdealFiltration) -> AbelianReport:
+def _layer_quotients(filt: IdealFiltration) -> list:
+    """_central_image of each layer (term k - 1 over term k, k >= 1) of a
+    validated filtration, or None where term k is the whole algebra."""
     filt.validate()
     A = filt.algebra
+    return [None if lower.dim == A.dim else _central_image(A, upper, lower)
+            for upper, lower in zip(filt.chain, filt.chain[1:])]
+
+
+def abelian_filtration_report(filt: IdealFiltration) -> AbelianReport:
+    return _abelian_report(filt, _layer_quotients(filt))
+
+
+def _abelian_report(filt: IdealFiltration, quotients: list) -> AbelianReport:
+    A = filt.algebra
     layers = []
-    for k in range(1, len(filt.chain)):
+    for k, quotient in enumerate(quotients, 1):
         upper, lower = filt.chain[k - 1], filt.chain[k]
-        if lower.dim == A.dim:
+        if quotient is None:
             layers.append(AbelianLayerCheck(k, True, True, "zero quotient"))
             continue
-        B, image, central_part = _central_image(A, upper, lower)
+        B, image, central_part = quotient
         semiprim = jacobson_radical(B).dim == 0
         if upper.dim == lower.dim:
             layers.append(AbelianLayerCheck(k, semiprim, True, "zero layer"))
@@ -419,16 +486,16 @@ def spectral_e1(A: FDAlgebra) -> E1Report:
     """
     filtration = standard_filtration(A)
     ext = filtration.algebra
-    abelian = abelian_filtration_report(filtration)
+    quotients = _layer_quotients(filtration)
+    abelian = _abelian_report(filtration, quotients)
     if not abelian.ok:
         raise ValidationError("standard filtration failed the layer checks")
     entries = []
-    for p in range(1, len(filtration.chain)):
-        lower, upper = filtration.chain[p], filtration.chain[p - 1]
-        if lower.dim == ext.dim:
+    for p, quotient in enumerate(quotients, 1):
+        if quotient is None:
             entries.append(E1Entry(p=p, x_points=0, y_points=0, count=0))
             continue
-        Bp, _, central_part = _central_image(ext, upper, lower)
+        Bp, _, central_part = quotient
         sub = wedderburn_blocks(Bp)
         if sub.algebra.field_order != ext.field_order:
             raise ValidationError(

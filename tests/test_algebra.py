@@ -7,6 +7,7 @@ import pytest
 
 from cychom.algebra import (
     AlgebraMap,
+    Bimodule,
     FDAlgebra,
     TwoSidedIdeal,
     adjoin_unit,
@@ -35,7 +36,7 @@ from cychom.errors import (
     ValidationError,
 )
 from cychom.groups import cyclic_group, group_algebra
-from cychom.linalg import Subspace, to_raw
+from cychom.linalg import SparseMatrix, Subspace, to_raw
 from cychom.scalars import Cyclotomic, field_of_order
 
 
@@ -536,6 +537,42 @@ def test_sign_twist_on_dual_numbers():
     assert lhs == rhs == {}
     assert M.act_right(unit, 1) == {1: -1}
     assert M.act_left(1, unit) == x
+
+
+def _two_dimensional_bimodule(left, right):
+    # a module of dimension 2 over Q x Q, given by the matrices by which
+    # its two idempotents act on either side
+    A = functions_on_points(2)
+    return Bimodule(A, 2, [SparseMatrix.from_dense(m, A.field) for m in left],
+                    [SparseMatrix.from_dense(m, A.field) for m in right])
+
+
+_DIAGONAL = ([[1, 0], [0, 0]], [[0, 0], [0, 1]])
+_IDENTITY = ([[1, 0], [0, 1]], [[1, 0], [0, 1]])
+_ZERO = ([[0, 0], [0, 0]], [[0, 0], [0, 0]])
+# a second complete pair of orthogonal idempotents, not diagonal
+_SHEARED = ([[1, 1], [0, 0]], [[0, -1], [0, 1]])
+
+
+@pytest.mark.parametrize("left, right, message", [
+    (_IDENTITY, _DIAGONAL,
+     "left action is not multiplicative at pair (0, 1)"),
+    (_DIAGONAL, _IDENTITY,
+     "right action does not reverse products at pair (0, 1)"),
+    (_DIAGONAL, _SHEARED,
+     "left and right actions fail to commute at pair (0, 0)"),
+    (_ZERO, _DIAGONAL, "unit does not act as identity on the left"),
+    (_DIAGONAL, _ZERO, "unit does not act as identity on the right"),
+], ids=["left", "right", "commute", "left unit", "right unit"])
+def test_bimodule_validation_names_the_failing_axiom(left, right, message):
+    with pytest.raises(ValidationError) as caught:
+        _two_dimensional_bimodule(left, right).validate()
+    assert str(caught.value) == message
+
+
+def test_bimodule_validation_accepts_either_pair_on_both_sides():
+    _two_dimensional_bimodule(_DIAGONAL, _DIAGONAL).validate()
+    _two_dimensional_bimodule(_SHEARED, _SHEARED).validate()
 
 
 def test_twist_requires_automorphism():

@@ -767,25 +767,191 @@ def test_splitting_search_respects_the_field_bound(monkeypatch):
     assert report.sizes == (1, 1, 1, 1, 1)
 
 
+# -- the per-order route of wedderburn_blocks, kept as its oracle ------------
+
+def _parent_blocks_over(ext):
+    """The block report with the radical, the quotient and both centers
+    computed over ext's own field, each block's dimension a rank and each
+    central character an intersection, or None when that field does not
+    split the center."""
+    data, radical = structure.semisimple_quotient(ext)
+    ss = data.algebra
+    idems = _split_unit(ss, center(ss).basis, complete=True)
+    if idems is None:
+        return None
+    idems.sort(key=lambda v: spectrum._sort_key(v, ss.field))
+    blocks, prim_points = [], []
+    for e in idems:
+        left = ss.left_mult_matrix(e)
+        dimension = left.rank()
+        size = math.isqrt(dimension)
+        assert size * size == dimension
+        blocks.append(spectrum.BlockData(idempotent=e, dimension=dimension,
+                                         size=size))
+        point = left.matmul(data.projection.matrix).kernel_space()
+        assert ext.dim - point.dim == dimension
+        prim_points.append(point)
+    assert sum(b.dimension for b in blocks) == ss.dim
+    central_full = center(ext)
+    characters = []
+    for point in prim_points:
+        meet = intersect_subspaces(point, central_full)
+        inner = Subspace.from_vectors(
+            central_full.dim, ss.field,
+            [central_full.coords(v) for v in meet.basis])
+        assert central_full.dim - inner.dim == 1
+        characters.append(inner)
+    return spectrum.SpectrumReport(
+        algebra=ext, field_order=ext.field_order, radical=radical.space,
+        blocks=blocks, prim_points=prim_points,
+        central_characters=characters, center=central_full,
+        semisimple=data)
+
+
+def _parent_wedderburn_blocks(A):
+    """The search that extends A to each order in turn and computes the
+    whole report there."""
+    step = A.field_order
+    for order in range(step, config.DEFAULT_MAX_FIELD_ORDER + 1, step):
+        if order % 4 == 2 and (order // 2) % step == 0:
+            continue
+        report = _parent_blocks_over(extend_scalars(A, order))
+        if report is not None:
+            return report
+    raise SplittingFieldTooLarge("no order up to the bound splits")
+
+
+def _space_fields(space):
+    return (space.ambient_dim, space.field.order, space.basis,
+            list(space.pivot_cols))
+
+
+def _algebra_fields(B):
+    return (B.dim, B.field_order, B.mul, B.labels, B.unit, B.name)
+
+
+def _report_fields(report):
+    proj = report.semisimple.projection
+    return {
+        "algebra": _algebra_fields(report.algebra),
+        "field_order": report.field_order,
+        "blocks": report.blocks,
+        "prim_points": [_space_fields(p) for p in report.prim_points],
+        "central_characters": [_space_fields(c)
+                               for c in report.central_characters],
+        "radical": _space_fields(report.radical),
+        "center": _space_fields(report.center),
+        "semisimple": _algebra_fields(report.semisimple.algebra),
+        "projection": (_algebra_fields(proj.source),
+                       _algebra_fields(proj.target), proj.matrix.nrows,
+                       proj.matrix.ncols, proj.matrix.rows,
+                       proj.multiplicative, proj.unital),
+    }
+
+
 def test_splitting_search_skips_an_order_it_has_tried(monkeypatch):
     # Q(zeta_2) = Q and Q(zeta_6) = Q(zeta_3): an order 2k with k odd
-    # repeats the attempt at k
+    # repeats the attempt at k.  Only the quotient by the radical goes up
+    # the orders; A itself is extended once, to the order that splits.
     A = group_algebra(cyclic_group(5))
     tried = []
 
     def spy(B, order):
-        tried.append(order)
+        tried.append((B is A, order))
         return extend_scalars(B, order)
 
     monkeypatch.setattr(spectrum, "extend_scalars", spy)
     report = wedderburn_blocks(A)
-    assert tried == [1, 3, 4, 5]
-    direct = spectrum._blocks_over(extend_scalars(A, 5))
-    assert report.field_order == direct.field_order == 5
-    assert report.sizes == direct.sizes == (1, 1, 1, 1, 1)
-    assert report.blocks == direct.blocks
-    assert [c.basis for c in report.central_characters] == \
-        [c.basis for c in direct.central_characters]
+    assert tried == [(False, 1), (False, 3), (False, 4), (False, 5),
+                     (True, 5)]
+    direct = _parent_blocks_over(extend_scalars(A, 5))
+    assert _report_fields(report) == _report_fields(direct)
+    assert report.sizes == (1, 1, 1, 1, 1)
+
+
+def test_semisimple_quotient_runs_once_per_call(monkeypatch):
+    calls = []
+
+    def counted(B):
+        calls.append(B)
+        return structure.semisimple_quotient(B)
+
+    monkeypatch.setattr(spectrum, "semisimple_quotient", counted)
+    A = group_algebra(cyclic_group(5))
+    assert wedderburn_blocks(A).field_order == 5
+    assert calls == [A]
+
+
+def _oracle_corpus():
+    return algebra_corpus() + [
+        ("QZ5", group_algebra(cyclic_group(5))),
+        ("QZ4 over Q(i)", group_algebra(cyclic_group(4), field_order=4)),
+        ("rebased upper2", _rebased_upper_triangular()),
+        ("t^2(t-1)", _t_squared_t_minus_one()),
+        ("cubic+Q+QZ5", direct_sum(
+            truncated_polynomial(3),
+            direct_sum(ground_field(),
+                       group_algebra(cyclic_group(5))).algebra).algebra),
+    ]
+
+
+@pytest.mark.parametrize("name, A", _oracle_corpus(),
+                         ids=[name for name, _ in _oracle_corpus()])
+def test_blocks_equal_the_per_order_route(name, A):
+    # the radical, quotient and center over the base field, read over the
+    # splitting field, give the report computed there from scratch
+    assert _report_fields(wedderburn_blocks(A)) == \
+        _report_fields(_parent_wedderburn_blocks(A))
+
+
+def _scaled_traces(factor):
+    trace_vector = FDAlgebra.trace_vector
+
+    def scaled(B):
+        return [B.field.scale(t, factor) for t in trace_vector(B)]
+    return scaled
+
+
+@pytest.mark.parametrize("factor, message", [
+    (2, "block dimension 2 is not a perfect square"),
+    (4, "primitive ideal has the wrong codimension"),
+])
+def test_a_wrong_block_trace_is_refused(monkeypatch, factor, message):
+    # the radical reads the trace form only up to a scalar, so scaled traces
+    # reach the block loop, where each point QZ2 has then claims the wrong
+    # dimension
+    monkeypatch.setattr(FDAlgebra, "trace_vector", _scaled_traces(factor))
+    with pytest.raises(ValidationError) as caught:
+        wedderburn_blocks(group_algebra(cyclic_group(2)))
+    assert str(caught.value) == message
+
+
+def test_blocks_that_miss_an_idempotent_are_refused(monkeypatch):
+    def short(B, candidates, complete):
+        return split_unit(B, candidates, complete)[:-1]
+
+    split_unit = spectrum._split_unit
+    monkeypatch.setattr(spectrum, "_split_unit", short)
+    with pytest.raises(ValidationError) as caught:
+        wedderburn_blocks(group_algebra(cyclic_group(2)))
+    assert str(caught.value) == "block dimensions do not fill the quotient"
+
+
+def test_a_central_character_of_the_wrong_codimension_is_refused(
+        monkeypatch):
+    # a center of A read as zero leaves each character all of it
+    A = group_algebra(cyclic_group(2))
+
+    def no_center(B):
+        if B is A:
+            return Subspace.from_vectors(A.dim, A.field, [])
+        return center(B)
+
+    monkeypatch.setattr(spectrum, "center", no_center)
+    with pytest.raises(ValidationError) as caught:
+        wedderburn_blocks(A)
+    assert str(caught.value) == \
+        "central character is not a maximal ideal of the center"
 
 
 def test_block_decomposition_requires_a_unit():
@@ -959,6 +1125,23 @@ def test_e1_builds_the_standard_filtration_once(monkeypatch):
     A = group_algebra(symmetric_group_3())
     assert spectral_e1(A).agrees
     assert calls == [A]
+
+
+def test_e1_builds_each_layer_quotient_once(monkeypatch):
+    # QS3's standard filtration has two layers; the layer checks and the
+    # point counts share one quotient of each
+    calls = []
+
+    def counted(A, upper, lower):
+        calls.append((upper.name, lower.name))
+        return central_image(A, upper, lower)
+
+    central_image = spectrum._central_image
+    monkeypatch.setattr(spectrum, "_central_image", counted)
+    report = spectral_e1(group_algebra(symmetric_group_3()))
+    assert calls == [("J0", "J1"), ("J1", "J2")]
+    assert [(e.p, e.x_points, e.y_points, e.count)
+            for e in report.entries] == [(1, 2, 0, 2), (2, 3, 2, 1)]
 
 
 def test_e1_single_level_for_split_points():
