@@ -15,7 +15,9 @@ chain-map builder of hochschild, _tensor_chain_matrix, applied to each
 Hochschild component of the carrier cycle; it maps only that component's
 own coordinates.  Carrier and target share one field.  Every produced
 chain is checked to be a cycle, b x_m + B x_(m-2) = 0 in each tensor
-degree m.
+degree m, with b and B applied to the chain's own words.  So the only
+boundary matrices built are the carrier's b_(n+2), which each raise
+solves against; the target window builds none.
 """
 
 from dataclasses import dataclass
@@ -73,14 +75,15 @@ class CyclicChain:
     def is_cycle(self) -> bool:
         """Whether b x_m + B x_(m-2) = 0 for each tensor degree m > 0, x_m
         the component in tensor degree m, read on the chain cleared to ints
-        (linalg.cleared), which leaves the answer as it is."""
+        (linalg.cleared), which leaves the answer as it is.  b and B are
+        applied to the chain's own words; no boundary matrix is built."""
         hoch, field = self.window.hochschild_window, self.window.field
         ints = cleared(self.chain, field)[1]
         x = {m: self.window.component(self.degree, ints, k)
              for k, (m, _) in enumerate(self.window.summands(self.degree))}
         for m in filter(None, x):
             B = operator_B(hoch, m - 2, x[m - 2]) if m > 1 else {}
-            if vec_add(hoch.boundaries[m].mat_vec(x[m]), B, field):
+            if vec_add(hoch._boundary(m, x[m]), B, field):
                 return False
         return True
 

@@ -23,7 +23,8 @@ from .config import default_budget
 from .errors import SizeOverflow, ValidationError, check_int
 from .groups import (FiniteGroup, FiniteVarietyAction, GroupAction,
                      group_metadata)
-from .hochschild import _tensor_chain_matrix, hh, hh_with_coefficients
+from .hochschild import _phi_slot_maps, _tensor_chain_matrix, hh, \
+    hh_with_coefficients
 from .linalg import (SparseMatrix, Subspace, add_term, induced_map,
                      intersect_subspaces, vec_axpy, vec_equal, vec_is_zero)
 from .scalars import field_of_order, lift_raw
@@ -194,9 +195,12 @@ def hh_decomposition(cp: CrossedProduct, n_max: int) -> DecompositionReport:
     """Class-by-class homology of the product against the direct computation.
 
     Per class representative gamma the base homology is taken with
-    coefficients in the bimodule twisted by gamma, using the unnormalized
-    complex so the centralizer acts by plain tensor substitution; the
-    centralizer-invariant dimensions are what the class contributes.
+    coefficients in the bimodule twisted by gamma, which is unital as
+    gamma(1) = 1, on the normalized window of a unital base.  The
+    centralizer acts by tensor substitution in its slot basis: on the
+    bimodule's basis in slot 0 and on A/k in the interior, where h(1) = 1
+    makes it well defined.  The centralizer-invariant dimensions are what
+    the class contributes.
     """
     check_int(n_max, "a degree bound", 0)
     A = cp.base
@@ -206,20 +210,20 @@ def hh_decomposition(cp: CrossedProduct, n_max: int) -> DecompositionReport:
     contributions = []
     for data in meta.classes:
         rep = hh_with_coefficients(A, twisted_bimodule(A, cp.action.automorphism(data.rep)),
-                                   n_max, normalized=False)
+                                   n_max)
+        # each centralizer element's slot-0 and interior images
+        slot_maps = [([[[col]] for col in g.matrix.columns()],
+                      _phi_slot_maps(g, rep.window, rep.window)[1])
+                     for g in map(cp.action.automorphism, data.centralizer)]
         inv_dims = []
         for q in range(n_max + 1):
             H = rep.degrees[q].homology
             if H.dim == 0:
                 inv_dims.append(0)
                 continue
-            ops = []
-            for h in data.centralizer:
-                M = [[[col]] for col in
-                     cp.action.automorphism(h).matrix.columns()]
-                chain_op = _tensor_chain_matrix(rep.window, rep.window, q,
-                                                M, M)
-                ops.append(induced_map(chain_op, H, H))
+            ops = [induced_map(_tensor_chain_matrix(rep.window, rep.window,
+                                                    q, *maps), H, H)
+                   for maps in slot_maps]
             inv_dims.append(invariants(_whole_space(H.dim, field), ops).dim)
         contributions.append(ClassContribution(
             rep=data.rep, rep_name=G.names[data.rep], size=data.size,

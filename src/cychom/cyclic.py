@@ -1,5 +1,5 @@
-"""Cyclic homology: the operators t and B, Connes' complex, S, SBI, HP,
-induced maps and excision.
+"""Cyclic homology: the operator B, Connes' complex, S, SBI, HP, induced
+maps and excision.
 
 Every route to HC runs on Connes' complex A^(x)(n+1) / (1 - t) under b,
 whose homology over a field containing Q is that of the (b, B) bicomplex
@@ -38,28 +38,7 @@ from .structure import center, semisimple_quotient
 
 
 # ---------------------------------------------------------------------------
-# the operators t and B on bar-window chains
-
-
-def cyclic_t(window: ChainComplexWindow, n: int, chain: dict) -> dict:
-    """The signed cyclic rotation on a degree-n chain.
-
-    Only defined on the unnormalized window: rotation moves interior
-    entries into slot 0, which the reduced coordinates cannot express.
-    """
-    if window.normalized:
-        raise ValidationError(
-            "cyclic rotation does not act on the reduced window")
-    if window.module is not None:
-        raise ValidationError("cyclic rotation needs coefficients in A")
-    field = window.field
-    out = {}
-    for index, c in chain.items():
-        tup = window.tuple_of(n, index)
-        rotated = (tup[-1],) + tup[:-1]
-        value = field.neg(c) if n % 2 else c
-        add_term(out, window.index_of(n, rotated), value, field)
-    return out
+# the operator B on bar-window chains
 
 
 def _B_rows(window: ChainComplexWindow, n: int, chains, rows) -> None:
@@ -142,8 +121,9 @@ class CyclicComplexWindow:
     So S, dropping the top summand, shifts coordinates down by dims_H[n];
     and below its top summand degree n+2 is degree n shifted up by
     dims_H[n+2], as offsets[n+2][k+1] = dims_H[n+2] + offsets[n][k].  The
-    window holds no matrix: b is the Hochschild window's boundaries, B is
-    operator_B, and b + B takes summand k to summands k and k - 1.
+    window holds no matrix: b is the Hochschild window's boundaries, each
+    built on its first read, B is operator_B, and b + B takes summand k to
+    summands k and k - 1.
     """
 
     def __init__(self, algebra, n_max, normalized, hochschild_window):
@@ -188,7 +168,8 @@ class CyclicComplexWindow:
 
 def cyclic_complex(A: FDAlgebra, n_max: int,
                    normalized: bool | None = None) -> CyclicComplexWindow:
-    """The (b, B) bicomplex's total chains in degrees 0..n_max, a layout."""
+    """The (b, B) bicomplex's total chains in degrees 0..n_max, a layout;
+    its Hochschild window builds each boundary when it is first read."""
     if not A.is_unital:
         raise NonUnital("the cyclic bicomplex needs a unital algebra")
     if normalized is None:

@@ -114,13 +114,6 @@ def dense_to_sparse(values, field: _FieldBase) -> dict:
     return out
 
 
-def sparse_to_dense(v: dict, n: int, field: _FieldBase) -> list:
-    out = [field.zero] * n
-    for j, val in v.items():
-        out[j] = val
-    return out
-
-
 def to_raw(value, field: _FieldBase):
     """Accept Cyclotomic, Fraction, int, or a tuple of field.degree rationals.
 

@@ -9,7 +9,9 @@ blockwise chain maps, and sbi_check, induced_map_hc and excision_check as
 they ran on it.  It shares with the Connes routes only the Hochschild
 windows, _B_rows (operator_B's columns) and the bookkeeping of the reports,
 so the tests compare every answer of those routes with it, and
-tools/window_digest.py hashes its matrices.
+tools/window_digest.py hashes its matrices.  It also keeps the cyclic
+rotation t and the contracting homotopy s on bar windows, with which the
+tests check B = (1 - t) s N.
 """
 
 from collections import defaultdict
@@ -25,8 +27,58 @@ from cychom.errors import NonUnital, NotMultiplicative, ValidationError, \
     check_int
 from cychom.hochschild import _degree_homologies, _homology_report, \
     _induced, _phi_slot_maps, _require_degree, _tensor_chain_matrix
-from cychom.linalg import SparseMatrix, Subspace, induced_map, \
+from cychom.linalg import SparseMatrix, Subspace, add_term, induced_map, \
     operator_matrix
+
+
+# ---------------------------------------------------------------------------
+# t and s on bar-window chains
+
+
+def cyclic_t(window, n: int, chain: dict) -> dict:
+    """The signed cyclic rotation on a degree-n chain.
+
+    Only defined on the unnormalized window: rotation moves interior
+    entries into slot 0, which the reduced coordinates cannot express.
+    """
+    if window.normalized:
+        raise ValidationError(
+            "cyclic rotation does not act on the reduced window")
+    if window.module is not None:
+        raise ValidationError("cyclic rotation needs coefficients in A")
+    field = window.field
+    out = {}
+    for index, c in chain.items():
+        tup = window.tuple_of(n, index)
+        rotated = (tup[-1],) + tup[:-1]
+        value = field.neg(c) if n % 2 else c
+        add_term(out, window.index_of(n, rotated), value, field)
+    return out
+
+
+def homotopy_s(window, n: int, chain: dict) -> dict:
+    """The contracting homotopy s(w) = 1 (x) w, landing in degree n+1.
+
+    Needs the unnormalized complex of a unital algebra; on the b' complex
+    it satisfies b's + sb' = identity.
+    """
+    A = window.algebra
+    if not A.is_unital:
+        raise NonUnital("the homotopy needs a unit")
+    if window.normalized:
+        raise ValidationError("the homotopy lives on the unnormalized complex")
+    if window.module is not None:
+        raise ValidationError("the homotopy is for the coefficient-free complex")
+    if n + 1 > window.n_max:
+        raise ValidationError("window too short for the homotopy target degree")
+    field = window.field
+    out = {}
+    for index, c in chain.items():
+        tup = window.tuple_of(n, index)
+        for j, u in A.unit.items():
+            add_term(out, window.index_of(n + 1, (j,) + tup),
+                     field.mul(u, c), field)
+    return out
 
 
 # ---------------------------------------------------------------------------

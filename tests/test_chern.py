@@ -24,8 +24,9 @@ from cychom.cyclic import cyclic_complex
 from cychom.errors import AmbientMismatch, NotIdempotent, NotInvertible, \
     ValidationError
 from cychom.groups import cyclic_group, group_algebra
+from cychom import chern, hochschild
 from cychom.hochschild import _tensor_chain_matrix
-from cychom.linalg import vec_add, vec_equal, vec_scale
+from cychom.linalg import SparseMatrix, vec_add, vec_equal, vec_scale
 from cychom.scalars import Cyclotomic
 from cychom.spectrum import extend_scalars
 from bicomplex_oracle import total_complex
@@ -212,6 +213,59 @@ def test_chern_refusals_are_typed():
         _refusal(ValidationError,
                  "degree-2 chains have no tensor degree %d part" % m,
                  even.component, m)
+
+
+def test_a_character_builds_only_the_boundaries_its_raise_solves_against(
+        monkeypatch):
+    # every matrix bar_complex's windows build goes through _boundary_matrix
+    # without a chain; the cycle checks pass chains
+    built = []
+
+    def spy(slots, left, right, last_face, dims, field, n, chain=None):
+        if chain is None:
+            built.append(n)
+        return boundary_matrix(slots, left, right, last_face, dims, field, n,
+                               chain)
+
+    boundary_matrix = hochschild._boundary_matrix
+    monkeypatch.setattr(hochschild, "_boundary_matrix", spy)
+    QZ5 = _qz(5)
+    e = idempotent_rep(QZ5, [[_trivial_character(5)]])
+    ch = chern_idempotent(e, 2)
+    # the carrier's b_2 and b_4, which the two raises solve against
+    assert built == [2, 4]
+    hoch = ch.chain.window.hochschild_window
+    assert hoch.boundaries._built == [None] * 5
+    trace = dict(enumerate(QZ5.trace_vector()))
+    assert pair_with_trace(ch, trace) == 1
+    # the total complex's matrices agree with the chain-mode check
+    assert not total_complex(QZ5, 4, normalized=False).totals[4].mat_vec(
+        ch.chain.chain)
+
+
+def test_a_pushed_chain_off_its_cycle_is_refused(monkeypatch):
+    # move one coordinate of the top tensor component of the pushed chain
+    def shifted(src, tgt, n, slot0, interior, chain):
+        out = tensor_chain_matrix(src, tgt, n, slot0, interior, chain)
+        if tgt is not src and n == 4:
+            i = min(out)
+            out[(i + 1) % tgt.dims[n]] = out.pop(i)
+        return out
+
+    tensor_chain_matrix = chern._tensor_chain_matrix
+    monkeypatch.setattr(chern, "_tensor_chain_matrix", shifted)
+    e = idempotent_rep(_qz(5), [[_trivial_character(5)]])
+    _refusal(ValidationError, "idempotent character is not a cycle at "
+             "degree 4", chern_idempotent, e, 2)
+
+
+def test_a_raise_without_a_solution_is_refused(monkeypatch):
+    window = cyclic_complex(_qz(3), 2, normalized=False)
+    seed = CyclicChain(window, 0, {0: 1})
+    assert seed.is_cycle()
+    monkeypatch.setattr(SparseMatrix, "solve", lambda self, rhs: None)
+    _refusal(ValidationError, "no chain-level extension exists at degree 2",
+             _extend_cycle, seed)
 
 
 def _parent_character(rep, q):

@@ -7,9 +7,11 @@ import pytest
 
 from cychom.algebra import (
     AlgebraMap,
+    FDAlgebra,
     ground_field,
     functions_on_points,
     truncated_polynomial,
+    twisted_bimodule,
 )
 from cychom.crossprod import (
     CrossedProduct,
@@ -34,9 +36,9 @@ from cychom.groups import (
     symmetric_group_3,
     trivial_group,
 )
-from cychom.hochschild import hh
-from cychom.linalg import SparseMatrix, Subspace, vec_axpy
-from cychom.scalars import field_of_order, lift_raw
+from cychom.hochschild import _tensor_chain_matrix, hh, hh_with_coefficients
+from cychom.linalg import SparseMatrix, Subspace, induced_map, vec_axpy
+from cychom.scalars import Cyclotomic, field_of_order, lift_raw
 from cychom.spectrum import wedderburn_blocks
 
 
@@ -297,6 +299,70 @@ def test_decomposition_for_an_algebra_action():
     for contrib in rep.contributions:
         assert contrib.dims[0] == twisted_class_dim_oracle(A, action,
                                                            contrib.rep)
+
+
+def parent_class_route(cp, n_max):
+    """(twisted_dims, dims) per class, as hh_decomposition gave them on
+    unnormalized twisted windows, each centralizer element's matrix put in
+    place of every tensor factor as it is."""
+    A, field = cp.base, cp.base.field
+    out = []
+    for data in group_metadata(cp.group).classes:
+        twisted = twisted_bimodule(A, cp.action.automorphism(data.rep))
+        rep = hh_with_coefficients(A, twisted, n_max, normalized=False)
+        dims = []
+        for q, degree in enumerate(rep.degrees):
+            H = degree.homology
+            ops = []
+            for h in data.centralizer:
+                M = [[[col]] for col in
+                     cp.action.automorphism(h).matrix.columns()]
+                ops.append(induced_map(_tensor_chain_matrix(
+                    rep.window, rep.window, q, M, M), H, H))
+            whole = Subspace.from_vectors(
+                H.dim, field, [{k: field.one} for k in range(H.dim)])
+            dims.append(invariants(whole, ops).dim if H.dim else 0)
+        out.append((list(rep.dims), dims))
+    return out
+
+
+def _dihedral_product():
+    # Z/2 inverting a cyclic group of order 4
+    Z4, Z2 = cyclic_group(4), cyclic_group(2)
+    A = group_algebra(Z4)
+    sigma = AlgebraMap.from_images(
+        A, A, [{(4 - k) % 4: A.field.one} for k in range(4)],
+        multiplicative=True, unital=True)
+    return crossed_product(A, GroupAction(Z2, A, [AlgebraMap.identity(A),
+                                                  sigma]))
+
+
+def _zeta3_rotation_product():
+    # Z/3 acting on Q(zeta3)[x]/x^3 by x -> zeta3 x, whose classes have
+    # homology in every degree; on the basis x, 1, x^2 the normalized slot
+    # basis is not the algebra's, so the interior maps must be rebased
+    A = FDAlgebra(3, 3, {(0, 0): {2: 1}, (0, 1): {0: 1}, (1, 0): {0: 1},
+                         (1, 1): {1: 1}, (1, 2): {2: 1}, (2, 1): {2: 1}},
+                  unit={1: 1}).require_valid()
+    maps = [AlgebraMap.from_images(
+        A, A, [{0: Cyclotomic.zeta(3, k)}, {1: 1},
+               {2: Cyclotomic.zeta(3, 2 * k)}],
+        multiplicative=True, unital=True) for k in range(3)]
+    return crossed_product(A, GroupAction(cyclic_group(3), A, maps))
+
+
+@pytest.mark.parametrize("build, n_max", [
+    *[(lambda act=act: variety_crossed_product(act), 3)
+      for act in point_actions()],
+    (_dihedral_product, 2),
+    (_zeta3_rotation_product, 3),
+], ids=[act.name for act in point_actions()] + ["dihedral", "zeta3 rotation"])
+def test_normalized_class_route_matches_the_parent_route(build, n_max):
+    cp = build()
+    report = hh_decomposition(cp, n_max)
+    assert report.agrees
+    assert [(c.twisted_dims, c.dims) for c in report.contributions] == \
+        parent_class_route(cp, n_max)
 
 
 def test_free_actions_count_orbits():

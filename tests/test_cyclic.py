@@ -36,7 +36,6 @@ from cychom.cyclic import (
     _s_on_homology,
     _s_tower,
     cyclic_complex,
-    cyclic_t,
     direct_sum_check,
     excision_check,
     hc,
@@ -57,14 +56,14 @@ from cychom.errors import (
 from cychom.groups import FiniteVarietyAction, cyclic_group, group_algebra, \
     symmetric_group_3
 from cychom.hochschild import _phi_slot_maps, bar_complex, center_action, \
-    hh, homotopy_s, induced_map_hh
+    hh, induced_map_hh
 from cychom.linalg import SparseMatrix, Subspace, add_term, homology, \
     induced_map, vec_add, vec_axpy, vec_equal, vec_sub
 from cychom.spectrum import extend_scalars
 from test_hochschild import _relabelled, _zeta_basis_truncation
 import bicomplex_oracle as oracle
-from bicomplex_oracle import _bicomplex_hc, i_matrix, s_matrix, \
-    total_complex
+from bicomplex_oracle import _bicomplex_hc, cyclic_t, homotopy_s, i_matrix, \
+    s_matrix, total_complex
 
 
 def connes_quotient_hc_dims(A, n_max):

@@ -46,16 +46,15 @@ from cychom.hochschild import (
     hh,
     hh0_traces,
     hh_with_coefficients,
-    homotopy_s,
     induced_map_hh,
     tr_star_and_iota,
 )
 from cychom.linalg import SparseMatrix, Subspace, add_term, homology, \
-    induced_map, rref_rows, vec_add, vec_equal
+    induced_map, rref_rows, to_raw, vec_add, vec_equal
 from cychom.scalars import Cyclotomic
 from cychom.spectrum import extend_scalars
 from cychom.structure import block_idempotents, center, split_idempotents
-from bicomplex_oracle import extend_cycle, total_complex
+from bicomplex_oracle import extend_cycle, homotopy_s, total_complex
 
 
 def truncated_polynomial_hh_oracle(N, n_max):
@@ -194,6 +193,57 @@ def test_boundaries_follow_the_face_formula():
             for index in range(w.dims[n]):
                 assert vec_equal(cols[index], _face_column(w, n, index),
                                  w.field), (w.algebra.name, n, index)
+
+
+def _twisted_F2(normalized):
+    F2 = functions_on_points(2)
+    swap = AlgebraMap.from_images(F2, F2, [{1: 1}, {0: 1}],
+                                  multiplicative=True, unital=True)
+    return bar_complex(F2, 3, coefficients=twisted_bimodule(F2, swap),
+                       normalized=normalized)
+
+
+def _walk(A, top):
+    return bar_complex(A, top, normalized=True, blocks=split_idempotents(A))
+
+
+CHAIN_MODE_WINDOWS = {
+    "T4": lambda: bar_complex(truncated_polynomial(4), 4),
+    "T4 normalized": lambda: bar_complex(truncated_polynomial(4), 4,
+                                         normalized=True),
+    "T4 b_prime": lambda: bar_complex(truncated_polynomial(4), 4,
+                                      variant="b_prime"),
+    "QS3 walk": lambda: _walk(group_algebra(symmetric_group_3()), 3),
+    "T3+M2 walk": lambda: _walk(_T3_plus_M2(), 3),
+    "F2 twisted": lambda: _twisted_F2(False),
+    "F2 twisted normalized": lambda: _twisted_F2(True),
+    "zeta3": lambda: bar_complex(_zeta_basis_truncation(), 3),
+    "zeta3 walk": lambda: _walk(_zeta_basis_truncation(), 3),
+}
+
+
+@pytest.mark.parametrize("name", list(CHAIN_MODE_WINDOWS))
+def test_chain_mode_boundary_is_the_matrix_times_the_chain(name):
+    w = CHAIN_MODE_WINDOWS[name]()
+    field, rng = w.field, random.Random(name)
+    zeta = to_raw(Cyclotomic.zeta(field.order), field)
+    chains = {n: [{}] + [
+        {rng.randrange(w.dims[n]): field.mul(zeta, field.from_rational(
+            Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))))
+         for _ in range(rng.randint(1, 6))} for _ in range(8)]
+        for n in range(1, w.n_max + 1) if w.dims[n]}
+    # chain mode first: it reads the chains' words and builds no matrix
+    images = {n: [w._boundary(n, chain) for chain in chains[n]]
+              for n in chains}
+    assert w.boundaries._built == [None] * (w.n_max + 1)
+    for n, drawn in chains.items():
+        for chain, image in zip(drawn, images[n]):
+            assert vec_equal(image, w.boundaries[n].mat_vec(chain), field)
+        assert images[n][0] == {}
+        if n < w.n_max:
+            # b of a boundary cancels to the empty chain
+            for col in w.boundaries[n + 1].columns()[:20]:
+                assert w._boundary(n, col) == {}
 
 
 def test_codec_rejects_out_of_range_codes_and_indices():

@@ -30,7 +30,6 @@ from cychom.linalg import (
     preimage_subspace,
     reduced_rows,
     rref_rows,
-    sparse_to_dense,
     to_raw,
     vec_add,
     vec_axpy,
@@ -43,6 +42,13 @@ from bicomplex_oracle import total_complex
 
 F = Fraction
 Q = field_of_order(1)
+
+
+def sparse_to_dense(v: dict, n: int, field) -> list:
+    out = [field.zero] * n
+    for j, val in v.items():
+        out[j] = val
+    return out
 
 
 def dense_rref_oracle(matrix):
@@ -697,6 +703,43 @@ def test_matrix_refusals():
     assert not eye.equals(SparseMatrix.identity(3, Q))
     assert not eye.equals(SparseMatrix(2, 3, Q, rows=[{0: 1}, {1: 1}]))
     assert not eye.equals(SparseMatrix.identity(2, field_of_order(3)))
+
+
+def test_scaling_by_zero_gives_the_zero_vector():
+    assert vec_scale({0: F(1, 2), 3: -4}, 0, Q) == {}
+    zeta3 = field_of_order(3)
+    assert vec_scale({1: zeta3.one}, zeta3.zero, zeta3) == {}
+
+
+def test_shape_refusals_of_products_sums_and_preimages():
+    eye2, eye3 = SparseMatrix.identity(2, Q), SparseMatrix.identity(3, Q)
+    with pytest.raises(AmbientMismatch, match="cannot compose 2x2 with 3x3"):
+        eye2.matmul(eye3)
+    with pytest.raises(AmbientMismatch, match="shape mismatch in matrix sum"):
+        eye2.add(eye3)
+    with pytest.raises(AmbientMismatch,
+                       match="subspace sum needs one ambient space"):
+        Subspace.from_vectors(2, Q, [{0: 1}]).sum_with(
+            Subspace.from_vectors(3, Q, [{0: 1}]))
+    with pytest.raises(AmbientMismatch, match="map codomain does not match"):
+        preimage_subspace(eye2, Subspace.from_vectors(3, Q, [{0: 1}]))
+
+
+def test_homology_refusals():
+    with pytest.raises(ValidationError,
+                       match="need a map or an explicit space dimension"):
+        Homology(None, None)
+    # d1 d2 = 1 on a line: not a complex, caught only when asked for
+    one = SparseMatrix.identity(1, Q)
+    with pytest.raises(ValidationError,
+                       match="not a complex: composition is nonzero"):
+        Homology(one, one, check_complex=True)
+    # Q --0--> Q --1--> Q: the middle space has no homology and {0: 1} is
+    # not a cycle of the outgoing map
+    H = Homology(one, SparseMatrix(1, 1, Q))
+    assert H.dim == 0
+    with pytest.raises(NotContained, match="not a cycle modulo boundaries"):
+        H.class_is_zero({0: 1})
 
 
 def test_subspace_from_vectors_refuses_coordinates_outside_the_ambient():

@@ -38,8 +38,8 @@ from cychom.groups import (
     symmetric_group_3,
 )
 from cychom.hochschild import hh
-from cychom.linalg import SparseMatrix, Subspace, add_term, sparse_to_dense, \
-    vec_add, vec_axpy, vec_equal, vec_sub
+from cychom.linalg import SparseMatrix, Subspace, add_term, vec_add, \
+    vec_axpy, vec_equal, vec_sub
 from cychom.scalars import divisors, field_of_order
 from cychom.spectrum import (
     IdealFiltration,
@@ -96,8 +96,9 @@ def grid_search_center_atoms(A, denominator):
     """
     field = A.field
     central = center(A)
-    prods = [[sparse_to_dense(central.coords(A.multiply(u, v)), central.dim,
-                              field) for v in central.basis]
+    prods = [[[coords.get(k, field.zero) for k in range(central.dim)]
+              for coords in (central.coords(A.multiply(u, v))
+                             for v in central.basis)]
              for u in central.basis]
     values = [Fraction(k, denominator)
               for k in range(-denominator, denominator + 1)]
