@@ -182,11 +182,13 @@ def _root_factors(poly, field) -> list:
 
     This family is complete for the corpus; an eigenvalue outside it is
     treated as unsplittable at this order and escalates the field search.
-    For each zeta^k the rational candidates r come from one coefficient
-    slot of p(zeta^k t), one whose leading coefficient is not zero, cleared
-    to ints once.  If zeta^k r is a root of p, r is a root of every slot of
-    p(zeta^k t), so a candidate at which that slot does not vanish on ints
-    is passed over, and only the others go through _cofactor in the field.
+    For rational r, zeta^k r is a root of p exactly when r is a root of
+    every coefficient slot of p(zeta^k t), since the value of a slot at r
+    is that coordinate of p(zeta^k r).  So for each zeta^k every slot is
+    cleared to ints once, the candidates r come from one slot whose
+    leading coefficient is not zero, and a candidate goes through
+    _cofactor in the field only when every slot vanishes at it on ints,
+    that is only at a root, for its cofactor and multiplicity.
     """
     m = field.order
     found, seen = [], set()
@@ -196,13 +198,14 @@ def _root_factors(poly, field) -> list:
                       for i, c in enumerate(poly)]
         else:
             subbed = list(poly)
-        lead = field.to_coeffs(subbed[-1])
-        slot = next(i for i, c in enumerate(lead) if c)
-        slot_poly = [field.to_coeffs(c)[slot] for c in subbed]
-        scale = math.lcm(*[c.denominator for c in slot_poly])
-        ints = [c.numerator * (scale // c.denominator) for c in slot_poly]
-        for p, q in _rational_root_candidates(ints):
-            if not _vanishes_at(ints, p, q):
+        slots = []
+        for slot_poly in zip(*map(field.to_coeffs, subbed)):
+            scale = math.lcm(*[c.denominator for c in slot_poly])
+            slots.append([c.numerator * (scale // c.denominator)
+                          for c in slot_poly])
+        lead = next(ints for ints in slots if ints[-1])
+        for p, q in _rational_root_candidates(lead):
+            if not all(_vanishes_at(ints, p, q) for ints in slots):
                 continue
             r = Fraction(p, q)
             root = field.scale(field.zeta_pow[k], r) if m > 1 \

@@ -28,16 +28,20 @@ from cychom.algebra import (
 )
 from cychom import config
 from cychom.errors import (
+    AmbientMismatch,
     ClosureOverflow,
+    FieldMismatch,
     NotAutomorphism,
     NotMultiplicative,
     NonUnital,
     SizeOverflow,
     ValidationError,
 )
-from cychom.groups import cyclic_group, group_algebra
-from cychom.linalg import SparseMatrix, Subspace, to_raw
+from cychom.groups import cyclic_group, group_algebra, symmetric_group_3
+from cychom.hochschild import hh_with_coefficients
+from cychom.linalg import SparseMatrix, Subspace, to_raw, vec_axpy, vec_equal
 from cychom.scalars import Cyclotomic, field_of_order
+from cychom.spectrum import extend_scalars
 
 
 def one(A):
@@ -565,9 +569,12 @@ _SHEARED = ([[1, 1], [0, 0]], [[0, -1], [0, 1]])
     (_DIAGONAL, _ZERO, "unit does not act as identity on the right"),
 ], ids=["left", "right", "commute", "left unit", "right unit"])
 def test_bimodule_validation_names_the_failing_axiom(left, right, message):
+    M = _two_dimensional_bimodule(left, right)
     with pytest.raises(ValidationError) as caught:
-        _two_dimensional_bimodule(left, right).validate()
+        M.validate()
     assert str(caught.value) == message
+    assert _raised(lambda: _parent_bimodule_validate(M)) == \
+        (ValidationError, message)
 
 
 def test_bimodule_validation_accepts_either_pair_on_both_sides():
@@ -580,3 +587,335 @@ def test_twist_requires_automorphism():
     bad = AlgebraMap.from_images(A, A, [{0: 1}, {0: 1}])
     with pytest.raises(NotAutomorphism):
         twisted_bimodule(A, bad)
+
+
+# ---------------------------------------------------------------------------
+# the validators against their parent routes in the field's arithmetic
+
+
+def _parent_validate(A):
+    """FDAlgebra.validate with every sum in the field's arithmetic, the
+    route the native one replaced."""
+    field = A.field
+    messages = []
+    failing = None
+    for i in range(A.dim):
+        for j in range(A.dim):
+            p = A.mul[i][j]
+            for k in range(A.dim):
+                lhs = {}
+                for t, c in p.items():
+                    vec_axpy(lhs, c, A.mul[t][k], field)
+                rhs = {}
+                for t, c in A.mul[j][k].items():
+                    vec_axpy(rhs, c, A.mul[i][t], field)
+                if not vec_equal(lhs, rhs, field):
+                    failing = (i, j, k)
+                    messages.append(
+                        "associativity fails at basis triple (%d, %d, %d)"
+                        % (i, j, k))
+                    break
+            if failing:
+                break
+        if failing:
+            break
+    unital = False
+    if A.unit is not None and failing is None:
+        unital = True
+        for i in range(A.dim):
+            e = A.basis_vector(i)
+            if not vec_equal(A.multiply(A.unit, e), e, field):
+                messages.append("unit fails on the left at basis %d" % i)
+                failing = failing or (i, i, i)
+                unital = False
+                break
+            if not vec_equal(A.multiply(e, A.unit), e, field):
+                messages.append("unit fails on the right at basis %d" % i)
+                failing = failing or (i, i, i)
+                unital = False
+                break
+    return (not messages, unital, messages, failing)
+
+
+def _parent_bimodule_validate(M):
+    """Bimodule.validate on whole matrices: each action of a product as a
+    sum of scaled matrices, against matmul, by SparseMatrix.equals."""
+    A = M.algebra
+    field = A.field
+
+    def action_of(mats, vec):
+        out = SparseMatrix(M.dim, M.dim, field)
+        for i, c in vec.items():
+            out = out.add(mats[i].scaled(c))
+        return out
+
+    for i in range(A.dim):
+        for j in range(A.dim):
+            if not action_of(M.left, A.mul[i][j]).equals(
+                    M.left[i].matmul(M.left[j])):
+                raise ValidationError(
+                    "left action is not multiplicative at pair (%d, %d)"
+                    % (i, j))
+            if not action_of(M.right, A.mul[i][j]).equals(
+                    M.right[j].matmul(M.right[i])):
+                raise ValidationError(
+                    "right action does not reverse products at pair "
+                    "(%d, %d)" % (i, j))
+            if not M.left[i].matmul(M.right[j]).equals(
+                    M.right[j].matmul(M.left[i])):
+                raise ValidationError(
+                    "left and right actions fail to commute at pair "
+                    "(%d, %d)" % (i, j))
+    if A.is_unital:
+        ident = SparseMatrix.identity(M.dim, field)
+        if not action_of(M.left, A.unit).equals(ident):
+            raise ValidationError("unit does not act as identity on the left")
+        if not action_of(M.right, A.unit).equals(ident):
+            raise ValidationError("unit does not act as identity on the right")
+
+
+def _raised(call):
+    try:
+        call()
+    except ValidationError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _rescaled(A, scales):
+    """A on the basis s_i e_i, for nonzero raw scalars s_i: the constant
+    of f_k in f_i f_j is s_i s_j c / s_k."""
+    field = A.field
+    inv = [field.inv(s) for s in scales]
+    mul = {(i, j): {k: field.mul(field.mul(scales[i], scales[j]),
+                                 field.mul(c, inv[k]))
+                    for k, c in A.mul[i][j].items()}
+           for i in range(A.dim) for j in range(A.dim)}
+    unit = {k: field.mul(c, inv[k]) for k, c in A.unit.items()}
+    return FDAlgebra(A.dim, A.field_order, mul, unit=unit).require_valid()
+
+
+def _inner_twist(A, u):
+    """The twisted bimodule of x -> e_u x e_u^-1 for a basis element e_u
+    of a group algebra."""
+    v = next(h for h in range(A.dim)
+             if A.multiply(A.basis_vector(u), A.basis_vector(h)) == A.unit)
+    images = [A.multiply(A.multiply(A.basis_vector(u), A.basis_vector(g)),
+                         A.basis_vector(v)) for g in range(A.dim)]
+    return twisted_bimodule(A, AlgebraMap.from_images(
+        A, A, images, multiplicative=True, unital=True))
+
+
+def _validation_corpus():
+    QS3 = group_algebra(symmetric_group_3())
+    zeta3 = field_of_order(3).zeta_pow[1]
+    J = ideal_generated_by(truncated_polynomial(3), [{1: 1}])
+    return {
+        # over Q
+        "Q": ground_field(),
+        "points3": functions_on_points(3),
+        "cubic": truncated_polynomial(3),
+        "M2(Q)": matrix_algebra(ground_field(), 2),
+        "U3": upper_triangular(3),
+        "QZ3": group_algebra(cyclic_group(3)),
+        "QS3": QS3,
+        "QS3-scaled": _rescaled(QS3, [2, 3, 1, 1, Fraction(1, 6), 1]),
+        "Q[x]/x^2 + M2(Q)": direct_sum(
+            truncated_polynomial(2), matrix_algebra(ground_field(), 2)).algebra,
+        "(x)": ideal_as_algebra(J)[0],
+        # over Q(zeta_m), every constant rational
+        "QZ5-zeta5": extend_scalars(group_algebra(cyclic_group(5)), 5),
+        "QZ4-zeta4": group_algebra(cyclic_group(4), field_order=4),
+        # over Q(zeta3), with irrational constants
+        "QZ3-zeta3-scaled": _rescaled(
+            group_algebra(cyclic_group(3), field_order=3),
+            [field_of_order(3).one, zeta3, field_of_order(3).one]),
+    }
+
+
+def _perturbed_algebra(A, rng):
+    """A copy of A with one structure constant moved by a random nonzero
+    amount, rational or (over Q(zeta_m), half the time) not."""
+    field = A.field
+    i, j, k = (rng.randrange(A.dim) for _ in range(3))
+    amount = field.from_rational(Fraction(rng.choice([-3, -1, 1, 2]),
+                                          rng.randint(1, 3)))
+    if field.order > 1 and rng.random() < 0.5:
+        amount = field.mul(amount, field.zeta_pow[1])
+    mul = {(a, b): dict(A.mul[a][b]) for a in range(A.dim)
+           for b in range(A.dim)}
+    mul[(i, j)][k] = field.add(mul[(i, j)].get(k, field.zero), amount)
+    return FDAlgebra(A.dim, A.field_order, mul, unit=A.unit)
+
+
+def _assert_validators_agree(A):
+    report = A.validate()
+    parent = _parent_validate(A)
+    assert (report.ok, report.unital, report.messages,
+            report.failing_triple) == parent
+    assert _raised(A.require_valid) == (
+        None if parent[0] else (ValidationError, parent[2][0]))
+
+
+@pytest.mark.parametrize("name", sorted(_validation_corpus()))
+def test_validate_matches_its_field_route(name):
+    A = _validation_corpus()[name]
+    _assert_validators_agree(A)
+    rng = random.Random(name)
+    refused = 0
+    for _ in range(6):
+        B = _perturbed_algebra(A, rng)
+        _assert_validators_agree(B)
+        refused += not B.validate().ok
+    assert refused
+
+
+def test_validate_takes_the_native_route_on_rational_constants():
+    corpus = _validation_corpus()
+    assert corpus["QZ5-zeta5"]._rational_constants
+    assert not corpus["QZ3-zeta3-scaled"]._rational_constants
+    assert any(type(c) is Fraction for row in corpus["QS3-scaled"].mul
+               for entry in row for c in entry.values())
+
+
+def _bimodule_corpus():
+    corpus = _validation_corpus()
+    out = {name: diagonal_bimodule(corpus[name])
+           for name in ("points3", "cubic", "M2(Q)", "QS3", "QS3-scaled",
+                        "(x)", "QZ5-zeta5", "QZ3-zeta3-scaled")}
+    A = functions_on_points(2)
+    out["points2 swapped"] = twisted_bimodule(A, AlgebraMap.from_images(
+        A, A, [{1: 1}, {0: 1}], multiplicative=True, unital=True))
+    out["QS3 conjugated"] = _inner_twist(corpus["QS3"], 1)
+    out["QZ3 conjugated"] = _inner_twist(corpus["QZ3"], 1)
+    return out
+
+
+def _perturbed_bimodule(M, rng):
+    """A copy of M with one entry of one action matrix moved by a random
+    nonzero amount."""
+    field = M.algebra.field
+    sides = [list(M.left), list(M.right)]
+    side, t = rng.randrange(2), rng.randrange(M.algebra.dim)
+    r, c = rng.randrange(M.dim), rng.randrange(M.dim)
+    amount = field.from_rational(Fraction(rng.choice([-2, -1, 1, 3]),
+                                          rng.randint(1, 2)))
+    rows = [dict(row) for row in sides[side][t].rows]
+    total = field.add(rows[r].get(c, field.zero), amount)
+    if field.is_zero(total):
+        del rows[r][c]
+    else:
+        rows[r][c] = total
+    sides[side][t] = SparseMatrix(M.dim, M.dim, field, rows=rows)
+    return Bimodule(M.algebra, M.dim, *sides)
+
+
+@pytest.mark.parametrize("name", sorted(_bimodule_corpus()))
+def test_bimodule_validate_matches_its_matrix_route(name):
+    M = _bimodule_corpus()[name]
+    assert _raised(M.validate) is None
+    assert _raised(lambda: _parent_bimodule_validate(M)) is None
+    rng = random.Random(name)
+    refused = 0
+    for _ in range(4):
+        B = _perturbed_bimodule(M, rng)
+        got = _raised(B.validate)
+        assert got == _raised(lambda: _parent_bimodule_validate(B))
+        refused += got is not None
+    assert refused
+
+
+# ---------------------------------------------------------------------------
+# malformed bimodules, maps and constructor arguments
+
+
+def test_bimodule_with_too_few_actions_is_refused():
+    A = functions_on_points(2)
+    M = diagonal_bimodule(A)
+    short = Bimodule(A, 2, M.left[:1], M.right)
+    with pytest.raises(AmbientMismatch, match="needs 2 actions"):
+        short.validate()
+    with pytest.raises(AmbientMismatch, match="needs 2 actions"):
+        hh_with_coefficients(A, Bimodule(A, 2, M.left, M.right[:1]), 1)
+
+
+def test_bimodule_with_an_action_of_the_wrong_shape_is_refused():
+    A = functions_on_points(2)
+    M = diagonal_bimodule(A)
+    wide = SparseMatrix(2, 3, A.field)
+    with pytest.raises(AmbientMismatch, match="of shape 2 x 2"):
+        Bimodule(A, 2, [M.left[0], wide], M.right).validate()
+
+
+def test_bimodule_with_actions_over_another_field_is_refused():
+    A = functions_on_points(2)
+    M = diagonal_bimodule(A)
+    over_i = diagonal_bimodule(functions_on_points(2, field_order=4))
+    with pytest.raises(FieldMismatch, match="another field"):
+        Bimodule(A, 2, M.left, over_i.right).validate()
+
+
+def test_labels_must_match_the_dimension():
+    with pytest.raises(ValidationError, match="expected 2 basis labels"):
+        FDAlgebra(2, 1, {(0, 0): {0: 1}}, labels=["a"])
+
+
+def test_map_matrix_shape_and_fields_are_checked():
+    A, B = functions_on_points(2), functions_on_points(3)
+    with pytest.raises(ValidationError, match="must be 3 x 2, got 2 x 2"):
+        AlgebraMap(A, B, SparseMatrix.identity(2, A.field))
+    C = functions_on_points(2, field_order=3)
+    with pytest.raises(AmbientMismatch, match="different fields"):
+        AlgebraMap(A, C, SparseMatrix.identity(2, A.field))
+
+
+def test_compose_needs_matching_dimensions():
+    A, B = functions_on_points(2), functions_on_points(3)
+    f = AlgebraMap(A, A, SparseMatrix.identity(2, A.field))
+    g = AlgebraMap(B, B, SparseMatrix.identity(3, B.field))
+    with pytest.raises(AmbientMismatch, match="composition dimensions"):
+        f.compose(g)
+
+
+def test_unital_flag_checks_the_image_of_the_unit():
+    # the projection of Q x Q onto its first factor, into Q x Q, is
+    # multiplicative but sends the unit to the idempotent (1, 0)
+    A = functions_on_points(2)
+    first = AlgebraMap.from_images(A, A, [{0: 1}, {}],
+                                   multiplicative=True, unital=True)
+    with pytest.raises(NonUnital, match="does not send unit to unit"):
+        first.validate()
+
+
+def test_automorphism_and_inverse_refusals():
+    A, B = functions_on_points(2), functions_on_points(2)
+    across = AlgebraMap(A, B, SparseMatrix.identity(2, A.field))
+    with pytest.raises(NotAutomorphism, match="to itself"):
+        across.require_automorphism()
+    collapse = AlgebraMap.from_images(A, A, [{0: 1}, {0: 1}])
+    with pytest.raises(NotAutomorphism, match="not invertible"):
+        collapse.inverse()
+
+
+def test_ideal_refusals():
+    A = truncated_polynomial(3)
+    with pytest.raises(AmbientMismatch, match="wrong ambient dimension"):
+        TwoSidedIdeal(A, Subspace.from_vectors(2, A.field, [{1: 1}]))
+    # span{E12} in M2(Q): E21 E12 = E22 leaves it, first on the left
+    M = matrix_algebra(ground_field(), 2)
+    with pytest.raises(ValidationError, match="left absorption fails"):
+        two_sided_ideal(M, [{1: 1}])
+    other = two_sided_ideal(truncated_polynomial(3), [{2: 1}])
+    with pytest.raises(AmbientMismatch, match="does not belong"):
+        quotient_algebra(A, other)
+
+
+def test_constructor_refusals():
+    J = ideal_generated_by(truncated_polynomial(2), [{1: 1}])
+    JA, _ = ideal_as_algebra(J)
+    with pytest.raises(NonUnital, match="unital base"):
+        matrix_algebra(JA, 2)
+    with pytest.raises(AmbientMismatch, match="common scalar field"):
+        direct_sum(ground_field(), ground_field(3))
+    with pytest.raises(ValidationError, match="zero generators"):
+        subalgebra_closure(truncated_polynomial(2), [])

@@ -40,7 +40,7 @@ from cychom.groups import (
 from cychom.hochschild import hh
 from cychom.linalg import SparseMatrix, Subspace, add_term, vec_add, \
     vec_axpy, vec_equal, vec_sub
-from cychom.scalars import divisors, field_of_order
+from cychom.scalars import divisors, field_of_order, lift_raw
 from cychom.spectrum import (
     IdealFiltration,
     abelian_filtration_report,
@@ -607,6 +607,50 @@ def test_the_root_pre_test_reads_the_slot_on_ints():
     # the roots 1, 1/2 and 2 in candidate order, with the values q(lam)
     assert [(k, value) for _, k, value in _root_factors(poly, field)] == [
         (1, Fraction(-1, 2)), (1, Fraction(3, 4)), (1, Fraction(3, 2))]
+
+
+def test_root_factors_match_every_candidate_through_cofactor(monkeypatch):
+    # every minimal polynomial wedderburn_blocks meets on the oracle
+    # corpus, at its own field and, lifted, at every order 1 .. 12 that
+    # contains it: the same roots, in the same order, with the same
+    # cofactors, multiplicities and values
+    met = []
+    root_factors = structure._root_factors
+
+    def spy(poly, field):
+        met.append((poly, field))
+        return root_factors(poly, field)
+
+    monkeypatch.setattr(structure, "_root_factors", spy)
+    for _, A in _oracle_corpus():
+        wedderburn_blocks(A)
+    monkeypatch.undo()
+    assert {field.order for _, field in met} == {1, 3, 4, 5}
+    cases = set()
+    for poly, field in met:
+        for m in range(1, 13):
+            if m % field.order == 0:
+                target = field_of_order(m)
+                cases.add((tuple(lift_raw(c, field, target) for c in poly), m))
+    for poly, m in sorted(cases, key=repr):
+        field = field_of_order(m)
+        assert repr(_root_factors(list(poly), field)) == \
+            repr(_every_candidate_root_factors(list(poly), field))
+
+
+def test_cofactor_runs_only_at_the_roots(monkeypatch):
+    # wedderburn_blocks(QZ5) searches orders 1, 3, 4 and 5; every slot of
+    # p(zeta^k t) must vanish at a candidate before _cofactor sees it
+    calls = []
+    cofactor = structure._cofactor
+
+    def counted(poly, lam, field):
+        calls.append(lam)
+        return cofactor(poly, lam, field)
+
+    monkeypatch.setattr(structure, "_cofactor", counted)
+    wedderburn_blocks(group_algebra(cyclic_group(5)))
+    assert len(calls) == 17
 
 
 def test_split_unit_of_qz4_leaves_the_gaussian_piece():
