@@ -16,10 +16,6 @@ class ValidationError(CychomError):
     """Input data violates a structural precondition (bad algebra, bad map)."""
 
 
-class ParseError(CychomError):
-    """A scalar string could not be read."""
-
-
 # -- scalar / linear algebra ------------------------------------------------
 
 class DivisionByZero(ValidationError, ZeroDivisionError):

@@ -9,31 +9,29 @@ tuples compare and hash the same either way.  Reduction is canonical, so two
 scalars of the same order are equal exactly when their tuples are equal.  No
 rounding ever occurs: the only true divisions have a Fraction operand.
 
-The hot linear-algebra paths do not want a wrapper object per entry, so the
-arithmetic lives in field objects operating on raw values (an int or a
-Fraction for order 1, a coefficient tuple otherwise); the public Cyclotomic
-class is a thin immutable shell over the same functions.
+All arithmetic lives in the field objects of ``field_of_order``, which
+operate on raw values (an int or a Fraction for order 1, a coefficient tuple
+otherwise), so the linear-algebra paths need no wrapper object per entry.
+``Cyclotomic`` is the public value type: an immutable, hashable element that
+carries a raw value and its order, compares across orders and prints in
+canonical form.  It has no arithmetic operators.
 """
 
 from __future__ import annotations
 
 import functools
 import operator
-import re
 from fractions import Fraction
 from itertools import repeat
 from math import lcm
 
-from .errors import (DivisionByZero, FieldMismatch, ParseError,
-                     ValidationError, check_int)
+from .errors import DivisionByZero, FieldMismatch, ValidationError, check_int
 
 
 def _exact(c):
-    """A rational as an int when integral, else as a Fraction."""
+    """An int or Fraction as an int when integral, else as a Fraction."""
     if type(c) is int:
         return c
-    if not isinstance(c, Fraction):
-        c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 
 
@@ -91,19 +89,11 @@ class _FieldBase:
     order: int
     degree: int
 
-    # The subclasses fill in: zero, one, add, sub, neg, mul, inv, conj,
-    # is_zero, to_coeffs, from_coeffs, scale.
+    # The subclasses fill in: zero, one, add, sub, neg, mul, inv, is_zero,
+    # to_coeffs, from_coeffs, scale.
 
     def from_rational(self, q) -> object:
         return self.from_coeffs((q,) + (0,) * (self.degree - 1))
-
-    def pow(self, a, n: int):
-        if n < 0:
-            return self.pow(self.inv(a), -n)
-        out = self.one
-        for _ in range(n):
-            out = self.mul(out, a)
-        return out
 
 
 class _RationalField(_FieldBase):
@@ -137,10 +127,6 @@ class _RationalField(_FieldBase):
         if not a:
             raise DivisionByZero("inverse of zero")
         return _exact(1 / Fraction(a))
-
-    @staticmethod
-    def conj(a):
-        return a
 
     @staticmethod
     def is_zero(a):
@@ -266,18 +252,6 @@ class _CyclotomicFieldRaw(_FieldBase):
         out += [0] * (self.degree - len(out))
         return self.from_coeffs(out[: self.degree])
 
-    def conj(self, a):
-        m = self.order
-        if m <= 2:
-            return a
-        out = [0] * self.degree
-        for k, c in enumerate(a):
-            if c:
-                for idx, val in enumerate(self.zeta_pow[(m - k) % m]):
-                    if val:
-                        out[idx] += c * val
-        return tuple(out)
-
     @staticmethod
     def is_zero(a):
         return not any(a)
@@ -333,14 +307,21 @@ class Cyclotomic:
             if value.order != order:
                 raise FieldMismatch("construct via lift() to change order")
             coeffs = value.coeffs
-        elif isinstance(value, (int, Fraction)):
+        elif type(value) is int or isinstance(value, Fraction):
             coeffs = field.to_coeffs(field.from_rational(value))
         else:
-            seq = tuple(map(_exact, value))
+            # a float would enter as its binary value and a bool as 0 or 1,
+            # so each coefficient must be an int or a Fraction already; any
+            # other value that is not a sequence is refused as one
+            seq = tuple(value) if isinstance(value, (tuple, list)) else (value,)
+            for c in seq:
+                if type(c) is not int and not isinstance(c, Fraction):
+                    raise ValidationError(
+                        f"{c!r} is a {type(c).__name__}, not an int or a Fraction")
             if len(seq) != field.degree:
                 raise ValidationError(
                     f"order {order} needs {field.degree} coefficients, got {len(seq)}")
-            coeffs = seq
+            coeffs = tuple(map(_exact, seq))
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "_hash", None)
@@ -349,10 +330,6 @@ class Cyclotomic:
         raise AttributeError("Cyclotomic is immutable")
 
     # construction helpers -------------------------------------------------
-
-    @staticmethod
-    def rational(q) -> "Cyclotomic":
-        return Cyclotomic(Fraction(q), 1)
 
     @staticmethod
     def zeta(m: int, power: int = 1) -> "Cyclotomic":
@@ -375,61 +352,6 @@ class Cyclotomic:
     def field(self) -> _FieldBase:
         return field_of_order(self.order)
 
-    # arithmetic ------------------------------------------------------------
-
-    def _pair(self, other) -> tuple["Cyclotomic", "Cyclotomic"]:
-        if isinstance(other, (int, Fraction)):
-            other = Cyclotomic(field_of_order(self.order).to_coeffs(
-                field_of_order(self.order).from_rational(other)), self.order)
-        if not isinstance(other, Cyclotomic):
-            raise TypeError(f"cannot combine Cyclotomic with {type(other).__name__}")
-        if other.order != self.order:
-            raise FieldMismatch(
-                f"orders differ ({self.order} vs {other.order}); lift to a common order first")
-        return self, other
-
-    def __add__(self, other):
-        a, b = self._pair(other)
-        f = a.field
-        return Cyclotomic.from_raw(f.add(a.raw, b.raw), a.order)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        a, b = self._pair(other)
-        return Cyclotomic.from_raw(a.field.sub(a.raw, b.raw), a.order)
-
-    def __rsub__(self, other):
-        a, b = self._pair(other)
-        return Cyclotomic.from_raw(a.field.sub(b.raw, a.raw), a.order)
-
-    def __mul__(self, other):
-        a, b = self._pair(other)
-        return Cyclotomic.from_raw(a.field.mul(a.raw, b.raw), a.order)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        a, b = self._pair(other)
-        return Cyclotomic.from_raw(a.field.mul(a.raw, a.field.inv(b.raw)), a.order)
-
-    def __rtruediv__(self, other):
-        a, b = self._pair(other)
-        return Cyclotomic.from_raw(a.field.mul(b.raw, a.field.inv(a.raw)), a.order)
-
-    def __neg__(self):
-        return Cyclotomic.from_raw(self.field.neg(self.raw), self.order)
-
-    def __pow__(self, n: int):
-        return Cyclotomic.from_raw(self.field.pow(self.raw, n), self.order)
-
-    def inverse(self) -> "Cyclotomic":
-        return Cyclotomic.from_raw(self.field.inv(self.raw), self.order)
-
-    def conjugate(self) -> "Cyclotomic":
-        """Image under zeta_m -> zeta_m^(-1)."""
-        return Cyclotomic.from_raw(self.field.conj(self.raw), self.order)
-
     # predicates and conversions --------------------------------------------
 
     def is_zero(self) -> bool:
@@ -440,11 +362,6 @@ class Cyclotomic:
 
     def is_rational(self) -> bool:
         return not any(self.coeffs[1:])
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational():
-            raise ValidationError(f"{self} is not rational")
-        return Fraction(self.coeffs[0])
 
     def lift(self, order: int) -> "Cyclotomic":
         """Embed into Q(zeta_order); order must be a multiple of self.order."""
@@ -494,50 +411,6 @@ class Cyclotomic:
         return f"Cyclotomic({scalar_to_string(self)!r})"
 
 
-# -- the spec-facing operation dispatcher ------------------------------------
-
-def field_arith(op: str, operands) -> Cyclotomic | bool:
-    """Single entry point for scalar arithmetic.
-
-    op in {add, sub, mul, inv, conj, is_zero}; operands is a sequence of
-    Cyclotomic values sharing one order (callers lift first).
-    """
-    ops = list(operands)
-    if not ops:
-        raise ValidationError("no operands")
-    first = ops[0]
-    for other in ops[1:]:
-        if other.order != first.order:
-            raise FieldMismatch("operands must share a field order; lift first")
-    if op == "add":
-        out = first
-        for other in ops[1:]:
-            out = out + other
-        return out
-    if op == "sub":
-        if len(ops) != 2:
-            raise ValidationError("sub takes two operands")
-        return ops[0] - ops[1]
-    if op == "mul":
-        out = first
-        for other in ops[1:]:
-            out = out * other
-        return out
-    if op == "inv":
-        if len(ops) != 1:
-            raise ValidationError("inv takes one operand")
-        return first.inverse()
-    if op == "conj":
-        if len(ops) != 1:
-            raise ValidationError("conj takes one operand")
-        return first.conjugate()
-    if op == "is_zero":
-        if len(ops) != 1:
-            raise ValidationError("is_zero takes one operand")
-        return first.is_zero()
-    raise ValidationError(f"unknown op {op!r}")
-
-
 # -- canonical string form ----------------------------------------------------
 
 def _frac_str(q: Fraction) -> str:
@@ -570,66 +443,3 @@ def scalar_to_string(x: Cyclotomic, with_order: bool = True) -> str:
         for neg, body in terms[1:]:
             poly += (" - " if neg else " + ") + body
     return f"{poly} @ order={x.order}" if with_order else poly
-
-
-_TERM_RE = re.compile(
-    r"^(?P<sign>[+-]?)(?P<coef>\d+(?:/\d+)?)?\*?(?P<var>z(?:\^(?P<pow>\d+))?)?$")
-
-
-def parse_scalar(text: str, order: int | None = None) -> Cyclotomic:
-    """Inverse of scalar_to_string.  Accepts "p/q" and polynomial form.
-
-    The order comes from an "@ order=m" suffix when present, else from the
-    argument, else defaults to 1.
-    """
-    s = text.strip()
-    if "@" in s:
-        body, _, tail = s.partition("@")
-        tail = tail.strip()
-        if not tail.startswith("order="):
-            raise ParseError(f"bad scalar suffix in {text!r}")
-        try:
-            declared = int(tail[len("order="):])
-        except ValueError:
-            raise ParseError(f"bad order in {text!r}") from None
-        if order is not None and order != declared:
-            raise ParseError(f"scalar {text!r} declares order {declared}, expected {order}")
-        order = declared
-        s = body.strip()
-    if order is None:
-        order = 1
-    if order < 1:
-        raise ParseError(f"order {order} is not positive in {text!r}")
-    field = field_of_order(order)
-    # Split into signed terms at top level; findall skips a sign it cannot
-    # match, so the terms must cover the whole text.
-    compact = s.replace(" ", "")
-    chunks = re.findall(r"[+-]?[^+-]+", compact)
-    if not chunks:
-        raise ParseError(f"empty scalar {text!r}")
-    if "".join(chunks) != compact:
-        raise ParseError(f"dangling sign in {text!r}")
-    total = field.zero
-    for chunk in chunks:
-        m = _TERM_RE.match(chunk)
-        if not m or (m.group("coef") is None and m.group("var") is None):
-            raise ParseError(f"bad scalar term {chunk!r} in {text!r}")
-        q = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
-        if m.group("sign") == "-":
-            q = -q
-        if m.group("var") is None:
-            power = 0
-        else:
-            power = int(m.group("pow") or 1)
-        if power == 0:
-            term = field.from_rational(q)
-        else:
-            if order == 1:
-                raise ParseError(f"variable term {chunk!r} needs an order > 1")
-            term = field.scale(field.zeta_pow[power % order], q)
-        total = field.add(total, term)
-    return Cyclotomic.from_raw(total, order)
-
-
-def common_order(*orders: int) -> int:
-    return lcm(*orders)

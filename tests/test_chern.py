@@ -140,7 +140,8 @@ def test_characters_over_a_cyclotomic_field():
     # chains carry irrational coefficients into the trace
     C3 = extend_scalars(_qz(3), 3)
     # the character idempotent (1/3) sum_k zeta^-k g^k, a rank-one projection
-    e = idempotent_rep(C3, [[{k: Cyclotomic.zeta(3, -k) / 3
+    K = C3.field
+    e = idempotent_rep(C3, [[{k: K.scale(K.zeta_pow[-k % 3], Fraction(1, 3))
                               for k in range(3)}]])
     trace = dict(enumerate(C3.trace_vector()))
     for q in (0, 1, 2):

@@ -5,6 +5,7 @@ from math import lcm
 
 import pytest
 
+from cychom import crossprod
 from cychom.algebra import (
     AlgebraMap,
     FDAlgebra,
@@ -113,7 +114,8 @@ def phi_oracle_matrix(cp, data):
     for k in range(d):
         total = field.zero
         for row in chars:
-            total = field.add(total, field.mul(field.conj(row[1 % d]),
+            # the conjugate of a root of unity is its inverse
+            total = field.add(total, field.mul(field.inv(row[1 % d]),
                                                row[k]))
         weights.append(field.scale(total, Fraction(1, d)))
     fixed = act.fixed_points(data.rep)
@@ -420,6 +422,15 @@ def test_invariants_needs_a_stable_subspace():
         invariants(line, [SparseMatrix.identity(2, field), swap])
 
 
+def test_invariants_needs_an_operator():
+    field = field_of_order(1)
+    whole = Subspace.from_vectors(2, field, [{0: field.one}, {1: field.one}])
+    with pytest.raises(ValidationError, match="at least one operator"):
+        invariants(whole, [])
+    with pytest.raises(ValidationError, match="at least one operator"):
+        invariants(whole, iter([]))
+
+
 # ---------------------------------------------------------------------------
 # psi
 
@@ -484,6 +495,28 @@ def test_psi_sends_the_unit_to_every_block_identity():
                         for t in range(len(b.fixed))}
             assert set(block) == expected
             assert all(raw_is(field, v, 1) for v in block.values())
+
+
+def test_psi_refuses_a_component_that_is_not_unital(monkeypatch):
+    # every block value doubled: the unit goes to twice each identity
+    act = point_actions()[2]
+    field = field_of_order(act.group.exponent())
+    block_value = crossprod._psi_block_value
+    monkeypatch.setattr(
+        crossprod, "_psi_block_value",
+        lambda *args: {k: field.add(v, v)
+                       for k, v in block_value(*args).items()})
+    with pytest.raises(ValidationError, match="not unital on block 0"):
+        psi_map(act)
+
+
+def test_psi_refuses_a_component_that_is_not_multiplicative(monkeypatch):
+    # the values are right, and so the unit check passes; a block product
+    # that comes out zero disagrees with the first product of the table
+    monkeypatch.setattr(crossprod, "_block_mul", lambda u, v, m, field: {})
+    with pytest.raises(ValidationError,
+                       match=r"component 0 is not multiplicative at pair \(0, 0\)"):
+        psi_map(point_actions()[2])
 
 
 def test_psi_components_respect_products():
@@ -576,6 +609,28 @@ def test_phi_needs_a_point_action():
     assert cp.variety is None
     with pytest.raises(ValidationError):
         phi_gamma(cp, 1)
+    with pytest.raises(ValidationError, match="built from a point permutation"):
+        phi_isomorphism_report(cp)
+
+
+def test_phi_report_sees_a_map_that_leaks_off_its_class(monkeypatch):
+    # phi of the identity class given one nonzero entry at the column of
+    # delta_0 (x) g: the report must say that it does not vanish off the class
+    cp = variety_crossed_product(point_actions()[2])
+    assert phi_isomorphism_report(cp).ok
+    build = crossprod.phi_gamma
+
+    def leaky(cp, rep):
+        phi = build(cp, rep)
+        if rep == 0:
+            phi.matrix.set(0, cp.pair_index(0, 1), 1)
+        return phi
+
+    monkeypatch.setattr(crossprod, "phi_gamma", leaky)
+    report = phi_isomorphism_report(cp)
+    assert not report.ok
+    assert [v.vanishes_off_class for v in report.verdicts] == [False, True]
+    assert all(v.bijective for v in report.verdicts)
 
 
 def test_only_the_point_permutation_sets_the_variety():

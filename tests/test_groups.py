@@ -103,12 +103,16 @@ def test_group_metadata_s3():
     assert len(rot.characters) == 3
     assert rot.characters[1][1] == Cyclotomic.zeta(3)
     # characters are orthogonal on the cyclic subgroup
+    # (the conjugate of a root of unity is its inverse)
     d = len(rot.cyclic)
+    K = rot.characters[0][0].field
     for j in range(d):
         for l in range(d):
-            total = sum(rot.characters[j][k] * rot.characters[l][k].conjugate()
-                        for k in range(d))
-            assert total == (d if j == l else 0)
+            total = K.zero
+            for k in range(d):
+                total = K.add(total, K.mul(rot.characters[j][k].raw,
+                                           K.inv(rot.characters[l][k].raw)))
+            assert Cyclotomic.from_raw(total, K.order) == (d if j == l else 0)
 
 
 def test_group_metadata_centralizers():

@@ -51,7 +51,7 @@ from cychom.hochschild import (
 )
 from cychom.linalg import SparseMatrix, Subspace, add_term, homology, \
     induced_map, rref_rows, to_raw, vec_add, vec_equal
-from cychom.scalars import Cyclotomic
+from cychom.scalars import Cyclotomic, field_of_order
 from cychom.spectrum import extend_scalars
 from cychom.structure import block_idempotents, center, split_idempotents
 from bicomplex_oracle import extend_cycle, homotopy_s, total_complex
@@ -407,10 +407,9 @@ def test_b_prime_complex_of_ground_field_is_acyclic():
 def _zeta_basis_truncation():
     """Q(zeta3)[x]/x^3 on the basis 1, zeta3 x, x^2: (zeta3 x)^2 = zeta3^2 x^2
     puts an irrational entry into every window of it."""
-    z = Cyclotomic.zeta(3)
     mul = {(0, k): {k: 1} for k in range(3)}
     mul.update({(k, 0): {k: 1} for k in range(1, 3)})
-    mul[1, 1] = {2: z * z}
+    mul[1, 1] = {2: field_of_order(3).zeta_pow[2]}
     return FDAlgebra(3, 3, mul=mul, unit={0: 1})
 
 
@@ -774,7 +773,8 @@ def test_chern_push_matches_the_per_chain_oracle():
     C3 = extend_scalars(group_algebra(cyclic_group(3)), 3)
     z = Cyclotomic.zeta(3)
     reps = [idempotent_rep(QZ5, [[{g: Fraction(1, 5) for g in range(5)}]]),
-            idempotent_rep(C3, [[{k: Cyclotomic.zeta(3, -k) / 3
+            idempotent_rep(C3, [[{k: C3.field.scale(C3.field.zeta_pow[-k % 3],
+                                                    Fraction(1, 3))
                                   for k in range(3)}]]),
             invertible_rep(QZ5, [[{1: 1}]]),
             invertible_rep(C3, [[{0: z}, {1: 1}], [{}, {2: 1}]])]

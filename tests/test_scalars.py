@@ -10,15 +10,14 @@ from fractions import Fraction
 
 import pytest
 
-from cychom.errors import DivisionByZero, FieldMismatch, ParseError, ValidationError
+from cychom import scalars
+from cychom.errors import DivisionByZero, FieldMismatch, ValidationError
 from cychom.linalg import to_raw
 from cychom.scalars import (
     Cyclotomic,
-    common_order,
     cyclotomic_polynomial,
-    field_arith,
     field_of_order,
-    parse_scalar,
+    lift_raw,
     scalar_to_string,
 )
 
@@ -69,49 +68,59 @@ def test_phi_105_has_coefficient_minus_two():
 
 # -- hand-checked identities ---------------------------------------------------
 
+def _power(field, a, n):
+    """a^n for n >= 0 by repeated field multiplication."""
+    out = field.one
+    for _ in range(n):
+        out = field.mul(out, a)
+    return out
+
+
 def test_third_roots_sum_to_zero():
-    z = Cyclotomic.zeta(3)
-    assert (1 + z + z * z).is_zero()
+    K = field_of_order(3)
+    z = K.zeta_pow[1]
+    assert K.is_zero(K.add(K.add(K.one, z), K.mul(z, z)))
 
 
 def test_eighth_roots_sum_to_zero():
-    z = Cyclotomic.zeta(8)
-    total = Cyclotomic(0, 8)
+    K = field_of_order(8)
+    total = K.zero
     for j in range(8):
-        total = total + z ** j
-    assert total.is_zero()
+        total = K.add(total, _power(K, K.zeta_pow[1], j))
+    assert K.is_zero(total)
 
 
 def test_power_reduction_against_hand_values():
-    z4 = Cyclotomic.zeta(4)
-    assert z4 ** 2 == -1
-    z8 = Cyclotomic.zeta(8)
-    assert (z8 ** 4) == -1
+    K4 = field_of_order(4)
+    assert _power(K4, K4.zeta_pow[1], 2) == K4.from_rational(-1)
+    K8 = field_of_order(8)
+    assert _power(K8, K8.zeta_pow[1], 4) == K8.from_rational(-1)
     # zeta_12^4 = zeta_3 and the reduced tuple is z^2 - 1
-    z12 = Cyclotomic.zeta(12)
-    assert (z12 ** 4).coeffs == (F(-1), F(0), F(1), F(0))
+    K12 = field_of_order(12)
+    assert _power(K12, K12.zeta_pow[1], 4) == (F(-1), F(0), F(1), F(0))
 
 
 def test_inverse_of_one_plus_i_is_hand_value():
-    z = Cyclotomic.zeta(4)
-    a = 1 + z
+    K = field_of_order(4)
     # (1+i)(1-i) = 2, so the inverse is (1-i)/2
-    assert a.inverse() == (1 - z) / 2
+    assert K.inv((1, 1)) == (F(1, 2), F(-1, 2))
 
 
 def test_inverse_of_zeta3_is_its_square():
-    z = Cyclotomic.zeta(3)
-    assert z.inverse() == z * z
+    K = field_of_order(3)
+    z = K.zeta_pow[1]
+    assert K.inv(z) == K.mul(z, z)
 
 
 def test_zeta_has_exact_multiplicative_order():
     for m in (2, 3, 4, 5, 6, 8, 12):
-        z = Cyclotomic.zeta(m)
-        acc = Cyclotomic(1, m)
+        K = field_of_order(m)
+        z = K.zeta_pow[1]
+        acc = K.one
         for k in range(1, m):
-            acc = acc * z
-            assert acc != 1, (m, k)
-        assert acc * z == 1
+            acc = K.mul(acc, z)
+            assert acc != K.one, (m, k)
+        assert K.mul(acc, z) == K.one
 
 
 # -- random property checks ---------------------------------------------------
@@ -120,25 +129,28 @@ ORDERS = (1, 2, 3, 4, 5, 6, 8, 12)
 
 
 def _random_element(rng, m):
-    deg = field_of_order(m).degree
-    coeffs = [F(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(deg)]
-    return Cyclotomic(coeffs, m)
+    """A raw value of Q(zeta_m) with random Fraction coefficients."""
+    field = field_of_order(m)
+    coeffs = [F(rng.randint(-6, 6), rng.randint(1, 5))
+              for _ in range(field.degree)]
+    return field.from_coeffs(coeffs)
 
 
 def test_field_axioms_on_random_elements():
     rng = random.Random(20240817)
     for m in ORDERS:
-        one = Cyclotomic(1, m)
+        K = field_of_order(m)
         for _ in range(12):
             a = _random_element(rng, m)
             b = _random_element(rng, m)
             c = _random_element(rng, m)
-            assert (a + b) * c == a * c + b * c
-            assert a * b == b * a
-            assert (a * b) * c == a * (b * c)
-            assert a + (-a) == Cyclotomic(0, m)
-            if not a.is_zero():
-                assert a * a.inverse() == one
+            assert K.mul(K.add(a, b), c) == K.add(K.mul(a, c), K.mul(b, c))
+            assert K.mul(a, b) == K.mul(b, a)
+            assert K.mul(K.mul(a, b), c) == K.mul(a, K.mul(b, c))
+            assert K.add(a, K.neg(a)) == K.zero
+            assert K.sub(a, b) == K.add(a, K.neg(b))
+            if not K.is_zero(a):
+                assert K.mul(a, K.inv(a)) == K.one
 
 
 def _reference_product(a, b, m):
@@ -163,76 +175,73 @@ def test_rational_operands_multiply_like_the_general_route(m):
     rng = random.Random(m)
     field = field_of_order(m)
     for _ in range(20):
-        a = _random_element(rng, m).raw
+        a = _random_element(rng, m)
         r = field.from_rational(F(rng.randint(-6, 6), rng.randint(1, 5)))
         for x, y in [(a, r), (r, a), (r, r), (a, a), (a, field.zero)]:
             assert field.mul(x, y) == _reference_product(x, y, m)
 
 
-def test_conjugation_is_a_ring_involution():
-    rng = random.Random(7)
-    for m in ORDERS:
-        for _ in range(8):
-            a = _random_element(rng, m)
-            b = _random_element(rng, m)
-            assert (a * b).conjugate() == a.conjugate() * b.conjugate()
-            assert (a + b).conjugate() == a.conjugate() + b.conjugate()
-            assert a.conjugate().conjugate() == a
-    z = Cyclotomic.zeta(12)
-    assert z.conjugate() == z ** 11
-
-
-def test_conjugation_fixes_rationals():
-    assert Cyclotomic.rational(F(-5, 3)).conjugate() == F(-5, 3)
-
-
 def test_lift_is_a_ring_embedding():
     rng = random.Random(99)
     for m, k in ((3, 6), (3, 12), (4, 8), (4, 12), (2, 6), (1, 5)):
+        src, dst = field_of_order(m), field_of_order(k)
+
+        def lift(x):
+            return lift_raw(x, src, dst)
+
         for _ in range(6):
             a = _random_element(rng, m)
             b = _random_element(rng, m)
-            assert (a + b).lift(k) == a.lift(k) + b.lift(k)
-            assert (a * b).lift(k) == a.lift(k) * b.lift(k)
-        assert Cyclotomic.zeta(m).lift(k) == Cyclotomic.zeta(k) ** (k // m)
+            assert lift(src.add(a, b)) == dst.add(lift(a), lift(b))
+            assert lift(src.mul(a, b)) == dst.mul(lift(a), lift(b))
+            assert Cyclotomic.from_raw(a, m).lift(k) \
+                == Cyclotomic.from_raw(lift(a), k)
+        assert Cyclotomic.zeta(m).lift(k) == Cyclotomic.from_raw(
+            _power(dst, dst.zeta_pow[1], k // m), k)
 
 
 def test_cross_order_equality():
+    K = field_of_order(3)
     z3 = Cyclotomic.zeta(3)
     z6 = Cyclotomic.zeta(6)
     # zeta_6 = 1 + zeta_3 (both are the primitive sixth root in the upper half plane)
-    assert z6 == 1 + z3
-    assert -(z3 ** 2) == z6
+    assert z6 == Cyclotomic.from_raw(K.add(K.one, z3.raw), 3)
+    assert Cyclotomic.from_raw(K.neg(K.mul(z3.raw, z3.raw)), 3) == z6
     assert z3 != z6
 
 
 def test_hash_agrees_across_orders_and_with_fractions():
+    K8 = field_of_order(8)
     z4 = Cyclotomic.zeta(4)
     z8 = Cyclotomic.zeta(8)
-    assert hash(z8 ** 2) == hash(z4) == hash(z4.lift(8))
-    half = Cyclotomic.rational(F(1, 2))
+    z8_squared = Cyclotomic.from_raw(K8.mul(z8.raw, z8.raw), 8)
+    assert z8_squared == z4
+    assert hash(z8_squared) == hash(z4) == hash(z4.lift(8))
+    half = Cyclotomic(F(1, 2))
     assert half == F(1, 2)
     assert hash(half) == hash(F(1, 2))
+    K3 = field_of_order(3)
     d = {Cyclotomic.zeta(6): "top"}
-    assert d[1 + Cyclotomic.zeta(3)] == "top"
+    assert d[Cyclotomic.from_raw(K3.add(K3.one, K3.zeta_pow[1]), 3)] == "top"
 
 
 def test_rational_detection_after_cancellation():
-    z = Cyclotomic.zeta(3)
-    v = z + z * z  # equals -1
-    assert v.is_rational()
-    assert v.as_fraction() == -1
-    with pytest.raises(ValidationError):
-        z.as_fraction()
+    K = field_of_order(3)
+    z = K.zeta_pow[1]
+    v = Cyclotomic.from_raw(K.add(z, K.mul(z, z)), 3)  # equals -1
+    assert v.is_rational() and v == -1
+    assert not Cyclotomic.zeta(3).is_rational()
 
 
 # -- failure modes -------------------------------------------------------------
 
 def test_mixed_orders_refuse_silent_coercion():
     with pytest.raises(FieldMismatch):
-        Cyclotomic.zeta(3) + Cyclotomic.zeta(4)
-    with pytest.raises(FieldMismatch):
         Cyclotomic.zeta(6).lift(4)
+    # changing the order needs lift(), not the constructor
+    with pytest.raises(FieldMismatch, match="construct via lift"):
+        Cyclotomic(Cyclotomic.zeta(3), 6)
+    assert Cyclotomic(Cyclotomic.zeta(3), 3) == Cyclotomic.zeta(3)
     # to_raw lifts a scalar only into a field whose order its own divides:
     # zeta3 = zeta6^2 = zeta6 - 1 by Phi_6 = x^2 - x + 1, and zeta4 = zeta12^3
     assert to_raw(Cyclotomic.zeta(3), field_of_order(6)) == (-1, 1)
@@ -258,24 +267,10 @@ def test_order_that_is_not_an_int_is_a_validation_error():
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: field_arith("add", []), "no operands"),
-    (lambda: field_arith("sub", [Cyclotomic.zeta(4)]),
-     "sub takes two operands"),
-    (lambda: field_arith("inv", [Cyclotomic(1, 4)] * 2),
-     "inv takes one operand"),
-    (lambda: field_arith("conj", [Cyclotomic(1, 4)] * 2),
-     "conj takes one operand"),
-    (lambda: field_arith("is_zero", [Cyclotomic(1, 4)] * 2),
-     "is_zero takes one operand"),
-    (lambda: field_arith("frobnicate", [Cyclotomic.zeta(4)]),
-     "unknown op 'frobnicate'"),
     (lambda: Cyclotomic((1, 2, 3), 4), "order 4 needs 2 coefficients, got 3"),
-    (lambda: Cyclotomic.zeta(3).as_fraction(), "z @ order=3 is not rational"),
     (lambda: cyclotomic_polynomial(0), "order must be positive"),
     (lambda: cyclotomic_polynomial(-2), "order must be positive"),
-], ids=["no-operands", "sub-arity", "inv-arity", "conj-arity",
-        "is-zero-arity", "unknown-op", "coefficient-count", "irrational",
-        "phi-0", "phi-negative"])
+], ids=["coefficient-count", "phi-0", "phi-negative"])
 def test_scalar_refusals_are_typed(call, message):
     with pytest.raises(ValidationError) as caught:
         call()
@@ -283,13 +278,45 @@ def test_scalar_refusals_are_typed(call, message):
     assert str(caught.value) == message
 
 
+@pytest.mark.parametrize("order", [1, 3])
+@pytest.mark.parametrize("bad", [0.1, True, "1"],
+                         ids=["float", "bool", "str"])
+def test_coefficients_other_than_int_and_fraction_are_refused(bad, order):
+    # a float would enter as its binary value, a bool as 0 or 1 and a
+    # digit string as its number, as linalg.to_raw refuses them too
+    coeffs = [bad] + [0] * (field_of_order(order).degree - 1)
+    with pytest.raises(ValidationError, match="not an int or a Fraction"):
+        Cyclotomic(coeffs, order)
+    with pytest.raises(ValidationError, match="not an int or a Fraction"):
+        Cyclotomic(tuple(coeffs), order)
+    # a value that is neither a scalar nor a sequence is refused as one
+    with pytest.raises(ValidationError, match="not an int or a Fraction"):
+        Cyclotomic(bad, order)
+
+
 def test_zero_has_no_inverse():
+    for m in (1, 5, 12):
+        K = field_of_order(m)
+        with pytest.raises(DivisionByZero):
+            K.inv(K.zero)
+
+
+def test_inverse_refuses_a_common_factor_with_its_modulus(monkeypatch):
+    # inv runs Euclid against Phi_m, which is irreducible, so a nonzero
+    # value always ends at a nonzero constant; against x^2 - 1 = (x-1)(x+1)
+    # the value 1 + x ends at zero and is refused like zero itself
+    K = field_of_order(4)
+    monkeypatch.setattr(scalars, "cyclotomic_polynomial", lambda m: (-1, 0, 1))
     with pytest.raises(DivisionByZero):
-        Cyclotomic(0, 1).inverse()
-    with pytest.raises(DivisionByZero):
-        Cyclotomic(0, 12).inverse()
-    with pytest.raises(DivisionByZero):
-        Cyclotomic(1, 5) / Cyclotomic(0, 5)
+        K.inv((1, 1))
+
+
+def test_inexact_polynomial_division_is_refused():
+    # x^2 + 1 is not a multiple of x + 1; cyclotomic_polynomial divides
+    # x^m - 1 only by the Phi_d with d | m, which always divide it
+    with pytest.raises(ArithmeticError, match="inexact"):
+        scalars._poly_divmod_exact([1, 0, 1], [1, 1])
+    assert scalars._poly_divmod_exact([-1, 0, 1], [1, 1]) == [-1, 1]
 
 
 def test_integral_rationals_come_back_as_ints():
@@ -344,14 +371,6 @@ def test_cyclotomic_coefficients_have_one_representation():
     assert Cyclotomic(F(6, 3)).coeffs == (2,) and type(Cyclotomic(F(6, 3)).raw) is int
 
 
-def test_as_fraction_returns_a_fraction_for_an_int_coefficient():
-    for value in (Cyclotomic(3), Cyclotomic(3, 5), Cyclotomic.zeta(3) ** 3,
-                  Cyclotomic([F(-6, 3), 0], 3)):
-        q = value.as_fraction()
-        assert type(q) is F and q == value.coeffs[0]
-    assert type(Cyclotomic.rational(F(1, 2)).as_fraction()) is F
-
-
 def test_int_and_fraction_tuples_compare_and_hash_alike():
     field = field_of_order(3)
     ints, fracs = (2, -1), (F(2), F(-1))
@@ -367,73 +386,45 @@ def test_int_and_fraction_tuples_compare_and_hash_alike():
     assert Cyclotomic(2, 3) == 2 and hash(Cyclotomic(2, 3)) == hash(F(2))
 
 
-# -- dispatcher -----------------------------------------------------------------
-
-def test_field_arith_dispatch():
-    z = Cyclotomic.zeta(4)
-    assert field_arith("add", [z, z]) == 2 * z
-    assert field_arith("sub", [z, z]).is_zero()
-    assert field_arith("mul", [z, z, z, z]) == 1
-    assert field_arith("inv", [1 + z]) == (1 - z) / 2
-    assert field_arith("conj", [z]) == -z
-    assert field_arith("is_zero", [Cyclotomic(0, 4)]) is True
-    with pytest.raises(FieldMismatch):
-        field_arith("add", [z, Cyclotomic.zeta(3)])
-    with pytest.raises(ValidationError):
-        field_arith("frobnicate", [z])
-
-
 # -- text form -------------------------------------------------------------------
 
 def test_scalar_string_specific_forms():
-    assert scalar_to_string(Cyclotomic.rational(F(-3, 7))) == "-3/7"
-    assert scalar_to_string(Cyclotomic.rational(5)) == "5"
+    assert scalar_to_string(Cyclotomic(F(-3, 7))) == "-3/7"
+    assert scalar_to_string(Cyclotomic(5)) == "5"
     x = Cyclotomic([F(1, 2), F(-1), F(0), F(2)], 8)
     assert scalar_to_string(x) == "1/2 - z + 2*z^3 @ order=8"
     assert scalar_to_string(Cyclotomic(0, 6)) == "0 @ order=6"
     assert scalar_to_string(Cyclotomic.zeta(12)) == "z @ order=12"
 
 
-def test_scalar_string_round_trip_random():
-    rng = random.Random(4242)
-    for m in ORDERS:
-        for _ in range(10):
-            x = _random_element(rng, m)
-            assert parse_scalar(scalar_to_string(x)) == x
-            assert parse_scalar(scalar_to_string(x, with_order=False), order=m) == x
+def test_str_and_repr_show_the_canonical_text():
+    assert str(Cyclotomic.zeta(3)) == "z @ order=3"
+    assert repr(Cyclotomic.zeta(3)) == "Cyclotomic('z @ order=3')"
+    assert str(Cyclotomic(F(-3, 7))) == "-3/7"
+    assert repr(Cyclotomic(F(-3, 7))) == "Cyclotomic('-3/7')"
 
 
-def test_parse_scalar_hand_inputs():
-    assert parse_scalar("-3/7") == F(-3, 7)
-    assert parse_scalar("1/2 - z + 2*z^3 @ order=8") == \
-        Cyclotomic([F(1, 2), F(-1), F(0), F(2)], 8)
-    # powers at or above the degree reduce
-    assert parse_scalar("z^4 @ order=4") == 1
-    assert parse_scalar("z^2 + z + 1 @ order=3").is_zero()
+# -- the value type ---------------------------------------------------------------
+
+def test_zero_is_falsy_at_every_order():
+    for m in (1, 3, 8):
+        zero, one = Cyclotomic(0, m), Cyclotomic(1, m)
+        assert zero.is_zero() and not zero
+        assert not one.is_zero() and one
+    assert Cyclotomic.zeta(3) and not Cyclotomic.zeta(3).is_zero()
 
 
-def test_parse_scalar_rejects_garbage():
-    with pytest.raises(ParseError):
-        parse_scalar("1 + q @ order=4")
-    with pytest.raises(ParseError):
-        parse_scalar("z")  # variable with no order in scope
-    with pytest.raises(ParseError):
-        parse_scalar("3 @ order=x")
-    with pytest.raises(ParseError):
-        parse_scalar("1 @ order=4", order=8)
-    # a sign with no term after it, or two signs in a row
-    for text in ("1+", "3-", "--1", "1 + + 2"):
-        with pytest.raises(ParseError):
-            parse_scalar(text)
-    # an order below 1 names no field
-    for text in ("1 @ order=0", "1 @ order=-2"):
-        with pytest.raises(ParseError):
-            parse_scalar(text)
-    with pytest.raises(ParseError):
-        parse_scalar("1", order=0)
+def test_cyclotomic_is_immutable():
+    z = Cyclotomic.zeta(3)
+    for name, value in (("order", 6), ("coeffs", (1, 0)), ("extra", 1)):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(z, name, value)
+    assert z.order == 3 and z.coeffs == (0, 1)
 
 
-def test_common_order():
-    assert common_order(1, 1) == 1
-    assert common_order(4, 6) == 12
-    assert common_order(3, 5, 8) == 120
+def test_equality_with_a_foreign_type_is_left_to_it():
+    z = Cyclotomic.zeta(3)
+    for other in ("z @ order=3", (0, 1), None, 1.0):
+        assert z.__eq__(other) is NotImplemented
+        assert z != other and other != z
+    assert Cyclotomic(1).__eq__(1.0) is NotImplemented

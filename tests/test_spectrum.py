@@ -186,6 +186,32 @@ def test_radical_of_upper_triangular_is_the_strict_part():
     assert rad.contains({1: 1})
 
 
+def test_radical_refuses_a_kernel_that_meets_the_adjoined_unit(monkeypatch):
+    # the unit adjoined to a nonunital algebra is its last coordinate; a
+    # trace-form kernel that reaches it is a wrong kernel
+    A = FDAlgebra(2, 1, {(0, 0): {0: 1}, (0, 1): {1: 1}})
+    kernel = structure._trace_form_kernel
+    monkeypatch.setattr(structure, "_trace_form_kernel",
+                        lambda B: kernel(B) + [{B.dim - 1: 1}])
+    with pytest.raises(ValidationError, match="leaks onto the unit"):
+        jacobson_radical(A)
+
+
+def test_semisimple_quotient_rechecks_the_radical(monkeypatch):
+    # Q[x]/x^3 with a wrong radical: the whole algebra is not nilpotent,
+    # and the quotient by the zero ideal still has the radical (x)
+    A = truncated_polynomial(3)
+    for wrong, message in (
+            (lambda B: two_sided_ideal(B, [{i: 1} for i in range(B.dim)]),
+             "not nilpotent"),
+            (lambda B: two_sided_ideal(B, []), "not semisimple")):
+        monkeypatch.setattr(structure, "jacobson_radical", wrong)
+        with pytest.raises(ValidationError, match=message):
+            structure.semisimple_quotient(A)
+    monkeypatch.undo()
+    assert structure.semisimple_quotient(A)[1].dim == 2
+
+
 # -- block decompositions ----------------------------------------------------------
 
 

@@ -288,9 +288,10 @@ def _chern_chains():
     from cychom.chern import chern_idempotent, chern_invertible, \
         idempotent_rep, invertible_rep
     from cychom.groups import cyclic_group, group_algebra
-    from cychom.scalars import Cyclotomic
+    from cychom.scalars import field_of_order
     from cychom.spectrum import extend_scalars
 
+    K = field_of_order(3)
     QZ5 = group_algebra(cyclic_group(5))
     QZ3 = group_algebra(cyclic_group(3))
     C3 = extend_scalars(QZ3, 3)
@@ -305,14 +306,14 @@ def _chern_chains():
         ("QZ3 generator", chern_invertible,
          invertible_rep(QZ3, [[{1: 1}]]), 1),
         ("C3 character", chern_idempotent,
-         idempotent_rep(C3, [[{k: Cyclotomic.zeta(3, -k) / 3
+         idempotent_rep(C3, [[{k: K.scale(K.zeta_pow[-k % 3], Fraction(1, 3))
                                for k in range(3)}]]), 2),
     ]
     for name, character, rep, top in cases:
         for q in range(top + 1):
             ch = character(rep, q)
             yield "%s q=%d" % (name, q), (ch.degree, ch.chain.chain)
-    ch = chern_invertible(invertible_rep(C3, [[{0: Cyclotomic.zeta(3)}]]), 1)
+    ch = chern_invertible(invertible_rep(C3, [[{0: K.zeta_pow[1]}]]), 1)
     yield "C3 zeta3 q=1", (ch.degree, ch.chain.chain)
 
 
@@ -354,11 +355,10 @@ def _zeta_truncation():
     """Q(zeta3)[x]/x^3 on the basis 1, zeta3 x, x^2, where (zeta3 x)^2 =
     zeta3^2 x^2 puts an irrational entry into every window."""
     from cychom.algebra import FDAlgebra
-    from cychom.scalars import Cyclotomic
-    z = Cyclotomic.zeta(3)
+    from cychom.scalars import field_of_order
     mul = {(0, k): {k: 1} for k in range(3)}
     mul.update({(k, 0): {k: 1} for k in range(1, 3)})
-    mul[1, 1] = {2: z * z}
+    mul[1, 1] = {2: field_of_order(3).zeta_pow[2]}
     return FDAlgebra(3, 3, mul=mul, unit={0: 1})
 
 
