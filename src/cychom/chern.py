@@ -13,16 +13,24 @@ trace.  The chains live on the layout of the (b, B) total chains,
 cyclic.CyclicComplexWindow.  The substitution and the trace are the one
 chain-map builder of hochschild, _tensor_chain_matrix, applied to each
 Hochschild component of the carrier cycle; it maps only that component's
-own coordinates.  Carrier and target share one field.  Every produced
-chain is checked to be a cycle, b x_m + B x_(m-2) = 0 in each tensor
-degree m, with b and B applied to the chain's own words.  So the only
+own coordinates.  Carrier and target share one field.  The push runs on
+cleared ints (linalg.cleared): each carrier basis element's matrix is
+cleared once, the words' weights are divided by their letters'
+denominators and cleared by one D, and the image, D times the character,
+is divided by D once at the end (linalg.divided).  Every produced chain is
+checked to be a cycle, b x_m + B x_(m-2) = 0 in each tensor degree m, on
+ints too: the pushed chain before that division, the carrier's chains
+cleared.  b and B are applied term by term to the chain's own words and
+added up in native arithmetic over Q (linalg.combination).  So the only
 boundary matrices built are the carrier's b_(n+2), which each raise
 solves against; the target window builds none.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import reduce
 from itertools import product
+from math import prod
 
 from .algebra import FDAlgebra, _normalize_vec, _unflatten, matrix_algebra, \
     subalgebra_closure
@@ -36,7 +44,7 @@ from .errors import (
     check_int,
 )
 from .hochschild import _require_degree, _tensor_chain_matrix
-from .linalg import cleared, vec_add, vec_equal
+from .linalg import cleared, divided, vec_add, vec_equal
 from .scalars import Cyclotomic
 
 
@@ -245,18 +253,30 @@ def _character(rep: KClassRep, q: int, seed: tuple) -> ChernClass:
         for word in product(*coords)}), "seed")
     for _ in range(q):
         ch = _extend_cycle(ch)
-    mats = [_unflatten(rep.algebra, col, rep.size)
-            for col in include.matrix.columns()]
+    # D_b times carrier basis element b is the int matrix mats[b], so the
+    # word (b_0, .., b_m) with weight c pushes through the mats to
+    # D_(b_0) .. D_(b_m) times its image; the weights c / (D_(b_0) ..
+    # D_(b_m)) are cleared to ints by one D
+    dens, ints = zip(*[cleared(col, field)
+                       for col in include.matrix.columns()])
+    mats = [_unflatten(rep.algebra, w, rep.size) for w in ints]
+    summands = window.summands(degree)
+    den, weights = cleared({
+        off + i: field.scale(c, Fraction(1, prod(
+            dens[b] for b in hoch.tuple_of(m, i))))
+        for k, (m, off) in enumerate(summands)
+        for i, c in window.component(degree, ch.chain, k).items()}, field)
     tgt = cyclic_complex(rep.algebra, degree, normalized=False)
     out = {}
-    for k, (m, _) in enumerate(window.summands(degree)):
+    for k, (m, _) in enumerate(summands):
         traced = _tensor_chain_matrix(
             hoch, tgt.hochschild_window, m, mats, mats,
-            window.component(degree, ch.chain, k))
+            window.component(degree, weights, k))
         out.update(tgt.include_component(degree, traced, k))
-    pushed = CyclicChain(tgt, degree, out)
+    # out, D times the character, is a cycle exactly when the character is
+    _require_cycle(CyclicChain(tgt, degree, out), "%s character" % rep.kind)
     return ChernClass(rep.kind, rep.algebra, q, rep,
-                      _require_cycle(pushed, "%s character" % rep.kind))
+                      CyclicChain(tgt, degree, divided(out, den, field)))
 
 
 def chern_idempotent(rep: KClassRep, q: int) -> ChernClass:

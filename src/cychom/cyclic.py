@@ -18,7 +18,6 @@ filtration, through their unitalizations.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial, reduce
 from fractions import Fraction
@@ -32,8 +31,8 @@ from .errors import AmbientMismatch, DegreeTooLow, NonUnital, \
 from .hochschild import ChainComplexWindow, HomologyReport, InducedMap, \
     _SlotData, _degree_homologies, _homology_report, _induced, \
     _phi_slot_maps, _require_degree, bar_complex, induced_map_hh
-from .linalg import SparseMatrix, Subspace, add_term, induced_map, \
-    operator_matrix, vec_sub
+from .linalg import SparseMatrix, Subspace, add_term, combination, \
+    induced_map, operator_matrix, vec_sub
 from .structure import center, semisimple_quotient
 
 
@@ -41,19 +40,20 @@ from .structure import center, semisimple_quotient
 # the operator B on bar-window chains
 
 
-def _B_rows(window: ChainComplexWindow, n: int, chains, rows) -> None:
-    """Add B = (1 - t) s N on degree-n basis chains into rows.
+def _B_terms(window: ChainComplexWindow, n: int, chains):
+    """The terms (target, w, c) of B = (1 - t) s N on degree-n basis chains.
 
-    chains lists (slot-0 value, interior word) pairs; the column of
-    chains[col] goes into rows[target][col].  Rotating a closed walk gives
-    a closed walk, cut at another state; s puts the idempotent of the
-    state at the cut into slot 0 (on a one-state unnormalized window the
-    unit, on a normalized window e_i, an f-index outside the interior),
-    and the t-image of that puts it into the first interior slot.  Read
-    in the window's slot basis, a term that puts a vector outside the
-    interior into an interior slot is zero: when slot 0 holds such a
-    vector only the last rotation's t-image survives, and only the
-    interior part of the idempotent enters the t-images.
+    chains lists (slot-0 value, interior word, w) triples, and each term
+    is an entry c of that chain's column with its w attached: a chain
+    coefficient (operator_B) or a column index (sbi_check).  Rotating a
+    closed walk gives a closed walk, cut at another state; s puts the
+    idempotent of the state at the cut into slot 0 (on a one-state
+    unnormalized window the unit, on a normalized window e_i, an f-index
+    outside the interior), and the t-image of that puts it into the first
+    interior slot.  Read in the window's slot basis, a term that puts a
+    vector outside the interior into an interior slot is zero: when slot 0
+    holds such a vector only the last rotation's t-image survives, and
+    only the interior part of the idempotent enters the t-images.
     """
     slots = window.slots
     field = window.field
@@ -65,7 +65,7 @@ def _B_rows(window: ChainComplexWindow, n: int, chains, rows) -> None:
              for e in slots.units]
     # the idempotent of the state each interior code leaves
     leaves = [units[i] for i, _ in slots.code_label]
-    for col, (s0, word) in enumerate(chains):
+    for s0, word, w in chains:
         c0 = code.get(s0)
         whole = (c0,) + word
         home = units[label[s0][0]]
@@ -76,18 +76,18 @@ def _B_rows(window: ChainComplexWindow, n: int, chains, rows) -> None:
             unit, inner = leaves[rot[0]] if j else home
             if c0 is not None:
                 for u, c in unit:
-                    add_term(rows[start[u] + rank[rot]], col, c[n * j % 2],
-                             field)
+                    yield start[u] + rank[rot], w, c[n * j % 2]
             lead = s0 if j == n else f_of[rot[-1]]
             for k, c in inner:
-                add_term(rows[start[lead] + rank[(k,) + rot[:-1]]], col,
-                         c[n * (j + 1) % 2], field)
+                yield (start[lead] + rank[(k,) + rot[:-1]], w,
+                       c[n * (j + 1) % 2])
 
 
 def operator_B(window: ChainComplexWindow, n: int, chain: dict) -> dict:
     """Connes' degree-raising differential applied to a degree-n chain.
 
-    Only the chain's own columns of B are built.
+    Only the chain's own columns of B are visited, and each of their
+    entries is added straight into the image.
     """
     if not window.algebra.is_unital:
         raise NonUnital("the B operator inserts the unit")
@@ -96,16 +96,11 @@ def operator_B(window: ChainComplexWindow, n: int, chain: dict) -> dict:
     if n + 1 > window.n_max:
         raise ValidationError(
             "window too short: degree %d is not stored" % (n + 1))
-    field = window.field
-    tuples = [window.tuple_of(n, index) for index in chain]
-    rows = defaultdict(dict)
-    _B_rows(window, n, [(t[0], t[1:]) for t in tuples], rows)
-    values = list(chain.values())
-    out = {}
-    for target, row in rows.items():
-        for col, c in row.items():
-            add_term(out, target, field.mul(values[col], c), field)
-    return out
+    chains = []
+    for index, w in chain.items():
+        t = window.tuple_of(n, index)
+        chains.append((t[0], t[1:], w))
+    return combination(_B_terms(window, n, chains), window.field)
 
 
 # ---------------------------------------------------------------------------
@@ -646,8 +641,10 @@ def sbi_check(A: FDAlgebra, n_max: int,
     del_maps = {}
     for n in range(n_max):
         rows = [{} for _ in range(hoch.dims[n + 1])]
-        _B_rows(hoch, n, [(f_of[w[0]], w[1:]) for w in window.words[n]],
-                rows)
+        for target, col, c in _B_terms(hoch, n, [
+                (f_of[w[0]], w[1:], col)
+                for col, w in enumerate(window.words[n])]):
+            add_term(rows[target], col, c, field)
         del_maps[n] = induced_map(
             SparseMatrix(hoch.dims[n + 1], window.dims[n], field, rows=rows),
             hc_degrees[n].homology, hh_degrees[n + 1].homology)

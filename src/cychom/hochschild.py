@@ -28,7 +28,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import partial
 from itertools import groupby
 from math import lcm
 
@@ -44,6 +44,7 @@ from .linalg import (
     SparseMatrix,
     add_term,
     cleared,
+    combination,
     divided,
     homology,
     induced_map,
@@ -98,7 +99,9 @@ class _SlotData:
     the end (linalg.divided), by D_i D_j for a basis vector of the piece
     (i, j) and by delta D_a D_b for mulf[a][b].  Pivot choices do not change
     under nonzero scaling, so every value is that of the rational route;
-    only the arithmetic runs on ints.
+    only the arithmetic runs on ints.  The one idempotent [unit] needs
+    none of it: its basis, e_to_f and mulf are read off the table
+    (_unit_basis).
     """
 
     def __init__(self, A: FDAlgebra, idempotents, slot0: int | None = None):
@@ -111,23 +114,10 @@ class _SlotData:
             self.units = [A.unit]
             self.label = [(0, 0)] * d
             self.interior = list(range(d))
+        elif len(idempotents) == 1:
+            self._unit_basis(A, idempotents[0])
         else:
             self._peirce(A, idempotents)
-            fs = [cleared(f, field) for f in self.f_vectors]
-            # a list, not a generator, so that the argument tuple is taken
-            # from the free list of its length (see linalg._CycRows.prim)
-            dens, rows = zip(*[cleared(row, field)
-                               for row in self.e_to_f.rows])
-            delta = lcm(*dens)
-            inverse = SparseMatrix(d, d, field, rows=[
-                vec_scale(row, field.from_rational(delta // den), field)
-                for den, row in zip(dens, rows)])
-            # pieces (i, j) and (k, l) multiply to zero unless j == k
-            self.mulf = [[divided(inverse.mat_vec(A.multiply(x, y)),
-                                  delta * dx * dy, field)
-                          if a[1] == b[0] else {}
-                          for (dy, y), b in zip(fs, self.label)]
-                         for (dx, x), a in zip(fs, self.label)]
         self.code = {f: k for k, f in enumerate(self.interior)}
         self.interior_radix = len(self.interior)
         self.imul = [[{self.code[k]: c for k, c in self.mulf[a][b].items()
@@ -167,6 +157,46 @@ class _SlotData:
                                                 field).inverse()
         firsts = {f for e in self.units for f in e}
         self.interior = [f for f in range(A.dim) if f not in firsts]
+        fs = [cleared(f, field) for f in self.f_vectors]
+        # a list, not a generator, so that the argument tuple is taken
+        # from the free list of its length (see linalg._CycRows.prim)
+        dens, rows = zip(*[cleared(row, field) for row in self.e_to_f.rows])
+        delta = lcm(*dens)
+        inverse = SparseMatrix(A.dim, A.dim, field, rows=[
+            vec_scale(row, field.from_rational(delta // den), field)
+            for den, row in zip(dens, rows)])
+        # pieces (i, j) and (k, l) multiply to zero unless j == k
+        self.mulf = [[divided(inverse.mat_vec(A.multiply(x, y)),
+                              delta * dx * dy, field)
+                      if a[1] == b[0] else {}
+                      for (dy, y), b in zip(fs, self.label)]
+                     for (dx, x), a in zip(fs, self.label)]
+
+    def _unit_basis(self, A: FDAlgebra, unit: dict) -> None:
+        """_peirce's answer for the one idempotent [unit], read off the
+        table: the algebra's basis with the unit in place of x_top, top the
+        lowest index the unit involves.  x = c_0 unit + the sum of c_k x_k
+        over k != top has c_0 = x_top / u_top and c_k = x_k - u_k c_0, and
+        mulf reads the table's products x_k x_l in these coordinates."""
+        field, d = A.field, A.dim
+        top = min(unit)
+        scale = field.inv(unit[top])
+        order = [top] + [k for k in range(d) if k != top]
+        f_of = {k: f for f, k in enumerate(order)}
+        # x_top = (unit - the sum of u_k x_k over k != top) / u_top
+        column = {f_of[k]: field.neg(field.mul(u, scale))
+                  for k, u in unit.items()}
+        column[0] = scale
+        self.e_to_f = SparseMatrix.from_columns(
+            [divided(column, 1, field) if k == top else {f_of[k]: field.one}
+             for k in range(d)], d, field)
+        self.f_vectors = [dict(unit)] + [{k: field.one} for k in order[1:]]
+        self.mulf = [[{b: field.one} if a == 0 else {a: field.one} if b == 0
+                      else divided(self.e_to_f.mat_vec(
+                          A.mul[order[a]][order[b]]), 1, field)
+                      for b in range(d)] for a in range(d)]
+        self.units, self.label = [{0: field.one}], [(0, 0)] * d
+        self.interior = list(range(1, d))
 
     def dim(self, n: int) -> int:
         """The dimension of the degree-n chain space, from walk counts."""
@@ -428,22 +458,18 @@ def _boundary_matrix(slots, left, right, last_face, dims, field, n,
     are computed once per block; the columns are then visited with slot-0
     values outside and words inside, which is increasing column order, so
     every row holds its entries in increasing column order.  Given chain, a
-    sparse degree-n chain, the same loop visits only the chain's words and
-    columns, into rows keyed by the rows they meet, and returns b(chain)."""
+    sparse degree-n chain, it returns b(chain) instead, added up from
+    _boundary_terms."""
+    if chain is not None:
+        return combination(_boundary_terms(slots, left, right, last_face,
+                                           field, n, chain), field)
     f_of, imul = slots.interior, slots.imul
     rank, start = slots.ranks(n - 1), slots.starts(n - 1)
     own = slots.starts(n)
-    if chain is None:
-        rows = [{} for _ in range(dims[n - 1])]
-    else:
-        rows, picked = defaultdict(dict), defaultdict(set)
-        for col in chain:
-            s = bisect_right(own, col) - 1
-            picked[slots.group[s]].add(col - own[s])
-    for g, (values, words) in enumerate(slots.blocks(n)):
+    rows = [{} for _ in range(dims[n - 1])]
+    for values, words in slots.blocks(n):
         faces = []
-        for j in range(len(words)) if chain is None else sorted(picked[g]):
-            u = words[j]
+        for j, u in enumerate(words):
             # interior faces: adjacent factors multiply, slot 0 rides along
             inner = {}
             for i in range(1, n):
@@ -456,8 +482,6 @@ def _boundary_matrix(slots, left, right, last_face, dims, field, n,
         for s in values:
             for j, inner, first, tail, last, head in faces:
                 col = own[s] + j
-                if chain is not None and col not in chain:
-                    continue
                 base = start[s]
                 for r, c in inner.items():
                     rows[base + r][col] = c
@@ -469,15 +493,36 @@ def _boundary_matrix(slots, left, right, last_face, dims, field, n,
                     for i, c in last[s].items():
                         add_term(rows[start[i] + head], col,
                                  field.neg(c) if n % 2 else c, field)
-    if chain is None:
-        return SparseMatrix(dims[n - 1], dims[n], field, rows=rows)
-    out = {}
-    for r, row in rows.items():
-        total = reduce(field.add, [field.mul(chain[col], c)
-                                   for col, c in row.items()], field.zero)
-        if not field.is_zero(total):
-            out[r] = total
-    return out
+    return SparseMatrix(dims[n - 1], dims[n], field, rows=rows)
+
+
+def _boundary_terms(slots, left, right, last_face, field, n, chain):
+    """The terms (row, w, c) of b(chain), w a chain coefficient and c an
+    entry of its column: the chain's columns are grouped by interior word,
+    and each word's faces are computed once, as _boundary_matrix's."""
+    f_of, imul = slots.interior, slots.imul
+    rank, start = slots.ranks(n - 1), slots.starts(n - 1)
+    own, blocks = slots.starts(n), slots.blocks(n)
+    picked = defaultdict(list)
+    for col, w in chain.items():
+        s = bisect_right(own, col) - 1
+        picked[slots.group[s], col - own[s]].append((s, w))
+    for (g, j), weights in picked.items():
+        u = blocks[g][1][j]
+        inner = [(rank[u[:i - 1] + (k,) + u[i + 1:]],
+                  field.neg(c) if i % 2 else c)
+                 for i in range(1, n) for k, c in imul[u[i - 1]][u[i]].items()]
+        first, tail = right[f_of[u[0]]], rank[u[1:]]
+        last, head = left[f_of[u[-1]]], rank[u[:-1]]
+        for s, w in weights:
+            for r, c in inner:
+                yield start[s] + r, w, c
+            for i, c in first[s].items():
+                yield start[i] + tail, w, c
+            if last_face:
+                w = field.neg(w) if n % 2 else w
+                for i, c in last[s].items():
+                    yield start[i] + head, w, c
 
 
 # ---------------------------------------------------------------------------

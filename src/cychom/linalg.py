@@ -105,6 +105,22 @@ def add_term(out: dict, key, value, field: _FieldBase) -> None:
         out[key] = total
 
 
+def combination(terms, field: _FieldBase) -> dict:
+    """The vector sum of w * c e_key over the (key, w, c) of terms, added
+    up in native + and * over Q and in field calls over Q(zeta_m); zero
+    sums are dropped once, at the end."""
+    out = {}
+    get = out.get
+    if field.order == 1:
+        for key, w, c in terms:
+            out[key] = get(key, 0) + w * c
+    else:
+        add, mul, zero = field.add, field.mul, field.zero
+        for key, w, c in terms:
+            out[key] = add(get(key, zero), mul(w, c))
+    return {key: c for key, c in out.items() if not field.is_zero(c)}
+
+
 def dense_to_sparse(values, field: _FieldBase) -> dict:
     out = {}
     for j, v in enumerate(values):

@@ -160,20 +160,43 @@ def _vanishes_at(ints: list, p: int, q: int) -> bool:
     return value == 0
 
 
-def _cofactor(poly, lam, field):
-    """(q, k, q(lam)) with poly = (t - lam)^k q and q(lam) not zero, by
-    synthetic division by t - lam for as long as it leaves no remainder;
-    q(lam) is the remainder of the division that does not, and k = 0 when
-    lam is not a root."""
-    k = 0
-    while True:
-        quot, acc = [None] * (len(poly) - 1), field.zero
-        for i in range(len(poly) - 1, 0, -1):
-            acc = quot[i - 1] = field.add(field.mul(acc, lam), poly[i])
-        value = field.add(field.mul(acc, lam), poly[0])
-        if not field.is_zero(value):
-            return poly, k, value
-        poly, k = quot, k + 1
+def _cofactor(slots, scales, r, k, field):
+    """(c, e, c(lam)) with poly = (t - lam)^e c and c(lam) not zero, at a
+    root lam = zeta^k r of _root_factors, read off the int slots of
+    P(t) = poly(zeta^k t): slots[j] is scales[j] times the j-th coordinate
+    polynomial of P.
+
+    With r = p/q in lowest terms, every slot is divided on ints by q t - p
+    for as long as every slot vanishes at r; the quotients w_j are
+    integral (Gauss's lemma), and slots[j] = q^e (t - r)^e w_j.  So
+    C(t) = P(t) / (t - r)^e has the coordinates q^e w_j / scales[j], and
+    C(t) = zeta^(k e) c(zeta^k t) gives c_i = zeta^(-k (e + i)) C_i and
+    c(lam) = zeta^(-k e) C(r), each rotated on ints and divided once.
+    """
+    p, q, e = r.numerator, r.denominator, 0
+    while all(_vanishes_at(ints, p, q) for ints in slots):
+        quotients = []
+        for ints in slots:
+            quot, acc = [0] * (len(ints) - 1), 0
+            for i in range(len(ints) - 1, 0, -1):
+                acc = quot[i - 1] = (ints[i] + p * acc) // q
+            quotients.append(quot)
+        slots, e = quotients, e + 1
+    # one denominator for all slots: C_i has the coordinates q^e C[j][i] / den
+    den, top = math.lcm(*scales), len(slots[0]) - 1
+    C = [[c * (den // scale) for c in ints]
+         for ints, scale in zip(slots, scales)]
+
+    def rotated(ints, i, below):
+        # zeta^(-k (e + i)) q^e ints / below, an int where integral
+        if k:
+            ints = field.mul(tuple(ints), field.zeta_pow[
+                -k * (e + i) % field.order])
+        return field.from_coeffs([Fraction(c * q ** e, below) for c in ints])
+
+    return ([rotated(coords, i, den) for i, coords in enumerate(zip(*C))], e,
+            rotated([sum(c * p ** i * q ** (top - i) for i, c in enumerate(w))
+                     for w in C], 0, den * q ** top))
 
 
 def _root_factors(poly, field) -> list:
@@ -186,9 +209,9 @@ def _root_factors(poly, field) -> list:
     every coefficient slot of p(zeta^k t), since the value of a slot at r
     is that coordinate of p(zeta^k r).  So for each zeta^k every slot is
     cleared to ints once, the candidates r come from one slot whose
-    leading coefficient is not zero, and a candidate goes through
-    _cofactor in the field only when every slot vanishes at it on ints,
-    that is only at a root, for its cofactor and multiplicity.
+    leading coefficient is not zero, and a candidate goes to _cofactor
+    only when every slot vanishes at it on ints, that is only at a root,
+    for its cofactor and multiplicity, divided out on the same ints.
     """
     m = field.order
     found, seen = [], set()
@@ -198,9 +221,10 @@ def _root_factors(poly, field) -> list:
                       for i, c in enumerate(poly)]
         else:
             subbed = list(poly)
-        slots = []
+        slots, scales = [], []
         for slot_poly in zip(*map(field.to_coeffs, subbed)):
             scale = math.lcm(*[c.denominator for c in slot_poly])
+            scales.append(scale)
             slots.append([c.numerator * (scale // c.denominator)
                           for c in slot_poly])
         lead = next(ints for ints in slots if ints[-1])
@@ -211,12 +235,9 @@ def _root_factors(poly, field) -> list:
             root = field.scale(field.zeta_pow[k], r) if m > 1 \
                 else field.from_rational(r)
             key = tuple(field.to_coeffs(root))
-            if key in seen:
-                continue
-            factor = _cofactor(poly, root, field)
-            if factor[1]:
+            if key not in seen:
                 seen.add(key)
-                found.append(factor)
+                found.append(_cofactor(slots, scales, r, k, field))
     return found
 
 

@@ -7,7 +7,7 @@ characters use.  This module builds the rest on that layout: the B blocks
 and the total differentials, S and I as matrices, HC on the total complex,
 blockwise chain maps, and sbi_check, induced_map_hc and excision_check as
 they ran on it.  It shares with the Connes routes only the Hochschild
-windows, _B_rows (operator_B's columns) and the bookkeeping of the reports,
+windows, _B_terms (operator_B's columns) and the bookkeeping of the reports,
 so the tests compare every answer of those routes with it, and
 tools/window_digest.py hashes its matrices.  It also keeps the cyclic
 rotation t and the contracting homotopy s on bar windows, with which the
@@ -21,7 +21,7 @@ from cychom.algebra import AlgebraMap, ideal_as_algebra, quotient_algebra, \
     unitalization
 from cychom.config import DEFAULT_HP_CUTOFF
 from cychom.cyclic import CyclicComplexWindow, ExcisionReport, SBIReport, \
-    _B_rows, _node, _require_s_degree, _s_on_homology, _s_tower, \
+    _B_terms, _node, _require_s_degree, _s_on_homology, _s_tower, \
     cyclic_complex, hp, operator_S
 from cychom.errors import NonUnital, NotMultiplicative, ValidationError, \
     check_int
@@ -90,7 +90,9 @@ def _B_matrix(window, n: int) -> SparseMatrix:
     chains = [(s, u) for values, words in window.slots.blocks(n)
               for s in values for u in words]
     rows = [{} for _ in range(window.dims[n + 1])]
-    _B_rows(window, n, chains, rows)
+    for target, col, c in _B_terms(window, n, [
+            (s, u, col) for col, (s, u) in enumerate(chains)]):
+        add_term(rows[target], col, c, window.field)
     return SparseMatrix(len(rows), len(chains), window.field, rows=rows)
 
 

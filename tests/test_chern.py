@@ -26,7 +26,8 @@ from cychom.errors import AmbientMismatch, NotIdempotent, NotInvertible, \
 from cychom.groups import cyclic_group, group_algebra
 from cychom import chern, hochschild
 from cychom.hochschild import _tensor_chain_matrix
-from cychom.linalg import SparseMatrix, vec_add, vec_equal, vec_scale
+from cychom.linalg import SparseMatrix, cleared, vec_add, vec_equal, \
+    vec_scale
 from cychom.scalars import Cyclotomic
 from cychom.spectrum import extend_scalars
 from bicomplex_oracle import total_complex
@@ -328,3 +329,55 @@ def test_the_subalgebra_carrier_keeps_the_parent_classes(order):
                 # the even classes pair to 1, so no boundary hits them
                 assert total.totals[new.degree + 1].solve(
                     new.chain.chain) is None
+
+
+def _character_idempotent(m):
+    """(1/m) sum_k zeta_m^-k g^k in Q(zeta_m)[Z/m], a rank-one projection."""
+    A = extend_scalars(_qz(m), m)
+    K = A.field
+    return idempotent_rep(A, [[{k: K.scale(K.zeta_pow[-k % m], F(1, m))
+                                for k in range(m)}]])
+
+
+def _block_sum(rep):
+    """diag(e, 1 - e) for the 1 x 1 idempotent e of rep."""
+    A, e = rep.algebra, rep.flat
+    complement = vec_add(A.unit, vec_scale(e, A.field.neg(A.field.one),
+                                           A.field), A.field)
+    return idempotent_rep(A, [[e, {}], [{}, complement]])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: idempotent_rep(_qz(5), [[_trivial_character(5)]]),
+    lambda: _character_idempotent(3), lambda: _character_idempotent(5)],
+    ids=["QZ5", "zeta3", "zeta5"])
+def test_chain_mode_push_is_the_matrix_times_the_chain(build, monkeypatch):
+    # every push _character makes, on its int matrices and weights, against
+    # the whole matrix; the 2 x 2 block sum's generalized trace has a
+    # kernel, whose chains push to nothing
+    pushes = []
+
+    def spy(src, tgt, n, slot0, interior, chain):
+        pushes.append((src, tgt, n, slot0, interior, chain))
+        return tensor_chain_matrix(src, tgt, n, slot0, interior, chain)
+
+    tensor_chain_matrix = chern._tensor_chain_matrix
+    monkeypatch.setattr(chern, "_tensor_chain_matrix", spy)
+    chern_idempotent(_block_sum(build()), 1)
+    monkeypatch.undo()
+    assert len(pushes) == 2
+    cancelled = 0
+    for src, tgt, n, slot0, interior, chain in pushes:
+        field = tgt.field
+        # the weights and the matrices are cleared to ints
+        assert cleared(chain, field)[0] == 1
+        assert all(cleared(entry, field)[0] == 1
+                   for mat in slot0 for row in mat for entry in row)
+        matrix = _tensor_chain_matrix(src, tgt, n, slot0, interior)
+        assert _tensor_chain_matrix(src, tgt, n, slot0, interior, chain) \
+            == matrix.mat_vec(chain)
+        for kernel in matrix.kernel_basis()[:4]:
+            assert _tensor_chain_matrix(src, tgt, n, slot0, interior,
+                                        kernel) == {}
+            cancelled += 1
+    assert cancelled

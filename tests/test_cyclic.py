@@ -210,6 +210,42 @@ def test_B_is_one_minus_t_after_s_after_the_norm():
                                  field), (A.name, n, j)
 
 
+B_WINDOWS = {
+    "T4": lambda: bar_complex(truncated_polynomial(4), 4),
+    "T4 normalized": lambda: bar_complex(truncated_polynomial(4), 4,
+                                         normalized=True),
+    "QS3 walk": lambda: hh(group_algebra(symmetric_group_3()), 3).window,
+    "zeta3": lambda: bar_complex(_zeta_basis_truncation(), 4),
+    "zeta3 normalized": lambda: bar_complex(_zeta_basis_truncation(), 4,
+                                            normalized=True),
+    "zeta5": lambda: bar_complex(_zeta_basis_truncation(5), 4),
+}
+
+
+@pytest.mark.parametrize("name", list(B_WINDOWS))
+def test_operator_B_is_the_B_matrix_times_the_chain(name):
+    # operator_B adds each entry of the chain's columns straight into the
+    # image; the oracle's B matrix holds every column
+    w = B_WINDOWS[name]()
+    field, rng = w.field, random.Random(name)
+    zeta = field.zeta_pow[1] if field.order > 1 else 1
+    cancelled = 0
+    for n in range(w.n_max):
+        matrix = oracle._B_matrix(w, n)
+        drawn = [{rng.randrange(w.dims[n]): field.mul(
+            zeta, field.from_rational(Fraction(rng.choice([-3, -1, 1, 2]),
+                                               rng.randint(1, 3))))
+                  for _ in range(rng.randint(1, 6))} for _ in range(6)]
+        for chain in [{}] + drawn:
+            image = operator_B(w, n, chain)
+            assert vec_equal(image, matrix.mat_vec(chain), field)
+            if n + 1 < w.n_max and image:
+                # B B = 0: a chain whose terms all cancel
+                assert operator_B(w, n + 1, image) == {}
+                cancelled += 1
+    assert cancelled
+
+
 def test_B_guards():
     Z = FDAlgebra(1, 1, {}, labels=["x"])
     with pytest.raises(NonUnital):

@@ -219,6 +219,7 @@ CHAIN_MODE_WINDOWS = {
     "F2 twisted normalized": lambda: _twisted_F2(True),
     "zeta3": lambda: bar_complex(_zeta_basis_truncation(), 3),
     "zeta3 walk": lambda: _walk(_zeta_basis_truncation(), 3),
+    "zeta5": lambda: bar_complex(_zeta_basis_truncation(5), 3),
 }
 
 
@@ -404,13 +405,13 @@ def test_b_prime_complex_of_ground_field_is_acyclic():
 # homology
 
 
-def _zeta_basis_truncation():
-    """Q(zeta3)[x]/x^3 on the basis 1, zeta3 x, x^2: (zeta3 x)^2 = zeta3^2 x^2
-    puts an irrational entry into every window of it."""
+def _zeta_basis_truncation(m=3):
+    """Q(zeta_m)[x]/x^3 on the basis 1, zeta_m x, x^2: (zeta_m x)^2 =
+    zeta_m^2 x^2 puts an irrational entry into every window of it."""
     mul = {(0, k): {k: 1} for k in range(3)}
     mul.update({(k, 0): {k: 1} for k in range(1, 3)})
-    mul[1, 1] = {2: field_of_order(3).zeta_pow[2]}
-    return FDAlgebra(3, 3, mul=mul, unit={0: 1})
+    mul[1, 1] = {2: field_of_order(m).zeta_pow[2]}
+    return FDAlgebra(3, m, mul=mul, unit={0: 1})
 
 
 def _copy(m):
@@ -771,14 +772,27 @@ def test_chern_push_matches_the_per_chain_oracle():
     # element's matrix in place of it
     QZ5 = group_algebra(cyclic_group(5))
     C3 = extend_scalars(group_algebra(cyclic_group(3)), 3)
+    C5 = extend_scalars(QZ5, 5)
     z = Cyclotomic.zeta(3)
-    reps = [idempotent_rep(QZ5, [[{g: Fraction(1, 5) for g in range(5)}]]),
-            idempotent_rep(C3, [[{k: C3.field.scale(C3.field.zeta_pow[-k % 3],
-                                                    Fraction(1, 3))
-                                  for k in range(3)}]]),
-            invertible_rep(QZ5, [[{1: 1}]]),
-            invertible_rep(C3, [[{0: z}, {1: 1}], [{}, {2: 1}]])]
-    for rep in reps:
+
+    def projections(A, m):
+        # (1/m) sum_k zeta_m^-k g^k, and diag of it and its complement
+        e = {k: A.field.scale(A.field.zeta_pow[-k % m], Fraction(1, m))
+             for k in range(m)}
+        rest = {k: A.field.neg(c) for k, c in e.items()}
+        rest[0] = A.field.add(rest[0], A.field.one)
+        return (idempotent_rep(A, [[e]]),
+                idempotent_rep(A, [[e, {}], [{}, rest]]))
+
+    # (representative, top q): over Q(zeta5) only to q = 1, to keep it short
+    reps = [(idempotent_rep(QZ5, [[{g: Fraction(1, 5) for g in range(5)}]]),
+             2),
+            *[(rep, 2) for rep in projections(C3, 3)],
+            *[(rep, 1) for rep in projections(C5, 5)],
+            (invertible_rep(QZ5, [[{1: 1}]]), 1),
+            (invertible_rep(C3, [[{0: z}, {1: 1}], [{}, {2: 1}]]), 1),
+            (invertible_rep(C5, [[{1: C5.field.zeta_pow[2]}]]), 1)]
+    for rep, top in reps:
         M, field = rep.matrices, rep.algebra.field
         seed = (rep.flat,) if rep.kind == "idempotent" else \
             (rep.inverse_flat, rep.flat)
@@ -788,7 +802,7 @@ def test_chern_push_matches_the_per_chain_oracle():
         mats = [_unflatten(rep.algebra, col, rep.size)
                 for col in include.matrix.columns()]
         start = len(seed) - 1
-        for q in range(3 - start):
+        for q in range(top + 1):
             degree = start + 2 * q
             # the carrier cycle is raised on the oracle's total complex
             window = total_complex(carrier, degree, normalized=False)
@@ -1296,6 +1310,22 @@ def _split(build):
     return cut
 
 
+def _zeta_rebased_qz3():
+    """Q(zeta3)[Z/3] on the basis zeta3 g^k: the structure constants are
+    zeta3 and the unit is zeta3^2 times the first basis vector."""
+    zeta = field_of_order(3).zeta_pow
+    mul = {(i, j): {(i + j) % 3: zeta[1]} for i in range(3) for j in range(3)}
+    return FDAlgebra(3, 3, mul, unit={0: zeta[2]}).require_valid()
+
+
+def _unit(build):
+    """The one idempotent [unit], whose slot basis is read off the table."""
+    def cut():
+        A = build()
+        return A, [A.unit]
+    return cut
+
+
 @pytest.mark.parametrize("case", [
     _split(lambda: group_algebra(symmetric_group_3())),
     _split(lambda: extend_scalars(group_algebra(symmetric_group_3()), 3)),
@@ -1307,9 +1337,20 @@ def _split(build):
     _split(_rot3),
     _split(lambda: _scaled_basis(group_algebra(symmetric_group_3()),
                                  [2, 3, 1, 1, 6, 1])),
-    _mixed_denominators, _gauss_denominators],
+    _mixed_denominators, _gauss_denominators,
+    _unit(lambda: group_algebra(symmetric_group_3())),
+    _unit(lambda: extend_scalars(group_algebra(cyclic_group(5)), 5)),
+    _unit(lambda: _relabelled(group_algebra(symmetric_group_3()), 5)),
+    _unit(lambda: _scaled_basis(group_algebra(symmetric_group_3()),
+                                [2, 3, 1, 1, 6, 1])),
+    _unit(lambda: functions_on_points(3)), _unit(lambda: upper_triangular(3)),
+    _unit(_T3_plus_M2), _unit(_zeta_basis_truncation),
+    _unit(_zeta_rebased_qz3)],
     ids=["QS3", "QS3-zeta3", "QD4", "QQ8", "QZ5-zeta5", "M2(T2)", "U3",
-         "rot3", "QS3-scaled", "M3-mixed", "QZ4-mixed"])
+         "rot3", "QS3-scaled", "M3-mixed", "QZ4-mixed", "QS3 unit",
+         "QZ5-zeta5 unit", "QS3-relabelled unit", "QS3-scaled unit",
+         "points3 unit", "U3 unit", "T3+M2 unit", "x3-zeta3 unit",
+         "QZ3-zeta3-rebased unit"])
 def test_cleared_slot_basis_matches_the_fraction_route(case):
     A, idems = case()
     # bar_complex refuses a list that is not a cut of the unit

@@ -53,7 +53,7 @@ from cychom.spectrum import (
     weakly_spectrum_preserving_check,
     wedderburn_blocks,
 )
-from cychom.structure import _cofactor, _minimal_polynomial, \
+from cychom.structure import _minimal_polynomial, \
     _rational_root_candidates, _root_factors, _span_identity, _split_unit, \
     _vanishes_at, block_idempotents, center, is_nilpotent_subspace, \
     jacobson_radical, split_idempotents
@@ -432,9 +432,30 @@ def _solve_per_power_minimal_polynomial(A, e, x):
         power = _add_term_multiply(A, power, x)
 
 
+def _field_cofactor(poly, lam, field):
+    """(q, k, q(lam)) with poly = (t - lam)^k q and q(lam) not zero, by
+    synthetic division by t - lam in the field for as long as it leaves no
+    remainder; q(lam) is the remainder of the division that does not, and
+    k = 0 when lam is not a root."""
+    k = 0
+    while True:
+        quot, acc = [None] * (len(poly) - 1), field.zero
+        for i in range(len(poly) - 1, 0, -1):
+            acc = quot[i - 1] = field.add(field.mul(acc, lam), poly[i])
+        value = field.add(field.mul(acc, lam), poly[0])
+        if not field.is_zero(value):
+            return poly, k, value
+        poly, k = quot, k + 1
+
+
 def _every_candidate_root_factors(poly, field):
-    """_root_factors with _cofactor run in the field on every rational
-    candidate, found on the Fraction slot polynomial."""
+    """_root_factors with _field_cofactor on every rational candidate,
+    found on the Fraction slot polynomial, its values put in the raw rule
+    (an int where a rational is integral), which field arithmetic on
+    Fractions does not keep."""
+    def raw(c):
+        return field.from_coeffs(field.to_coeffs(c))
+
     m = field.order
     found, seen = [], set()
     for k in range(max(m, 1)):
@@ -456,10 +477,10 @@ def _every_candidate_root_factors(poly, field):
             key = tuple(field.to_coeffs(root))
             if key in seen:
                 continue
-            factor = _cofactor(poly, root, field)
-            if factor[1]:
+            cofactor, mult, value = _field_cofactor(poly, root, field)
+            if mult:
                 seen.add(key)
-                found.append(factor)
+                found.append(([raw(c) for c in cofactor], mult, raw(value)))
     return found
 
 
@@ -664,15 +685,35 @@ def test_root_factors_match_every_candidate_through_cofactor(monkeypatch):
             repr(_every_candidate_root_factors(list(poly), field))
 
 
+def test_cofactor_divides_a_repeated_root_off_the_rational_line():
+    # (t - zeta3/2)^2 (t - 1) over Q(zeta3): the double root zeta3 * 1/2 is
+    # divided out on the slots of p(zeta3 t), by 2t - 1 twice
+    field = field_of_order(3)
+    half_zeta = field.scale(field.zeta_pow[1], Fraction(1, 2))
+    poly = [field.one]
+    for root in (half_zeta, half_zeta, field.one):
+        shifted = [field.zero] + poly
+        for i, c in enumerate(poly):
+            shifted[i] = field.sub(shifted[i], field.mul(root, c))
+        poly = shifted
+    found = _root_factors(poly, field)
+    assert [(k, value) for _, k, value in found] == [
+        (1, field.mul(field.sub(field.one, half_zeta),
+                      field.sub(field.one, half_zeta))),
+        (2, field.sub(half_zeta, field.one))]
+    assert found[1][0] == [field.neg(field.one), field.one]
+    assert repr(found) == repr(_every_candidate_root_factors(poly, field))
+
+
 def test_cofactor_runs_only_at_the_roots(monkeypatch):
     # wedderburn_blocks(QZ5) searches orders 1, 3, 4 and 5; every slot of
     # p(zeta^k t) must vanish at a candidate before _cofactor sees it
     calls = []
     cofactor = structure._cofactor
 
-    def counted(poly, lam, field):
-        calls.append(lam)
-        return cofactor(poly, lam, field)
+    def counted(slots, scales, r, k, field):
+        calls.append((r, k))
+        return cofactor(slots, scales, r, k, field)
 
     monkeypatch.setattr(structure, "_cofactor", counted)
     wedderburn_blocks(group_algebra(cyclic_group(5)))

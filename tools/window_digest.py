@@ -420,4 +420,12 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe, as head -1 does: stop quietly, with
+        # stdout on devnull so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 0
+    sys.exit(status)
